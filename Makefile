@@ -48,27 +48,28 @@ bench-vcache:
 	$(GO) test -run xxx -bench BenchmarkVerdictCache -benchmem ./internal/detect
 
 # Lower-bound cascade figures: repository scan Serial vs Engine vs
-# Pruned vs Cascade, best-of-3, written to BENCH_cascade.json. A longer
+# Cascade (the -fast scan), best-of-3, written to BENCH_cascade.json
+# and BENCH_index.json. A longer
 # benchtime than the CI guard, for quoting in docs/PERFORMANCE.md.
 bench-cascade:
 	BENCHTIME=1.5s COUNT=3 ./scripts/bench-check.sh
 
-# Repository-index figures: the 500-variant stress-corpus sweep, Flat
-# vs Cascade vs Indexed, best-of-3 at a longer benchtime than the CI
+# Repository-index figures: the 500-variant stress-corpus sweep, Cascade
+# vs Indexed, best-of-3 at a longer benchtime than the CI
 # guard, for quoting in docs/PERFORMANCE.md and docs/INDEXING.md.
 bench-index:
 	$(GO) test -run xxx -bench BenchmarkIndexedScan -benchtime 1.5s -count 3 -benchmem ./internal/scan
 
 # CI regression guards over both benchmarks: fails if the cascade scan
-# regresses more than 1.25x RELATIVE to the plain pruned scan in the
-# same run, or if the indexed sweep scan drops under 3x over the flat
-# pruned scan (intra-run ratios — absolute ns/op thresholds don't
-# survive CI machine variance). Writes BENCH_cascade.json and
-# BENCH_index.json.
+# regresses more than 1.25x RELATIVE to the exact engine in the same
+# run (or loses to the serial reference), or if the indexed sweep scan
+# drops under 1.5x over the cascade (intra-run ratios — absolute ns/op
+# thresholds don't survive CI machine variance). Writes
+# BENCH_cascade.json and BENCH_index.json.
 bench-check:
 	./scripts/bench-check.sh
 
-# The warm scan path — exact, pruned and cascade — must perform zero
+# The warm scan path — exact and pruned (-fast) — must perform zero
 # allocations per full repository pass (testing.AllocsPerRun-pinned;
 # see docs/PERFORMANCE.md "Allocation-free scan kernel").
 alloc-check:

@@ -382,7 +382,8 @@ func scanCorpus(b *testing.B) (entries, targets []*model.CSTBBS) {
 //
 //	Serial   — the reference loop (similarity.Score per entry)
 //	Engine   — exact scan: worker pool + memoized Levenshtein + O(m) DTW
-//	Pruned   — Engine plus lower-bound and early-abandon pruning
+//	Cascade  — the pruned (-fast) scan: Engine plus the lower-bound
+//	           cascade and early abandoning
 //
 // Targets round-robin across distinct models so the cache is exercised
 // the way a deployment stream exercises it (recurring blocks, varying
@@ -403,16 +404,8 @@ func BenchmarkRepositoryScan(b *testing.B) {
 	b.Run("Engine", func(b *testing.B) {
 		run(b, func(eng *scan.Engine, t *model.CSTBBS) { eng.Scan(t) })
 	})
-	b.Run("Pruned", func(b *testing.B) {
-		eng := scan.New(entries, scan.Config{Prune: true, Sim: similarity.DefaultOptions()})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng.Scan(targets[i%len(targets)])
-		}
-		b.ReportMetric(float64(len(entries)), "entries")
-	})
 	b.Run("Cascade", func(b *testing.B) {
-		eng := scan.New(entries, scan.Config{Prune: true, Cascade: true, Sim: similarity.DefaultOptions()})
+		eng := scan.New(entries, scan.Config{Prune: true, Sim: similarity.DefaultOptions()})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			eng.Scan(targets[i%len(targets)])

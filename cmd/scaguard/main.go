@@ -226,6 +226,35 @@ func (tf *targetFlags) resolve() (*scaguard.Program, *scaguard.Program, error) {
 	return prog, victim, nil
 }
 
+// scanFlags holds the scan-engine flag values classify, serve and watch
+// share; config turns them into the detector's scan configuration.
+type scanFlags struct {
+	workers, indexClusters, indexMax *int
+	fast, indexed                    *bool
+}
+
+func registerScanFlags(fs *flag.FlagSet) *scanFlags {
+	return &scanFlags{
+		workers:       fs.Int("workers", 0, "scan worker-pool size (0 = GOMAXPROCS)"),
+		fast:          fs.Bool("fast", false, "early-abandoning scans through the lower-bound cascade: verdicts and best matches stay exact, other scores may be upper bounds"),
+		indexed:       fs.Bool("index", false, "with -fast: scan through a medoid-prototype repository index — clusters whose certified lower bounds cannot beat the running best are skipped wholesale (same exact verdict and best match; see docs/INDEXING.md); no effect without -fast"),
+		indexClusters: fs.Int("index-clusters", 0, "with -index: number of index clusters (0 = ~sqrt(N) default)"),
+		indexMax:      fs.Int("index-max-clusters", 0, "with -index: approximate mode — fully score at most this many clusters per scan and estimate the rest (the verdict may miss matches hiding in unscored clusters; 0 = exact)"),
+	}
+}
+
+// check records the scan flags' range problems in fe.
+func (sf *scanFlags) check(fe *flagErrors) {
+	fe.nonNegative("workers", *sf.workers)
+	fe.nonNegative("index-clusters", *sf.indexClusters)
+	fe.nonNegative("index-max-clusters", *sf.indexMax)
+}
+
+func (sf *scanFlags) config() scaguard.ScanConfig {
+	return scaguard.ScanConfig{Workers: *sf.workers, Prune: *sf.fast, Index: *sf.indexed,
+		IndexClusters: *sf.indexClusters, IndexMaxClusters: *sf.indexMax}
+}
+
 // loadTarget resolves -target/-benign/-mutate/-obfuscate flags into a
 // program plus its victim.
 func loadTarget(fs *flag.FlagSet, args []string) (*scaguard.Program, *scaguard.Program, error) {
@@ -380,12 +409,7 @@ func cmdRepoSave(args []string) error {
 func cmdClassify(args []string) error {
 	fs := flag.NewFlagSet("classify", flag.ContinueOnError)
 	repoPath := fs.String("repo", "", "classify against a saved repository instead of the default")
-	workers := fs.Int("workers", 0, "scan worker-pool size (0 = GOMAXPROCS)")
-	fast := fs.Bool("fast", false, "early-abandoning scan: the verdict and best match stay exact, other scores may be upper bounds (marked ~)")
-	cascade := fs.Bool("cascade", false, "with -fast: order candidates by a cheap O(1) lower bound and escalate through the tier-2/tier-3 bounds lazily (same exact verdict, fewer full comparisons); no effect without -fast")
-	indexed := fs.Bool("index", false, "with -fast: scan through a medoid-prototype repository index — clusters whose certified lower bounds cannot beat the running best are skipped wholesale (same exact verdict and best match; see docs/INDEXING.md); no effect without -fast")
-	indexClusters := fs.Int("index-clusters", 0, "with -index: number of index clusters (0 = ~sqrt(N) default)")
-	indexMax := fs.Int("index-max-clusters", 0, "with -index: approximate mode — fully score at most this many clusters per scan and estimate the rest (the verdict may miss matches hiding in unscored clusters; 0 = exact)")
+	sf := registerScanFlags(fs)
 	stats := fs.Bool("stats", false, "print a telemetry report after the run (pruning rate, DistCache hit rate, stage latencies)")
 	metricsAddr := fs.String("metrics-addr", "", "serve the live telemetry snapshot over HTTP on this address (e.g. :8080); JSON by default, Prometheus text via Accept or ?format=prometheus; blocks after the run until interrupted")
 	timeout := fs.Duration("timeout", 0, "per-classification deadline covering modeling and scanning (e.g. 500ms); 0 = none")
@@ -402,9 +426,7 @@ func cmdClassify(args []string) error {
 		return err
 	}
 	var fe flagErrors
-	fe.nonNegative("workers", *workers)
-	fe.nonNegative("index-clusters", *indexClusters)
-	fe.nonNegative("index-max-clusters", *indexMax)
+	sf.check(&fe)
 	fe.nonNegative("result-cache", *resultCache)
 	fe.nonNegative("shards", *shards)
 	fe.nonNegativeDuration("timeout", *timeout)
@@ -417,7 +439,7 @@ func cmdClassify(args []string) error {
 	if err != nil {
 		return err
 	}
-	det.Scan = scaguard.ScanConfig{Workers: *workers, Prune: *fast, Cascade: *cascade, Index: *indexed, IndexClusters: *indexClusters, IndexMaxClusters: *indexMax}
+	det.Scan = sf.config()
 	det.Timeout = *timeout
 	det.ResultCache = *resultCache
 	policy, err := scaguard.ParseShardPolicy(*shardPolicy)
@@ -461,7 +483,7 @@ func cmdClassify(args []string) error {
 	}
 
 	if *streamMode {
-		if err := runStream(det, *workers); err != nil {
+		if err := runStream(det, *sf.workers); err != nil {
 			return err
 		}
 	} else {
@@ -579,12 +601,7 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":9090", "listen address (host:port; port 0 picks a free port)")
 	repoPath := fs.String("repo", "", "serve a saved repository instead of the default; also the default source for POST /reload")
-	workers := fs.Int("workers", 0, "scan worker-pool size (0 = GOMAXPROCS)")
-	fast := fs.Bool("fast", false, "early-abandoning scans: verdicts and best matches stay exact, other scores may be upper bounds")
-	cascade := fs.Bool("cascade", false, "with -fast: early-abandoning scans stay exact while skipping hopeless candidates; no effect without -fast")
-	indexed := fs.Bool("index", false, "with -fast: scan through a medoid-prototype repository index — clusters whose certified lower bounds cannot beat the running best are skipped wholesale (same exact verdict and best match; see docs/INDEXING.md); no effect without -fast")
-	indexClusters := fs.Int("index-clusters", 0, "with -index: number of index clusters (0 = ~sqrt(N) default)")
-	indexMax := fs.Int("index-max-clusters", 0, "with -index: approximate mode — fully score at most this many clusters per scan and estimate the rest (the verdict may miss matches hiding in unscored clusters; 0 = exact)")
+	sf := registerScanFlags(fs)
 	resultCache := fs.Int("result-cache", 0, "memoize whole scan outcomes in a bounded LRU of this many entries (0 = off); invalidated by /reload and repository growth")
 	shards := fs.Int("shards", 0, "partition the repository across this many in-process scan shards (0/1 = single engine)")
 	shardAddrs := fs.String("shard-addrs", "", "comma-separated shard-serve addresses; the repository is scanned across them. Each address may name |-separated replicas serving the same partition (\"a:9101|b:9101\"): scans fail over between them")
@@ -607,9 +624,7 @@ func cmdServe(args []string) error {
 		return err
 	}
 	var fe flagErrors
-	fe.nonNegative("workers", *workers)
-	fe.nonNegative("index-clusters", *indexClusters)
-	fe.nonNegative("index-max-clusters", *indexMax)
+	sf.check(&fe)
 	fe.nonNegative("result-cache", *resultCache)
 	fe.nonNegative("shards", *shards)
 	fe.nonNegative("max-inflight", *maxInflight)
@@ -632,7 +647,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	det.Scan = scaguard.ScanConfig{Workers: *workers, Prune: *fast, Cascade: *cascade, Index: *indexed, IndexClusters: *indexClusters, IndexMaxClusters: *indexMax}
+	det.Scan = sf.config()
 	det.Timeout = *timeout
 	det.ResultCache = *resultCache
 	policy, err := scaguard.ParseShardPolicy(*shardPolicy)
@@ -724,12 +739,7 @@ func cmdWatch(args []string) error {
 	windowSize := fs.Int("window", 0, "window width in cycles (0 = 8192 default)")
 	stride := fs.Int("stride", 0, "cycle distance between window starts (0 = window/2 under the default width, else = window); must not exceed -window")
 	quietGap := fs.Int("quiet-gap", 0, "collapse runs of empty windows spanning at least this many cycles into one verdict (0 = one verdict per empty window)")
-	workers := fs.Int("workers", 0, "scan worker-pool size for per-window scans (0 = GOMAXPROCS)")
-	fast := fs.Bool("fast", false, "early-abandoning per-window scans: verdicts and best matches stay exact, other scores may be upper bounds")
-	cascade := fs.Bool("cascade", false, "with -fast: lower-bound cascade ordering per window scan; no effect without -fast")
-	indexed := fs.Bool("index", false, "with -fast: per-window scans go through the medoid-prototype repository index; no effect without -fast")
-	indexClusters := fs.Int("index-clusters", 0, "with -index: number of index clusters (0 = ~sqrt(N) default)")
-	indexMax := fs.Int("index-max-clusters", 0, "with -index: approximate mode — fully score at most this many clusters per window scan (0 = exact)")
+	sf := registerScanFlags(fs)
 	timeout := fs.Duration("timeout", 0, "per-window deadline covering modeling and scanning (0 = none)")
 	stats := fs.Bool("stats", false, "print a telemetry report after the run (window counters, modeling-stage latencies)")
 	hitsOnly := fs.Bool("hits-only", false, "print only malicious window verdicts (quiet and benign windows still count in the summary)")
@@ -741,9 +751,7 @@ func cmdWatch(args []string) error {
 	fe.nonNegative("window", *windowSize)
 	fe.nonNegative("stride", *stride)
 	fe.nonNegative("quiet-gap", *quietGap)
-	fe.nonNegative("workers", *workers)
-	fe.nonNegative("index-clusters", *indexClusters)
-	fe.nonNegative("index-max-clusters", *indexMax)
+	sf.check(&fe)
 	fe.nonNegativeDuration("timeout", *timeout)
 	if err := fe.err(); err != nil {
 		return err
@@ -756,7 +764,7 @@ func cmdWatch(args []string) error {
 	if err != nil {
 		return err
 	}
-	det.Scan = scaguard.ScanConfig{Workers: *workers, Prune: *fast, Cascade: *cascade, Index: *indexed, IndexClusters: *indexClusters, IndexMaxClusters: *indexMax}
+	det.Scan = sf.config()
 	det.Timeout = *timeout
 	var tel *scaguard.Telemetry
 	if *stats {

@@ -101,3 +101,20 @@ func TestBreakerThresholdNegativeAllowed(t *testing.T) {
 		t.Fatalf("negative -breaker-threshold rejected: %v", err)
 	}
 }
+
+// TestScanFlagsShared: classify, serve and watch define their scan flags
+// through one helper, so a bad scan knob is rejected with the same
+// message everywhere, and the retired -cascade flag (every -fast scan
+// runs the cascade) is gone from all three.
+func TestScanFlagsShared(t *testing.T) {
+	cmds := map[string]func([]string) error{"classify": cmdClassify, "serve": cmdServe, "watch": cmdWatch}
+	const want = "invalid flag value(s): -index-clusters must be >= 0, got -1"
+	for name, run := range cmds {
+		if err := run([]string{"-index-clusters", "-1"}); err == nil || err.Error() != want {
+			t.Errorf("%s -index-clusters -1: error %v, want %q", name, err, want)
+		}
+		if err := run([]string{"-cascade"}); err == nil || !strings.Contains(err.Error(), "not defined: -cascade") {
+			t.Errorf("%s -cascade: error %v, want an undefined-flag error", name, err)
+		}
+	}
+}

@@ -1,8 +1,9 @@
 package scaguard
 
 // End-to-end differential for the lower-bound cascade over the full
-// golden corpus: a cascade-pruning detector — single-engine, sharded
-// across several counts, and with the verdict result cache layered on —
+// golden corpus: a pruning (-fast) detector, which always runs the
+// cascade — single-engine, sharded across several counts, and with the
+// verdict result cache layered on —
 // must agree with the plain exact detector on the verdict and the best
 // match (bit-exact score) for every corpus program, cold and warm. Full
 // match lists are not compared: pruned entries legitimately report
@@ -28,7 +29,7 @@ func TestGoldenVerdictsCascade(t *testing.T) {
 		}
 		det.Shards = shards
 		det.ResultCache = 128
-		det.Scan = ScanConfig{Prune: true, Cascade: true}
+		det.Scan = ScanConfig{Prune: true}
 		tel := NewTelemetry()
 		det.Telemetry = tel
 

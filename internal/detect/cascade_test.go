@@ -1,9 +1,10 @@
 package detect
 
-// Detector-level tests for the cascade scan path: the verdict and best
-// match must match the exact single-engine detector across shard
-// counts, and the cascade must survive a Classify-vs-Add race (run
-// under `go test -race`, part of `make race`).
+// Detector-level tests for the pruned scan path, which runs the
+// lower-bound cascade: the verdict and best match must match the exact
+// single-engine detector across shard counts, and the cascade must
+// survive a Classify-vs-Add race (run under `go test -race`, part of
+// `make race`).
 
 import (
 	"fmt"
@@ -17,7 +18,7 @@ import (
 )
 
 // TestCascadeDetectorBestMatchesExact: for every repository target, a
-// pruning+cascade detector — single-engine and sharded — must agree
+// pruning (-fast) detector — single-engine and sharded — must agree
 // with the exact reference on the predicted family, the best match
 // name and the bit-exact best score. Full match lists are not compared
 // (pruned entries legitimately carry upper bounds).
@@ -30,7 +31,7 @@ func TestCascadeDetectorBestMatchesExact(t *testing.T) {
 	for _, n := range []int{1, 2, 7} {
 		d := NewDetector(r)
 		d.Shards = n
-		d.Scan = scan.Config{Prune: true, Cascade: true}
+		d.Scan = scan.Config{Prune: true}
 		got := d.ClassifyBatch(targets)
 		for i := range want {
 			if got[i].Predicted != want[i].Predicted {
@@ -64,7 +65,7 @@ func TestCascadeClassifyVsAddRace(t *testing.T) {
 	}
 	d := NewDetector(r)
 	d.Shards = 2
-	d.Scan = scan.Config{Prune: true, Cascade: true}
+	d.Scan = scan.Config{Prune: true}
 	d.Telemetry = telemetry.NewCollector()
 	targets := repoTargets(r)
 	extra := r.Entries[0].BBS

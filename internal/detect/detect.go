@@ -341,12 +341,7 @@ type repoScanner interface {
 // engineKey captures the configuration a scanner was built under.
 type engineKey struct {
 	workers        int
-	prune          bool
-	cascade        bool
-	index          bool
-	indexClusters  int
-	indexMax       int
-	sim            similarity.Options
+	sem            scan.Semantics
 	tel            *telemetry.Collector
 	shards         int
 	policy         shard.Policy
@@ -361,14 +356,20 @@ type engineKey struct {
 
 func (d *Detector) key() engineKey {
 	return engineKey{
-		workers: d.Scan.Workers, prune: d.Scan.Prune, cascade: d.Scan.Cascade,
-		index: d.Scan.Index, indexClusters: d.Scan.IndexClusters, indexMax: d.Scan.IndexMaxClusters,
-		sim: d.SimOpts, tel: d.Telemetry,
+		workers: d.Scan.Workers, sem: d.scanConfig().Semantics(), tel: d.Telemetry,
 		shards: d.Shards, policy: d.ShardPolicy, addrs: strings.Join(d.ShardAddrs, ","),
 		shardTimeout: d.ShardTimeout, shardRetry: d.ShardRetry,
 		attemptTimeout: d.ShardAttemptTimeout, brk: d.ShardBreaker, probeInterval: d.ShardProbeInterval,
 		resultCache: d.ResultCache,
 	}
+}
+
+// scanConfig is the scan configuration classifications run under: Scan
+// with the detector's similarity options.
+func (d *Detector) scanConfig() scan.Config {
+	cfg := d.Scan
+	cfg.Sim = d.SimOpts
+	return cfg
 }
 
 // sharded reports whether scans go through the scatter–gather layer.
@@ -392,8 +393,7 @@ func (d *Detector) engine() (repoScanner, []Entry, error) {
 	for i, e := range entries {
 		models[i] = e.BBS
 	}
-	cfg := d.Scan
-	cfg.Sim = d.SimOpts
+	cfg := d.scanConfig()
 	cfg.Cache = d.Repo.distCache()
 	cfg.Telemetry = d.Telemetry
 	// The repository cache outlives any one engine, so registering its
@@ -410,8 +410,8 @@ func (d *Detector) engine() (repoScanner, []Entry, error) {
 	// engine with the old index so appended entries join their nearest
 	// medoid instead of triggering a full O(n²) rebuild. Sharded
 	// engines always rebuild: each shard owns its own slice index.
-	if cfg.Index && cfg.Prune && !d.sharded() && d.engRaw != nil &&
-		k.index == d.engKey.index && k.indexClusters == d.engKey.indexClusters && k.sim == d.engKey.sim {
+	if k.sem.Index && !d.sharded() && d.engRaw != nil &&
+		k.sem.IndexClusters == d.engKey.sem.IndexClusters && k.sem.Sim == d.engKey.sem.Sim {
 		if prev := d.engRaw.Index(); prev != nil && extendsPrefix(entries, d.engEntries) {
 			cfg.IndexFrom = prev
 		}
@@ -422,7 +422,7 @@ func (d *Detector) engine() (repoScanner, []Entry, error) {
 	}
 	raw, _ := sc.(*scan.Engine)
 	if d.ResultCache > 0 {
-		sc = d.wrapCached(sc, ver, cfg)
+		sc = d.wrapCached(sc, ver, k.sem)
 	}
 	// The outgoing coordinator's background prober must not outlive the
 	// engine it served.
@@ -478,53 +478,27 @@ func (d *Detector) ShardBreakerStates() map[string]breaker.State {
 // version changes make stale entries unreachable by key, so no flush
 // is needed); it is rebuilt only when its capacity or the telemetry
 // collector changes. Caller holds d.mu.
-func (d *Detector) wrapCached(sc repoScanner, ver uint64, cfg scan.Config) repoScanner {
+func (d *Detector) wrapCached(sc repoScanner, ver uint64, sem scan.Semantics) repoScanner {
 	if d.vc == nil || d.vcCap != d.ResultCache || d.vcTel != d.Telemetry {
 		d.vc = vcache.New(d.ResultCache, d.Telemetry)
 		d.vcCap, d.vcTel = d.ResultCache, d.Telemetry
 	}
 	d.Telemetry.RegisterGauges("vcache", d.vc.TelemetryGauges)
-	return &cachedScanner{
-		inner:         sc,
-		cache:         d.vc,
-		ver:           ver,
-		prune:         cfg.Prune,
-		cascade:       cfg.Cascade,
-		index:         cfg.Index,
-		indexClusters: cfg.IndexClusters,
-		indexMax:      cfg.IndexMaxClusters,
-		sim:           cfg.Sim.WithDefaults(),
-	}
+	return &cachedScanner{inner: sc, cache: d.vc, ver: ver, sem: sem}
 }
 
 // cachedScanner memoizes whole scan outcomes behind the repoScanner
 // seam, so every classification entry point — single, batch, streaming
 // — shares one result cache without knowing it exists.
 type cachedScanner struct {
-	inner         repoScanner
-	cache         *vcache.Cache
-	ver           uint64
-	prune         bool
-	cascade       bool
-	index         bool
-	indexClusters int
-	indexMax      int
-	sim           similarity.Options
+	inner repoScanner
+	cache *vcache.Cache
+	ver   uint64
+	sem   scan.Semantics
 }
 
 func (s *cachedScanner) key(bbs *model.CSTBBS) vcache.Key {
-	return vcache.Key{
-		Target:        vcache.TargetHash(bbs),
-		Version:       s.ver,
-		Prune:         s.prune,
-		Cascade:       s.cascade,
-		Index:         s.index,
-		IndexClusters: s.indexClusters,
-		IndexMax:      s.indexMax,
-		Window:        s.sim.Window,
-		ISW:           s.sim.ISWeight,
-		CSP:           s.sim.CSPWeight,
-	}
+	return vcache.Key{Target: vcache.TargetHash(bbs), Version: s.ver, Semantics: s.sem}
 }
 
 // ScanCtx serves a memoized match list when one exists, else runs the

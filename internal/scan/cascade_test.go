@@ -1,9 +1,9 @@
 package scan
 
 // Differential, tie-break, telemetry and allocation tests for the
-// cascade scan path (Config.Cascade): the lazy lower-bound escalation
-// must preserve every invariant of plain pruning — exact best match,
-// true upper bounds on pruned scores — while the warm comparison path
+// pruned scan path (Config.Prune), which runs the lower-bound cascade:
+// the lazy lower-bound escalation must keep the best match exact and
+// every pruned score a true upper bound, while the warm comparison path
 // runs allocation-free.
 
 import (
@@ -34,7 +34,7 @@ func TestCascadeScanKeepsBestExact(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		entries := randomCorpus(rng, 2+rng.Intn(12), 8)
-		eng := New(entries, Config{Workers: 1 + rng.Intn(4), Prune: true, Cascade: true, Sim: similarity.DefaultOptions()})
+		eng := New(entries, Config{Workers: 1 + rng.Intn(4), Prune: true, Sim: similarity.DefaultOptions()})
 		for trial := 0; trial < 4; trial++ {
 			target := randomBBS(rng, 8)
 			got := eng.Scan(target)
@@ -68,24 +68,6 @@ func TestCascadeScanKeepsBestExact(t *testing.T) {
 	}
 }
 
-// Cascade=true without Prune must be a no-op: bit-identical to the
-// exact scan (and therefore to the serial reference).
-func TestCascadeWithoutPruneIsExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	entries := randomCorpus(rng, 10, 8)
-	plain := New(entries, Config{Sim: similarity.DefaultOptions()})
-	casc := New(entries, Config{Cascade: true, Sim: similarity.DefaultOptions()})
-	for trial := 0; trial < 8; trial++ {
-		target := randomBBS(rng, 8)
-		got, want := casc.Scan(target), plain.Scan(target)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d entry %d: cascade-no-prune %+v != exact %+v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // Candidate reordering must not disturb tie-breaking: with duplicate
 // repository entries tying for best, every tied copy is scored exactly
 // (the pruneCutoff margin forbids pruning a tie), scores are identical,
@@ -99,7 +81,7 @@ func TestCascadeTieBreakOnDuplicateBest(t *testing.T) {
 	// entries: decoys around two identical copies of the target model.
 	corpus := append(randomCorpus(rng, 3, 8), dup, randomBBS(rng, 8), dup, randomBBS(rng, 8))
 	for _, workers := range []int{1, 4} {
-		eng := New(corpus, Config{Workers: workers, Prune: true, Cascade: true, Sim: similarity.DefaultOptions()})
+		eng := New(corpus, Config{Workers: workers, Prune: true, Sim: similarity.DefaultOptions()})
 		for trial := 0; trial < 6; trial++ {
 			ms := eng.Scan(dup)
 			if ms[3].Pruned || ms[5].Pruned {
@@ -128,7 +110,7 @@ func TestCascadeTelemetryCounters(t *testing.T) {
 		}
 	}
 	tel := telemetry.NewCollector()
-	eng := New(entries, Config{Prune: true, Cascade: true, Telemetry: tel, Sim: similarity.DefaultOptions()})
+	eng := New(entries, Config{Prune: true, Telemetry: tel, Sim: similarity.DefaultOptions()})
 	const scans = 5
 	for trial := 0; trial < scans; trial++ {
 		eng.Scan(randomBBS(rng, 8))
@@ -154,8 +136,8 @@ func TestCascadeTelemetryCounters(t *testing.T) {
 
 // The warm comparison path allocates nothing: once the engine, target,
 // scratch, memo cache and cutoff are warm, scoring every entry again
-// performs zero allocations per scan — exact mode, pruned mode and the
-// full cascade alike. This pins the flattened-kernel design (scratch
+// performs zero allocations per scan — exact mode and the pruned
+// cascade alike. This pins the flattened-kernel design (scratch
 // DTW/Levenshtein rows, prebuilt dist closure, map-read-only memo).
 func TestScanZeroAllocWarmPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -169,8 +151,7 @@ func TestScanZeroAllocWarmPath(t *testing.T) {
 		cfg  Config
 	}{
 		{"Exact", Config{Sim: similarity.DefaultOptions()}},
-		{"Pruned", Config{Prune: true, Sim: similarity.DefaultOptions()}},
-		{"Cascade", Config{Prune: true, Cascade: true, Sim: similarity.DefaultOptions()}},
+		{"Fast", Config{Prune: true, Sim: similarity.DefaultOptions()}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -178,24 +159,7 @@ func TestScanZeroAllocWarmPath(t *testing.T) {
 			tgt := eng.newTarget(target)
 			var lbs, kims []float64
 			if c.cfg.Prune {
-				lbs = make([]float64, len(entries))
-				if c.cfg.Cascade {
-					// Mirror scanBatchCtx: tier-1 bound kept for skip
-					// attribution, lbs carries max(kim, keogh).
-					kims = make([]float64, len(entries))
-					var keo similarity.KeoghScratch
-					for ei := range entries {
-						kims[ei] = similarity.LowerBoundKim(tgt.prof, eng.profs[ei], eng.sim)
-						lbs[ei] = kims[ei]
-						if b := similarity.LowerBoundKeogh(tgt.prof, eng.profs[ei], eng.sim, &keo); b > lbs[ei] {
-							lbs[ei] = b
-						}
-					}
-				} else {
-					for ei := range entries {
-						lbs[ei] = similarity.LowerBound(tgt.prof, eng.profs[ei], eng.sim)
-					}
-				}
+				lbs, kims = eng.cheapBounds(tgt)
 			}
 			cut := NewCutoff()
 			s := eng.newScratch()

@@ -177,7 +177,7 @@ func (e *Engine) scanIndexed(t *target, out []Match, cut *Cutoff, s *scratch) {
 // certificate ladder: the O(1) Kim bound, the O(n+m) Keogh envelope,
 // the exact per-row bound (behind the same cutoff-proximity gate the
 // cascade uses), then the early-abandoning DTW. Identical soundness to
-// scoreOne with Cascade on — every tier is a true lower bound, so the
+// the flat pruned scoreOne — every tier is a true lower bound, so the
 // best match stays exact — but the bounds are computed on demand
 // instead of for the whole repository upfront, which is where the
 // indexed scan's sub-linearity comes from.

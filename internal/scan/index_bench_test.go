@@ -8,14 +8,13 @@ package scan_test
 // iteration scans one in-corpus variant, rotating through a spread of
 // targets across all families so no single lucky entry dominates; a
 // near-exact match always exists, the cutoff collapses early, and the
-// kernels separate on what they do with the other ~499 entries: Flat
-// pays an O(len·window) lower bound per entry upfront, Cascade
-// escalates per-entry bounds, Indexed abandons non-matching prototypes
-// and dismisses members on O(1) certificates. One worker, so the
+// kernels separate on what they do with the other ~499 entries: Cascade
+// (the flat pruned scan) escalates per-entry bounds, Indexed abandons
+// non-matching prototypes and dismisses members on O(1) certificates. One worker, so the
 // numbers compare scan kernels rather than schedulers. The engines —
 // including the indexed engine's O(n²) index construction — are built
 // once outside the timed loops; scripts/bench-check.sh enforces the
-// pruned/indexed ratio and writes BENCH_index.json.
+// cascade/indexed ratio and writes BENCH_index.json.
 
 import (
 	"sync"
@@ -31,7 +30,6 @@ var indexBench struct {
 	err     error
 	models  []*model.CSTBBS
 	targets []*model.CSTBBS
-	flat    *scan.Engine
 	cascade *scan.Engine
 	indexed *scan.Engine
 }
@@ -55,8 +53,7 @@ func indexBenchSetup(b *testing.B) {
 			indexBench.targets = append(indexBench.targets, indexBench.models[i])
 		}
 
-		indexBench.flat = scan.New(indexBench.models, scan.Config{Workers: 1, Prune: true})
-		indexBench.cascade = scan.New(indexBench.models, scan.Config{Workers: 1, Prune: true, Cascade: true})
+		indexBench.cascade = scan.New(indexBench.models, scan.Config{Workers: 1, Prune: true})
 		indexBench.indexed = scan.New(indexBench.models, scan.Config{Workers: 1, Prune: true, Index: true})
 	})
 	if indexBench.err != nil {
@@ -80,7 +77,6 @@ func BenchmarkIndexedScan(b *testing.B) {
 			}
 		}
 	}
-	b.Run("Flat", run(indexBench.flat))
 	b.Run("Cascade", run(indexBench.cascade))
 	b.Run("Indexed", run(indexBench.indexed))
 }

@@ -15,13 +15,16 @@
 //     recur across repository entries, scans and targets (crypto loops,
 //     probe loops). A DistCache shared safely across workers computes
 //     each distinct block pair once.
-//   - Early abandoning (Config.Prune). A cheap O(n+m)-style lower bound
-//     (similarity.LowerBound) skips entries that provably cannot beat
-//     the best score found so far, and the banded DTW itself abandons
-//     row-wise (dtw.DistanceAbandon) once every cell exceeds the bound
-//     implied by the running best. Pruned entries report an upper-bound
-//     score and Pruned=true; the best match is always computed exactly,
-//     so classification decisions and explanations are unaffected.
+//   - Early abandoning (Config.Prune, the CLI's -fast). Entries are
+//     ordered by the cheap lower-bound cascade (similarity.LowerBoundKim
+//     and LowerBoundKeogh), skip once a bound provably cannot beat the
+//     best score found so far, escalate lazily to the per-row bound
+//     (similarity.LowerBound) near the cutoff, and the banded DTW itself
+//     abandons row-wise (dtw.DistanceAbandon) once every cell exceeds
+//     the bound implied by the running best. Pruned entries report an
+//     upper-bound score and Pruned=true; the best match is always
+//     computed exactly, so classification decisions and explanations
+//     are unaffected.
 //
 // In exact mode (Prune=false, the default) the engine is bit-identical
 // to the serial reference path (ScanSerial): same comparisons, same
@@ -54,21 +57,16 @@ import (
 type Config struct {
 	// Workers is the worker-pool size; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Prune enables early abandoning. The best match (and therefore the
+	// Prune enables early abandoning through the lower-bound cascade
+	// (see the package doc). The best match (and therefore the
 	// classification) stays exact; non-best entries may be skipped once
 	// they provably cannot win, reporting an upper-bound score with
 	// Pruned=true. Which entries get pruned depends on scheduling, so
 	// full match lists are only reproducible with Prune=false.
 	Prune bool
-	// Cascade layers the full lower-bound cascade over Prune: entries
-	// are ordered by the O(1) aggregate bound (similarity.LowerBoundKim)
-	// and escalated lazily through the O(n+m) envelope bound
-	// (similarity.LowerBoundKeogh) and the exact per-row bound
-	// (similarity.LowerBound) only while they survive — most entries of
-	// a large repository are pruned before any per-row work. Every tier
-	// is prune-only and conservative, so the invariants of Prune hold
-	// unchanged: best match, prediction and explanation stay exact.
-	// Ignored when Prune is false.
+	// Deprecated: Cascade has no effect. Every pruned scan runs the
+	// lower-bound cascade; the field remains only so existing struct
+	// literals compile.
 	Cascade bool
 	// Index enables the medoid-prototype repository index
 	// (internal/index): entries are clustered at engine build time via
@@ -79,9 +77,7 @@ type Config struct {
 	// without per-row DTW work — sub-linear scans on large
 	// repositories. The best match, prediction and explanation stay
 	// exact, exactly as under Prune; which entries report Pruned=true
-	// remains schedule-dependent. Indexed scans always use the full
-	// lower-bound certificate ladder, so Cascade is implied and its
-	// flag has no additional effect. Ignored when Prune is false; an
+	// remains schedule-dependent. Ignored when Prune is false; an
 	// injected index-build fault degrades to the flat scan path. See
 	// docs/INDEXING.md.
 	Index bool
@@ -113,6 +109,43 @@ type Config struct {
 	// exactly vs pruned, lower-bound cutoff hits) and per-scan latency.
 	// nil disables instrumentation at zero cost.
 	Telemetry *telemetry.Collector
+}
+
+// Semantics is the part of a Config that decides what a scan returns:
+// pruning, the repository-index mode and the similarity options. It is
+// comparable, and it is the one value that keys every memoized engine
+// and the verdict result cache (internal/vcache), so a new scan knob
+// belongs here and on the shard wire, nowhere else.
+type Semantics struct {
+	Prune            bool
+	Index            bool
+	IndexClusters    int
+	IndexMaxClusters int
+	Sim              similarity.Options
+}
+
+// Semantics returns c's scan semantics in canonical form, so two
+// configurations that scan identically compare equal: Sim has its
+// defaults applied, the index fields are zeroed when Prune is off, and
+// the cluster counts are zeroed when Index is off.
+func (c Config) Semantics() Semantics {
+	s := Semantics{Prune: c.Prune, Sim: c.Sim.WithDefaults()}
+	if c.Prune && c.Index {
+		s.Index, s.IndexClusters, s.IndexMaxClusters = true, c.IndexClusters, c.IndexMaxClusters
+	}
+	return s
+}
+
+// Config returns a Config carrying s; the operational fields (Workers,
+// IndexFrom, Cache, Telemetry) are left zero for the caller to fill.
+func (s Semantics) Config() Config {
+	return Config{
+		Prune:            s.Prune,
+		Index:            s.Index,
+		IndexClusters:    s.IndexClusters,
+		IndexMaxClusters: s.IndexMaxClusters,
+		Sim:              s.Sim,
+	}
 }
 
 // Match is one repository comparison result.
@@ -347,37 +380,17 @@ func (e *Engine) scanBatchCtx(ctx context.Context, targets []*model.CSTBBS, cuts
 			cuts[ti] = NewCutoff()
 		}
 		if e.cfg.Prune && !indexed {
-			// Cheap lower bounds, and a most-promising-first order so
-			// the shared best tightens as early as possible. Without the
-			// cascade the ordering bound is the exact per-row bound
-			// (O((n+m)·w) per entry); with it, the O(1) Kim tier plus the
-			// O(n+m) Keogh envelope tier — a ~w-times cheaper pass whose
-			// ordering is nearly as sharp, leaving the per-row tier to
-			// run lazily in scoreOne for the few entries within striking
-			// distance of the cutoff.
-			lbs := make([]float64, nE)
-			if e.cfg.Cascade {
-				kim := make([]float64, nE)
-				var keo similarity.KeoghScratch
-				for ei := range e.models {
-					kim[ei] = similarity.LowerBoundKim(ts[ti].prof, e.profs[ei], e.sim)
-					lbs[ei] = kim[ei]
-					if b := similarity.LowerBoundKeogh(ts[ti].prof, e.profs[ei], e.sim, &keo); b > lbs[ei] {
-						lbs[ei] = b
-					}
-				}
-				kims[ti] = kim
-			} else {
-				for ei := range e.models {
-					lbs[ei] = similarity.LowerBound(ts[ti].prof, e.profs[ei], e.sim)
-				}
-			}
+			// Cheap tier-1/2 bounds, and a most-promising-first order so
+			// the shared best tightens as early as possible; the per-row
+			// tier runs lazily in scoreOne for the few entries within
+			// striking distance of the cutoff.
+			lbs, kim := e.cheapBounds(ts[ti])
 			order := make([]int, nE)
 			for i := range order {
 				order[i] = i
 			}
 			sort.SliceStable(order, func(a, b int) bool { return lbs[order[a]] < lbs[order[b]] })
-			bounds[ti], orders[ti] = lbs, order
+			bounds[ti], kims[ti], orders[ti] = lbs, kim, order
 		}
 	}
 	// In indexed mode one work item is a whole target: the cluster
@@ -496,14 +509,28 @@ func (e *Engine) scanBatchCtx(ctx context.Context, targets []*model.CSTBBS, cuts
 // scored, so verdicts are unaffected by its value.
 const cascadeEscalateFrac = 0.75
 
+// cheapBounds computes, for every entry, the tier-1 (Kim) bound alone
+// (kims, for skip attribution) and the running maximum of the tier-1
+// and tier-2 (Keogh) bounds (lbs) that orders a pruned scan.
+func (e *Engine) cheapBounds(t *target) (lbs, kims []float64) {
+	lbs, kims = make([]float64, len(e.models)), make([]float64, len(e.models))
+	var keo similarity.KeoghScratch
+	for ei := range e.models {
+		kims[ei] = similarity.LowerBoundKim(t.prof, e.profs[ei], e.sim)
+		lbs[ei] = kims[ei]
+		if b := similarity.LowerBoundKeogh(t.prof, e.profs[ei], e.sim, &keo); b > lbs[ei] {
+			lbs[ei] = b
+		}
+	}
+	return lbs, kims
+}
+
 // scoreOne scores a single (target, entry) pair, consulting and
-// updating the target's shared best distance when pruning. With the
-// cascade enabled, lbs carries the running maximum of the tier-1/tier-2
-// bounds (computed at order-build time; kims the tier-1 bound alone,
-// for attribution) and the tier-3 per-row bound escalates lazily behind
-// cascadeEscalateFrac. Every tier is a true lower bound and the code
-// keeps their running maximum, so each tier stays prune-only and the
-// reported pruned score stays a true upper bound.
+// updating the target's shared best distance when pruning. lbs and kims
+// come from cheapBounds; the tier-3 per-row bound escalates lazily
+// behind cascadeEscalateFrac. Every tier is a true lower bound and the
+// code keeps their running maximum, so each tier stays prune-only and
+// the reported pruned score stays a true upper bound.
 func (e *Engine) scoreOne(t *target, ei int, lbs, kims []float64, cut *Cutoff, s *scratch) Match {
 	tel := e.cfg.Telemetry
 	if !e.cfg.Prune {
@@ -514,17 +541,14 @@ func (e *Engine) scoreOne(t *target, ei int, lbs, kims []float64, cut *Cutoff, s
 	cutoff := pruneCutoff(cut.Best())
 	bound := lbs[ei]
 	if bound > cutoff {
-		switch {
-		case !e.cfg.Cascade:
-			tel.Inc(telemetry.ScanEntriesLowerBoundSkipped)
-		case kims[ei] > cutoff:
+		if kims[ei] > cutoff {
 			tel.Inc(telemetry.ScanEntriesKimSkipped)
-		default:
+		} else {
 			tel.Inc(telemetry.ScanEntriesKeoghSkipped)
 		}
 		return Match{Index: ei, Score: dtw.Similarity(bound), Pruned: true}
 	}
-	if e.cfg.Cascade && bound > cutoff*cascadeEscalateFrac {
+	if bound > cutoff*cascadeEscalateFrac {
 		if b := similarity.LowerBound(t.prof, e.profs[ei], e.sim); b > bound {
 			bound = b
 		}
@@ -554,4 +578,3 @@ func pruneCutoff(best float64) float64 {
 	}
 	return best + best*1e-9 + 1e-15
 }
-

@@ -257,3 +257,41 @@ func TestDistCache(t *testing.T) {
 		t.Errorf("stats = (%d,%d), want (4,1)", blocks, pairs)
 	}
 }
+
+// Config.Semantics canonicalizes the fields a scan ignores, so two
+// configurations that scan identically key the same engine and cache
+// entry, while every field that changes the outcome keeps them apart.
+func TestSemanticsCanonical(t *testing.T) {
+	sim := similarity.DefaultOptions()
+	same := []struct {
+		name string
+		a, b Config
+	}{
+		{"cascade ignored", Config{Prune: true, Index: true, Sim: sim}, Config{Prune: true, Index: true, Cascade: true, Sim: sim}},
+		{"index ignored without prune", Config{Index: true, IndexClusters: 4, IndexMaxClusters: 2}, Config{}},
+		{"clusters ignored without index", Config{Prune: true, IndexClusters: 4, IndexMaxClusters: 2}, Config{Prune: true}},
+		{"default weights", Config{Sim: similarity.Options{Window: 3}}, Config{Sim: sim}},
+		{"operational fields ignored", Config{Workers: 4, Cache: NewDistCache(), Sim: sim}, Config{Sim: sim}},
+	}
+	for _, c := range same {
+		if c.a.Semantics() != c.b.Semantics() {
+			t.Errorf("%s: %+v != %+v", c.name, c.a.Semantics(), c.b.Semantics())
+		}
+	}
+	base := Config{Prune: true, Index: true, Sim: sim}
+	distinct := []Config{
+		{Prune: true, Index: true, IndexMaxClusters: 2, Sim: sim},
+		{Prune: true, Index: true, IndexClusters: 5, Sim: sim},
+		{Prune: true, Sim: sim},
+		{Index: true, Sim: sim},
+		{Prune: true, Index: true, Sim: similarity.Options{Window: 9}},
+	}
+	for _, c := range distinct {
+		if c.Semantics() == base.Semantics() {
+			t.Errorf("%+v aliases %+v", c.Semantics(), base.Semantics())
+		}
+	}
+	if got := base.Semantics().Config().Semantics(); got != base.Semantics() {
+		t.Errorf("Semantics().Config() round trip: %+v != %+v", got, base.Semantics())
+	}
+}

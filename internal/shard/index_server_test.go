@@ -6,8 +6,12 @@ package shard
 // and ServerConfig.WarmIndex must pre-build the indexed engine.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -66,7 +70,7 @@ func TestRemoteIndexedScanBitIdentical(t *testing.T) {
 }
 
 // TestServerIndexedEngineSeparation: the same slice scanned flat and
-// indexed must come from two distinct memoized engines (the engineKey
+// indexed must come from two distinct memoized engines (the scan.Semantics key
 // includes the Index trio), and both must agree on the best match.
 func TestServerIndexedEngineSeparation(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -133,5 +137,27 @@ func TestServerWarmIndex(t *testing.T) {
 	}
 	if n := tel.Snapshot().Counters["index_rebuilds"]; n != 1 {
 		t.Errorf("first indexed request rebuilt the index (%d builds total), warming missed", n)
+	}
+
+	// An old client still sends "cascade":true. Every pruned scan runs
+	// the cascade, so the field must not select a second engine (and a
+	// second O(n²) index build).
+	body, err := json.Marshal(scanRequest{Target: toWireBBS(models[1]), Prune: true, Index: true, IndexClusters: 3,
+		Window: sim.Window, ISWeight: sim.ISWeight, CSPWeight: sim.CSPWeight})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = append(body[:len(body)-1], `,"cascade":true}`...)
+	resp, err := http.Post(ts.URL+"/scan", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cascade-carrying indexed scan answered %d", resp.StatusCode)
+	}
+	if n := tel.Snapshot().Counters["index_rebuilds"]; n != 1 {
+		t.Errorf("a \"cascade\":true request rebuilt the index (%d builds total), want the warm engine", n)
 	}
 }

@@ -79,10 +79,10 @@ type RemoteConfig struct {
 // degrades that scan (partial results + error through the coordinator)
 // rather than failing the build or hanging.
 type RemoteShard struct {
-	addr     string      // as given, the shard's Name
-	base     string      // normalized URL prefix
-	expected int         // partition-derived entry count
-	scfg     scan.Config // scan semantics every request carries (Sim defaulted)
+	addr     string         // as given, the shard's Name
+	base     string         // normalized URL prefix
+	expected int            // partition-derived entry count
+	sem      scan.Semantics // scan semantics every request carries
 	cfg      RemoteConfig
 	client   *http.Client
 
@@ -95,8 +95,8 @@ type RemoteShard struct {
 // NewRemoteShard builds a client for the shard at addr ("host:port" or
 // a full http:// URL) which both sides' Routers agree holds expected
 // entries. scfg carries the scan semantics this client's detector wants
-// (Prune, Cascade, the Index trio, Sim); they travel with every
-// request. Workers and Cache are server-side concerns and ignored.
+// (scfg.Semantics() travels with every request); Workers, Cache and the
+// other operational fields are server-side concerns and ignored.
 func NewRemoteShard(addr string, expected int, scfg scan.Config, cfg RemoteConfig) *RemoteShard {
 	base := addr
 	if !strings.Contains(base, "://") {
@@ -110,8 +110,7 @@ func NewRemoteShard(addr string, expected int, scfg scan.Config, cfg RemoteConfi
 	if client == nil {
 		client = &http.Client{}
 	}
-	scfg.Sim = scfg.Sim.WithDefaults()
-	return &RemoteShard{addr: addr, base: base, expected: expected, scfg: scfg, cfg: cfg, client: client}
+	return &RemoteShard{addr: addr, base: base, expected: expected, sem: scfg.Semantics(), cfg: cfg, client: client}
 }
 
 // Name implements Shard (the address identifies the shard in errors and
@@ -188,17 +187,7 @@ func (s *RemoteShard) Check(ctx context.Context) error {
 // therefore never re-sends the id of a timed-out first attempt that may
 // still be scanning on the server.
 func (s *RemoteShard) Scan(ctx context.Context, bbs *model.CSTBBS, cut *scan.Cutoff) ([]scan.Match, error) {
-	base := scanRequest{
-		Target:        toWireBBS(bbs),
-		Prune:         s.scfg.Prune,
-		Cascade:       s.scfg.Cascade,
-		Window:        s.scfg.Sim.Window,
-		ISWeight:      s.scfg.Sim.ISWeight,
-		CSPWeight:     s.scfg.Sim.CSPWeight,
-		Index:         s.scfg.Index,
-		IndexClusters: s.scfg.IndexClusters,
-		IndexMax:      s.scfg.IndexMaxClusters,
-	}
+	base := newScanRequest(bbs, s.sem)
 
 	// A failed attempt is transient — and worth a fresh attempt — unless
 	// the caller's own context died. retry.Transient alone is not enough
@@ -211,7 +200,7 @@ func (s *RemoteShard) Scan(ctx context.Context, bbs *model.CSTBBS, cut *scan.Cut
 		s.cfg.Telemetry.Inc(telemetry.ShardRemoteRetries)
 	}, func() error {
 		req := base
-		if s.scfg.Prune && cut != nil {
+		if s.sem.Prune && cut != nil {
 			req.ID = newScanID()
 			if best := cut.Best(); !math.IsInf(best, 1) {
 				req.Cutoff = &best
@@ -229,7 +218,7 @@ func (s *RemoteShard) Scan(ctx context.Context, bbs *model.CSTBBS, cut *scan.Cut
 	if err != nil {
 		return nil, err
 	}
-	if s.scfg.Prune && cut != nil && resp.Best != nil {
+	if s.sem.Prune && cut != nil && resp.Best != nil {
 		cut.Update(*resp.Best)
 	}
 	return ms, nil

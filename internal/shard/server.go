@@ -42,8 +42,8 @@ type ServerConfig struct {
 	// repository (0 = unknown, comparison skipped client-side).
 	Version uint64
 	// WarmIndex, when true, pre-builds the indexed scan engine for the
-	// default indexed semantics (prune on, cascade off, default
-	// similarity options, IndexClusters clusters) at server start, so
+	// default indexed semantics (prune and index on, default similarity
+	// options, IndexClusters clusters) at server start, so
 	// the first indexed /scan does not pay the O(n²) index
 	// construction. Requests with other semantics still build their
 	// own engines lazily, exactly as without warming.
@@ -53,20 +53,6 @@ type ServerConfig struct {
 	// warmed engine; clients' requested cluster counts always win for
 	// their own requests.
 	IndexClusters int
-}
-
-// engineKey is one distinct scan semantics a client asked for. Engines
-// are memoized per key and share the server's one DistCache: the
-// Levenshtein memo is keyed on block content, which pruning and term
-// weights do not change.
-type engineKey struct {
-	prune         bool
-	cascade       bool
-	index         bool
-	indexClusters int
-	indexMax      int
-	window        int
-	isw, csp      float64
 }
 
 // Server hosts one repository slice behind the shard HTTP protocol:
@@ -86,8 +72,12 @@ type Server struct {
 	results   *vcache.Cache
 	sliceHash string
 
+	// engines memoizes one engine per distinct scan semantics a client
+	// asked for. They share the server's one DistCache: the Levenshtein
+	// memo is keyed on block content, which pruning and term weights do
+	// not change.
 	mu      sync.Mutex
-	engines map[engineKey]*scan.Engine
+	engines map[scan.Semantics]*scan.Engine
 
 	scans sync.Map // scan id → *scan.Cutoff of the in-flight scan
 }
@@ -100,7 +90,7 @@ func NewServer(models []*model.CSTBBS, cfg ServerConfig) *Server {
 		models:  append([]*model.CSTBBS(nil), models...),
 		cfg:     cfg,
 		cache:   scan.NewDistCache(),
-		engines: make(map[engineKey]*scan.Engine),
+		engines: make(map[scan.Semantics]*scan.Engine),
 	}
 	s.sliceHash = vcache.SliceHash(s.models)
 	if cfg.ResultCache > 0 {
@@ -108,9 +98,8 @@ func NewServer(models []*model.CSTBBS, cfg ServerConfig) *Server {
 		cfg.Telemetry.RegisterGauges("shard_vcache", s.results.TelemetryGauges)
 	}
 	if cfg.WarmIndex {
-		sim := similarity.DefaultOptions()
-		s.engine(engineKey{prune: true, index: true, indexClusters: cfg.IndexClusters,
-			window: sim.Window, isw: sim.ISWeight, csp: sim.CSPWeight})
+		s.engine(scan.Config{Prune: true, Index: true, IndexClusters: cfg.IndexClusters,
+			Sim: similarity.DefaultOptions()}.Semantics())
 	}
 	return s
 }
@@ -124,24 +113,16 @@ func (s *Server) Len() int { return len(s.models) }
 
 // engine returns the memoized engine for one scan semantics, building
 // it on first use.
-func (s *Server) engine(k engineKey) *scan.Engine {
+func (s *Server) engine(sem scan.Semantics) *scan.Engine {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.engines[k]; ok {
+	if e, ok := s.engines[sem]; ok {
 		return e
 	}
-	e := scan.New(s.models, scan.Config{
-		Workers:          s.cfg.Workers,
-		Prune:            k.prune,
-		Cascade:          k.cascade,
-		Index:            k.index,
-		IndexClusters:    k.indexClusters,
-		IndexMaxClusters: k.indexMax,
-		Sim:              similarity.Options{Window: k.window, ISWeight: k.isw, CSPWeight: k.csp},
-		Cache:            s.cache,
-		Telemetry:        s.cfg.Telemetry,
-	})
-	s.engines[k] = e
+	cfg := sem.Config()
+	cfg.Workers, cfg.Cache, cfg.Telemetry = s.cfg.Workers, s.cache, s.cfg.Telemetry
+	e := scan.New(s.models, cfg)
+	s.engines[sem] = e
 	return e
 }
 
@@ -165,26 +146,16 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	bbs := fromWireBBS(req.Target)
+	sem := req.semantics()
 
 	// The result cache sits in front of the whole scan path: a repeated
 	// target is answered from memory (no engine, no cutoff cell, no
 	// scan-id registration — /cutoff broadcasts for its id are no-ops by
 	// design), and concurrent identical requests collapse onto one scan.
 	// A nil cache passes straight through to scanOnce.
-	key := vcache.Key{
-		Target:        vcache.TargetHash(bbs),
-		Slice:         s.sliceHash,
-		Prune:         req.Prune,
-		Cascade:       req.Cascade,
-		Index:         req.Index,
-		IndexClusters: req.IndexClusters,
-		IndexMax:      req.IndexMax,
-		Window:        req.Window,
-		ISW:           req.ISWeight,
-		CSP:           req.CSPWeight,
-	}
+	key := vcache.Key{Target: vcache.TargetHash(bbs), Slice: s.sliceHash, Semantics: sem}
 	res, _, err := s.results.Do(r.Context(), key, func() (vcache.Result, bool, error) {
-		return s.scanOnce(r.Context(), req, bbs)
+		return s.scanOnce(r.Context(), req, sem, bbs)
 	})
 	if err != nil {
 		status := http.StatusInternalServerError
@@ -210,12 +181,8 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 // scanOnce runs one actual slice scan for a /scan request: pick the
 // memoized engine for the requested semantics, seed the pruning cutoff,
 // register the scan id for mid-flight /cutoff broadcasts, scan.
-func (s *Server) scanOnce(ctx context.Context, req scanRequest, bbs *model.CSTBBS) (vcache.Result, bool, error) {
-	eng := s.engine(engineKey{
-		prune: req.Prune, cascade: req.Cascade,
-		index: req.Index, indexClusters: req.IndexClusters, indexMax: req.IndexMax,
-		window: req.Window, isw: req.ISWeight, csp: req.CSPWeight,
-	})
+func (s *Server) scanOnce(ctx context.Context, req scanRequest, sem scan.Semantics, bbs *model.CSTBBS) (vcache.Result, bool, error) {
+	eng := s.engine(sem)
 
 	cut := scan.NewCutoff()
 	if req.Cutoff != nil {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/model"
 	"repro/internal/scan"
+	"repro/internal/similarity"
 )
 
 // The HTTP/JSON wire format between RemoteShard and Server. Scores and
@@ -37,9 +38,11 @@ type wireBBS struct {
 }
 
 // scanRequest is POST /scan: one target to score against the shard's
-// whole slice. Prune and the similarity knobs travel with the request
-// so the client's detector configuration decides the semantics; the
-// server memoizes one engine per distinct configuration.
+// whole slice. The scan semantics travel with the request as flat
+// fields (newScanRequest and semantics convert), so the client's
+// detector configuration decides them; the server memoizes one engine
+// per distinct scan.Semantics. A "cascade" field sent by old clients is
+// ignored: every pruned scan runs the lower-bound cascade.
 type scanRequest struct {
 	// ID names this scan for later POST /cutoff broadcasts ("" opts
 	// out of broadcasting).
@@ -49,7 +52,6 @@ type scanRequest struct {
 	// distance known at send time (nil = none yet).
 	Cutoff    *float64 `json:"cutoff,omitempty"`
 	Prune     bool     `json:"prune"`
-	Cascade   bool     `json:"cascade,omitempty"`
 	Window    int      `json:"window"`
 	ISWeight  float64  `json:"is_weight"`
 	CSPWeight float64  `json:"csp_weight"`
@@ -98,6 +100,31 @@ type healthResponse struct {
 	Entries int    `json:"entries"`
 	Version uint64 `json:"version,omitempty"`
 	Slice   string `json:"slice,omitempty"`
+}
+
+// newScanRequest builds the /scan request for one target under sem.
+func newScanRequest(bbs *model.CSTBBS, sem scan.Semantics) scanRequest {
+	return scanRequest{
+		Target:        toWireBBS(bbs),
+		Prune:         sem.Prune,
+		Window:        sem.Sim.Window,
+		ISWeight:      sem.Sim.ISWeight,
+		CSPWeight:     sem.Sim.CSPWeight,
+		Index:         sem.Index,
+		IndexClusters: sem.IndexClusters,
+		IndexMax:      sem.IndexMaxClusters,
+	}
+}
+
+// semantics decodes the request's scan semantics in canonical form.
+func (r scanRequest) semantics() scan.Semantics {
+	return scan.Config{
+		Prune:            r.Prune,
+		Index:            r.Index,
+		IndexClusters:    r.IndexClusters,
+		IndexMaxClusters: r.IndexMax,
+		Sim:              similarity.Options{Window: r.Window, ISWeight: r.ISWeight, CSPWeight: r.CSPWeight},
+	}.Semantics()
 }
 
 func toWireBBS(bbs *model.CSTBBS) wireBBS {

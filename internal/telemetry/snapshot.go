@@ -115,10 +115,9 @@ func ratio(num, den uint64) float64 {
 	return float64(num) / float64(den)
 }
 
-// boundSkips sums every lower-bound-based skip: the per-row bound plus
-// the cascade's tier-1/2 bounds (which replace it when Cascade is on).
-// All three are "entry pruned before DTW", so the derived rates treat
-// them as one bucket regardless of which tier fired.
+// boundSkips sums every lower-bound-based skip over the cascade's three
+// tiers. All three are "entry pruned before DTW", so the derived rates
+// treat them as one bucket regardless of which tier fired.
 func boundSkips(s Snapshot) uint64 {
 	return s.Counters[ScanEntriesLowerBoundSkipped.String()] +
 		s.Counters[ScanEntriesKimSkipped.String()] +

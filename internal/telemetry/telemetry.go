@@ -47,11 +47,11 @@ const (
 	// ScanEntriesExact counts entry comparisons that ran the full DTW
 	// and produced an exact score.
 	ScanEntriesExact
-	// ScanEntriesLowerBoundSkipped counts lower-bound cutoff hits:
-	// entries skipped before any DTW because the cheap lower bound
-	// already exceeded the running best. With the cascade enabled this
-	// is the tier-3 (exact per-row envelope) skip; the cheaper tiers
-	// count under ScanEntriesKimSkipped / ScanEntriesKeoghSkipped.
+	// ScanEntriesLowerBoundSkipped counts cascade tier-3 skips: entries
+	// pruned before any DTW by the exact per-row bound
+	// (similarity.LowerBound) after tiers 1 and 2 failed to prune them.
+	// The cheaper tiers count under ScanEntriesKimSkipped /
+	// ScanEntriesKeoghSkipped.
 	ScanEntriesLowerBoundSkipped
 	// ScanEntriesKimSkipped counts cascade tier-1 skips: entries pruned
 	// by the O(1) aggregate bound (similarity.LowerBoundKim) before any

@@ -81,8 +81,8 @@ func TestDerivedRates(t *testing.T) {
 }
 
 // Cascade tier skips count as lower-bound skips in the derived rates:
-// with the cascade enabled an entry pruned by the Kim or Keogh tier
-// must raise prune_rate and lb_skip_rate exactly like a per-row skip.
+// an entry pruned by the Kim or Keogh tier must raise prune_rate and
+// lb_skip_rate exactly like a per-row skip.
 func TestDerivedRatesCascadeTiers(t *testing.T) {
 	c := NewCollector()
 	c.Add(ScanEntriesExact, 50)

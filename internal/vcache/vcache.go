@@ -9,8 +9,9 @@
 // A cache entry is keyed by Key: the target's CST-BBS content hash,
 // the repository version that produced the result, an optional
 // served-slice fingerprint (shard servers, which scan a fixed slice
-// rather than a versioned repository), and the scan semantics (prune,
-// DTW window, term weights). Any repository mutation bumps the
+// rather than a versioned repository), and the scan.Semantics value
+// (pruning, index mode, DTW window, term weights). Any repository
+// mutation bumps the
 // version, so stale results are unreachable by construction — no
 // explicit invalidation path exists or is needed. See
 // docs/ROBUSTNESS.md for the coherence argument, including why pruned
@@ -59,22 +60,13 @@ type Key struct {
 	// Slice fingerprints the served repository slice (SliceHash) for
 	// shard-side caching; empty for whole-repository scans.
 	Slice string
-	// Prune, Cascade, Window, ISW and CSP are the scan semantics: early
-	// abandoning, the lower-bound cascade, plus the similarity options
-	// that shape every score. Cascade changes which entries a pruned
-	// scan skips, so results from the two orderings must never alias.
-	Prune    bool
-	Cascade  bool
-	Window   int
-	ISW, CSP float64
-	// Index, IndexClusters and IndexMax extend the scan semantics with
-	// the repository-index mode (scan.Config.Index and friends): the
-	// indexed descent changes which entries a pruned scan skips — and
-	// the approximate MaxClusters mode changes which scores are even
-	// exact — so indexed and flat results must never alias.
-	Index         bool
-	IndexClusters int
-	IndexMax      int
+	// Semantics is the scan semantics (pruning, the repository-index
+	// mode, the similarity options), in the canonical form
+	// scan.Config.Semantics builds: each changes which entries a scan
+	// skips or how it scores them, so results under different semantics
+	// must never alias, while configurations that scan identically
+	// share entries.
+	Semantics scan.Semantics
 }
 
 // Result is one memoized scan outcome.

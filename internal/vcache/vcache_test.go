@@ -12,11 +12,12 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/model"
 	"repro/internal/scan"
+	"repro/internal/similarity"
 	"repro/internal/telemetry"
 )
 
 func key(target string) Key {
-	return Key{Target: target, Version: 1, Window: 3, ISW: 0.5, CSP: 0.5}
+	return Key{Target: target, Version: 1, Semantics: scan.Config{Sim: similarity.DefaultOptions()}.Semantics()}
 }
 
 func fixed(res Result) Compute {
@@ -320,8 +321,12 @@ func TestTargetHashProperties(t *testing.T) {
 		"leader": func() *model.CSTBBS { b := bbsFixture("a", 0.5); b.Seq[0].Leader = 0x80; return b }(),
 		"cycle":  func() *model.CSTBBS { b := bbsFixture("a", 0.5); b.Seq[0].FirstCycle = 8; return b }(),
 		"hpc":    func() *model.CSTBBS { b := bbsFixture("a", 0.5); b.Seq[0].HPCValue = 4; return b }(),
-		"insns":  func() *model.CSTBBS { b := bbsFixture("a", 0.5); b.Seq[0].NormInsns = []string{"clflush mem"}; return b }(),
-		"empty":  {Name: "a"},
+		"insns": func() *model.CSTBBS {
+			b := bbsFixture("a", 0.5)
+			b.Seq[0].NormInsns = []string{"clflush mem"}
+			return b
+		}(),
+		"empty": {Name: "a"},
 	}
 	ref := TargetHash(base)
 	seen := map[string]string{"base": ref}
@@ -372,14 +377,16 @@ func TestKeySemanticsSeparateEntries(t *testing.T) {
 	v2 := base
 	v2.Version = 2
 	pr := base
-	pr.Prune = true
+	pr.Semantics.Prune = true
+	idx := pr
+	idx.Semantics.Index = true
 	w := base
-	w.Window = 9
+	w.Semantics.Sim.Window = 9
 	isw := base
-	isw.ISW = 0.9
+	isw.Semantics.Sim.ISWeight = 0.9
 	sl := base
 	sl.Slice = "deadbeef"
-	mutants = append(mutants, v2, pr, w, isw, sl)
+	mutants = append(mutants, v2, pr, idx, w, isw, sl)
 	for i, k := range mutants {
 		res, hit, _ := c.Do(ctx, k, fixed(Result{Best: float64(i)}))
 		if hit {

@@ -173,13 +173,13 @@ func TestFlagsInFlightAttack(t *testing.T) {
 	}
 }
 
-// scanConfigs returns the three detector configurations the acceptance
-// criteria name: exact flat scan, pruned lower-bound cascade, and the
-// medoid-prototype index.
+// scanConfigs returns the three detector configurations: exact flat
+// scan, the pruned (-fast) scan that runs the lower-bound cascade, and
+// the medoid-prototype index.
 func scanConfigs() map[string]scan.Config {
 	return map[string]scan.Config{
 		"exact":   {},
-		"cascade": {Prune: true, Cascade: true},
+		"cascade": {Prune: true},
 		"indexed": {Prune: true, Index: true},
 	}
 }

@@ -5,32 +5,32 @@
 # most scheduler noise out of both sides of every ratio.
 #
 # Section 1 — cascade. Runs the repository-scan benchmark (Serial /
-# Engine / Pruned / Cascade over the full attack corpus), writes the
-# measured ns/op figures to BENCH_cascade.json, and fails if the
-# cascade regresses RELATIVE to the plain pruned scan on the same run:
+# Engine / Cascade over the full attack corpus; Cascade is the -fast
+# scan), writes the measured ns/op figures to BENCH_cascade.json, and
+# fails if the cascade regresses RELATIVE to the exact engine on the
+# same run:
 #
-#   cascade <= pruned * TOLERANCE      (default 1.25)
-#   pruned  <= serial                  (pruning must never lose outright)
+#   cascade <= engine * TOLERANCE      (default 1.25)
+#   cascade <= serial                  (pruning must never lose outright)
 #
-# The first is the property this tree actually promises (see
-# docs/PERFORMANCE.md "The pruning cascade"): ordering by the cheap
-# tier-1/2 bounds and gating the tier-3 bound must beat — or at worst,
-# within scheduler noise, match — computing the tier-3 bound for every
-# entry.
+# The first is the property this tree promises (see docs/PERFORMANCE.md
+# "The pruning cascade"): ordering by the cheap tier-1/2 bounds and
+# gating the tier-3 bound must beat — or at worst, within scheduler
+# noise, match — scoring every entry exactly.
 #
-# Section 2 — repository index. Runs the indexed-scan benchmark (Flat /
-# Cascade / Indexed over the 500-variant mutation stress corpus, the
+# Section 2 — repository index. Runs the indexed-scan benchmark
+# (Cascade / Indexed over the 500-variant mutation stress corpus, the
 # variant re-scoring sweep of docs/INDEXING.md), writes BENCH_index.json
 # and enforces the index's headline promise:
 #
-#   flat_pruned >= indexed * INDEX_SPEEDUP   (default 3)
+#   cascade >= indexed * INDEX_SPEEDUP   (default 1.5)
 set -eu
 
 GO=${GO:-go}
 COUNT=${COUNT:-3}
 BENCHTIME=${BENCHTIME:-0.5s}
 TOLERANCE=${TOLERANCE:-1.25}
-INDEX_SPEEDUP=${INDEX_SPEEDUP:-3}
+INDEX_SPEEDUP=${INDEX_SPEEDUP:-1.5}
 OUT=${OUT:-BENCH_cascade.json}
 OUT_INDEX=${OUT_INDEX:-BENCH_index.json}
 
@@ -52,33 +52,32 @@ awk -v tol="$TOLERANCE" -v out="$OUT" '
     if (!(name in best) || ns < best[name]) best[name] = ns
 }
 END {
-    split("Serial Engine Pruned Cascade", want, " ")
+    split("Serial Engine Cascade", want, " ")
     for (i in want) {
         if (!(want[i] in best)) {
             printf "bench-check: missing benchmark %s\n", want[i] > "/dev/stderr"
             exit 1
         }
     }
-    ratio = best["Cascade"] / best["Pruned"]
+    ratio = best["Cascade"] / best["Engine"]
     printf "{\n" > out
     printf "  \"benchmark\": \"BenchmarkRepositoryScan\",\n" > out
     printf "  \"unit\": \"ns/op\",\n" > out
     printf "  \"serial\": %.0f,\n", best["Serial"] > out
     printf "  \"engine\": %.0f,\n", best["Engine"] > out
-    printf "  \"pruned\": %.0f,\n", best["Pruned"] > out
     printf "  \"cascade\": %.0f,\n", best["Cascade"] > out
-    printf "  \"cascade_vs_pruned\": %.3f,\n", ratio > out
+    printf "  \"cascade_vs_engine\": %.3f,\n", ratio > out
     printf "  \"tolerance\": %.3f\n", tol > out
     printf "}\n" > out
-    printf "bench-check: serial=%.0f engine=%.0f pruned=%.0f cascade=%.0f (cascade/pruned = %.3f, tolerance %.2f)\n",
-        best["Serial"], best["Engine"], best["Pruned"], best["Cascade"], ratio, tol
+    printf "bench-check: serial=%.0f engine=%.0f cascade=%.0f (cascade/engine = %.3f, tolerance %.2f)\n",
+        best["Serial"], best["Engine"], best["Cascade"], ratio, tol
     if (ratio > tol) {
-        printf "bench-check: FAILED — cascade regressed %.3fx vs pruned (limit %.2fx)\n", ratio, tol > "/dev/stderr"
+        printf "bench-check: FAILED — cascade regressed %.3fx vs the exact engine (limit %.2fx)\n", ratio, tol > "/dev/stderr"
         exit 1
     }
-    if (best["Pruned"] > best["Serial"]) {
-        printf "bench-check: FAILED — pruned scan (%.0f ns/op) slower than serial (%.0f ns/op)\n",
-            best["Pruned"], best["Serial"] > "/dev/stderr"
+    if (best["Cascade"] > best["Serial"]) {
+        printf "bench-check: FAILED — cascade scan (%.0f ns/op) slower than serial (%.0f ns/op)\n",
+            best["Cascade"], best["Serial"] > "/dev/stderr"
         exit 1
     }
 }' "$raw"
@@ -97,28 +96,27 @@ awk -v speedup="$INDEX_SPEEDUP" -v out="$OUT_INDEX" '
     if (!(name in best) || ns < best[name]) best[name] = ns
 }
 END {
-    split("Flat Cascade Indexed", want, " ")
+    split("Cascade Indexed", want, " ")
     for (i in want) {
         if (!(want[i] in best)) {
             printf "bench-check: missing benchmark %s\n", want[i] > "/dev/stderr"
             exit 1
         }
     }
-    ratio = best["Flat"] / best["Indexed"]
+    ratio = best["Cascade"] / best["Indexed"]
     printf "{\n" > out
     printf "  \"benchmark\": \"BenchmarkIndexedScan\",\n" > out
     printf "  \"unit\": \"ns/op\",\n" > out
     printf "  \"corpus\": \"detect.BuildVariantRepository PerFamily=125 Seed=1 (500 variants)\",\n" > out
-    printf "  \"flat_pruned\": %.0f,\n", best["Flat"] > out
     printf "  \"cascade\": %.0f,\n", best["Cascade"] > out
     printf "  \"indexed\": %.0f,\n", best["Indexed"] > out
-    printf "  \"flat_vs_indexed\": %.3f,\n", ratio > out
+    printf "  \"cascade_vs_indexed\": %.3f,\n", ratio > out
     printf "  \"required_speedup\": %.3f\n", speedup > out
     printf "}\n" > out
-    printf "bench-check: flat=%.0f cascade=%.0f indexed=%.0f (flat/indexed = %.3f, required >= %.2f)\n",
-        best["Flat"], best["Cascade"], best["Indexed"], ratio, speedup
+    printf "bench-check: cascade=%.0f indexed=%.0f (cascade/indexed = %.3f, required >= %.2f)\n",
+        best["Cascade"], best["Indexed"], ratio, speedup
     if (ratio < speedup) {
-        printf "bench-check: FAILED — indexed scan only %.3fx over flat pruned (need %.2fx)\n", ratio, speedup > "/dev/stderr"
+        printf "bench-check: FAILED — indexed scan only %.3fx over the cascade (need %.2fx)\n", ratio, speedup > "/dev/stderr"
         exit 1
     }
 }' "$raw"
