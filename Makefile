@@ -21,9 +21,10 @@ test:
 # detector/repository wiring, the streaming pipeline, the shard
 # scatter–gather layer, the circuit breakers, the chaos harness, the
 # verdict result cache, the detection service front end and the online
-# sliding-window detector).
+# sliding-window detector) and over the front of the pipeline, whose
+# programs concurrent classifications share (isa, cfg, exec, model).
 race:
-	$(GO) test -race -timeout $(TEST_TIMEOUT) ./internal/detect ./internal/scan ./internal/stream ./internal/shard ./internal/breaker ./internal/chaos ./internal/vcache ./internal/serve ./internal/index ./internal/window
+	$(GO) test -race -timeout $(TEST_TIMEOUT) ./internal/detect ./internal/scan ./internal/stream ./internal/shard ./internal/breaker ./internal/chaos ./internal/vcache ./internal/serve ./internal/index ./internal/window ./internal/exec ./internal/isa ./internal/cfg ./internal/model
 
 vet:
 	$(GO) vet ./...
@@ -70,10 +71,13 @@ bench-check:
 	./scripts/bench-check.sh
 
 # The warm scan path — exact and pruned (-fast) — must perform zero
-# allocations per full repository pass (testing.AllocsPerRun-pinned;
-# see docs/PERFORMANCE.md "Allocation-free scan kernel").
+# allocations per full repository pass, and one model build (CFG,
+# simulation, modeling) must stay within its pinned allocation budget
+# (testing.AllocsPerRun; see docs/PERFORMANCE.md "Allocation-free scan
+# kernel" and "Front of pipeline: simulator hot path").
 alloc-check:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run TestScanZeroAllocWarmPath -v ./internal/scan
+	$(GO) test -timeout $(TEST_TIMEOUT) -run TestModelBuildAllocs -v ./internal/model
 
 # Cache-hit smoke: the differential + all-hits repeat-pass tests across
 # the detector, the shard servers and the golden corpus.

@@ -10,6 +10,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -71,12 +72,18 @@ func (c Config) Validate() error {
 // SizeBytes returns the capacity of the configured cache.
 func (c Config) SizeBytes() int { return c.Sets * c.Ways * c.LineSize }
 
+// SetIndex maps an address to its set index in a cache of this
+// configuration, without building the cache. c must be valid.
+func (c Config) SetIndex(addr uint64) int {
+	return int((addr >> bits.TrailingZeros(uint(c.LineSize))) & uint64(c.Sets-1))
+}
+
 type line struct {
-	valid    bool
 	tag      uint64
-	owner    Owner
 	lastUse  uint64 // LRU timestamp
 	inserted uint64 // FIFO timestamp
+	owner    Owner
+	valid    bool
 }
 
 // Stats accumulates hit/miss/flush counts.
@@ -90,11 +97,12 @@ type Stats struct {
 // Cache is one set-associative cache level. Create with New.
 type Cache struct {
 	cfg        Config
-	sets       [][]line
+	lines      []line // Sets*Ways lines, set-major: set s is lines[s*Ways:(s+1)*Ways]
 	tick       uint64
-	rng        *rand.Rand
+	rng        *rand.Rand // Random policy only
 	stats      Stats
 	setShift   uint // log2(LineSize)
+	tagShift   uint // log2(LineSize) + log2(Sets)
 	setMask    uint64
 	totalLines int
 	usedLines  int
@@ -107,20 +115,17 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{
 		cfg:        cfg,
-		sets:       make([][]line, cfg.Sets),
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		lines:      make([]line, cfg.Sets*cfg.Ways),
+		setShift:   uint(bits.TrailingZeros(uint(cfg.LineSize))),
 		setMask:    uint64(cfg.Sets - 1),
 		totalLines: cfg.Sets * cfg.Ways,
 	}
-	for i := range c.sets {
-		ways := make([]line, cfg.Ways)
-		for j := range ways {
-			ways[j].owner = OwnerNone
-		}
-		c.sets[i] = ways
+	c.tagShift = c.setShift + uint(bits.TrailingZeros(uint(cfg.Sets)))
+	if cfg.Policy == Random {
+		c.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
-	for ls := cfg.LineSize; ls > 1; ls >>= 1 {
-		c.setShift++
+	for i := range c.lines {
+		c.lines[i].owner = OwnerNone
 	}
 	return c, nil
 }
@@ -150,23 +155,18 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.LineSize) - 1)
 }
 
-func (c *Cache) tag(addr uint64) uint64 {
-	return addr >> c.setShift >> log2(uint64(c.cfg.Sets))
-}
+func (c *Cache) tag(addr uint64) uint64 { return addr >> c.tagShift }
 
-func log2(v uint64) uint {
-	var n uint
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
+// set returns the ways of set si.
+func (c *Cache) set(si int) []line {
+	base, end := si*c.cfg.Ways, (si+1)*c.cfg.Ways
+	return c.lines[base:end:end]
 }
 
 // Lookup reports whether addr is cached, without disturbing any
 // replacement state.
 func (c *Cache) Lookup(addr uint64) bool {
-	set := c.sets[c.SetIndex(addr)]
+	set := c.set(c.SetIndex(addr))
 	t := c.tag(addr)
 	for i := range set {
 		if set[i].valid && set[i].tag == t {
@@ -186,36 +186,43 @@ type EvictedLine struct {
 // the access hit, and (on a fill that displaced a valid line) the evicted
 // line. Writes allocate like reads (write-allocate).
 func (c *Cache) Access(addr uint64, owner Owner) (hit bool, evicted *EvictedLine) {
+	hit, ev, ok := c.access(addr, owner)
+	if ok {
+		return hit, &ev
+	}
+	return hit, nil
+}
+
+// access is Access reporting the evicted line by value: ok is false
+// when the fill displaced nothing.
+func (c *Cache) access(addr uint64, owner Owner) (hit bool, ev EvictedLine, ok bool) {
 	c.tick++
 	si := c.SetIndex(addr)
-	set := c.sets[si]
+	set := c.set(si)
 	t := c.tag(addr)
 	for i := range set {
 		if set[i].valid && set[i].tag == t {
 			set[i].lastUse = c.tick
 			set[i].owner = owner // the most recent toucher owns the line
 			c.stats.Hits++
-			return true, nil
+			return true, EvictedLine{}, false
 		}
 	}
 	c.stats.Misses++
 	victim := c.chooseVictim(set)
-	if set[victim].valid {
+	v := &set[victim]
+	if v.valid {
 		c.stats.Evictions++
-		ev := &EvictedLine{
-			Addr:  c.reconstructAddr(set[victim].tag, si),
-			Owner: set[victim].owner,
-		}
-		set[victim] = line{valid: true, tag: t, owner: owner, lastUse: c.tick, inserted: c.tick}
-		return false, ev
+		ev, ok = EvictedLine{Addr: c.reconstructAddr(v.tag, si), Owner: v.owner}, true
+	} else {
+		c.usedLines++
 	}
-	c.usedLines++
-	set[victim] = line{valid: true, tag: t, owner: owner, lastUse: c.tick, inserted: c.tick}
-	return false, nil
+	*v = line{valid: true, tag: t, owner: owner, lastUse: c.tick, inserted: c.tick}
+	return false, ev, ok
 }
 
 func (c *Cache) reconstructAddr(tag uint64, setIdx int) uint64 {
-	return (tag<<log2(uint64(c.cfg.Sets)) | uint64(setIdx)) << c.setShift
+	return tag<<c.tagShift | uint64(setIdx)<<c.setShift
 }
 
 func (c *Cache) chooseVictim(set []line) int {
@@ -250,7 +257,7 @@ func (c *Cache) chooseVictim(set []line) int {
 // Flush removes the line containing addr, returning whether it was
 // present (the timing signal Flush+Flush exploits).
 func (c *Cache) Flush(addr uint64) bool {
-	set := c.sets[c.SetIndex(addr)]
+	set := c.set(c.SetIndex(addr))
 	t := c.tag(addr)
 	for i := range set {
 		if set[i].valid && set[i].tag == t {
@@ -265,10 +272,8 @@ func (c *Cache) Flush(addr uint64) bool {
 
 // InvalidateAll empties the cache (counters are preserved).
 func (c *Cache) InvalidateAll() {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			c.sets[si][wi] = line{owner: OwnerNone}
-		}
+	for i := range c.lines {
+		c.lines[i] = line{owner: OwnerNone}
 	}
 	c.usedLines = 0
 }
@@ -279,15 +284,13 @@ func (c *Cache) InvalidateAll() {
 // Synthetic tags are used so the lines do not collide with program data.
 func (c *Cache) FillAll(owner Owner) {
 	c.tick++
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			c.sets[si][wi] = line{
-				valid:    true,
-				tag:      ^uint64(0) - uint64(wi), // high tags, disjoint from real data
-				owner:    owner,
-				lastUse:  c.tick,
-				inserted: c.tick,
-			}
+	for i := range c.lines {
+		c.lines[i] = line{
+			valid:    true,
+			tag:      ^uint64(0) - uint64(i%c.cfg.Ways), // high tags, disjoint from real data
+			owner:    owner,
+			lastUse:  c.tick,
+			inserted: c.tick,
 		}
 	}
 	c.usedLines = c.totalLines
@@ -305,17 +308,15 @@ type State struct {
 // program" of Definition 3.
 func (c *Cache) Occupancy(attacker Owner) State {
 	var ao, io int
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			if !l.valid {
-				continue
-			}
-			if l.owner == attacker {
-				ao++
-			} else {
-				io++
-			}
+	for i := range c.lines {
+		l := &c.lines[i]
+		if !l.valid {
+			continue
+		}
+		if l.owner == attacker {
+			ao++
+		} else {
+			io++
 		}
 	}
 	total := float64(c.totalLines)
@@ -331,7 +332,7 @@ func (c *Cache) TotalLines() int { return c.totalLines }
 // OwnerOfLine returns the owner of the line containing addr, or
 // OwnerNone when the line is absent.
 func (c *Cache) OwnerOfLine(addr uint64) Owner {
-	set := c.sets[c.SetIndex(addr)]
+	set := c.set(c.SetIndex(addr))
 	t := c.tag(addr)
 	for i := range set {
 		if set[i].valid && set[i].tag == t {
@@ -344,7 +345,7 @@ func (c *Cache) OwnerOfLine(addr uint64) Owner {
 // SetOccupants returns the number of valid lines in the set containing
 // addr; SCADET-style rules use this to spot prime sweeps.
 func (c *Cache) SetOccupants(addr uint64) int {
-	set := c.sets[c.SetIndex(addr)]
+	set := c.set(c.SetIndex(addr))
 	n := 0
 	for i := range set {
 		if set[i].valid {

@@ -104,12 +104,59 @@ type flags struct {
 	below bool // unsigned below
 }
 
+// slot is one pre-decoded instruction. Control flow moves between slot
+// numbers (positions in the program's Insns), never through an address
+// lookup: next and target are resolved once, when the machine is built.
+type slot struct {
+	in     *isa.Instruction
+	next   int32 // slot at in.Next(); -1 when no instruction starts there
+	target int32 // slot of the static target of a direct JMP/CALL or Jcc; -1 otherwise
+}
+
+// noSlot marks an address where no instruction starts: executing it
+// halts the process (it fell off its program).
+const noSlot = -1
+
+// code is one process's program decoded into slots.
+type code struct {
+	prog  *isa.Program
+	slots []slot
+}
+
+// decode builds the slot table of a validated program.
+func decode(prog *isa.Program) code {
+	c := code{prog: prog, slots: make([]slot, len(prog.Insns))}
+	for i := range prog.Insns {
+		in := &prog.Insns[i]
+		s := slot{in: in, next: noSlot, target: noSlot}
+		// Instructions are sorted and non-overlapping, so the only
+		// candidate at in.Next() is the following one.
+		if i+1 < len(prog.Insns) && prog.Insns[i+1].Addr == in.Next() {
+			s.next = int32(i + 1)
+		}
+		if in.Op.IsCondBranch() || ((in.Op == isa.JMP || in.Op == isa.CALL) && in.Dst.Kind == isa.OpImm) {
+			s.target = c.slotAt(uint64(in.Dst.Disp))
+		}
+		c.slots[i] = s
+	}
+	return c
+}
+
+// slotAt resolves a runtime address (an indirect branch target, a
+// return address, a BTB prediction) to its slot.
+func (c code) slotAt(addr uint64) int32 {
+	if i, ok := c.prog.IndexOf(addr); ok {
+		return int32(i)
+	}
+	return noSlot
+}
+
 // proc is one running process.
 type proc struct {
-	prog    *isa.Program
+	code
 	regs    [isa.NumRegs]uint64
 	fl      flags
-	pc      uint64
+	slot    int32 // slot of the next instruction to retire
 	halted  bool
 	owner   cache.Owner
 	retired uint64
@@ -155,11 +202,10 @@ func NewMachineMulti(cfg Config, monitored *isa.Program, others ...*isa.Program)
 		return nil, err
 	}
 	m := &Machine{
-		cfg:   cfg,
-		mem:   NewMemory(),
-		hier:  hier,
-		pred:  NewBranchPredictor(cfg.PredictorSize),
-		trace: newTrace(cfg.WindowWidth, cfg.MaxSetTrace, cfg.RecordEvents, cfg.MaxEvents),
+		cfg:  cfg,
+		mem:  NewMemory(),
+		hier: hier,
+		pred: NewBranchPredictor(cfg.PredictorSize),
 	}
 	progs := []*isa.Program{monitored}
 	for _, o := range others {
@@ -177,10 +223,16 @@ func NewMachineMulti(cfg Config, monitored *isa.Program, others ...*isa.Program)
 				m.mem.WriteBytes(d.Addr, d.Init)
 			}
 		}
-		p := &proc{prog: pr, pc: pr.Entry, owner: cache.Owner(i)}
+		p := &proc{code: decode(pr), owner: cache.Owner(i)}
+		p.slot = p.slotAt(pr.Entry)
 		p.regs[isa.R14] = uint64(stackTop - i*stackGap)
 		m.procs = append(m.procs, p)
 	}
+	pcs := make([]uint64, len(monitored.Insns))
+	for i := range monitored.Insns {
+		pcs[i] = monitored.Insns[i].Addr
+	}
+	m.trace = newTrace(pcs, cfg.WindowWidth, cfg.MaxSetTrace, cfg.RecordEvents, cfg.MaxEvents)
 	return m, nil
 }
 
@@ -250,8 +302,9 @@ func ea(op isa.Operand, regs *[isa.NumRegs]uint64) uint64 {
 	return a + uint64(op.Disp)
 }
 
-// fireAccessEvents converts one cache access result into HPC events.
-func (m *Machine) fireAccessEvents(res cache.AccessResult, pc uint64, monitored bool) {
+// fireAccessEvents converts one cache access result into HPC events
+// attributed to the instruction in slot s.
+func (m *Machine) fireAccessEvents(res cache.AccessResult, s int32, monitored bool) {
 	if !monitored {
 		return
 	}
@@ -260,32 +313,32 @@ func (m *Machine) fireAccessEvents(res cache.AccessResult, pc uint64, monitored 
 	switch res.Kind {
 	case cache.Load:
 		if res.L1Hit {
-			t.fire(hpc.L1DLoadHit, pc, cyc)
+			t.fire(hpc.L1DLoadHit, s, cyc)
 			return
 		}
-		t.fire(hpc.L1DLoadMiss, pc, cyc)
+		t.fire(hpc.L1DLoadMiss, s, cyc)
 		if res.LLCHit {
-			t.fire(hpc.LLCLoadHit, pc, cyc)
+			t.fire(hpc.LLCLoadHit, s, cyc)
 		} else {
-			t.fire(hpc.LLCLoadMiss, pc, cyc)
-			t.fire(hpc.CacheMiss, pc, cyc)
+			t.fire(hpc.LLCLoadMiss, s, cyc)
+			t.fire(hpc.CacheMiss, s, cyc)
 		}
 	case cache.Store:
 		if res.L1Hit {
-			t.fire(hpc.L1DStoreHit, pc, cyc)
+			t.fire(hpc.L1DStoreHit, s, cyc)
 			return
 		}
 		if res.LLCHit {
-			t.fire(hpc.LLCStoreHit, pc, cyc)
+			t.fire(hpc.LLCStoreHit, s, cyc)
 		} else {
-			t.fire(hpc.LLCStoreMiss, pc, cyc)
-			t.fire(hpc.CacheMiss, pc, cyc)
+			t.fire(hpc.LLCStoreMiss, s, cyc)
+			t.fire(hpc.CacheMiss, s, cyc)
 		}
 	case cache.Fetch:
 		if !res.L1Hit {
-			t.fire(hpc.L1ILoadMiss, pc, cyc)
+			t.fire(hpc.L1ILoadMiss, s, cyc)
 			if !res.LLCHit {
-				t.fire(hpc.CacheMiss, pc, cyc)
+				t.fire(hpc.CacheMiss, s, cyc)
 			}
 		}
 	}
@@ -301,8 +354,9 @@ func (m *Machine) protectedAt(addr uint64) bool {
 	return false
 }
 
-// load performs an architectural data load.
-func (m *Machine) load(p *proc, pc, addr uint64, monitored bool) uint64 {
+// load performs an architectural data load for the instruction in slot
+// s.
+func (m *Machine) load(p *proc, s int32, addr uint64, monitored bool) uint64 {
 	if m.protectedAt(addr) {
 		// Permission fault: the access never completes architecturally.
 		p.halted = true
@@ -310,50 +364,63 @@ func (m *Machine) load(p *proc, pc, addr uint64, monitored bool) uint64 {
 	}
 	res := m.hier.Access(addr, cache.Load, p.owner)
 	m.cycles += res.Latency
-	m.fireAccessEvents(res, pc, monitored)
+	m.fireAccessEvents(res, s, monitored)
 	if monitored {
-		m.trace.memLine(pc, m.hier.LLC().LineAddr(addr), m.cycles)
-		m.trace.setAccess(m.cycles, m.hier.LLCSetIndex(addr), m.hier.LLC().LineAddr(addr), SetRead, pc)
+		m.traceLine(s, addr, SetRead)
 	}
 	return m.mem.Load64(addr)
 }
 
-// store performs an architectural data store.
-func (m *Machine) store(p *proc, pc, addr, val uint64, monitored bool) {
+// traceLine records a monitored data access of addr by the instruction
+// in slot s: the line in the instruction's record and the cache-set
+// trace entry.
+func (m *Machine) traceLine(s int32, addr uint64, kind SetAccessKind) {
+	llc := m.hier.LLC()
+	line := llc.LineAddr(addr)
+	if kind == SetFlush {
+		m.trace.flushLine(s, line, m.cycles)
+	} else {
+		m.trace.memLine(s, line, m.cycles)
+	}
+	m.trace.setAccess(m.cycles, llc.SetIndex(addr), line, kind, s)
+}
+
+// store performs an architectural data store for the instruction in
+// slot s.
+func (m *Machine) store(p *proc, s int32, addr, val uint64, monitored bool) {
 	if m.protectedAt(addr) {
 		p.halted = true
 		return
 	}
 	res := m.hier.Access(addr, cache.Store, p.owner)
 	m.cycles += res.Latency
-	m.fireAccessEvents(res, pc, monitored)
+	m.fireAccessEvents(res, s, monitored)
 	if monitored {
-		m.trace.memLine(pc, m.hier.LLC().LineAddr(addr), m.cycles)
-		m.trace.setAccess(m.cycles, m.hier.LLCSetIndex(addr), m.hier.LLC().LineAddr(addr), SetWrite, pc)
+		m.traceLine(s, addr, SetWrite)
 	}
 	m.mem.Store64(addr, val)
 }
 
 // readOperand evaluates a source operand architecturally.
-func (m *Machine) readOperand(p *proc, pc uint64, op isa.Operand, monitored bool) uint64 {
+func (m *Machine) readOperand(p *proc, s int32, op isa.Operand, monitored bool) uint64 {
 	switch op.Kind {
 	case isa.OpReg:
 		return p.regs[op.Base]
 	case isa.OpImm:
 		return uint64(op.Disp)
 	case isa.OpMem:
-		return m.load(p, pc, ea(op, &p.regs), monitored)
+		return m.load(p, s, ea(op, &p.regs), monitored)
 	}
 	return 0
 }
 
 // writeOperand writes an architectural destination operand.
-func (m *Machine) writeOperand(p *proc, pc uint64, op isa.Operand, val uint64, monitored bool) {
+func (m *Machine) writeOperand(p *proc, s int32, op isa.Operand, val uint64, monitored bool) {
 	switch op.Kind {
 	case isa.OpReg:
 		p.regs[op.Base] = val
 	case isa.OpMem:
-		m.store(p, pc, ea(op, &p.regs), val, monitored)
+		m.store(p, s, ea(op, &p.regs), val, monitored)
 	}
 }
 
@@ -413,21 +480,23 @@ func evalCond(op isa.Opcode, fl flags) bool {
 
 // step retires one instruction of p.
 func (m *Machine) step(p *proc, monitored bool) {
-	pc := p.pc
-	in, ok := p.prog.At(pc)
-	if !ok {
+	cur := p.slot
+	if cur == noSlot {
 		// Fell off the program (fault): halt.
 		p.halted = true
 		return
 	}
+	sl := &p.slots[cur]
+	in := sl.in
+	pc := in.Addr
 
 	// Instruction fetch through the I-cache.
 	fres := m.hier.Access(pc, cache.Fetch, p.owner)
 	m.cycles += fres.Latency / 4 // fetch overlaps with execution
-	m.fireAccessEvents(fres, pc, monitored)
+	m.fireAccessEvents(fres, cur, monitored)
 
 	m.cycles++ // base execution cost
-	nextPC := in.Next()
+	next := sl.next
 
 	switch in.Op {
 	case isa.NOP, isa.LFENCE, isa.MFENCE:
@@ -437,104 +506,103 @@ func (m *Machine) step(p *proc, monitored bool) {
 		p.halted = true
 
 	case isa.MOV:
-		v := m.readOperand(p, pc, in.Src, monitored)
-		m.writeOperand(p, pc, in.Dst, v, monitored)
+		v := m.readOperand(p, cur, in.Src, monitored)
+		m.writeOperand(p, cur, in.Dst, v, monitored)
 
 	case isa.LEA:
 		p.regs[in.Dst.Base] = ea(in.Src, &p.regs)
 
 	case isa.ADD, isa.SUB, isa.MUL, isa.XOR, isa.AND, isa.OR, isa.SHL, isa.SHR:
-		a := m.readOperand(p, pc, in.Dst, monitored)
-		b := m.readOperand(p, pc, in.Src, monitored)
+		a := m.readOperand(p, cur, in.Dst, monitored)
+		b := m.readOperand(p, cur, in.Src, monitored)
 		r := alu(in.Op, a, b)
-		m.writeOperand(p, pc, in.Dst, r, monitored)
+		m.writeOperand(p, cur, in.Dst, r, monitored)
 		setResultFlags(&p.fl, r)
 
 	case isa.INC, isa.DEC:
-		a := m.readOperand(p, pc, in.Dst, monitored)
+		a := m.readOperand(p, cur, in.Dst, monitored)
 		r := alu(in.Op, a, 0)
-		m.writeOperand(p, pc, in.Dst, r, monitored)
+		m.writeOperand(p, cur, in.Dst, r, monitored)
 		setResultFlags(&p.fl, r)
 
 	case isa.CMP:
-		a := m.readOperand(p, pc, in.Dst, monitored)
-		b := m.readOperand(p, pc, in.Src, monitored)
+		a := m.readOperand(p, cur, in.Dst, monitored)
+		b := m.readOperand(p, cur, in.Src, monitored)
 		p.fl.zf = a == b
 		p.fl.lt = int64(a) < int64(b)
 		p.fl.below = a < b
 
 	case isa.TEST:
-		a := m.readOperand(p, pc, in.Dst, monitored)
-		b := m.readOperand(p, pc, in.Src, monitored)
+		a := m.readOperand(p, cur, in.Dst, monitored)
+		b := m.readOperand(p, cur, in.Src, monitored)
 		setResultFlags(&p.fl, a&b)
 
 	case isa.PUSH:
-		v := m.readOperand(p, pc, in.Dst, monitored)
+		v := m.readOperand(p, cur, in.Dst, monitored)
 		p.regs[isa.R14] -= 8
-		m.store(p, pc, p.regs[isa.R14], v, monitored)
+		m.store(p, cur, p.regs[isa.R14], v, monitored)
 
 	case isa.POP:
-		v := m.load(p, pc, p.regs[isa.R14], monitored)
+		v := m.load(p, cur, p.regs[isa.R14], monitored)
 		p.regs[isa.R14] += 8
-		m.writeOperand(p, pc, in.Dst, v, monitored)
+		m.writeOperand(p, cur, in.Dst, v, monitored)
 
 	case isa.CLFLUSH:
 		addr := ea(in.Dst, &p.regs)
 		lat, wasCached := m.hier.Flush(addr)
 		m.cycles += lat
 		if monitored {
-			m.trace.flushLine(pc, m.hier.LLC().LineAddr(addr), m.cycles)
-			m.trace.setAccess(m.cycles, m.hier.LLCSetIndex(addr), m.hier.LLC().LineAddr(addr), SetFlush, pc)
+			m.traceLine(cur, addr, SetFlush)
 			if wasCached {
 				// The forced eviction reaches memory (writeback path);
 				// HPCs observe it as a cache miss, which is what makes
 				// flush-phase blocks visible to the modeling pipeline.
-				m.trace.fire(hpc.CacheMiss, pc, m.cycles)
+				m.trace.fire(hpc.CacheMiss, cur, m.cycles)
 			}
 		}
 
 	case isa.RDTSCP:
 		p.regs[in.Dst.Base] = m.cycles
 		if monitored {
-			m.trace.fire(hpc.Timestamp, pc, m.cycles)
+			m.trace.fire(hpc.Timestamp, cur, m.cycles)
 		}
 
 	case isa.JMP:
 		if in.Dst.Kind == isa.OpImm {
-			nextPC = uint64(in.Dst.Disp)
+			next = sl.target
 		} else {
 			// Indirect jump: the front end fetches from the BTB's stale
 			// target until the real one resolves — the Spectre-v2
 			// branch-target-injection window.
-			actual := m.readOperand(p, pc, in.Dst, monitored)
+			actual := m.readOperand(p, cur, in.Dst, monitored)
 			predicted, had := m.pred.UpdateIndirect(pc, actual)
 			if !had {
 				if monitored {
-					m.trace.fire(hpc.BranchLoadMiss, pc, m.cycles)
+					m.trace.fire(hpc.BranchLoadMiss, cur, m.cycles)
 				}
 			} else if predicted != actual {
 				if monitored {
-					m.trace.fire(hpc.BranchMiss, pc, m.cycles)
+					m.trace.fire(hpc.BranchMiss, cur, m.cycles)
 				}
 				m.cycles += 15
 				if m.cfg.SpecWindow > 0 {
-					m.speculate(p, predicted, monitored)
+					m.speculate(p, p.slotAt(predicted), monitored)
 				}
 			}
-			nextPC = actual
+			next = p.slotAt(actual)
 		}
 
 	case isa.CALL:
 		p.regs[isa.R14] -= 8
-		m.store(p, pc, p.regs[isa.R14], in.Next(), monitored)
+		m.store(p, cur, p.regs[isa.R14], in.Next(), monitored)
 		if in.Dst.Kind == isa.OpImm {
-			nextPC = uint64(in.Dst.Disp)
+			next = sl.target
 		} else {
-			nextPC = p.regs[in.Dst.Base]
+			next = p.slotAt(p.regs[in.Dst.Base])
 		}
 
 	case isa.RET:
-		nextPC = m.load(p, pc, p.regs[isa.R14], monitored)
+		next = p.slotAt(m.load(p, cur, p.regs[isa.R14], monitored))
 		p.regs[isa.R14] += 8
 
 	case isa.JE, isa.JNE, isa.JL, isa.JLE, isa.JG, isa.JGE, isa.JB, isa.JAE:
@@ -544,10 +612,10 @@ func (m *Machine) step(p *proc, monitored bool) {
 		mispredicted, btbMiss := m.pred.Update(pc, taken, target)
 		if monitored {
 			if mispredicted {
-				m.trace.fire(hpc.BranchMiss, pc, m.cycles)
+				m.trace.fire(hpc.BranchMiss, cur, m.cycles)
 			}
 			if btbMiss {
-				m.trace.fire(hpc.BranchLoadMiss, pc, m.cycles)
+				m.trace.fire(hpc.BranchLoadMiss, cur, m.cycles)
 			}
 		}
 
@@ -555,51 +623,45 @@ func (m *Machine) step(p *proc, monitored bool) {
 			m.cycles += 15 // misprediction penalty
 			if m.cfg.SpecWindow > 0 {
 				// The transient path is the one the predictor chose.
-				wrongPC := in.Next()
+				wrong := sl.next
 				if predictedTaken {
-					wrongPC = target
+					wrong = sl.target
 				}
-				m.speculate(p, wrongPC, monitored)
+				m.speculate(p, wrong, monitored)
 			}
 		}
 		if taken {
-			nextPC = target
+			next = sl.target
 		}
 	}
 
-	p.pc = nextPC
+	p.slot = next
 	p.retired++
 	if monitored {
-		m.trace.retire(pc, m.cycles)
+		m.trace.retire(cur, m.cycles)
 		m.trace.tickWindows(m.cycles)
 	}
 }
 
-// speculate executes the transient wrong path: loads touch the cache for
-// real (the Spectre leak) but stores, flushes and architectural state are
-// squashed. Events observed transiently are attributed to the transient
-// instruction addresses, mirroring how HPCs count speculative cache
-// traffic on real parts.
-func (m *Machine) speculate(p *proc, startPC uint64, monitored bool) {
+// speculate executes the transient wrong path from slot start: loads
+// touch the cache for real (the Spectre leak) but stores, flushes and
+// architectural state are squashed. Events observed transiently are
+// attributed to the transient instruction addresses, mirroring how HPCs
+// count speculative cache traffic on real parts.
+func (m *Machine) speculate(p *proc, start int32, monitored bool) {
 	regs := p.regs // copy of the architectural register file
 	fl := p.fl
-	pc := startPC
+	cur := start
 	for i := 0; i < m.cfg.SpecWindow; i++ {
-		in, ok := p.prog.At(pc)
-		if !ok || in.Op.IsSerializing() {
+		if cur == noSlot {
 			return
 		}
-		next := in.Next()
-		specLoad := func(addr uint64) uint64 {
-			res := m.hier.Access(addr, cache.Load, p.owner)
-			m.cycles += res.Latency / 2 // overlapped with recovery
-			m.fireAccessEvents(res, pc, monitored)
-			if monitored {
-				m.trace.memLine(pc, m.hier.LLC().LineAddr(addr), m.cycles)
-				m.trace.setAccess(m.cycles, m.hier.LLCSetIndex(addr), m.hier.LLC().LineAddr(addr), SetRead, pc)
-			}
-			return m.mem.Load64(addr)
+		sl := &p.slots[cur]
+		in := sl.in
+		if in.Op.IsSerializing() {
+			return
 		}
+		next := sl.next
 		read := func(op isa.Operand) uint64 {
 			switch op.Kind {
 			case isa.OpReg:
@@ -607,7 +669,7 @@ func (m *Machine) speculate(p *proc, startPC uint64, monitored bool) {
 			case isa.OpImm:
 				return uint64(op.Disp)
 			case isa.OpMem:
-				return specLoad(ea(op, &regs))
+				return m.specLoad(p, cur, ea(op, &regs), monitored)
 			}
 			return 0
 		}
@@ -639,13 +701,13 @@ func (m *Machine) speculate(p *proc, startPC uint64, monitored bool) {
 			setResultFlags(&fl, read(in.Dst)&read(in.Src))
 		case isa.JMP:
 			if in.Dst.Kind == isa.OpImm {
-				next = uint64(in.Dst.Disp)
+				next = sl.target
 			} else {
-				next = regs[in.Dst.Base]
+				next = p.slotAt(regs[in.Dst.Base])
 			}
 		case isa.JE, isa.JNE, isa.JL, isa.JLE, isa.JG, isa.JGE, isa.JB, isa.JAE:
 			if evalCond(in.Op, fl) {
-				next = uint64(in.Dst.Disp)
+				next = sl.target
 			}
 		case isa.CALL, isa.RET, isa.PUSH, isa.POP, isa.CLFLUSH:
 			// Squash-side-effect-heavy ops end the transient window here.
@@ -656,6 +718,17 @@ func (m *Machine) speculate(p *proc, startPC uint64, monitored bool) {
 		if monitored {
 			m.trace.Transient++
 		}
-		pc = next
+		cur = next
 	}
+}
+
+// specLoad performs a transient load for the instruction in slot s.
+func (m *Machine) specLoad(p *proc, s int32, addr uint64, monitored bool) uint64 {
+	res := m.hier.Access(addr, cache.Load, p.owner)
+	m.cycles += res.Latency / 2 // overlapped with recovery
+	m.fireAccessEvents(res, s, monitored)
+	if monitored {
+		m.traceLine(s, addr, SetRead)
+	}
+	return m.mem.Load64(addr)
 }

@@ -655,7 +655,7 @@ func TestIndirectJump(t *testing.T) {
 }
 
 func TestMemLinesOfMissingPC(t *testing.T) {
-	tr := newTrace(0, 0, false, 0)
+	tr := newTrace(nil, 0, 0, false, 0)
 	if got := tr.MemLinesOf(0x123); got != nil {
 		t.Errorf("MemLinesOf missing = %v", got)
 	}

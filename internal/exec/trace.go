@@ -15,9 +15,11 @@ type AddrRecord struct {
 	ExecCount  uint64
 	FirstCycle uint64
 	// MemLines holds line-aligned data addresses read or written by the
-	// instruction (architecturally or transiently).
+	// instruction (architecturally or transiently). It is nil when the
+	// instruction never touched data memory.
 	MemLines map[uint64]struct{}
-	// FlushLines holds line-aligned addresses the instruction flushed.
+	// FlushLines holds line-aligned addresses the instruction flushed;
+	// nil when it flushed nothing.
 	FlushLines map[uint64]struct{}
 }
 
@@ -107,20 +109,39 @@ type Trace struct {
 	Halted      bool   // monitored process reached HLT
 	WindowWidth uint64
 
+	// The per-instruction state accumulates in slot-indexed slices while
+	// the trace is recorded: pcs[s] is the address of slot s and st[s]
+	// its state. materialize turns them into ByAddr and Bank once.
+	pcs    []uint64
+	st     []slotState
+	global hpc.Counts
+
 	maxSetTrace  int
 	curWindow    WindowSample
 	recordEvents bool
 	maxEvents    int
 }
 
-// newTrace builds an empty trace with the given sampling parameters.
-func newTrace(windowWidth uint64, maxSetTrace int, recordEvents bool, maxEvents int) *Trace {
+// slotState is the running state of one instruction slot: its record,
+// its HPC counters, and the line last inserted into each of the
+// record's line sets (a repeat touch of that line skips the set).
+type slotState struct {
+	rec       AddrRecord
+	counts    hpc.Counts
+	lastMem   uint64
+	lastFlush uint64
+	live      bool // rec exists: the slot retired or touched a line
+}
+
+// newTrace builds an empty trace over the instruction addresses pcs
+// (slot s is pcs[s]) with the given sampling parameters.
+func newTrace(pcs []uint64, windowWidth uint64, maxSetTrace int, recordEvents bool, maxEvents int) *Trace {
 	if windowWidth == 0 {
 		windowWidth = 2048
 	}
 	return &Trace{
-		Bank:         hpc.NewBank(),
-		ByAddr:       make(map[uint64]*AddrRecord),
+		pcs:          pcs,
+		st:           make([]slotState, len(pcs)),
 		WindowWidth:  windowWidth,
 		maxSetTrace:  maxSetTrace,
 		recordEvents: recordEvents,
@@ -129,7 +150,7 @@ func newTrace(windowWidth uint64, maxSetTrace int, recordEvents bool, maxEvents 
 }
 
 // event appends one entry to the chronological log, honouring the cap.
-func (t *Trace) event(kind EventKind, cycle, pc, line uint64, e hpc.Event) {
+func (t *Trace) event(kind EventKind, cycle uint64, s int32, line uint64, e hpc.Event) {
 	if !t.recordEvents || t.EventsTruncated {
 		return
 	}
@@ -137,51 +158,65 @@ func (t *Trace) event(kind EventKind, cycle, pc, line uint64, e hpc.Event) {
 		t.EventsTruncated = true
 		return
 	}
-	t.Events = append(t.Events, Event{Kind: kind, Cycle: cycle, PC: pc, Line: line, HPC: e})
+	t.Events = append(t.Events, Event{Kind: kind, Cycle: cycle, PC: t.pcs[s], Line: line, HPC: e})
 }
 
-func (t *Trace) record(pc uint64, cycle uint64) *AddrRecord {
-	r := t.ByAddr[pc]
-	if r == nil {
-		r = &AddrRecord{
-			FirstCycle: cycle,
-			MemLines:   make(map[uint64]struct{}),
-			FlushLines: make(map[uint64]struct{}),
-		}
-		t.ByAddr[pc] = r
+// touch returns slot s's state, creating its record at cycle.
+func (t *Trace) touch(s int32, cycle uint64) *slotState {
+	st := &t.st[s]
+	if !st.live {
+		st.live = true
+		st.rec.FirstCycle = cycle
 	}
-	return r
+	return st
 }
 
-func (t *Trace) retire(pc uint64, cycle uint64) {
-	r := t.record(pc, cycle)
-	r.ExecCount++
+func (t *Trace) retire(s int32, cycle uint64) {
+	t.touch(s, cycle).rec.ExecCount++
 	t.Retired++
-	t.event(EvRetire, cycle, pc, 0, 0)
+	t.event(EvRetire, cycle, s, 0, 0)
 }
 
-func (t *Trace) memLine(pc, lineAddr uint64, cycle uint64) {
-	t.record(pc, cycle).MemLines[lineAddr] = struct{}{}
-	t.event(EvMem, cycle, pc, lineAddr, 0)
+func (t *Trace) memLine(s int32, lineAddr uint64, cycle uint64) {
+	st := t.touch(s, cycle)
+	addLine(&st.rec.MemLines, &st.lastMem, lineAddr)
+	t.event(EvMem, cycle, s, lineAddr, 0)
 }
 
-func (t *Trace) flushLine(pc, lineAddr uint64, cycle uint64) {
-	t.record(pc, cycle).FlushLines[lineAddr] = struct{}{}
-	t.event(EvFlush, cycle, pc, lineAddr, 0)
+func (t *Trace) flushLine(s int32, lineAddr uint64, cycle uint64) {
+	st := t.touch(s, cycle)
+	addLine(&st.rec.FlushLines, &st.lastFlush, lineAddr)
+	t.event(EvFlush, cycle, s, lineAddr, 0)
 }
 
-func (t *Trace) setAccess(cycle uint64, set int, line uint64, kind SetAccessKind, pc uint64) {
+// addLine inserts line into *set, creating the set on first use. last
+// holds the line inserted previously; repeating it skips the map.
+func addLine(set *map[uint64]struct{}, last *uint64, line uint64) {
+	if *set == nil {
+		*set = map[uint64]struct{}{line: {}}
+	} else if line != *last {
+		(*set)[line] = struct{}{}
+	}
+	*last = line
+}
+
+func (t *Trace) setAccess(cycle uint64, set int, line uint64, kind SetAccessKind, s int32) {
 	if t.maxSetTrace > 0 && len(t.SetTrace) >= t.maxSetTrace {
 		return
 	}
-	t.SetTrace = append(t.SetTrace, SetAccess{Cycle: cycle, Set: set, Line: line, Kind: kind, PC: pc})
+	t.SetTrace = append(t.SetTrace, SetAccess{Cycle: cycle, Set: set, Line: line, Kind: kind, PC: t.pcs[s]})
 }
 
-// fire records an HPC event both in the bank and the current window.
-func (t *Trace) fire(e hpc.Event, pc uint64, cycle uint64) {
-	t.Bank.Fire(e, pc)
+// fire records an HPC event in slot s's counters, the global counters
+// and the current window.
+func (t *Trace) fire(e hpc.Event, s int32, cycle uint64) {
+	if e >= hpc.NumEvents {
+		return
+	}
+	t.st[s].counts[e]++
+	t.global[e]++
 	t.curWindow.Counts[e]++
-	t.event(EvHPC, cycle, pc, 0, e)
+	t.event(EvHPC, cycle, s, 0, e)
 }
 
 // tickWindows advances window sampling to the given cycle.
@@ -192,12 +227,42 @@ func (t *Trace) tickWindows(cycle uint64) {
 	}
 }
 
-// finish flushes the trailing partial window.
+// finish flushes the trailing partial window and materializes the
+// per-address views.
 func (t *Trace) finish(cycle uint64) {
 	t.Cycles = cycle
 	if t.curWindow.Counts.Total() > 0 {
 		t.Windows = append(t.Windows, t.curWindow)
 	}
+	t.materialize()
+}
+
+// materialize builds ByAddr and Bank from the slot state. Both point
+// into the slot slice rather than copying it: a record exists for every
+// slot that retired or touched a line, a bank entry for every slot with
+// at least one event.
+func (t *Trace) materialize() {
+	recs, banked := 0, 0
+	for i := range t.st {
+		if t.st[i].live {
+			recs++
+		}
+		if t.st[i].counts != (hpc.Counts{}) {
+			banked++
+		}
+	}
+	t.ByAddr = make(map[uint64]*AddrRecord, recs)
+	byAddr := make(map[uint64]*hpc.Counts, banked)
+	for i := range t.st {
+		st := &t.st[i]
+		if st.live {
+			t.ByAddr[t.pcs[i]] = &st.rec
+		}
+		if st.counts != (hpc.Counts{}) {
+			byAddr[t.pcs[i]] = &st.counts
+		}
+	}
+	t.Bank = hpc.BankOf(t.global, byAddr)
 }
 
 // Addrs returns every recorded instruction address in ascending order.
@@ -223,11 +288,33 @@ func (t *Trace) Addrs() []uint64 {
 // they feed the baselines, not CST-BBS modeling.
 type TraceBuilder struct {
 	t *Trace
+	// slotOf assigns slots to addresses in first-seen order; lastPC and
+	// lastSlot memoize the previous resolution (a retire and its memory
+	// and HPC events share one PC).
+	slotOf   map[uint64]int32
+	lastPC   uint64
+	lastSlot int32
 }
 
 // NewTraceBuilder returns an empty builder.
 func NewTraceBuilder() *TraceBuilder {
-	return &TraceBuilder{t: newTrace(0, 0, false, 0)}
+	return &TraceBuilder{t: newTrace(nil, 0, 0, false, 0), slotOf: make(map[uint64]int32), lastSlot: -1}
+}
+
+// slot resolves pc to its slot, adding one on first sight.
+func (b *TraceBuilder) slot(pc uint64) int32 {
+	if b.lastSlot >= 0 && pc == b.lastPC {
+		return b.lastSlot
+	}
+	s, ok := b.slotOf[pc]
+	if !ok {
+		s = int32(len(b.t.pcs))
+		b.slotOf[pc] = s
+		b.t.pcs = append(b.t.pcs, pc)
+		b.t.st = append(b.t.st, slotState{})
+	}
+	b.lastPC, b.lastSlot = pc, s
+	return s
 }
 
 // Apply replays one event. Events must be applied in log order (cycles
@@ -235,13 +322,13 @@ func NewTraceBuilder() *TraceBuilder {
 func (b *TraceBuilder) Apply(ev Event) {
 	switch ev.Kind {
 	case EvRetire:
-		b.t.retire(ev.PC, ev.Cycle)
+		b.t.retire(b.slot(ev.PC), ev.Cycle)
 	case EvMem:
-		b.t.memLine(ev.PC, ev.Line, ev.Cycle)
+		b.t.memLine(b.slot(ev.PC), ev.Line, ev.Cycle)
 	case EvFlush:
-		b.t.flushLine(ev.PC, ev.Line, ev.Cycle)
+		b.t.flushLine(b.slot(ev.PC), ev.Line, ev.Cycle)
 	case EvHPC:
-		b.t.fire(ev.HPC, ev.PC, ev.Cycle)
+		b.t.fire(ev.HPC, b.slot(ev.PC), ev.Cycle)
 	}
 }
 
@@ -250,6 +337,7 @@ func (b *TraceBuilder) Apply(ev Event) {
 // not be reused afterwards.
 func (b *TraceBuilder) Trace(cycles uint64) *Trace {
 	b.t.Cycles = cycles
+	b.t.materialize()
 	return b.t
 }
 

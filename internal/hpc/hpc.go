@@ -91,7 +91,7 @@ func (c Counts) Total() uint64 {
 }
 
 // Bank accumulates events globally and attributed per instruction
-// address. The zero value is not usable; call NewBank.
+// address. The zero value is not usable; call NewBank or BankOf.
 type Bank struct {
 	global Counts
 	byAddr map[uint64]*Counts
@@ -100,6 +100,15 @@ type Bank struct {
 // NewBank returns an empty counter bank.
 func NewBank() *Bank {
 	return &Bank{byAddr: make(map[uint64]*Counts)}
+}
+
+// BankOf wraps counters accumulated elsewhere: global is the
+// machine-wide vector and byAddr the per-address counters. The bank
+// takes ownership of byAddr and of the vectors it points to; a
+// simulator that counts into its own per-instruction storage hands the
+// result over this way, without one map update per event.
+func BankOf(global Counts, byAddr map[uint64]*Counts) *Bank {
+	return &Bank{global: global, byAddr: byAddr}
 }
 
 // Fire records one occurrence of event e attributed to the instruction

@@ -38,39 +38,27 @@ type Program struct {
 	Insns  []Instruction // sorted by Addr, non-overlapping
 	Data   []DataSegment
 	Labels map[string]uint64
-
-	index map[uint64]int // Addr -> position in Insns
 }
 
-// buildIndex (re)creates the address index. Called by the assembler and
-// by Validate; callers constructing Program values by hand should call
-// Validate before use.
-func (p *Program) buildIndex() {
-	p.index = make(map[uint64]int, len(p.Insns))
-	for i, in := range p.Insns {
-		p.index[in.Addr] = i
+// IndexOf returns the position in Insns of the instruction at the exact
+// address addr. It binary-searches the address-sorted Insns and writes
+// nothing, so any number of goroutines may look up (and execute) one
+// Program concurrently.
+func (p *Program) IndexOf(addr uint64) (int, bool) {
+	i := sort.Search(len(p.Insns), func(i int) bool { return p.Insns[i].Addr >= addr })
+	if i < len(p.Insns) && p.Insns[i].Addr == addr {
+		return i, true
 	}
+	return 0, false
 }
 
 // At returns the instruction at the exact address addr.
 func (p *Program) At(addr uint64) (Instruction, bool) {
-	if p.index == nil {
-		p.buildIndex()
-	}
-	i, ok := p.index[addr]
+	i, ok := p.IndexOf(addr)
 	if !ok {
 		return Instruction{}, false
 	}
 	return p.Insns[i], true
-}
-
-// IndexOf returns the position in Insns of the instruction at addr.
-func (p *Program) IndexOf(addr uint64) (int, bool) {
-	if p.index == nil {
-		p.buildIndex()
-	}
-	i, ok := p.index[addr]
-	return i, ok
 }
 
 // Label resolves a symbolic label to its address.
@@ -120,7 +108,8 @@ func (p *Program) AttackAddrs() []uint64 {
 
 // Validate checks structural invariants: sortedness, non-overlap, a
 // resolvable entry point, in-range branch targets and well-formed
-// operands. A Program that passes Validate is safe to execute.
+// operands. A Program that passes Validate is safe to execute. Validate
+// only reads the program.
 func (p *Program) Validate() error {
 	if len(p.Insns) == 0 {
 		return fmt.Errorf("program %q: no instructions", p.Name)
@@ -137,8 +126,7 @@ func (p *Program) Validate() error {
 				p.Name, prev.Addr, cur.Addr)
 		}
 	}
-	p.buildIndex()
-	if _, ok := p.index[p.Entry]; !ok {
+	if _, ok := p.IndexOf(p.Entry); !ok {
 		return fmt.Errorf("program %q: entry 0x%x is not an instruction", p.Name, p.Entry)
 	}
 	for _, in := range p.Insns {
@@ -149,7 +137,7 @@ func (p *Program) Validate() error {
 			return fmt.Errorf("program %q: zero-size instruction at 0x%x", p.Name, in.Addr)
 		}
 		if t, ok := in.BranchTarget(); ok {
-			if _, exists := p.index[t]; !exists {
+			if _, exists := p.IndexOf(t); !exists {
 				return fmt.Errorf("program %q: %s at 0x%x targets 0x%x which is not an instruction",
 					p.Name, in.Op, in.Addr, t)
 			}

@@ -257,6 +257,9 @@ func normalizeBlock(bb *cfg.BasicBlock) []string {
 // slice is only read and appended onto a fresh slice, so sharing one
 // across builds is safe.
 func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trace *exec.Trace, llc cache.Config, config Config, normOf func(*cfg.BasicBlock) []string) (*Model, error) {
+	if err := llc.Validate(); err != nil {
+		return nil, fmt.Errorf("model: %w", err)
+	}
 	tel := config.Telemetry
 	extractStart := tel.Now()
 	m := &Model{
@@ -310,11 +313,10 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 
 	// Step 2: cache-set overlap filtering.
 	measure := cache.MustNew(config.MeasureCache)
-	llcCache := cache.MustNew(llc) // set-index function of the real LLC
 	setUsers := make(map[int]map[uint64]struct{})
 	for leader, lines := range m.MemLinesByBB {
 		for _, l := range lines {
-			si := llcCache.SetIndex(l)
+			si := llc.SetIndex(l) // set-index function of the real LLC
 			if setUsers[si] == nil {
 				setUsers[si] = make(map[uint64]struct{})
 			}
@@ -330,7 +332,7 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 	for _, leader := range m.PotentialBBs {
 		keep := false
 		for _, l := range m.MemLinesByBB[leader] {
-			if multiSets[llcCache.SetIndex(l)] {
+			if multiSets[llc.SetIndex(l)] {
 				keep = true
 				break
 			}
