@@ -29,11 +29,16 @@ race:
 vet:
 	$(GO) vet ./...
 
-# The repository-scan benchmark plus the per-stage detection costs;
-# see docs/PERFORMANCE.md for how to read them. Use
-# `go test -bench=. -benchmem` for the full table/figure harness.
+# The repository-scan benchmark plus the per-stage detection costs,
+# then the front of the pipeline layer by layer: the simulator alone
+# (BenchmarkExecRun) and modeling alone over precomputed traces
+# (BenchmarkBuildFromTrace); see docs/PERFORMANCE.md for how to read
+# them. Use `go test -bench=. -benchmem` for the full table/figure
+# harness.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkRepositoryScan|DetectionCost|SimilarityDTW' -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkExecRun' -benchmem ./internal/exec
+	$(GO) test -run xxx -bench 'BenchmarkBuildFromTrace' -benchmem ./internal/model
 
 # Sharded-scan throughput: one engine vs 1/2/4/8 local shards, exact
 # and pruned. On a multi-core machine pruned sharded scans should meet
@@ -74,7 +79,7 @@ bench-check:
 # allocations per full repository pass, and one model build (CFG,
 # simulation, modeling) must stay within its pinned allocation budget
 # (testing.AllocsPerRun; see docs/PERFORMANCE.md "Allocation-free scan
-# kernel" and "Front of pipeline: simulator hot path").
+# kernel" and the two "Front of pipeline" sections).
 alloc-check:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run TestScanZeroAllocWarmPath -v ./internal/scan
 	$(GO) test -timeout $(TEST_TIMEOUT) -run TestModelBuildAllocs -v ./internal/model

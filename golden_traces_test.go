@@ -229,13 +229,14 @@ func TestGoldenTraces(t *testing.T) {
 			continue
 		}
 		if g != w {
-			t.Errorf("%s: %s", g.Target, traceDiff(g, w))
+			t.Errorf("%s: %s", g.Target, fieldDiff(g, w))
 		}
 	}
 }
 
-// traceDiff names the fields of two fingerprints that differ.
-func traceDiff(got, want goldenTrace) string {
+// fieldDiff names the fields of two fingerprints (structs of one type)
+// that differ.
+func fieldDiff(got, want any) string {
 	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
 	var diffs []string
 	for i := 0; i < gv.NumField(); i++ {

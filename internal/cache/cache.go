@@ -186,7 +186,7 @@ type EvictedLine struct {
 // the access hit, and (on a fill that displaced a valid line) the evicted
 // line. Writes allocate like reads (write-allocate).
 func (c *Cache) Access(addr uint64, owner Owner) (hit bool, evicted *EvictedLine) {
-	hit, ev, ok := c.access(addr, owner)
+	hit, ev, ok, _ := c.access(addr, owner)
 	if ok {
 		return hit, &ev
 	}
@@ -194,10 +194,12 @@ func (c *Cache) Access(addr uint64, owner Owner) (hit bool, evicted *EvictedLine
 }
 
 // access is Access reporting the evicted line by value: ok is false
-// when the fill displaced nothing.
-func (c *Cache) access(addr uint64, owner Owner) (hit bool, ev EvictedLine, ok bool) {
+// when the fill displaced nothing. way is the index in c.lines of the
+// line that now holds addr.
+func (c *Cache) access(addr uint64, owner Owner) (hit bool, ev EvictedLine, ok bool, way int) {
 	c.tick++
 	si := c.SetIndex(addr)
+	base := si * c.cfg.Ways
 	set := c.set(si)
 	t := c.tag(addr)
 	for i := range set {
@@ -205,7 +207,7 @@ func (c *Cache) access(addr uint64, owner Owner) (hit bool, ev EvictedLine, ok b
 			set[i].lastUse = c.tick
 			set[i].owner = owner // the most recent toucher owns the line
 			c.stats.Hits++
-			return true, EvictedLine{}, false
+			return true, EvictedLine{}, false, base + i
 		}
 	}
 	c.stats.Misses++
@@ -218,7 +220,16 @@ func (c *Cache) access(addr uint64, owner Owner) (hit bool, ev EvictedLine, ok b
 		c.usedLines++
 	}
 	*v = line{valid: true, tag: t, owner: owner, lastUse: c.tick, inserted: c.tick}
-	return false, ev, ok
+	return false, ev, ok, base + victim
+}
+
+// rehit replays a hit on line way by the owner that touched it last:
+// the clock, the hit count and the line's recency advance exactly as
+// access would have advanced them.
+func (c *Cache) rehit(way int) {
+	c.tick++
+	c.lines[way].lastUse = c.tick
+	c.stats.Hits++
 }
 
 func (c *Cache) reconstructAddr(tag uint64, setIdx int) uint64 {

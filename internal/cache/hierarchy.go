@@ -82,6 +82,21 @@ type Hierarchy struct {
 	l1i *Cache
 	llc *Cache
 	lat Latencies
+
+	// The repeat-fetch memo. After a fetch, its line sits in the L1I at
+	// index l1iWay and in the LLC at llcWay, last touched by fetchOwner
+	// (a miss installs it in both levels; the LLC line it displaces, if
+	// any, is a different line, so inclusion leaves the L1I copy alone).
+	// An immediately following fetch of the same line by the same owner
+	// is therefore an L1I hit followed by an LLC hit on exactly those
+	// lines, and Access replays it without scanning either set. Every
+	// other operation clears the memo.
+	fetchValid bool
+	fetchOwner Owner
+	fetchLine  uint64 // address >> lineShift
+	l1iWay     int
+	llcWay     int
+	lineShift  uint
 }
 
 // NewHierarchy builds the hierarchy; all three configs must be valid.
@@ -101,7 +116,7 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	if cfg.LLC.LineSize != cfg.L1D.LineSize || cfg.LLC.LineSize != cfg.L1I.LineSize {
 		return nil, fmt.Errorf("hierarchy: all levels must share a line size")
 	}
-	return &Hierarchy{l1d: l1d, l1i: l1i, llc: llc, lat: cfg.Lat}, nil
+	return &Hierarchy{l1d: l1d, l1i: l1i, llc: llc, lat: cfg.Lat, lineShift: l1i.setShift}, nil
 }
 
 // MustNewHierarchy panics on configuration errors.
@@ -115,6 +130,11 @@ func MustNewHierarchy(cfg HierarchyConfig) *Hierarchy {
 
 // DefaultHierarchy builds the hierarchy of DefaultHierarchyConfig.
 func DefaultHierarchy() *Hierarchy { return MustNewHierarchy(DefaultHierarchyConfig()) }
+
+// The levels are exposed for inspection (lookups, occupancy, stats).
+// Mutating a level directly, behind the hierarchy's back, is not
+// supported: the hierarchy's repeat-fetch memo assumes every access,
+// flush and fill goes through it.
 
 // L1D returns the level-1 data cache.
 func (h *Hierarchy) L1D() *Cache { return h.l1d }
@@ -133,17 +153,28 @@ func (h *Hierarchy) Latencies() Latencies { return h.lat }
 func (h *Hierarchy) Access(addr uint64, kind AccessKind, owner Owner) AccessResult {
 	l1 := h.l1d
 	if kind == Fetch {
+		line := addr >> h.lineShift
+		if h.fetchValid && line == h.fetchLine && owner == h.fetchOwner {
+			h.l1i.rehit(h.l1iWay)
+			h.llc.rehit(h.llcWay)
+			return AccessResult{Kind: Fetch, L1Hit: true, Latency: h.lat.L1Hit}
+		}
 		l1 = h.l1i
+		h.fetchValid, h.fetchLine, h.fetchOwner = true, line, owner
+	} else {
+		h.fetchValid = false
 	}
 	res := AccessResult{Kind: kind}
-	if hit, _, _ := l1.access(addr, owner); hit {
+	hit, _, _, l1Way := l1.access(addr, owner)
+	llcHit, ev, evicted, llcWay := h.llc.access(addr, owner)
+	h.l1iWay, h.llcWay = l1Way, llcWay
+	if hit {
+		// The LLC access above kept its recency state warm for
+		// inclusive behaviour.
 		res.L1Hit = true
 		res.Latency = h.lat.L1Hit
-		// Keep the LLC recency state warm for inclusive behaviour.
-		h.llc.access(addr, owner)
 		return res
 	}
-	llcHit, ev, evicted := h.llc.access(addr, owner)
 	res.LLCHit = llcHit
 	if llcHit {
 		res.Latency = h.lat.LLCHit
@@ -162,6 +193,7 @@ func (h *Hierarchy) Access(addr uint64, kind AccessKind, owner Owner) AccessResu
 // clflush latency (longer when the line was actually cached, which is
 // the signal Flush+Flush measures) and whether any level held the line.
 func (h *Hierarchy) Flush(addr uint64) (latency uint64, wasCached bool) {
+	h.fetchValid = false
 	c1 := h.l1d.Flush(addr)
 	c2 := h.l1i.Flush(addr)
 	c3 := h.llc.Flush(addr)
@@ -178,6 +210,7 @@ func (h *Hierarchy) Cached(addr uint64) bool {
 
 // InvalidateAll empties every level.
 func (h *Hierarchy) InvalidateAll() {
+	h.fetchValid = false
 	h.l1d.InvalidateAll()
 	h.l1i.InvalidateAll()
 	h.llc.InvalidateAll()
@@ -185,6 +218,7 @@ func (h *Hierarchy) InvalidateAll() {
 
 // FillAll fills every level with owner-tagged lines.
 func (h *Hierarchy) FillAll(owner Owner) {
+	h.fetchValid = false
 	h.l1d.FillAll(owner)
 	h.l1i.FillAll(owner)
 	h.llc.FillAll(owner)

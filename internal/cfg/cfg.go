@@ -11,7 +11,6 @@ package cfg
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/isa"
@@ -59,98 +58,100 @@ type CFG struct {
 	Blocks map[uint64]*BasicBlock
 	G      *graph.Digraph
 
-	addrToLeader map[uint64]uint64
+	// blocks holds every block in leader order; Blocks points into it.
+	blocks []BasicBlock
+	// blockOf maps an instruction's position in Prog.Insns to the
+	// position of its block in blocks.
+	blockOf []int32
 }
 
-// Build recovers the CFG of p.
+// Build recovers the CFG of p. Blocks share their instructions with
+// p.Insns (each block's Insns is a capacity-limited subslice of it).
 func Build(p *isa.Program) (*CFG, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	leaders := map[uint64]bool{p.Entry: true}
-	if len(p.Insns) > 0 {
-		leaders[p.Insns[0].Addr] = true
-	}
-	for _, in := range p.Insns {
-		if !in.Op.IsBranch() {
-			continue
-		}
+	insns := p.Insns
+	n := len(insns)
+	// falls reports whether instruction i+1 starts exactly where i ends.
+	falls := func(i int) bool { return i+1 < n && insns[i+1].Addr == insns[i].Next() }
+
+	// Leaders: the first instruction, the entry and every static branch
+	// target. The next instruction also starts a block after a branch
+	// (even an unconditional one: it may be a join target reached from
+	// elsewhere), after HLT and after a gap in the address space.
+	leader := make([]bool, n)
+	leader[0] = true
+	entry, _ := p.IndexOf(p.Entry)
+	leader[entry] = true
+	for i := range insns {
+		in := &insns[i]
 		if t, ok := in.BranchTarget(); ok {
-			leaders[t] = true
+			j, _ := p.IndexOf(t) // Validate guarantees t is an instruction
+			leader[j] = true
 		}
-		// The instruction after any branch (even unconditional: it may be
-		// a join target reached from elsewhere) starts a block when it
-		// exists.
-		if _, ok := p.At(in.Next()); ok {
-			leaders[in.Next()] = true
+		if i+1 < n && (in.Op.IsBranch() || in.Op == isa.HLT || !falls(i)) {
+			leader[i+1] = true
+		}
+	}
+	nb := 0
+	for _, l := range leader {
+		if l {
+			nb++
 		}
 	}
 
 	c := &CFG{
-		Prog:         p,
-		Blocks:       make(map[uint64]*BasicBlock),
-		G:            graph.New(),
-		addrToLeader: make(map[uint64]uint64, len(p.Insns)),
+		Prog:    p,
+		Blocks:  make(map[uint64]*BasicBlock, nb),
+		G:       graph.New(),
+		blocks:  make([]BasicBlock, 0, nb),
+		blockOf: make([]int32, n),
+	}
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && !leader[j] {
+			j++
+		}
+		c.blocks = append(c.blocks, BasicBlock{Leader: insns[i].Addr, Insns: insns[i:j:j]})
+		for k := i; k < j; k++ {
+			c.blockOf[k] = int32(len(c.blocks) - 1)
+		}
+		i = j
+	}
+	for k := range c.blocks {
+		bb := &c.blocks[k]
+		c.Blocks[bb.Leader] = bb
+		c.G.AddNode(bb.Leader)
 	}
 
-	// Carve blocks between leaders. Instructions are sorted already.
-	var cur *BasicBlock
-	flush := func() {
-		if cur != nil {
-			c.Blocks[cur.Leader] = cur
-			c.G.AddNode(cur.Leader)
-			cur = nil
+	// Edges, in leader order.
+	last := -1
+	for k := range c.blocks {
+		bb := &c.blocks[k]
+		last += len(bb.Insns)
+		in := &bb.Insns[len(bb.Insns)-1]
+		if t, ok := in.BranchTarget(); ok {
+			j, _ := p.IndexOf(t)
+			c.G.AddEdge(bb.Leader, c.leaderAt(j))
 		}
-	}
-	for i, in := range p.Insns {
-		gap := i > 0 && p.Insns[i-1].Next() != in.Addr
-		if leaders[in.Addr] || gap || cur == nil {
-			flush()
-			cur = &BasicBlock{Leader: in.Addr}
-		}
-		cur.Insns = append(cur.Insns, in)
-		c.addrToLeader[in.Addr] = cur.Leader
-		if in.Op.IsBranch() || in.Op == isa.HLT {
-			flush()
-		}
-	}
-	flush()
-
-	// Edges.
-	for _, bb := range c.Blocks {
-		last := bb.Last()
-		switch {
-		case last.Op == isa.HLT:
-			// terminal
-		case last.Op == isa.RET:
-			// no static successor
-		case last.Op == isa.JMP || last.Op == isa.CALL:
-			if t, ok := last.BranchTarget(); ok {
-				c.G.AddEdge(bb.Leader, c.addrToLeader[t])
-			}
-			if last.Op == isa.CALL {
-				// A call returns: fallthrough edge approximates the
-				// post-return control flow, as binary CFG tools do.
-				if _, ok := p.At(last.Next()); ok {
-					c.G.AddEdge(bb.Leader, c.addrToLeader[last.Next()])
-				}
-			}
-		case last.Op.IsCondBranch():
-			if t, ok := last.BranchTarget(); ok {
-				c.G.AddEdge(bb.Leader, c.addrToLeader[t])
-			}
-			if _, ok := p.At(last.Next()); ok {
-				c.G.AddEdge(bb.Leader, c.addrToLeader[last.Next()])
-			}
+		switch in.Op {
+		case isa.HLT, isa.RET, isa.JMP:
+			// Terminal, or no static fallthrough successor.
 		default:
-			// Plain fallthrough into the next leader.
-			if _, ok := p.At(last.Next()); ok {
-				c.G.AddEdge(bb.Leader, c.addrToLeader[last.Next()])
+			// Plain fallthrough into the next leader. A call returns,
+			// so its fallthrough edge approximates the post-return
+			// control flow, as binary CFG tools do.
+			if falls(last) {
+				c.G.AddEdge(bb.Leader, c.leaderAt(last+1))
 			}
 		}
 	}
 	return c, nil
 }
+
+// leaderAt returns the leader of the block holding instruction i.
+func (c *CFG) leaderAt(i int) uint64 { return c.blocks[c.blockOf[i]].Leader }
 
 // MustBuild panics on error; for tests and static corpora.
 func MustBuild(p *isa.Program) *CFG {
@@ -163,8 +164,11 @@ func MustBuild(p *isa.Program) *CFG {
 
 // LeaderOf maps any instruction address to its block leader.
 func (c *CFG) LeaderOf(addr uint64) (uint64, bool) {
-	l, ok := c.addrToLeader[addr]
-	return l, ok
+	i, ok := c.Prog.IndexOf(addr)
+	if !ok {
+		return 0, false
+	}
+	return c.leaderAt(i), true
 }
 
 // Block returns the block with the given leader.
@@ -173,13 +177,16 @@ func (c *CFG) Block(leader uint64) (*BasicBlock, bool) {
 	return b, ok
 }
 
+// Ordered returns every block in ascending leader order. The slice is
+// the CFG's own storage: callers must not modify it.
+func (c *CFG) Ordered() []BasicBlock { return c.blocks }
+
 // Leaders returns all block leaders in ascending address order.
 func (c *CFG) Leaders() []uint64 {
-	out := make([]uint64, 0, len(c.Blocks))
-	for l := range c.Blocks {
-		out = append(out, l)
+	out := make([]uint64, len(c.blocks))
+	for k := range c.blocks {
+		out[k] = c.blocks[k].Leader
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -188,7 +195,7 @@ func (c *CFG) NumBlocks() int { return len(c.Blocks) }
 
 // EntryLeader returns the leader of the entry block.
 func (c *CFG) EntryLeader() uint64 {
-	l, ok := c.addrToLeader[c.Prog.Entry]
+	l, ok := c.LeaderOf(c.Prog.Entry)
 	if !ok {
 		return c.Prog.Entry
 	}
@@ -199,9 +206,9 @@ func (c *CFG) EntryLeader() uint64 {
 // least one ground-truth-marked instruction (#TAB of Table IV).
 func (c *CFG) GroundTruthAttackBlocks() []uint64 {
 	var out []uint64
-	for _, l := range c.Leaders() {
-		if c.Blocks[l].HasAttackMark() {
-			out = append(out, l)
+	for k := range c.blocks {
+		if c.blocks[k].HasAttackMark() {
+			out = append(out, c.blocks[k].Leader)
 		}
 	}
 	return out

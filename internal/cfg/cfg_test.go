@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -258,5 +259,59 @@ func TestDOT(t *testing.T) {
 	gout := c.GraphDOT(c.G, "attack-graph")
 	if !strings.Contains(gout, "attack-graph") || !strings.Contains(gout, "insns") {
 		t.Errorf("GraphDOT:\n%s", gout)
+	}
+}
+
+// Blocks are capacity-limited windows of the program's own instruction
+// slice, listed in leader order by Ordered, and LeaderOf resolves every
+// instruction address (and nothing else) to its block's leader.
+func TestBlocksShareProgramStorage(t *testing.T) {
+	b := isa.NewBuilder("share", 0)
+	b.Mov(isa.R(isa.R0), isa.Imm(3)).
+		Label("loop").
+		Dec(isa.R(isa.R0)).
+		Jne("loop").
+		Call("sub").
+		Hlt().
+		Label("sub").
+		Nop().
+		Ret()
+	p := b.MustBuild()
+	c := MustBuild(p)
+	ordered := c.Ordered()
+	if len(ordered) != c.NumBlocks() {
+		t.Fatalf("Ordered has %d blocks, Blocks %d", len(ordered), c.NumBlocks())
+	}
+	next := 0
+	for k := range ordered {
+		bb := &ordered[k]
+		if c.Blocks[bb.Leader] != bb {
+			t.Errorf("Blocks[%#x] does not point into Ordered", bb.Leader)
+		}
+		if k > 0 && ordered[k-1].Leader >= bb.Leader {
+			t.Errorf("Ordered not ascending at %d", k)
+		}
+		if &bb.Insns[0] != &p.Insns[next] || cap(bb.Insns) != len(bb.Insns) {
+			t.Errorf("block %#x is not a capacity-limited window of Prog.Insns", bb.Leader)
+		}
+		for _, in := range bb.Insns {
+			if l, ok := c.LeaderOf(in.Addr); !ok || l != bb.Leader {
+				t.Errorf("LeaderOf(%#x) = %#x,%v, want %#x", in.Addr, l, ok, bb.Leader)
+			}
+		}
+		next += len(bb.Insns)
+	}
+	if _, ok := c.LeaderOf(p.Insns[0].Addr + 1); ok {
+		t.Error("LeaderOf resolved an address inside an instruction")
+	}
+	// Edges are inserted in leader order, so predecessor lists are
+	// deterministic too.
+	for i := 0; i < 5; i++ {
+		again := MustBuild(p)
+		for _, l := range c.Leaders() {
+			if !reflect.DeepEqual(again.G.Preds(l), c.G.Preds(l)) {
+				t.Fatalf("Preds(%#x) differ between builds", l)
+			}
+		}
 	}
 }

@@ -30,7 +30,11 @@ type Config struct {
 	SpecWindow int
 	// WindowWidth is the HPC sampling window in cycles.
 	WindowWidth uint64
-	// MaxSetTrace caps the cache-set trace length (0 = DefaultMaxSetTrace).
+	// MaxSetTrace caps the cache-set trace (Trace.SetTrace), the
+	// chronological LLC-set log only the SCADET baseline reads. 0 selects
+	// DefaultMaxSetTrace; a positive value caps the log at that many
+	// entries; a negative value records no set trace at all, for callers
+	// whose trace never reaches a set-trace consumer.
 	MaxSetTrace int
 	// RecordEvents enables the chronological event log (Trace.Events),
 	// the replayable record the sliding-window detector consumes. Off by

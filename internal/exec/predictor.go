@@ -1,11 +1,14 @@
 package exec
 
 // BranchPredictor is a classic 2-bit-saturating-counter direction
-// predictor with a direct-mapped branch target buffer. Training it and
-// then diverging is exactly how the Spectre-v1 PoCs in internal/attacks
-// steer transient execution past their bounds checks.
+// predictor with a branch target buffer. The direction counters are a
+// PC-indexed table (aliasing branches share a counter); the BTB is an
+// unbounded map keyed by the exact branch PC, so targets never alias or
+// get evicted. Training it and then diverging is exactly how the
+// Spectre-v1 PoCs in internal/attacks steer transient execution past
+// their bounds checks.
 type BranchPredictor struct {
-	counters []uint8 // 2-bit saturating counters, weakly-taken init
+	counters []uint8 // 2-bit saturating counters, weakly-not-taken init
 	btb      map[uint64]uint64
 	mask     uint64
 }

@@ -201,7 +201,7 @@ func addLine(set *map[uint64]struct{}, last *uint64, line uint64) {
 }
 
 func (t *Trace) setAccess(cycle uint64, set int, line uint64, kind SetAccessKind, s int32) {
-	if t.maxSetTrace > 0 && len(t.SetTrace) >= t.maxSetTrace {
+	if len(t.SetTrace) >= t.maxSetTrace { // a negative cap records nothing
 		return
 	}
 	t.SetTrace = append(t.SetTrace, SetAccess{Cycle: cycle, Set: set, Line: line, Kind: kind, PC: t.pcs[s]})

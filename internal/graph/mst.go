@@ -1,6 +1,6 @@
 package graph
 
-import "sort"
+import "slices"
 
 // WEdge is a weighted, labeled edge of the path graph G' built by
 // Algorithm 1: an edge between two attack-relevant basic blocks whose
@@ -25,24 +25,55 @@ func MaximumSpanningForest(nodes []uint64, edges []WEdge) []WEdge {
 	if len(nodes) == 0 {
 		return nil
 	}
-	// adj[u] lists candidate edges touching u.
-	adj := make(map[uint64][]WEdge, len(nodes))
-	nodeSet := make(map[uint64]bool, len(nodes))
-	for _, n := range nodes {
-		nodeSet[n] = true
+	// Dense node indices are positions in the sorted, deduplicated node
+	// list, which is also the deterministic root order.
+	ids := slices.Clone(nodes)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	n := len(ids)
+	index := func(id uint64) int32 {
+		if i, ok := slices.BinarySearch(ids, id); ok {
+			return int32(i)
+		}
+		return -1
 	}
-	for _, e := range edges {
-		if !nodeSet[e.From] || !nodeSet[e.To] {
-			continue // ignore edges outside the node set
+
+	// ends[2k], ends[2k+1] are edge k's dense endpoints; edges outside the
+	// node set and self loops (which never enter a spanning tree) are
+	// dropped by marking them -1.
+	ints := make([]int32, 2*len(edges)+n+1)
+	ends, off := ints[:2*len(edges)], ints[2*len(edges):]
+	valid := 0
+	for k := range edges {
+		f, t := index(edges[k].From), index(edges[k].To)
+		if f < 0 || t < 0 || f == t {
+			f, t = -1, -1
+		} else {
+			off[f+1]++
+			off[t+1]++
+			valid++
 		}
-		if e.From == e.To {
-			continue // self loops never enter a spanning tree
+		ends[2*k], ends[2*k+1] = f, t
+	}
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	// adj[off[u]:off[u+1]] lists the candidate edges touching u, in input
+	// order, then best first. frontier shares the allocation.
+	buf := make([]int32, 4*valid)
+	adj, frontier := buf[:2*valid], buf[2*valid:2*valid]
+	fill := slices.Clone(off[:n])
+	for k := range edges {
+		if f := ends[2*k]; f >= 0 {
+			t := ends[2*k+1]
+			adj[fill[f]] = int32(k)
+			fill[f]++
+			adj[fill[t]] = int32(k)
+			fill[t]++
 		}
-		adj[e.From] = append(adj[e.From], e)
-		adj[e.To] = append(adj[e.To], e)
 	}
 	// Deterministic candidate ordering.
-	better := func(a, b WEdge) bool {
+	better := func(a, b *WEdge) bool {
 		if a.Weight != b.Weight {
 			return a.Weight > b.Weight
 		}
@@ -54,64 +85,64 @@ func MaximumSpanningForest(nodes []uint64, edges []WEdge) []WEdge {
 		}
 		return len(a.Path) < len(b.Path)
 	}
-	for u := range adj {
-		es := adj[u]
-		sort.Slice(es, func(i, j int) bool { return better(es[i], es[j]) })
+	byBetter := func(a, b int32) int {
+		switch {
+		case better(&edges[a], &edges[b]):
+			return -1
+		case better(&edges[b], &edges[a]):
+			return 1
+		}
+		return 0
+	}
+	for u := 0; u < n; u++ {
+		slices.SortFunc(adj[off[u]:off[u+1]], byBetter)
 	}
 
-	inTree := make(map[uint64]bool, len(nodes))
-	var chosen []WEdge
-
-	// Sorted roots for deterministic component order.
-	roots := make([]uint64, len(nodes))
-	copy(roots, nodes)
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-
-	for _, root := range roots {
+	inTree := make([]bool, n)
+	crosses := func(k int32) bool { return inTree[ends[2*k]] != inTree[ends[2*k+1]] }
+	chosen := make([]WEdge, 0, n-1)
+	for root := range ids {
 		if inTree[root] {
 			continue
 		}
 		inTree[root] = true
 		// frontier: candidate edges with exactly one endpoint in the tree.
-		frontier := append([]WEdge(nil), adj[root]...)
+		frontier = append(frontier[:0], adj[off[root]:off[root+1]]...)
 		for len(frontier) > 0 {
 			// Pick the best frontier edge that still crosses the cut.
 			bestIdx := -1
-			for i, e := range frontier {
-				if inTree[e.From] == inTree[e.To] {
+			for i, k := range frontier {
+				if !crosses(k) {
 					continue // both in or both out: not usable now
 				}
-				if bestIdx < 0 || better(e, frontier[bestIdx]) {
+				if bestIdx < 0 || better(&edges[k], &edges[frontier[bestIdx]]) {
 					bestIdx = i
 				}
 			}
 			if bestIdx < 0 {
 				break
 			}
-			e := frontier[bestIdx]
+			k := frontier[bestIdx]
 			frontier = append(frontier[:bestIdx], frontier[bestIdx+1:]...)
-			newNode := e.To
+			newNode := ends[2*k+1]
 			if inTree[newNode] {
-				newNode = e.From
+				newNode = ends[2*k]
 			}
 			inTree[newNode] = true
-			chosen = append(chosen, e)
-			frontier = append(frontier, adj[newNode]...)
+			chosen = append(chosen, edges[k])
+			frontier = append(frontier, adj[off[newNode]:off[newNode+1]]...)
 			// Drop edges fully inside the tree to keep the frontier small.
 			kept := frontier[:0]
 			for _, f := range frontier {
-				if inTree[f.From] != inTree[f.To] {
+				if crosses(f) {
 					kept = append(kept, f)
 				}
 			}
 			frontier = kept
 		}
 	}
-	sort.Slice(chosen, func(i, j int) bool {
-		if chosen[i].From != chosen[j].From {
-			return chosen[i].From < chosen[j].From
-		}
-		return chosen[i].To < chosen[j].To
+	slices.SortFunc(chosen, func(a, b WEdge) int {
+		return compareEdges(Edge{a.From, a.To}, Edge{b.From, b.To})
 	})
 	return chosen
 }

@@ -542,3 +542,31 @@ func TestDataAtOverlapRejected(t *testing.T) {
 		t.Error("duplicate DataAt names must fail")
 	}
 }
+
+// Normalize reads a table built at init: every defined opcode and
+// operand-kind combination must read back the spelled-out text, without
+// allocating; undefined ones fall back to spelling it out.
+func TestNormalizeTable(t *testing.T) {
+	kinds := []OperandKind{OpNone, OpReg, OpImm, OpMem, OpMem + 1}
+	for op := Opcode(0); op <= numOpcodes; op++ {
+		for _, d := range kinds {
+			for _, s := range kinds {
+				in := Instruction{Op: op, Dst: Operand{Kind: d}, Src: Operand{Kind: s}}
+				dn, sn := NormalizeOperand(in.Dst), NormalizeOperand(in.Src)
+				want := op.String()
+				if dn != "" && sn == "" {
+					want += " " + dn
+				} else if dn != "" {
+					want += " " + dn + ", " + sn
+				}
+				if got := Normalize(in); got != want {
+					t.Errorf("Normalize(%v %v, %v) = %q, want %q", op, d, s, got, want)
+				}
+			}
+		}
+	}
+	in := Instruction{Op: MOV, Dst: Mem(R5, -0x18), Src: R(R0)}
+	if n := testing.AllocsPerRun(100, func() { _ = Normalize(in) }); n != 0 {
+		t.Errorf("Normalize allocates %.0f times per call", n)
+	}
+}

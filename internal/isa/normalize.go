@@ -23,20 +23,45 @@ func NormalizeOperand(o Operand) string {
 }
 
 // Normalize returns the normalized form of a single instruction, e.g.
-// "mov mem, reg" for `mov -0x18(rbp), rax`.
+// "mov mem, reg" for `mov -0x18(rbp), rax`. Defined opcodes and operand
+// kinds read a table built at init, so normalizing allocates nothing.
 func Normalize(in Instruction) string {
+	if in.Op < numOpcodes && in.Dst.Kind < numOperandKinds && in.Src.Kind < numOperandKinds {
+		return normalized[in.Op][in.Dst.Kind][in.Src.Kind]
+	}
+	return normalize(in.Op, in.Dst.Kind, in.Src.Kind)
+}
+
+// numOperandKinds bounds the OperandKind values the table covers.
+const numOperandKinds = OpMem + 1
+
+// normalized holds Normalize's result for every defined opcode and
+// operand-kind combination.
+var normalized = func() (t [numOpcodes][numOperandKinds][numOperandKinds]string) {
+	for op := range t {
+		for d := range t[op] {
+			for s := range t[op][d] {
+				t[op][d][s] = normalize(Opcode(op), OperandKind(d), OperandKind(s))
+			}
+		}
+	}
+	return t
+}()
+
+// normalize spells out the normalized text of an instruction shape.
+func normalize(op Opcode, dst, src OperandKind) string {
 	// Branch targets are immediates syntactically but their concrete
 	// values are layout noise; they normalize to "imm" like any other
 	// immediate, which is exactly what the paper's rule (1) prescribes.
-	d := NormalizeOperand(in.Dst)
-	s := NormalizeOperand(in.Src)
+	d := NormalizeOperand(Operand{Kind: dst})
+	s := NormalizeOperand(Operand{Kind: src})
 	switch {
 	case d == "":
-		return in.Op.String()
+		return op.String()
 	case s == "":
-		return in.Op.String() + " " + d
+		return op.String() + " " + d
 	default:
-		return in.Op.String() + " " + d + ", " + s
+		return op.String() + " " + d + ", " + s
 	}
 }
 

@@ -28,28 +28,12 @@ func BuildAttackGraph(g *graph.Digraph, entry uint64, relevant []uint64, hpcByBB
 		return ga
 	}
 
-	// Line 1: eliminate cycles.
-	acyclic := g.RemoveBackEdges(entry)
-
-	relevantSet := make(map[uint64]bool, len(relevant))
-	for _, n := range relevant {
-		relevantSet[n] = true
-	}
-
-	// Lines 3-5: build the weighted path graph G'.
-	var wedges []graph.WEdge
-	for _, vi := range relevant {
-		for _, vj := range relevant {
-			if vi == vj {
-				continue
-			}
-			paths := acyclic.SimplePaths(vi, vj, relevantSet, config.MaxPathsPerPair, config.MaxPathLen)
-			for _, p := range paths {
-				w := pathWeight(p, hpcByBB, config.MaxWeight)
-				wedges = append(wedges, graph.WEdge{From: vi, To: vj, Weight: w, Path: p})
-			}
-		}
-	}
+	// Lines 1-5: eliminate cycles, then build the weighted path graph
+	// G' from the CFG paths between relevant blocks that avoid every
+	// other relevant block.
+	wedges := g.PathGraph(entry, relevant, config.MaxPathsPerPair, config.MaxPathLen, func(p []uint64) float64 {
+		return pathWeight(p, hpcByBB, config.MaxWeight)
+	})
 
 	// Line 7: maximum spanning tree (forest when G' is disconnected).
 	mst := graph.MaximumSpanningForest(relevant, wedges)

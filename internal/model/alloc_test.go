@@ -25,8 +25,8 @@ func TestModelBuildAllocs(t *testing.T) {
 		prog, victim *isa.Program
 		budget       float64
 	}{
-		{poc.Program, poc.Victim, 864},
-		{prog, nil, 540},
+		{poc.Program, poc.Victim, 222},
+		{prog, nil, 155},
 	} {
 		got := testing.AllocsPerRun(10, func() {
 			if _, err := Build(c.prog, c.victim, DefaultConfig()); err != nil {

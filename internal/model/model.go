@@ -22,9 +22,10 @@
 package model
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/cfg"
@@ -163,7 +164,7 @@ type Model struct {
 // (the nodes of the attack-relevant graph), sorted.
 func (m *Model) IdentifiedBBs() []uint64 {
 	out := m.AttackGraph.Nodes()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -198,7 +199,11 @@ func BuildCtx(ctx context.Context, prog *isa.Program, victim *isa.Program, confi
 	if err != nil {
 		return nil, fmt.Errorf("model: cfg: %w", err)
 	}
-	machine, err := exec.NewMachine(config.Exec, prog, victim)
+	// The trace never leaves this function and modeling reads no
+	// cache-set trace, so the run records none.
+	execCfg := config.Exec
+	execCfg.MaxSetTrace = -1
+	machine, err := exec.NewMachine(execCfg, prog, victim)
 	if err != nil {
 		return nil, fmt.Errorf("model: exec: %w", err)
 	}
@@ -262,83 +267,133 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 	}
 	tel := config.Telemetry
 	extractStart := tel.Now()
+	blocks := c.Ordered()
+
+	// Step 1: HPC values folded onto blocks. A block is potentially
+	// attack-relevant when its value is nonzero; pot lists those blocks'
+	// positions in blocks, in leader order.
+	pot := make([]int32, 0, len(blocks))
+	hpcOf := make([]uint64, 0, len(blocks))
+	potInsns := 0
+	for k := range blocks {
+		var v uint64
+		for i := range blocks[k].Insns {
+			v += trace.Bank.At(blocks[k].Insns[i].Addr).Sum()
+		}
+		if v > 0 {
+			pot = append(pot, int32(k))
+			hpcOf = append(hpcOf, v)
+			potInsns += len(blocks[k].Insns)
+		}
+	}
 	m := &Model{
 		Name:         prog.Name,
 		CFG:          c,
-		HPCByBB:      make(map[uint64]uint64),
-		MemLinesByBB: make(map[uint64][]uint64),
+		HPCByBB:      make(map[uint64]uint64, len(pot)),
+		MemLinesByBB: make(map[uint64][]uint64, len(pot)),
 		TraceCycles:  trace.Cycles,
 	}
-
-	// Step 1: HPC values folded onto blocks.
-	for addr, v := range trace.Bank.HPCValueByAddr() {
-		if leader, ok := c.LeaderOf(addr); ok {
-			m.HPCByBB[leader] += v
-		}
+	if len(pot) > 0 {
+		m.PotentialBBs = make([]uint64, len(pot))
 	}
-	for leader := range m.HPCByBB {
-		m.PotentialBBs = append(m.PotentialBBs, leader)
+	for p, k := range pot {
+		m.PotentialBBs[p] = blocks[k].Leader
+		m.HPCByBB[blocks[k].Leader] = hpcOf[p]
 	}
-	sort.Slice(m.PotentialBBs, func(i, j int) bool { return m.PotentialBBs[i] < m.PotentialBBs[j] })
 
 	// Collect accessed lines per potential block. MemLinesByBB holds the
 	// union of loaded/stored and flushed lines (the paper's overlap
-	// analysis includes flushed addresses); loadsByBB keeps only the
-	// loads/stores so CST measurement can replay flushes as flushes.
-	firstCycle := make(map[uint64]uint64)
-	loadsByBB := make(map[uint64][]uint64)
-	for _, leader := range m.PotentialBBs {
-		bb := c.Blocks[leader]
-		loadSet := make(map[uint64]struct{})
-		unionSet := make(map[uint64]struct{})
-		fc := uint64(1<<63 - 1)
-		for _, in := range bb.Insns {
-			if r := trace.ByAddr[in.Addr]; r != nil {
-				for l := range r.MemLines {
-					loadSet[l] = struct{}{}
-					unionSet[l] = struct{}{}
-				}
-				for l := range r.FlushLines {
-					unionSet[l] = struct{}{}
-				}
+	// analysis includes flushed addresses); loads[p] keeps only the
+	// loads/stores of potential block p so CST measurement can replay
+	// flushes as flushes. Both are sorted, deduplicated windows of one
+	// line array.
+	recs := make([]*exec.AddrRecord, 0, potInsns)
+	firstCycle := make([]uint64, len(pot))
+	nUnion, nLoads := 0, 0
+	for p, k := range pot {
+		fc := uint64(notExecuted)
+		for i := range blocks[k].Insns {
+			r := trace.ByAddr[blocks[k].Insns[i].Addr]
+			recs = append(recs, r)
+			if r != nil {
+				nUnion += len(r.MemLines) + len(r.FlushLines)
+				nLoads += len(r.MemLines)
 				if r.ExecCount > 0 && r.FirstCycle < fc {
 					fc = r.FirstCycle
 				}
 			}
 		}
-		m.MemLinesByBB[leader] = sortedLines(unionSet)
-		loadsByBB[leader] = sortedLines(loadSet)
-		firstCycle[leader] = fc
+		firstCycle[p] = fc
+	}
+	lineBuf := make([]uint64, 0, nUnion+nLoads)
+	// cut sorts and deduplicates lineBuf[start:] and returns it as a
+	// capacity-limited window.
+	cut := func(start int) []uint64 {
+		lineBuf = lineBuf[:start+len(dedupSorted(lineBuf[start:]))]
+		return lineBuf[start:len(lineBuf):len(lineBuf)]
+	}
+	loads := make([][]uint64, len(pot))
+	for p, k := range pot {
+		block := recs[:len(blocks[k].Insns)]
+		recs = recs[len(block):]
+		start := len(lineBuf)
+		for _, r := range block {
+			if r != nil {
+				for l := range r.MemLines {
+					lineBuf = append(lineBuf, l)
+				}
+				for l := range r.FlushLines {
+					lineBuf = append(lineBuf, l)
+				}
+			}
+		}
+		m.MemLinesByBB[blocks[k].Leader] = cut(start)
+		start = len(lineBuf)
+		for _, r := range block {
+			if r != nil {
+				for l := range r.MemLines {
+					lineBuf = append(lineBuf, l)
+				}
+			}
+		}
+		loads[p] = cut(start)
 	}
 
-	// Step 2: cache-set overlap filtering.
-	measure := cache.MustNew(config.MeasureCache)
-	setUsers := make(map[int]map[uint64]struct{})
-	for leader, lines := range m.MemLinesByBB {
-		for _, l := range lines {
-			si := llc.SetIndex(l) // set-index function of the real LLC
-			if setUsers[si] == nil {
-				setUsers[si] = make(map[uint64]struct{})
-			}
-			setUsers[si][leader] = struct{}{}
+	// Step 2: cache-set overlap filtering. A block survives when one of
+	// its lines maps (under the real LLC's set-index function) to a set
+	// that lines of at least one other block map to as well. pairs holds
+	// every (set, block) pair, set in the high half; sorted, the pairs of
+	// one set form a run whose blocks ascend.
+	pairs := make([]uint64, 0, nUnion)
+	for p := range pot {
+		for _, l := range m.MemLinesByBB[m.PotentialBBs[p]] {
+			pairs = append(pairs, uint64(llc.SetIndex(l))<<32|uint64(p))
 		}
 	}
-	multiSets := make(map[int]bool)
-	for si, users := range setUsers {
-		if len(users) >= 2 {
-			multiSets[si] = true
+	slices.Sort(pairs)
+	keep := make([]bool, len(pot))
+	nKeep := 0
+	for i := 0; i < len(pairs); {
+		j := i + 1
+		for j < len(pairs) && pairs[j]>>32 == pairs[i]>>32 {
+			j++
 		}
-	}
-	for _, leader := range m.PotentialBBs {
-		keep := false
-		for _, l := range m.MemLinesByBB[leader] {
-			if multiSets[llc.SetIndex(l)] {
-				keep = true
-				break
+		if uint32(pairs[i]) != uint32(pairs[j-1]) {
+			for _, pr := range pairs[i:j] {
+				if !keep[uint32(pr)] {
+					keep[uint32(pr)] = true
+					nKeep++
+				}
 			}
 		}
-		if keep {
-			m.RelevantBBs = append(m.RelevantBBs, leader)
+		i = j
+	}
+	if nKeep > 0 {
+		m.RelevantBBs = make([]uint64, 0, nKeep)
+		for p, leader := range m.PotentialBBs {
+			if keep[p] {
+				m.RelevantBBs = append(m.RelevantBBs, leader)
+			}
 		}
 	}
 
@@ -376,33 +431,47 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 		executed bool
 	}
 	entries := make([]entry, 0, len(chains))
+	measure := cache.MustNew(config.MeasureCache)
+	var chainLoads, chainFlushes []uint64 // reused across chains
+	// Every chain's NormInsns is a capacity-limited window of norms.
+	nInsns := 0
+	for _, leader := range m.AttackGraph.Nodes() {
+		nInsns += len(c.Blocks[leader].Insns)
+	}
+	norms := make([]string, 0, nInsns)
 	for _, chain := range chains {
-		var loads, flushes []uint64
-		var norm []string
+		chainLoads, chainFlushes = chainLoads[:0], chainFlushes[:0]
+		start := len(norms)
 		var hpcSum uint64
-		fc := uint64(1<<63 - 1)
+		fc := uint64(notExecuted)
 		executed := false
 		for _, leader := range chain {
 			bb := c.Blocks[leader]
-			loads = append(loads, loadsByBB[leader]...)
-			flushes = append(flushes, blockFlushLines(bb, trace)...)
-			norm = append(norm, normOf(bb)...)
+			var f uint64
+			var ok bool
+			if p, potential := slices.BinarySearch(m.PotentialBBs, leader); potential {
+				chainLoads = append(chainLoads, loads[p]...)
+				f, ok = firstCycle[p], firstCycle[p] != notExecuted
+			} else {
+				f, ok = blockFirstCycle(bb, trace)
+			}
+			for i := range bb.Insns {
+				if r := trace.ByAddr[bb.Insns[i].Addr]; r != nil {
+					for l := range r.FlushLines {
+						chainFlushes = append(chainFlushes, l)
+					}
+				}
+			}
+			norms = append(norms, normOf(bb)...)
 			hpcSum += m.HPCByBB[leader]
-			if f, ok := firstCycle[leader]; ok && f != uint64(1<<63-1) {
-				if f < fc {
-					fc = f
-				}
-				executed = true
-			} else if f2, ok2 := blockFirstCycle(bb, trace); ok2 {
-				if f2 < fc {
-					fc = f2
-				}
+			if ok {
+				fc = min(fc, f)
 				executed = true
 			}
 		}
-		cst := MeasureCST(measure, dedupSorted(loads), dedupSorted(flushes))
+		cst := MeasureCST(measure, dedupSorted(chainLoads), dedupSorted(chainFlushes))
 		cst.Leader = chain[0]
-		cst.NormInsns = norm
+		cst.NormInsns = norms[start:len(norms):len(norms)]
 		cst.HPCValue = hpcSum
 		if cst.HPCValue == 0 && cst.Delta() == 0 {
 			// Connector chains restored by Algorithm 1 for control-flow
@@ -410,24 +479,30 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 			// attack-relevant graph but would only add syntactic noise
 			// to the similarity comparison, so the flattened CST-BBS
 			// keeps the cache-active chains.
+			norms = norms[:start]
 			continue
 		}
 		cst.FirstCycle = fc
 		entries = append(entries, entry{cst: cst, executed: executed})
 	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
+	slices.SortStableFunc(entries, func(a, b entry) int {
 		if a.executed != b.executed {
-			return a.executed
+			if a.executed {
+				return -1
+			}
+			return 1
 		}
 		if a.executed && a.cst.FirstCycle != b.cst.FirstCycle {
-			return a.cst.FirstCycle < b.cst.FirstCycle
+			return cmp.Compare(a.cst.FirstCycle, b.cst.FirstCycle)
 		}
-		return a.cst.Leader < b.cst.Leader
+		return cmp.Compare(a.cst.Leader, b.cst.Leader)
 	})
 	bbs := &CSTBBS{Name: prog.Name, TimerReads: trace.Bank.Global()[hpc.Timestamp]}
-	for _, e := range entries {
-		bbs.Seq = append(bbs.Seq, e.cst)
+	if len(entries) > 0 {
+		bbs.Seq = make([]CST, len(entries))
+		for i := range entries {
+			bbs.Seq[i] = entries[i].cst
+		}
 	}
 	m.BBS = bbs
 	tel.ObserveSince(telemetry.StageCST, cstStart)
@@ -440,10 +515,11 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 // one, and both executed equally often (two fragments of one split
 // block always share their execution count; blocks of different loop
 // phases do not). Chains are returned in ascending order of their head
-// leader; node order within a chain follows the control flow.
+// leader; node order within a chain follows the control flow. The
+// chains are windows of one backing array.
 func straightChains(g *graph.Digraph, execCount func(uint64) uint64) [][]uint64 {
 	nodes := g.Nodes()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	slices.Sort(nodes)
 	mergeable := func(a, b uint64) bool {
 		return len(g.Succs(a)) == 1 && len(g.Preds(b)) == 1 &&
 			execCount(a) > 0 && execCount(a) == execCount(b)
@@ -455,14 +531,17 @@ func straightChains(g *graph.Digraph, execCount func(uint64) uint64) [][]uint64 
 		}
 		return !mergeable(preds[0], n)
 	}
+	visited := make([]bool, len(nodes))
+	flat := make([]uint64, 0, len(nodes))
 	var chains [][]uint64
-	visited := make(map[uint64]bool, len(nodes))
-	for _, n := range nodes {
-		if visited[n] || !isHead(n) {
+	cut := func(start int) { chains = append(chains, flat[start:len(flat):len(flat)]) }
+	for i, n := range nodes {
+		if visited[i] || !isHead(n) {
 			continue
 		}
-		chain := []uint64{n}
-		visited[n] = true
+		start := len(flat)
+		flat = append(flat, n)
+		visited[i] = true
 		cur := n
 		for {
 			succs := g.Succs(cur)
@@ -470,72 +549,42 @@ func straightChains(g *graph.Digraph, execCount func(uint64) uint64) [][]uint64 
 				break
 			}
 			next := succs[0]
-			if visited[next] || !mergeable(cur, next) {
+			j, _ := slices.BinarySearch(nodes, next)
+			if visited[j] || !mergeable(cur, next) {
 				break
 			}
-			chain = append(chain, next)
-			visited[next] = true
+			visited[j] = true
+			flat = append(flat, next)
 			cur = next
 		}
-		chains = append(chains, chain)
+		cut(start)
 	}
 	// Nodes inside cycles (no head) — defensive; the restored graph is
 	// built from acyclic paths, but cover it anyway.
-	for _, n := range nodes {
-		if !visited[n] {
-			visited[n] = true
-			chains = append(chains, []uint64{n})
+	for i, n := range nodes {
+		if !visited[i] {
+			visited[i] = true
+			flat = append(flat, n)
+			cut(len(flat) - 1)
 		}
 	}
 	return chains
 }
 
+// notExecuted is the first-cycle placeholder of a block none of whose
+// instructions retired.
+const notExecuted = 1<<63 - 1
+
 // dedupSorted sorts and deduplicates a line slice in place.
 func dedupSorted(lines []uint64) []uint64 {
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	out := lines[:0]
-	var last uint64
-	for i, l := range lines {
-		if i == 0 || l != last {
-			out = append(out, l)
-			last = l
-		}
-	}
-	return out
-}
-
-// sortedLines converts a line set to a sorted slice.
-func sortedLines(set map[uint64]struct{}) []uint64 {
-	out := make([]uint64, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// blockFlushLines returns the lines flushed by the block's instructions.
-func blockFlushLines(bb *cfg.BasicBlock, trace *exec.Trace) []uint64 {
-	set := make(map[uint64]struct{})
-	for _, in := range bb.Insns {
-		if r := trace.ByAddr[in.Addr]; r != nil {
-			for l := range r.FlushLines {
-				set[l] = struct{}{}
-			}
-		}
-	}
-	out := make([]uint64, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(lines)
+	return slices.Compact(lines)
 }
 
 // blockFirstCycle returns the earliest retirement cycle of any
 // instruction of the block.
 func blockFirstCycle(bb *cfg.BasicBlock, trace *exec.Trace) (uint64, bool) {
-	best := uint64(1<<63 - 1)
+	best := uint64(notExecuted)
 	found := false
 	for _, in := range bb.Insns {
 		if r := trace.ByAddr[in.Addr]; r != nil && r.ExecCount > 0 {

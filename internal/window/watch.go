@@ -40,11 +40,13 @@ func Replay(ctx context.Context, det *detect.Detector, prog *isa.Program, llc ca
 // Watch runs prog (with an optional victim) on a fresh machine with
 // event recording enabled, then replays the log through a windowed
 // detector — the one-call path behind `scaguard watch`. execCfg's
-// RecordEvents is forced on. Verdicts stream through emit as the replay
+// RecordEvents is forced on, and its set trace off (the replay reads
+// only the event log). Verdicts stream through emit as the replay
 // crosses window boundaries, exactly as they would have during a live
 // run.
 func Watch(ctx context.Context, det *detect.Detector, prog, victim *isa.Program, execCfg exec.Config, cfg Config, emit func(Verdict)) (Outcome, error) {
 	execCfg.RecordEvents = true
+	execCfg.MaxSetTrace = -1
 	m, err := exec.NewMachine(execCfg, prog, victim)
 	if err != nil {
 		return Outcome{}, err
