@@ -153,7 +153,7 @@ fuzz-short:
 # (docs/ROBUSTNESS.md).
 faults:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) \
-		-run 'Panic|Cancel|Fault|Inject|Stream|Timeout|Limit|Shard|Retry|Partial|LookupFault|Failpoint|Reload|Drain|Overload|Hedge|Breaker|Prober|Replica|Chaos|Leak|Flap' \
+		-run 'Panic|Cancel|Fault|Inject|Stream|Timeout|Limit|Shard|Retry|Partial|LookupFault|Failpoint|Reload|Drain|Overload|Breaker|Prober|Replica|Chaos|Leak|Flap' \
 		./internal/faultinject ./internal/panicsafe ./internal/scan ./internal/detect ./internal/stream ./internal/isa ./internal/shard ./internal/retry ./internal/breaker ./internal/chaos ./internal/vcache ./internal/serve ./internal/index ./internal/window
 
 # Coverage over every package, with the per-function summary printed.

@@ -32,6 +32,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -614,9 +615,8 @@ func cmdServe(args []string) error {
 	maxInflight := fs.Int("max-inflight", 0, "global cap on admitted in-flight requests; excess requests are shed with 429 (0 = 256)")
 	rate := fs.Float64("rate", 0, "per-API-key sustained admission rate in targets/sec (0 = unlimited)")
 	burst := fs.Int("burst", 0, "per-API-key token-bucket burst (0 = 2*rate, min 1)")
-	hedge := fs.Duration("hedge", 0, "launch a parallel second attempt for a unary classification still unresolved after this long (0 = off)")
-	retries := fs.Int("retries", 0, "re-run a failed classification up to this many times on transient errors")
-	retryBackoff := fs.Duration("retry-backoff", 50*time.Millisecond, "delay before the first retry; doubles per retry")
+	retries := fs.Int("retries", 0, "retry a failed remote shard RPC up to this many times on transient errors")
+	retryBackoff := fs.Duration("retry-backoff", 50*time.Millisecond, "delay before the first remote shard RPC retry; doubles per retry")
 	streamWorkers := fs.Int("stream-workers", 0, "modeling workers per streaming connection/batch (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "bounded queue size per streaming connection/batch (0 = stream-workers)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests before giving up")
@@ -637,7 +637,6 @@ func cmdServe(args []string) error {
 	fe.nonNegativeDuration("shard-timeout", *shardTimeout)
 	fe.nonNegativeDuration("shard-attempt-timeout", *shardAttemptTimeout)
 	fe.nonNegativeDuration("shard-probe", *shardProbe)
-	fe.nonNegativeDuration("hedge", *hedge)
 	fe.nonNegativeDuration("retry-backoff", *retryBackoff)
 	fe.nonNegativeDuration("drain-timeout", *drainTimeout)
 	if err := fe.err(); err != nil {
@@ -685,8 +684,6 @@ func cmdServe(args []string) error {
 			Queue:         *queue,
 			TargetTimeout: *timeout,
 		},
-		Hedge:     *hedge,
-		Retry:     scaguard.RetryPolicy{Attempts: *retries, Backoff: *retryBackoff, Jitter: true},
 		Telemetry: tel,
 		Reload: func(path string) (*scaguard.Repository, error) {
 			if path == "" {
@@ -859,15 +856,28 @@ func runStream(det *scaguard.Detector, workers int) error {
 		n++
 		if r.Err != nil {
 			failed++
-			fmt.Printf("%-34s ERROR %v\n", r.ID, r.Err)
-			continue
 		}
-		fmt.Printf("%-34s %-7s best=%s %.2f%%\n",
-			r.ID, r.Verdict.Predicted, r.Verdict.Best.Name, r.Verdict.Best.Score*100)
+		fmt.Println(streamLine(r))
 	}
 	fmt.Fprintf(os.Stderr, "stream: %d targets, %d failed\n", n, failed)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	return nil
+}
+
+// streamLine renders one stream result. A partial verdict is shown, as
+// serve shows it, but flagged PARTIAL; runStream still counts it as
+// failed, so it never passes for a complete one.
+func streamLine(r scaguard.StreamResult) string {
+	var pe *scaguard.ShardPartialError
+	if r.Err != nil && !errors.As(r.Err, &pe) {
+		return fmt.Sprintf("%-34s ERROR %v", r.ID, r.Err)
+	}
+	line := fmt.Sprintf("%-34s %-7s best=%s %.2f%%",
+		r.ID, r.Verdict.Predicted, r.Verdict.Best.Name, r.Verdict.Best.Score*100)
+	if pe != nil {
+		line += fmt.Sprintf(" PARTIAL %v", r.Err)
+	}
+	return line
 }

@@ -7,8 +7,13 @@ package main
 // that caused it. All failures of one invocation are reported at once.
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	scaguard "repro"
+	"repro/internal/shard"
 )
 
 func TestNumericKnobValidation(t *testing.T) {
@@ -39,8 +44,8 @@ func TestNumericKnobValidation(t *testing.T) {
 		{
 			name: "serve mixed types",
 			run:  cmdServe,
-			args: []string{"-queue", "-2", "-rate", "-0.5", "-hedge", "-1ms"},
-			want: []string{"-queue", "-rate", "-hedge"},
+			args: []string{"-queue", "-2", "-rate", "-0.5"},
+			want: []string{"-queue", "-rate"},
 		},
 		{
 			name: "serve negative index budget",
@@ -116,5 +121,31 @@ func TestScanFlagsShared(t *testing.T) {
 		if err := run([]string{"-cascade"}); err == nil || !strings.Contains(err.Error(), "not defined: -cascade") {
 			t.Errorf("%s -cascade: error %v, want an undefined-flag error", name, err)
 		}
+	}
+}
+
+// TestStreamLinePartialVerdict: classify -stream shows a partial verdict
+// the way serve's batch and NDJSON endpoints do — prediction and best
+// match kept, flagged PARTIAL — while any other error still prints as
+// ERROR with no verdict.
+func TestStreamLinePartialVerdict(t *testing.T) {
+	verdict := scaguard.Result{Predicted: "FR-F", Best: scaguard.Match{Name: "FR-IAIK", Score: 1}}
+	partial := fmt.Errorf("classify: %w", &scaguard.ShardPartialError{
+		Failed:  []*shard.ShardError{{Shard: "1", Entries: 3, Err: errors.New("connection refused")}},
+		Missing: 3,
+	})
+	got := streamLine(scaguard.StreamResult{ID: "attack:FR-IAIK", Verdict: verdict, Err: partial})
+	for _, want := range []string{"FR-F", "best=FR-IAIK 100.00%", "PARTIAL", "3 entries missing"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("partial line %q lacks %q", got, want)
+		}
+	}
+	got = streamLine(scaguard.StreamResult{ID: "attack:FR-IAIK", Verdict: verdict, Err: errors.New("boom")})
+	if !strings.Contains(got, "ERROR boom") || strings.Contains(got, "FR-F") {
+		t.Errorf("error line %q, want an ERROR line without the verdict", got)
+	}
+	got = streamLine(scaguard.StreamResult{ID: "attack:FR-IAIK", Verdict: verdict})
+	if strings.Contains(got, "PARTIAL") || strings.Contains(got, "ERROR") || !strings.Contains(got, "FR-F") {
+		t.Errorf("complete line %q, want the bare verdict", got)
 	}
 }

@@ -1,16 +1,16 @@
-// Package retry is the one bounded-retry policy shared by the layers
-// that talk to unreliable parties: the streaming pipeline re-running a
-// target after a transient error result (stream.Config.Retries) and the
-// shard coordinator re-sending a remote-shard RPC after a network
-// failure. Keeping it in one place keeps the semantics identical —
-// exponential backoff with full jitter, a max-backoff cap,
-// context-aware sleeps, and a caller-supplied transience test so
-// permanent failures (cancellation, deadline expiry) are never retried.
+// Package retry is the bounded-retry policy of the one step in a
+// classification that can fail transiently: the shard coordinator
+// re-sending a remote-shard RPC after a network failure
+// (detect.Detector.ShardRetry, the facade's RetryPolicy). Everything
+// above the RPC is deterministic, so nothing above the shard layer
+// retries. The policy is exponential backoff with full jitter, a
+// max-backoff cap, context-aware sleeps, and a caller-supplied
+// transience test so permanent failures (cancellation, deadline
+// expiry) are never retried.
 package retry
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"time"
 )
@@ -40,13 +40,6 @@ type Policy struct {
 // unset: Backoff << 6. Beyond that the doubling would mostly be
 // measuring how long the caller's context takes to expire.
 const defaultCapFactor = 6
-
-// Transient is the default transience test: everything is retryable
-// except failures caused by the context — a cancelled or expired
-// operation stays cancelled no matter how often it is retried.
-func Transient(err error) bool {
-	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-}
 
 // randFloat is the jitter source, swappable by tests for determinism.
 // The shared top-level source is fine here: jitter quality needs
@@ -80,14 +73,12 @@ func (p Policy) delay(attempt int) time.Duration {
 }
 
 // Do runs op, retrying up to p.Attempts times while op's error passes
-// retryable (nil means Transient) and ctx stays alive. onRetry, when
-// non-nil, is called before each retry with the 1-based retry number
-// and the error being retried (the telemetry hook). Do returns nil on
-// the first success, otherwise the last error.
+// retryable (required: only the caller knows which of its failures are
+// permanent) and ctx stays alive. onRetry, when non-nil, is called
+// before each retry with the 1-based retry number and the error being
+// retried (the telemetry hook). Do returns nil on the first success,
+// otherwise the last error.
 func (p Policy) Do(ctx context.Context, retryable func(error) bool, onRetry func(n int, err error), op func() error) error {
-	if retryable == nil {
-		retryable = Transient
-	}
 	var err error
 	for attempt := 0; ; attempt++ {
 		if err = op(); err == nil {

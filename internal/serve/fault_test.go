@@ -1,15 +1,22 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/detect"
 	"repro/internal/faultinject"
+	"repro/internal/model"
+	"repro/internal/retry"
+	"repro/internal/shard"
 )
 
 // TestAdmitFailpoint proves serve.admit converts an injected admission
@@ -77,46 +84,165 @@ func TestReloadFailpoint(t *testing.T) {
 	}
 }
 
-// TestHedgeBeatsSlowShard proves request hedging: with one shard's
-// first scan stalled far beyond the hedge delay, the hedged second
-// attempt resolves the request long before the stall ends, and its
-// verdict is the real one.
-func TestHedgeBeatsSlowShard(t *testing.T) {
+// corpusModels returns the test repository's models, in entry order:
+// what a single-partition shard-serve replica serves.
+func corpusModels(t *testing.T) []*model.CSTBBS {
+	t.Helper()
+	var models []*model.CSTBBS
+	for _, e := range corpus(t) {
+		models = append(models, e.BBS)
+	}
+	return models
+}
+
+// TestSlowReplicaFailsOverThroughServe: with one partition served by two
+// replicas and the first stalling every /scan, the shard layer's attempt
+// timeout fails each request over to the healthy replica (and the
+// breaker then skips the slow one). Every verdict is complete,
+// bit-identical to a direct classification and returns far below the
+// stall — the slow replica delays no client by more than one attempt.
+func TestSlowReplicaFailsOverThroughServe(t *testing.T) {
+	const stall = 5 * time.Second
+	models := corpusModels(t)
+	slowInner := shard.NewServer(models, shard.ServerConfig{}).Handler()
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/scan" {
+			// Consume the body first: only then does the server notice
+			// the client abandoning the attempt and cancel r.Context().
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			select {
+			case <-time.After(stall):
+			case <-r.Context().Done():
+				return
+			}
+		}
+		slowInner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(slow.Close)
+	fast := httptest.NewServer(shard.NewServer(models, shard.ServerConfig{}).Handler())
+	t.Cleanup(fast.Close)
+
 	spec := TargetSpec{Spec: "attack:FR-IAIK"}
 	want := canon(t, expectVerdict(t, spec, 0))
 	srv, ts := newTestServer(t, func(c *Config) {
-		c.Detector.Shards = 2
-		c.Hedge = 150 * time.Millisecond
+		c.Detector.ShardAddrs = []string{slow.URL + "|" + fast.URL}
+		c.Detector.ShardAttemptTimeout = 50 * time.Millisecond
 	})
-	const stall = 6 * time.Second
-	// Only the first scan on shard 1 stalls: the primary attempt hangs,
-	// the hedge's own shard-1 scan passes.
+	t.Cleanup(srv.det.Close)
+
+	for i := 0; i < 5; i++ {
+		start := time.Now()
+		resp := postJSON(t, ts.URL+"/v1/classify", classifyRequest{Target: &spec})
+		elapsed := time.Since(start)
+		cr := decodeBody[classifyResponse](t, resp)
+		if resp.StatusCode != http.StatusOK || cr.Verdict == nil {
+			t.Fatalf("request %d: status %d, verdict %+v", i, resp.StatusCode, cr.Verdict)
+		}
+		if got := canon(t, *cr.Verdict); got != want {
+			t.Errorf("request %d: verdict diverged\n got %s\nwant %s", i, got, want)
+		}
+		if elapsed >= stall/5 {
+			t.Errorf("request %d took %v against a %v stall — the slow replica was not failed over", i, elapsed, stall)
+		}
+	}
+	if n := srv.tel.Snapshot().Counters["shard_failovers"]; n == 0 {
+		t.Error("shard_failovers not counted")
+	}
+}
+
+// TestDeadShardPartialRPCCount: the remote-shard RPC is retried in
+// exactly one place. With one of two remote shards dead and
+// ShardRetry{Attempts: 2}, a unary request and a batch of one each send
+// the dead shard exactly 3 /scan RPCs — the first try plus two retries
+// — and each answers the same partial verdict.
+func TestDeadShardPartialRPCCount(t *testing.T) {
+	models := corpusModels(t)
+	router := shard.Router{Shards: 2}
+	live := httptest.NewServer(shard.NewServer(shard.ShardModels(models, router, 0), shard.ServerConfig{}).Handler())
+	t.Cleanup(live.Close)
+	var scans atomic.Int64
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/scan" {
+			scans.Add(1)
+		}
+		http.Error(w, "shard down", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(dead.Close)
+
+	srv, ts := newTestServer(t, func(c *Config) {
+		c.Detector.ShardAddrs = []string{live.URL, dead.URL}
+		c.Detector.ShardRetry = retry.Policy{Attempts: 2}
+		// No breaker: it would start skipping the dead shard after a few
+		// failed scans and hide how many RPCs each request sends.
+		c.Detector.ShardBreaker = breaker.Settings{Threshold: -1}
+	})
+	t.Cleanup(srv.det.Close)
+
+	spec := TargetSpec{Spec: "attack:FR-IAIK"}
+	resp := postJSON(t, ts.URL+"/v1/classify", classifyRequest{Target: &spec})
+	unary := decodeBody[classifyResponse](t, resp).Verdict
+	if unary == nil || !unary.Partial || unary.Predicted == "" {
+		t.Fatalf("unary verdict = %+v, want a partial verdict", unary)
+	}
+	if n := scans.Swap(0); n != 3 {
+		t.Errorf("unary request sent %d /scan RPCs to the dead shard, want 3", n)
+	}
+
+	resp = postJSON(t, ts.URL+"/v1/classify", classifyRequest{Targets: []TargetSpec{spec}})
+	batch := decodeBody[classifyResponse](t, resp).Verdicts
+	if len(batch) != 1 || canon(t, batch[0]) != canon(t, *unary) {
+		t.Errorf("batch verdicts = %+v, want the unary partial verdict %+v", batch, *unary)
+	}
+	if n := scans.Load(); n != 3 {
+		t.Errorf("batch of one sent %d /scan RPCs to the dead shard, want 3", n)
+	}
+}
+
+// TestPartialVerdictSameAcrossEndpoints: with one in-process shard
+// dead, batch and NDJSON verdicts carry the same degraded outcome the
+// unary endpoint answers — predicted family, best match and matches over
+// the surviving shards — not an empty verdict marked partial.
+func TestPartialVerdictSameAcrossEndpoints(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) {
+		c.Detector.Shards = 2
+	})
 	faultinject.Enable(faultinject.ShardScan,
-		faultinject.Match("1", faultinject.OnCall(1, faultinject.Sleep(stall))))
+		faultinject.Match("1", faultinject.Error(errors.New("shard down"))))
 	t.Cleanup(faultinject.Reset)
 
-	start := time.Now()
-	resp := postJSON(t, ts.URL+"/v1/classify", classifyRequest{Target: &spec})
-	elapsed := time.Since(start)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	spec := TargetSpec{Spec: "attack:FR-IAIK"}
+	unary := decodeBody[classifyResponse](t, postJSON(t, ts.URL+"/v1/classify", classifyRequest{Target: &spec})).Verdict
+	if unary == nil || !unary.Partial || unary.Predicted == "" || unary.Best == nil || len(unary.Matches) == 0 {
+		t.Fatalf("unary verdict = %+v, want a non-empty partial verdict", unary)
 	}
-	cr := decodeBody[classifyResponse](t, resp)
-	if cr.Verdict == nil {
-		t.Fatal("no verdict")
+	want := canon(t, *unary)
+
+	batch := decodeBody[classifyResponse](t, postJSON(t, ts.URL+"/v1/classify",
+		classifyRequest{Targets: []TargetSpec{spec, spec}})).Verdicts
+	if len(batch) != 2 {
+		t.Fatalf("got %d batch verdicts, want 2", len(batch))
 	}
-	if got := canon(t, *cr.Verdict); got != want {
-		t.Errorf("hedged verdict diverged\n got %s\nwant %s", got, want)
+	for i, v := range batch {
+		if got := canon(t, v); got != want {
+			t.Errorf("batch verdict %d diverged from unary\n got %s\nwant %s", i, got, want)
+		}
 	}
-	if elapsed >= stall {
-		t.Errorf("request took %v — the hedge never rescued it from the %v stall", elapsed, stall)
+
+	body := `{"spec":"attack:FR-IAIK"}` + "\n" + `{"spec":"attack:FR-IAIK"}` + "\n"
+	resp, err := http.Post(ts.URL+"/v1/classify/stream", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	snap := srv.tel.Snapshot()
-	if snap.Counters["serve_hedges"] == 0 {
-		t.Error("serve_hedges not counted")
+	defer resp.Body.Close()
+	lines := readNDJSON(t, resp.Body)
+	if len(lines) != 2 {
+		t.Fatalf("got %d NDJSON verdicts, want 2", len(lines))
 	}
-	if snap.Counters["serve_hedge_wins"] == 0 {
-		t.Error("serve_hedge_wins not counted")
+	for i, v := range lines {
+		if got := canon(t, v); got != want {
+			t.Errorf("NDJSON verdict %d diverged from unary\n got %s\nwant %s", i, got, want)
+		}
 	}
 }
 

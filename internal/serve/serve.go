@@ -17,9 +17,6 @@
 //     token bucket. Requests that cannot be admitted are shed
 //     immediately with 429 and a Retry-After hint — overload degrades
 //     to fast rejections, never to hangs or unbounded queues.
-//   - Request hedging: a unary classification that outlives
-//     Config.Hedge gets a parallel second attempt, and the first to
-//     resolve wins — a slow shard delays one attempt, not the client.
 //   - Zero-downtime hot reload: POST /reload swaps the repository's
 //     contents atomically (detect.Repository.Replace). In-flight scans
 //     keep their snapshot, the next classification sees the new
@@ -55,8 +52,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/model"
 	"repro/internal/panicsafe"
-	"repro/internal/retry"
-	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -97,21 +92,9 @@ type Config struct {
 	KeyHeader string
 	// Stream tunes the per-connection pipeline for batch requests and
 	// /v1/classify/stream connections (worker count, queue bound,
-	// per-target deadline, retries). Ordered is forced on: responses
-	// always align with request order.
+	// per-target deadline). Ordered is forced on: responses always
+	// align with request order.
 	Stream stream.Config
-	// Hedge, when > 0, launches a parallel second attempt for a unary
-	// classification still unresolved after this long; the first
-	// outcome wins and the loser is cancelled. Effective against slow
-	// shards; note that an in-process Detector.ResultCache collapses
-	// identical concurrent scans (singleflight), which makes the hedge
-	// wait on the primary instead of racing it — hedge a remote shard
-	// fleet, not a result-cached local engine.
-	Hedge time.Duration
-	// Retry re-runs a failed unary classification on transient errors
-	// (the zero policy runs once). Batch and stream targets use
-	// Stream.Retries; when that is zero it inherits this policy.
-	Retry retry.Policy
 	// Reload, when non-nil, supplies the repository contents for POST
 	// /reload: it receives the request's optional path override and
 	// returns the freshly loaded repository, whose entries replace the
@@ -344,74 +327,20 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, classifyResponse{Verdicts: s.classifyBatch(r.Context(), targets)})
 }
 
-// classifyOne resolves and classifies one target with the unary
-// extras: panic isolation, hedging and the serve-layer retry policy.
+// classifyOne resolves and classifies one target under panic
+// isolation. It runs the classification once: a verdict is a
+// deterministic function of the target and the repository, and the
+// one transient step, the remote-shard RPC, is retried, failed over
+// and bounded inside the shard layer (docs/SERVING.md "Where faults
+// are handled").
 func (s *Server) classifyOne(ctx context.Context, t TargetSpec, pos int) Verdict {
 	id := t.label(pos)
 	prog, victim, err := t.resolve()
 	if err != nil {
 		return Verdict{ID: id, Error: "resolve: " + err.Error()}
 	}
-	var (
-		res detect.Result
-		m   *model.Model
-	)
-	rerr := s.cfg.Retry.Do(ctx, transientNotPartial,
-		func(int, error) { s.tel.Inc(telemetry.ServeRetries) },
-		func() error {
-			res, m, err = s.hedged(ctx, prog, victim)
-			return err
-		})
-	return verdictFor(id, res, m, rerr)
-}
-
-// transientNotPartial retries transient failures but accepts degraded
-// partial results as final — a partial verdict is usable, and under a
-// persistently dead shard retrying would only burn the budget to land
-// on the same partial.
-func transientNotPartial(err error) bool {
-	var pe *shard.PartialError
-	return retry.Transient(err) && !errors.As(err, &pe)
-}
-
-// hedged runs one classification, racing a delayed second attempt
-// against the first when Config.Hedge is set. Whichever attempt
-// resolves first wins; the loser's context is cancelled and its
-// goroutine drains into the buffered channel.
-func (s *Server) hedged(ctx context.Context, prog, victim *isa.Program) (detect.Result, *model.Model, error) {
-	if s.cfg.Hedge <= 0 {
-		return s.classifySafe(ctx, prog, victim)
-	}
-	type outcome struct {
-		res   detect.Result
-		m     *model.Model
-		err   error
-		hedge bool
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan outcome, 2)
-	run := func(hedge bool) {
-		var o outcome
-		o.hedge = hedge
-		o.res, o.m, o.err = s.classifySafe(hctx, prog, victim)
-		ch <- o
-	}
-	go run(false)
-	timer := time.NewTimer(s.cfg.Hedge)
-	defer timer.Stop()
-	var o outcome
-	select {
-	case o = <-ch:
-	case <-timer.C:
-		s.tel.Inc(telemetry.ServeHedges)
-		go run(true)
-		o = <-ch
-		if o.hedge {
-			s.tel.Inc(telemetry.ServeHedgeWins)
-		}
-	}
-	return o.res, o.m, o.err
+	res, m, err := s.classifySafe(ctx, prog, victim)
+	return verdictFor(id, res, m, err)
 }
 
 // classifySafe is ClassifyCtx under panic isolation: a panic anywhere
@@ -430,15 +359,11 @@ func (s *Server) classifySafe(ctx context.Context, prog, victim *isa.Program) (d
 	return res, m, err
 }
 
-// streamConfig is the per-connection pipeline configuration: ordered
-// emission always, the serve retry policy unless the stream one is
-// set.
+// streamConfig is the per-connection pipeline configuration: the
+// configured one with ordered emission forced on.
 func (s *Server) streamConfig() stream.Config {
 	cfg := s.cfg.Stream
 	cfg.Ordered = true
-	if cfg.Retries == (retry.Policy{}) {
-		cfg.Retries = s.cfg.Retry
-	}
 	return cfg
 }
 

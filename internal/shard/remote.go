@@ -190,8 +190,8 @@ func (s *RemoteShard) Scan(ctx context.Context, bbs *model.CSTBBS, cut *scan.Cut
 	base := newScanRequest(bbs, s.sem)
 
 	// A failed attempt is transient — and worth a fresh attempt — unless
-	// the caller's own context died. retry.Transient alone is not enough
-	// here: a per-RPC timeout (roundTrip's derived deadline) surfaces as
+	// the caller's own context died. The error alone cannot tell: a
+	// per-RPC timeout (roundTrip's derived deadline) surfaces as
 	// context.DeadlineExceeded too, but it expires one attempt, not the
 	// scan; only ctx itself going dead is permanent.
 	transient := func(err error) bool { return ctx.Err() == nil }

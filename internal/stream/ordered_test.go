@@ -4,13 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/retry"
+	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
 
@@ -139,81 +140,89 @@ func TestStreamOrderedCancellation(t *testing.T) {
 	}
 }
 
-// TestStreamRetriesAbsorbTransientFaults: a fault that hits a target's
-// scan once is retried away under Config.Retries — the target still
-// verdicts, the retry is counted, and no error result is emitted. A
-// permanently failing target exhausts its attempts and resolves to an
-// error with every retry counted.
-func TestStreamRetriesAbsorbTransientFaults(t *testing.T) {
+// TestStreamStagesRunOnce: each pipeline stage runs once per target. A
+// fault that hits a target's modeling or scan once resolves that target
+// to an error result — the stream does not re-run a deterministic stage
+// (transient remote-shard RPC failures are retried in the shard layer)
+// — while the other targets verdict normally.
+func TestStreamStagesRunOnce(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	d := newDetector(t)
-	_, _, bbs := fixtures(t)
+	_, poc, bbs := fixtures(t)
 	want := d.ClassifyBBS(bbs)
 
-	var flaky atomic.Int64
-	faultinject.Enable(faultinject.StreamScan, func(p faultinject.Point, detail string) error {
-		if detail == "flaky" && flaky.Add(1) == 1 {
-			return errors.New("transient scan blip")
+	var modelCalls, scanCalls atomic.Int64
+	faultinject.Enable(faultinject.StreamModel, func(p faultinject.Point, detail string) error {
+		if detail == "model-blip" && modelCalls.Add(1) == 1 {
+			return errors.New("one-shot model blip")
 		}
-		if detail == "doomed" {
-			return errors.New("permanent failure")
+		return nil
+	})
+	faultinject.Enable(faultinject.StreamScan, func(p faultinject.Point, detail string) error {
+		if detail == "scan-blip" && scanCalls.Add(1) == 1 {
+			return errors.New("one-shot scan blip")
 		}
 		return nil
 	})
 
 	in := make(chan Target, 3)
-	in <- Target{ID: "flaky", BBS: bbs}
-	in <- Target{ID: "doomed", BBS: bbs}
+	in <- Target{ID: "model-blip", Program: poc.Program, Victim: poc.Victim}
+	in <- Target{ID: "scan-blip", BBS: bbs}
 	in <- Target{ID: "clean", BBS: bbs}
 	close(in)
-	results := drain(Classify(context.Background(), d, in, Config{Retries: retry.Policy{Attempts: 2}}))
-
-	byID := make(map[string]Result)
-	for _, r := range results {
-		byID[r.ID] = r
+	results := drain(Classify(context.Background(), d, in, Config{Ordered: true}))
+	if len(results) != 3 {
+		t.Fatalf("got %d results, want 3", len(results))
 	}
-	if r := byID["flaky"]; r.Err != nil || r.Verdict.Best.Name != want.Best.Name {
-		t.Errorf("flaky = %+v, want clean verdict after retry", r)
+	if r := results[0]; r.Err == nil || r.Model != nil {
+		t.Errorf("model-blip = %+v, want an error result without a model", r)
 	}
-	if r := byID["clean"]; r.Err != nil {
-		t.Errorf("clean target failed: %v", r.Err)
+	if r := results[1]; r.Err == nil {
+		t.Errorf("scan-blip = %+v, want an error result", r)
 	}
-	if r := byID["doomed"]; r.Err == nil {
-		t.Error("doomed target produced a verdict despite a permanent fault")
+	if r := results[2]; r.Err != nil || r.Verdict.Best.Name != want.Best.Name {
+		t.Errorf("clean = %+v, want the direct verdict", r)
 	}
-	// flaky: 1 retry; doomed: 2 retries (attempts exhausted).
-	if got := d.Telemetry.Counter(telemetry.StreamRetries); got != 3 {
-		t.Errorf("stream_retries = %d, want 3", got)
+	if m, s := modelCalls.Load(), scanCalls.Load(); m != 1 || s != 1 {
+		t.Errorf("faulted stages ran %d (model) and %d (scan) times, want once each", m, s)
 	}
-	if got := d.Telemetry.Counter(telemetry.StreamErrorResults); got != 1 {
-		t.Errorf("stream_error_results = %d, want 1", got)
+	if got := d.Telemetry.Counter(telemetry.StreamErrorResults); got != 2 {
+		t.Errorf("stream_error_results = %d, want 2", got)
 	}
 }
 
-// TestStreamRetriesModelStage: the retry hook also covers the modeling
-// stage (same policy, same counter).
-func TestStreamRetriesModelStage(t *testing.T) {
+// TestStreamKeepsPartialVerdict: with one in-process shard dead, a
+// streamed target resolves to the same degraded verdict the detector
+// returns directly — the *shard.PartialError and the surviving shards'
+// result together, never the error alone.
+func TestStreamKeepsPartialVerdict(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	d := newDetector(t)
-	_, poc, _ := fixtures(t)
-	var calls atomic.Int64
-	faultinject.Enable(faultinject.StreamModel, func(p faultinject.Point, detail string) error {
-		if calls.Add(1) == 1 {
-			return errors.New("transient model blip")
-		}
-		return nil
-	})
+	d.Shards = 2
+	_, _, bbs := fixtures(t)
+	faultinject.Enable(faultinject.ShardScan,
+		faultinject.Match("1", faultinject.Error(errors.New("shard down"))))
+
+	want, werr := d.ClassifyBBSCtx(context.Background(), bbs)
+	var pe *shard.PartialError
+	if !errors.As(werr, &pe) {
+		t.Fatalf("direct classification: err = %v, want a *shard.PartialError", werr)
+	}
 	in := make(chan Target, 1)
-	in <- Target{ID: "m", Program: poc.Program, Victim: poc.Victim}
+	in <- Target{ID: "t", BBS: bbs}
 	close(in)
-	results := drain(Classify(context.Background(), d, in, Config{Retries: retry.Policy{Attempts: 1}}))
-	if len(results) != 1 || results[0].Err != nil {
-		t.Fatalf("results = %+v, want one clean verdict", results)
+	results := drain(Classify(context.Background(), d, in, Config{}))
+	if len(results) != 1 {
+		t.Fatalf("got %d results, want 1", len(results))
 	}
-	if results[0].Model == nil {
-		t.Error("retried target lost its model")
+	r := results[0]
+	if !errors.As(r.Err, &pe) {
+		t.Fatalf("stream err = %v, want a *shard.PartialError", r.Err)
 	}
-	if got := d.Telemetry.Counter(telemetry.StreamRetries); got != 1 {
-		t.Errorf("stream_retries = %d, want 1", got)
+	if !reflect.DeepEqual(r.Verdict, want) {
+		t.Errorf("streamed partial verdict diverged\n got %+v\nwant %+v", r.Verdict, want)
+	}
+	if r.Verdict.Predicted == "" || r.Verdict.Best.Name == "" || len(r.Verdict.Matches) == 0 {
+		t.Errorf("streamed partial verdict is empty: %+v", r.Verdict)
 	}
 }

@@ -19,9 +19,9 @@
 // the input channel stops being drained. Nothing buffers without bound;
 // in-flight targets never exceed ModelWorkers + 2·Queue + 2 — a bound
 // Config.Ordered turns into an explicit admission window so its reorder
-// buffer stays finite too. Config.Retries re-runs a target's modeling
-// or scan after transient failures before the target resolves to an
-// error result.
+// buffer stays finite too. Each stage runs once per target: modeling
+// and scanning are deterministic, and the one transient step — the
+// remote-shard RPC — is retried inside the shard layer.
 //
 // Fault isolation is per target: a panic or error anywhere in one
 // target's modeling or scanning becomes a Result with Err set (panics
@@ -46,7 +46,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/model"
 	"repro/internal/panicsafe"
-	"repro/internal/retry"
 	"repro/internal/telemetry"
 )
 
@@ -83,8 +82,10 @@ type Result struct {
 	// ID echoes the target's identity, Seq its arrival index (0-based).
 	ID  string
 	Seq int
-	// Verdict is the classification outcome; meaningless when Err is
-	// set.
+	// Verdict is the classification outcome. When Err is a
+	// *shard.PartialError it is the degraded verdict over the
+	// surviving shards, exactly as detect.ClassifyBBSCtx returns it;
+	// under any other Err it is meaningless.
 	Verdict detect.Result
 	// Model is the built behavior model (nil for pre-built targets and
 	// for targets that failed before modeling finished).
@@ -119,12 +120,6 @@ type Config struct {
 	// buffer growing without bound. Cancellation still resolves and
 	// emits every accepted target, in order, before out closes.
 	Ordered bool
-	// Retries re-runs a target's failed modeling or scan per the
-	// policy before giving up on it. Only transient failures are
-	// retried — context cancellation and deadline expiry are final —
-	// and each re-run is counted under the stream_retries telemetry
-	// counter. The per-target deadline spans all attempts.
-	Retries retry.Policy
 }
 
 func (c Config) withDefaults() Config {
@@ -222,11 +217,7 @@ func Classify(ctx context.Context, det *detect.Detector, in <-chan Target, cfg C
 			defer wg.Done()
 			for it := range jobs {
 				if it.bbs == nil {
-					it.res.Err = withRetry(ctx, tel, cfg.Retries, func() error {
-						var err error
-						it.res.Model, err = buildOne(ctx, det, it.target, it.deadline)
-						return err
-					})
+					it.res.Model, it.res.Err = buildOne(ctx, det, it.target, it.deadline)
 					if it.res.Model != nil {
 						it.bbs = it.res.Model.BBS
 					}
@@ -246,11 +237,7 @@ func Classify(ctx context.Context, det *detect.Detector, in <-chan Target, cfg C
 		defer close(scanned)
 		for it := range queue {
 			if it.res.Err == nil {
-				it.res.Err = withRetry(ctx, tel, cfg.Retries, func() error {
-					var err error
-					it.res.Verdict, err = scanOne(ctx, det, it.res.ID, it.bbs, it.deadline)
-					return err
-				})
+				it.res.Verdict, it.res.Err = scanOne(ctx, det, it.res.ID, it.bbs, it.deadline)
 			}
 			if it.res.Err != nil {
 				tel.Inc(telemetry.StreamErrorResults)
@@ -295,13 +282,6 @@ func Classify(ctx context.Context, det *detect.Detector, in <-chan Target, cfg C
 	return out
 }
 
-// withRetry wraps one pipeline stage in the stream's retry policy,
-// counting each re-run. Context failures — including a target's own
-// deadline — are final.
-func withRetry(ctx context.Context, tel *telemetry.Collector, p retry.Policy, op func() error) error {
-	return p.Do(ctx, retry.Transient, func(int, error) { tel.Inc(telemetry.StreamRetries) }, op)
-}
-
 // buildOne models one target under panic isolation and the target's
 // deadline.
 func buildOne(ctx context.Context, det *detect.Detector, t Target, deadline time.Time) (*model.Model, error) {
@@ -329,7 +309,8 @@ func buildOne(ctx context.Context, det *detect.Detector, t Target, deadline time
 // scanOne classifies one modeled target under panic isolation and the
 // target's deadline. Panics below the engine's worker pool are already
 // recovered (and counted) inside the scan; the recovery here guards the
-// detect-layer code around it.
+// detect-layer code around it. A partial scan keeps its degraded result
+// alongside the error.
 func scanOne(ctx context.Context, det *detect.Detector, id string, bbs *model.CSTBBS, deadline time.Time) (detect.Result, error) {
 	sctx, cancel := deadlineCtx(ctx, deadline)
 	defer cancel()
@@ -343,7 +324,7 @@ func scanOne(ctx context.Context, det *detect.Detector, id string, bbs *model.CS
 		return err
 	}, func(*panicsafe.PanicError) { det.Telemetry.Inc(telemetry.PanicsRecovered) })
 	if err != nil {
-		return detect.Result{}, fmt.Errorf("stream: scanning %s: %w", id, err)
+		return res, fmt.Errorf("stream: scanning %s: %w", id, err)
 	}
 	return res, nil
 }

@@ -94,10 +94,6 @@ const (
 	// error result (panic, injected fault, cancellation) rather than a
 	// verdict.
 	StreamErrorResults
-	// StreamRetries counts per-target retry attempts in the streaming
-	// pipeline (stream.Config.Retries): each increment is one re-run of
-	// a target's modeling or scan after a transient error.
-	StreamRetries
 	// ShardScans counts per-shard scan calls issued by the coordinator:
 	// one per (target, shard) scatter.
 	ShardScans
@@ -159,18 +155,6 @@ const (
 	// with 429 (per-key token bucket empty, global concurrency cap
 	// saturated, or an injected serve.admit fault).
 	ServeRejected
-	// ServeRetries counts serve-layer re-runs of a failed unary
-	// classification (serve.Config.Retry): each increment is one
-	// additional attempt after a transient failure.
-	ServeRetries
-	// ServeHedges counts hedge attempts launched: a unary
-	// classification outlived serve.Config.Hedge and a parallel second
-	// attempt was started against the same target.
-	ServeHedges
-	// ServeHedgeWins counts hedged requests whose hedge attempt
-	// resolved first — the primary was genuinely slow, not just the
-	// timer short.
-	ServeHedgeWins
 	// ServeReloads counts successful POST /reload repository hot-swaps.
 	ServeReloads
 	// IndexClustersSkipped counts repository-index clusters whose whole
@@ -216,7 +200,6 @@ var counterNames = [numCounters]string{
 	DetectCancellations:          "detect_cancellations",
 	StreamTargets:                "stream_targets",
 	StreamErrorResults:           "stream_error_results",
-	StreamRetries:                "stream_retries",
 	ShardScans:                   "shard_scans",
 	ShardScanFailures:            "shard_scan_failures",
 	ShardRemoteRetries:           "shard_remote_retries",
@@ -232,9 +215,6 @@ var counterNames = [numCounters]string{
 	VCacheCollapsed:              "vcache_collapsed",
 	ServeRequests:                "serve_requests",
 	ServeRejected:                "serve_rejected",
-	ServeRetries:                 "serve_retries",
-	ServeHedges:                  "serve_hedges",
-	ServeHedgeWins:               "serve_hedge_wins",
 	ServeReloads:                 "serve_reloads",
 	IndexClustersSkipped:         "index_clusters_skipped",
 	IndexClustersDescended:       "index_clusters_descended",

@@ -8,6 +8,7 @@ package window_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/attacks"
@@ -15,6 +16,8 @@ import (
 	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/hpc"
+	"repro/internal/model"
+	"repro/internal/shard"
 	"repro/internal/window"
 )
 
@@ -266,5 +269,48 @@ func TestWindowEmitFailpoint(t *testing.T) {
 	}
 	if !out.Detected {
 		t.Fatal("attack lost because one emit failed")
+	}
+}
+
+// TestWindowKeepsPartialVerdict: a window whose scan degrades because
+// one in-process shard is dead keeps the surviving shards' verdict
+// alongside the *shard.PartialError — the same pair the detector
+// returns directly — and still counts as an errored window.
+func TestWindowKeepsPartialVerdict(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	det := detect.NewDetector(repo(t))
+	det.Shards = 2
+	poc := attacks.FlushReloadIAIK(attacks.DefaultParams())
+	tr, llc := collect(t, poc.Program, poc.Victim)
+	faultinject.Enable(faultinject.ShardScan,
+		faultinject.Match("1", faultinject.Error(errors.New("shard down"))))
+
+	m, err := model.BuildFromTrace(poc.Program, tr, llc, det.ModelCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, werr := det.ClassifyBBSCtx(context.Background(), m.BBS)
+	var pe *shard.PartialError
+	if !errors.As(werr, &pe) {
+		t.Fatalf("direct classification: err = %v, want a *shard.PartialError", werr)
+	}
+
+	verdicts, out := replayEvents(t, det, poc.Program, llc, tr.Events, window.Config{Size: tr.Cycles + 1})
+	if len(verdicts) != 1 {
+		t.Fatalf("%d windows for a full-trace window", len(verdicts))
+	}
+	v := verdicts[0]
+	if !errors.As(v.Err, &pe) {
+		t.Fatalf("window err = %v, want a *shard.PartialError", v.Err)
+	}
+	if !reflect.DeepEqual(v.Result, want) {
+		t.Errorf("windowed partial verdict diverged\n got %+v\nwant %+v", v.Result, want)
+	}
+	if v.Result.Predicted == "" || v.Result.Best.Name == "" || len(v.Result.Matches) == 0 {
+		t.Errorf("windowed partial verdict is empty: %+v", v.Result)
+	}
+	if out.Errors != 1 || out.Hits != 0 || out.FinalWindow != -1 {
+		t.Errorf("errored window counted as errors=%d hits=%d final=%d, want 1, 0, -1",
+			out.Errors, out.Hits, out.FinalWindow)
 	}
 }

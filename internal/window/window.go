@@ -125,10 +125,13 @@ type Verdict struct {
 	// windows that reached the similarity comparison.
 	Reason string
 	// Result is the detector's classification; quiet and gated windows
-	// carry the explicit benign result.
+	// carry the explicit benign result. A window whose scan degraded
+	// (Err wraps a *shard.PartialError) carries the verdict over the
+	// surviving shards.
 	Result detect.Result
-	// Err records a per-window failure (modeling fault, emit fault).
-	// The stream keeps flowing past an errored window.
+	// Err records a per-window failure (modeling fault, scan fault,
+	// emit fault). The stream keeps flowing past an errored window, and
+	// the Outcome counts it under Errors whatever its Result.
 	Err error
 }
 
@@ -317,12 +320,13 @@ func (d *Detector) classify(ctx context.Context, start, end uint64) Verdict {
 		v.Reason = reason
 		return v
 	}
+	// A partial scan keeps its degraded result alongside the error, as
+	// detect.ClassifyBBSCtx returns it; the error still marks the window.
 	res, err := d.det.ClassifyBBSCtx(ctx, m.BBS)
+	v.Result = res
 	if err != nil {
 		v.Err = fmt.Errorf("window: scanning [%d,%d): %w", start, end, err)
-		return v
 	}
-	v.Result = res
 	return v
 }
 

@@ -278,7 +278,9 @@ type (
 	ShardPolicy       = shard.Policy
 	ShardPartialError = shard.PartialError
 	ShardServerConfig = shard.ServerConfig
-	RetryPolicy       = retry.Policy
+	// RetryPolicy is the remote-shard RPC retry policy
+	// (Detector.ShardRetry), the one retry layer in the stack.
+	RetryPolicy = retry.Policy
 	// BreakerSettings tunes the per-replica circuit breakers of a
 	// replicated shard fleet (Detector.ShardBreaker); see
 	// internal/breaker and docs/ROBUSTNESS.md.
@@ -319,10 +321,10 @@ func ServeShard(repo *Repository, shards, index int, policy ShardPolicy, addr st
 // Detection-as-a-service front end (internal/serve): a long-lived
 // HTTP/JSON server fronting a detector — and through it, optionally, a
 // shard fleet — for many concurrent clients, with per-key admission
-// control (429 + Retry-After under overload), request hedging against
-// slow shards, zero-downtime repository hot-reload (POST /reload) and
-// graceful drain. This is what `scaguard serve` runs; the endpoint
-// reference and operator guide are in docs/SERVING.md.
+// control (429 + Retry-After under overload), zero-downtime repository
+// hot-reload (POST /reload) and graceful drain. This is what `scaguard
+// serve` runs; the endpoint reference and operator guide are in
+// docs/SERVING.md.
 type (
 	ServeConfig     = serve.Config
 	DetectionServer = serve.Server
