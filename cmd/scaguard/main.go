@@ -17,7 +17,7 @@
 //	scaguard classify -target ER-IAIK -result-cache 64
 //	scaguard classify -target ER-IAIK -shards 4
 //	scaguard classify -target ER-IAIK -fast -index
-//	scaguard shard-serve -shards 2 -shard-index 0 -addr :9101 -result-cache 256
+//	scaguard shard-serve -shards 2 -shard-index 0 -addr :9101
 //	scaguard classify -target ER-IAIK -shard-addrs 127.0.0.1:9101,127.0.0.1:9102
 //	scaguard classify -target ER-IAIK -shard-addrs '127.0.0.1:9101|127.0.0.1:9111,127.0.0.1:9102|127.0.0.1:9112'
 //	printf 'attack:FR-IAIK\nbenign:crypto/aes-ttable/7\n' | scaguard classify -stream
@@ -512,7 +512,7 @@ func cmdClassify(args []string) error {
 	}
 
 	if *stats {
-		tel.Flush().WriteReport(os.Stdout)
+		tel.Snapshot().WriteReport(os.Stdout)
 	}
 	if *metricsAddr != "" {
 		fmt.Fprintf(os.Stderr, "telemetry still served on %s — interrupt to exit\n", metricsURL)
@@ -553,7 +553,6 @@ func cmdShardServe(args []string) error {
 	policyName := fs.String("policy", "hash", "shard partition policy: hash (rendezvous) or rr (round-robin)")
 	addr := fs.String("addr", ":9101", "listen address (host:port; port 0 picks a free port)")
 	workers := fs.Int("workers", 0, "scan worker-pool size inside this shard (0 = GOMAXPROCS)")
-	resultCache := fs.Int("result-cache", 0, "memoize whole /scan replies for repeated targets in a bounded LRU of this many entries (0 = off)")
 	warmIndex := fs.Bool("index", false, "pre-build the medoid-prototype repository index over this shard's slice at startup, so the first indexed /scan skips the O(n²) construction (clients opt into indexed scans per request; see docs/INDEXING.md)")
 	indexClusters := fs.Int("index-clusters", 0, "with -index: cluster count of the pre-built index (0 = ~sqrt(N) default)")
 	if err := fs.Parse(args); err != nil {
@@ -566,7 +565,6 @@ func cmdShardServe(args []string) error {
 		fe.add("-shard-index %d out of range for %d shards", *shardIndex, *shards)
 	}
 	fe.nonNegative("workers", *workers)
-	fe.nonNegative("result-cache", *resultCache)
 	fe.nonNegative("index-clusters", *indexClusters)
 	if err := fe.err(); err != nil {
 		return err
@@ -580,7 +578,7 @@ func cmdShardServe(args []string) error {
 		return err
 	}
 	bound, shutdown, err := scaguard.ServeShard(det.Repo, *shards, *shardIndex, policy, *addr,
-		scaguard.ShardServerConfig{Workers: *workers, ResultCache: *resultCache, WarmIndex: *warmIndex, IndexClusters: *indexClusters})
+		scaguard.ShardServerConfig{Workers: *workers, WarmIndex: *warmIndex, IndexClusters: *indexClusters})
 	if err != nil {
 		return err
 	}
@@ -813,7 +811,7 @@ func cmdWatch(args []string) error {
 		fmt.Println("detected:  no")
 	}
 	if *stats {
-		tel.Flush().WriteReport(os.Stdout)
+		tel.Snapshot().WriteReport(os.Stdout)
 	}
 	return nil
 }

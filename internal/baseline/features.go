@@ -42,6 +42,7 @@ const FeatureDim = len(nwEvents)*2 + 2
 // for feature extraction. The budget caps runaway programs.
 func Collect(prog, victim *isa.Program, maxRetired uint64) (*exec.Trace, error) {
 	cfg := exec.DefaultConfig()
+	cfg.MaxSetTrace = exec.DefaultMaxSetTrace // SCADET reads the set trace
 	if maxRetired > 0 {
 		cfg.MaxRetired = maxRetired
 	}

@@ -32,10 +32,11 @@
 package detect
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -506,13 +507,13 @@ func (s *cachedScanner) key(bbs *model.CSTBBS) vcache.Key {
 // degraded sharded scan returning partial matches alongside a
 // *shard.PartialError — is passed through and never cached.
 func (s *cachedScanner) ScanCtx(ctx context.Context, bbs *model.CSTBBS) ([]scan.Match, error) {
-	res, _, err := s.cache.Do(ctx, s.key(bbs), func() (vcache.Result, bool, error) {
+	ms, _, err := s.cache.Do(ctx, s.key(bbs), func() ([]scan.Match, bool, error) {
 		ms, err := s.inner.ScanCtx(ctx, bbs)
-		return vcache.Result{Matches: ms, Best: math.Inf(1)}, err == nil, err
+		return ms, err == nil, err
 	})
-	// On a compute error Do returns the callback's Result verbatim, so
+	// On a compute error Do returns the callback's matches verbatim, so
 	// a degraded sharded scan keeps its usable partial matches here.
-	return res.Matches, err
+	return ms, err
 }
 
 // ScanBatchCtx routes each target through the cache individually. A
@@ -638,7 +639,8 @@ func (d *Detector) gated(bbs *model.CSTBBS) bool {
 
 // assemble turns the positional scan matches into a Result: named,
 // sorted best-first (stable, so equal scores keep repository order) and
-// thresholded.
+// thresholded. Scores are 1/(D+1), never NaN, so cmp.Compare orders
+// them exactly as the > comparison the serial reference sorts by.
 func (d *Detector) assemble(entries []Entry, ms []scan.Match) Result {
 	res := benignResult()
 	if len(ms) == 0 {
@@ -649,9 +651,7 @@ func (d *Detector) assemble(entries []Entry, ms []scan.Match) Result {
 		e := entries[m.Index]
 		res.Matches[i] = Match{Name: e.Name, Family: e.Family, Score: m.Score, Pruned: m.Pruned}
 	}
-	sort.SliceStable(res.Matches, func(i, j int) bool {
-		return res.Matches[i].Score > res.Matches[j].Score
-	})
+	slices.SortStableFunc(res.Matches, func(a, b Match) int { return cmp.Compare(b.Score, a.Score) })
 	res.Best = res.Matches[0]
 	if res.Best.Score >= d.Threshold {
 		res.Predicted = res.Best.Family

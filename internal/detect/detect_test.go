@@ -2,13 +2,16 @@ package detect
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/attacks"
 	"repro/internal/benign"
 	"repro/internal/model"
 	"repro/internal/mutate"
+	"repro/internal/scan"
 )
 
 // repoFR builds a repository containing one PoC per attack family, the
@@ -186,6 +189,34 @@ func TestMatchesSorted(t *testing.T) {
 	}
 	if res.Best != res.Matches[0] {
 		t.Error("Best must equal the first match")
+	}
+}
+
+// TestAssembleOrderMatchesSliceStable: assemble's best-first sort must
+// order random match lists — heavy score ties, pruned and exact entries
+// mixed — exactly as the sort.SliceStable reference does, so equal
+// scores keep repository order.
+func TestAssembleOrderMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	scores := []float64{0, 0.25, 1.0 / 3, 0.5, 1}
+	families := attacks.Families()
+	d := &Detector{Threshold: DefaultThreshold}
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(48)
+		entries := make([]Entry, n)
+		for i := range entries {
+			entries[i] = Entry{Name: fmt.Sprintf("e%d", i), Family: families[rng.Intn(len(families))]}
+		}
+		ms := make([]scan.Match, n)
+		want := make([]Match, n)
+		for i, idx := range rng.Perm(n) {
+			ms[i] = scan.Match{Index: idx, Score: scores[rng.Intn(len(scores))], Pruned: rng.Intn(3) == 0}
+			want[i] = Match{Name: entries[idx].Name, Family: entries[idx].Family, Score: ms[i].Score, Pruned: ms[i].Pruned}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Score > want[j].Score })
+		if got := d.assemble(entries, ms); !reflect.DeepEqual(got.Matches, want) {
+			t.Fatalf("trial %d: assemble order\n got %+v\nwant %+v", trial, got.Matches, want)
+		}
 	}
 }
 

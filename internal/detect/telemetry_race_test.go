@@ -2,7 +2,7 @@ package detect
 
 // Race test for the telemetry-instrumented classification path: several
 // goroutines drive ClassifyBatch while another mutates the repository
-// with Add, all with a live collector and sink attached. Run under
+// with Add, all with a live collector attached. Run under
 // `go test -race ./internal/detect` (part of `make race`); the
 // assertions additionally pin the snapshot consistency guarantees the
 // telemetry package promises — counters never move backwards between
@@ -10,7 +10,6 @@ package detect
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"testing"
 
@@ -31,7 +30,6 @@ func TestTelemetryRaceClassifyBatchVsAdd(t *testing.T) {
 	}
 
 	tel := telemetry.NewCollector()
-	tel.SetSink(&telemetry.WriterSink{W: io.Discard})
 	d := NewDetector(r)
 	d.Telemetry = tel
 
@@ -75,7 +73,7 @@ func TestTelemetryRaceClassifyBatchVsAdd(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < adds; i++ {
 				r.Add(fmt.Sprintf("race-extra-%d-%d", g, i), attacks.FamilyFR, extra)
-				tel.Flush() // exercise the sink concurrently with writers
+				tel.Snapshot() // snapshot concurrently with writers
 			}
 		}(g)
 	}

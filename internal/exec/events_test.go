@@ -43,6 +43,7 @@ func recordedRun(t *testing.T, prog, victim *isa.Program) *exec.Trace {
 	t.Helper()
 	cfg := exec.DefaultConfig()
 	cfg.RecordEvents = true
+	cfg.MaxSetTrace = exec.DefaultMaxSetTrace
 	m, err := exec.NewMachine(cfg, prog, victim)
 	if err != nil {
 		t.Fatal(err)

@@ -31,10 +31,10 @@ type Config struct {
 	// WindowWidth is the HPC sampling window in cycles.
 	WindowWidth uint64
 	// MaxSetTrace caps the cache-set trace (Trace.SetTrace), the
-	// chronological LLC-set log only the SCADET baseline reads. 0 selects
-	// DefaultMaxSetTrace; a positive value caps the log at that many
-	// entries; a negative value records no set trace at all, for callers
-	// whose trace never reaches a set-trace consumer.
+	// chronological LLC-set log only the SCADET baseline reads. The
+	// trace is opt-in: <= 0 records none, and a positive value records
+	// up to that many entries (DefaultMaxSetTrace for a set-trace
+	// consumer).
 	MaxSetTrace int
 	// RecordEvents enables the chronological event log (Trace.Events),
 	// the replayable record the sliding-window detector consumes. Off by
@@ -91,9 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Quantum <= 0 {
 		c.Quantum = DefaultQuantum
-	}
-	if c.MaxSetTrace == 0 {
-		c.MaxSetTrace = DefaultMaxSetTrace
 	}
 	if c.MaxEvents == 0 {
 		c.MaxEvents = DefaultMaxEvents

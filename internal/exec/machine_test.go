@@ -350,7 +350,8 @@ func TestWindowSampling(t *testing.T) {
 	}
 }
 
-func TestSetTraceRecorded(t *testing.T) {
+// setTraceProgram reads, writes and flushes one buffer.
+func setTraceProgram() *isa.Program {
 	b := isa.NewBuilder("st", 0)
 	buf := b.Bytes("buf", 256, false)
 	b.Mov(isa.R(isa.R1), isa.Imm(int64(buf))).
@@ -358,8 +359,17 @@ func TestSetTraceRecorded(t *testing.T) {
 		Mov(isa.Mem(isa.R1, 64), isa.Imm(1)).
 		Clflush(isa.Mem(isa.R1, 0)).
 		Hlt()
-	p := b.MustBuild()
-	tr, _ := run(t, p)
+	return b.MustBuild()
+}
+
+func TestSetTraceRecorded(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxSetTrace = DefaultMaxSetTrace
+	m, err := NewMachine(cfg, setTraceProgram(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := m.Run()
 	var reads, writes, flushes int
 	for _, e := range tr.SetTrace {
 		switch e.Kind {
@@ -373,6 +383,14 @@ func TestSetTraceRecorded(t *testing.T) {
 	}
 	if reads == 0 || writes == 0 || flushes != 1 {
 		t.Errorf("set trace r/w/f = %d/%d/%d", reads, writes, flushes)
+	}
+}
+
+// TestSetTraceOptIn: the set trace is opt-in — the default
+// configuration, which every modeling run uses, records none.
+func TestSetTraceOptIn(t *testing.T) {
+	if tr, _ := run(t, setTraceProgram()); len(tr.SetTrace) != 0 {
+		t.Fatalf("DefaultConfig recorded %d set-trace entries, want none", len(tr.SetTrace))
 	}
 }
 

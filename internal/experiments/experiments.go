@@ -100,6 +100,7 @@ func prepare(samples []dataset.Sample, cfg Config) ([]*Prepared, error) {
 		start := time.Now()
 		execCfg := cfg.Model.Exec
 		execCfg.MaxRetired = cfg.MaxRetired
+		execCfg.MaxSetTrace = exec.DefaultMaxSetTrace // SCADET reads the set trace
 		var others []*isa.Program
 		if s.Victim != nil {
 			others = append(others, s.Victim)

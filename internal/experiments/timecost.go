@@ -49,6 +49,7 @@ func MeasureTimeCost(config Config) (*TimeCost, error) {
 		start := time.Now()
 		execCfg := config.Model.Exec
 		execCfg.MaxRetired = config.MaxRetired
+		execCfg.MaxSetTrace = exec.DefaultMaxSetTrace // SCADET reads the set trace
 		machine, err := exec.NewMachine(execCfg, poc.Program, poc.Victim)
 		if err != nil {
 			return nil, err

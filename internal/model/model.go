@@ -199,11 +199,7 @@ func BuildCtx(ctx context.Context, prog *isa.Program, victim *isa.Program, confi
 	if err != nil {
 		return nil, fmt.Errorf("model: cfg: %w", err)
 	}
-	// The trace never leaves this function and modeling reads no
-	// cache-set trace, so the run records none.
-	execCfg := config.Exec
-	execCfg.MaxSetTrace = -1
-	machine, err := exec.NewMachine(execCfg, prog, victim)
+	machine, err := exec.NewMachine(config.Exec, prog, victim)
 	if err != nil {
 		return nil, fmt.Errorf("model: exec: %w", err)
 	}

@@ -73,7 +73,7 @@ func TestPipelineTotalOverRandomCorpus(t *testing.T) {
 // Modeling must be independent of whether the trace comes from Build's
 // own machine or a caller-provided one with identical configuration.
 // Build's private run records no cache-set trace while the caller's
-// keeps it, so this also pins that modeling never reads the set trace:
+// opts into one, so this also pins that modeling never reads the set trace:
 // for every PoC the two models are identical in every field.
 func TestBuildFromTraceMatchesBuild(t *testing.T) {
 	cfg := DefaultConfig()
@@ -86,7 +86,9 @@ func TestBuildFromTraceMatchesBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		machine, err := exec.NewMachine(cfg.Exec, poc.Program, poc.Victim)
+		execCfg := cfg.Exec
+		execCfg.MaxSetTrace = exec.DefaultMaxSetTrace
+		machine, err := exec.NewMachine(execCfg, poc.Program, poc.Victim)
 		if err != nil {
 			t.Fatal(err)
 		}

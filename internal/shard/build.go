@@ -9,7 +9,6 @@ import (
 	"repro/internal/breaker"
 	"repro/internal/model"
 	"repro/internal/scan"
-	"repro/internal/vcache"
 )
 
 // PartitionModels applies the router to the models' names, returning
@@ -110,7 +109,7 @@ func NewRemoteCoordinator(models []*model.CSTBBS, addrs []string, r Router, scfg
 		if err != nil {
 			return nil, err
 		}
-		slice := vcache.SliceHash(sliceModels(models, part))
+		slice := sliceHash(sliceModels(models, part))
 		replicas := make([]Shard, len(reps))
 		for j, a := range reps {
 			rs := NewRemoteShard(a, len(part), scfg, rcfg)

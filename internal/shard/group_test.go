@@ -18,7 +18,6 @@ import (
 	"repro/internal/scan"
 	"repro/internal/similarity"
 	"repro/internal/telemetry"
-	"repro/internal/vcache"
 )
 
 func TestSplitReplicas(t *testing.T) {
@@ -243,6 +242,26 @@ func TestReplicaAttemptTimeoutFailsOver(t *testing.T) {
 	scanEqual(t, "slow-replica failover", got, ref.Scan(target))
 }
 
+// TestSliceHashOrderAndContent: the slice fingerprint behind the
+// content handshake is sensitive to both membership and order — match
+// indices are positional, so a reordered slice is different content —
+// and, like vcache.TargetHash, ignores model names.
+func TestSliceHashOrderAndContent(t *testing.T) {
+	ms := corpus(rand.New(rand.NewSource(53)), 2)
+	a, b := ms[0], ms[1]
+	if sliceHash([]*model.CSTBBS{a, b}) == sliceHash([]*model.CSTBBS{b, a}) {
+		t.Fatal("sliceHash ignores order")
+	}
+	if sliceHash([]*model.CSTBBS{a}) == sliceHash([]*model.CSTBBS{a, b}) {
+		t.Fatal("sliceHash ignores membership")
+	}
+	renamed := *a
+	renamed.Name = "renamed"
+	if sliceHash([]*model.CSTBBS{a, b}) != sliceHash([]*model.CSTBBS{&renamed, b}) {
+		t.Fatal("sliceHash should ignore model names, matching vcache.TargetHash")
+	}
+}
+
 // TestCheckDetectsStaleReplica: a replica serving different content
 // (same entry count) fails the health handshake once the coordinator
 // states its expectation.
@@ -258,14 +277,14 @@ func TestCheckDetectsStaleReplica(t *testing.T) {
 	if err := rs.Check(context.Background()); err != nil {
 		t.Fatalf("entry-count-only check failed: %v", err)
 	}
-	rs.ExpectContent(7, vcache.SliceHash(fresh))
+	rs.ExpectContent(7, sliceHash(fresh))
 	err := rs.Check(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "stale") {
 		t.Fatalf("stale replica passed Check: %v", err)
 	}
 	// Matching content passes regardless of version skew (a front-end
 	// /reload bumps the version without changing the served models).
-	rs.ExpectContent(99, vcache.SliceHash(stale))
+	rs.ExpectContent(99, sliceHash(stale))
 	if err := rs.Check(context.Background()); err != nil {
 		t.Fatalf("content-identical replica failed Check: %v", err)
 	}

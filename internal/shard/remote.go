@@ -123,7 +123,7 @@ func (s *RemoteShard) Len() int { return s.expected }
 
 // ExpectContent records what this client believes the server serves:
 // the coordinator-side repository version and the slice's content
-// fingerprint (vcache.SliceHash over the shard's models). Check then
+// fingerprint (sliceHash over the shard's models). Check then
 // treats a mismatching server as unhealthy, so a replica restarted
 // against a stale repository is quarantined by the health prober
 // instead of silently answering with yesterday's attack models. Zero

@@ -2,6 +2,9 @@ package shard
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,20 +25,7 @@ type ServerConfig struct {
 	// Workers is each engine's worker-pool size; <= 0 selects
 	// GOMAXPROCS.
 	Workers int
-	// ResultCache, when > 0, memoizes whole /scan outcomes in a bounded
-	// LRU of that many entries (internal/vcache), keyed by the target's
-	// content hash, the served slice's fingerprint and the request's
-	// scan semantics. Repeated targets — the same binary classified by
-	// many clients, re-scored variant sweeps — are answered from memory,
-	// and concurrent identical requests collapse onto one scan. The
-	// served slice is immutable for the server's lifetime, so no
-	// invalidation is needed; exact-mode cached replies are
-	// bit-identical to uncached ones, and cutoff-pruned replies are
-	// cached as pruned (one valid pruned outcome, reused). See
-	// docs/SHARDING.md.
-	ResultCache int
-	// Telemetry optionally instruments the server's engines and result
-	// cache.
+	// Telemetry optionally instruments the server's engines.
 	Telemetry *telemetry.Collector
 	// Version is the serving repository's version, advertised on
 	// /healthz so coordinators can spot a replica loaded from a stale
@@ -65,11 +55,8 @@ type Server struct {
 	cfg    ServerConfig
 	cache  *scan.DistCache
 
-	// results memoizes whole /scan outcomes (nil when ResultCache is
-	// off). sliceHash — always computed — keys cache entries to this
-	// exact served slice and is advertised on /healthz as the content
-	// fingerprint behind the staleness handshake.
-	results   *vcache.Cache
+	// sliceHash fingerprints the served slice; /healthz advertises it
+	// as the content fingerprint behind the staleness handshake.
 	sliceHash string
 
 	// engines memoizes one engine per distinct scan semantics a client
@@ -92,21 +79,13 @@ func NewServer(models []*model.CSTBBS, cfg ServerConfig) *Server {
 		cache:   scan.NewDistCache(),
 		engines: make(map[scan.Semantics]*scan.Engine),
 	}
-	s.sliceHash = vcache.SliceHash(s.models)
-	if cfg.ResultCache > 0 {
-		s.results = vcache.New(cfg.ResultCache, cfg.Telemetry)
-		cfg.Telemetry.RegisterGauges("shard_vcache", s.results.TelemetryGauges)
-	}
+	s.sliceHash = sliceHash(s.models)
 	if cfg.WarmIndex {
 		s.engine(scan.Config{Prune: true, Index: true, IndexClusters: cfg.IndexClusters,
 			Sim: similarity.DefaultOptions()}.Semantics())
 	}
 	return s
 }
-
-// ResultCacheLen returns the number of memoized /scan outcomes (0 when
-// result caching is off), for diagnostics and tests.
-func (s *Server) ResultCacheLen() int { return s.results.Len() }
 
 // Len returns the number of entries in the served slice.
 func (s *Server) Len() int { return len(s.models) }
@@ -145,18 +124,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad scan request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	bbs := fromWireBBS(req.Target)
-	sem := req.semantics()
-
-	// The result cache sits in front of the whole scan path: a repeated
-	// target is answered from memory (no engine, no cutoff cell, no
-	// scan-id registration — /cutoff broadcasts for its id are no-ops by
-	// design), and concurrent identical requests collapse onto one scan.
-	// A nil cache passes straight through to scanOnce.
-	key := vcache.Key{Target: vcache.TargetHash(bbs), Slice: s.sliceHash, Semantics: sem}
-	res, _, err := s.results.Do(r.Context(), key, func() (vcache.Result, bool, error) {
-		return s.scanOnce(r.Context(), req, sem, bbs)
-	})
+	ms, best, err := s.scanOnce(r.Context(), req)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -166,23 +134,25 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "scan failed: "+err.Error(), status)
 		return
 	}
-	resp := scanResponse{Matches: make([]wireMatch, len(res.Matches))}
-	for i, m := range res.Matches {
+	resp := scanResponse{Matches: make([]wireMatch, len(ms))}
+	for i, m := range ms {
 		resp.Matches[i] = wireMatch{Index: m.Index, Score: m.Score, Pruned: m.Pruned}
 	}
-	if !math.IsInf(res.Best, 1) {
-		best := res.Best
+	if !math.IsInf(best, 1) {
 		resp.Best = &best
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// scanOnce runs one actual slice scan for a /scan request: pick the
-// memoized engine for the requested semantics, seed the pruning cutoff,
-// register the scan id for mid-flight /cutoff broadcasts, scan.
-func (s *Server) scanOnce(ctx context.Context, req scanRequest, sem scan.Semantics, bbs *model.CSTBBS) (vcache.Result, bool, error) {
-	eng := s.engine(sem)
+// scanOnce runs one slice scan for a /scan request: pick the memoized
+// engine for the requested semantics, seed the pruning cutoff, register
+// the scan id for mid-flight /cutoff broadcasts, scan. best is the
+// cutoff cell's final best exact distance (+Inf when pruning was off or
+// nothing scored), which the reply carries for cross-shard cutoff
+// folding.
+func (s *Server) scanOnce(ctx context.Context, req scanRequest) (ms []scan.Match, best float64, err error) {
+	eng := s.engine(req.semantics())
 
 	cut := scan.NewCutoff()
 	if req.Cutoff != nil {
@@ -208,11 +178,11 @@ func (s *Server) scanOnce(ctx context.Context, req scanRequest, sem scan.Semanti
 		}
 	}
 
-	ms, err := eng.ScanCutoffCtx(ctx, bbs, cut)
+	ms, err = eng.ScanCutoffCtx(ctx, fromWireBBS(req.Target), cut)
 	if err != nil {
-		return vcache.Result{}, false, err
+		return nil, 0, err
 	}
-	return vcache.Result{Matches: ms, Best: cut.Best()}, true, nil
+	return ms, cut.Best(), nil
 }
 
 func (s *Server) handleCutoff(w http.ResponseWriter, r *http.Request) {
@@ -274,4 +244,19 @@ func (s *Server) Serve(addr string) (bound string, shutdown func(context.Context
 		}
 		return err
 	}, nil
+}
+
+// sliceHash fingerprints an ordered repository slice as the hash of its
+// models' content hashes (vcache.TargetHash), sensitive to membership
+// and order. Servers advertise it on /healthz and coordinators expect
+// it, so a replica serving other content probes stale.
+func sliceHash(models []*model.CSTBBS) string {
+	h := sha256.New()
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(len(models)))
+	h.Write(buf[:])
+	for _, m := range models {
+		h.Write([]byte(vcache.TargetHash(m)))
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -92,7 +92,7 @@ type cutoffRequest struct {
 // healthResponse is GET /healthz: the shard's view of its slice, so
 // clients can cross-check the partition agreement before trusting it.
 // Beyond the entry count it carries the serving repository's version
-// and the slice's content fingerprint (vcache.SliceHash), so a
+// and the slice's content fingerprint (sliceHash), so a
 // coordinator can tell a live-but-stale replica from a healthy one
 // (RemoteShard.ExpectContent). Zero/empty values mean "unknown" and
 // skip the comparison, keeping old servers healthy under new clients.

@@ -9,24 +9,6 @@ import (
 	"time"
 )
 
-func TestExpvarSinkDuplicateNameDoesNotPanic(t *testing.T) {
-	a := NewExpvarSink("telemetry_dup_sink")
-	b := NewExpvarSink("telemetry_dup_sink") // would panic before the registry
-	if a != b {
-		t.Error("duplicate name did not return the original sink")
-	}
-	c := NewCollector()
-	c.SetSink(b)
-	c.Inc(ScanTargets)
-	c.Flush()
-	a.mu.Lock()
-	got := a.last.Counters["scan_targets"]
-	a.mu.Unlock()
-	if got != 1 {
-		t.Errorf("shared sink did not observe flush: %d", got)
-	}
-}
-
 func TestPrometheusExposition(t *testing.T) {
 	c := NewCollector()
 	c.Add(ScanEntriesExact, 6)

@@ -21,9 +21,9 @@
 //
 // Snapshot() assembles a consistent-enough view for export: counters
 // are read atomically one by one (each value is exact; sums across
-// counters may be mid-update by design), histograms likewise. Sinks
-// (sink.go) take snapshots out of the process: a no-op default, a JSON
-// writer, an expvar publisher and an HTTP handler.
+// counters may be mid-update by design), histograms likewise. Handler
+// and Serve (http.go) take snapshots out of the process as JSON or
+// Prometheus text, and Snapshot.WriteReport prints one for a human.
 package telemetry
 
 import (
@@ -341,10 +341,9 @@ type Collector struct {
 
 	mu     sync.Mutex
 	gauges map[string]GaugeFunc
-	sink   Sink
 }
 
-// NewCollector returns an empty collector with the no-op sink.
+// NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
 // Inc adds one to a counter.
@@ -407,31 +406,4 @@ func (c *Collector) RegisterGauges(name string, fn GaugeFunc) {
 		c.gauges = make(map[string]GaugeFunc)
 	}
 	c.gauges[name] = fn
-}
-
-// SetSink attaches the sink Flush emits snapshots to. A nil sink
-// restores the no-op default.
-func (c *Collector) SetSink(s Sink) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sink = s
-}
-
-// Flush takes a snapshot and emits it to the attached sink (no-op sink
-// by default). It returns the snapshot so call sites can reuse it.
-func (c *Collector) Flush() Snapshot {
-	snap := c.Snapshot()
-	if c == nil {
-		return snap
-	}
-	c.mu.Lock()
-	sink := c.sink
-	c.mu.Unlock()
-	if sink != nil {
-		sink.Emit(snap)
-	}
-	return snap
 }

@@ -1,9 +1,7 @@
 package telemetry
 
 import (
-	"bytes"
 	"encoding/json"
-	"expvar"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -21,11 +19,10 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	c.Observe(StageScan, time.Millisecond)
 	c.ObserveSince(StageScan, c.Now())
 	c.RegisterGauges("x", func() map[string]uint64 { return nil })
-	c.SetSink(NopSink{})
 	if got := c.Counter(ScanTargets); got != 0 {
 		t.Fatalf("nil collector counter = %d", got)
 	}
-	snap := c.Flush()
+	snap := c.Snapshot()
 	if len(snap.Counters) != 0 && snap.Counters[ScanTargets.String()] != 0 {
 		t.Fatalf("nil collector snapshot not empty: %+v", snap)
 	}
@@ -140,45 +137,6 @@ func TestObserveSinceZeroStartRecordsNothing(t *testing.T) {
 	}
 }
 
-func TestWriterSinkEmitsJSONLines(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewCollector()
-	c.SetSink(&WriterSink{W: &buf})
-	c.Inc(ScanTargets)
-	c.Flush()
-	c.Flush()
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
-	}
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(lines[0]), &snap); err != nil {
-		t.Fatalf("line not JSON: %v", err)
-	}
-	if snap.Counters["scan_targets"] != 1 {
-		t.Fatalf("decoded snapshot wrong: %+v", snap.Counters)
-	}
-}
-
-func TestExpvarSink(t *testing.T) {
-	c := NewCollector()
-	sink := NewExpvarSink("telemetry_test_sink")
-	c.SetSink(sink)
-	c.Add(ScanEntriesExact, 5)
-	c.Flush()
-	v := expvar.Get("telemetry_test_sink")
-	if v == nil {
-		t.Fatal("expvar name not published")
-	}
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
-		t.Fatalf("expvar value not a JSON snapshot: %v", err)
-	}
-	if snap.Counters["scan_entries_exact"] != 5 {
-		t.Fatalf("expvar snapshot wrong: %+v", snap.Counters)
-	}
-}
-
 func TestHTTPHandlerServesLiveSnapshot(t *testing.T) {
 	c := NewCollector()
 	c.Add(ScanEntriesExact, 3)
@@ -202,7 +160,7 @@ func TestHTTPHandlerServesLiveSnapshot(t *testing.T) {
 	if snap := get(); snap.Counters["scan_entries_exact"] != 3 {
 		t.Fatalf("snapshot = %+v", snap.Counters)
 	}
-	c.Add(ScanEntriesExact, 2) // live: no Flush needed
+	c.Add(ScanEntriesExact, 2) // live: every request takes a fresh snapshot
 	if snap := get(); snap.Counters["scan_entries_exact"] != 5 {
 		t.Fatalf("snapshot not live: %+v", snap.Counters)
 	}

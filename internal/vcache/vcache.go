@@ -6,16 +6,14 @@
 // contents and the scan semantics, so the entire match list can be
 // reused instead of recomputed.
 //
-// A cache entry is keyed by Key: the target's CST-BBS content hash,
-// the repository version that produced the result, an optional
-// served-slice fingerprint (shard servers, which scan a fixed slice
-// rather than a versioned repository), and the scan.Semantics value
-// (pruning, index mode, DTW window, term weights). Any repository
-// mutation bumps the
-// version, so stale results are unreachable by construction — no
-// explicit invalidation path exists or is needed. See
-// docs/ROBUSTNESS.md for the coherence argument, including why pruned
-// results are safe to reuse.
+// It is the detector's memo (detect.Detector.ResultCache), the one
+// verdict cache in the stack. A cache entry is keyed by Key: the
+// target's CST-BBS content hash, the repository version that produced
+// the result, and the scan.Semantics value (pruning, index mode, DTW
+// window, term weights). Any repository mutation bumps the version, so
+// stale results are unreachable by construction — no explicit
+// invalidation path exists or is needed. See docs/ROBUSTNESS.md for the
+// coherence argument, including why pruned results are safe to reuse.
 //
 // Concurrent identical lookups collapse onto one computation
 // (singleflight): a thundering herd of the same binary costs one scan,
@@ -53,13 +51,8 @@ type Key struct {
 	// it, so renamed-but-identical binaries share an entry.
 	Target string
 	// Version is the repository version the result was computed against
-	// (Repository.Add bumps it, invalidating every older entry). Shard
-	// servers, whose slice is immutable, leave it zero and key on Slice
-	// instead.
+	// (Repository.Add bumps it, invalidating every older entry).
 	Version uint64
-	// Slice fingerprints the served repository slice (SliceHash) for
-	// shard-side caching; empty for whole-repository scans.
-	Slice string
 	// Semantics is the scan semantics (pruning, the repository-index
 	// mode, the similarity options), in the canonical form
 	// scan.Config.Semantics builds: each changes which entries a scan
@@ -69,42 +62,26 @@ type Key struct {
 	Semantics scan.Semantics
 }
 
-// Result is one memoized scan outcome.
-type Result struct {
-	// Matches is the positional match list the scan produced. Pruned
-	// entries stay pruned: a cached pruned result is one valid outcome
-	// of a pruned scan, and exact-mode results are bit-identical by
-	// construction.
-	Matches []scan.Match
-	// Best is the final best exact distance of the scan's cutoff cell
-	// (+Inf when pruning was off or nothing scored). Shard servers
-	// return it to clients so a cached reply still tightens the
-	// caller's cross-shard cutoff.
-	Best float64
-}
-
-// clone returns a copy whose match slice is independent of r's.
-func (r Result) clone() Result {
-	return Result{Matches: scan.CloneMatches(r.Matches), Best: r.Best}
-}
-
-// Compute produces the outcome for a missing key. cacheable reports
-// whether the result may be stored — return false for outcomes that
-// must not be reused (partial results of a degraded sharded scan).
-// Errors are never cached regardless of cacheable.
-type Compute func() (res Result, cacheable bool, err error)
+// Compute produces the positional match list for a missing key.
+// Pruned entries stay pruned: a cached pruned result is one valid
+// outcome of a pruned scan, and exact-mode results are bit-identical by
+// construction. cacheable reports whether the result may be stored —
+// return false for outcomes that must not be reused (partial results of
+// a degraded sharded scan). Errors are never cached regardless of
+// cacheable.
+type Compute func() (ms []scan.Match, cacheable bool, err error)
 
 // flight is one in-progress computation other lookups can wait on.
 type flight struct {
 	done chan struct{}
-	res  Result
+	ms   []scan.Match
 	err  error
 }
 
 // entry is one LRU slot.
 type entry struct {
 	key Key
-	res Result
+	ms  []scan.Match
 }
 
 // Cache is the bounded LRU + singleflight store. All methods are safe
@@ -146,35 +123,35 @@ func New(capacity int, tel *telemetry.Collector) *Cache {
 // The vcache.lookup failpoint fires before the lookup; an injected
 // error bypasses the cache for this call (counted as a miss) — the scan
 // still runs and the classification still succeeds.
-func (c *Cache) Do(ctx context.Context, key Key, compute Compute) (Result, bool, error) {
+func (c *Cache) Do(ctx context.Context, key Key, compute Compute) ([]scan.Match, bool, error) {
 	if c == nil {
-		res, _, err := compute()
-		return res, false, err
+		ms, _, err := compute()
+		return ms, false, err
 	}
 	if ferr := faultinject.Fire(faultinject.VCacheLookup, key.Target); ferr != nil {
 		c.tel.Inc(telemetry.VCacheMisses)
-		res, _, err := compute()
-		return res, false, err
+		ms, _, err := compute()
+		return ms, false, err
 	}
 	for {
 		c.mu.Lock()
 		if el, ok := c.items[key]; ok {
 			c.lru.MoveToFront(el)
-			res := el.Value.(*entry).res.clone()
+			ms := scan.CloneMatches(el.Value.(*entry).ms)
 			c.mu.Unlock()
 			c.tel.Inc(telemetry.VCacheHits)
-			return res, true, nil
+			return ms, true, nil
 		}
 		if f, ok := c.flights[key]; ok {
 			c.mu.Unlock()
 			select {
 			case <-ctx.Done():
-				return Result{}, false, ctx.Err()
+				return nil, false, ctx.Err()
 			case <-f.done:
 			}
 			if f.err == nil {
 				c.tel.Inc(telemetry.VCacheCollapsed)
-				return f.res.clone(), true, nil
+				return scan.CloneMatches(f.ms), true, nil
 			}
 			// The leader failed (its context died, a shard fault...);
 			// its error may not apply to this caller, so loop and
@@ -186,28 +163,28 @@ func (c *Cache) Do(ctx context.Context, key Key, compute Compute) (Result, bool,
 		c.mu.Unlock()
 
 		c.tel.Inc(telemetry.VCacheMisses)
-		res, cacheable, err := compute()
-		f.res, f.err = res, err
+		ms, cacheable, err := compute()
+		f.ms, f.err = ms, err
 		c.mu.Lock()
 		delete(c.flights, key)
 		if err == nil && cacheable {
-			c.storeLocked(key, res.clone())
+			c.storeLocked(key, scan.CloneMatches(ms))
 		}
 		c.mu.Unlock()
 		close(f.done)
-		return res, false, err
+		return ms, false, err
 	}
 }
 
 // storeLocked inserts (or refreshes) an entry and evicts from the LRU
 // tail past capacity. Caller holds c.mu.
-func (c *Cache) storeLocked(key Key, res Result) {
+func (c *Cache) storeLocked(key Key, ms []scan.Match) {
 	if el, ok := c.items[key]; ok {
-		el.Value.(*entry).res = res
+		el.Value.(*entry).ms = ms
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.lru.PushFront(&entry{key: key, res: res})
+	c.items[key] = c.lru.PushFront(&entry{key: key, ms: ms})
 	for len(c.items) > c.cap {
 		back := c.lru.Back()
 		c.lru.Remove(back)
@@ -279,21 +256,6 @@ func TargetHash(bbs *model.CSTBBS) string {
 		for _, insn := range c.NormInsns {
 			str(insn)
 		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// SliceHash fingerprints an ordered repository slice as the hash of its
-// models' content hashes. Shard servers key their cache on it so a
-// cached reply can only ever be served for the exact slice (content and
-// order) that produced it.
-func SliceHash(models []*model.CSTBBS) string {
-	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(models)))
-	h.Write(buf[:])
-	for _, m := range models {
-		h.Write([]byte(TargetHash(m)))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -20,8 +20,19 @@ func key(target string) Key {
 	return Key{Target: target, Version: 1, Semantics: scan.Config{Sim: similarity.DefaultOptions()}.Semantics()}
 }
 
-func fixed(res Result) Compute {
-	return func() (Result, bool, error) { return res, true, nil }
+func fixed(ms []scan.Match) Compute {
+	return func() ([]scan.Match, bool, error) { return ms, true, nil }
+}
+
+// one is a single-match outcome whose score tags which compute made it.
+func one(score float64) []scan.Match { return []scan.Match{{Score: score}} }
+
+// scoreOf reads the tag back (-1 for an empty outcome).
+func scoreOf(ms []scan.Match) float64 {
+	if len(ms) == 0 {
+		return -1
+	}
+	return ms[0].Score
 }
 
 // TestNilCacheIsOff: every method on a nil *Cache degrades to
@@ -34,12 +45,12 @@ func TestNilCacheIsOff(t *testing.T) {
 	}
 	calls := 0
 	for i := 0; i < 2; i++ {
-		res, hit, err := c.Do(context.Background(), key("t"), func() (Result, bool, error) {
+		ms, hit, err := c.Do(context.Background(), key("t"), func() ([]scan.Match, bool, error) {
 			calls++
-			return Result{Best: 7}, true, nil
+			return one(7), true, nil
 		})
-		if err != nil || hit || res.Best != 7 {
-			t.Fatalf("nil Do = %+v hit=%v err=%v", res, hit, err)
+		if err != nil || hit || scoreOf(ms) != 7 {
+			t.Fatalf("nil Do = %+v hit=%v err=%v", ms, hit, err)
 		}
 	}
 	if calls != 2 {
@@ -57,17 +68,17 @@ func TestHitMissAndTelemetry(t *testing.T) {
 	c := New(4, tel)
 	tel.RegisterGauges("vcache", c.TelemetryGauges)
 
-	want := Result{Matches: []scan.Match{{Index: 0, Score: 0.5}}, Best: 1}
-	res, hit, err := c.Do(context.Background(), key("a"), fixed(want))
+	want := []scan.Match{{Index: 0, Score: 0.5}}
+	ms, hit, err := c.Do(context.Background(), key("a"), fixed(want))
 	if err != nil || hit {
 		t.Fatalf("first Do hit=%v err=%v", hit, err)
 	}
-	res, hit, err = c.Do(context.Background(), key("a"), func() (Result, bool, error) {
+	ms, hit, err = c.Do(context.Background(), key("a"), func() ([]scan.Match, bool, error) {
 		t.Fatal("compute ran on a cached key")
-		return Result{}, false, nil
+		return nil, false, nil
 	})
-	if err != nil || !hit || len(res.Matches) != 1 || res.Matches[0] != want.Matches[0] || res.Best != 1 {
-		t.Fatalf("cached Do = %+v hit=%v err=%v", res, hit, err)
+	if err != nil || !hit || len(ms) != 1 || ms[0] != want[0] {
+		t.Fatalf("cached Do = %+v hit=%v err=%v", ms, hit, err)
 	}
 	if h, m := tel.Counter(telemetry.VCacheHits), tel.Counter(telemetry.VCacheMisses); h != 1 || m != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1", h, m)
@@ -82,15 +93,15 @@ func TestHitMissAndTelemetry(t *testing.T) {
 // match slice must not corrupt the cached entry or other callers.
 func TestReturnedSlicesAreIndependent(t *testing.T) {
 	c := New(2, nil)
-	stored := Result{Matches: []scan.Match{{Index: 3, Score: 0.25}}}
+	stored := []scan.Match{{Index: 3, Score: 0.25}}
 	if _, _, err := c.Do(context.Background(), key("a"), fixed(stored)); err != nil {
 		t.Fatal(err)
 	}
-	res1, _, _ := c.Do(context.Background(), key("a"), fixed(Result{}))
-	res1.Matches[0].Score = -99
-	res2, _, _ := c.Do(context.Background(), key("a"), fixed(Result{}))
-	if res2.Matches[0].Score != 0.25 {
-		t.Fatalf("cached entry corrupted through a returned slice: %+v", res2.Matches[0])
+	ms1, _, _ := c.Do(context.Background(), key("a"), fixed(nil))
+	ms1[0].Score = -99
+	ms2, _, _ := c.Do(context.Background(), key("a"), fixed(nil))
+	if ms2[0].Score != 0.25 {
+		t.Fatalf("cached entry corrupted through a returned slice: %+v", ms2[0])
 	}
 }
 
@@ -101,11 +112,11 @@ func TestLRUEviction(t *testing.T) {
 	c := New(2, tel)
 	ctx := context.Background()
 	for _, k := range []string{"a", "b"} {
-		c.Do(ctx, key(k), fixed(Result{}))
+		c.Do(ctx, key(k), fixed(nil))
 	}
 	// Touch "a" so "b" is the LRU victim.
-	c.Do(ctx, key("a"), fixed(Result{}))
-	c.Do(ctx, key("c"), fixed(Result{}))
+	c.Do(ctx, key("a"), fixed(nil))
+	c.Do(ctx, key("c"), fixed(nil))
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
@@ -113,14 +124,14 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatalf("evictions = %d, want 1", n)
 	}
 	recomputed := false
-	c.Do(ctx, key("b"), func() (Result, bool, error) {
+	c.Do(ctx, key("b"), func() ([]scan.Match, bool, error) {
 		recomputed = true
-		return Result{}, false, nil // probe only; don't disturb the LRU
+		return nil, false, nil // probe only; don't disturb the LRU
 	})
 	if !recomputed {
 		t.Fatal("evicted key still served from cache")
 	}
-	if _, hit, _ := c.Do(ctx, key("a"), fixed(Result{})); !hit {
+	if _, hit, _ := c.Do(ctx, key("a"), fixed(nil)); !hit {
 		t.Fatal("recently used key was evicted instead of the LRU one")
 	}
 }
@@ -133,22 +144,22 @@ func TestErrorsAndUncacheableResultsNotStored(t *testing.T) {
 	c := New(4, nil)
 	ctx := context.Background()
 	boom := errors.New("shard down")
-	partial := Result{Matches: []scan.Match{{Index: 1, Score: 0.5}}}
+	partial := []scan.Match{{Index: 1, Score: 0.5}}
 
-	res, hit, err := c.Do(ctx, key("err"), func() (Result, bool, error) {
+	ms, hit, err := c.Do(ctx, key("err"), func() ([]scan.Match, bool, error) {
 		return partial, false, boom
 	})
 	if !errors.Is(err, boom) || hit {
 		t.Fatalf("Do = hit=%v err=%v", hit, err)
 	}
-	if len(res.Matches) != 1 {
+	if len(ms) != 1 {
 		t.Fatal("partial matches dropped on the error path")
 	}
-	res, hit, err = c.Do(ctx, key("partial"), func() (Result, bool, error) {
+	ms, hit, err = c.Do(ctx, key("partial"), func() ([]scan.Match, bool, error) {
 		return partial, false, nil // uncacheable but successful
 	})
-	if err != nil || hit || len(res.Matches) != 1 {
-		t.Fatalf("uncacheable Do = %+v hit=%v err=%v", res, hit, err)
+	if err != nil || hit || len(ms) != 1 {
+		t.Fatalf("uncacheable Do = %+v hit=%v err=%v", ms, hit, err)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("Len = %d after error + uncacheable computes, want 0", c.Len())
@@ -172,13 +183,13 @@ func TestSingleflightCollapse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			arrived <- struct{}{}
-			res, _, err := c.Do(context.Background(), key("hot"), func() (Result, bool, error) {
+			ms, _, err := c.Do(context.Background(), key("hot"), func() ([]scan.Match, bool, error) {
 				computes.Add(1)
 				<-release // hold the flight open until everyone queued
-				return Result{Best: 42}, true, nil
+				return one(42), true, nil
 			})
-			if err != nil || res.Best != 42 {
-				t.Errorf("collapsed Do = %+v, %v", res, err)
+			if err != nil || scoreOf(ms) != 42 {
+				t.Errorf("collapsed Do = %+v, %v", ms, err)
 			}
 		}()
 	}
@@ -213,20 +224,20 @@ func TestFailedFlightDoesNotPoisonWaiters(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, leaderErr = c.Do(context.Background(), key("k"), func() (Result, bool, error) {
+		_, _, leaderErr = c.Do(context.Background(), key("k"), func() ([]scan.Match, bool, error) {
 			close(leaderIn)
 			<-release
-			return Result{}, false, errors.New("leader's private failure")
+			return nil, false, errors.New("leader's private failure")
 		})
 	}()
 	<-leaderIn
 	waiterDone := make(chan error, 1)
 	go func() {
-		res, _, err := c.Do(context.Background(), key("k"), func() (Result, bool, error) {
-			return Result{Best: 9}, true, nil
+		ms, _, err := c.Do(context.Background(), key("k"), func() ([]scan.Match, bool, error) {
+			return one(9), true, nil
 		})
-		if err == nil && res.Best != 9 {
-			err = fmt.Errorf("waiter got %+v", res)
+		if err == nil && scoreOf(ms) != 9 {
+			err = fmt.Errorf("waiter got %+v", ms)
 		}
 		waiterDone <- err
 	}()
@@ -248,15 +259,15 @@ func TestWaiterHonorsContext(t *testing.T) {
 	leaderIn := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	go c.Do(context.Background(), key("k"), func() (Result, bool, error) {
+	go c.Do(context.Background(), key("k"), func() ([]scan.Match, bool, error) {
 		close(leaderIn)
 		<-release
-		return Result{}, true, nil
+		return nil, true, nil
 	})
 	<-leaderIn
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := c.Do(ctx, key("k"), fixed(Result{}))
+	_, _, err := c.Do(ctx, key("k"), fixed(nil))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -270,25 +281,25 @@ func TestLookupFaultBypassesCache(t *testing.T) {
 	tel := telemetry.NewCollector()
 	c := New(4, tel)
 	ctx := context.Background()
-	c.Do(ctx, key("a"), fixed(Result{Best: 1}))
+	c.Do(ctx, key("a"), fixed(one(1)))
 
 	faultinject.Enable(faultinject.VCacheLookup, faultinject.Error(errors.New("cache unavailable")))
 	calls := 0
-	res, hit, err := c.Do(ctx, key("a"), func() (Result, bool, error) {
+	ms, hit, err := c.Do(ctx, key("a"), func() ([]scan.Match, bool, error) {
 		calls++
-		return Result{Best: 2}, true, nil
+		return one(2), true, nil
 	})
-	if err != nil || hit || calls != 1 || res.Best != 2 {
-		t.Fatalf("bypassed Do = %+v hit=%v err=%v calls=%d", res, hit, err, calls)
+	if err != nil || hit || calls != 1 || scoreOf(ms) != 2 {
+		t.Fatalf("bypassed Do = %+v hit=%v err=%v calls=%d", ms, hit, err, calls)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("bypassed compute was stored: Len = %d", c.Len())
 	}
 	faultinject.Reset()
 	// With the fault gone the original cached entry is intact.
-	res, hit, _ = c.Do(ctx, key("a"), fixed(Result{}))
-	if !hit || res.Best != 1 {
-		t.Fatalf("post-fault lookup = %+v hit=%v", res, hit)
+	ms, hit, _ = c.Do(ctx, key("a"), fixed(nil))
+	if !hit || scoreOf(ms) != 1 {
+		t.Fatalf("post-fault lookup = %+v hit=%v", ms, hit)
 	}
 }
 
@@ -351,22 +362,6 @@ func TestTargetHashProperties(t *testing.T) {
 	}
 }
 
-// TestSliceHashOrderAndContent: the slice fingerprint is sensitive to
-// both membership and order — a reordered slice is a different cache
-// universe, because match indices are positional.
-func TestSliceHashOrderAndContent(t *testing.T) {
-	a, b := bbsFixture("a", 0.25), bbsFixture("b", 0.75)
-	if SliceHash([]*model.CSTBBS{a, b}) == SliceHash([]*model.CSTBBS{b, a}) {
-		t.Fatal("SliceHash ignores order")
-	}
-	if SliceHash([]*model.CSTBBS{a}) == SliceHash([]*model.CSTBBS{a, b}) {
-		t.Fatal("SliceHash ignores membership")
-	}
-	if SliceHash([]*model.CSTBBS{a, b}) != SliceHash([]*model.CSTBBS{bbsFixture("renamed", 0.25), b}) {
-		t.Fatal("SliceHash should ignore model names, matching TargetHash")
-	}
-}
-
 // TestKeySemanticsSeparateEntries: different versions and scan
 // semantics never share an entry.
 func TestKeySemanticsSeparateEntries(t *testing.T) {
@@ -384,16 +379,14 @@ func TestKeySemanticsSeparateEntries(t *testing.T) {
 	w.Semantics.Sim.Window = 9
 	isw := base
 	isw.Semantics.Sim.ISWeight = 0.9
-	sl := base
-	sl.Slice = "deadbeef"
-	mutants = append(mutants, v2, pr, idx, w, isw, sl)
+	mutants = append(mutants, v2, pr, idx, w, isw)
 	for i, k := range mutants {
-		res, hit, _ := c.Do(ctx, k, fixed(Result{Best: float64(i)}))
+		ms, hit, _ := c.Do(ctx, k, fixed(one(float64(i))))
 		if hit {
 			t.Fatalf("key %d aliased an earlier entry", i)
 		}
-		if res.Best != float64(i) {
-			t.Fatalf("key %d got result %v", i, res.Best)
+		if scoreOf(ms) != float64(i) {
+			t.Fatalf("key %d got result %v", i, scoreOf(ms))
 		}
 	}
 	if c.Len() != len(mutants) {

@@ -72,7 +72,6 @@ type (
 type (
 	Telemetry         = telemetry.Collector
 	TelemetrySnapshot = telemetry.Snapshot
-	TelemetrySink     = telemetry.Sink
 )
 
 // NewTelemetry returns an empty telemetry collector.
@@ -269,11 +268,11 @@ func AsPanicError(err error) (*PanicError, bool) { return panicsafe.AsPanic(err)
 // early-abandon across shard boundaries. Exact-mode classification is
 // bit-identical to the single-engine scan; a failing shard degrades a
 // classification to a *ShardPartialError plus the surviving shards'
-// matches. Repeated targets can additionally be served from memory on
-// both sides: Detector.ResultCache memoizes whole scan outcomes in the
-// client process and ShardServerConfig.ResultCache memoizes whole
-// /scan replies in each shard server (internal/vcache). See
-// docs/SHARDING.md.
+// matches. Repeated targets are served from memory in the client
+// process, where the verdict is assembled: Detector.ResultCache
+// memoizes whole scan outcomes (internal/vcache) in front of whichever
+// scan backend is configured, so shard servers hold no result cache of
+// their own. See docs/SHARDING.md.
 type (
 	ShardPolicy       = shard.Policy
 	ShardPartialError = shard.PartialError
