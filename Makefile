@@ -31,13 +31,15 @@ vet:
 
 # The repository-scan benchmark plus the per-stage detection costs,
 # then the front of the pipeline layer by layer: the simulator alone
-# (BenchmarkExecRun) and modeling alone over precomputed traces
-# (BenchmarkBuildFromTrace); see docs/PERFORMANCE.md for how to read
-# them. Use `go test -bench=. -benchmem` for the full table/figure
+# (BenchmarkExecRun), the parallel stress-corpus build at one and two
+# workers (BenchmarkBuildVariantRepository) and modeling alone over
+# precomputed traces (BenchmarkBuildFromTrace); see docs/PERFORMANCE.md
+# for how to read them. Use `go test -bench=. -benchmem` for the full table/figure
 # harness.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkRepositoryScan|DetectionCost|SimilarityDTW' -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkExecRun' -benchmem ./internal/exec
+	$(GO) test -run xxx -bench 'BenchmarkBuildVariantRepository' -benchmem -cpu 1,2 ./internal/detect
 	$(GO) test -run xxx -bench 'BenchmarkBuildFromTrace' -benchmem ./internal/model
 
 # Sharded-scan throughput: one engine vs 1/2/4/8 local shards, exact
@@ -139,14 +141,17 @@ docs-check:
 
 # Short fuzzing pass: ten seconds each over the assembler parser, the
 # lower-bound cascade soundness property (every tier <= the exact DTW
-# distance) and the index-descent exactness property (an indexed scan's
-# best match bit-equals the flat engine's on random repositories), plus
-# the checked-in seed corpora. Crashers land in the package's
+# distance), the index-descent exactness property (an indexed scan's
+# best match bit-equals the flat engine's on random repositories) and
+# the front of the pipeline (mutated PoCs through simulation and
+# modeling: deterministic models, exact verdicts equal to the serial
+# oracle, -fast best equal to exact), plus the checked-in seed corpora. Crashers land in the package's
 # testdata/fuzz/ as regression inputs.
 fuzz-short:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/isa
 	$(GO) test -fuzz=FuzzLowerBoundCascade -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/similarity
 	$(GO) test -fuzz=FuzzIndexDescend -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/scan
+	$(GO) test -fuzz=FuzzPipeline -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/detect
 
 # Fault-injection suite under the race detector: panic isolation,
 # cancellation promptness and leak freedom across the scan engine, the

@@ -66,7 +66,8 @@ type traceTarget struct {
 func traceCorpus(t *testing.T) []traceTarget {
 	t.Helper()
 	base := exec.DefaultConfig()
-	base.MaxSetTrace = exec.DefaultMaxSetTrace // the set trace is part of the fingerprint
+	base.MaxSetTrace = exec.DefaultMaxSetTrace // the set trace and
+	base.WindowWidth = exec.DefaultWindowWidth // the window samples are part of the fingerprint
 	var out []traceTarget
 	for _, g := range goldenCorpus(t) {
 		out = append(out, traceTarget{name: g.name, prog: g.prog, victim: g.victim, cfg: base})

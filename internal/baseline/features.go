@@ -43,6 +43,7 @@ const FeatureDim = len(nwEvents)*2 + 2
 func Collect(prog, victim *isa.Program, maxRetired uint64) (*exec.Trace, error) {
 	cfg := exec.DefaultConfig()
 	cfg.MaxSetTrace = exec.DefaultMaxSetTrace // SCADET reads the set trace
+	cfg.WindowWidth = exec.DefaultWindowWidth // WindowFeatures reads the windows
 	if maxRetired > 0 {
 		cfg.MaxRetired = maxRetired
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"unsafe"
 )
 
 // Owner identifies which process installed a cache line. OwnerNone marks
@@ -66,6 +67,10 @@ func (c Config) Validate() error {
 	if c.LineSize <= 0 || c.LineSize&(c.LineSize-1) != 0 {
 		return fmt.Errorf("cache %q: line size %d must be a positive power of two", c.Name, c.LineSize)
 	}
+	if c.Sets*c.LineSize < 2 {
+		// A tag must leave the top address bit free for the line key.
+		return fmt.Errorf("cache %q: sets × line size must be at least 2", c.Name)
+	}
 	return nil
 }
 
@@ -78,14 +83,6 @@ func (c Config) SetIndex(addr uint64) int {
 	return int((addr >> bits.TrailingZeros(uint(c.LineSize))) & uint64(c.Sets-1))
 }
 
-type line struct {
-	tag      uint64
-	lastUse  uint64 // LRU timestamp
-	inserted uint64 // FIFO timestamp
-	owner    Owner
-	valid    bool
-}
-
 // Stats accumulates hit/miss/flush counts.
 type Stats struct {
 	Hits      uint64
@@ -94,10 +91,27 @@ type Stats struct {
 	Flushes   uint64 // lines actually removed by Flush
 }
 
+// keyFlip turns a tag into a line key. Every real tag has a clear top
+// bit (Validate guarantees the address shift drops at least one bit),
+// and FillAll's synthetic tags are within Ways of all ones, so no tag
+// maps to key 0, which therefore marks an empty line.
+const keyFlip = 1 << 63
+
 // Cache is one set-associative cache level. Create with New.
+//
+// The lines are stored set-major (set s owns ways [s*Ways, (s+1)*Ways))
+// in three parallel arrays, carved from one slab, whose zero value is an
+// empty line:
+//   - keys holds tag^keyFlip for a valid line and 0 for an empty one;
+//     it is the only array a set scan reads;
+//   - stamps holds the replacement stamp: the last use under LRU, the
+//     insertion time under FIFO (Random ignores it);
+//   - owners holds each line's owner plus one, so 0 is OwnerNone.
 type Cache struct {
 	cfg        Config
-	lines      []line // Sets*Ways lines, set-major: set s is lines[s*Ways:(s+1)*Ways]
+	keys       []uint64
+	stamps     []uint64
+	owners     []uint8
 	tick       uint64
 	rng        *rand.Rand // Random policy only
 	stats      Stats
@@ -113,9 +127,29 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{
+	c := &Cache{}
+	c.init(cfg, make([]uint64, slabWords(cfg)))
+	return c, nil
+}
+
+// slabWords is the length of the slab holding the lines of a cache of
+// configuration cfg: the keys, the stamps, then the owner bytes.
+func slabWords(cfg Config) int {
+	n := cfg.Sets * cfg.Ways
+	return 2*n + (n+7)/8
+}
+
+// init sets up a cache of the valid configuration cfg over slab, a
+// zeroed slice of slabWords(cfg) words. The owners are a byte view of
+// the slab's tail, so one allocation holds all three arrays; the slab
+// holds no pointers, so the view is safe for the garbage collector.
+func (c *Cache) init(cfg Config, slab []uint64) {
+	n := cfg.Sets * cfg.Ways
+	*c = Cache{
 		cfg:        cfg,
-		lines:      make([]line, cfg.Sets*cfg.Ways),
+		keys:       slab[:n:n],
+		stamps:     slab[n : 2*n : 2*n],
+		owners:     unsafe.Slice((*uint8)(unsafe.Pointer(&slab[2*n])), n),
 		setShift:   uint(bits.TrailingZeros(uint(cfg.LineSize))),
 		setMask:    uint64(cfg.Sets - 1),
 		totalLines: cfg.Sets * cfg.Ways,
@@ -124,10 +158,6 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Policy == Random {
 		c.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
-	for i := range c.lines {
-		c.lines[i].owner = OwnerNone
-	}
-	return c, nil
 }
 
 // MustNew is New that panics on configuration errors.
@@ -155,26 +185,28 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.LineSize) - 1)
 }
 
-func (c *Cache) tag(addr uint64) uint64 { return addr >> c.tagShift }
+// key returns the line key of addr: its tag with the valid bit folded in.
+func (c *Cache) key(addr uint64) uint64 { return addr>>c.tagShift ^ keyFlip }
 
-// set returns the ways of set si.
-func (c *Cache) set(si int) []line {
-	base, end := si*c.cfg.Ways, (si+1)*c.cfg.Ways
-	return c.lines[base:end:end]
+// ownerCode and ownerOf convert between an Owner and its stored form.
+func ownerCode(o Owner) uint8 { return uint8(o) + 1 }
+func ownerOf(v uint8) Owner   { return Owner(int8(v - 1)) }
+
+// find returns the index of the line holding addr, or -1.
+func (c *Cache) find(addr uint64) int {
+	base := c.SetIndex(addr) * c.cfg.Ways
+	k := c.key(addr)
+	for i, kk := range c.keys[base : base+c.cfg.Ways] {
+		if kk == k {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // Lookup reports whether addr is cached, without disturbing any
 // replacement state.
-func (c *Cache) Lookup(addr uint64) bool {
-	set := c.set(c.SetIndex(addr))
-	t := c.tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Lookup(addr uint64) bool { return c.find(addr) >= 0 }
 
 // EvictedLine describes a line displaced by a fill.
 type EvictedLine struct {
@@ -194,33 +226,45 @@ func (c *Cache) Access(addr uint64, owner Owner) (hit bool, evicted *EvictedLine
 }
 
 // access is Access reporting the evicted line by value: ok is false
-// when the fill displaced nothing. way is the index in c.lines of the
-// line that now holds addr.
+// when the fill displaced nothing. way is the index of the line that
+// now holds addr.
 func (c *Cache) access(addr uint64, owner Owner) (hit bool, ev EvictedLine, ok bool, way int) {
 	c.tick++
+	if way = c.find(addr); way >= 0 {
+		c.touch(way, owner)
+		return true, EvictedLine{}, false, way
+	}
+	way, ev, ok = c.fill(addr, owner)
+	return false, ev, ok, way
+}
+
+// fill is the miss half of access, after the clock advanced: it installs
+// addr for owner in the way the policy picks, and reports that way and
+// the line it displaced, if any.
+func (c *Cache) fill(addr uint64, owner Owner) (way int, ev EvictedLine, ok bool) {
+	c.stats.Misses++
 	si := c.SetIndex(addr)
 	base := si * c.cfg.Ways
-	set := c.set(si)
-	t := c.tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			set[i].lastUse = c.tick
-			set[i].owner = owner // the most recent toucher owns the line
-			c.stats.Hits++
-			return true, EvictedLine{}, false, base + i
-		}
-	}
-	c.stats.Misses++
-	victim := c.chooseVictim(set)
-	v := &set[victim]
-	if v.valid {
+	way = base + c.chooseVictim(c.keys[base:base+c.cfg.Ways], base)
+	if old := c.keys[way]; old != 0 {
 		c.stats.Evictions++
-		ev, ok = EvictedLine{Addr: c.reconstructAddr(v.tag, si), Owner: v.owner}, true
+		ev, ok = EvictedLine{Addr: c.reconstructAddr(old^keyFlip, si), Owner: ownerOf(c.owners[way])}, true
 	} else {
 		c.usedLines++
 	}
-	*v = line{valid: true, tag: t, owner: owner, lastUse: c.tick, inserted: c.tick}
-	return false, ev, ok, base + victim
+	c.keys[way], c.stamps[way], c.owners[way] = c.key(addr), c.tick, ownerCode(owner)
+	return way, ev, ok
+}
+
+// touch records a hit on line way by owner at the current tick: the
+// most recent toucher owns the line, and under LRU it becomes the most
+// recently used.
+func (c *Cache) touch(way int, owner Owner) {
+	if c.cfg.Policy == LRU {
+		c.stamps[way] = c.tick
+	}
+	c.owners[way] = ownerCode(owner)
+	c.stats.Hits++
 }
 
 // rehit replays a hit on line way by the owner that touched it last:
@@ -228,7 +272,9 @@ func (c *Cache) access(addr uint64, owner Owner) (hit bool, ev EvictedLine, ok b
 // access would have advanced them.
 func (c *Cache) rehit(way int) {
 	c.tick++
-	c.lines[way].lastUse = c.tick
+	if c.cfg.Policy == LRU {
+		c.stamps[way] = c.tick
+	}
 	c.stats.Hits++
 }
 
@@ -236,56 +282,47 @@ func (c *Cache) reconstructAddr(tag uint64, setIdx int) uint64 {
 	return tag<<c.tagShift | uint64(setIdx)<<c.setShift
 }
 
-func (c *Cache) chooseVictim(set []line) int {
+// chooseVictim picks the way of set (the keys of the set starting at
+// line base) a fill replaces.
+func (c *Cache) chooseVictim(set []uint64, base int) int {
 	// Prefer an invalid way.
-	for i := range set {
-		if !set[i].valid {
+	for i, k := range set {
+		if k == 0 {
 			return i
 		}
 	}
-	switch c.cfg.Policy {
-	case FIFO:
-		best := 0
-		for i := 1; i < len(set); i++ {
-			if set[i].inserted < set[best].inserted {
-				best = i
-			}
-		}
-		return best
-	case Random:
+	if c.cfg.Policy == Random {
 		return c.rng.Intn(len(set))
-	default: // LRU
-		best := 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lastUse < set[best].lastUse {
-				best = i
-			}
-		}
-		return best
 	}
+	// LRU and FIFO both evict the oldest stamp, the first on a tie.
+	stamps := c.stamps[base : base+len(set)]
+	best := 0
+	for i := 1; i < len(stamps); i++ {
+		if stamps[i] < stamps[best] {
+			best = i
+		}
+	}
+	return best
 }
 
 // Flush removes the line containing addr, returning whether it was
 // present (the timing signal Flush+Flush exploits).
 func (c *Cache) Flush(addr uint64) bool {
-	set := c.set(c.SetIndex(addr))
-	t := c.tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			set[i] = line{owner: OwnerNone}
-			c.stats.Flushes++
-			c.usedLines--
-			return true
-		}
+	w := c.find(addr)
+	if w < 0 {
+		return false
 	}
-	return false
+	c.keys[w], c.stamps[w], c.owners[w] = 0, 0, 0
+	c.stats.Flushes++
+	c.usedLines--
+	return true
 }
 
 // InvalidateAll empties the cache (counters are preserved).
 func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		c.lines[i] = line{owner: OwnerNone}
-	}
+	clear(c.keys)
+	clear(c.stamps)
+	clear(c.owners)
 	c.usedLines = 0
 }
 
@@ -295,14 +332,11 @@ func (c *Cache) InvalidateAll() {
 // Synthetic tags are used so the lines do not collide with program data.
 func (c *Cache) FillAll(owner Owner) {
 	c.tick++
-	for i := range c.lines {
-		c.lines[i] = line{
-			valid:    true,
-			tag:      ^uint64(0) - uint64(i%c.cfg.Ways), // high tags, disjoint from real data
-			owner:    owner,
-			lastUse:  c.tick,
-			inserted: c.tick,
-		}
+	code := ownerCode(owner)
+	for i := range c.keys {
+		c.keys[i] = (^uint64(0) - uint64(i%c.cfg.Ways)) ^ keyFlip // high tags, disjoint from real data
+		c.stamps[i] = c.tick
+		c.owners[i] = code
 	}
 	c.usedLines = c.totalLines
 }
@@ -319,12 +353,12 @@ type State struct {
 // program" of Definition 3.
 func (c *Cache) Occupancy(attacker Owner) State {
 	var ao, io int
-	for i := range c.lines {
-		l := &c.lines[i]
-		if !l.valid {
+	a := ownerCode(attacker)
+	for i, k := range c.keys {
+		if k == 0 {
 			continue
 		}
-		if l.owner == attacker {
+		if c.owners[i] == a {
 			ao++
 		} else {
 			io++
@@ -343,12 +377,8 @@ func (c *Cache) TotalLines() int { return c.totalLines }
 // OwnerOfLine returns the owner of the line containing addr, or
 // OwnerNone when the line is absent.
 func (c *Cache) OwnerOfLine(addr uint64) Owner {
-	set := c.set(c.SetIndex(addr))
-	t := c.tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == t {
-			return set[i].owner
-		}
+	if w := c.find(addr); w >= 0 {
+		return ownerOf(c.owners[w])
 	}
 	return OwnerNone
 }
@@ -356,10 +386,10 @@ func (c *Cache) OwnerOfLine(addr uint64) Owner {
 // SetOccupants returns the number of valid lines in the set containing
 // addr; SCADET-style rules use this to spot prime sweeps.
 func (c *Cache) SetOccupants(addr uint64) int {
-	set := c.set(c.SetIndex(addr))
+	base := c.SetIndex(addr) * c.cfg.Ways
 	n := 0
-	for i := range set {
-		if set[i].valid {
+	for _, k := range c.keys[base : base+c.cfg.Ways] {
+		if k != 0 {
 			n++
 		}
 	}

@@ -78,45 +78,53 @@ type AccessResult struct {
 
 // Hierarchy is the shared two-level cache of the simulated machine.
 type Hierarchy struct {
-	l1d *Cache
-	l1i *Cache
-	llc *Cache
+	l1d Cache
+	l1i Cache
+	llc Cache
 	lat Latencies
 
+	// The way links: l1dLink[w] (l1iLink[w]) is the LLC line filled
+	// alongside L1D (L1I) line w. Inclusion keeps the link true while
+	// the L1 line is valid — the LLC copy can only leave by an eviction
+	// or a flush, and both remove the L1 copy too — so an L1 hit
+	// refreshes its LLC line directly instead of scanning the LLC set.
+	l1dLink []int32
+	l1iLink []int32
+
 	// The repeat-fetch memo. After a fetch, its line sits in the L1I at
-	// index l1iWay and in the LLC at llcWay, last touched by fetchOwner
-	// (a miss installs it in both levels; the LLC line it displaces, if
-	// any, is a different line, so inclusion leaves the L1I copy alone).
-	// An immediately following fetch of the same line by the same owner
-	// is therefore an L1I hit followed by an LLC hit on exactly those
-	// lines, and Access replays it without scanning either set. Every
-	// other operation clears the memo.
+	// index l1iWay and in the LLC at llcWay, last touched by fetchOwner. An immediately following fetch of the same line by the
+	// same owner is therefore an L1I hit followed by an LLC hit on
+	// exactly those lines, and Refetch replays it without scanning
+	// either set. Every other operation clears the memo.
 	fetchValid bool
 	fetchOwner Owner
 	fetchLine  uint64 // address >> lineShift
-	l1iWay     int
-	llcWay     int
+	l1iWay     int    // the last access's L1 and LLC ways; the memo reads
+	llcWay     int    // them only after a fetch
 	lineShift  uint
 }
 
 // NewHierarchy builds the hierarchy; all three configs must be valid.
+// The lines of all three levels are carved from one slab.
 func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
-	l1d, err := New(cfg.L1D)
-	if err != nil {
-		return nil, err
-	}
-	l1i, err := New(cfg.L1I)
-	if err != nil {
-		return nil, err
-	}
-	llc, err := New(cfg.LLC)
-	if err != nil {
-		return nil, err
+	for _, c := range []Config{cfg.L1D, cfg.L1I, cfg.LLC} {
+		if err := c.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.LLC.LineSize != cfg.L1D.LineSize || cfg.LLC.LineSize != cfg.L1I.LineSize {
 		return nil, fmt.Errorf("hierarchy: all levels must share a line size")
 	}
-	return &Hierarchy{l1d: l1d, l1i: l1i, llc: llc, lat: cfg.Lat, lineShift: l1i.setShift}, nil
+	d, i := slabWords(cfg.L1D), slabWords(cfg.L1I)
+	slab := make([]uint64, d+i+slabWords(cfg.LLC))
+	nd := cfg.L1D.Sets * cfg.L1D.Ways
+	links := make([]int32, nd+cfg.L1I.Sets*cfg.L1I.Ways)
+	h := &Hierarchy{lat: cfg.Lat, l1dLink: links[:nd:nd], l1iLink: links[nd:]}
+	h.l1d.init(cfg.L1D, slab[:d:d])
+	h.l1i.init(cfg.L1I, slab[d:d+i:d+i])
+	h.llc.init(cfg.LLC, slab[d+i:])
+	h.lineShift = h.l1i.setShift
+	return h, nil
 }
 
 // MustNewHierarchy panics on configuration errors.
@@ -133,53 +141,64 @@ func DefaultHierarchy() *Hierarchy { return MustNewHierarchy(DefaultHierarchyCon
 
 // The levels are exposed for inspection (lookups, occupancy, stats).
 // Mutating a level directly, behind the hierarchy's back, is not
-// supported: the hierarchy's repeat-fetch memo assumes every access,
-// flush and fill goes through it.
+// supported: the way links and the repeat-fetch memo assume every
+// access, flush and fill goes through the hierarchy.
 
 // L1D returns the level-1 data cache.
-func (h *Hierarchy) L1D() *Cache { return h.l1d }
+func (h *Hierarchy) L1D() *Cache { return &h.l1d }
 
 // L1I returns the level-1 instruction cache.
-func (h *Hierarchy) L1I() *Cache { return h.l1i }
+func (h *Hierarchy) L1I() *Cache { return &h.l1i }
 
 // LLC returns the last-level cache.
-func (h *Hierarchy) LLC() *Cache { return h.llc }
+func (h *Hierarchy) LLC() *Cache { return &h.llc }
 
 // Latencies returns the latency model.
 func (h *Hierarchy) Latencies() Latencies { return h.lat }
 
+// Refetch replays a fetch of addr by owner when it repeats the
+// previous operation, which was a fetch of the same line by the same
+// owner: an L1I hit, with latency Latencies().L1Hit and no event to
+// report. It reports whether it did; on false nothing changed and the
+// fetch must go through Access.
+func (h *Hierarchy) Refetch(addr uint64, owner Owner) bool {
+	if !h.fetchValid || addr>>h.lineShift != h.fetchLine || owner != h.fetchOwner {
+		return false
+	}
+	h.l1i.rehit(h.l1iWay)
+	h.llc.rehit(h.llcWay)
+	return true
+}
+
 // Access runs one access through the hierarchy, maintaining inclusion:
 // an LLC eviction back-invalidates the corresponding L1 line.
 func (h *Hierarchy) Access(addr uint64, kind AccessKind, owner Owner) AccessResult {
-	l1 := h.l1d
+	l1, link := &h.l1d, h.l1dLink
 	if kind == Fetch {
-		line := addr >> h.lineShift
-		if h.fetchValid && line == h.fetchLine && owner == h.fetchOwner {
-			h.l1i.rehit(h.l1iWay)
-			h.llc.rehit(h.llcWay)
-			return AccessResult{Kind: Fetch, L1Hit: true, Latency: h.lat.L1Hit}
-		}
-		l1 = h.l1i
-		h.fetchValid, h.fetchLine, h.fetchOwner = true, line, owner
+		l1, link = &h.l1i, h.l1iLink
+		h.fetchValid, h.fetchLine, h.fetchOwner = true, addr>>h.lineShift, owner
 	} else {
 		h.fetchValid = false
 	}
-	res := AccessResult{Kind: kind}
-	hit, _, _, l1Way := l1.access(addr, owner)
-	llcHit, ev, evicted, llcWay := h.llc.access(addr, owner)
-	h.l1iWay, h.llcWay = l1Way, llcWay
-	if hit {
-		// The LLC access above kept its recency state warm for
-		// inclusive behaviour.
-		res.L1Hit = true
-		res.Latency = h.lat.L1Hit
-		return res
+	l1.tick++
+	l1Way := l1.find(addr)
+	if l1Way >= 0 {
+		l1.touch(l1Way, owner)
+		// Keep the LLC copy's recency and owner warm for inclusive
+		// behaviour, exactly as an LLC hit would.
+		llcWay := int(link[l1Way])
+		h.llc.tick++
+		h.llc.touch(llcWay, owner)
+		h.l1iWay, h.llcWay = l1Way, llcWay
+		return AccessResult{Kind: kind, L1Hit: true, Latency: h.lat.L1Hit}
 	}
-	res.LLCHit = llcHit
+	l1Way, _, _ = l1.fill(addr, owner)
+	llcHit, ev, evicted, llcWay := h.llc.access(addr, owner)
+	link[l1Way] = int32(llcWay)
+	h.l1iWay, h.llcWay = l1Way, llcWay
+	res := AccessResult{Kind: kind, LLCHit: llcHit, Latency: h.lat.Memory}
 	if llcHit {
 		res.Latency = h.lat.LLCHit
-	} else {
-		res.Latency = h.lat.Memory
 	}
 	if evicted {
 		// Inclusion: the displaced LLC line leaves the L1s too.
@@ -214,6 +233,8 @@ func (h *Hierarchy) InvalidateAll() {
 	h.l1d.InvalidateAll()
 	h.l1i.InvalidateAll()
 	h.llc.InvalidateAll()
+	clear(h.l1dLink)
+	clear(h.l1iLink)
 }
 
 // FillAll fills every level with owner-tagged lines.
@@ -222,6 +243,8 @@ func (h *Hierarchy) FillAll(owner Owner) {
 	h.l1d.FillAll(owner)
 	h.l1i.FillAll(owner)
 	h.llc.FillAll(owner)
+	clear(h.l1dLink)
+	clear(h.l1iLink)
 }
 
 // LLCSetIndex maps an address to its LLC set; the unit the paper's

@@ -42,44 +42,62 @@ type CorpusConfig struct {
 // mutation seed are derived per variant with mutate.DeriveSeed rather
 // than drawn sequentially from one shared rng, so no variant's content
 // depends on how many were generated before it.
+//
+// The variants are modeled in parallel (see buildModels) and added in
+// (family, index) order, so the worker count never shows in the result.
 func BuildVariantRepository(cfg CorpusConfig) (*Repository, error) {
 	per := cfg.PerFamily
 	if per <= 0 {
 		per = 125
 	}
-	r := &Repository{}
-	for _, fam := range attacks.Families() {
-		base := attacks.OfFamily(fam, attacks.DefaultParams())
-		if len(base) == 0 {
+	fams := attacks.Families()
+	bases := make([][]attacks.PoC, len(fams))
+	for f, fam := range fams {
+		bases[f] = attacks.OfFamily(fam, attacks.DefaultParams())
+		if len(bases[f]) == 0 {
 			return nil, fmt.Errorf("detect: family %s has no PoCs", fam)
 		}
-		for i := 0; i < per; i++ {
-			idx := strconv.Itoa(i)
-			// Parameter variation gets its own derived stream, split from
-			// the mutation seed so changing one profile never shifts the
-			// other.
-			prng := rand.New(rand.NewSource(mutate.DeriveSeed(cfg.Seed, "params", string(fam), idx)))
-			params := varyParams(prng)
-			poc := base[i%len(base)]
-			varied, err := attacks.ByName(poc.Name, params)
-			if err != nil {
-				return nil, fmt.Errorf("detect: corpus variant %s/%d: %w", fam, i, err)
-			}
-			mseed := mutate.DeriveSeed(cfg.Seed, "mutate", poc.Name, idx)
-			mcfg := mutate.LightConfig(mseed)
-			if cfg.Obfuscate {
-				mcfg = mutate.ObfuscationConfig(mseed)
-			}
-			prog, err := mutate.Mutate(varied.Program, mcfg)
-			if err != nil {
-				return nil, fmt.Errorf("detect: mutating %s/%d: %w", poc.Name, i, err)
-			}
-			m, err := model.Build(prog, varied.Victim, cfg.Model)
-			if err != nil {
-				return nil, fmt.Errorf("detect: modeling %s/%d: %w", poc.Name, i, err)
-			}
-			r.Add(fmt.Sprintf("%s-x%03d", poc.Name, i), fam, m.BBS)
+	}
+	// Job j is variant i = j%per of family j/per, derived from that
+	// family's PoC i (cyclically).
+	variant := func(j int) (fam attacks.Family, poc attacks.PoC, i int) {
+		f, i := j/per, j%per
+		return fams[f], bases[f][i%len(bases[f])], i
+	}
+	bbs, err := buildModels(len(fams)*per, func(j int) (*model.CSTBBS, error) {
+		fam, poc, i := variant(j)
+		idx := strconv.Itoa(i)
+		// Parameter variation gets its own derived stream, split from
+		// the mutation seed so changing one profile never shifts the
+		// other.
+		prng := rand.New(rand.NewSource(mutate.DeriveSeed(cfg.Seed, "params", string(fam), idx)))
+		params := varyParams(prng)
+		varied, err := attacks.ByName(poc.Name, params)
+		if err != nil {
+			return nil, fmt.Errorf("detect: corpus variant %s/%d: %w", fam, i, err)
 		}
+		mseed := mutate.DeriveSeed(cfg.Seed, "mutate", poc.Name, idx)
+		mcfg := mutate.LightConfig(mseed)
+		if cfg.Obfuscate {
+			mcfg = mutate.ObfuscationConfig(mseed)
+		}
+		prog, err := mutate.Mutate(varied.Program, mcfg)
+		if err != nil {
+			return nil, fmt.Errorf("detect: mutating %s/%d: %w", poc.Name, i, err)
+		}
+		m, err := model.Build(prog, varied.Victim, cfg.Model)
+		if err != nil {
+			return nil, fmt.Errorf("detect: modeling %s/%d: %w", poc.Name, i, err)
+		}
+		return m.BBS, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	r := &Repository{}
+	for j, b := range bbs {
+		fam, poc, i := variant(j)
+		r.Add(fmt.Sprintf("%s-x%03d", poc.Name, i), fam, b)
 	}
 	return r, nil
 }

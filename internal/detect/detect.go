@@ -36,10 +36,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/attacks"
@@ -177,16 +179,66 @@ func (r *Repository) Families() []attacks.Family {
 // BuildRepository models each PoC (with its victim when it has one) and
 // stores the resulting CST-BBSes. This is the "one PoC per attack type"
 // modeling step the paper's evaluation uses.
+//
+// The PoCs are modeled in parallel (see buildModels); the repository is
+// the same as a serial build's, entry for entry.
 func BuildRepository(pocs []attacks.PoC, cfg model.Config) (*Repository, error) {
-	r := &Repository{}
-	for _, poc := range pocs {
-		m, err := model.Build(poc.Program, poc.Victim, cfg)
+	bbs, err := buildModels(len(pocs), func(i int) (*model.CSTBBS, error) {
+		m, err := model.Build(pocs[i].Program, pocs[i].Victim, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("detect: modeling %s: %w", poc.Name, err)
+			return nil, fmt.Errorf("detect: modeling %s: %w", pocs[i].Name, err)
 		}
-		r.Add(poc.Name, poc.Family, m.BBS)
+		return m.BBS, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	r := &Repository{}
+	for i, poc := range pocs {
+		r.Add(poc.Name, poc.Family, bbs[i])
 	}
 	return r, nil
+}
+
+// buildModels runs build(i) for every i in [0, n) on
+// runtime.GOMAXPROCS(0) workers and returns the models in index order.
+// Each job writes only its own slot, so the result does not depend on
+// the schedule, and neither does the error: it is the first by index.
+// Workers stop taking jobs after a failure, but every job below a
+// failed one was taken before it and still finishes. A job that panics
+// re-panics here, in the caller's goroutine, as a serial loop would.
+func buildModels(n int, build func(i int) (*model.CSTBBS, error)) ([]*model.CSTBBS, error) {
+	out := make([]*model.CSTBBS, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				errs[i] = panicsafe.Do(func() (err error) {
+					out[i], err = build(i)
+					return err
+				})
+				if errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, panicsafe.Repanic(err)
+		}
+	}
+	return out, nil
 }
 
 // Match is one repository comparison result.

@@ -2,6 +2,8 @@ package detect
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/attacks"
@@ -138,8 +140,8 @@ func TestDetectorIndexExtend(t *testing.T) {
 
 // TestVariantRepositoryDeterministic pins the corpus reproducibility
 // guarantee end to end: two independent builds of the same CorpusConfig
-// serialize to byte-identical repository files, and a different seed
-// does not.
+// serialize to byte-identical repository files, whose digest is the one
+// a serial build gave, and a different seed does not.
 func TestVariantRepositoryDeterministic(t *testing.T) {
 	save := func(cfg CorpusConfig) []byte {
 		t.Helper()
@@ -157,6 +159,12 @@ func TestVariantRepositoryDeterministic(t *testing.T) {
 	a, b := save(cfg), save(cfg)
 	if !bytes.Equal(a, b) {
 		t.Fatal("same CorpusConfig produced different repository bytes")
+	}
+	// The digest of the serial, one-model-at-a-time build: the parallel
+	// build and the simulator's fast paths must reproduce it exactly.
+	const want = "d6c51984d93b23800f28207f6cce609394cce1d4240eceff8ca4e77f7d9a3f03"
+	if got := fmt.Sprintf("%x", sha256.Sum256(a)); got != want {
+		t.Fatalf("corpus digest %s, want %s", got, want)
 	}
 	if c := save(CorpusConfig{PerFamily: 6, Seed: 43}); bytes.Equal(a, c) {
 		t.Fatal("different seeds produced identical corpora")

@@ -28,7 +28,10 @@ type Config struct {
 	// SpecWindow is the transient-execution window in instructions;
 	// 0 disables speculation entirely.
 	SpecWindow int
-	// WindowWidth is the HPC sampling window in cycles.
+	// WindowWidth is the width in cycles of the windowed HPC samples
+	// (Trace.Windows), which only the ML baselines' window features
+	// read. The samples are opt-in: 0 records none, and a window
+	// consumer sets DefaultWindowWidth.
 	WindowWidth uint64
 	// MaxSetTrace caps the cache-set trace (Trace.SetTrace), the
 	// chronological LLC-set log only the SCADET baseline reads. The
@@ -68,6 +71,7 @@ const (
 	DefaultQuantum     = 32
 	DefaultSpecWindow  = 48
 	DefaultMaxSetTrace = 1 << 20
+	DefaultWindowWidth = 2048
 	DefaultMaxEvents   = 1 << 22
 )
 
@@ -105,13 +109,48 @@ type flags struct {
 	below bool // unsigned below
 }
 
-// slot is one pre-decoded instruction. Control flow moves between slot
-// numbers (positions in the program's Insns), never through an address
-// lookup: next and target are resolved once, when the machine is built.
+// operand is one instruction operand, resolved at decode.
+type operand struct {
+	kind  isa.OperandKind
+	base  isa.Reg // OpReg: the register; OpMem: the base (RegNone ok)
+	index isa.Reg // OpMem: the index register (RegNone ok)
+	scale uint8   // OpMem: the index scale, 0 normalized to 1
+	disp  uint64  // OpImm: the immediate; OpMem: the displacement
+}
+
+func decodeOperand(op isa.Operand) operand {
+	d := operand{kind: op.Kind, base: op.Base, index: op.Index, scale: op.Scale, disp: uint64(op.Disp)}
+	if d.scale == 0 {
+		d.scale = 1
+	}
+	return d
+}
+
+// ea computes the effective address of a memory operand against a
+// register file.
+func (op *operand) ea(regs *[isa.NumRegs]uint64) uint64 {
+	a := op.disp
+	if op.base != isa.RegNone {
+		a += regs[op.base]
+	}
+	if op.index != isa.RegNone {
+		a += regs[op.index] * uint64(op.scale)
+	}
+	return a
+}
+
+// slot is one pre-decoded instruction: opcode and operands copied out
+// of the isa.Instruction, and control flow resolved to slot numbers
+// (positions in the program's Insns) once, when the machine is built,
+// so execution never goes through an address lookup for a static edge.
 type slot struct {
-	in     *isa.Instruction
-	next   int32 // slot at in.Next(); -1 when no instruction starts there
-	target int32 // slot of the static target of a direct JMP/CALL or Jcc; -1 otherwise
+	pc       uint64
+	dst, src operand
+	next     int32 // slot at the fallthrough address; -1 when no instruction starts there
+	target   int32 // slot of the static target of a direct JMP/CALL or Jcc; -1 otherwise
+	btb      int32 // BTB entry of a conditional or indirect branch; -1 otherwise
+	op       isa.Opcode
+	size     uint8
 }
 
 // noSlot marks an address where no instruction starts: executing it
@@ -124,12 +163,17 @@ type code struct {
 	slots []slot
 }
 
-// decode builds the slot table of a validated program.
+// decode builds the slot table of a validated program. It leaves the
+// BTB entries to assignBTB.
 func decode(prog *isa.Program) code {
 	c := code{prog: prog, slots: make([]slot, len(prog.Insns))}
 	for i := range prog.Insns {
 		in := &prog.Insns[i]
-		s := slot{in: in, next: noSlot, target: noSlot}
+		s := slot{
+			pc: in.Addr, op: in.Op, size: in.Size,
+			dst: decodeOperand(in.Dst), src: decodeOperand(in.Src),
+			next: noSlot, target: noSlot, btb: noSlot,
+		}
 		// Instructions are sorted and non-overlapping, so the only
 		// candidate at in.Next() is the following one.
 		if i+1 < len(prog.Insns) && prog.Insns[i+1].Addr == in.Next() {
@@ -150,6 +194,34 @@ func (c code) slotAt(addr uint64) int32 {
 		return int32(i)
 	}
 	return noSlot
+}
+
+// assignBTB gives every BTB branch of every process a dense BTB entry.
+// Branches of different processes at one PC share their entry: the BTB
+// aliases by PC across processes, which is what cross-process
+// branch-target injection (the Spectre-BTB PoC) trains. It returns the
+// number of entries.
+func assignBTB(procs []*proc) int {
+	n := int32(0)
+	for i, p := range procs {
+		for s := range p.slots {
+			sl := &p.slots[s]
+			if !sl.op.IsCondBranch() && (sl.op != isa.JMP || sl.dst.kind == isa.OpImm) {
+				continue // only conditional and indirect branches use the BTB
+			}
+			for _, q := range procs[:i] {
+				if j, ok := q.prog.IndexOf(sl.pc); ok && q.slots[j].btb != noSlot {
+					sl.btb = q.slots[j].btb
+					break
+				}
+			}
+			if sl.btb == noSlot {
+				sl.btb = n
+				n++
+			}
+		}
+	}
+	return int(n)
 }
 
 // proc is one running process.
@@ -173,10 +245,12 @@ type Machine struct {
 	cfg    Config
 	mem    *Memory
 	hier   *cache.Hierarchy
-	pred   *BranchPredictor
+	pred   BranchPredictor
 	procs  []*proc
 	cycles uint64
 	trace  *Trace
+	// fetchHit is the cycle cost of a fetch that hits in the L1I.
+	fetchHit uint64
 }
 
 // NewMachine builds a machine running the monitored program and an
@@ -203,10 +277,10 @@ func NewMachineMulti(cfg Config, monitored *isa.Program, others ...*isa.Program)
 		return nil, err
 	}
 	m := &Machine{
-		cfg:  cfg,
-		mem:  NewMemory(),
-		hier: hier,
-		pred: NewBranchPredictor(cfg.PredictorSize),
+		cfg:      cfg,
+		mem:      NewMemory(),
+		hier:     hier,
+		fetchHit: cfg.Hierarchy.Lat.L1Hit / 4, // fetch overlaps with execution
 	}
 	progs := []*isa.Program{monitored}
 	for _, o := range others {
@@ -229,6 +303,7 @@ func NewMachineMulti(cfg Config, monitored *isa.Program, others ...*isa.Program)
 		p.regs[isa.R14] = uint64(stackTop - i*stackGap)
 		m.procs = append(m.procs, p)
 	}
+	m.pred.init(cfg.PredictorSize, assignBTB(m.procs))
 	pcs := make([]uint64, len(monitored.Insns))
 	for i := range monitored.Insns {
 		pcs[i] = monitored.Insns[i].Addr
@@ -284,23 +359,6 @@ func (m *Machine) Run() *Trace {
 	m.trace.Halted = mon.halted
 	m.trace.finish(m.cycles)
 	return m.trace
-}
-
-// ea computes an effective address from a memory operand and a register
-// file.
-func ea(op isa.Operand, regs *[isa.NumRegs]uint64) uint64 {
-	var a uint64
-	if op.Base != isa.RegNone {
-		a += regs[op.Base]
-	}
-	if op.Index != isa.RegNone {
-		s := uint64(op.Scale)
-		if s == 0 {
-			s = 1
-		}
-		a += regs[op.Index] * s
-	}
-	return a + uint64(op.Disp)
 }
 
 // fireAccessEvents converts one cache access result into HPC events
@@ -383,7 +441,9 @@ func (m *Machine) traceLine(s int32, addr uint64, kind SetAccessKind) {
 	} else {
 		m.trace.memLine(s, line, m.cycles)
 	}
-	m.trace.setAccess(m.cycles, llc.SetIndex(addr), line, kind, s)
+	if m.trace.maxSetTrace > 0 {
+		m.trace.setAccess(m.cycles, llc.SetIndex(addr), line, kind, s)
+	}
 }
 
 // store performs an architectural data store for the instruction in
@@ -402,26 +462,38 @@ func (m *Machine) store(p *proc, s int32, addr, val uint64, monitored bool) {
 	m.mem.Store64(addr, val)
 }
 
-// readOperand evaluates a source operand architecturally.
-func (m *Machine) readOperand(p *proc, s int32, op isa.Operand, monitored bool) uint64 {
-	switch op.Kind {
-	case isa.OpReg:
-		return p.regs[op.Base]
+// readOperand evaluates a source operand architecturally. It is small
+// enough to inline: only a memory operand costs a call.
+func (m *Machine) readOperand(p *proc, s int32, op *operand, monitored bool) uint64 {
+	if op.kind == isa.OpReg {
+		return p.regs[op.base]
+	}
+	return m.readOther(p, s, op, monitored)
+}
+
+func (m *Machine) readOther(p *proc, s int32, op *operand, monitored bool) uint64 {
+	switch op.kind {
 	case isa.OpImm:
-		return uint64(op.Disp)
+		return op.disp
 	case isa.OpMem:
-		return m.load(p, s, ea(op, &p.regs), monitored)
+		return m.load(p, s, op.ea(&p.regs), monitored)
 	}
 	return 0
 }
 
-// writeOperand writes an architectural destination operand.
-func (m *Machine) writeOperand(p *proc, s int32, op isa.Operand, val uint64, monitored bool) {
-	switch op.Kind {
-	case isa.OpReg:
-		p.regs[op.Base] = val
-	case isa.OpMem:
-		m.store(p, s, ea(op, &p.regs), val, monitored)
+// writeOperand writes an architectural destination operand. Like
+// readOperand it inlines, calling out only for a memory operand.
+func (m *Machine) writeOperand(p *proc, s int32, op *operand, val uint64, monitored bool) {
+	if op.kind == isa.OpReg {
+		p.regs[op.base] = val
+	} else {
+		m.writeOther(p, s, op, val, monitored)
+	}
+}
+
+func (m *Machine) writeOther(p *proc, s int32, op *operand, val uint64, monitored bool) {
+	if op.kind == isa.OpMem {
+		m.store(p, s, op.ea(&p.regs), val, monitored)
 	}
 }
 
@@ -488,18 +560,24 @@ func (m *Machine) step(p *proc, monitored bool) {
 		return
 	}
 	sl := &p.slots[cur]
-	in := sl.in
-	pc := in.Addr
+	pc := sl.pc
 
-	// Instruction fetch through the I-cache.
-	fres := m.hier.Access(pc, cache.Fetch, p.owner)
-	m.cycles += fres.Latency / 4 // fetch overlaps with execution
-	m.fireAccessEvents(fres, cur, monitored)
+	// Instruction fetch through the I-cache. A fetch that hits in the
+	// L1I fires no event.
+	if m.hier.Refetch(pc, p.owner) {
+		m.cycles += m.fetchHit
+	} else {
+		fres := m.hier.Access(pc, cache.Fetch, p.owner)
+		m.cycles += fres.Latency / 4 // fetch overlaps with execution
+		if !fres.L1Hit {
+			m.fireAccessEvents(fres, cur, monitored)
+		}
+	}
 
 	m.cycles++ // base execution cost
 	next := sl.next
 
-	switch in.Op {
+	switch sl.op {
 	case isa.NOP, isa.LFENCE, isa.MFENCE:
 		// no architectural effect
 
@@ -507,49 +585,49 @@ func (m *Machine) step(p *proc, monitored bool) {
 		p.halted = true
 
 	case isa.MOV:
-		v := m.readOperand(p, cur, in.Src, monitored)
-		m.writeOperand(p, cur, in.Dst, v, monitored)
+		v := m.readOperand(p, cur, &sl.src, monitored)
+		m.writeOperand(p, cur, &sl.dst, v, monitored)
 
 	case isa.LEA:
-		p.regs[in.Dst.Base] = ea(in.Src, &p.regs)
+		p.regs[sl.dst.base] = sl.src.ea(&p.regs)
 
 	case isa.ADD, isa.SUB, isa.MUL, isa.XOR, isa.AND, isa.OR, isa.SHL, isa.SHR:
-		a := m.readOperand(p, cur, in.Dst, monitored)
-		b := m.readOperand(p, cur, in.Src, monitored)
-		r := alu(in.Op, a, b)
-		m.writeOperand(p, cur, in.Dst, r, monitored)
+		a := m.readOperand(p, cur, &sl.dst, monitored)
+		b := m.readOperand(p, cur, &sl.src, monitored)
+		r := alu(sl.op, a, b)
+		m.writeOperand(p, cur, &sl.dst, r, monitored)
 		setResultFlags(&p.fl, r)
 
 	case isa.INC, isa.DEC:
-		a := m.readOperand(p, cur, in.Dst, monitored)
-		r := alu(in.Op, a, 0)
-		m.writeOperand(p, cur, in.Dst, r, monitored)
+		a := m.readOperand(p, cur, &sl.dst, monitored)
+		r := alu(sl.op, a, 0)
+		m.writeOperand(p, cur, &sl.dst, r, monitored)
 		setResultFlags(&p.fl, r)
 
 	case isa.CMP:
-		a := m.readOperand(p, cur, in.Dst, monitored)
-		b := m.readOperand(p, cur, in.Src, monitored)
+		a := m.readOperand(p, cur, &sl.dst, monitored)
+		b := m.readOperand(p, cur, &sl.src, monitored)
 		p.fl.zf = a == b
 		p.fl.lt = int64(a) < int64(b)
 		p.fl.below = a < b
 
 	case isa.TEST:
-		a := m.readOperand(p, cur, in.Dst, monitored)
-		b := m.readOperand(p, cur, in.Src, monitored)
+		a := m.readOperand(p, cur, &sl.dst, monitored)
+		b := m.readOperand(p, cur, &sl.src, monitored)
 		setResultFlags(&p.fl, a&b)
 
 	case isa.PUSH:
-		v := m.readOperand(p, cur, in.Dst, monitored)
+		v := m.readOperand(p, cur, &sl.dst, monitored)
 		p.regs[isa.R14] -= 8
 		m.store(p, cur, p.regs[isa.R14], v, monitored)
 
 	case isa.POP:
 		v := m.load(p, cur, p.regs[isa.R14], monitored)
 		p.regs[isa.R14] += 8
-		m.writeOperand(p, cur, in.Dst, v, monitored)
+		m.writeOperand(p, cur, &sl.dst, v, monitored)
 
 	case isa.CLFLUSH:
-		addr := ea(in.Dst, &p.regs)
+		addr := sl.dst.ea(&p.regs)
 		lat, wasCached := m.hier.Flush(addr)
 		m.cycles += lat
 		if monitored {
@@ -563,20 +641,20 @@ func (m *Machine) step(p *proc, monitored bool) {
 		}
 
 	case isa.RDTSCP:
-		p.regs[in.Dst.Base] = m.cycles
+		p.regs[sl.dst.base] = m.cycles
 		if monitored {
 			m.trace.fire(hpc.Timestamp, cur, m.cycles)
 		}
 
 	case isa.JMP:
-		if in.Dst.Kind == isa.OpImm {
+		if sl.dst.kind == isa.OpImm {
 			next = sl.target
 		} else {
 			// Indirect jump: the front end fetches from the BTB's stale
 			// target until the real one resolves — the Spectre-v2
 			// branch-target-injection window.
-			actual := m.readOperand(p, cur, in.Dst, monitored)
-			predicted, had := m.pred.UpdateIndirect(pc, actual)
+			actual := m.readOperand(p, cur, &sl.dst, monitored)
+			predicted, had := m.pred.updateIndirect(int(sl.btb), actual)
 			if !had {
 				if monitored {
 					m.trace.fire(hpc.BranchLoadMiss, cur, m.cycles)
@@ -595,11 +673,11 @@ func (m *Machine) step(p *proc, monitored bool) {
 
 	case isa.CALL:
 		p.regs[isa.R14] -= 8
-		m.store(p, cur, p.regs[isa.R14], in.Next(), monitored)
-		if in.Dst.Kind == isa.OpImm {
+		m.store(p, cur, p.regs[isa.R14], pc+uint64(sl.size), monitored)
+		if sl.dst.kind == isa.OpImm {
 			next = sl.target
 		} else {
-			next = p.slotAt(p.regs[in.Dst.Base])
+			next = p.slotAt(p.regs[sl.dst.base])
 		}
 
 	case isa.RET:
@@ -607,10 +685,9 @@ func (m *Machine) step(p *proc, monitored bool) {
 		p.regs[isa.R14] += 8
 
 	case isa.JE, isa.JNE, isa.JL, isa.JLE, isa.JG, isa.JGE, isa.JB, isa.JAE:
-		taken := evalCond(in.Op, p.fl)
-		target := uint64(in.Dst.Disp)
+		taken := evalCond(sl.op, p.fl)
 		predictedTaken := m.pred.PredictTaken(pc)
-		mispredicted, btbMiss := m.pred.Update(pc, taken, target)
+		mispredicted, btbMiss := m.pred.Update(pc, int(sl.btb), taken, sl.dst.disp)
 		if monitored {
 			if mispredicted {
 				m.trace.fire(hpc.BranchMiss, cur, m.cycles)
@@ -640,7 +717,9 @@ func (m *Machine) step(p *proc, monitored bool) {
 	p.retired++
 	if monitored {
 		m.trace.retire(cur, m.cycles)
-		m.trace.tickWindows(m.cycles)
+		if m.trace.WindowWidth != 0 {
+			m.trace.tickWindows(m.cycles)
+		}
 	}
 }
 
@@ -658,56 +737,46 @@ func (m *Machine) speculate(p *proc, start int32, monitored bool) {
 			return
 		}
 		sl := &p.slots[cur]
-		in := sl.in
-		if in.Op.IsSerializing() {
+		if sl.op.IsSerializing() {
 			return
 		}
 		next := sl.next
-		read := func(op isa.Operand) uint64 {
-			switch op.Kind {
-			case isa.OpReg:
-				return regs[op.Base]
-			case isa.OpImm:
-				return uint64(op.Disp)
-			case isa.OpMem:
-				return m.specLoad(p, cur, ea(op, &regs), monitored)
-			}
-			return 0
-		}
-		switch in.Op {
+		switch sl.op {
 		case isa.NOP:
 		case isa.MOV:
-			if in.Dst.Kind == isa.OpReg {
-				regs[in.Dst.Base] = read(in.Src)
+			if sl.dst.kind == isa.OpReg {
+				regs[sl.dst.base] = m.specRead(p, cur, &regs, &sl.src, monitored)
 			}
 			// Transient stores stay in the store buffer: no effect.
 		case isa.LEA:
-			regs[in.Dst.Base] = ea(in.Src, &regs)
+			regs[sl.dst.base] = sl.src.ea(&regs)
 		case isa.ADD, isa.SUB, isa.MUL, isa.XOR, isa.AND, isa.OR, isa.SHL, isa.SHR:
-			if in.Dst.Kind == isa.OpReg {
-				r := alu(in.Op, regs[in.Dst.Base], read(in.Src))
-				regs[in.Dst.Base] = r
+			if sl.dst.kind == isa.OpReg {
+				r := alu(sl.op, regs[sl.dst.base], m.specRead(p, cur, &regs, &sl.src, monitored))
+				regs[sl.dst.base] = r
 				setResultFlags(&fl, r)
 			}
 		case isa.INC, isa.DEC:
-			if in.Dst.Kind == isa.OpReg {
-				r := alu(in.Op, regs[in.Dst.Base], 0)
-				regs[in.Dst.Base] = r
+			if sl.dst.kind == isa.OpReg {
+				r := alu(sl.op, regs[sl.dst.base], 0)
+				regs[sl.dst.base] = r
 				setResultFlags(&fl, r)
 			}
 		case isa.CMP:
-			a, b := read(in.Dst), read(in.Src)
+			a := m.specRead(p, cur, &regs, &sl.dst, monitored)
+			b := m.specRead(p, cur, &regs, &sl.src, monitored)
 			fl.zf, fl.lt, fl.below = a == b, int64(a) < int64(b), a < b
 		case isa.TEST:
-			setResultFlags(&fl, read(in.Dst)&read(in.Src))
+			a := m.specRead(p, cur, &regs, &sl.dst, monitored)
+			setResultFlags(&fl, a&m.specRead(p, cur, &regs, &sl.src, monitored))
 		case isa.JMP:
-			if in.Dst.Kind == isa.OpImm {
+			if sl.dst.kind == isa.OpImm {
 				next = sl.target
 			} else {
-				next = p.slotAt(regs[in.Dst.Base])
+				next = p.slotAt(regs[sl.dst.base])
 			}
 		case isa.JE, isa.JNE, isa.JL, isa.JLE, isa.JG, isa.JGE, isa.JB, isa.JAE:
-			if evalCond(in.Op, fl) {
+			if evalCond(sl.op, fl) {
 				next = sl.target
 			}
 		case isa.CALL, isa.RET, isa.PUSH, isa.POP, isa.CLFLUSH:
@@ -721,6 +790,20 @@ func (m *Machine) speculate(p *proc, start int32, monitored bool) {
 		}
 		cur = next
 	}
+}
+
+// specRead evaluates a source operand of the transient instruction in
+// slot s against the transient register file regs.
+func (m *Machine) specRead(p *proc, s int32, regs *[isa.NumRegs]uint64, op *operand, monitored bool) uint64 {
+	switch op.kind {
+	case isa.OpReg:
+		return regs[op.base]
+	case isa.OpImm:
+		return op.disp
+	case isa.OpMem:
+		return m.specLoad(p, s, op.ea(regs), monitored)
+	}
+	return 0
 }
 
 // specLoad performs a transient load for the instruction in slot s.

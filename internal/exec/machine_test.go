@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 
+	"repro/internal/attacks"
 	"repro/internal/hpc"
 	"repro/internal/isa"
 )
@@ -41,44 +42,98 @@ func TestMemoryByteAndWord(t *testing.T) {
 }
 
 func TestPredictorTraining(t *testing.T) {
-	bp := NewBranchPredictor(64)
+	var bp BranchPredictor
+	bp.init(64, 2)
 	pc := uint64(0x100)
 	if bp.PredictTaken(pc) {
 		t.Error("initial prediction must be not-taken")
 	}
 	// First taken outcome: misprediction + BTB miss.
-	mis, btb := bp.Update(pc, true, 0x200)
+	mis, btb := bp.Update(pc, 0, true, 0x200)
 	if !mis || !btb {
 		t.Errorf("first taken: mis=%v btb=%v", mis, btb)
 	}
 	// Train to taken.
-	bp.Update(pc, true, 0x200)
+	bp.Update(pc, 0, true, 0x200)
 	if !bp.PredictTaken(pc) {
 		t.Error("predictor should now predict taken")
 	}
-	if tgt, ok := bp.PredictTarget(pc); !ok || tgt != 0x200 {
-		t.Errorf("BTB = %#x,%v", tgt, ok)
+	if e := bp.btb[0]; !e.valid || e.target != 0x200 {
+		t.Errorf("BTB = %#x,%v", e.target, e.valid)
 	}
-	// A not-taken outcome now mispredicts.
-	mis, btb = bp.Update(pc, false, 0)
+	// A not-taken outcome now mispredicts and leaves the BTB alone.
+	mis, btb = bp.Update(pc, 0, false, 0)
 	if !mis || btb {
 		t.Errorf("surprise not-taken: mis=%v btb=%v", mis, btb)
 	}
-	bp.Reset()
-	if bp.PredictTaken(pc) {
-		t.Error("reset should restore not-taken")
+	// The other entry is untouched: an indirect branch there has no
+	// prediction yet, then predicts the target it last resolved to.
+	if _, had := bp.updateIndirect(1, 0x300); had {
+		t.Error("untrained BTB entry predicted a target")
 	}
-	if _, ok := bp.PredictTarget(pc); ok {
-		t.Error("reset should clear BTB")
+	if got, had := bp.updateIndirect(1, 0x400); !had || got != 0x300 {
+		t.Errorf("indirect prediction = %#x,%v, want 0x300,true", got, had)
+	}
+	if e := bp.btb[0]; e.target != 0x200 {
+		t.Errorf("entry 0 = %#x after training entry 1", e.target)
+	}
+}
+
+// TestBTBEntriesAliasByPC checks the dense BTB numbering: conditional
+// and indirect branches get entries, other instructions none, distinct
+// PCs of one process distinct entries, and a branch of another process
+// at the same PC the same entry (cross-process branch-target injection
+// trains through it).
+func TestBTBEntriesAliasByPC(t *testing.T) {
+	a := isa.NewBuilder("a", 0x1000)
+	a.Label("top").
+		Mov(isa.R(isa.R0), isa.Imm(0x1000)).
+		Cmp(isa.R(isa.R0), isa.Imm(1)).
+		Je("top").
+		Raw(isa.JMP, isa.R(isa.R0), isa.None()).
+		Hlt()
+	b := isa.NewBuilder("b", 0x1000)
+	b.Label("top").
+		Mov(isa.R(isa.R1), isa.Imm(0x1000)).
+		Nop().
+		Raw(isa.JMP, isa.R(isa.R1), isa.None()).
+		Jne("top").
+		Hlt()
+	m, err := NewMachine(DefaultConfig(), a.MustBuild(), b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := func(p *proc) []int32 {
+		var out []int32
+		for _, sl := range p.slots {
+			out = append(out, sl.btb)
+		}
+		return out
+	}
+	ea, eb := entries(m.procs[0]), entries(m.procs[1])
+	if ea[2] < 0 || ea[3] < 0 || ea[2] == ea[3] {
+		t.Fatalf("process a entries %v: want distinct entries at the two branches", ea)
+	}
+	for _, i := range []int{0, 1, 4} {
+		if ea[i] != noSlot || eb[i] != noSlot {
+			t.Fatalf("non-branch slot %d has an entry: a %v, b %v", i, ea, eb)
+		}
+	}
+	if eb[2] != ea[2] || eb[3] != ea[3] {
+		t.Fatalf("same-PC branches do not share entries: a %v, b %v", ea, eb)
+	}
+	if got := len(m.pred.btb); got != 2 {
+		t.Fatalf("BTB has %d entries, want 2", got)
 	}
 }
 
 func TestPredictorSizeRounding(t *testing.T) {
-	bp := NewBranchPredictor(0)
+	var bp, bp2 BranchPredictor
+	bp.init(0, 0)
 	if len(bp.counters) != 512 {
 		t.Errorf("default size = %d", len(bp.counters))
 	}
-	bp2 := NewBranchPredictor(100)
+	bp2.init(100, 0)
 	if len(bp2.counters) != 128 {
 		t.Errorf("rounded size = %d", len(bp2.counters))
 	}
@@ -340,6 +395,37 @@ func TestWindowSampling(t *testing.T) {
 	tr := m.Run()
 	if len(tr.Windows) < 2 {
 		t.Fatalf("windows = %d, want several", len(tr.Windows))
+	}
+	var total hpc.Counts
+	for _, w := range tr.Windows {
+		total.Add(w.Counts)
+	}
+	if total != tr.Bank.Global() {
+		t.Error("window sum must equal global counters")
+	}
+}
+
+// TestWindowSamplesOptIn checks that window samples are opt-in: the
+// default configuration records none, and DefaultWindowWidth records
+// windows whose counts sum to the global counters.
+func TestWindowSamplesOptIn(t *testing.T) {
+	p := attacks.FlushReloadIAIK(attacks.DefaultParams())
+	m, err := NewMachine(DefaultConfig(), p.Program, p.Victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr := m.Run(); len(tr.Windows) != 0 || tr.WindowWidth != 0 {
+		t.Fatalf("default config recorded %d windows of width %d, want none", len(tr.Windows), tr.WindowWidth)
+	}
+	cfg := DefaultConfig()
+	cfg.WindowWidth = DefaultWindowWidth
+	m, err = NewMachine(cfg, p.Program, p.Victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := m.Run()
+	if len(tr.Windows) == 0 || tr.WindowWidth != DefaultWindowWidth {
+		t.Fatalf("DefaultWindowWidth recorded %d windows of width %d", len(tr.Windows), tr.WindowWidth)
 	}
 	var total hpc.Counts
 	for _, w := range tr.Windows {

@@ -91,8 +91,8 @@ type Event struct {
 type Trace struct {
 	Bank     *hpc.Bank
 	ByAddr   map[uint64]*AddrRecord
-	SetTrace []SetAccess
-	Windows  []WindowSample
+	SetTrace []SetAccess    // recorded only with Config.MaxSetTrace > 0
+	Windows  []WindowSample // recorded only with Config.WindowWidth > 0
 
 	// Events is the chronological event log, populated only when the
 	// machine ran with Config.RecordEvents. See Event for the ordering
@@ -134,11 +134,9 @@ type slotState struct {
 }
 
 // newTrace builds an empty trace over the instruction addresses pcs
-// (slot s is pcs[s]) with the given sampling parameters.
+// (slot s is pcs[s]) with the given sampling parameters; a zero
+// windowWidth records no window samples.
 func newTrace(pcs []uint64, windowWidth uint64, maxSetTrace int, recordEvents bool, maxEvents int) *Trace {
-	if windowWidth == 0 {
-		windowWidth = 2048
-	}
 	return &Trace{
 		pcs:          pcs,
 		st:           make([]slotState, len(pcs)),
@@ -174,7 +172,9 @@ func (t *Trace) touch(s int32, cycle uint64) *slotState {
 func (t *Trace) retire(s int32, cycle uint64) {
 	t.touch(s, cycle).rec.ExecCount++
 	t.Retired++
-	t.event(EvRetire, cycle, s, 0, 0)
+	if t.recordEvents {
+		t.event(EvRetire, cycle, s, 0, 0)
+	}
 }
 
 func (t *Trace) memLine(s int32, lineAddr uint64, cycle uint64) {
@@ -208,18 +208,21 @@ func (t *Trace) setAccess(cycle uint64, set int, line uint64, kind SetAccessKind
 }
 
 // fire records an HPC event in slot s's counters, the global counters
-// and the current window.
+// and, when window samples are on, the current window.
 func (t *Trace) fire(e hpc.Event, s int32, cycle uint64) {
 	if e >= hpc.NumEvents {
 		return
 	}
 	t.st[s].counts[e]++
 	t.global[e]++
-	t.curWindow.Counts[e]++
+	if t.WindowWidth != 0 {
+		t.curWindow.Counts[e]++
+	}
 	t.event(EvHPC, cycle, s, 0, e)
 }
 
-// tickWindows advances window sampling to the given cycle.
+// tickWindows advances window sampling to the given cycle; window
+// samples must be on.
 func (t *Trace) tickWindows(cycle uint64) {
 	for cycle >= t.curWindow.StartCycle+t.WindowWidth {
 		t.Windows = append(t.Windows, t.curWindow)
@@ -227,8 +230,8 @@ func (t *Trace) tickWindows(cycle uint64) {
 	}
 }
 
-// finish flushes the trailing partial window and materializes the
-// per-address views.
+// finish flushes the trailing partial window (if any is recorded) and
+// materializes the per-address views.
 func (t *Trace) finish(cycle uint64) {
 	t.Cycles = cycle
 	if t.curWindow.Counts.Total() > 0 {

@@ -101,6 +101,9 @@ func prepare(samples []dataset.Sample, cfg Config) ([]*Prepared, error) {
 		execCfg := cfg.Model.Exec
 		execCfg.MaxRetired = cfg.MaxRetired
 		execCfg.MaxSetTrace = exec.DefaultMaxSetTrace // SCADET reads the set trace
+		if execCfg.WindowWidth == 0 {
+			execCfg.WindowWidth = exec.DefaultWindowWidth // the ML baselines read the windows
+		}
 		var others []*isa.Program
 		if s.Victim != nil {
 			others = append(others, s.Victim)

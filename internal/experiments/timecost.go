@@ -50,6 +50,9 @@ func MeasureTimeCost(config Config) (*TimeCost, error) {
 		execCfg := config.Model.Exec
 		execCfg.MaxRetired = config.MaxRetired
 		execCfg.MaxSetTrace = exec.DefaultMaxSetTrace // SCADET reads the set trace
+		if execCfg.WindowWidth == 0 {
+			execCfg.WindowWidth = exec.DefaultWindowWidth // the ML baselines read the windows
+		}
 		machine, err := exec.NewMachine(execCfg, poc.Program, poc.Victim)
 		if err != nil {
 			return nil, err
