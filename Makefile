@@ -78,12 +78,13 @@ bench-check:
 	./scripts/bench-check.sh
 
 # The warm scan path — exact and pruned (-fast) — must perform zero
-# allocations per full repository pass, and one model build (CFG,
-# simulation, modeling) must stay within its pinned allocation budget
-# (testing.AllocsPerRun; see docs/PERFORMANCE.md "Allocation-free scan
-# kernel" and the two "Front of pipeline" sections).
+# allocations per full repository pass, one whole warm ScanCtx call and
+# one model build (CFG, simulation, modeling) must stay within their
+# pinned allocation budgets (testing.AllocsPerRun; see
+# docs/PERFORMANCE.md "Allocation-free scan kernel", "One target per
+# scan" and the two "Front of pipeline" sections).
 alloc-check:
-	$(GO) test -timeout $(TEST_TIMEOUT) -run TestScanZeroAllocWarmPath -v ./internal/scan
+	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestScanZeroAllocWarmPath|TestScanCtxAllocs' -v ./internal/scan
 	$(GO) test -timeout $(TEST_TIMEOUT) -run TestModelBuildAllocs -v ./internal/model
 
 # Cache-hit smoke: the differential + all-hits repeat-pass tests across

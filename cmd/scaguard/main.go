@@ -418,7 +418,6 @@ func cmdClassify(args []string) error {
 	resultCache := fs.Int("result-cache", 0, "memoize whole scan outcomes for repeated targets in a bounded LRU of this many entries (0 = off); invalidated automatically when the repository grows")
 	shards := fs.Int("shards", 0, "partition the repository across this many in-process scan shards (0/1 = single engine)")
 	shardAddrs := fs.String("shard-addrs", "", "comma-separated shard-serve addresses; the repository is scanned across them instead of in process. Each address may name |-separated replicas serving the same partition (\"a:9101|b:9101\"): scans fail over between them")
-	shardPolicy := fs.String("shard-policy", "hash", "shard partition policy: hash (rendezvous) or rr (round-robin); must match the servers'")
 	shardAttemptTimeout := fs.Duration("shard-attempt-timeout", 0, "per-replica attempt budget within a replicated shard; a slower replica fails over to the next one (0 = none)")
 	shardProbe := fs.Duration("shard-probe", 0, "background health-probe interval for replicated shard backends; quarantined replicas are re-admitted within one interval of recovering (0 = off)")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive failures that open a shard replica's circuit breaker (0 = default 3, negative = disable breaking)")
@@ -443,12 +442,7 @@ func cmdClassify(args []string) error {
 	det.Scan = sf.config()
 	det.Timeout = *timeout
 	det.ResultCache = *resultCache
-	policy, err := scaguard.ParseShardPolicy(*shardPolicy)
-	if err != nil {
-		return err
-	}
 	det.Shards = *shards
-	det.ShardPolicy = policy
 	det.ShardAttemptTimeout = *shardAttemptTimeout
 	det.ShardProbeInterval = *shardProbe
 	det.ShardBreaker = scaguard.BreakerSettings{Threshold: *breakerThreshold}
@@ -459,7 +453,7 @@ func cmdClassify(args []string) error {
 		// one healthy replica holding the slice the router assigns it,
 		// else partition drift would silently misclassify. Dead replicas
 		// behind live ones only warn — failover covers them.
-		unhealthy, err := scaguard.CheckShardFleet(context.Background(), det.Repo, det.ShardAddrs, policy)
+		unhealthy, err := scaguard.CheckShardFleet(context.Background(), det.Repo, det.ShardAddrs)
 		if err != nil {
 			return err
 		}
@@ -543,14 +537,13 @@ func loadDetector(path string) (*scaguard.Detector, error) {
 
 // cmdShardServe hosts one shard of the repository over HTTP: the
 // process derives the same partition every classify client derives, so
-// the only coordination needed is agreeing on -shards/-policy. Blocks
-// until interrupted.
+// the only coordination needed is agreeing on -shards. Blocks until
+// interrupted.
 func cmdShardServe(args []string) error {
 	fs := flag.NewFlagSet("shard-serve", flag.ContinueOnError)
 	repoPath := fs.String("repo", "", "serve a shard of a saved repository instead of the default")
 	shards := fs.Int("shards", 1, "total number of shards in the deployment")
 	shardIndex := fs.Int("shard-index", 0, "which shard this process serves (0-based)")
-	policyName := fs.String("policy", "hash", "shard partition policy: hash (rendezvous) or rr (round-robin)")
 	addr := fs.String("addr", ":9101", "listen address (host:port; port 0 picks a free port)")
 	workers := fs.Int("workers", 0, "scan worker-pool size inside this shard (0 = GOMAXPROCS)")
 	warmIndex := fs.Bool("index", false, "pre-build the medoid-prototype repository index over this shard's slice at startup, so the first indexed /scan skips the O(n²) construction (clients opt into indexed scans per request; see docs/INDEXING.md)")
@@ -569,20 +562,16 @@ func cmdShardServe(args []string) error {
 	if err := fe.err(); err != nil {
 		return err
 	}
-	policy, err := scaguard.ParseShardPolicy(*policyName)
-	if err != nil {
-		return err
-	}
 	det, err := loadDetector(*repoPath)
 	if err != nil {
 		return err
 	}
-	bound, shutdown, err := scaguard.ServeShard(det.Repo, *shards, *shardIndex, policy, *addr,
+	bound, shutdown, err := scaguard.ServeShard(det.Repo, *shards, *shardIndex, *addr,
 		scaguard.ShardServerConfig{Workers: *workers, WarmIndex: *warmIndex, IndexClusters: *indexClusters})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "shard %d/%d (%s policy) serving on %s — interrupt to exit\n", *shardIndex, *shards, policy, bound)
+	fmt.Fprintf(os.Stderr, "shard %d/%d serving on %s — interrupt to exit\n", *shardIndex, *shards, bound)
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	<-ch
@@ -604,7 +593,6 @@ func cmdServe(args []string) error {
 	resultCache := fs.Int("result-cache", 0, "memoize whole scan outcomes in a bounded LRU of this many entries (0 = off); invalidated by /reload and repository growth")
 	shards := fs.Int("shards", 0, "partition the repository across this many in-process scan shards (0/1 = single engine)")
 	shardAddrs := fs.String("shard-addrs", "", "comma-separated shard-serve addresses; the repository is scanned across them. Each address may name |-separated replicas serving the same partition (\"a:9101|b:9101\"): scans fail over between them")
-	shardPolicy := fs.String("shard-policy", "hash", "shard partition policy: hash (rendezvous) or rr (round-robin); must match the servers'")
 	shardTimeout := fs.Duration("shard-timeout", 0, "per-shard share of one scan; a slower shard fails that scan and the verdict degrades to partial (0 = none)")
 	shardAttemptTimeout := fs.Duration("shard-attempt-timeout", 0, "per-replica attempt budget within a replicated shard; a slower replica fails over to the next one (0 = none)")
 	shardProbe := fs.Duration("shard-probe", 5*time.Second, "background health-probe interval for replicated shard backends; quarantined replicas are re-admitted within one interval of recovering (0 = off)")
@@ -647,12 +635,7 @@ func cmdServe(args []string) error {
 	det.Scan = sf.config()
 	det.Timeout = *timeout
 	det.ResultCache = *resultCache
-	policy, err := scaguard.ParseShardPolicy(*shardPolicy)
-	if err != nil {
-		return err
-	}
 	det.Shards = *shards
-	det.ShardPolicy = policy
 	det.ShardTimeout = *shardTimeout
 	det.ShardAttemptTimeout = *shardAttemptTimeout
 	det.ShardProbeInterval = *shardProbe
@@ -661,7 +644,7 @@ func cmdServe(args []string) error {
 	if *shardAddrs != "" {
 		det.ShardAddrs = strings.Split(*shardAddrs, ",")
 		defer det.Close()
-		unhealthy, err := scaguard.CheckShardFleet(context.Background(), det.Repo, det.ShardAddrs, policy)
+		unhealthy, err := scaguard.CheckShardFleet(context.Background(), det.Repo, det.ShardAddrs)
 		if err != nil {
 			return err
 		}

@@ -26,13 +26,13 @@ func TestCascadeDetectorBestMatchesExact(t *testing.T) {
 	r := repo(t)
 	ref := NewDetector(r)
 	targets := repoTargets(r)
-	want := ref.ClassifyBatch(targets)
+	want := classifyEach(ref, targets)
 
 	for _, n := range []int{1, 2, 7} {
 		d := NewDetector(r)
 		d.Shards = n
 		d.Scan = scan.Config{Prune: true}
-		got := d.ClassifyBatch(targets)
+		got := classifyEach(d, targets)
 		for i := range want {
 			if got[i].Predicted != want[i].Predicted {
 				t.Errorf("shards=%d target %d: predicted %q, exact %q", n, i, got[i].Predicted, want[i].Predicted)
@@ -82,10 +82,11 @@ func TestCascadeClassifyVsAddRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				if g%2 == 0 {
-					results := d.ClassifyBatch(targets)
-					if len(results) != len(targets) {
-						t.Errorf("batch returned %d results", len(results))
-						return
+					for _, res := range classifyEach(d, targets) {
+						if res.Predicted == "" {
+							t.Error("empty prediction")
+							return
+						}
 					}
 				} else if res := d.ClassifyBBS(targets[i%len(targets)]); res.Predicted == "" {
 					t.Error("empty prediction")

@@ -3,6 +3,7 @@ package detect
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -67,7 +68,7 @@ func TestClassifyCtxDetectorTimeout(t *testing.T) {
 	}
 }
 
-// batchTargets repeats the repository's own models as batch input; they
+// batchTargets repeats the repository's own models as n targets; they
 // all pass gating (attack models read timers and exceed MinModelLen).
 func batchTargets(t *testing.T, n int) []*model.CSTBBS {
 	t.Helper()
@@ -79,34 +80,24 @@ func batchTargets(t *testing.T, n int) []*model.CSTBBS {
 	return out
 }
 
-// TestClassifyBatchCtxBackgroundMatchesClassifyBatch: same verdicts on
-// the background fast path, element for element.
-func TestClassifyBatchCtxBackgroundMatchesClassifyBatch(t *testing.T) {
-	d := NewDetector(repo(t))
-	targets := batchTargets(t, 8)
-	want := d.ClassifyBatch(targets)
-	got, err := d.ClassifyBatchCtx(context.Background(), targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("ClassifyBatchCtx and ClassifyBatch results differ")
-	}
-}
-
-// TestClassifyBatchCtxCancelPrompt cancels a slowed batch mid-scan and
-// asserts the 100ms return budget of the robustness contract.
-func TestClassifyBatchCtxCancelPrompt(t *testing.T) {
+// TestClassifyBBSCtxCancelPrompt cancels one target's slowed scan of a
+// large repository mid-way and asserts the 100ms return budget of the
+// robustness contract.
+func TestClassifyBBSCtxCancelPrompt(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	faultinject.Enable(faultinject.ScanWorker, faultinject.Sleep(time.Millisecond))
-	d := NewDetector(repo(t))
+	large := &Repository{}
+	for i, bbs := range batchTargets(t, 512) { // ≥1ms per entry on 2 workers: long runway
+		large.Add(fmt.Sprintf("entry-%03d", i), attacks.FamilyFR, bbs)
+	}
+	d := NewDetector(large)
 	d.Telemetry = telemetry.NewCollector()
 	d.Scan.Workers = 2
-	targets := batchTargets(t, 64) // ≥1ms each on 2 workers: long runway
+	target := batchTargets(t, 1)[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := d.ClassifyBatchCtx(ctx, targets)
+		_, err := d.ClassifyBBSCtx(ctx, target)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -121,26 +112,26 @@ func TestClassifyBatchCtxCancelPrompt(t *testing.T) {
 			t.Fatalf("cancel-to-return took %v, want < 100ms", dur)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("batch did not return after cancel")
+		t.Fatal("classification did not return after cancel")
 	}
 	if got := d.Telemetry.Counter(telemetry.DetectCancellations); got != 1 {
 		t.Errorf("detect_cancellations = %d, want 1", got)
 	}
 }
 
-// TestClassifyBatchRepanics: the non-ctx batch API keeps its loud-crash
+// TestClassifyBBSRepanics: the non-ctx API keeps its loud-crash
 // contract when a worker panics.
-func TestClassifyBatchRepanics(t *testing.T) {
+func TestClassifyBBSRepanics(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	faultinject.Enable(faultinject.ScanWorker, faultinject.OnCall(1, faultinject.Panic("batch crash")))
+	faultinject.Enable(faultinject.ScanWorker, faultinject.OnCall(1, faultinject.Panic("scan crash")))
 	d := NewDetector(repo(t))
 	defer func() {
-		if r := recover(); r != "batch crash" {
-			t.Errorf("recovered %v, want batch crash", r)
+		if r := recover(); r != "scan crash" {
+			t.Errorf("recovered %v, want scan crash", r)
 		}
 	}()
-	d.ClassifyBatch(batchTargets(t, 2))
-	t.Error("ClassifyBatch did not re-panic")
+	d.ClassifyBBS(batchTargets(t, 1)[0])
+	t.Error("ClassifyBBS did not re-panic")
 }
 
 // TestClassifyBBSCtxPanicIsErrorNotCrash: the ctx API converts the same

@@ -303,9 +303,6 @@ type Detector struct {
 	// partial-result notes on the classify methods) instead of hanging
 	// it.
 	ShardAddrs []string
-	// ShardPolicy selects how repository entries map to shards
-	// (default shard.PolicyHash, rendezvous hashing).
-	ShardPolicy shard.Policy
 	// ShardTimeout, when positive, bounds each shard's share of one
 	// scan; a shard that exceeds it fails that scan and the result
 	// degrades instead of waiting.
@@ -343,11 +340,10 @@ type Detector struct {
 	// docs/PERFORMANCE.md and docs/ROBUSTNESS.md.
 	ResultCache int
 	// Timeout, when positive, is the per-classification deadline the
-	// context-aware entry points (ClassifyCtx, ClassifyBBSCtx,
-	// ClassifyBatchCtx) apply on top of their caller's context: each
-	// call gets its own deadline covering modeling and scanning, and an
-	// expired deadline surfaces as context.DeadlineExceeded. The
-	// non-context APIs ignore it.
+	// context-aware entry points (ClassifyCtx, ClassifyBBSCtx) apply on
+	// top of their caller's context: each call gets its own deadline
+	// covering modeling and scanning, and an expired deadline surfaces
+	// as context.DeadlineExceeded. The non-context APIs ignore it.
 	Timeout time.Duration
 	// Telemetry optionally collects runtime counters and stage
 	// latencies across the whole detection pipeline: scan pruning
@@ -383,12 +379,11 @@ type Detector struct {
 }
 
 // repoScanner is what classification needs from the scan layer: one
-// target or a batch, positional matches out. A single scan.Engine and
-// a shard.Coordinator both satisfy it, so the sharded repository hides
-// behind the same Classify/ClassifyBatch/Ctx API.
+// target in, positional matches out. A single scan.Engine and a
+// shard.Coordinator both satisfy it, so the sharded repository hides
+// behind the same Classify/ClassifyBBS/Ctx API.
 type repoScanner interface {
 	ScanCtx(ctx context.Context, bbs *model.CSTBBS) ([]scan.Match, error)
-	ScanBatchCtx(ctx context.Context, targets []*model.CSTBBS) ([][]scan.Match, error)
 }
 
 // engineKey captures the configuration a scanner was built under.
@@ -397,7 +392,6 @@ type engineKey struct {
 	sem            scan.Semantics
 	tel            *telemetry.Collector
 	shards         int
-	policy         shard.Policy
 	addrs          string
 	shardTimeout   time.Duration
 	shardRetry     retry.Policy
@@ -410,7 +404,7 @@ type engineKey struct {
 func (d *Detector) key() engineKey {
 	return engineKey{
 		workers: d.Scan.Workers, sem: d.scanConfig().Semantics(), tel: d.Telemetry,
-		shards: d.Shards, policy: d.ShardPolicy, addrs: strings.Join(d.ShardAddrs, ","),
+		shards: d.Shards, addrs: strings.Join(d.ShardAddrs, ","),
 		shardTimeout: d.ShardTimeout, shardRetry: d.ShardRetry,
 		attemptTimeout: d.ShardAttemptTimeout, brk: d.ShardBreaker, probeInterval: d.ShardProbeInterval,
 		resultCache: d.ResultCache,
@@ -541,8 +535,8 @@ func (d *Detector) wrapCached(sc repoScanner, ver uint64, sem scan.Semantics) re
 }
 
 // cachedScanner memoizes whole scan outcomes behind the repoScanner
-// seam, so every classification entry point — single, batch, streaming
-// — shares one result cache without knowing it exists.
+// seam, so every classification entry point — direct, streaming,
+// served, windowed — shares one result cache without knowing it exists.
 type cachedScanner struct {
 	inner repoScanner
 	cache *vcache.Cache
@@ -568,31 +562,6 @@ func (s *cachedScanner) ScanCtx(ctx context.Context, bbs *model.CSTBBS) ([]scan.
 	return ms, err
 }
 
-// ScanBatchCtx routes each target through the cache individually. A
-// repository scan already saturates the worker pool per target, so the
-// sequencing costs parallelism only on targets small enough not to
-// matter — and cached targets skip their scan entirely, which a shared
-// batch pass could not do. Error semantics mirror the shard
-// coordinator's batch: partial failures degrade only their target and
-// join into one error, anything else aborts the batch.
-func (s *cachedScanner) ScanBatchCtx(ctx context.Context, targets []*model.CSTBBS) ([][]scan.Match, error) {
-	results := make([][]scan.Match, len(targets))
-	var partials []error
-	for i, bbs := range targets {
-		ms, err := s.ScanCtx(ctx, bbs)
-		if err != nil {
-			if isPartial(err) {
-				results[i] = ms
-				partials = append(partials, err)
-				continue
-			}
-			return results, err
-		}
-		results[i] = ms
-	}
-	return results, errors.Join(partials...)
-}
-
 // buildScanner constructs the scan backend the configuration asks for:
 // a single engine (the default), a local sharded coordinator, or a
 // remote one (co is the coordinator when sharded, nil otherwise).
@@ -615,10 +584,10 @@ func (d *Detector) buildScanner(models []*model.CSTBBS, cfg scan.Config, ver uin
 		err error
 	)
 	if len(d.ShardAddrs) > 0 {
-		co, err = shard.NewRemoteCoordinator(models, d.ShardAddrs, shard.Router{Policy: d.ShardPolicy},
+		co, err = shard.NewRemoteCoordinator(models, d.ShardAddrs, shard.Router{},
 			cfg, shard.RemoteConfig{Retry: d.ShardRetry, Telemetry: d.Telemetry, Version: ver}, ccfg)
 	} else {
-		co, err = shard.NewLocalCoordinator(models, shard.Router{Shards: d.Shards, Policy: d.ShardPolicy}, cfg, ccfg)
+		co, err = shard.NewLocalCoordinator(models, shard.Router{Shards: d.Shards}, cfg, ccfg)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -790,70 +759,6 @@ func (d *Detector) classifyBBSCtx(ctx context.Context, bbs *model.CSTBBS) (Resul
 		return Result{}, d.noteCtxErr(err)
 	}
 	return d.assemble(entries, ms), nil
-}
-
-// ClassifyBatch classifies many pre-built behavior models in one scan
-// pass, sharing the worker pool and warm distance cache across all of
-// them. results[i] corresponds to targets[i]; gated-out targets get the
-// same explicit benign result ClassifyBBS would give them, without
-// occupying the scan.
-// Like ClassifyBBS, failing shards of a sharded repository degrade the
-// batch silently to the surviving shards' entries.
-func (d *Detector) ClassifyBatch(targets []*model.CSTBBS) []Result {
-	results, err := d.classifyBatchCtx(context.Background(), targets)
-	if err != nil && !isPartial(err) {
-		_ = panicsafe.Repanic(err)
-		panic(err)
-	}
-	return results
-}
-
-// ClassifyBatchCtx is ClassifyBatch with cooperative cancellation and
-// panic recovery. The detector's Timeout, when set, covers the whole
-// batch. A cancelled or expired context stops the shared scan between
-// work items and returns the context's error; a panic while scoring a
-// target stops the batch and returns as a *panicsafe.PanicError. On a
-// non-nil error the returned results are incomplete and must be
-// discarded — per-target fault isolation is the streaming front end's
-// job (internal/stream). The exception is a *shard.PartialError: every
-// target still gets a Result, each covering the shards that survived
-// its scan.
-func (d *Detector) ClassifyBatchCtx(ctx context.Context, targets []*model.CSTBBS) ([]Result, error) {
-	ctx, cancel := d.withTimeout(ctx)
-	defer cancel()
-	return d.classifyBatchCtx(ctx, targets)
-}
-
-func (d *Detector) classifyBatchCtx(ctx context.Context, targets []*model.CSTBBS) ([]Result, error) {
-	d.Telemetry.Inc(telemetry.DetectBatches)
-	d.Telemetry.Add(telemetry.DetectClassifications, uint64(len(targets)))
-	results := make([]Result, len(targets))
-	live := make([]*model.CSTBBS, 0, len(targets))
-	liveIdx := make([]int, 0, len(targets))
-	for i, bbs := range targets {
-		if d.gated(bbs) {
-			d.Telemetry.Inc(telemetry.DetectGated)
-			results[i] = benignResult()
-			continue
-		}
-		live = append(live, bbs)
-		liveIdx = append(liveIdx, i)
-	}
-	if len(live) == 0 {
-		return results, d.noteCtxErr(ctx.Err())
-	}
-	eng, entries, err := d.engine()
-	if err != nil {
-		return nil, err
-	}
-	batch, err := eng.ScanBatchCtx(ctx, live)
-	if err != nil && !isPartial(err) {
-		return nil, d.noteCtxErr(err)
-	}
-	for k, ms := range batch {
-		results[liveIdx[k]] = d.assemble(entries, ms)
-	}
-	return results, err
 }
 
 // Classify models the target program (optionally alongside a victim

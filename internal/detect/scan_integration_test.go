@@ -145,39 +145,6 @@ func TestPrunedClassifyKeepsDecision(t *testing.T) {
 	}
 }
 
-// ClassifyBatch must agree entry-for-entry with per-target ClassifyBBS,
-// including gated targets interleaved with live ones.
-func TestClassifyBatch(t *testing.T) {
-	r := repo(t)
-	d := NewDetector(r)
-	d.Scan.Workers = 3
-	targets := corpusTargets(t)
-	// Interleave targets the gates reject.
-	targets = append(targets, &model.CSTBBS{Name: "tiny"}) // below MinModelLen
-	targets = append(targets, &model.CSTBBS{Name: "short", TimerReads: 1})
-	batch := d.ClassifyBatch(targets)
-	if len(batch) != len(targets) {
-		t.Fatalf("batch returned %d results for %d targets", len(batch), len(targets))
-	}
-	for i, bbs := range targets {
-		single := d.ClassifyBBS(bbs)
-		if batch[i].Predicted != single.Predicted || batch[i].Best != single.Best {
-			t.Errorf("target %d: batch %+v != single %+v", i, batch[i].Best, single.Best)
-		}
-		if len(batch[i].Matches) != len(single.Matches) {
-			t.Fatalf("target %d: match count mismatch", i)
-		}
-		for j := range batch[i].Matches {
-			if batch[i].Matches[j] != single.Matches[j] {
-				t.Errorf("target %d match %d: batch != single", i, j)
-			}
-		}
-	}
-	if got := d.ClassifyBatch(nil); len(got) != 0 {
-		t.Errorf("nil batch returned %d results", len(got))
-	}
-}
-
 // An empty repository must produce an explicit benign result: benign
 // prediction, a Best naming the benign family, and no matches.
 func TestEmptyRepositoryExplicitBenign(t *testing.T) {
@@ -191,7 +158,6 @@ func TestEmptyRepositoryExplicitBenign(t *testing.T) {
 	for name, res := range map[string]Result{
 		"attack-target": d.ClassifyBBS(m.BBS),
 		"gated-target":  d.ClassifyBBS(&model.CSTBBS{Name: "tiny"}),
-		"batch":         d.ClassifyBatch([]*model.CSTBBS{m.BBS})[0],
 	} {
 		if res.Predicted != attacks.FamilyBenign {
 			t.Errorf("%s: predicted %s", name, res.Predicted)

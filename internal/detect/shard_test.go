@@ -32,6 +32,15 @@ func repoTargets(r *Repository) []*model.CSTBBS {
 	return out
 }
 
+// classifyEach classifies targets one by one through the non-ctx API.
+func classifyEach(d *Detector, targets []*model.CSTBBS) []Result {
+	out := make([]Result, len(targets))
+	for i, bbs := range targets {
+		out[i] = d.ClassifyBBS(bbs)
+	}
+	return out
+}
+
 // shardServers launches loopback HTTP servers over the router's slices
 // of the repository, as `scaguard shard-serve` would.
 func shardServers(t *testing.T, r *Repository, n int) []string {
@@ -54,7 +63,7 @@ func TestShardedDetectorMatchesSingleEngine(t *testing.T) {
 	r := repo(t)
 	ref := NewDetector(r)
 	targets := repoTargets(r)
-	want := ref.ClassifyBatch(targets)
+	want := classifyEach(ref, targets)
 
 	for _, n := range []int{1, 2, 7} {
 		local := NewDetector(r)
@@ -63,9 +72,6 @@ func TestShardedDetectorMatchesSingleEngine(t *testing.T) {
 			if got := local.ClassifyBBS(bbs); !reflect.DeepEqual(got, want[ti]) {
 				t.Fatalf("local shards=%d target %d: %+v, want %+v", n, ti, got, want[ti])
 			}
-		}
-		if got := local.ClassifyBatch(targets); !reflect.DeepEqual(got, want) {
-			t.Fatalf("local shards=%d batch diverged", n)
 		}
 	}
 	for _, n := range []int{1, 2} {
@@ -140,23 +146,20 @@ func TestShardedDetectorPartialDegradation(t *testing.T) {
 		t.Error("degraded scans not counted")
 	}
 
-	// Batch: every target still resolves, with the partial error joined.
-	results, err := d.ClassifyBatchCtx(context.Background(), repoTargets(r))
-	if !errors.As(err, &pe) {
-		t.Fatalf("batch err = %v, want *shard.PartialError", err)
-	}
-	if len(results) != len(r.Entries) {
-		t.Fatalf("batch returned %d results", len(results))
-	}
-	for i, res := range results {
+	// Every target still resolves, each with its own partial error.
+	for i, bbs := range repoTargets(r) {
+		res, err := d.ClassifyBBSCtx(context.Background(), bbs)
+		if !errors.As(err, &pe) {
+			t.Fatalf("target %d: err = %v, want *shard.PartialError", i, err)
+		}
 		if res.Predicted == "" {
-			t.Errorf("batch target %d has empty prediction", i)
+			t.Errorf("target %d has empty prediction", i)
 		}
 	}
 }
 
-// TestShardedClassifyVsAddRace: concurrent ClassifyBatch and ClassifyBBS
-// against a sharded repository that grows through Add — the coordinator
+// TestShardedClassifyVsAddRace: concurrent classification passes over
+// every target and single ClassifyBBS calls against a sharded repository that grows through Add — the coordinator
 // rebuild path under contention. Meaningful under -race.
 func TestShardedClassifyVsAddRace(t *testing.T) {
 	p := attacks.DefaultParams()
@@ -186,10 +189,11 @@ func TestShardedClassifyVsAddRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				if g%2 == 0 {
-					results := d.ClassifyBatch(targets)
-					if len(results) != len(targets) {
-						t.Errorf("batch returned %d results", len(results))
-						return
+					for _, res := range classifyEach(d, targets) {
+						if res.Predicted == "" {
+							t.Error("empty prediction")
+							return
+						}
 					}
 				} else if res := d.ClassifyBBS(targets[i%len(targets)]); res.Predicted == "" {
 					t.Error("empty prediction")

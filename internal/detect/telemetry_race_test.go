@@ -1,8 +1,8 @@
 package detect
 
 // Race test for the telemetry-instrumented classification path: several
-// goroutines drive ClassifyBatch while another mutates the repository
-// with Add, all with a live collector attached. Run under
+// goroutines classify batches of targets, one ClassifyBBS call each,
+// while others mutate the repository with Add, all with a live collector attached. Run under
 // `go test -race ./internal/detect` (part of `make race`); the
 // assertions additionally pin the snapshot consistency guarantees the
 // telemetry package promises — counters never move backwards between
@@ -53,12 +53,7 @@ func TestTelemetryRaceClassifyBatchVsAdd(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < batches; i++ {
-				results := d.ClassifyBatch(targets)
-				if len(results) != len(targets) {
-					t.Errorf("batch returned %d results for %d targets", len(results), len(targets))
-					return
-				}
-				for _, res := range results {
+				for _, res := range classifyEach(d, targets) {
 					if res.Predicted == "" {
 						t.Error("empty predicted family")
 						return
@@ -113,15 +108,12 @@ func TestTelemetryRaceClassifyBatchVsAdd(t *testing.T) {
 	if got := snap.Counters["detect_classifications"]; got != wantClassifications {
 		t.Errorf("detect_classifications = %d, want %d", got, wantClassifications)
 	}
-	if got := snap.Counters["detect_batches"]; got != classifiers*batches {
-		t.Errorf("detect_batches = %d, want %d", got, classifiers*batches)
-	}
 	rebuilds, reuses := snap.Counters["detect_engine_rebuilds"], snap.Counters["detect_engine_reuses"]
 	if rebuilds == 0 {
 		t.Error("no engine rebuilds recorded despite concurrent Adds")
 	}
-	if rebuilds+reuses != uint64(classifiers*batches) {
-		t.Errorf("rebuilds(%d)+reuses(%d) != batches(%d)", rebuilds, reuses, classifiers*batches)
+	if rebuilds+reuses != wantClassifications {
+		t.Errorf("rebuilds(%d)+reuses(%d) != classifications(%d)", rebuilds, reuses, wantClassifications)
 	}
 	// Scan outcome counters partition the comparisons performed: with no
 	// separate total, their sum IS the total, so any snapshot is

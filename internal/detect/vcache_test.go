@@ -73,14 +73,13 @@ func TestVerdictCacheExactBitIdentity(t *testing.T) {
 		t.Errorf("vcache hits=%d misses=%d, want %d/%d", hits, misses, n, n)
 	}
 
-	// The batch API shares the same cache: a full batch over warm keys is
-	// all hits and bit-identical too.
-	batch := d.ClassifyBatch(targets)
-	if !reflect.DeepEqual(batch, want) {
-		t.Fatal("cached batch verdicts diverged from the uncached reference")
+	// The non-ctx API shares the same cache: a full pass over warm keys
+	// is all hits and bit-identical too.
+	if got := classifyEach(d, targets); !reflect.DeepEqual(got, want) {
+		t.Fatal("cached non-ctx verdicts diverged from the uncached reference")
 	}
 	if scans := tel.Counter(telemetry.ScanTargets); scans != n {
-		t.Errorf("scan_targets = %d after warm batch, want still %d", scans, n)
+		t.Errorf("scan_targets = %d after warm non-ctx pass, want still %d", scans, n)
 	}
 }
 

@@ -7,6 +7,8 @@ package scan
 // runs allocation-free.
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -159,7 +161,7 @@ func TestScanZeroAllocWarmPath(t *testing.T) {
 			tgt := eng.newTarget(target)
 			var lbs, kims []float64
 			if c.cfg.Prune {
-				lbs, kims = eng.cheapBounds(tgt)
+				lbs, kims = eng.cheapBounds(&tgt)
 			}
 			cut := NewCutoff()
 			s := eng.newScratch()
@@ -167,16 +169,66 @@ func TestScanZeroAllocWarmPath(t *testing.T) {
 			// measured pass can visit (a tighter cutoff only shrinks the
 			// visited set), grows every scratch buffer, settles the cutoff.
 			for ei := range entries {
-				eng.scoreOne(tgt, ei, lbs, kims, cut, s)
+				eng.scoreOne(&tgt, ei, lbs, kims, cut, s)
 			}
 			allocs := testing.AllocsPerRun(20, func() {
 				for ei := range entries {
-					eng.scoreOne(tgt, ei, lbs, kims, cut, s)
+					eng.scoreOne(&tgt, ei, lbs, kims, cut, s)
 				}
 			})
 			if allocs != 0 {
 				t.Errorf("warm scan path allocates %.1f times per full repository pass, want 0", allocs)
 			}
 		})
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestScanCtxAllocs pins the allocations of one whole warm ScanCtx call
+// — target preparation, bounds and order, the worker pool — exact,
+// pruned and indexed, with the caller as the only worker and with one
+// helper goroutine. The per-comparison path is pinned at zero above;
+// this budget is what remains per target.
+func TestScanCtxAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratches at random under -race")
+	}
+	rng := rand.New(rand.NewSource(2))
+	entries := randomCorpus(rng, 24, 8)
+	target := randomBBS(rng, 8)
+	for target.Len() == 0 {
+		target = randomBBS(rng, 8)
+	}
+	cases := []struct {
+		name   string
+		cfg    Config
+		budget [2]float64 // at 1 and 2 workers
+	}{
+		{"Exact", Config{}, [2]float64{28, 29}},
+		{"Fast", Config{Prune: true}, [2]float64{43, 44}},
+		{"Indexed", Config{Prune: true, Index: true}, [2]float64{39, 39}},
+	}
+	for _, c := range cases {
+		for w, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
+				cfg := c.cfg
+				cfg.Workers = workers
+				cfg.Sim = similarity.DefaultOptions()
+				eng := New(entries, cfg)
+				scan := func() {
+					if _, err := eng.ScanCtx(context.Background(), target); err != nil {
+						t.Fatal(err)
+					}
+				}
+				scan() // warm: intern the target's blocks, fill the pair memos
+				allocs := testing.AllocsPerRun(50, scan)
+				t.Logf("%.1f allocs per warm ScanCtx", allocs)
+				if allocs > c.budget[w] {
+					t.Errorf("warm ScanCtx allocates %.1f times, budget %.0f", allocs, c.budget[w])
+				}
+			})
+		}
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,32 +31,6 @@ func testModels(t *testing.T, n int) []*model.CSTBBS {
 	return out
 }
 
-// TestScanBatchCtxBackgroundMatchesScanBatch: the context plumbing must
-// not change a single score on the background-context fast path.
-func TestScanBatchCtxBackgroundMatchesScanBatch(t *testing.T) {
-	models := testModels(t, 6)
-	targets := testModels(t, 3)
-	for _, prune := range []bool{false, true} {
-		e := New(models, Config{Workers: 4, Prune: prune})
-		got, err := e.ScanBatchCtx(context.Background(), targets)
-		if err != nil {
-			t.Fatalf("prune=%v: %v", prune, err)
-		}
-		e2 := New(models, Config{Workers: 4, Prune: prune})
-		want := e2.ScanBatch(targets)
-		if !prune && !reflect.DeepEqual(got, want) {
-			t.Errorf("prune=%v: ctx and non-ctx results differ", prune)
-		}
-		// Pruned runs are scheduling-dependent in which entries get
-		// skipped; the best match must still agree.
-		for ti := range got {
-			if bi, bw := bestOf(got[ti]), bestOf(want[ti]); bi.Index != bw.Index || bi.Score != bw.Score {
-				t.Errorf("prune=%v target %d: best %+v vs %+v", prune, ti, bi, bw)
-			}
-		}
-	}
-}
-
 func bestOf(ms []Match) Match {
 	best := ms[0]
 	for _, m := range ms[1:] {
@@ -76,29 +50,37 @@ func TestScanCtxCancelledBeforeStart(t *testing.T) {
 	}
 }
 
-// TestScanBatchCtxCancelPrompt cancels mid-scan with slowed workers and
-// asserts the call returns well within the 100ms budget.
-func TestScanBatchCtxCancelPrompt(t *testing.T) {
+// TestScanCtxCancelPrompt cancels one target's scan of a large
+// repository mid-way, with slowed workers, and asserts the call returns
+// well within the 100ms budget.
+func TestScanCtxCancelPrompt(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	faultinject.Enable(faultinject.ScanWorker, faultinject.Sleep(time.Millisecond))
-	e := New(testModels(t, 32), Config{Workers: 2})
-	targets := testModels(t, 16)
+	e := New(testModels(t, 512), Config{Workers: 2}) // ≥1ms per entry on 2 workers: long runway
+	target := testModels(t, 1)[0]
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
+	type outcome struct {
+		ms  []Match
+		err error
+	}
+	done := make(chan outcome, 1)
 	go func() {
-		_, err := e.ScanBatchCtx(ctx, targets)
-		done <- err
+		ms, err := e.ScanCtx(ctx, target)
+		done <- outcome{ms, err}
 	}()
 	time.Sleep(10 * time.Millisecond) // let workers start claiming
 	cancel()
 	start := time.Now()
 	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
+	case o := <-done:
+		if !errors.Is(o.err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", o.err)
 		}
 		if d := time.Since(start); d > 100*time.Millisecond {
 			t.Fatalf("cancel-to-return took %v, want < 100ms", d)
+		}
+		if o.ms != nil {
+			t.Errorf("cancelled scan returned %d matches, want nil", len(o.ms))
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("scan did not return after cancel")
@@ -106,20 +88,23 @@ func TestScanBatchCtxCancelPrompt(t *testing.T) {
 }
 
 // TestScanWorkerPanicRecovered: a panic while scoring becomes an error
-// from the ctx API, counted in telemetry, and a re-panic from the
+// from the ctx API, counted in telemetry once, and a re-panic from the
 // non-ctx API.
 func TestScanWorkerPanicRecovered(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	faultinject.Enable(faultinject.ScanWorker, faultinject.OnCall(3, faultinject.Panic("scan worker crash")))
 	tel := telemetry.NewCollector()
 	e := New(testModels(t, 8), Config{Workers: 4, Telemetry: tel})
-	_, err := e.ScanBatchCtx(context.Background(), testModels(t, 2))
+	ms, err := e.ScanCtx(context.Background(), testModels(t, 1)[0])
 	pe, ok := panicsafe.AsPanic(err)
 	if !ok {
 		t.Fatalf("err = %v, want *PanicError", err)
 	}
 	if pe.Value != "scan worker crash" {
 		t.Errorf("panic value = %v", pe.Value)
+	}
+	if ms != nil {
+		t.Errorf("failed scan returned %d matches, want nil", len(ms))
 	}
 	if got := tel.Counter(telemetry.PanicsRecovered); got != 1 {
 		t.Errorf("panics_recovered = %d, want 1", got)
@@ -130,30 +115,48 @@ func TestScanWorkerPanicRecovered(t *testing.T) {
 	func() {
 		defer func() {
 			if r := recover(); r != "loud crash" {
-				t.Errorf("ScanBatch recovered %v, want loud crash", r)
+				t.Errorf("Scan recovered %v, want loud crash", r)
 			}
 		}()
-		e.ScanBatch(testModels(t, 1))
-		t.Error("ScanBatch did not re-panic")
+		e.Scan(testModels(t, 1)[0])
+		t.Error("Scan did not re-panic")
 	}()
 }
 
-// TestScanBatchCtxSerialPathCancelAndPanic covers the workers<=1 inline
-// path of the same contract.
-func TestScanBatchCtxSerialPathCancelAndPanic(t *testing.T) {
+// TestScanCtxOneWorkerCancelAndPanic covers the same contract when the
+// calling goroutine is the only worker: a panic stops the scan at the
+// failing entry, and a cancel between entries stops it before the next
+// one is scored.
+func TestScanCtxOneWorkerCancelAndPanic(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	e := New(testModels(t, 8), Config{Workers: 1})
+	tel := telemetry.NewCollector()
+	e := New(testModels(t, 8), Config{Workers: 1, Telemetry: tel})
+	target := testModels(t, 1)[0]
 
-	faultinject.Enable(faultinject.ScanWorker, faultinject.OnCall(2, faultinject.Panic("serial crash")))
-	_, err := e.ScanBatchCtx(context.Background(), testModels(t, 1))
-	if _, ok := panicsafe.AsPanic(err); !ok {
+	var fires atomic.Int64
+	count := func(faultinject.Point, string) error { fires.Add(1); return nil }
+	faultinject.Enable(faultinject.ScanWorker, faultinject.Chain(count, faultinject.OnCall(2, faultinject.Panic("serial crash"))))
+	if _, err := e.ScanCtx(context.Background(), target); !errors.As(err, new(*panicsafe.PanicError)) {
 		t.Fatalf("serial panic: err = %v, want *PanicError", err)
 	}
+	if got := fires.Load(); got != 2 {
+		t.Errorf("serial panic: %d entries started, want the scan to stop at entry 2", got)
+	}
+	if got := tel.Counter(telemetry.PanicsRecovered); got != 1 {
+		t.Errorf("panics_recovered = %d, want 1", got)
+	}
 
-	faultinject.Reset()
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.ScanBatchCtx(ctx, testModels(t, 1)); !errors.Is(err, context.Canceled) {
+	defer cancel()
+	fires.Store(0)
+	faultinject.Enable(faultinject.ScanWorker, faultinject.Chain(count, faultinject.OnCall(3, func(faultinject.Point, string) error {
+		cancel()
+		return nil
+	})))
+	if _, err := e.ScanCtx(ctx, target); !errors.Is(err, context.Canceled) {
 		t.Fatalf("serial cancel: err = %v, want context.Canceled", err)
+	}
+	if got := fires.Load(); got != 3 {
+		t.Errorf("serial cancel: %d entries started, want the scan to stop after entry 3", got)
 	}
 }

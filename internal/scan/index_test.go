@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -114,8 +115,8 @@ func TestIndexedScanBestIdentityFamilies(t *testing.T) {
 
 // TestIndexedScanDeterministic: within one target the indexed descent
 // is sequential, so the full match list — including which entries
-// report Pruned — is reproducible run to run, even with a parallel
-// batch (each target is one work item with a private cutoff).
+// report Pruned — is reproducible run to run and across worker counts
+// (each target is one work item with a private cutoff).
 func TestIndexedScanDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	models := synthModels(rng, 40)
@@ -125,10 +126,18 @@ func TestIndexedScanDeterministic(t *testing.T) {
 	}
 	a := New(models, Config{Workers: 4, Prune: true, Index: true})
 	b := New(models, Config{Workers: 2, Prune: true, Index: true})
-	ra := a.ScanBatch(targets)
-	rb := b.ScanBatch(targets)
-	if !reflect.DeepEqual(ra, rb) {
-		t.Fatal("indexed match lists differ across runs/worker counts")
+	for i, tgt := range targets {
+		ra, err := a.ScanCtx(context.Background(), tgt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := b.ScanCtx(context.Background(), tgt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("target %d: indexed match lists differ across runs/worker counts", i)
+		}
 	}
 }
 

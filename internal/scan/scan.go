@@ -6,10 +6,11 @@
 // attacks it on three axes (design rationale and measured numbers in
 // docs/PERFORMANCE.md):
 //
-//   - Parallelism. Per-entry scoring fans out across a worker pool
-//     (Config.Workers, default GOMAXPROCS), for one target (Scan) or
-//     many (ScanBatch). Results are collected positionally, so the
-//     output is deterministic regardless of scheduling.
+//   - Parallelism. One target's per-entry scoring fans out across a
+//     worker pool (Config.Workers, default GOMAXPROCS) whose calling
+//     goroutine is one of the workers. Results are collected
+//     positionally, so the output is deterministic regardless of
+//     scheduling.
 //   - Memoization. The normalized-instruction Levenshtein term is the
 //     dominant cost inside every DTW cell, and the same basic blocks
 //     recur across repository entries, scans and targets (crypto loops,
@@ -193,8 +194,8 @@ type Engine struct {
 }
 
 // getScratch hands out a pooled worker scratch (allocating one for a
-// cold pool); putScratch returns it after clearing the per-batch
-// bindings so pooled scratches never pin a finished batch's targets.
+// cold pool); putScratch returns it after clearing the per-scan
+// bindings so pooled scratches never pin a finished scan's target.
 func (e *Engine) getScratch() *scratch {
 	if s, ok := e.scratches.Get().(*scratch); ok {
 		return s
@@ -204,7 +205,7 @@ func (e *Engine) getScratch() *scratch {
 
 func (e *Engine) putScratch(s *scratch) {
 	s.t, s.eb, s.eids, s.eprof, s.eflat = nil, nil, nil, nil, nil
-	s.runK, s.runFn = 0, nil
+	s.job, s.runK = nil, 0
 	e.scratches.Put(s)
 }
 
@@ -269,30 +270,38 @@ type target struct {
 	flat *model.FlatBBS // nil when flattening failed (symbol table full)
 }
 
-func (e *Engine) newTarget(bbs *model.CSTBBS) *target {
-	t := &target{bbs: bbs, prof: similarity.NewProfile(bbs), ids: e.internBlocks(bbs)}
+func (e *Engine) newTarget(bbs *model.CSTBBS) target {
+	t := target{bbs: bbs, prof: similarity.NewProfile(bbs), ids: e.internBlocks(bbs)}
 	t.flat, _ = model.FlattenBBS(bbs, e.tab)
 	return t
 }
 
 // Scan scores one target against every repository model. The result is
 // ordered by entry index. In exact mode the scores are bit-identical to
-// ScanSerial's.
+// ScanSerial's. A panic while scoring re-raises in the calling
+// goroutine (the loud contract of the non-context API); use ScanCtx to
+// receive it as an error instead.
 func (e *Engine) Scan(bbs *model.CSTBBS) []Match {
-	return e.ScanBatch([]*model.CSTBBS{bbs})[0]
+	ms, err := e.ScanCtx(context.Background(), bbs)
+	if err != nil {
+		// Background contexts never cancel, so the error is a recovered
+		// worker panic (re-raised with its original value) or an
+		// injected test fault; either way this API has no error path.
+		_ = panicsafe.Repanic(err)
+		panic(err)
+	}
+	return ms
 }
 
-// ScanCtx is Scan with cooperative cancellation: workers observe ctx
-// between work items, so a cancelled or expired context returns
-// promptly with its error and the partial matches are discarded. A
-// panic while scoring is recovered and returned as a *panicsafe.
-// PanicError instead of crashing the process.
+// ScanCtx is Scan with cooperative cancellation and panic isolation.
+// Workers observe ctx between work items — the items are microsecond-
+// scale, so cancellation and deadline expiry return promptly with the
+// context's error — and every scoring runs under panic recovery: the
+// first recovered panic (or injected worker fault) stops the scan and
+// comes back as the error, counted under telemetry's panics_recovered.
+// On a non-nil error the matches are nil.
 func (e *Engine) ScanCtx(ctx context.Context, bbs *model.CSTBBS) ([]Match, error) {
-	rs, err := e.ScanBatchCtx(ctx, []*model.CSTBBS{bbs})
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
+	return e.scanCtx(ctx, bbs, nil)
 }
 
 // ScanCutoffCtx is ScanCtx with an externally owned pruning cutoff:
@@ -305,11 +314,7 @@ func (e *Engine) ScanCtx(ctx context.Context, bbs *model.CSTBBS) ([]Match, error
 // comparison. With Prune off the cutoff is ignored and the scan is
 // bit-identical to ScanCtx.
 func (e *Engine) ScanCutoffCtx(ctx context.Context, bbs *model.CSTBBS, cut *Cutoff) ([]Match, error) {
-	rs, err := e.scanBatchCtx(ctx, []*model.CSTBBS{bbs}, []*Cutoff{cut})
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
+	return e.scanCtx(ctx, bbs, cut)
 }
 
 // ScanSerial is the reference implementation the engine is verified
@@ -323,179 +328,157 @@ func (e *Engine) ScanSerial(bbs *model.CSTBBS) []Match {
 	return out
 }
 
-// ScanBatch scores many targets in one worker-pool pass, sharing the
-// pool across all (target, entry) pairs so small targets cannot strand
-// workers. results[t][i] is target t against entry i. A panic while
-// scoring re-raises in the calling goroutine (the loud contract of the
-// non-context API); use ScanBatchCtx to receive it as an error instead.
-func (e *Engine) ScanBatch(targets []*model.CSTBBS) [][]Match {
-	rs, err := e.ScanBatchCtx(context.Background(), targets)
-	if err != nil {
-		// Background contexts never cancel, so the error is a recovered
-		// worker panic (re-raised with its original value) or an
-		// injected test fault; either way this API has no error path.
-		_ = panicsafe.Repanic(err)
-		panic(err)
-	}
-	return rs
+// scanJob is one target's scan in flight: the target, its positional
+// output, the pruned scan's bounds and visit order, the cutoff, and the
+// claim and first-failure state every worker shares.
+type scanJob struct {
+	e       *Engine
+	ctx     context.Context
+	t       target
+	out     []Match
+	cut     *Cutoff
+	indexed bool
+	// Pruned flat scans only: cheapBounds' tier-1/2 bounds and the
+	// entries most-promising-first; order nil visits entries in index
+	// order.
+	lbs, kims []float64
+	order     []int
+
+	next     atomic.Int64 // entries claimed so far
+	stop     atomic.Bool  // set by the first failure
+	failOnce sync.Once
+	err      error
 }
 
-// ScanBatchCtx is ScanBatch with cooperative cancellation and panic
-// isolation. Workers observe ctx between (target, entry) work items —
-// the items are microsecond-scale, so cancellation and deadline expiry
-// return promptly — and every scoring runs under panic recovery: the
-// first recovered panic (or injected worker fault) stops the batch and
-// comes back as the error, counted under telemetry's panics_recovered.
-// On a non-nil error the returned matches are incomplete and must be
-// discarded.
-func (e *Engine) ScanBatchCtx(ctx context.Context, targets []*model.CSTBBS) ([][]Match, error) {
-	return e.scanBatchCtx(ctx, targets, nil)
-}
-
-// scanBatchCtx is the scan core. cuts, when non-nil, supplies the
-// per-target pruning cutoffs (ScanCutoffCtx's shared cells); nil gives
-// every target a private one.
-func (e *Engine) scanBatchCtx(ctx context.Context, targets []*model.CSTBBS, cuts []*Cutoff) ([][]Match, error) {
+// scanCtx is the scan core. cut, when non-nil, is the shared pruning
+// cutoff (ScanCutoffCtx); nil gives the scan a private one.
+func (e *Engine) scanCtx(ctx context.Context, bbs *model.CSTBBS, cut *Cutoff) ([]Match, error) {
 	tel := e.cfg.Telemetry
-	scanStart := tel.Now()
-	defer tel.ObserveSince(telemetry.StageScan, scanStart)
-	tel.Add(telemetry.ScanTargets, uint64(len(targets)))
+	defer tel.ObserveSince(telemetry.StageScan, tel.Now())
+	tel.Inc(telemetry.ScanTargets)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if cut == nil {
+		cut = NewCutoff()
+	}
 	nE := len(e.models)
-	indexed := e.indexed()
-	results := make([][]Match, len(targets))
-	ts := make([]*target, len(targets))
-	orders := make([][]int, len(targets))
-	bounds := make([][]float64, len(targets))
-	kims := make([][]float64, len(targets))
-	if cuts == nil {
-		cuts = make([]*Cutoff, len(targets))
+	j := &scanJob{e: e, ctx: ctx, t: e.newTarget(bbs), out: make([]Match, nE), cut: cut, indexed: e.indexed()}
+	if nE == 0 {
+		return j.out, nil
 	}
-	for ti, bbs := range targets {
-		if err := ctx.Err(); err != nil {
-			return results, err
-		}
-		results[ti] = make([]Match, nE)
-		ts[ti] = e.newTarget(bbs)
-		if cuts[ti] == nil {
-			cuts[ti] = NewCutoff()
-		}
-		if e.cfg.Prune && !indexed {
-			// Cheap tier-1/2 bounds, and a most-promising-first order so
-			// the shared best tightens as early as possible; the per-row
-			// tier runs lazily in scoreOne for the few entries within
-			// striking distance of the cutoff.
-			lbs, kim := e.cheapBounds(ts[ti])
-			order := make([]int, nE)
-			for i := range order {
-				order[i] = i
-			}
-			sort.SliceStable(order, func(a, b int) bool { return lbs[order[a]] < lbs[order[b]] })
-			bounds[ti], kims[ti], orders[ti] = lbs, kim, order
-		}
+	if j.indexed {
+		// The cluster descent is inherently sequential (the prototype
+		// pass must finish before the gates mean anything), so the whole
+		// target is one work item run here. See docs/INDEXING.md.
+		s := e.workerScratch(j)
+		j.runSafe(0, s)
+		e.putScratch(s)
+		return j.result()
 	}
-	// In indexed mode one work item is a whole target: the cluster
-	// descent is inherently sequential (the prototype pass must finish
-	// before the gates mean anything), so parallelism is across
-	// targets, not within one. See docs/INDEXING.md.
-	total := len(targets) * nE
-	if indexed {
-		total = len(targets)
-	}
-	if total == 0 {
-		return results, ctx.Err()
-	}
-	entryAt := func(ti, k int) int {
-		if orders[ti] != nil {
-			return orders[ti][k]
+	if e.cfg.Prune {
+		// Cheap tier-1/2 bounds, and a most-promising-first order so the
+		// shared best tightens as early as possible; the per-row tier
+		// runs lazily in scoreOne for the few entries within striking
+		// distance of the cutoff.
+		j.lbs, j.kims = e.cheapBounds(&j.t)
+		j.order = make([]int, nE)
+		for i := range j.order {
+			j.order[i] = i
 		}
-		return k
-	}
-	run := func(k int, s *scratch) error {
-		if err := faultinject.Fire(faultinject.ScanWorker, ""); err != nil {
-			return err
-		}
-		if indexed {
-			e.scanIndexed(ts[k], results[k], cuts[k], s)
-			return nil
-		}
-		ti, ei := k/nE, entryAt(k/nE, k%nE)
-		results[ti][ei] = e.scoreOne(ts[ti], ei, bounds[ti], kims[ti], cuts[ti], s)
-		return nil
-	}
-	// Each worker owns one scratch (DTW rows, Levenshtein rows, Keogh
-	// deques, the bound dist closure, the pair memo and the panicsafe
-	// trampoline), drawn from the engine pool so the per-item loop below
-	// allocates nothing once warm and the memo survives across batches.
-	newWorkerScratch := func() *scratch {
-		s := e.getScratch()
-		s.runFn = func() error { return run(s.runK, s) }
-		return s
-	}
-	// First failure (recovered panic or injected fault) stops the
-	// batch: stop flags the claim loops, failOnce keeps the error.
-	var (
-		stop     atomic.Bool
-		failOnce sync.Once
-		failErr  error
-	)
-	runSafe := func(k int, s *scratch) {
-		s.runK = k
-		err := panicsafe.Do(s.runFn)
-		if err == nil {
-			return
-		}
-		if _, ok := panicsafe.AsPanic(err); ok {
-			tel.Inc(telemetry.PanicsRecovered)
-		}
-		failOnce.Do(func() { failErr = err })
-		stop.Store(true)
+		sort.SliceStable(j.order, func(a, b int) bool { return j.lbs[j.order[a]] < j.lbs[j.order[b]] })
 	}
 	workers := e.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > total {
-		workers = total
+	if workers > nE {
+		workers = nE
 	}
-	if workers <= 1 {
-		s := newWorkerScratch()
-		defer e.putScratch(s)
-		for k := 0; k < total; k++ {
-			if stop.Load() {
-				break
-			}
-			if err := ctx.Err(); err != nil {
-				return results, err
-			}
-			runSafe(k, s)
-		}
-		return results, failErr
-	}
-	var next int64 = -1
+	// The calling goroutine is one of the workers, so a one-worker scan
+	// starts no goroutine.
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			s := newWorkerScratch()
-			defer e.putScratch(s)
-			for {
-				if stop.Load() || ctx.Err() != nil {
-					return
-				}
-				k := atomic.AddInt64(&next, 1)
-				if k >= int64(total) {
-					return
-				}
-				runSafe(int(k), s)
-			}
+			s := e.workerScratch(j)
+			j.work(s)
+			e.putScratch(s)
 		}()
 	}
+	s := e.workerScratch(j)
+	j.work(s)
+	e.putScratch(s)
 	wg.Wait()
-	if failErr != nil {
-		return results, failErr
+	return j.result()
+}
+
+// workerScratch draws a pooled scratch and binds it to j. Each worker
+// owns one scratch (DTW rows, Levenshtein rows, Keogh deques, the bound
+// dist closure, the pair memo and the panicsafe trampoline), so the
+// per-item loop allocates nothing once warm and the memo survives
+// across scans.
+func (e *Engine) workerScratch(j *scanJob) *scratch {
+	s := e.getScratch()
+	s.job = j
+	return s
+}
+
+// work is the per-entry worker loop: claim the next entry and score it
+// until every entry is claimed, the scan fails or ctx ends.
+func (j *scanJob) work(s *scratch) {
+	for !j.stop.Load() && j.ctx.Err() == nil {
+		k := j.next.Add(1) - 1
+		if k >= int64(len(j.out)) {
+			return
+		}
+		j.runSafe(int(k), s)
 	}
-	return results, ctx.Err()
+}
+
+// runSafe runs work item k under panic recovery. The first failure
+// (recovered panic or injected fault) is kept and stops the scan.
+func (j *scanJob) runSafe(k int, s *scratch) {
+	s.runK = k
+	err := panicsafe.Do(s.runFn)
+	if err == nil {
+		return
+	}
+	if _, ok := panicsafe.AsPanic(err); ok {
+		j.e.cfg.Telemetry.Inc(telemetry.PanicsRecovered)
+	}
+	j.failOnce.Do(func() { j.err = err })
+	j.stop.Store(true)
+}
+
+// runItem is the body of one work item, behind one ScanWorker failpoint
+// fire: the whole indexed descent, or entry k of a flat scan.
+func (j *scanJob) runItem(k int, s *scratch) error {
+	if err := faultinject.Fire(faultinject.ScanWorker, ""); err != nil {
+		return err
+	}
+	if j.indexed {
+		j.e.scanIndexed(&j.t, j.out, j.cut, s)
+		return nil
+	}
+	if j.order != nil {
+		k = j.order[k]
+	}
+	j.out[k] = j.e.scoreOne(&j.t, k, j.lbs, j.kims, j.cut, s)
+	return nil
+}
+
+// result is the scan's outcome once every worker has returned: the
+// matches, or nil and the first failure or the context's error.
+func (j *scanJob) result() ([]Match, error) {
+	if j.err != nil {
+		return nil, j.err
+	}
+	if err := j.ctx.Err(); err != nil {
+		return nil, err
+	}
+	return j.out, nil
 }
 
 // cascadeEscalateFrac gates the lazy tier-3 escalation: the exact

@@ -127,23 +127,6 @@ func TestPrunedScanKeepsBestExact(t *testing.T) {
 	}
 }
 
-// ScanBatch must agree with per-target Scan.
-func TestScanBatchMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	entries := randomCorpus(rng, 10, 8)
-	targets := randomCorpus(rng, 6, 8)
-	eng := New(entries, Config{Workers: 3, Sim: similarity.DefaultOptions()})
-	batch := eng.ScanBatch(targets)
-	for ti, target := range targets {
-		single := eng.Scan(target)
-		for i := range single {
-			if batch[ti][i] != single[i] {
-				t.Fatalf("target %d entry %d: batch %+v != single %+v", ti, i, batch[ti][i], single[i])
-			}
-		}
-	}
-}
-
 // A real-corpus differential check: models built from actual PoCs via
 // the full simulator pipeline, scanned in parallel vs serially.
 func TestScanRealCorpus(t *testing.T) {

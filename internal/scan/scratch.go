@@ -34,9 +34,11 @@ type scratch struct {
 	dist dtw.DistFunc // built once per scratch by newScratch
 	memo pairMemo     // worker-local L1 over the shared pair cache
 
-	// Work-item trampoline: runK is the claimed item index and runFn
-	// the prebuilt closure handed to panicsafe.Do, so the dispatch loop
-	// allocates nothing per item either.
+	// Work-item trampoline: job is the scan the worker serves, runK the
+	// claimed item index and runFn the closure handed to panicsafe.Do,
+	// built once per scratch, so dispatch allocates nothing per item or
+	// per scan.
+	job   *scanJob
 	runK  int
 	runFn func() error
 
@@ -71,6 +73,7 @@ func (s *scratch) sizeIndex(k int) {
 // operation-for-operation.
 func (e *Engine) newScratch() *scratch {
 	s := &scratch{}
+	s.runFn = func() error { return s.job.runItem(s.runK, s) }
 	s.dist = func(i, j int) float64 {
 		var dis float64
 		ia, ib := s.t.ids[i], s.eids[j]

@@ -80,7 +80,7 @@ func NewCoordinator(shards []Shard, index [][]int, cfg Config) (*Coordinator, er
 	total := 0
 	for i, s := range shards {
 		if s.Len() != len(index[i]) {
-			return nil, fmt.Errorf("shard: shard %s holds %d entries, index maps %d — partition mismatch (same repository and policy on both sides?)",
+			return nil, fmt.Errorf("shard: shard %s holds %d entries, index maps %d — partition mismatch (same repository and shard count on both sides?)",
 				s.Name(), s.Len(), len(index[i]))
 		}
 		total += len(index[i])
@@ -193,32 +193,6 @@ func (c *Coordinator) gather(perShard [][]scan.Match, errs []error) ([]scan.Matc
 		return out, &PartialError{Failed: failed, Missing: missing}
 	}
 	return out, nil
-}
-
-// ScanBatchCtx scans targets one after another, each scattered across
-// all shards (each target already saturates the shard engines' worker
-// pools, so batching adds sequencing, not parallelism). results[t] is
-// target t's globally-indexed matches. A context error aborts the
-// batch; shard failures degrade only the affected targets, and the
-// joined *PartialError(s) report them while every other target's
-// results stay complete.
-func (c *Coordinator) ScanBatchCtx(ctx context.Context, targets []*model.CSTBBS) ([][]scan.Match, error) {
-	results := make([][]scan.Match, len(targets))
-	var partials []error
-	for t, bbs := range targets {
-		ms, err := c.ScanCtx(ctx, bbs)
-		if err != nil {
-			var pe *PartialError
-			if errors.As(err, &pe) {
-				results[t] = ms
-				partials = append(partials, err)
-				continue
-			}
-			return results, err
-		}
-		results[t] = ms
-	}
-	return results, errors.Join(partials...)
 }
 
 // ShardStats is one shard's cumulative scatter–gather counters.

@@ -8,10 +8,9 @@
 //
 // The pieces:
 //
-//   - Router assigns repository entries to shards. The hash policy is
-//     rendezvous (highest-random-weight) hashing over the entry name,
-//     so growing from N to N+1 shards moves only ~1/(N+1) of the
-//     entries; round-robin is the dumb-and-even alternative.
+//   - Router assigns repository entries to shards by rendezvous
+//     (highest-random-weight) hashing over the entry name, so growing
+//     from N to N+1 shards moves only ~1/(N+1) of the entries.
 //   - Shard is the backend interface: LocalShard wraps an in-process
 //     engine with its own DistCache; RemoteShard (remote.go) speaks
 //     HTTP/JSON to a Server (server.go) hosting a shard on another
@@ -43,76 +42,52 @@ import (
 	"repro/internal/scan"
 )
 
-// Policy selects how the Router distributes repository entries.
-type Policy int
-
-const (
-	// PolicyHash is rendezvous hashing over the entry name:
-	// deterministic, independent of insertion order for a fixed name
-	// set, and rebalance-friendly (resizing from N to N+1 shards moves
-	// ~1/(N+1) of the entries).
-	PolicyHash Policy = iota
-	// PolicyRoundRobin assigns entry i to shard i mod N: perfectly
-	// even, but resizing reshuffles almost everything.
-	PolicyRoundRobin
-)
-
-// String returns the policy's CLI name.
-func (p Policy) String() string {
-	switch p {
-	case PolicyHash:
-		return "hash"
-	case PolicyRoundRobin:
-		return "rr"
-	}
-	return "policy(" + strconv.Itoa(int(p)) + ")"
-}
-
-// ParsePolicy parses a CLI policy name.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "hash", "":
-		return PolicyHash, nil
-	case "rr", "round-robin":
-		return PolicyRoundRobin, nil
-	}
-	return 0, fmt.Errorf("shard: unknown partition policy %q (want hash or rr)", s)
-}
-
-// Router deterministically assigns repository entries to shards. Both
-// sides of a remote deployment — the coordinator and each
-// `scaguard shard-serve` — run the same Router over the same entry
-// list, so they agree on every shard's slice without talking.
+// Router deterministically assigns repository entries to shards by
+// rendezvous (highest-random-weight) hashing over the entry name:
+// deterministic, independent of insertion order for a fixed name set,
+// and rebalance-friendly (resizing from N to N+1 shards moves ~1/(N+1)
+// of the entries). Both sides of a remote deployment — the coordinator
+// and each `scaguard shard-serve` — run the same Router over the same
+// entry list, so they agree on every shard's slice without talking.
 type Router struct {
 	// Shards is the shard count; values below 1 are treated as 1.
 	Shards int
-	// Policy selects the assignment function (default PolicyHash).
-	Policy Policy
 }
 
-// Assign returns the shard index for one entry, identified by its name
-// and its position in the repository.
-func (r Router) Assign(name string, index int) int {
+// Assign returns the shard index for one entry, identified by its name:
+// the shard whose keyed hash of the name wins, ties breaking toward the
+// lower shard index (deterministic).
+func (r Router) Assign(name string) int {
 	n := r.Shards
 	if n <= 1 {
 		return 0
 	}
-	if r.Policy == PolicyRoundRobin {
-		return index % n
-	}
-	// Rendezvous: the shard whose keyed hash of the entry wins. Ties
-	// break toward the lower shard index (deterministic).
 	best, bestScore := 0, uint64(0)
 	for s := 0; s < n; s++ {
 		h := fnv.New64a()
 		h.Write([]byte(name))
 		h.Write([]byte{'/'})
 		h.Write([]byte(strconv.Itoa(s)))
-		if score := h.Sum64(); s == 0 || score > bestScore {
+		if score := mix64(h.Sum64()); s == 0 || score > bestScore {
 			best, bestScore = s, score
 		}
 	}
 	return best
+}
+
+// mix64 is the splitmix64 finalizer. The keyed FNV-1a sums of one name
+// differ only through the shard index's last bytes, which barely reach
+// the high bits that decide the ranking; without this avalanche step
+// one shard wins far more than its share of names. Changing it moves
+// entries between shards, so shard-serve processes and their clients
+// must run the same version (the /healthz handshake refuses a mismatch).
+func mix64(k uint64) uint64 {
+	k ^= k >> 30
+	k *= 0xbf58476d1ce4e5b9
+	k ^= k >> 27
+	k *= 0x94d049bb133111eb
+	k ^= k >> 31
+	return k
 }
 
 // Partition maps a full entry list to per-shard global index lists.
@@ -125,7 +100,7 @@ func (r Router) Partition(names []string) [][]int {
 	}
 	parts := make([][]int, n)
 	for i, name := range names {
-		s := r.Assign(name, i)
+		s := r.Assign(name)
 		parts[s] = append(parts[s], i)
 	}
 	return parts

@@ -75,7 +75,7 @@ func bestOf(ms []scan.Match) (int, float64) {
 	return bi, bs
 }
 
-// TestRouterPartitionCoversEveryEntryOnce: both policies yield a
+// TestRouterPartitionCoversEveryEntryOnce: the router yields a
 // partition of 0..n-1, with ascending per-shard slices.
 func TestRouterPartitionCoversEveryEntryOnce(t *testing.T) {
 	models := corpus(rand.New(rand.NewSource(3)), 41)
@@ -83,34 +83,32 @@ func TestRouterPartitionCoversEveryEntryOnce(t *testing.T) {
 	for i, m := range models {
 		names[i] = m.Name
 	}
-	for _, pol := range []Policy{PolicyHash, PolicyRoundRobin} {
-		for _, n := range []int{1, 2, 7} {
-			parts := Router{Shards: n, Policy: pol}.Partition(names)
-			if len(parts) != n {
-				t.Fatalf("%v/%d: %d parts", pol, n, len(parts))
-			}
-			seen := make(map[int]bool)
-			for _, part := range parts {
-				for i, g := range part {
-					if i > 0 && part[i-1] >= g {
-						t.Fatalf("%v/%d: shard slice not ascending: %v", pol, n, part)
-					}
-					if seen[g] {
-						t.Fatalf("%v/%d: index %d assigned twice", pol, n, g)
-					}
-					seen[g] = true
+	for _, n := range []int{1, 2, 7} {
+		parts := Router{Shards: n}.Partition(names)
+		if len(parts) != n {
+			t.Fatalf("%d shards: %d parts", n, len(parts))
+		}
+		seen := make(map[int]bool)
+		for _, part := range parts {
+			for i, g := range part {
+				if i > 0 && part[i-1] >= g {
+					t.Fatalf("%d shards: shard slice not ascending: %v", n, part)
 				}
+				if seen[g] {
+					t.Fatalf("%d shards: index %d assigned twice", n, g)
+				}
+				seen[g] = true
 			}
-			if len(seen) != len(names) {
-				t.Fatalf("%v/%d: %d of %d indices covered", pol, n, len(seen), len(names))
-			}
+		}
+		if len(seen) != len(names) {
+			t.Fatalf("%d shards: %d of %d indices covered", n, len(seen), len(names))
 		}
 	}
 }
 
 // TestRouterRendezvousRebalance: growing from 5 to 6 shards must move
-// only a small fraction of entries under the hash policy (the point of
-// rendezvous hashing; the expectation is 1/6).
+// only a small fraction of entries (the point of rendezvous hashing;
+// the expectation is 1/6).
 func TestRouterRendezvousRebalance(t *testing.T) {
 	const n = 600
 	names := make([]string, n)
@@ -118,8 +116,8 @@ func TestRouterRendezvousRebalance(t *testing.T) {
 		names[i] = fmt.Sprintf("entry-%04d", i)
 	}
 	moved := 0
-	for i, name := range names {
-		if (Router{Shards: 5}).Assign(name, i) != (Router{Shards: 6}).Assign(name, i) {
+	for _, name := range names {
+		if (Router{Shards: 5}).Assign(name) != (Router{Shards: 6}).Assign(name) {
 			moved++
 		}
 	}
@@ -131,23 +129,29 @@ func TestRouterRendezvousRebalance(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for in, want := range map[string]Policy{"": PolicyHash, "hash": PolicyHash, "rr": PolicyRoundRobin, "round-robin": PolicyRoundRobin} {
-		got, err := ParsePolicy(in)
-		if err != nil || got != want {
-			t.Errorf("ParsePolicy(%q) = %v, %v", in, got, err)
-		}
+// TestRouterHashBalance: names that differ only in a numeric suffix —
+// how corpora name their variants — spread within 1.25x of an even
+// split at every shard count a deployment plausibly runs.
+func TestRouterHashBalance(t *testing.T) {
+	names := make([]string, 500)
+	for i := range names {
+		names[i] = fmt.Sprintf("entry-%03d", i)
 	}
-	if _, err := ParsePolicy("modulo"); err == nil {
-		t.Error("ParsePolicy accepted garbage")
+	for n := 2; n <= 8; n++ {
+		parts := Router{Shards: n}.Partition(names)
+		fair := float64(len(names)) / float64(n)
+		for s, part := range parts {
+			if ratio := float64(len(part)) / fair; ratio > 1.25 {
+				t.Errorf("%d shards: shard %d holds %d entries, %.2fx its fair share %.1f", n, s, len(part), ratio, fair)
+			}
+		}
 	}
 }
 
 // TestShardedExactBitIdenticalLocal: the headline differential — the
 // sharded exact scan is bit-identical (Match struct equality, == on
 // the float scores) to a single engine's scan, at 1, 2 and 7 local
-// shards under both policies, including shard counts that leave some
-// shards empty.
+// shards, including shard counts that leave some shards empty.
 func TestShardedExactBitIdenticalLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, size := range []int{5, 19} { // 5 models over 7 shards → empty shards
@@ -155,22 +159,20 @@ func TestShardedExactBitIdenticalLocal(t *testing.T) {
 		ref := scan.New(models, scan.Config{Sim: similarity.DefaultOptions()})
 		targets := corpus(rng, 4)
 		for _, n := range []int{1, 2, 7} {
-			for _, pol := range []Policy{PolicyHash, PolicyRoundRobin} {
-				co, err := NewLocalCoordinator(models, Router{Shards: n, Policy: pol},
-					scan.Config{Sim: similarity.DefaultOptions()}, Config{})
+			co, err := NewLocalCoordinator(models, Router{Shards: n},
+				scan.Config{Sim: similarity.DefaultOptions()}, Config{})
+			if err != nil {
+				t.Fatalf("size=%d n=%d: %v", size, n, err)
+			}
+			if co.Len() != size {
+				t.Fatalf("size=%d n=%d: coordinator Len %d", size, n, co.Len())
+			}
+			for ti, target := range targets {
+				got, err := co.ScanCtx(context.Background(), target)
 				if err != nil {
-					t.Fatalf("size=%d n=%d %v: %v", size, n, pol, err)
+					t.Fatalf("size=%d n=%d target %d: %v", size, n, ti, err)
 				}
-				if co.Len() != size {
-					t.Fatalf("size=%d n=%d: coordinator Len %d", size, n, co.Len())
-				}
-				for ti, target := range targets {
-					got, err := co.ScanCtx(context.Background(), target)
-					if err != nil {
-						t.Fatalf("size=%d n=%d %v target %d: %v", size, n, pol, ti, err)
-					}
-					scanEqual(t, fmt.Sprintf("size=%d n=%d %v target %d", size, n, pol, ti), got, ref.Scan(target))
-				}
+				scanEqual(t, fmt.Sprintf("size=%d n=%d target %d", size, n, ti), got, ref.Scan(target))
 			}
 		}
 	}
@@ -328,16 +330,15 @@ func TestCoordinatorPartialOnShardFault(t *testing.T) {
 		t.Errorf("ShardScans = %d, want 3", n)
 	}
 
-	// The same fault through ScanBatchCtx degrades every target but
-	// still reports the partials.
-	batch := corpus(rng, 2)
-	results, err := co.ScanBatchCtx(context.Background(), batch)
-	if !errors.As(err, &pe) {
-		t.Fatalf("batch err = %v, want *PartialError", err)
-	}
-	for ti, ms := range results {
+	// The same fault degrades every later target too, each scan
+	// reporting its own partial.
+	for ti, target := range corpus(rng, 2) {
+		ms, err := co.ScanCtx(context.Background(), target)
+		if !errors.As(err, &pe) {
+			t.Fatalf("target %d: err = %v, want *PartialError", ti, err)
+		}
 		if len(ms) != len(models)-len(parts[1]) {
-			t.Fatalf("batch target %d: %d matches", ti, len(ms))
+			t.Fatalf("target %d: %d matches", ti, len(ms))
 		}
 	}
 }

@@ -71,8 +71,6 @@ const (
 	// DetectGated counts targets short-circuited as benign by
 	// construction (model too short, or no timer reads).
 	DetectGated
-	// DetectBatches counts ClassifyBatch calls.
-	DetectBatches
 	// DetectEngineRebuilds counts scan-engine rebuilds (repository
 	// version or detector configuration changed).
 	DetectEngineRebuilds
@@ -82,7 +80,7 @@ const (
 	// ModelBuilds counts behavior models built.
 	ModelBuilds
 	// PanicsRecovered counts panics caught at pipeline goroutine
-	// boundaries (scan workers, batch workers, stream stages) and
+	// boundaries (scan workers, stream stages, serve handlers) and
 	// converted into error results instead of crashing the process.
 	PanicsRecovered
 	// DetectCancellations counts classifications aborted by context
@@ -192,7 +190,6 @@ var counterNames = [numCounters]string{
 	ScanEntriesAbandoned:         "scan_entries_abandoned",
 	DetectClassifications:        "detect_classifications",
 	DetectGated:                  "detect_gated",
-	DetectBatches:                "detect_batches",
 	DetectEngineRebuilds:         "detect_engine_rebuilds",
 	DetectEngineReuses:           "detect_engine_reuses",
 	ModelBuilds:                  "model_builds",
@@ -238,7 +235,7 @@ type Stage int
 // Pipeline stages. StageModel covers a whole model.Build; StageTrace,
 // StageBBExtract and StageCST are its interior phases (simulation run,
 // attack-relevant BB identification, CST measurement + flattening).
-// StageScan is one repository scan pass (Scan or ScanBatch).
+// StageScan is one target's repository scan pass.
 const (
 	StageModel Stage = iota
 	StageTrace

@@ -31,6 +31,7 @@ import (
 	"repro/internal/breaker"
 	"repro/internal/dataset"
 	"repro/internal/detect"
+	"repro/internal/exec"
 	"repro/internal/isa"
 	"repro/internal/model"
 	"repro/internal/mutate"
@@ -40,7 +41,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/similarity"
-	"repro/internal/exec"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/window"
@@ -274,7 +274,6 @@ func AsPanicError(err error) (*PanicError, bool) { return panicsafe.AsPanic(err)
 // scan backend is configured, so shard servers hold no result cache of
 // their own. See docs/SHARDING.md.
 type (
-	ShardPolicy       = shard.Policy
 	ShardPartialError = shard.PartialError
 	ShardServerConfig = shard.ServerConfig
 	// RetryPolicy is the remote-shard RPC retry policy
@@ -286,21 +285,11 @@ type (
 	BreakerSettings = breaker.Settings
 )
 
-// Shard partition policies (Detector.ShardPolicy).
-const (
-	ShardPolicyHash       = shard.PolicyHash
-	ShardPolicyRoundRobin = shard.PolicyRoundRobin
-)
-
-// ParseShardPolicy parses a CLI policy name ("hash" or "rr").
-func ParseShardPolicy(s string) (ShardPolicy, error) { return shard.ParsePolicy(s) }
-
 // ServeShard hosts one shard of a repository over HTTP: the slice shard
-// `index` of `shards` under the policy, derived from the repository the
-// same way every client derives it. It returns the bound address (addr
-// may use port 0) and a shutdown func. This is what
-// `scaguard shard-serve` runs.
-func ServeShard(repo *Repository, shards, index int, policy ShardPolicy, addr string, cfg ShardServerConfig) (bound string, shutdown func(context.Context) error, err error) {
+// `index` of `shards`, derived from the repository the same way every
+// client derives it. It returns the bound address (addr may use port 0)
+// and a shutdown func. This is what `scaguard shard-serve` runs.
+func ServeShard(repo *Repository, shards, index int, addr string, cfg ShardServerConfig) (bound string, shutdown func(context.Context) error, err error) {
 	if index < 0 || index >= shards {
 		return "", nil, fmt.Errorf("scaguard: shard index %d out of range for %d shards", index, shards)
 	}
@@ -308,7 +297,7 @@ func ServeShard(repo *Repository, shards, index int, policy ShardPolicy, addr st
 	for i, e := range repo.Entries {
 		models[i] = e.BBS
 	}
-	slice := shard.ShardModels(models, shard.Router{Shards: shards, Policy: policy}, index)
+	slice := shard.ShardModels(models, shard.Router{Shards: shards}, index)
 	if cfg.Version == 0 {
 		// Advertise the repository version on /healthz so coordinators
 		// built over a different repository state can spot the skew.
@@ -370,12 +359,12 @@ func Watch(ctx context.Context, det *Detector, prog, victim *Program, cfg Window
 // `make shard-smoke` and CLI startup. When addrs[index] names several
 // "|"-separated replicas, every replica is checked and the first
 // failure is returned; use CheckShardFleet for group-aware semantics.
-func CheckShard(ctx context.Context, repo *Repository, addrs []string, index int, policy ShardPolicy) error {
+func CheckShard(ctx context.Context, repo *Repository, addrs []string, index int) error {
 	models := make([]*CSTBBS, len(repo.Entries))
 	for i, e := range repo.Entries {
 		models[i] = e.BBS
 	}
-	parts := shard.PartitionModels(models, shard.Router{Shards: len(addrs), Policy: policy})
+	parts := shard.PartitionModels(models, shard.Router{Shards: len(addrs)})
 	reps, err := shard.SplitReplicas(addrs[index])
 	if err != nil {
 		return err
@@ -396,12 +385,12 @@ func CheckShard(ctx context.Context, repo *Repository, addrs []string, index int
 // would degrade to partial results. A fleet with dead-but-redundant
 // replicas starts fine: failover covers it, and the returned names let
 // the caller warn the operator.
-func CheckShardFleet(ctx context.Context, repo *Repository, addrs []string, policy ShardPolicy) (unhealthy []string, err error) {
+func CheckShardFleet(ctx context.Context, repo *Repository, addrs []string) (unhealthy []string, err error) {
 	models := make([]*CSTBBS, len(repo.Entries))
 	for i, e := range repo.Entries {
 		models[i] = e.BBS
 	}
-	parts := shard.PartitionModels(models, shard.Router{Shards: len(addrs), Policy: policy})
+	parts := shard.PartitionModels(models, shard.Router{Shards: len(addrs)})
 	var dark []string
 	for i := range addrs {
 		reps, err := shard.SplitReplicas(addrs[i])
