@@ -33,7 +33,9 @@ vet:
 # then the front of the pipeline layer by layer: the simulator alone
 # (BenchmarkExecRun), the parallel stress-corpus build at one and two
 # workers (BenchmarkBuildVariantRepository) and modeling alone over
-# precomputed traces (BenchmarkBuildFromTrace); see docs/PERFORMANCE.md
+# precomputed traces (BenchmarkBuildFromTrace), then the streaming
+# worker pool end to end over 200 labeled targets at GOMAXPROCS and at
+# one worker (BenchmarkStream); see docs/PERFORMANCE.md
 # for how to read them. Use `go test -bench=. -benchmem` for the full table/figure
 # harness.
 bench:
@@ -41,6 +43,7 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkExecRun' -benchmem ./internal/exec
 	$(GO) test -run xxx -bench 'BenchmarkBuildVariantRepository' -benchmem -cpu 1,2 ./internal/detect
 	$(GO) test -run xxx -bench 'BenchmarkBuildFromTrace' -benchmem ./internal/model
+	$(GO) test -run xxx -bench 'BenchmarkStream' -benchmem ./internal/stream
 
 # Sharded-scan throughput: one engine vs 1/2/4/8 local shards, exact
 # and pruned. On a multi-core machine pruned sharded scans should meet

@@ -603,8 +603,7 @@ func cmdServe(args []string) error {
 	burst := fs.Int("burst", 0, "per-API-key token-bucket burst (0 = 2*rate, min 1)")
 	retries := fs.Int("retries", 0, "retry a failed remote shard RPC up to this many times on transient errors")
 	retryBackoff := fs.Duration("retry-backoff", 50*time.Millisecond, "delay before the first remote shard RPC retry; doubles per retry")
-	streamWorkers := fs.Int("stream-workers", 0, "modeling workers per streaming connection/batch (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 0, "bounded queue size per streaming connection/batch (0 = stream-workers)")
+	streamWorkers := fs.Int("stream-workers", 0, "concurrent classifications per streaming connection/batch (0 = GOMAXPROCS)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests before giving up")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -617,7 +616,6 @@ func cmdServe(args []string) error {
 	fe.nonNegative("burst", *burst)
 	fe.nonNegative("retries", *retries)
 	fe.nonNegative("stream-workers", *streamWorkers)
-	fe.nonNegative("queue", *queue)
 	fe.nonNegativeFloat("rate", *rate)
 	fe.nonNegativeDuration("timeout", *timeout)
 	fe.nonNegativeDuration("shard-timeout", *shardTimeout)
@@ -660,12 +658,8 @@ func cmdServe(args []string) error {
 		MaxConcurrent: *maxInflight,
 		RatePerKey:    *rate,
 		BurstPerKey:   *burst,
-		Stream: scaguard.StreamConfig{
-			ModelWorkers:  *streamWorkers,
-			Queue:         *queue,
-			TargetTimeout: *timeout,
-		},
-		Telemetry: tel,
+		StreamWorkers: *streamWorkers,
+		Telemetry:     tel,
 		Reload: func(path string) (*scaguard.Repository, error) {
 			if path == "" {
 				path = *repoPath
@@ -800,10 +794,11 @@ func cmdWatch(args []string) error {
 }
 
 // runStream reads target specs from stdin incrementally and classifies
-// them through the streaming pipeline: verdicts print as each target
-// resolves, a bad spec or a failed target prints an ERROR line without
-// stopping the stream, and an interrupt cancels cleanly (the pipeline
-// flushes error results for accepted targets before the command exits).
+// them through the streaming pipeline: verdicts print in input order, a
+// bad spec or a failed target prints an ERROR line (and counts as
+// failed) without stopping the stream, and an interrupt cancels cleanly
+// (the pipeline flushes error results for accepted targets before the
+// command exits).
 func runStream(det *scaguard.Detector, workers int) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -816,22 +811,16 @@ func runStream(det *scaguard.Detector, workers int) error {
 			if line == "" || strings.HasPrefix(line, "#") {
 				continue
 			}
-			prog, victim, err := loadSpec(line)
-			if err != nil {
-				fmt.Printf("%-34s ERROR %v\n", line, err)
-				continue
-			}
+			t := scaguard.StreamTarget{ID: line}
+			t.Program, t.Victim, t.Err = loadSpec(line)
 			select {
-			case in <- scaguard.StreamTarget{ID: line, Program: prog, Victim: victim}:
+			case in <- t:
 			case <-ctx.Done():
 				return
 			}
 		}
 	}()
-	out := scaguard.ClassifyStream(ctx, det, in, scaguard.StreamConfig{
-		ModelWorkers:  workers,
-		TargetTimeout: det.Timeout,
-	})
+	out := scaguard.ClassifyStream(ctx, det, in, workers)
 	n, failed := 0, 0
 	for r := range out {
 		n++

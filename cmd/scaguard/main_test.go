@@ -9,6 +9,8 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -44,8 +46,8 @@ func TestNumericKnobValidation(t *testing.T) {
 		{
 			name: "serve mixed types",
 			run:  cmdServe,
-			args: []string{"-queue", "-2", "-rate", "-0.5"},
-			want: []string{"-queue", "-rate"},
+			args: []string{"-stream-workers", "-2", "-rate", "-0.5"},
+			want: []string{"-stream-workers", "-rate"},
 		},
 		{
 			name: "serve negative index budget",
@@ -147,5 +149,60 @@ func TestStreamLinePartialVerdict(t *testing.T) {
 	got = streamLine(scaguard.StreamResult{ID: "attack:FR-IAIK", Verdict: verdict})
 	if strings.Contains(got, "PARTIAL") || strings.Contains(got, "ERROR") || !strings.Contains(got, "FR-F") {
 		t.Errorf("complete line %q, want the bare verdict", got)
+	}
+}
+
+// TestRunStreamOrdersBadSpecs: classify -stream prints an unresolvable
+// spec line's ERROR in its input position, between the verdicts of its
+// neighbors, and counts it in the closing summary.
+func TestRunStreamOrdersBadSpecs(t *testing.T) {
+	det, err := scaguard.NewDetector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdin, err := os.CreateTemp(t.TempDir(), "specs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stdin.WriteString("attack:FR-IAIK\nattack:NOPE\nbenign:crypto/aes-ttable/7\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stdin.Seek(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	outR, outW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	errR, errW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldIn, oldOut, oldErr := os.Stdin, os.Stdout, os.Stderr
+	os.Stdin, os.Stdout, os.Stderr = stdin, outW, errW
+	runErr := runStream(det, 2)
+	os.Stdin, os.Stdout, os.Stderr = oldIn, oldOut, oldErr
+	outW.Close()
+	errW.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	out, _ := io.ReadAll(outR)
+	summary, _ := io.ReadAll(errR)
+
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("got %d lines, want 3:\n%s", len(lines), out)
+	}
+	for i, want := range []string{"attack:FR-IAIK", "attack:NOPE", "benign:crypto/aes-ttable/7"} {
+		if !strings.HasPrefix(lines[i], want+" ") {
+			t.Errorf("line %d = %q, want target %s", i, lines[i], want)
+		}
+		if isErr := strings.Contains(lines[i], " ERROR "); isErr != (i == 1) {
+			t.Errorf("line %d = %q: ERROR = %v", i, lines[i], isErr)
+		}
+	}
+	if got := strings.TrimSpace(string(summary)); got != "stream: 3 targets, 1 failed" {
+		t.Errorf("summary = %q, want the bad spec counted", got)
 	}
 }

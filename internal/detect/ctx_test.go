@@ -135,11 +135,13 @@ func TestClassifyBBSRepanics(t *testing.T) {
 }
 
 // TestClassifyBBSCtxPanicIsErrorNotCrash: the ctx API converts the same
-// worker panic into a *panicsafe.PanicError.
+// worker panic into a *panicsafe.PanicError, counted once — by the scan
+// worker that recovered it, not again by the detector.
 func TestClassifyBBSCtxPanicIsErrorNotCrash(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	faultinject.Enable(faultinject.ScanWorker, faultinject.OnCall(1, faultinject.Panic("scored crash")))
 	d := NewDetector(repo(t))
+	d.Telemetry = telemetry.NewCollector()
 	_, err := d.ClassifyBBSCtx(context.Background(), batchTargets(t, 1)[0])
 	pe, ok := panicsafe.AsPanic(err)
 	if !ok {
@@ -148,4 +150,43 @@ func TestClassifyBBSCtxPanicIsErrorNotCrash(t *testing.T) {
 	if pe.Value != "scored crash" {
 		t.Errorf("panic value = %v", pe.Value)
 	}
+	if got := d.Telemetry.Counter(telemetry.PanicsRecovered); got != 1 {
+		t.Errorf("panics_recovered = %d, want 1", got)
+	}
+}
+
+// TestClassifyCtxModelPanicIsError: a panic while modeling the target —
+// above the scan engine's own recovery — comes back from ClassifyCtx as
+// the target's *panicsafe.PanicError, counted once, while the non-ctx
+// Classify keeps its crash-loudly contract on the same program.
+func TestClassifyCtxModelPanicIsError(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	poc := attacks.FlushReloadMastik(attacks.DefaultParams())
+	d := NewDetector(repo(t))
+	d.Telemetry = telemetry.NewCollector()
+	faultinject.Enable(faultinject.ModelBuild,
+		faultinject.Match(poc.Program.Name, faultinject.Panic("model crash")))
+
+	_, m, err := d.ClassifyCtx(context.Background(), poc.Program, poc.Victim)
+	var pe *panicsafe.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *panicsafe.PanicError", err)
+	}
+	if pe.Value != "model crash" || len(pe.Stack) == 0 {
+		t.Errorf("panic value = %v, stack %d bytes", pe.Value, len(pe.Stack))
+	}
+	if m != nil {
+		t.Errorf("model = %v, want nil after a modeling panic", m)
+	}
+	if got := d.Telemetry.Counter(telemetry.PanicsRecovered); got != 1 {
+		t.Errorf("panics_recovered = %d, want 1", got)
+	}
+
+	defer func() {
+		if r := recover(); r != "model crash" {
+			t.Errorf("Classify recovered %v, want the model crash", r)
+		}
+	}()
+	_, _, _ = d.Classify(poc.Program, poc.Victim)
+	t.Error("Classify did not panic")
 }

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
@@ -725,6 +726,19 @@ func isPartial(err error) bool {
 	return errors.As(err, &pe)
 }
 
+// recoverPanic, deferred directly by the context-aware classification
+// entry points, turns a panic anywhere in the calling classification
+// into a *panicsafe.PanicError in *err and counts it once under
+// panics_recovered. Scan-worker panics are recovered and counted inside
+// the engine and arrive here as ordinary errors, so they are not
+// counted again.
+func (d *Detector) recoverPanic(err *error) {
+	if r := recover(); r != nil {
+		d.Telemetry.Inc(telemetry.PanicsRecovered)
+		*err = &panicsafe.PanicError{Value: r, Stack: debug.Stack()}
+	}
+}
+
 // ClassifyBBSCtx is ClassifyBBS with cooperative cancellation and panic
 // recovery: a cancelled or expired context (including the detector's
 // per-classification Timeout) aborts the scan promptly, and a panic
@@ -734,7 +748,8 @@ func isPartial(err error) bool {
 // sharded repository) comes back WITH a usable Result covering the
 // surviving shards' entries, and the caller decides whether a partial
 // verdict is acceptable.
-func (d *Detector) ClassifyBBSCtx(ctx context.Context, bbs *model.CSTBBS) (Result, error) {
+func (d *Detector) ClassifyBBSCtx(ctx context.Context, bbs *model.CSTBBS) (res Result, err error) {
+	defer d.recoverPanic(&err)
 	ctx, cancel := d.withTimeout(ctx)
 	defer cancel()
 	return d.classifyBBSCtx(ctx, bbs)
@@ -777,29 +792,31 @@ func (d *Detector) Classify(prog *isa.Program, victim *isa.Program) (Result, *mo
 	return d.ClassifyBBS(m.BBS), m, nil
 }
 
-// ClassifyCtx is Classify with cooperative cancellation and a
-// per-classification deadline: when the detector's Timeout is set, each
+// ClassifyCtx is Classify with cooperative cancellation, a
+// per-classification deadline and panic recovery: the one per-target
+// call every front end runs. When the detector's Timeout is set, each
 // call gets its own deadline covering both the modeling and the scan
 // stage. Cancellation is observed at stage boundaries inside modeling
-// and between work items inside the scan; a recovered scan panic
-// surfaces as a *panicsafe.PanicError. On a non-nil error the Result is
-// meaningless (the Model may still be non-nil when modeling succeeded
-// and the scan failed).
-func (d *Detector) ClassifyCtx(ctx context.Context, prog *isa.Program, victim *isa.Program) (Result, *model.Model, error) {
+// and between work items inside the scan; a panic anywhere in modeling
+// or scanning surfaces as a *panicsafe.PanicError. On a non-nil error
+// the Result is meaningless (the Model may still be non-nil when
+// modeling succeeded and the scan failed).
+func (d *Detector) ClassifyCtx(ctx context.Context, prog *isa.Program, victim *isa.Program) (res Result, m *model.Model, err error) {
+	defer d.recoverPanic(&err)
 	ctx, cancel := d.withTimeout(ctx)
 	defer cancel()
 	cfg := d.ModelCfg
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = d.Telemetry
 	}
-	m, err := model.BuildCtx(ctx, prog, victim, cfg)
+	m, err = model.BuildCtx(ctx, prog, victim, cfg)
 	if err != nil {
 		if cerr := d.noteCtxErr(err); errors.Is(cerr, context.Canceled) || errors.Is(cerr, context.DeadlineExceeded) {
 			return Result{}, nil, cerr
 		}
 		return Result{}, nil, fmt.Errorf("detect: modeling target %s: %w", progName(prog), err)
 	}
-	res, err := d.classifyBBSCtx(ctx, m.BBS)
+	res, err = d.classifyBBSCtx(ctx, m.BBS)
 	if err != nil && !isPartial(err) {
 		return Result{}, m, err
 	}

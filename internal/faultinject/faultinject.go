@@ -1,7 +1,7 @@
 // Package faultinject provides named failpoints for deterministic
 // fault injection in tests. Production code plants a failpoint at the
 // places the robustness contract cares about (model building, CST
-// measurement, scan workers, stream stages) by calling Fire; tests arm
+// measurement, scan workers, shard scatters) by calling Fire; tests arm
 // a failpoint with an Action (panic, error, sleep, or a custom
 // function) and drive the pipeline through the failure they want to
 // prove survivable — a panic in one stream target, a scan worker that
@@ -50,12 +50,6 @@ const (
 	// models a failed index build; the scan engine must degrade to the
 	// flat scan path, never fail classification.
 	IndexBuild Point = "index.build"
-	// StreamModel fires in the stream pipeline's modeling stage with
-	// the target ID, before the model is built.
-	StreamModel Point = "stream.model"
-	// StreamScan fires in the stream pipeline's scan stage with the
-	// target ID, before the repository scan.
-	StreamScan Point = "stream.scan"
 	// ShardScan fires in the shard coordinator once per (target, shard)
 	// scatter with the shard's name, before the shard is scanned. An
 	// error action here models a dead or misbehaving shard; the

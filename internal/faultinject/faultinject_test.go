@@ -66,11 +66,11 @@ func TestSleepAction(t *testing.T) {
 func TestMatchAimsAtOneDetail(t *testing.T) {
 	t.Cleanup(Reset)
 	sentinel := errors.New("injected")
-	Enable(StreamModel, Match("target-7", Error(sentinel)))
-	if err := Fire(StreamModel, "target-3"); err != nil {
+	Enable(ModelBuild, Match("target-7", Error(sentinel)))
+	if err := Fire(ModelBuild, "target-3"); err != nil {
 		t.Fatalf("wrong detail fired: %v", err)
 	}
-	if err := Fire(StreamModel, "target-7"); !errors.Is(err, sentinel) {
+	if err := Fire(ModelBuild, "target-7"); !errors.Is(err, sentinel) {
 		t.Fatalf("matching detail: %v", err)
 	}
 }

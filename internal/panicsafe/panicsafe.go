@@ -1,12 +1,12 @@
-// Package panicsafe converts panics into errors at goroutine
-// boundaries. The streaming/batch classification pipeline runs
+// Package panicsafe converts panics into errors. Classification runs
 // worker-pool goroutines over many independent targets; a panic in one
 // of them must become an error result for that target instead of
-// killing the process mid-attack (docs/ROBUSTNESS.md). Every worker
-// body in the pipeline — scan workers, batch workers, stream stages —
-// runs under Do, and the recovered value travels as a *PanicError so
-// callers can distinguish "this target crashed the stage" from an
-// ordinary failure and re-panic where loudness is the contract.
+// killing the process mid-attack (docs/ROBUSTNESS.md). Scan work items
+// and repository-build workers run under Do, the detector's ctx
+// classification calls recover into a PanicError themselves, and the
+// recovered value travels as a *PanicError so callers can distinguish
+// "this target crashed the classification" from an ordinary failure
+// and re-panic where loudness is the contract.
 package panicsafe
 
 import (

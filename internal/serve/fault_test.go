@@ -302,3 +302,43 @@ func TestStreamSurvivesInjectedPanic(t *testing.T) {
 		t.Errorf("panic leaked into the next target: %+v", verdicts[1])
 	}
 }
+
+// TestFailingTargetSameErrorAcrossEndpoints: a target whose
+// classification fails carries the same error verdict on every
+// endpoint — batch and NDJSON run the same ClassifyCtx call the unary
+// endpoint does, with no stream-side wrapping — and its neighbors
+// still classify.
+func TestFailingTargetSameErrorAcrossEndpoints(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	faultinject.Enable(faultinject.ModelCST,
+		faultinject.Match("FR-IAIK", faultinject.Error(errors.New("cst measurement failed"))))
+	t.Cleanup(faultinject.Reset)
+
+	bad, good := TargetSpec{Spec: "attack:FR-IAIK"}, TargetSpec{Spec: "benign:crypto/aes-ttable/7"}
+	unary := decodeBody[classifyResponse](t, postJSON(t, ts.URL+"/v1/classify", classifyRequest{Target: &bad})).Verdict
+	if unary == nil || !strings.Contains(unary.Error, "cst measurement failed") {
+		t.Fatalf("unary verdict = %+v, want the injected CST error", unary)
+	}
+	want := canon(t, *unary)
+
+	batch := decodeBody[classifyResponse](t, postJSON(t, ts.URL+"/v1/classify",
+		classifyRequest{Targets: []TargetSpec{bad, good}})).Verdicts
+	body := `{"spec":"attack:FR-IAIK"}` + "\n" + `{"spec":"benign:crypto/aes-ttable/7"}` + "\n"
+	resp, err := http.Post(ts.URL+"/v1/classify/stream", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	lines := readNDJSON(t, resp.Body)
+	for name, vs := range map[string][]Verdict{"batch": batch, "NDJSON": lines} {
+		if len(vs) != 2 {
+			t.Fatalf("%s: got %d verdicts, want 2", name, len(vs))
+		}
+		if got := canon(t, vs[0]); got != want {
+			t.Errorf("%s error verdict diverged from unary\n got %s\nwant %s", name, got, want)
+		}
+		if vs[1].Error != "" {
+			t.Errorf("%s: failure leaked into the next target: %+v", name, vs[1])
+		}
+	}
+}

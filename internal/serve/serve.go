@@ -6,10 +6,12 @@
 // ROADMAP's "millions of users" story asks for: callers stop owning a
 // process and start sharing one.
 //
-// Per connection the server reuses the streaming pipeline
-// (internal/stream): bounded queues, per-target deadlines and
-// per-target fault isolation, so one malformed program in a batch or a
-// stream becomes one error verdict, never a failed request. Across
+// Every target runs the detector's one per-target call,
+// detect.Detector.ClassifyCtx, which carries the per-target deadline
+// and panic isolation; batches and NDJSON connections run it through
+// the ordered streaming worker pool (internal/stream). One malformed
+// program in a batch or a stream becomes one error verdict, never a
+// failed request. Across
 // connections it adds what a multi-tenant front end needs and a single
 // pipeline cannot provide:
 //
@@ -49,9 +51,6 @@ import (
 
 	"repro/internal/detect"
 	"repro/internal/faultinject"
-	"repro/internal/isa"
-	"repro/internal/model"
-	"repro/internal/panicsafe"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -90,11 +89,10 @@ type Config struct {
 	// per-key limiting; empty selects DefaultKeyHeader. Absent headers
 	// share the "" bucket.
 	KeyHeader string
-	// Stream tunes the per-connection pipeline for batch requests and
-	// /v1/classify/stream connections (worker count, queue bound,
-	// per-target deadline). Ordered is forced on: responses always
-	// align with request order.
-	Stream stream.Config
+	// StreamWorkers is the number of concurrent classifications per
+	// batch request and per /v1/classify/stream connection; <= 0
+	// selects GOMAXPROCS. Responses always align with request order.
+	StreamWorkers int
 	// Reload, when non-nil, supplies the repository contents for POST
 	// /reload: it receives the request's optional path override and
 	// returns the freshly loaded repository, whose entries replace the
@@ -327,97 +325,51 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, classifyResponse{Verdicts: s.classifyBatch(r.Context(), targets)})
 }
 
-// classifyOne resolves and classifies one target under panic
-// isolation. It runs the classification once: a verdict is a
-// deterministic function of the target and the repository, and the
-// one transient step, the remote-shard RPC, is retried, failed over
-// and bounded inside the shard layer (docs/SERVING.md "Where faults
-// are handled").
+// classifyOne resolves and classifies one target. It runs the
+// classification once: a verdict is a deterministic function of the
+// target and the repository, and the one transient step, the
+// remote-shard RPC, is retried, failed over and bounded inside the
+// shard layer (docs/SERVING.md "Where faults are handled"). Panics
+// come back from ClassifyCtx as the target's error.
 func (s *Server) classifyOne(ctx context.Context, t TargetSpec, pos int) Verdict {
-	id := t.label(pos)
-	prog, victim, err := t.resolve()
-	if err != nil {
-		return Verdict{ID: id, Error: "resolve: " + err.Error()}
+	st := t.target(pos)
+	if st.Err != nil {
+		return verdictFor(st.ID, detect.Result{}, nil, st.Err)
 	}
-	res, m, err := s.classifySafe(ctx, prog, victim)
-	return verdictFor(id, res, m, err)
+	res, m, err := s.det.ClassifyCtx(ctx, st.Program, st.Victim)
+	return verdictFor(st.ID, res, m, err)
 }
 
-// classifySafe is ClassifyCtx under panic isolation: a panic anywhere
-// in one request's modeling or scanning becomes that request's error,
-// never the process's crash.
-func (s *Server) classifySafe(ctx context.Context, prog, victim *isa.Program) (detect.Result, *model.Model, error) {
-	var (
-		res detect.Result
-		m   *model.Model
-	)
-	err := panicsafe.DoNotify(func() error {
-		var err error
-		res, m, err = s.det.ClassifyCtx(ctx, prog, victim)
-		return err
-	}, func(*panicsafe.PanicError) { s.tel.Inc(telemetry.PanicsRecovered) })
-	return res, m, err
-}
-
-// streamConfig is the per-connection pipeline configuration: the
-// configured one with ordered emission forced on.
-func (s *Server) streamConfig() stream.Config {
-	cfg := s.cfg.Stream
-	cfg.Ordered = true
-	return cfg
-}
-
-// classifyBatch runs a batch through the streaming pipeline: bounded
-// queues, per-target deadlines, per-target fault isolation, ordered
-// results. Unresolvable specs get error verdicts without occupying the
-// pipeline.
+// classifyBatch runs a batch through the ordered streaming worker
+// pool. Unresolvable specs enter the stream as error targets, so every
+// verdict lands in its request position.
 func (s *Server) classifyBatch(ctx context.Context, targets []TargetSpec) []Verdict {
-	verdicts := make([]Verdict, len(targets))
-
-	// Resolve up front so the producer goroutine shares nothing mutable
-	// with the result loop: work[seq] maps the pipeline's acceptance
-	// order back to request positions.
-	type resolved struct {
-		idx          int
-		id           string
-		prog, victim *isa.Program
-	}
-	work := make([]resolved, 0, len(targets))
-	for i, t := range targets {
-		id := t.label(i)
-		prog, victim, err := t.resolve()
-		if err != nil {
-			verdicts[i] = Verdict{ID: id, Error: "resolve: " + err.Error()}
-			continue
-		}
-		work = append(work, resolved{idx: i, id: id, prog: prog, victim: victim})
-	}
-
 	in := make(chan stream.Target)
-	out := stream.Classify(ctx, s.det, in, s.streamConfig())
+	out := stream.Classify(ctx, s.det, in, s.cfg.StreamWorkers)
 	go func() {
 		defer close(in)
-		for _, wk := range work {
+		for i, t := range targets {
 			select {
-			case in <- stream.Target{ID: wk.id, Program: wk.prog, Victim: wk.victim}:
+			case in <- t.target(i):
 			case <-ctx.Done():
 				return
 			}
 		}
 	}()
+	verdicts := make([]Verdict, len(targets))
 	for r := range out {
-		verdicts[work[r.Seq].idx] = verdictFor(r.ID, r.Verdict, r.Model, r.Err)
+		verdicts[r.Seq] = verdictFor(r.ID, r.Verdict, r.Model, r.Err)
 	}
-	// Work the producer never sent (cancellation mid-batch) fails with
-	// the context's error; label() never yields an empty ID, so an
+	// Targets the producer never sent (cancellation mid-batch) fail
+	// with the context's error; label() never yields an empty ID, so an
 	// empty ID marks the unfilled slots.
-	for _, wk := range work {
-		if verdicts[wk.idx].ID == "" {
-			v := Verdict{ID: wk.id, Error: "target was not classified"}
+	for i, t := range targets {
+		if verdicts[i].ID == "" {
+			v := Verdict{ID: t.label(i), Error: "target was not classified"}
 			if err := ctx.Err(); err != nil {
 				v.Error = err.Error()
 			}
-			verdicts[wk.idx] = v
+			verdicts[i] = v
 		}
 	}
 	return verdicts

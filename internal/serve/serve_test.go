@@ -241,6 +241,30 @@ func TestStreamNDJSON(t *testing.T) {
 	}
 }
 
+// TestStreamBadLineEndsInOrder: a line that is not JSON gets an error
+// verdict after the verdicts of the lines before it and ends the
+// stream, since the byte stream is no longer trustworthy.
+func TestStreamBadLineEndsInOrder(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	body := `{"spec":"attack:FR-IAIK"}` + "\nnot json\n" + `{"spec":"attack:FR-IAIK"}` + "\n"
+	resp, err := http.Post(ts.URL+"/v1/classify/stream", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got := readNDJSON(t, resp.Body)
+	if len(got) != 2 {
+		t.Fatalf("got %d verdict lines, want 2: %+v", len(got), got)
+	}
+	want := canon(t, expectVerdict(t, TargetSpec{Spec: "attack:FR-IAIK"}, 0))
+	if g := canon(t, got[0]); g != want {
+		t.Errorf("line 0 diverged\n got %s\nwant %s", g, want)
+	}
+	if got[1].ID != "line" || !strings.HasPrefix(got[1].Error, "bad target line: ") {
+		t.Errorf("line 1: want a bad-line error verdict, got %+v", got[1])
+	}
+}
+
 // TestOverloadSheds proves saturation degrades to immediate 429s with a
 // Retry-After hint, and that capacity freed readmits.
 func TestOverloadSheds(t *testing.T) {

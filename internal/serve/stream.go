@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/stream"
@@ -16,14 +15,14 @@ import (
 
 // handleClassifyStream is POST /v1/classify/stream: newline-delimited
 // JSON TargetSpec values in, one NDJSON Verdict line per input line
-// out, in input order. The connection is one streaming pipeline
+// out, in input order. The connection is one ordered worker pool
 // (internal/stream): targets are classified as they arrive with
 // bounded buffering and per-target fault isolation, and a slow reader
 // of the response exerts backpressure all the way to the request body.
 //
-// A line that fails to resolve gets an error verdict line; a line that
-// fails to parse as JSON gets an error verdict line and ends the
-// stream (the byte stream is no longer trustworthy). On server drain
+// A line that fails to resolve gets an error verdict line in its
+// place; a line that fails to parse as JSON gets an error verdict line
+// and ends the stream (the byte stream is no longer trustworthy). On server drain
 // the connection stops reading further targets, flushes verdicts for
 // everything accepted, and closes.
 //
@@ -81,27 +80,9 @@ func (s *Server) handleClassifyStream(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
-	enc := json.NewEncoder(w)
-	emit := func(v Verdict) {
-		_ = enc.Encode(v)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
 	ctx := r.Context()
 	in := make(chan stream.Target)
-	out := stream.Classify(ctx, s.det, in, s.streamConfig())
-
-	// The reader assigns every input line an output slot; targets that
-	// never enter the pipeline (bad lines) park their error verdict in
-	// bad, and slotOf maps pipeline sequence numbers back to slots so
-	// the writer can interleave both streams in input order.
-	var (
-		mu     sync.Mutex
-		bad    = map[int]Verdict{}
-		slotOf []int
-	)
+	out := stream.Classify(ctx, s.det, in, s.cfg.StreamWorkers)
 
 	// A blocked body read must not stall a drain forever: when the
 	// server starts draining, expire the connection's read deadline so
@@ -117,11 +98,13 @@ func (s *Server) handleClassifyStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
+	// Reader: every input line enters the stream, an unresolvable one
+	// as an error target and an unparsable one as a final error target,
+	// so the ordered output holds exactly one verdict per line.
 	go func() {
 		defer close(in)
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-		slot := 0
-		for {
+		for pos := 0; ; pos++ {
 			select {
 			case <-s.drainCh:
 				return
@@ -130,67 +113,36 @@ func (s *Server) handleClassifyStream(w http.ResponseWriter, r *http.Request) {
 			default:
 			}
 			var ts TargetSpec
-			if err := dec.Decode(&ts); err != nil {
-				if errors.Is(err, io.EOF) || s.isDraining() || isTimeout(err) {
-					return
-				}
-				mu.Lock()
-				bad[slot] = Verdict{ID: "line", Error: "bad target line: " + err.Error()}
-				mu.Unlock()
+			err := dec.Decode(&ts)
+			if err != nil && (errors.Is(err, io.EOF) || s.isDraining() || isTimeout(err)) {
 				return
 			}
-			id := ts.label(slot)
-			prog, victim, rerr := ts.resolve()
-			if rerr != nil {
-				mu.Lock()
-				bad[slot] = Verdict{ID: id, Error: "resolve: " + rerr.Error()}
-				mu.Unlock()
-				slot++
-				continue
+			var t stream.Target
+			if err != nil {
+				t = stream.Target{ID: "line", Err: fmt.Errorf("bad target line: %w", err)}
+			} else {
+				t = ts.target(pos)
 			}
-			mu.Lock()
-			slotOf = append(slotOf, slot)
-			mu.Unlock()
-			slot++
 			select {
-			case in <- stream.Target{ID: id, Program: prog, Victim: victim}:
+			case in <- t:
 			case <-ctx.Done():
-				mu.Lock()
-				slotOf = slotOf[:len(slotOf)-1]
-				mu.Unlock()
+				return
+			}
+			if err != nil {
+				// The byte stream is no longer trustworthy past a JSON
+				// error.
 				return
 			}
 		}
 	}()
 
-	// Writer: pipeline results arrive ordered by Seq, hence by slot;
-	// every bad slot below the next pipeline slot was recorded before
-	// that target was sent, so flushing gaps first preserves exact
-	// input order.
-	next := 0
-	flushBadBelow := func(limit int) {
-		for {
-			mu.Lock()
-			v, ok := bad[next]
-			mu.Unlock()
-			if !ok || next >= limit {
-				return
-			}
-			emit(v)
-			next++
+	enc := json.NewEncoder(w)
+	for res := range out {
+		_ = enc.Encode(verdictFor(res.ID, res.Verdict, res.Model, res.Err))
+		if flusher != nil {
+			flusher.Flush()
 		}
 	}
-	for res := range out {
-		mu.Lock()
-		slot := slotOf[res.Seq]
-		mu.Unlock()
-		flushBadBelow(slot)
-		emit(verdictFor(res.ID, res.Verdict, res.Model, res.Err))
-		next = slot + 1
-	}
-	// The pipeline closed, so the reader is done and every remaining
-	// verdict is a parked bad line.
-	flushBadBelow(int(^uint(0) >> 1))
 }
 
 // isDraining reports the server's drain flag.

@@ -118,16 +118,16 @@ func (s *Server) handleWindowStream(w http.ResponseWriter, r *http.Request, cfg 
 			emit(Verdict{ID: "line", Error: "bad target line: " + err.Error()})
 			return
 		}
-		id := ts.label(pos)
-		prog, victim, rerr := ts.resolve()
-		if rerr != nil {
-			emit(Verdict{ID: id, Error: "resolve: " + rerr.Error()})
+		t := ts.target(pos)
+		id := t.ID
+		if t.Err != nil {
+			emit(Verdict{ID: id, Error: t.Err.Error()})
 			continue
 		}
 		var out window.Outcome
 		werr := panicsafe.DoNotify(func() error {
 			var err error
-			out, err = window.Watch(ctx, s.det, prog, victim, exec.DefaultConfig(), cfg, func(v window.Verdict) {
+			out, err = window.Watch(ctx, s.det, t.Program, t.Victim, exec.DefaultConfig(), cfg, func(v window.Verdict) {
 				emit(windowVerdict(id, v))
 			})
 			return err

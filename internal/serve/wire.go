@@ -12,6 +12,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/model"
 	"repro/internal/shard"
+	"repro/internal/stream"
 )
 
 // The HTTP/JSON wire format of the detection service. Scores are finite
@@ -60,6 +61,18 @@ func (t TargetSpec) resolve() (prog, victim *isa.Program, err error) {
 		return resolveSpec(t.Spec)
 	}
 	return nil, nil, errors.New("target needs a spec or an inline source")
+}
+
+// target resolves the spec at request position pos into the stream
+// target every endpoint classifies; a resolution failure travels as
+// the target's Err, so it keeps its position in ordered output.
+func (t TargetSpec) target(pos int) stream.Target {
+	st := stream.Target{ID: t.label(pos)}
+	var err error
+	if st.Program, st.Victim, err = t.resolve(); err != nil {
+		st.Err = fmt.Errorf("resolve: %w", err)
+	}
+	return st
 }
 
 // label is the identity the target's verdict carries.

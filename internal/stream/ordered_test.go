@@ -15,37 +15,34 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestStreamOrderedEmission: with Ordered set, results come out in
-// arrival order even when the first target resolves last. The head
-// target is a real program (modeling work) slowed further by a fault-
-// injected stall, while the rest are pre-built and would normally
-// overtake it.
+// TestStreamOrderedEmission: results come out in arrival order even
+// when the first target resolves last. The head target's modeling is
+// slowed by a fault-injected stall aimed at its program name, while the
+// rest are quick and would otherwise overtake it.
 func TestStreamOrderedEmission(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	d := newDetector(t)
-	_, poc, bbs := fixtures(t)
-	want := d.ClassifyBBS(bbs)
-	faultinject.Enable(faultinject.StreamModel,
-		faultinject.Match("t00", faultinject.Sleep(100*time.Millisecond)))
+	slow, rest := poc(t, "ER-IAIK"), attack(t, "")
+	want := direct(t, rest)
+	faultinject.Enable(faultinject.ModelBuild,
+		faultinject.Match(slow.Program.Name, faultinject.Sleep(100*time.Millisecond)))
 
 	before := runtime.NumGoroutine()
 	const n = 8
 	in := make(chan Target, n)
-	in <- Target{ID: "t00", Program: poc.Program, Victim: poc.Victim}
+	in <- Target{ID: "t00", Program: slow.Program, Victim: slow.Victim}
 	for i := 1; i < n; i++ {
-		in <- Target{ID: fmt.Sprintf("t%02d", i), BBS: bbs}
+		in <- attack(t, fmt.Sprintf("t%02d", i))
 	}
 	close(in)
-	results := drain(Classify(context.Background(), d, in, Config{Ordered: true, ModelWorkers: 4}))
+	results := drain(Classify(context.Background(), d, in, 4))
 	checkNoLeak(t, before)
 
 	if len(results) != n {
 		t.Fatalf("results = %d, want %d", len(results), n)
 	}
+	checkSeqs(t, results)
 	for i, r := range results {
-		if r.Seq != i {
-			t.Fatalf("emission %d carries seq %d — not in arrival order: %+v", i, r.Seq, results)
-		}
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.ID, r.Err)
 		}
@@ -55,19 +52,19 @@ func TestStreamOrderedEmission(t *testing.T) {
 	}
 }
 
-// TestStreamOrderedBoundedAdmission: the reorder buffer must not grow
+// TestStreamOrderedBoundedAdmission: the result FIFO must not grow
 // without bound while the emission head is stuck — intake stops
-// admitting once ModelWorkers + 2·Queue + 2 targets are unemitted, and
-// backpressure reaches the producer.
+// admitting once 2·workers + 2 targets are unemitted, and backpressure
+// reaches the producer.
 func TestStreamOrderedBoundedAdmission(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	d := newDetector(t)
-	_, _, bbs := fixtures(t)
-	faultinject.Enable(faultinject.StreamScan,
-		faultinject.Match("t000", faultinject.Sleep(400*time.Millisecond)))
+	slow := poc(t, "ER-IAIK")
+	faultinject.Enable(faultinject.ModelBuild,
+		faultinject.Match(slow.Program.Name, faultinject.Sleep(400*time.Millisecond)))
 
-	cfg := Config{Ordered: true, ModelWorkers: 1, Queue: 1} // window = 1 + 2 + 2 = 5
-	const window = 5
+	const workers = 2
+	const bound = 2*workers + 2
 	var sent atomic.Int64
 	in := make(chan Target) // unbuffered: every accepted send was admitted
 	ctx, cancel := context.WithCancel(context.Background())
@@ -75,42 +72,40 @@ func TestStreamOrderedBoundedAdmission(t *testing.T) {
 	go func() {
 		defer close(in)
 		for i := 0; i < 40; i++ {
+			tg := attack(t, fmt.Sprintf("t%03d", i))
+			if i == 0 {
+				tg = Target{ID: "t000", Program: slow.Program, Victim: slow.Victim}
+			}
 			select {
-			case in <- Target{ID: fmt.Sprintf("t%03d", i), BBS: bbs}:
+			case in <- tg:
 				sent.Add(1)
 			case <-ctx.Done():
 				return
 			}
 		}
 	}()
-	out := Classify(ctx, d, in, cfg)
+	out := Classify(ctx, d, in, workers)
 
-	// While the head target's scan is stalled nothing can be emitted,
-	// so admissions must flatline at the window (plus the one send
-	// blocked in the unbuffered channel).
+	// While the head target's modeling is stalled nothing can be
+	// emitted, so admissions must flatline at the bound.
 	time.Sleep(200 * time.Millisecond)
-	if got := sent.Load(); got > window+1 {
-		t.Fatalf("intake admitted %d targets while emission was blocked, want <= %d", got, window+1)
+	if got := sent.Load(); got > bound {
+		t.Fatalf("intake admitted %d targets while emission was blocked, want <= %d", got, bound)
 	}
 	results := drain(out)
 	if len(results) != 40 {
 		t.Fatalf("results = %d, want 40", len(results))
 	}
-	for i, r := range results {
-		if r.Seq != i {
-			t.Fatalf("emission %d carries seq %d", i, r.Seq)
-		}
-	}
+	checkSeqs(t, results)
 }
 
 // TestStreamOrderedCancellation: cancelling mid-stream still emits
 // every accepted target, in order and without gaps, then closes the
-// channel with no goroutines (or admission tokens) left behind.
+// channel with no goroutines left behind.
 func TestStreamOrderedCancellation(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	d := newDetector(t)
-	_, _, bbs := fixtures(t)
-	faultinject.Enable(faultinject.StreamScan, faultinject.Sleep(10*time.Millisecond))
+	faultinject.Enable(faultinject.ScanWorker, faultinject.Sleep(10*time.Millisecond))
 
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -119,13 +114,13 @@ func TestStreamOrderedCancellation(t *testing.T) {
 		defer close(in)
 		for i := 0; ; i++ {
 			select {
-			case in <- Target{ID: fmt.Sprintf("t%03d", i), BBS: bbs}:
+			case in <- attack(t, fmt.Sprintf("t%03d", i)):
 			case <-ctx.Done():
 				return
 			}
 		}
 	}()
-	out := Classify(ctx, d, in, Config{Ordered: true, ModelWorkers: 2})
+	out := Classify(ctx, d, in, 2)
 	first := <-out
 	if first.Seq != 0 {
 		t.Fatalf("first emission has seq %d", first.Seq)
@@ -140,51 +135,52 @@ func TestStreamOrderedCancellation(t *testing.T) {
 	}
 }
 
-// TestStreamStagesRunOnce: each pipeline stage runs once per target. A
-// fault that hits a target's modeling or scan once resolves that target
-// to an error result — the stream does not re-run a deterministic stage
-// (transient remote-shard RPC failures are retried in the shard layer)
-// — while the other targets verdict normally.
+// TestStreamStagesRunOnce: each target is classified once. A fault that
+// hits a target's modeling entry (model.build) or its CST measurement
+// (model.cst) once resolves that target to an error result — the stream
+// does not re-run a deterministic classification (transient
+// remote-shard RPC failures are retried in the shard layer) — while the
+// other targets verdict normally.
 func TestStreamStagesRunOnce(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	d := newDetector(t)
-	_, poc, bbs := fixtures(t)
-	want := d.ClassifyBBS(bbs)
+	buildBlip, cstBlip, clean := poc(t, "ER-IAIK"), poc(t, "PP-IAIK"), attack(t, "clean")
+	want := direct(t, clean)
 
-	var modelCalls, scanCalls atomic.Int64
-	faultinject.Enable(faultinject.StreamModel, func(p faultinject.Point, detail string) error {
-		if detail == "model-blip" && modelCalls.Add(1) == 1 {
-			return errors.New("one-shot model blip")
+	var buildCalls, cstCalls atomic.Int64
+	faultinject.Enable(faultinject.ModelBuild, func(p faultinject.Point, detail string) error {
+		if detail == buildBlip.Program.Name && buildCalls.Add(1) == 1 {
+			return errors.New("one-shot build blip")
 		}
 		return nil
 	})
-	faultinject.Enable(faultinject.StreamScan, func(p faultinject.Point, detail string) error {
-		if detail == "scan-blip" && scanCalls.Add(1) == 1 {
-			return errors.New("one-shot scan blip")
+	faultinject.Enable(faultinject.ModelCST, func(p faultinject.Point, detail string) error {
+		if detail == cstBlip.Program.Name && cstCalls.Add(1) == 1 {
+			return errors.New("one-shot cst blip")
 		}
 		return nil
 	})
 
 	in := make(chan Target, 3)
-	in <- Target{ID: "model-blip", Program: poc.Program, Victim: poc.Victim}
-	in <- Target{ID: "scan-blip", BBS: bbs}
-	in <- Target{ID: "clean", BBS: bbs}
+	in <- Target{ID: "build-blip", Program: buildBlip.Program, Victim: buildBlip.Victim}
+	in <- Target{ID: "cst-blip", Program: cstBlip.Program, Victim: cstBlip.Victim}
+	in <- clean
 	close(in)
-	results := drain(Classify(context.Background(), d, in, Config{Ordered: true}))
+	results := drain(Classify(context.Background(), d, in, 0))
 	if len(results) != 3 {
 		t.Fatalf("got %d results, want 3", len(results))
 	}
-	if r := results[0]; r.Err == nil || r.Model != nil {
-		t.Errorf("model-blip = %+v, want an error result without a model", r)
-	}
-	if r := results[1]; r.Err == nil {
-		t.Errorf("scan-blip = %+v, want an error result", r)
+	checkSeqs(t, results)
+	for _, r := range results[:2] {
+		if r.Err == nil || r.Model != nil {
+			t.Errorf("%s = %+v, want an error result without a model", r.ID, r)
+		}
 	}
 	if r := results[2]; r.Err != nil || r.Verdict.Best.Name != want.Best.Name {
 		t.Errorf("clean = %+v, want the direct verdict", r)
 	}
-	if m, s := modelCalls.Load(), scanCalls.Load(); m != 1 || s != 1 {
-		t.Errorf("faulted stages ran %d (model) and %d (scan) times, want once each", m, s)
+	if b, c := buildCalls.Load(), cstCalls.Load(); b != 1 || c != 1 {
+		t.Errorf("faulted targets hit model.build %d and model.cst %d times, want once each", b, c)
 	}
 	if got := d.Telemetry.Counter(telemetry.StreamErrorResults); got != 2 {
 		t.Errorf("stream_error_results = %d, want 2", got)
@@ -199,19 +195,19 @@ func TestStreamKeepsPartialVerdict(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	d := newDetector(t)
 	d.Shards = 2
-	_, _, bbs := fixtures(t)
+	tg := attack(t, "t")
 	faultinject.Enable(faultinject.ShardScan,
 		faultinject.Match("1", faultinject.Error(errors.New("shard down"))))
 
-	want, werr := d.ClassifyBBSCtx(context.Background(), bbs)
+	want, _, werr := d.ClassifyCtx(context.Background(), tg.Program, tg.Victim)
 	var pe *shard.PartialError
 	if !errors.As(werr, &pe) {
 		t.Fatalf("direct classification: err = %v, want a *shard.PartialError", werr)
 	}
 	in := make(chan Target, 1)
-	in <- Target{ID: "t", BBS: bbs}
+	in <- tg
 	close(in)
-	results := drain(Classify(context.Background(), d, in, Config{}))
+	results := drain(Classify(context.Background(), d, in, 0))
 	if len(results) != 1 {
 		t.Fatalf("got %d results, want 1", len(results))
 	}

@@ -4,29 +4,33 @@
 // keep emitting verdicts even when an individual target misbehaves.
 //
 // Classify accepts targets on an input channel and emits one Result per
-// target on the output channel as each resolves. Internally the
-// pipeline has two stages connected by a bounded queue:
+// target, in arrival order, on the output channel. It is an ordered
+// worker pool around the detector's one per-target call:
 //
-//	in ──▶ intake ──▶ modeling workers ──▶ bounded queue ──▶ scan stage ──▶ [reorder] ──▶ out
-//	      (sequence)  (N× model.BuildCtx)                  (repository scan)  (Ordered)
+//	in ──▶ intake ──▶ workers (N× det.ClassifyCtx) ──┐
+//	         │                                       ▼
+//	         └──▶ FIFO of result slots (2N) ──▶ emitter ──▶ out
 //
-// Modeling — the dominant per-target cost — fans out across
-// Config.ModelWorkers goroutines and overlaps with scanning, which
-// walks the shared repository engine one target at a time (each scan
-// itself fans out across the engine's worker pool). The queue and the
-// output channel are bounded, so a slow consumer exerts backpressure
-// all the way to the input: scanning blocks, then modeling blocks, then
-// the input channel stops being drained. Nothing buffers without bound;
-// in-flight targets never exceed ModelWorkers + 2·Queue + 2 — a bound
-// Config.Ordered turns into an explicit admission window so its reorder
-// buffer stays finite too. Each stage runs once per target: modeling
-// and scanning are deterministic, and the one transient step — the
-// remote-shard RPC — is retried inside the shard layer.
+// Intake gives every accepted target a result slot and queues the slot
+// on a bounded FIFO before handing the target to a worker. Each worker
+// runs Detector.ClassifyCtx — modeling then the repository scan — and
+// fills the target's slot; the emitter drains the FIFO head first, so
+// results leave in arrival order. The one FIFO both orders the output
+// and caps admission: at most 2·workers + 2 targets are read from in
+// but not yet received from out (the FIFO's 2·workers slots, the one
+// the emitter holds, and the one intake is queueing). A slow consumer
+// or a slow head target therefore exerts backpressure all the way to
+// the input instead of growing a buffer; the price of ordering is
+// head-of-line blocking. Classification runs once per target:
+// modeling and scanning are deterministic, and the one transient step,
+// the remote-shard RPC, is retried inside the shard layer.
 //
-// Fault isolation is per target: a panic or error anywhere in one
-// target's modeling or scanning becomes a Result with Err set (panics
-// as *panicsafe.PanicError, counted under telemetry panics_recovered)
-// while every other target completes normally. Cancelling the context
+// Fault isolation is per target: ClassifyCtx turns a panic anywhere in
+// one target's modeling or scanning into that target's error
+// (*panicsafe.PanicError, counted under telemetry panics_recovered), so
+// it becomes a Result with Err set while every other target completes
+// normally. The per-target deadline is the detector's Timeout, which
+// starts when a worker picks the target up. Cancelling the context
 // stops the pipeline promptly: the input stops being consumed, targets
 // already accepted resolve to error results carrying the context's
 // error, the output channel closes, and no goroutines are left behind —
@@ -36,303 +40,160 @@ package stream
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/detect"
-	"repro/internal/faultinject"
 	"repro/internal/isa"
 	"repro/internal/model"
-	"repro/internal/panicsafe"
 	"repro/internal/telemetry"
 )
 
-// Target is one unit of streaming work: a program to classify
-// (optionally alongside its victim), or a pre-built behavior model when
-// the caller already ran the modeling stage (BBS set, Program ignored).
+// Target is one unit of streaming work: a program to classify,
+// optionally alongside its victim, or a failure the caller hit while
+// resolving the target (Err set, Program ignored).
 type Target struct {
-	// ID names the target in results and fault-injection details; it
-	// defaults to the program/model name when empty.
+	// ID names the target in results; it defaults to the program name
+	// when empty.
 	ID      string
 	Program *isa.Program
 	Victim  *isa.Program
-	// BBS, when non-nil, skips the modeling stage.
-	BBS *model.CSTBBS
+	// Err, when non-nil, is emitted as this target's result in its
+	// arrival position without classifying: a front end's resolution
+	// failure (an unreadable spec, an unparsable line) keeps its place
+	// in the ordered output.
+	Err error
 }
 
 func (t Target) id() string {
 	switch {
 	case t.ID != "":
 		return t.ID
-	case t.BBS != nil:
-		return t.BBS.Name
 	case t.Program != nil:
 		return t.Program.Name
 	}
 	return "<unnamed>"
 }
 
-// Result is one resolved target. By default results are emitted as
-// they resolve, not in arrival order; Seq is the arrival index for
-// callers that need to reorder, and Config.Ordered makes the pipeline
-// do it for them.
+// Result is one resolved target, emitted in arrival order.
 type Result struct {
 	// ID echoes the target's identity, Seq its arrival index (0-based).
 	ID  string
 	Seq int
 	// Verdict is the classification outcome. When Err is a
 	// *shard.PartialError it is the degraded verdict over the
-	// surviving shards, exactly as detect.ClassifyBBSCtx returns it;
+	// surviving shards, exactly as detect.ClassifyCtx returns it;
 	// under any other Err it is meaningless.
 	Verdict detect.Result
-	// Model is the built behavior model (nil for pre-built targets and
-	// for targets that failed before modeling finished).
+	// Model is the built behavior model (nil for targets that failed
+	// before modeling finished).
 	Model *model.Model
-	// Err is the target's failure: a modeling error, a recovered panic
-	// (*panicsafe.PanicError in the chain), an injected fault, or the
-	// context's error for targets accepted but unresolved when the
-	// stream was cancelled. One target's Err never affects the others.
+	// Err is the target's failure: the target's own Err, a modeling
+	// error, a recovered panic (*panicsafe.PanicError in the chain), an
+	// injected fault, or the context's error for targets accepted but
+	// unresolved when the stream was cancelled. One target's Err never
+	// affects the others.
 	Err error
 }
 
-// Config tunes the streaming pipeline. The zero value is ready for use.
-type Config struct {
-	// ModelWorkers is the number of concurrent modeling goroutines;
-	// <= 0 selects GOMAXPROCS.
-	ModelWorkers int
-	// Queue bounds the modeled-but-not-scanned queue and the output
-	// channel (per-channel capacity); <= 0 selects ModelWorkers. This
-	// is the backpressure knob.
-	Queue int
-	// TargetTimeout, when positive, is the per-target deadline measured
-	// from intake; a target that exceeds it across modeling and
-	// scanning resolves to an error result with
-	// context.DeadlineExceeded. It composes with the detector's own
-	// per-classification Timeout (the earlier deadline wins).
-	TargetTimeout time.Duration
-	// Ordered emits results in arrival (Seq) order instead of
-	// resolution order. The reorder buffer is bounded: intake admits at
-	// most ModelWorkers + 2·Queue + 2 unemitted targets, so one slow
-	// target stalls emission (head-of-line blocking, the price of
-	// ordering) and backpressure reaches the producer instead of the
-	// buffer growing without bound. Cancellation still resolves and
-	// emits every accepted target, in order, before out closes.
-	Ordered bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.ModelWorkers <= 0 {
-		c.ModelWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.Queue <= 0 {
-		c.Queue = c.ModelWorkers
-	}
-	return c
-}
-
-// item carries one target through the pipeline stages.
-type item struct {
-	target   Target
-	res      Result
-	bbs      *model.CSTBBS
-	start    time.Time // intake time (telemetry); zero when disabled
-	deadline time.Time // per-target deadline; zero when none
+// job is one accepted target on its way to a worker, with the slot its
+// result goes into.
+type job struct {
+	t     Target
+	res   Result
+	start time.Time // intake time (telemetry); zero when disabled
+	slot  chan Result
 }
 
 // Classify runs the streaming pipeline over in until in closes or ctx
 // is cancelled, whichever comes first, and closes the returned channel
-// once every accepted target has resolved.
+// once every accepted target's result has been emitted. workers <= 0
+// selects GOMAXPROCS.
 //
 // The caller must drain the returned channel until it closes — after
 // cancellation too. Draining is what lets the pipeline flush error
 // results for accepted targets and release its goroutines; the
-// channel's bounded capacity is what carries backpressure upstream when
-// the caller falls behind. A producer that might outlive the stream
-// should send into in under a select on the same ctx.
+// unbuffered output is what carries backpressure upstream when the
+// caller falls behind. A producer that might outlive the stream should
+// send into in under a select on the same ctx.
 //
 // The detector is used concurrently and must not be reconfigured while
 // the stream runs (growing its repository through Add is fine, as for
-// Classify).
-func Classify(ctx context.Context, det *detect.Detector, in <-chan Target, cfg Config) <-chan Result {
-	cfg = cfg.withDefaults()
-	tel := det.Telemetry
-	jobs := make(chan item)             // intake → modeling, unbuffered
-	queue := make(chan item, cfg.Queue) // modeling → scan
-	out := make(chan Result, cfg.Queue)
-
-	// Ordered mode inserts a reorder stage between scanning and out and
-	// caps admissions with a token window sized to the pipeline's
-	// natural in-flight bound. The cap is what keeps the reorder buffer
-	// finite: without it, one slow target at the emission head would
-	// let intake keep accepting targets whose results can only pile up
-	// in the buffer. Tokens are released after ordered emission.
-	var tokens chan struct{}
-	scanned := out
-	if cfg.Ordered {
-		tokens = make(chan struct{}, cfg.ModelWorkers+2*cfg.Queue+2)
-		scanned = make(chan Result, cfg.Queue)
+// ClassifyCtx).
+func Classify(ctx context.Context, det *detect.Detector, in <-chan Target, workers int) <-chan Result {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	tel := det.Telemetry
+	jobs := make(chan job)
+	// 2·workers slots let every worker hold a target, with as many
+	// resolved behind them, while a slow head target waits.
+	fifo := make(chan chan Result, 2*workers)
+	out := make(chan Result)
 
-	// Intake: sequence arrivals and stop accepting on cancellation.
-	// The send into jobs needs no ctx select: the modeling workers
-	// drain jobs until it closes.
+	// Intake: sequence arrivals, queue each one's slot (blocking while
+	// the FIFO is full — the admission cap) and dispatch it. Once its
+	// slot is queued a target is accepted, so the dispatch needs no ctx
+	// select: the workers drain jobs until it closes, and a cancelled
+	// target resolves to the context's error.
 	go func() {
+		defer close(fifo)
 		defer close(jobs)
-		seq := 0
-		for {
+		for seq := 0; ; seq++ {
+			var t Target
 			select {
 			case <-ctx.Done():
 				return
-			case t, ok := <-in:
+			case next, ok := <-in:
 				if !ok {
 					return
 				}
-				if tokens != nil {
-					select {
-					case tokens <- struct{}{}:
-					case <-ctx.Done():
-						return
-					}
-				}
-				tel.Inc(telemetry.StreamTargets)
-				it := item{target: t, start: tel.Now(), bbs: t.BBS}
-				it.res.ID, it.res.Seq = t.id(), seq
-				seq++
-				if cfg.TargetTimeout > 0 {
-					it.deadline = time.Now().Add(cfg.TargetTimeout)
-				}
-				jobs <- it
+				t = next
 			}
+			j := job{t: t, res: Result{ID: t.id(), Seq: seq}, slot: make(chan Result, 1)}
+			select {
+			case fifo <- j.slot:
+			case <-ctx.Done():
+				return
+			}
+			tel.Inc(telemetry.StreamTargets)
+			j.start = tel.Now()
+			if t.Err != nil {
+				j.res.Err = t.Err
+				j.finish(tel)
+				continue
+			}
+			jobs <- j
 		}
 	}()
 
-	// Modeling workers. Sends into queue need no ctx select either:
-	// the scan stage drains queue until it closes.
-	var wg sync.WaitGroup
-	wg.Add(cfg.ModelWorkers)
-	for w := 0; w < cfg.ModelWorkers; w++ {
+	for w := 0; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			for it := range jobs {
-				if it.bbs == nil {
-					it.res.Model, it.res.Err = buildOne(ctx, det, it.target, it.deadline)
-					if it.res.Model != nil {
-						it.bbs = it.res.Model.BBS
-					}
-				}
-				queue <- it
+			for j := range jobs {
+				j.res.Verdict, j.res.Model, j.res.Err = det.ClassifyCtx(ctx, j.t.Program, j.t.Victim)
+				j.finish(tel)
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(queue)
-	}()
 
-	// Scan stage: one goroutine walking the shared engine; each scan
-	// fans out internally. Targets that already failed pass through.
+	// Emitter: every queued slot is filled eventually, because every
+	// accepted target is dispatched and resolves — cancellation turns
+	// stragglers into error results, it does not drop them.
 	go func() {
-		defer close(scanned)
-		for it := range queue {
-			if it.res.Err == nil {
-				it.res.Verdict, it.res.Err = scanOne(ctx, det, it.res.ID, it.bbs, it.deadline)
-			}
-			if it.res.Err != nil {
-				tel.Inc(telemetry.StreamErrorResults)
-			}
-			tel.ObserveSince(telemetry.StageStreamTarget, it.start)
-			scanned <- it.res
+		defer close(out)
+		for slot := range fifo {
+			out <- <-slot
 		}
 	}()
-
-	// Reorder stage (Ordered only): hold results that resolved ahead of
-	// their predecessors and emit strictly by Seq. The pending map is
-	// bounded by the token window; every held result is eventually
-	// emitted because every accepted target resolves — cancellation
-	// turns stragglers into error results, it does not drop them.
-	if cfg.Ordered {
-		go func() {
-			defer close(out)
-			pending := make(map[int]Result)
-			next := 0
-			emit := func(r Result) {
-				out <- r
-				<-tokens
-				next++
-			}
-			for r := range scanned {
-				if r.Seq != next {
-					pending[r.Seq] = r
-					continue
-				}
-				emit(r)
-				for {
-					r, ok := pending[next]
-					if !ok {
-						break
-					}
-					delete(pending, next)
-					emit(r)
-				}
-			}
-		}()
-	}
 	return out
 }
 
-// buildOne models one target under panic isolation and the target's
-// deadline.
-func buildOne(ctx context.Context, det *detect.Detector, t Target, deadline time.Time) (*model.Model, error) {
-	mctx, cancel := deadlineCtx(ctx, deadline)
-	defer cancel()
-	var m *model.Model
-	err := panicsafe.DoNotify(func() error {
-		if err := faultinject.Fire(faultinject.StreamModel, t.id()); err != nil {
-			return err
-		}
-		cfg := det.ModelCfg
-		if cfg.Telemetry == nil {
-			cfg.Telemetry = det.Telemetry
-		}
-		var err error
-		m, err = model.BuildCtx(mctx, t.Program, t.Victim, cfg)
-		return err
-	}, func(*panicsafe.PanicError) { det.Telemetry.Inc(telemetry.PanicsRecovered) })
-	if err != nil {
-		return nil, fmt.Errorf("stream: modeling %s: %w", t.id(), err)
+// finish records the target's outcome and fills its slot; the slot's
+// one-element buffer means this never blocks.
+func (j job) finish(tel *telemetry.Collector) {
+	if j.res.Err != nil {
+		tel.Inc(telemetry.StreamErrorResults)
 	}
-	return m, nil
-}
-
-// scanOne classifies one modeled target under panic isolation and the
-// target's deadline. Panics below the engine's worker pool are already
-// recovered (and counted) inside the scan; the recovery here guards the
-// detect-layer code around it. A partial scan keeps its degraded result
-// alongside the error.
-func scanOne(ctx context.Context, det *detect.Detector, id string, bbs *model.CSTBBS, deadline time.Time) (detect.Result, error) {
-	sctx, cancel := deadlineCtx(ctx, deadline)
-	defer cancel()
-	var res detect.Result
-	err := panicsafe.DoNotify(func() error {
-		if err := faultinject.Fire(faultinject.StreamScan, id); err != nil {
-			return err
-		}
-		var err error
-		res, err = det.ClassifyBBSCtx(sctx, bbs)
-		return err
-	}, func(*panicsafe.PanicError) { det.Telemetry.Inc(telemetry.PanicsRecovered) })
-	if err != nil {
-		return res, fmt.Errorf("stream: scanning %s: %w", id, err)
-	}
-	return res, nil
-}
-
-// deadlineCtx applies a non-zero per-target deadline.
-func deadlineCtx(ctx context.Context, deadline time.Time) (context.Context, context.CancelFunc) {
-	if deadline.IsZero() {
-		return ctx, func() {}
-	}
-	return context.WithDeadline(ctx, deadline)
+	tel.ObserveSince(telemetry.StageStreamTarget, j.start)
+	j.slot <- j.res
 }

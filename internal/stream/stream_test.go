@@ -9,24 +9,23 @@ import (
 	"time"
 
 	"repro/internal/attacks"
+	"repro/internal/benign"
 	"repro/internal/detect"
 	"repro/internal/faultinject"
+	"repro/internal/isa"
 	"repro/internal/model"
 	"repro/internal/panicsafe"
 	"repro/internal/telemetry"
 )
 
-// The fixtures run the simulator, so they are built once and shared.
-var (
-	sharedRepo *detect.Repository
-	sharedPoC  attacks.PoC
-	sharedBBS  *model.CSTBBS
-)
+// The repository fixture runs the simulator, so it is built once and
+// shared.
+var sharedRepo *detect.Repository
 
-func fixtures(t *testing.T) (*detect.Repository, attacks.PoC, *model.CSTBBS) {
+func fixtures(t *testing.T) *detect.Repository {
 	t.Helper()
 	if sharedRepo != nil {
-		return sharedRepo, sharedPoC, sharedBBS
+		return sharedRepo
 	}
 	p := attacks.DefaultParams()
 	pocs := []attacks.PoC{
@@ -39,21 +38,57 @@ func fixtures(t *testing.T) (*detect.Repository, attacks.PoC, *model.CSTBBS) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	poc := attacks.FlushReloadMastik(p)
-	m, err := model.Build(poc.Program, poc.Victim, model.DefaultConfig())
+	sharedRepo = r
+	return sharedRepo
+}
+
+// poc builds a canonical PoC by name. Distinct PoCs have distinct
+// program names, which is what the model.build and model.cst
+// failpoints carry as their detail.
+func poc(t *testing.T, name string) attacks.PoC {
+	t.Helper()
+	p, err := attacks.ByName(name, attacks.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedRepo, sharedPoC, sharedBBS = r, poc, m.BBS
-	return sharedRepo, sharedPoC, sharedBBS
+	return p
+}
+
+// attack is the default stream target: a Flush+Reload variant outside
+// the repository.
+func attack(t *testing.T, id string) Target {
+	t.Helper()
+	p := poc(t, "FR-Mastik")
+	return Target{ID: id, Program: p.Program, Victim: p.Victim}
+}
+
+// timerFree is a benign program that never reads the timer: the
+// detector gates it benign before any repository scan.
+func timerFree(t *testing.T) *isa.Program {
+	t.Helper()
+	prog, err := benign.Generate(benign.Spec{Kind: benign.KindCrypto, Template: "aes-ttable", Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
 }
 
 func newDetector(t *testing.T) *detect.Detector {
 	t.Helper()
-	r, _, _ := fixtures(t)
-	d := detect.NewDetector(r)
+	d := detect.NewDetector(fixtures(t))
 	d.Telemetry = telemetry.NewCollector()
 	return d
+}
+
+// direct is the reference verdict: the target classified by a separate
+// detector over the same repository, outside any stream.
+func direct(t *testing.T, tg Target) detect.Result {
+	t.Helper()
+	res, _, err := detect.NewDetector(fixtures(t)).ClassifyCtx(context.Background(), tg.Program, tg.Victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // checkNoLeak asserts the goroutine count returns to its before level
@@ -83,55 +118,86 @@ func drain(out <-chan Result) []Result {
 	return rs
 }
 
+// checkSeqs asserts results came out in arrival order, without gaps.
+func checkSeqs(t *testing.T, results []Result) {
+	t.Helper()
+	for i, r := range results {
+		if r.Seq != i {
+			t.Fatalf("emission %d carries seq %d — not in arrival order", i, r.Seq)
+		}
+	}
+}
+
 func TestStreamMatchesDirectClassification(t *testing.T) {
 	d := newDetector(t)
-	_, poc, bbs := fixtures(t)
-	want := d.ClassifyBBS(bbs)
-	wantProg, _, err := d.Classify(poc.Program, poc.Victim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr, er := attack(t, "prog"), poc(t, "ER-IAIK")
+	wantFR, wantER := direct(t, fr), direct(t, Target{Program: er.Program, Victim: er.Victim})
 
 	before := runtime.NumGoroutine()
-	in := make(chan Target, 4)
-	in <- Target{ID: "prog", Program: poc.Program, Victim: poc.Victim}
-	in <- Target{ID: "prebuilt", BBS: bbs}
-	in <- Target{BBS: bbs} // unnamed: falls back to the model name
+	in := make(chan Target, 3)
+	in <- fr
+	in <- Target{ID: "other", Program: er.Program, Victim: er.Victim}
+	in <- Target{Program: fr.Program, Victim: fr.Victim} // unnamed: falls back to the program name
 	close(in)
-	results := drain(Classify(context.Background(), d, in, Config{}))
+	results := drain(Classify(context.Background(), d, in, 0))
 	checkNoLeak(t, before)
 
 	if len(results) != 3 {
 		t.Fatalf("results = %d, want 3", len(results))
 	}
-	byID := make(map[string]Result)
-	seqs := make(map[int]bool)
-	for _, r := range results {
+	checkSeqs(t, results)
+	for i, want := range []struct {
+		id  string
+		res detect.Result
+	}{{"prog", wantFR}, {"other", wantER}, {fr.Program.Name, wantFR}} {
+		r := results[i]
 		if r.Err != nil {
 			t.Fatalf("%s: unexpected error %v", r.ID, r.Err)
 		}
-		byID[r.ID] = r
-		if seqs[r.Seq] {
-			t.Fatalf("duplicate seq %d", r.Seq)
+		if r.ID != want.id {
+			t.Errorf("result %d has ID %q, want %q", i, r.ID, want.id)
 		}
-		seqs[r.Seq] = true
-	}
-	if byID["prebuilt"].Verdict.Predicted != want.Predicted ||
-		byID["prebuilt"].Verdict.Best.Name != want.Best.Name {
-		t.Errorf("prebuilt verdict %+v, want %+v", byID["prebuilt"].Verdict.Best, want.Best)
-	}
-	if byID["prog"].Verdict.Predicted != wantProg.Predicted ||
-		byID["prog"].Verdict.Best.Name != wantProg.Best.Name {
-		t.Errorf("prog verdict %+v, want %+v", byID["prog"].Verdict.Best, wantProg.Best)
-	}
-	if byID["prog"].Model == nil {
-		t.Error("prog result missing built model")
-	}
-	if _, ok := byID[bbs.Name]; !ok {
-		t.Errorf("unnamed target did not fall back to model name %q", bbs.Name)
+		if r.Verdict.Predicted != want.res.Predicted || r.Verdict.Best.Name != want.res.Best.Name {
+			t.Errorf("%s verdict %+v, want %+v", r.ID, r.Verdict.Best, want.res.Best)
+		}
+		if r.Model == nil {
+			t.Errorf("%s result missing built model", r.ID)
+		}
 	}
 	if got := d.Telemetry.Counter(telemetry.StreamTargets); got != 3 {
 		t.Errorf("stream_targets = %d, want 3", got)
+	}
+}
+
+// TestStreamErrTargetsKeepTheirPlace: a target that arrives with Err
+// set is emitted in its arrival position, unclassified and counted,
+// between verdicts for its neighbors.
+func TestStreamErrTargetsKeepTheirPlace(t *testing.T) {
+	d := newDetector(t)
+	sentinel := errors.New("resolve: no such target")
+	in := make(chan Target, 3)
+	in <- attack(t, "a")
+	in <- Target{ID: "bad", Err: sentinel}
+	in <- attack(t, "b")
+	close(in)
+	results := drain(Classify(context.Background(), d, in, 2))
+	if len(results) != 3 {
+		t.Fatalf("results = %d, want 3", len(results))
+	}
+	checkSeqs(t, results)
+	if r := results[1]; r.ID != "bad" || r.Err != sentinel || r.Model != nil {
+		t.Errorf("error target = %+v, want its own error, unclassified", r)
+	}
+	for _, r := range []Result{results[0], results[2]} {
+		if r.Err != nil {
+			t.Errorf("%s: collateral error %v", r.ID, r.Err)
+		}
+	}
+	if got := d.Telemetry.Counter(telemetry.DetectClassifications); got != 2 {
+		t.Errorf("detect_classifications = %d, want 2 (the error target is not classified)", got)
+	}
+	if got := d.Telemetry.Counter(telemetry.StreamErrorResults); got != 1 {
+		t.Errorf("stream_error_results = %d, want 1", got)
 	}
 }
 
@@ -142,35 +208,33 @@ func TestStreamMatchesDirectClassification(t *testing.T) {
 func TestStreamPanicIsolation(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	d := newDetector(t)
-	_, _, bbs := fixtures(t)
-	want := d.ClassifyBBS(bbs)
+	good := attack(t, "")
+	want := direct(t, good)
+	faulty := poc(t, "ER-IAIK")
 
-	faultinject.Enable(faultinject.StreamModel, faultinject.Match("t07", faultinject.Panic("injected model panic")))
+	faultinject.Enable(faultinject.ModelBuild,
+		faultinject.Match(faulty.Program.Name, faultinject.Panic("injected model panic")))
 
 	before := runtime.NumGoroutine()
 	in := make(chan Target, 16)
 	for i := 0; i < 16; i++ {
 		id := fmt.Sprintf("t%02d", i)
 		if i == 7 {
-			// The faulty target takes the modeling path, where the
-			// failpoint panics.
-			_, poc, _ := fixtures(t)
-			in <- Target{ID: id, Program: poc.Program, Victim: poc.Victim}
+			in <- Target{ID: id, Program: faulty.Program, Victim: faulty.Victim}
 			continue
 		}
-		in <- Target{ID: id, BBS: bbs}
+		in <- Target{ID: id, Program: good.Program, Victim: good.Victim}
 	}
 	close(in)
-	results := drain(Classify(context.Background(), d, in, Config{ModelWorkers: 4, Queue: 2}))
+	results := drain(Classify(context.Background(), d, in, 4))
 	checkNoLeak(t, before)
 
 	if len(results) != 16 {
 		t.Fatalf("results = %d, want 16", len(results))
 	}
-	var failed int
+	checkSeqs(t, results)
 	for _, r := range results {
 		if r.ID == "t07" {
-			failed++
 			pe, ok := panicsafe.AsPanic(r.Err)
 			if !ok {
 				t.Fatalf("t07: err = %v, want *PanicError", r.Err)
@@ -189,9 +253,6 @@ func TestStreamPanicIsolation(t *testing.T) {
 				r.Verdict.Predicted, r.Verdict.Best.Name, want.Predicted, want.Best.Name)
 		}
 	}
-	if failed != 1 {
-		t.Fatalf("error results = %d, want exactly 1", failed)
-	}
 	if got := d.Telemetry.Counter(telemetry.PanicsRecovered); got != 1 {
 		t.Errorf("panics_recovered = %d, want 1", got)
 	}
@@ -201,26 +262,29 @@ func TestStreamPanicIsolation(t *testing.T) {
 }
 
 // TestStreamScanPanicIsolation injects the panic below the scan stage
-// instead of the modeling stage.
+// instead of the modeling stage. The failpoint is armed for every scan
+// worker; the neighbors are timer-free benign programs the detector
+// gates out before any scan, so only the attack target reaches it.
 func TestStreamScanPanicIsolation(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	d := newDetector(t)
-	_, _, bbs := fixtures(t)
+	quiet := timerFree(t)
 
-	faultinject.Enable(faultinject.StreamScan, faultinject.Match("bad", faultinject.Panic("injected scan panic")))
+	faultinject.Enable(faultinject.ScanWorker, faultinject.Panic("injected scan panic"))
 
 	before := runtime.NumGoroutine()
-	in := make(chan Target, 4)
-	in <- Target{ID: "ok-1", BBS: bbs}
-	in <- Target{ID: "bad", BBS: bbs}
-	in <- Target{ID: "ok-2", BBS: bbs}
+	in := make(chan Target, 3)
+	in <- Target{ID: "ok-1", Program: quiet}
+	in <- attack(t, "bad")
+	in <- Target{ID: "ok-2", Program: quiet}
 	close(in)
-	results := drain(Classify(context.Background(), d, in, Config{}))
+	results := drain(Classify(context.Background(), d, in, 0))
 	checkNoLeak(t, before)
 
 	if len(results) != 3 {
 		t.Fatalf("results = %d, want 3", len(results))
 	}
+	checkSeqs(t, results)
 	for _, r := range results {
 		if r.ID == "bad" {
 			if _, ok := panicsafe.AsPanic(r.Err); !ok {
@@ -230,6 +294,8 @@ func TestStreamScanPanicIsolation(t *testing.T) {
 		}
 		if r.Err != nil {
 			t.Errorf("%s: collateral error %v", r.ID, r.Err)
+		} else if reason := d.GateReason(r.Model.BBS); reason == "" || r.Verdict.Predicted != attacks.FamilyBenign {
+			t.Errorf("%s: gate %q, verdict %q — want gated benign", r.ID, reason, r.Verdict.Predicted)
 		}
 	}
 }
@@ -240,16 +306,16 @@ func TestStreamScanPanicIsolation(t *testing.T) {
 func TestStreamInjectedCSTError(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	d := newDetector(t)
-	_, poc, bbs := fixtures(t)
+	faulty, fine := attack(t, "faulty"), poc(t, "ER-IAIK")
 
 	sentinel := errors.New("cst measurement failed")
-	faultinject.Enable(faultinject.ModelCST, faultinject.Match(poc.Program.Name, faultinject.Error(sentinel)))
+	faultinject.Enable(faultinject.ModelCST, faultinject.Match(faulty.Program.Name, faultinject.Error(sentinel)))
 
-	in := make(chan Target, 3)
-	in <- Target{ID: "faulty", Program: poc.Program, Victim: poc.Victim}
-	in <- Target{ID: "fine", BBS: bbs}
+	in := make(chan Target, 2)
+	in <- faulty
+	in <- Target{ID: "fine", Program: fine.Program, Victim: fine.Victim}
 	close(in)
-	results := drain(Classify(context.Background(), d, in, Config{}))
+	results := drain(Classify(context.Background(), d, in, 0))
 
 	if len(results) != 2 {
 		t.Fatalf("results = %d, want 2", len(results))
@@ -280,7 +346,6 @@ func TestStreamInjectedCSTError(t *testing.T) {
 func TestStreamCancellation(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	d := newDetector(t)
-	_, _, bbs := fixtures(t)
 
 	faultinject.Enable(faultinject.ScanWorker, faultinject.Sleep(2*time.Millisecond))
 
@@ -289,11 +354,11 @@ func TestStreamCancellation(t *testing.T) {
 	const total = 64
 	in := make(chan Target, total)
 	for i := 0; i < total; i++ {
-		in <- Target{ID: fmt.Sprintf("t%02d", i), BBS: bbs}
+		in <- attack(t, fmt.Sprintf("t%02d", i))
 	}
 	close(in)
 
-	out := Classify(ctx, d, in, Config{ModelWorkers: 2, Queue: 2})
+	out := Classify(ctx, d, in, 2)
 	first := <-out
 	if first.Err != nil {
 		t.Fatalf("first result errored before cancel: %v", first.Err)
@@ -305,7 +370,7 @@ func TestStreamCancellation(t *testing.T) {
 	checkNoLeak(t, before)
 
 	// Prompt: the only residual work after cancel is the in-flight
-	// items (bounded by workers+queues), each aborting at its next
+	// targets (bounded by 2·workers + 2), each aborting at its next
 	// ctx check.
 	if elapsed > time.Second {
 		t.Errorf("drain after cancel took %v", elapsed)
@@ -330,49 +395,51 @@ func TestStreamCancellation(t *testing.T) {
 	}
 }
 
-// TestStreamBackpressure verifies the bounded-queue contract: with the
-// consumer stalled, the pipeline stops consuming input once its
-// internal capacity (ModelWorkers + 2·Queue + 2) is full.
+// TestStreamBackpressure pins the documented in-flight bound: with the
+// consumer stalled, the pipeline consumes exactly 2·workers + 2 targets
+// from the input (the FIFO's slots, the one the emitter holds and the
+// one intake is queueing), then stops.
 func TestStreamBackpressure(t *testing.T) {
 	d := newDetector(t)
-	_, _, bbs := fixtures(t)
 
-	cfg := Config{ModelWorkers: 1, Queue: 1}
-	bound := cfg.ModelWorkers + 2*cfg.Queue + 2
+	const workers = 1
+	const bound = 2*workers + 2
 	const total = 32
 	in := make(chan Target, total)
 	for i := 0; i < total; i++ {
-		in <- Target{ID: fmt.Sprintf("t%02d", i), BBS: bbs}
+		in <- attack(t, fmt.Sprintf("t%02d", i))
 	}
 	close(in)
 
-	out := Classify(context.Background(), d, in, cfg)
+	out := Classify(context.Background(), d, in, workers)
 	// Let the pipeline run until it saturates against the unread out.
-	deadline := time.Now().Add(time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && total-len(in) < bound {
 		time.Sleep(5 * time.Millisecond)
 	}
 	time.Sleep(50 * time.Millisecond) // would overconsume if unbounded
-	if consumed := total - len(in); consumed > bound {
-		t.Errorf("consumed %d targets with stalled consumer, bound %d", consumed, bound)
+	if consumed := total - len(in); consumed != bound {
+		t.Errorf("consumed %d targets with stalled consumer, want the bound %d", consumed, bound)
 	}
 	// Release the consumer; everything must still resolve exactly once.
 	results := drain(out)
 	if len(results) != total {
 		t.Fatalf("results = %d, want %d", len(results), total)
 	}
+	checkSeqs(t, results)
 }
 
-// TestStreamTargetTimeout gives every target an impossible deadline.
+// TestStreamTargetTimeout gives every target an impossible deadline
+// through the detector's per-classification Timeout.
 func TestStreamTargetTimeout(t *testing.T) {
 	d := newDetector(t)
-	_, poc, _ := fixtures(t)
+	d.Timeout = time.Nanosecond
 
 	in := make(chan Target, 2)
-	in <- Target{ID: "a", Program: poc.Program, Victim: poc.Victim}
-	in <- Target{ID: "b", Program: poc.Program, Victim: poc.Victim}
+	in <- attack(t, "a")
+	in <- attack(t, "b")
 	close(in)
-	results := drain(Classify(context.Background(), d, in, Config{TargetTimeout: time.Nanosecond}))
+	results := drain(Classify(context.Background(), d, in, 0))
 
 	if len(results) != 2 {
 		t.Fatalf("results = %d, want 2", len(results))
@@ -392,7 +459,7 @@ func TestStreamEmptyInput(t *testing.T) {
 	before := runtime.NumGoroutine()
 	in := make(chan Target)
 	close(in)
-	if results := drain(Classify(context.Background(), d, in, Config{})); len(results) != 0 {
+	if results := drain(Classify(context.Background(), d, in, 0)); len(results) != 0 {
 		t.Fatalf("results = %d, want 0", len(results))
 	}
 	checkNoLeak(t, before)

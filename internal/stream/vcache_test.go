@@ -1,8 +1,8 @@
 package stream
 
 // The streaming pipeline inherits the detector's verdict result cache
-// (detect.Detector.ResultCache) for free: its scan stage goes through
-// ClassifyBBSCtx, which sits behind the cached scanner. These tests pin
+// (detect.Detector.ResultCache) for free: every target goes through
+// ClassifyCtx, whose scan sits behind the cached scanner. These tests pin
 // that down — a stream of repeated targets costs one repository scan,
 // and verdicts stay identical to the uncached stream.
 
@@ -15,22 +15,21 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestStreamRepeatedTargetsHitVerdictCache: streaming the same model
+// TestStreamRepeatedTargetsHitVerdictCache: streaming the same program
 // N times with the result cache on scans the repository once; every
 // result carries the same verdict the uncached detector produces.
 func TestStreamRepeatedTargetsHitVerdictCache(t *testing.T) {
 	const n = 6
-	_, _, bbs := fixtures(t)
-	want := newDetector(t).ClassifyBBS(bbs)
+	want := direct(t, attack(t, ""))
 
 	d := newDetector(t)
 	d.ResultCache = 8
 	in := make(chan Target, n)
 	for i := 0; i < n; i++ {
-		in <- Target{ID: fmt.Sprintf("rep-%d", i), BBS: bbs}
+		in <- attack(t, fmt.Sprintf("rep-%d", i))
 	}
 	close(in)
-	results := drain(Classify(context.Background(), d, in, Config{ModelWorkers: 2}))
+	results := drain(Classify(context.Background(), d, in, 2))
 	if len(results) != n {
 		t.Fatalf("results = %d, want %d", len(results), n)
 	}

@@ -79,9 +79,9 @@ const (
 	DetectEngineReuses
 	// ModelBuilds counts behavior models built.
 	ModelBuilds
-	// PanicsRecovered counts panics caught at pipeline goroutine
-	// boundaries (scan workers, stream stages, serve handlers) and
-	// converted into error results instead of crashing the process.
+	// PanicsRecovered counts panics caught by scan work items, by the
+	// detector's ctx classification calls and by serve's window mode,
+	// and converted into error results instead of crashing the process.
 	PanicsRecovered
 	// DetectCancellations counts classifications aborted by context
 	// cancellation or deadline expiry.
@@ -89,8 +89,8 @@ const (
 	// StreamTargets counts targets entering the streaming pipeline.
 	StreamTargets
 	// StreamErrorResults counts stream targets that resolved to an
-	// error result (panic, injected fault, cancellation) rather than a
-	// verdict.
+	// error result (resolution failure, panic, injected fault,
+	// cancellation) rather than a verdict.
 	StreamErrorResults
 	// ShardScans counts per-shard scan calls issued by the coordinator:
 	// one per (target, shard) scatter.
@@ -242,9 +242,10 @@ const (
 	StageBBExtract
 	StageCST
 	StageScan
-	// StageStreamTarget is one target's end-to-end latency through the
-	// streaming pipeline: intake to emitted result, modeling and scan
-	// included.
+	// StageStreamTarget is one target's latency through the streaming
+	// pipeline: intake to resolution, waiting for a worker, modeling
+	// and scan included (head-of-line wait for ordered emission is
+	// not).
 	StageStreamTarget
 	// StageShardScan is one shard's share of a scattered scan: the
 	// coordinator observes each (target, shard) call, so the histogram's

@@ -236,7 +236,7 @@ func ParseProgram(name, src string) (*Program, error) {
 }
 
 // Streaming classification (internal/stream): targets arrive on a
-// channel and one StreamResult per target comes back as it resolves,
+// channel and one StreamResult per target comes back in arrival order,
 // with per-target fault isolation — a panic or error in one target
 // becomes an error result while the rest classify normally. See
 // docs/ROBUSTNESS.md for the full contract (cancellation, backpressure,
@@ -244,14 +244,14 @@ func ParseProgram(name, src string) (*Program, error) {
 type (
 	StreamTarget = stream.Target
 	StreamResult = stream.Result
-	StreamConfig = stream.Config
 )
 
-// ClassifyStream runs the detector's streaming pipeline over in until
+// ClassifyStream runs the detector's streaming pipeline over in, on
+// workers concurrent classifications (<= 0 selects GOMAXPROCS), until
 // in closes or ctx is cancelled. The caller must drain the returned
 // channel until it closes.
-func ClassifyStream(ctx context.Context, det *Detector, in <-chan StreamTarget, cfg StreamConfig) <-chan StreamResult {
-	return stream.Classify(ctx, det, in, cfg)
+func ClassifyStream(ctx context.Context, det *Detector, in <-chan StreamTarget, workers int) <-chan StreamResult {
+	return stream.Classify(ctx, det, in, workers)
 }
 
 // PanicError re-exports the recovered-panic error carried by ctx-aware

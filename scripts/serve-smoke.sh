@@ -5,11 +5,14 @@
 #
 #   1. 64 concurrent clients get byte-identical verdicts (the wire
 #      format loses nothing, concurrency corrupts nothing);
-#   2. POST /reload hot-swaps the repository with zero failed requests
+#   2. a batch and an NDJSON stream of (good, unresolvable, good)
+#      answer three verdicts in input order, the middle one a resolve
+#      error, the good ones byte-equal to the unary verdicts;
+#   3. POST /reload hot-swaps the repository with zero failed requests
 #      and bumps its version;
-#   3. the verdict result cache warms back up after the reload
+#   4. the verdict result cache warms back up after the reload
 #      (vcache_hits grows once the same target repeats);
-#   4. SIGTERM drains: the serve process exits cleanly.
+#   5. SIGTERM drains: the serve process exits cleanly.
 set -eu
 
 GO=${GO:-go}
@@ -73,6 +76,50 @@ fi
 "$tmp/loadgen" -addr 127.0.0.1:$PORT_S -spec "$SPEC" \
     -clients "$CLIENTS" -requests 2 -check | tee "$tmp/load1.out"
 
+# 2. Batch and NDJSON endpoints: three targets, the middle one
+# unresolvable. Both must keep input order and answer the good targets
+# exactly as the unary endpoint does.
+GOOD2=attack:PP-IAIK
+post() {
+    "$tmp/loadgen" -addr 127.0.0.1:$PORT_S -post "$1" -body "$2"
+}
+unary() {
+    post /v1/classify "{\"target\":{\"spec\":\"$1\"}}" | sed -n 's/^{"verdict":\(.*\)}$/\1/p'
+}
+u1=$(unary "$SPEC")
+u3=$(unary "$GOOD2")
+if [ -z "$u1" ] || [ -z "$u3" ]; then
+    echo "serve-smoke: unary verdicts missing ($u1 / $u3)" >&2
+    exit 1
+fi
+post /v1/classify/stream "$(printf '{"spec":"%s"}\n{"spec":"attack:NOPE"}\n{"spec":"%s"}\n' "$SPEC" "$GOOD2")" >"$tmp/ndjson.out"
+if [ "$(wc -l <"$tmp/ndjson.out")" -ne 3 ]; then
+    echo "serve-smoke: NDJSON stream answered $(wc -l <"$tmp/ndjson.out") lines, want 3" >&2
+    cat "$tmp/ndjson.out" >&2
+    exit 1
+fi
+n1=$(sed -n 1p "$tmp/ndjson.out")
+n2=$(sed -n 2p "$tmp/ndjson.out")
+n3=$(sed -n 3p "$tmp/ndjson.out")
+case "$n2" in
+*'"id":"attack:NOPE","error":"resolve: '*) ;;
+*)
+    echo "serve-smoke: NDJSON line 2 is not a resolve error: $n2" >&2
+    exit 1
+    ;;
+esac
+if [ "$n1" != "$u1" ] || [ "$n3" != "$u3" ]; then
+    echo "serve-smoke: NDJSON verdicts differ from unary" >&2
+    printf '%s\n%s\n%s\n%s\n' "$n1" "$u1" "$n3" "$u3" >&2
+    exit 1
+fi
+batch=$(post /v1/classify "{\"targets\":[{\"spec\":\"$SPEC\"},{\"spec\":\"attack:NOPE\"},{\"spec\":\"$GOOD2\"}]}")
+if [ "$batch" != "{\"verdicts\":[$u1,$n2,$u3]}" ]; then
+    echo "serve-smoke: batch verdicts differ from unary/NDJSON" >&2
+    printf '%s\n' "$batch" >&2
+    exit 1
+fi
+
 # grep -c is the portable counter extractor for the JSON snapshot.
 hits() {
     "$tmp/loadgen" -addr 127.0.0.1:$PORT_S -get /metrics \
@@ -81,14 +128,14 @@ hits() {
 hits_before=$(hits)
 [ -n "$hits_before" ] || { echo "serve-smoke: /metrics has no vcache_hits" >&2; exit 1; }
 
-# 2. Hot reload: the swap must succeed and report the repository.
+# 3. Hot reload: the swap must succeed and report the repository.
 "$tmp/loadgen" -addr 127.0.0.1:$PORT_S -post /reload >"$tmp/reload.out"
 grep -q '"version"' "$tmp/reload.out" || {
     echo "serve-smoke: reload reply malformed: $(cat "$tmp/reload.out")" >&2
     exit 1
 }
 
-# 3. Cache warms back up: after the version bump the first repeat scan
+# 4. Cache warms back up: after the version bump the first repeat scan
 # misses, the second hits, so vcache_hits must grow.
 "$tmp/loadgen" -addr 127.0.0.1:$PORT_S -spec "$SPEC" -clients 1 -requests 3 -check >"$tmp/load2.out"
 hits_after=$(hits)
@@ -106,7 +153,7 @@ if [ "$v1" != "$v2" ]; then
     exit 1
 fi
 
-# 4. Graceful drain on SIGTERM.
+# 5. Graceful drain on SIGTERM.
 kill -TERM $pid_s
 drained=1
 wait $pid_s || drained=0
@@ -117,4 +164,4 @@ if [ "$drained" != 1 ] || ! grep -q drained "$tmp/serve.err"; then
     exit 1
 fi
 
-echo "serve-smoke: OK ($CLIENTS clients bit-identical; reload + cache warm (hits $hits_before -> $hits_after); clean drain)"
+echo "serve-smoke: OK ($CLIENTS clients bit-identical; batch + NDJSON ordered and equal to unary; reload + cache warm (hits $hits_before -> $hits_after); clean drain)"
