@@ -149,13 +149,17 @@ docs-check:
 # best match bit-equals the flat engine's on random repositories) and
 # the front of the pipeline (mutated PoCs through simulation and
 # modeling: deterministic models, exact verdicts equal to the serial
-# oracle, -fast best equal to exact), plus the checked-in seed corpora. Crashers land in the package's
-# testdata/fuzz/ as regression inputs.
+# oracle, -fast best equal to exact) and Algorithm 1's path graph
+# (PathGraph equal to the per-pair reference enumeration, so the
+# pruning of dead-end walks never drops a path), plus the checked-in
+# seed corpora. Crashers land in the package's testdata/fuzz/ as
+# regression inputs.
 fuzz-short:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/isa
 	$(GO) test -fuzz=FuzzLowerBoundCascade -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/similarity
 	$(GO) test -fuzz=FuzzIndexDescend -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/scan
 	$(GO) test -fuzz=FuzzPipeline -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/detect
+	$(GO) test -fuzz=FuzzPathGraph -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/graph
 
 # Fault-injection suite under the race detector: panic isolation,
 # cancellation promptness and leak freedom across the scan engine, the

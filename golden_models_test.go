@@ -142,9 +142,8 @@ func modelFingerprint(name string, m *model.Model) goldenModel {
 	}
 
 	h := sha256.New()
-	for _, l := range c.Leaders() {
-		bb := c.Blocks[l]
-		putU64(h, l, uint64(len(bb.Insns)), bb.End())
+	for _, bb := range c.Ordered() {
+		putU64(h, bb.Leader, uint64(len(bb.Insns)), bb.End())
 	}
 	putU64(h, c.EntryLeader())
 	for _, e := range edges {

@@ -247,10 +247,6 @@ func (h *Hierarchy) FillAll(owner Owner) {
 	clear(h.l1iLink)
 }
 
-// LLCSetIndex maps an address to its LLC set; the unit the paper's
-// cache-set overlap analysis and SCADET's rules reason about.
-func (h *Hierarchy) LLCSetIndex(addr uint64) int { return h.llc.SetIndex(addr) }
-
 // Occupancy returns the LLC cache state with the given attacker owner.
 // The LLC is the level CSCAs contend on across processes, so occupancy is
 // measured there.

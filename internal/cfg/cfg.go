@@ -10,7 +10,9 @@
 package cfg
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/isa"
@@ -51,14 +53,13 @@ func (b *BasicBlock) HasAttackMark() bool {
 	return false
 }
 
-// CFG is the control flow graph of a program (Definition 1): blocks keyed
-// by leader address plus a digraph over leaders.
+// CFG is the control flow graph of a program (Definition 1): blocks in
+// leader order plus a digraph over leaders.
 type CFG struct {
-	Prog   *isa.Program
-	Blocks map[uint64]*BasicBlock
-	G      *graph.Digraph
+	Prog *isa.Program
+	G    *graph.Digraph
 
-	// blocks holds every block in leader order; Blocks points into it.
+	// blocks holds every block in ascending leader order.
 	blocks []BasicBlock
 	// blockOf maps an instruction's position in Prog.Insns to the
 	// position of its block in blocks.
@@ -103,8 +104,6 @@ func Build(p *isa.Program) (*CFG, error) {
 
 	c := &CFG{
 		Prog:    p,
-		Blocks:  make(map[uint64]*BasicBlock, nb),
-		G:       graph.New(),
 		blocks:  make([]BasicBlock, 0, nb),
 		blockOf: make([]int32, n),
 	}
@@ -119,13 +118,10 @@ func Build(p *isa.Program) (*CFG, error) {
 		}
 		i = j
 	}
-	for k := range c.blocks {
-		bb := &c.blocks[k]
-		c.Blocks[bb.Leader] = bb
-		c.G.AddNode(bb.Leader)
-	}
 
-	// Edges, in leader order.
+	// Edges, in leader order: a block's branch target, then its
+	// fallthrough.
+	edges := make([]graph.Edge, 0, 2*nb)
 	last := -1
 	for k := range c.blocks {
 		bb := &c.blocks[k]
@@ -133,7 +129,7 @@ func Build(p *isa.Program) (*CFG, error) {
 		in := &bb.Insns[len(bb.Insns)-1]
 		if t, ok := in.BranchTarget(); ok {
 			j, _ := p.IndexOf(t)
-			c.G.AddEdge(bb.Leader, c.leaderAt(j))
+			edges = append(edges, graph.Edge{From: bb.Leader, To: c.leaderAt(j)})
 		}
 		switch in.Op {
 		case isa.HLT, isa.RET, isa.JMP:
@@ -143,10 +139,11 @@ func Build(p *isa.Program) (*CFG, error) {
 			// so its fallthrough edge approximates the post-return
 			// control flow, as binary CFG tools do.
 			if falls(last) {
-				c.G.AddEdge(bb.Leader, c.leaderAt(last+1))
+				edges = append(edges, graph.Edge{From: bb.Leader, To: c.leaderAt(last + 1)})
 			}
 		}
 	}
+	c.G = graph.New(c.Leaders(), edges)
 	return c, nil
 }
 
@@ -171,10 +168,16 @@ func (c *CFG) LeaderOf(addr uint64) (uint64, bool) {
 	return c.leaderAt(i), true
 }
 
-// Block returns the block with the given leader.
+// Block returns the block with the given leader. The block is the
+// CFG's own storage: callers must not modify it.
 func (c *CFG) Block(leader uint64) (*BasicBlock, bool) {
-	b, ok := c.Blocks[leader]
-	return b, ok
+	k, ok := slices.BinarySearchFunc(c.blocks, leader, func(b BasicBlock, l uint64) int {
+		return cmp.Compare(b.Leader, l)
+	})
+	if !ok {
+		return nil, false
+	}
+	return &c.blocks[k], true
 }
 
 // Ordered returns every block in ascending leader order. The slice is
@@ -191,7 +194,7 @@ func (c *CFG) Leaders() []uint64 {
 }
 
 // NumBlocks returns the block count (#BB of Table IV).
-func (c *CFG) NumBlocks() int { return len(c.Blocks) }
+func (c *CFG) NumBlocks() int { return len(c.blocks) }
 
 // EntryLeader returns the leader of the entry block.
 func (c *CFG) EntryLeader() uint64 {

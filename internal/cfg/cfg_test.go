@@ -2,11 +2,15 @@ package cfg
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/isa"
 )
+
+// hasEdge reports whether the CFG holds the edge from -> to.
+func hasEdge(c *CFG, from, to uint64) bool { return slices.Contains(c.G.Succs(from), to) }
 
 func TestStraightLineProgram(t *testing.T) {
 	b := isa.NewBuilder("straight", 0)
@@ -18,7 +22,7 @@ func TestStraightLineProgram(t *testing.T) {
 	if c.G.NumEdges() != 0 {
 		t.Errorf("edges = %d, want 0", c.G.NumEdges())
 	}
-	bb := c.Blocks[c.EntryLeader()]
+	bb, _ := c.Block(c.EntryLeader())
 	if len(bb.Insns) != 4 || bb.Last().Op != isa.HLT {
 		t.Errorf("block = %+v", bb)
 	}
@@ -40,7 +44,7 @@ func TestLoopCFG(t *testing.T) {
 	}
 	loop := c.Prog.Labels["loop"]
 	// Loop block: self edge + exit edge.
-	if !c.G.HasEdge(loop, loop) {
+	if !hasEdge(c, loop, loop) {
 		t.Error("missing loop back edge")
 	}
 	succs := c.G.Succs(loop)
@@ -48,7 +52,7 @@ func TestLoopCFG(t *testing.T) {
 		t.Errorf("loop succs = %v", succs)
 	}
 	// Entry falls through into loop.
-	if !c.G.HasEdge(c.EntryLeader(), loop) {
+	if !hasEdge(c, c.EntryLeader(), loop) {
 		t.Error("missing entry->loop edge")
 	}
 }
@@ -71,10 +75,10 @@ func TestDiamondCFG(t *testing.T) {
 	elseL := c.Prog.Labels["else"]
 	join := c.Prog.Labels["join"]
 	thenL := uint64(8) // after the Je at addr 4
-	if !c.G.HasEdge(entry, elseL) || !c.G.HasEdge(entry, thenL) {
+	if !hasEdge(c, entry, elseL) || !hasEdge(c, entry, thenL) {
 		t.Error("entry must branch to both arms")
 	}
-	if !c.G.HasEdge(thenL, join) || !c.G.HasEdge(elseL, join) {
+	if !hasEdge(c, thenL, join) || !hasEdge(c, elseL, join) {
 		t.Error("both arms must reach join")
 	}
 }
@@ -88,10 +92,10 @@ func TestCallFallthroughEdge(t *testing.T) {
 	c := MustBuild(b.MustBuild())
 	entry := c.EntryLeader()
 	fn := c.Prog.Labels["fn"]
-	if !c.G.HasEdge(entry, fn) {
+	if !hasEdge(c, entry, fn) {
 		t.Error("missing call edge")
 	}
-	if !c.G.HasEdge(entry, 4) {
+	if !hasEdge(c, entry, 4) {
 		t.Error("missing post-call fallthrough edge")
 	}
 	if len(c.G.Succs(fn)) != 0 {
@@ -150,7 +154,7 @@ func TestGroundTruthBlocks(t *testing.T) {
 	if gt[0] != c.Prog.Labels["next"] {
 		t.Errorf("ground truth leader = %#x", gt[0])
 	}
-	bb := c.Blocks[gt[0]]
+	bb, _ := c.Block(gt[0])
 	if !bb.HasAttackMark() || !bb.Contains(gt[0]) {
 		t.Error("block mark/contains broken")
 	}
@@ -218,7 +222,7 @@ func TestCFGPartitionInvariant(t *testing.T) {
 	p := b.MustBuild()
 	c := MustBuild(p)
 	count := 0
-	for _, bb := range c.Blocks {
+	for _, bb := range c.Ordered() {
 		count += len(bb.Insns)
 		for i := 1; i < len(bb.Insns); i++ {
 			if bb.Insns[i-1].Next() != bb.Insns[i].Addr {
@@ -233,10 +237,10 @@ func TestCFGPartitionInvariant(t *testing.T) {
 		t.Errorf("blocks cover %d of %d instructions", count, len(p.Insns))
 	}
 	for _, e := range c.G.Edges() {
-		if _, ok := c.Blocks[e.From]; !ok {
+		if _, ok := c.Block(e.From); !ok {
 			t.Errorf("edge from non-leader %#x", e.From)
 		}
-		if _, ok := c.Blocks[e.To]; !ok {
+		if _, ok := c.Block(e.To); !ok {
 			t.Errorf("edge to non-leader %#x", e.To)
 		}
 	}
@@ -280,13 +284,16 @@ func TestBlocksShareProgramStorage(t *testing.T) {
 	c := MustBuild(p)
 	ordered := c.Ordered()
 	if len(ordered) != c.NumBlocks() {
-		t.Fatalf("Ordered has %d blocks, Blocks %d", len(ordered), c.NumBlocks())
+		t.Fatalf("Ordered has %d blocks, NumBlocks %d", len(ordered), c.NumBlocks())
 	}
 	next := 0
 	for k := range ordered {
 		bb := &ordered[k]
-		if c.Blocks[bb.Leader] != bb {
-			t.Errorf("Blocks[%#x] does not point into Ordered", bb.Leader)
+		if got, ok := c.Block(bb.Leader); !ok || got != bb {
+			t.Errorf("Block(%#x) does not point into Ordered", bb.Leader)
+		}
+		if _, ok := c.Block(bb.Leader + 1); ok {
+			t.Errorf("Block(%#x) found a block inside an instruction", bb.Leader+1)
 		}
 		if k > 0 && ordered[k-1].Leader >= bb.Leader {
 			t.Errorf("Ordered not ascending at %d", k)
@@ -304,7 +311,7 @@ func TestBlocksShareProgramStorage(t *testing.T) {
 	if _, ok := c.LeaderOf(p.Insns[0].Addr + 1); ok {
 		t.Error("LeaderOf resolved an address inside an instruction")
 	}
-	// Edges are inserted in leader order, so predecessor lists are
+	// Edges are listed in leader order, so predecessor lists are
 	// deterministic too.
 	for i := 0; i < 5; i++ {
 		again := MustBuild(p)

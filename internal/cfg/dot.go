@@ -13,8 +13,9 @@ import (
 func (c *CFG) DOT(highlight map[uint64]bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n  node [shape=box, fontname=\"monospace\"];\n", c.Prog.Name)
-	for _, leader := range c.Leaders() {
-		bb := c.Blocks[leader]
+	for k := range c.blocks {
+		bb := &c.blocks[k]
+		leader := bb.Leader
 		var lines []string
 		for _, in := range bb.Insns {
 			lines = append(lines, in.String())
@@ -40,7 +41,7 @@ func (c *CFG) GraphDOT(g *graph.Digraph, title string) string {
 	fmt.Fprintf(&b, "digraph %q {\n  node [shape=box, fontname=\"monospace\"];\n", title)
 	for _, n := range g.Nodes() {
 		label := fmt.Sprintf("0x%x", n)
-		if bb, ok := c.Blocks[n]; ok {
+		if bb, ok := c.Block(n); ok {
 			label = fmt.Sprintf("0x%x (%d insns)", n, len(bb.Insns))
 		}
 		fmt.Fprintf(&b, "  n%x [label=%q];\n", n, label)

@@ -2,59 +2,76 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
+// hasEdge reports whether g holds the edge from -> to.
+func hasEdge(g *Digraph, from, to uint64) bool { return slices.Contains(g.Succs(from), to) }
+
+// pathsBetween picks the paths from src to dst out of a path graph.
+func pathsBetween(wedges []WEdge, src, dst uint64) [][]uint64 {
+	var out [][]uint64
+	for _, e := range wedges {
+		if e.From == src && e.To == dst {
+			out = append(out, e.Path)
+		}
+	}
+	return out
+}
+
+// diamondChain returns the edges of a chain of k diamonds from node 0:
+// each diamond forks into two arms that join at the next node. It holds
+// 2^k paths from 0 to its last node, 3k.
+func diamondChain(k int) []Edge {
+	var edges []Edge
+	for i := 0; i < k; i++ {
+		cur := uint64(3 * i)
+		a, b, next := cur+1, cur+2, cur+3
+		edges = append(edges, Edge{cur, a}, Edge{cur, b}, Edge{a, next}, Edge{b, next})
+	}
+	return edges
+}
+
+// New adds the nodes and edges it is given: missing endpoints are
+// added, a repeated edge is dropped, ids ascend and successors keep the
+// order of the edge list.
 func TestAddNodeEdge(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
-	g.AddEdge(1, 2) // duplicate ignored
-	g.AddEdge(2, 3)
-	g.AddNode(3) // existing node ignored
-	g.AddNode(9)
-	if g.NumNodes() != 4 {
-		t.Errorf("nodes = %d, want 4", g.NumNodes())
+	g := New([]uint64{3, 9}, []Edge{{1, 2}, {1, 2}, {2, 3}, {2, 1}, {2, 7}})
+	if g.NumNodes() != 5 {
+		t.Errorf("nodes = %d, want 5", g.NumNodes())
 	}
-	if g.NumEdges() != 2 {
-		t.Errorf("edges = %d, want 2", g.NumEdges())
+	if g.NumEdges() != 4 {
+		t.Errorf("edges = %d, want 4 (duplicate dropped)", g.NumEdges())
 	}
-	if !g.HasEdge(1, 2) || g.HasEdge(2, 1) {
-		t.Error("HasEdge wrong")
+	if !reflect.DeepEqual(g.Nodes(), []uint64{1, 2, 3, 7, 9}) {
+		t.Errorf("Nodes = %v, want ascending ids", g.Nodes())
+	}
+	if !hasEdge(g, 1, 2) || hasEdge(g, 3, 2) {
+		t.Error("edges wrong")
 	}
 	if !g.HasNode(9) || g.HasNode(10) {
 		t.Error("HasNode wrong")
 	}
-	if got := g.Succs(1); len(got) != 1 || got[0] != 2 {
-		t.Errorf("Succs(1) = %v", got)
+	if got := g.Succs(2); !reflect.DeepEqual(got, []uint64{3, 1, 7}) {
+		t.Errorf("Succs(2) = %v, want edge-list order [3 1 7]", got)
 	}
 	if got := g.Preds(3); len(got) != 1 || got[0] != 2 {
 		t.Errorf("Preds(3) = %v", got)
 	}
-}
-
-func TestRemoveEdge(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
-	g.AddEdge(1, 3)
-	g.RemoveEdge(1, 2)
-	if g.HasEdge(1, 2) || !g.HasEdge(1, 3) {
-		t.Error("RemoveEdge wrong")
+	if got := g.Succs(99); got != nil {
+		t.Errorf("Succs of a missing node = %v", got)
 	}
-	g.RemoveEdge(7, 8) // removing a missing edge is a no-op
-	if g.NumEdges() != 1 {
-		t.Errorf("edges = %d", g.NumEdges())
-	}
-	if len(g.Preds(2)) != 0 {
-		t.Error("pred list not updated")
+	if g := New(nil, nil); g.NumNodes() != 0 || g.NumEdges() != 0 || len(g.Edges()) != 0 {
+		t.Errorf("empty graph = %v", g)
 	}
 }
 
 func TestEdgesDeterministic(t *testing.T) {
-	g := New()
-	g.AddEdge(5, 1)
-	g.AddEdge(2, 9)
-	g.AddEdge(2, 3)
+	g := New(nil, []Edge{{5, 1}, {2, 9}, {2, 3}})
 	es := g.Edges()
 	want := []Edge{{2, 3}, {2, 9}, {5, 1}}
 	if len(es) != len(want) {
@@ -67,122 +84,78 @@ func TestEdgesDeterministic(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
-	c := g.Clone()
-	c.AddEdge(2, 3)
-	if g.HasNode(3) {
-		t.Error("clone leaked into original")
+// With every node relevant, PathGraph's paths are exactly the graph's
+// edges minus the DFS back edges.
+func forwardEdges(g *Digraph, root uint64) []Edge {
+	var out []Edge
+	for _, e := range g.PathGraph(root, g.Nodes(), 0, 0, nil) {
+		out = append(out, Edge{e.From, e.To})
 	}
-	if !c.HasEdge(1, 2) {
-		t.Error("clone missing edge")
-	}
+	slices.SortFunc(out, compareEdges)
+	return out
 }
 
 func TestBackEdgesSimpleLoop(t *testing.T) {
 	// a -> b -> c -> d -> a  (paper Fig 3: back edge d->a removed)
-	g := New()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
-	g.AddEdge(4, 1)
-	back := g.BackEdges(1)
+	g := New(nil, []Edge{{1, 2}, {2, 3}, {3, 4}, {4, 1}})
+	back := refBackEdges(g, 1)
 	if len(back) != 1 || back[0] != (Edge{4, 1}) {
 		t.Errorf("back edges = %v, want [{4 1}]", back)
 	}
-	acyc := g.RemoveBackEdges(1)
-	if !acyc.IsAcyclic() {
-		t.Error("RemoveBackEdges left a cycle")
+	if got, want := forwardEdges(g, 1), []Edge{{1, 2}, {2, 3}, {3, 4}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("walked edges = %v, want %v", got, want)
 	}
-	if acyc.NumEdges() != 3 {
-		t.Errorf("edges after removal = %d", acyc.NumEdges())
+	wedges := g.PathGraph(1, []uint64{1, 4}, 0, 0, nil)
+	if got := pathsBetween(wedges, 1, 4); !reflect.DeepEqual(got, [][]uint64{{1, 2, 3, 4}}) {
+		t.Errorf("paths 1..4 = %v", got)
+	}
+	if got := pathsBetween(wedges, 4, 1); len(got) != 0 {
+		t.Errorf("paths 4..1 = %v, want none (back edge)", got)
 	}
 }
 
 func TestBackEdgesNestedLoops(t *testing.T) {
 	// outer: 1->2->3->4->1 ; inner: 2->3->2 ; plus exit 4->5
-	g := New()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 2)
-	g.AddEdge(3, 4)
-	g.AddEdge(4, 1)
-	g.AddEdge(4, 5)
-	acyc := g.RemoveBackEdges(1)
-	if !acyc.IsAcyclic() {
-		t.Error("nested loops not broken")
+	g := New(nil, []Edge{{1, 2}, {2, 3}, {3, 2}, {3, 4}, {4, 1}, {4, 5}})
+	want := []Edge{{1, 2}, {2, 3}, {3, 4}, {4, 5}}
+	if got := forwardEdges(g, 1); !reflect.DeepEqual(got, want) {
+		t.Errorf("walked edges = %v, want the forward structure %v", got, want)
 	}
-	// Forward structure must be intact.
-	for _, e := range []Edge{{1, 2}, {2, 3}, {3, 4}, {4, 5}} {
-		if !acyc.HasEdge(e.From, e.To) {
-			t.Errorf("forward edge %v lost", e)
-		}
+	if got := refBackEdges(g, 1); !reflect.DeepEqual(got, []Edge{{3, 2}, {4, 1}}) {
+		t.Errorf("back edges = %v", got)
 	}
 }
 
 func TestBackEdgesUnreachableComponent(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
 	// Disconnected cycle 10->11->10 must still be classified.
-	g.AddEdge(10, 11)
-	g.AddEdge(11, 10)
-	acyc := g.RemoveBackEdges(1)
-	if !acyc.IsAcyclic() {
-		t.Error("unreachable cycle not broken")
+	g := New(nil, []Edge{{1, 2}, {10, 11}, {11, 10}})
+	if got, want := forwardEdges(g, 1), []Edge{{1, 2}, {10, 11}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("walked edges = %v, want %v", got, want)
 	}
 }
 
-func TestIsAcyclic(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	if !g.IsAcyclic() {
-		t.Error("chain reported cyclic")
-	}
-	g.AddEdge(3, 1)
-	if g.IsAcyclic() {
-		t.Error("cycle reported acyclic")
-	}
-	if !New().IsAcyclic() {
-		t.Error("empty graph should be acyclic")
-	}
-}
-
-func TestReachable(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddNode(4)
-	r := g.Reachable(1)
-	if !r[1] || !r[2] || !r[3] || r[4] {
-		t.Errorf("reachable = %v", r)
-	}
-	if len(g.Reachable(99)) != 0 {
-		t.Error("reachable from missing node should be empty")
-	}
-}
-
-// Property: RemoveBackEdges always yields an acyclic graph on random
-// graphs, and never invents edges.
+// Property: dropping the back edges always yields an acyclic graph on
+// random graphs and never invents edges, and PathGraph walks exactly
+// the edges that remain.
 func TestRemoveBackEdgesProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := New()
 		n := 2 + rng.Intn(20)
+		var edges []Edge
 		for i := 0; i < n*2; i++ {
-			g.AddEdge(uint64(rng.Intn(n)), uint64(rng.Intn(n)))
+			edges = append(edges, Edge{uint64(rng.Intn(n)), uint64(rng.Intn(n))})
 		}
-		acyc := g.RemoveBackEdges(0)
-		if !acyc.IsAcyclic() {
+		g := New(nil, edges)
+		acyc := refRemoveBackEdges(g, 0)
+		if !isAcyclic(acyc) {
 			return false
 		}
 		for _, e := range acyc.Edges() {
-			if !g.HasEdge(e.From, e.To) {
+			if !hasEdge(g, e.From, e.To) {
 				return false
 			}
 		}
-		return true
+		return slices.Equal(forwardEdges(g, 0), acyc.Edges())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -193,83 +166,78 @@ func TestSimplePathsFig3(t *testing.T) {
 	// Paper Fig 3(c): a=1,b=2,c=3,d=4,e=5 with edges a->b,b->c,a->c,c->d,b->e
 	// after back-edge removal. Relevant nodes {a,c,e}. Paths a..c avoiding
 	// other relevant nodes: a->b->c and a->c.
-	g := New()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(1, 3)
-	g.AddEdge(3, 4)
-	g.AddEdge(2, 5)
-	excl := map[uint64]bool{1: true, 3: true, 5: true}
-	paths := g.SimplePaths(1, 3, excl, 0, 0)
-	if len(paths) != 2 {
-		t.Fatalf("paths = %v, want 2", paths)
+	g := New(nil, []Edge{{1, 2}, {2, 3}, {1, 3}, {3, 4}, {2, 5}})
+	wedges := g.PathGraph(1, []uint64{1, 3, 5}, 0, 0, nil)
+	if paths := pathsBetween(wedges, 1, 3); !reflect.DeepEqual(paths, [][]uint64{{1, 2, 3}, {1, 3}}) {
+		t.Fatalf("paths = %v, want [[1 2 3] [1 3]]", paths)
 	}
 	// a->e avoiding c: a->b->e only.
-	paths2 := g.SimplePaths(1, 5, excl, 0, 0)
-	if len(paths2) != 1 || len(paths2[0]) != 3 {
-		t.Fatalf("paths a..e = %v", paths2)
+	if paths := pathsBetween(wedges, 1, 5); len(paths) != 1 || len(paths[0]) != 3 {
+		t.Fatalf("paths a..e = %v", paths)
 	}
 	// c->e: none (no edge from c to e side without going back).
-	if got := g.SimplePaths(3, 5, excl, 0, 0); len(got) != 0 {
+	if got := pathsBetween(wedges, 3, 5); len(got) != 0 {
 		t.Errorf("paths c..e = %v, want none", got)
 	}
 }
 
 func TestSimplePathsEndpointsMayBeExcluded(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	excl := map[uint64]bool{1: true, 3: true}
-	paths := g.SimplePaths(1, 3, excl, 0, 0)
-	if len(paths) != 1 {
+	g := New(nil, []Edge{{1, 2}, {2, 3}})
+	if paths := g.PathGraph(1, []uint64{1, 3}, 0, 0, nil); len(paths) != 1 {
 		t.Fatalf("paths = %v", paths)
 	}
 }
 
 func TestSimplePathsDirectEdge(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
-	paths := g.SimplePaths(1, 2, nil, 0, 0)
+	g := New(nil, []Edge{{1, 2}})
+	paths := pathsBetween(g.PathGraph(1, []uint64{1, 2}, 0, 0, nil), 1, 2)
 	if len(paths) != 1 || len(paths[0]) != 2 {
 		t.Fatalf("paths = %v", paths)
+	}
+	// A repeated node counts once.
+	if got := g.PathGraph(1, []uint64{1, 2, 1, 2}, 0, 0, nil); len(got) != 1 {
+		t.Fatalf("path graph over repeated nodes = %v, want one edge", got)
 	}
 }
 
 func TestSimplePathsBounds(t *testing.T) {
 	// Diamond ladder with 2^k paths; check maxPaths truncation.
-	g := New()
-	id := uint64(0)
-	cur := id
-	for i := 0; i < 8; i++ {
-		a, b, next := id+1, id+2, id+3
-		g.AddEdge(cur, a)
-		g.AddEdge(cur, b)
-		g.AddEdge(a, next)
-		g.AddEdge(b, next)
-		cur, id = next, next
-	}
-	all := g.SimplePaths(0, cur, nil, 0, 0)
-	if len(all) != 256 {
+	g := New(nil, diamondChain(8))
+	nodes := []uint64{0, 24}
+	if all := g.PathGraph(0, nodes, 0, 0, nil); len(all) != 256 {
 		t.Fatalf("paths = %d, want 256", len(all))
 	}
-	capped := g.SimplePaths(0, cur, nil, 10, 0)
-	if len(capped) != 10 {
+	if capped := g.PathGraph(0, nodes, 10, 0, nil); len(capped) != 10 {
 		t.Fatalf("capped paths = %d, want 10", len(capped))
 	}
-	short := g.SimplePaths(0, cur, nil, 0, 3)
-	if len(short) != 0 {
+	if short := g.PathGraph(0, nodes, 0, 3, nil); len(short) != 0 {
 		t.Fatalf("maxLen=3 should find nothing, got %d", len(short))
 	}
 }
 
 func TestSimplePathsMissingNodes(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
-	if got := g.SimplePaths(1, 99, nil, 0, 0); len(got) != 0 {
-		t.Error("path to missing node")
+	g := New(nil, []Edge{{1, 2}})
+	if got := g.PathGraph(1, []uint64{1, 99}, 0, 0, nil); len(got) != 0 {
+		t.Errorf("paths to or from a missing node: %v", got)
 	}
-	if got := g.SimplePaths(99, 1, nil, 0, 0); len(got) != 0 {
-		t.Error("path from missing node")
+}
+
+// A destination no walk can reach must cost nothing, however many
+// prefixes lead away from it: behind a chain of 31 diamonds (2^31 paths
+// of 63 nodes, within the default 64-node bound) the walk from the
+// chain's head towards the head's predecessor must return at once.
+func TestPathGraphDeadEndsAreFree(t *testing.T) {
+	const b = 1000 // jumps to the chain's head, node 0
+	g := New(nil, append(diamondChain(31), Edge{b, 0}))
+	done := make(chan []WEdge, 1)
+	go func() { done <- g.PathGraph(b, []uint64{b, 0}, 64, 64, nil) }()
+	select {
+	case got := <-done:
+		if want := []WEdge{{From: b, To: 0, Path: []uint64{b, 0}}}; !reflect.DeepEqual(got, want) {
+			t.Errorf("path graph = %v, want only %v", got, want)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("PathGraph still walking the dead-end diamond chain after 1s")
 	}
 }
 
@@ -284,8 +252,12 @@ func TestMSTLine(t *testing.T) {
 	if len(mst) != 2 {
 		t.Fatalf("mst = %v", mst)
 	}
-	if TotalWeight(mst) != 8 {
-		t.Errorf("weight = %v, want 8", TotalWeight(mst))
+	total := 0.0
+	for _, e := range mst {
+		total += e.Weight
+	}
+	if total != 8 {
+		t.Errorf("weight = %v, want 8", total)
 	}
 }
 
@@ -454,7 +426,11 @@ func TestMSTMatchesKruskal(t *testing.T) {
 				Weight: float64(rng.Intn(30)),
 			})
 		}
-		return TotalWeight(MaximumSpanningForest(nodes, edges)) == kruskal(n, edges)
+		total := 0.0
+		for _, e := range MaximumSpanningForest(nodes, edges) {
+			total += e.Weight
+		}
+		return total == kruskal(n, edges)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -146,12 +146,3 @@ func MaximumSpanningForest(nodes []uint64, edges []WEdge) []WEdge {
 	})
 	return chosen
 }
-
-// TotalWeight sums edge weights; a convenience for tests and ablations.
-func TotalWeight(edges []WEdge) float64 {
-	t := 0.0
-	for _, e := range edges {
-		t += e.Weight
-	}
-	return t
-}

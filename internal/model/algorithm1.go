@@ -20,12 +20,8 @@ import "repro/internal/graph"
 // no cache traffic themselves but are part of the attack's control flow.
 func BuildAttackGraph(g *graph.Digraph, entry uint64, relevant []uint64, hpcByBB map[uint64]uint64, config Config) *graph.Digraph {
 	config = config.withDefaults()
-	ga := graph.New()
-	for _, n := range relevant {
-		ga.AddNode(n)
-	}
 	if len(relevant) < 2 {
-		return ga
+		return graph.New(relevant, nil)
 	}
 
 	// Lines 1-5: eliminate cycles, then build the weighted path graph
@@ -39,12 +35,17 @@ func BuildAttackGraph(g *graph.Digraph, entry uint64, relevant []uint64, hpcByBB
 	mst := graph.MaximumSpanningForest(relevant, wedges)
 
 	// Lines 8-9: restore the labeled paths into G_A.
+	n := 0
+	for _, e := range mst {
+		n += len(e.Path) - 1
+	}
+	edges := make([]graph.Edge, 0, n)
 	for _, e := range mst {
 		for i := 1; i < len(e.Path); i++ {
-			ga.AddEdge(e.Path[i-1], e.Path[i])
+			edges = append(edges, graph.Edge{From: e.Path[i-1], To: e.Path[i]})
 		}
 	}
-	return ga
+	return graph.New(relevant, edges)
 }
 
 // pathWeight evaluates V_p: the average HPC value of the path's interior

@@ -14,9 +14,7 @@ func execCounts(m map[uint64]uint64) func(uint64) uint64 {
 
 func TestStraightChainsMergesEqualCounts(t *testing.T) {
 	// 1 -> 2 -> 3 with equal counts: one chain.
-	g := graph.New()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	g := graph.New(nil, []graph.Edge{{From: 1, To: 2}, {From: 2, To: 3}})
 	chains := straightChains(g, execCounts(map[uint64]uint64{1: 5, 2: 5, 3: 5}))
 	if len(chains) != 1 || len(chains[0]) != 3 {
 		t.Fatalf("chains = %v", chains)
@@ -25,9 +23,7 @@ func TestStraightChainsMergesEqualCounts(t *testing.T) {
 
 func TestStraightChainsSplitsOnCountChange(t *testing.T) {
 	// 1 -> 2 -> 3 where 2 executes more often (a loop body): split.
-	g := graph.New()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	g := graph.New(nil, []graph.Edge{{From: 1, To: 2}, {From: 2, To: 3}})
 	chains := straightChains(g, execCounts(map[uint64]uint64{1: 1, 2: 10, 3: 1}))
 	if len(chains) != 3 {
 		t.Fatalf("chains = %v, want 3 singletons", chains)
@@ -36,11 +32,7 @@ func TestStraightChainsSplitsOnCountChange(t *testing.T) {
 
 func TestStraightChainsSplitsOnBranch(t *testing.T) {
 	// Diamond: 1 -> {2,3} -> 4; no merges across the branch/join.
-	g := graph.New()
-	g.AddEdge(1, 2)
-	g.AddEdge(1, 3)
-	g.AddEdge(2, 4)
-	g.AddEdge(3, 4)
+	g := graph.New(nil, []graph.Edge{{From: 1, To: 2}, {From: 1, To: 3}, {From: 2, To: 4}, {From: 3, To: 4}})
 	chains := straightChains(g, execCounts(map[uint64]uint64{1: 2, 2: 1, 3: 1, 4: 2}))
 	if len(chains) != 4 {
 		t.Fatalf("chains = %v, want 4 singletons", chains)
@@ -48,8 +40,7 @@ func TestStraightChainsSplitsOnBranch(t *testing.T) {
 }
 
 func TestStraightChainsZeroCountNeverMerges(t *testing.T) {
-	g := graph.New()
-	g.AddEdge(1, 2)
+	g := graph.New(nil, []graph.Edge{{From: 1, To: 2}})
 	chains := straightChains(g, execCounts(map[uint64]uint64{}))
 	if len(chains) != 2 {
 		t.Fatalf("chains = %v, want 2 (zero counts must not merge)", chains)
@@ -57,11 +48,8 @@ func TestStraightChainsZeroCountNeverMerges(t *testing.T) {
 }
 
 func TestStraightChainsCoversEveryNode(t *testing.T) {
-	g := graph.New()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 1) // cycle: defensive path
-	g.AddNode(9)
+	// 1 -> 2 -> 3 -> 1 is a cycle (the defensive path) and 9 is isolated.
+	g := graph.New([]uint64{9}, []graph.Edge{{From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 1}})
 	chains := straightChains(g, execCounts(map[uint64]uint64{1: 1, 2: 1, 3: 1, 9: 1}))
 	seen := map[uint64]int{}
 	for _, c := range chains {

@@ -162,11 +162,7 @@ type Model struct {
 
 // IdentifiedBBs returns the attack-relevant blocks found by the pipeline
 // (the nodes of the attack-relevant graph), sorted.
-func (m *Model) IdentifiedBBs() []uint64 {
-	out := m.AttackGraph.Nodes()
-	slices.Sort(out)
-	return out
-}
+func (m *Model) IdentifiedBBs() []uint64 { return m.AttackGraph.Nodes() }
 
 // Build models the attack behavior of prog. victim may be nil; when
 // present it runs interleaved with prog on the shared cache (the setting
@@ -431,8 +427,11 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 	var chainLoads, chainFlushes []uint64 // reused across chains
 	// Every chain's NormInsns is a capacity-limited window of norms.
 	nInsns := 0
-	for _, leader := range m.AttackGraph.Nodes() {
-		nInsns += len(c.Blocks[leader].Insns)
+	for _, chain := range chains {
+		for _, leader := range chain {
+			bb, _ := c.Block(leader)
+			nInsns += len(bb.Insns)
+		}
 	}
 	norms := make([]string, 0, nInsns)
 	for _, chain := range chains {
@@ -442,7 +441,7 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 		fc := uint64(notExecuted)
 		executed := false
 		for _, leader := range chain {
-			bb := c.Blocks[leader]
+			bb, _ := c.Block(leader)
 			var f uint64
 			var ok bool
 			if p, potential := slices.BinarySearch(m.PotentialBBs, leader); potential {
@@ -515,7 +514,6 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 // chains are windows of one backing array.
 func straightChains(g *graph.Digraph, execCount func(uint64) uint64) [][]uint64 {
 	nodes := g.Nodes()
-	slices.Sort(nodes)
 	mergeable := func(a, b uint64) bool {
 		return len(g.Succs(a)) == 1 && len(g.Preds(b)) == 1 &&
 			execCount(a) > 0 && execCount(a) == execCount(b)

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -81,23 +82,25 @@ func TestCSTDelta(t *testing.T) {
 // {a,c,e}, HPC(b)=3. Expected attack-relevant graph (Fig 3(f)):
 // edges a->c, a->b, b->e.
 func TestBuildAttackGraphFig3(t *testing.T) {
-	g := graph.New()
-	g.AddEdge(1, 2) // a->b
-	g.AddEdge(2, 3) // b->c
-	g.AddEdge(1, 3) // a->c
-	g.AddEdge(3, 4) // c->d
-	g.AddEdge(4, 1) // d->a (back edge)
-	g.AddEdge(2, 5) // b->e
+	g := graph.New(nil, []graph.Edge{
+		{From: 1, To: 2}, // a->b
+		{From: 2, To: 3}, // b->c
+		{From: 1, To: 3}, // a->c
+		{From: 3, To: 4}, // c->d
+		{From: 4, To: 1}, // d->a (back edge)
+		{From: 2, To: 5}, // b->e
+	})
 	hpc := map[uint64]uint64{1: 9, 2: 3, 3: 5, 5: 4}
 	ga := BuildAttackGraph(g, 1, []uint64{1, 3, 5}, hpc, DefaultConfig())
 
-	if !ga.HasEdge(1, 3) {
+	hasEdge := func(from, to uint64) bool { return slices.Contains(ga.Succs(from), to) }
+	if !hasEdge(1, 3) {
 		t.Error("missing direct edge a->c (weight MAX)")
 	}
-	if !ga.HasEdge(1, 2) || !ga.HasEdge(2, 5) {
+	if !hasEdge(1, 2) || !hasEdge(2, 5) {
 		t.Error("missing restored path a->b->e")
 	}
-	if ga.HasEdge(2, 3) {
+	if hasEdge(2, 3) {
 		t.Error("path a->b->c must not be restored (lost to the MAX edge)")
 	}
 	if ga.HasNode(4) {
@@ -109,8 +112,7 @@ func TestBuildAttackGraphFig3(t *testing.T) {
 }
 
 func TestBuildAttackGraphDegenerate(t *testing.T) {
-	g := graph.New()
-	g.AddEdge(1, 2)
+	g := graph.New(nil, []graph.Edge{{From: 1, To: 2}})
 	// Fewer than two relevant blocks: graph contains just those nodes.
 	ga := BuildAttackGraph(g, 1, []uint64{1}, nil, DefaultConfig())
 	if ga.NumNodes() != 1 || ga.NumEdges() != 0 {
@@ -124,9 +126,7 @@ func TestBuildAttackGraphDegenerate(t *testing.T) {
 
 func TestBuildAttackGraphDisconnectedRelevant(t *testing.T) {
 	// Two relevant blocks with no connecting path: forest, no edges.
-	g := graph.New()
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
+	g := graph.New(nil, []graph.Edge{{From: 1, To: 2}, {From: 3, To: 4}})
 	ga := BuildAttackGraph(g, 1, []uint64{1, 3}, nil, DefaultConfig())
 	if ga.NumEdges() != 0 {
 		t.Errorf("edges = %d, want 0", ga.NumEdges())

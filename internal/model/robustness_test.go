@@ -1,13 +1,17 @@
 package model
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/attacks"
 	"repro/internal/benign"
 	"repro/internal/exec"
+	"repro/internal/isa"
 	"repro/internal/mutate"
 )
 
@@ -113,5 +117,52 @@ func TestBuildFromTraceErrors(t *testing.T) {
 	}
 	if _, err := BuildFromTrace(poc.Program, nil, DefaultMeasureCache(), DefaultConfig()); err == nil {
 		t.Error("nil trace must fail")
+	}
+}
+
+// diamondProgram is a hostile program for Algorithm 1: blocks b and a
+// both load buf, so they are the only attack-relevant blocks, b jumps to
+// a, and a is followed by a chain of k je diamonds that ends in hlt. The
+// chain holds 2^k paths, none of which leads back to b.
+func diamondProgram(k int) string {
+	var src strings.Builder
+	src.WriteString(".data buf 64\nb:\n  mov r0, [buf]\n  jmp a\na:\n  mov r1, [buf]\n")
+	for i := 0; i < k; i++ {
+		fmt.Fprintf(&src, "  cmp r1, 0\n  je j%d\n  nop\nj%d:\n", i, i)
+	}
+	src.WriteString("  hlt\n")
+	return src.String()
+}
+
+// The path walk from a towards b finds nothing, so it must cost nothing:
+// 31 diamonds give paths of 63 blocks, within the default 64-block
+// bound, and an unpruned walk would explore all 2^31 of them.
+func TestDeadEndDiamondsModelFast(t *testing.T) {
+	prog, err := isa.Parse("diamonds", diamondProgram(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		m   *Model
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		m, err := Build(prog, nil, DefaultConfig())
+		done <- result{m, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if len(r.m.RelevantBBs) != 2 {
+			t.Fatalf("relevant blocks %#x, want b and a", r.m.RelevantBBs)
+		}
+		if got := r.m.AttackGraph.Edges(); len(got) != 1 {
+			t.Errorf("attack graph edges %v, want only b->a", got)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("modeling the 31-diamond program took over 1s")
 	}
 }

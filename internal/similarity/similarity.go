@@ -291,11 +291,6 @@ func Score(a, b *model.CSTBBS, opts Options) float64 {
 	return dtw.Similarity(BBSDistance(a, b, opts))
 }
 
-// ScoreModels is a convenience over the models' BBSes.
-func ScoreModels(a, b *model.Model, opts Options) float64 {
-	return Score(a.BBS, b.BBS, opts)
-}
-
 // AlignedPair is one step of the optimal DTW warping path between two
 // CST-BBSes: model block a.Seq[I] aligned with b.Seq[J] at the given
 // point cost. Low-cost pairs are the matching attack phases; high-cost
