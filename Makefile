@@ -81,20 +81,26 @@ bench-check:
 	./scripts/bench-check.sh
 
 # The warm scan path — exact and pruned (-fast) — must perform zero
-# allocations per full repository pass, one whole warm ScanCtx call and
-# one model build (CFG, simulation, modeling) must stay within their
-# pinned allocation budgets (testing.AllocsPerRun; see
+# allocations per full repository pass, and so must a DistCache intern
+# hit; one whole warm ScanCtx call, one model build (CFG, simulation,
+# modeling) and one warm ClassifyBBSCtx over a 500-entry repository
+# must stay within their pinned allocation budgets, and a warm engine
+# reuse must not copy the repository (testing.AllocsPerRun; see
 # docs/PERFORMANCE.md "Allocation-free scan kernel", "One target per
-# scan" and the two "Front of pipeline" sections).
+# scan", the two "Front of pipeline" sections and "Repeated programs
+# skip modeling").
 alloc-check:
-	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestScanZeroAllocWarmPath|TestScanCtxAllocs' -v ./internal/scan
+	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestScanZeroAllocWarmPath|TestScanCtxAllocs|TestDistCacheInternHitAllocs' -v ./internal/scan
 	$(GO) test -timeout $(TEST_TIMEOUT) -run TestModelBuildAllocs -v ./internal/model
+	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestClassifyBBSCtxAllocs|TestEngineReuseCopiesNothing' -v ./internal/detect
 
 # Cache-hit smoke: the differential + all-hits repeat-pass tests across
-# the detector, the streaming pipeline and the golden corpus. Every
-# listed package has tests the pattern selects (check with go test -list).
+# the detector (program and model keys), the streaming pipeline and the
+# golden corpus, plus the program digest and the shared-LRU tests of
+# the cache itself. Every listed package has tests the pattern selects
+# (check with go test -list).
 vcache-smoke:
-	$(GO) test -timeout $(TEST_TIMEOUT) -run 'VerdictCache|ShardedCached' ./internal/detect ./internal/stream .
+	$(GO) test -timeout $(TEST_TIMEOUT) -run 'VerdictCache|ShardedCached|ProgramHash|ProgramKeys|PanickingCompute' ./internal/detect ./internal/stream ./internal/vcache .
 
 # End-to-end shard deployment smoke: two shard-serve processes on
 # loopback, a partition handshake, then a remote sharded classify whose

@@ -415,7 +415,7 @@ func cmdClassify(args []string) error {
 	metricsAddr := fs.String("metrics-addr", "", "serve the live telemetry snapshot over HTTP on this address (e.g. :8080); JSON by default, Prometheus text via Accept or ?format=prometheus; blocks after the run until interrupted")
 	timeout := fs.Duration("timeout", 0, "per-classification deadline covering modeling and scanning (e.g. 500ms); 0 = none")
 	streamMode := fs.Bool("stream", false, "read target specs (attack:NAME, benign:kind/template/seed, file:PATH) line by line from stdin and classify them as a fault-isolated stream")
-	resultCache := fs.Int("result-cache", 0, "memoize whole scan outcomes for repeated targets in a bounded LRU of this many entries (0 = off); invalidated automatically when the repository grows")
+	resultCache := fs.Int("result-cache", 0, "memoize whole classification outcomes for repeated targets in a bounded LRU of this many entries (0 = off): a repeated program skips modeling and the scan; invalidated automatically when the repository grows")
 	shards := fs.Int("shards", 0, "partition the repository across this many in-process scan shards (0/1 = single engine)")
 	shardAddrs := fs.String("shard-addrs", "", "comma-separated shard-serve addresses; the repository is scanned across them instead of in process. Each address may name |-separated replicas serving the same partition (\"a:9101|b:9101\"): scans fail over between them")
 	shardAttemptTimeout := fs.Duration("shard-attempt-timeout", 0, "per-replica attempt budget within a replicated shard; a slower replica fails over to the next one (0 = none)")
@@ -590,7 +590,7 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", ":9090", "listen address (host:port; port 0 picks a free port)")
 	repoPath := fs.String("repo", "", "serve a saved repository instead of the default; also the default source for POST /reload")
 	sf := registerScanFlags(fs)
-	resultCache := fs.Int("result-cache", 0, "memoize whole scan outcomes in a bounded LRU of this many entries (0 = off); invalidated by /reload and repository growth")
+	resultCache := fs.Int("result-cache", 0, "memoize whole classification outcomes in a bounded LRU of this many entries (0 = off): a repeated program skips modeling and the scan; invalidated by /reload and repository growth")
 	shards := fs.Int("shards", 0, "partition the repository across this many in-process scan shards (0/1 = single engine)")
 	shardAddrs := fs.String("shard-addrs", "", "comma-separated shard-serve addresses; the repository is scanned across them. Each address may name |-separated replicas serving the same partition (\"a:9101|b:9101\"): scans fail over between them")
 	shardTimeout := fs.Duration("shard-timeout", 0, "per-shard share of one scan; a slower shard fails that scan and the verdict degrades to partial (0 = none)")

@@ -4,9 +4,11 @@ package scaguard
 // golden corpus: a 3-shard detector with the result cache on must
 // produce verdicts identical to the plain single-engine detector for
 // every corpus program, and a repeat pass over the corpus must be
-// served entirely from memory — zero additional repository scans.
+// served entirely from memory by program keys — no model built, no
+// repository scan, and results and models equal to the cold pass.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -28,43 +30,46 @@ func TestGoldenVerdictsShardedCached(t *testing.T) {
 	det.Telemetry = tel
 
 	corpus := goldenCorpus(t)
-	var scanned uint64 // classifications that reach the scanner (not gated)
-	for _, tgt := range corpus {
+	ctx := context.Background()
+	cold := make([]Result, len(corpus))
+	coldBBS := make([]*CSTBBS, len(corpus))
+	for i, tgt := range corpus {
 		want, _, err := ref.Classify(tgt.prog, tgt.victim)
 		if err != nil {
 			t.Fatalf("reference classify %s: %v", tgt.name, err)
 		}
-		got, _, err := det.Classify(tgt.prog, tgt.victim)
+		got, m, err := det.ClassifyCtx(ctx, tgt.prog, tgt.victim)
 		if err != nil {
 			t.Fatalf("cached classify %s: %v", tgt.name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: sharded+cached verdict diverged:\n got %+v\nwant %+v", tgt.name, got, want)
 		}
-		if len(got.Matches) > 0 {
-			scanned++
-		}
+		cold[i], coldBBS[i] = got, m.BBS
 	}
 
 	scansCold := tel.Counter(telemetry.ScanTargets)
-	hitsCold := tel.Counter(telemetry.VCacheHits)
-	for _, tgt := range corpus {
-		want, _, err := ref.Classify(tgt.prog, tgt.victim)
-		if err != nil {
-			t.Fatalf("reference reclassify %s: %v", tgt.name, err)
-		}
-		got, _, err := det.Classify(tgt.prog, tgt.victim)
+	buildsCold := tel.Counter(telemetry.ModelBuilds)
+	hitsCold := tel.Counter(telemetry.VCacheProgramHits)
+	for i, tgt := range corpus {
+		got, m, err := det.ClassifyCtx(ctx, tgt.prog, tgt.victim)
 		if err != nil {
 			t.Fatalf("warm classify %s: %v", tgt.name, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: warm cached verdict diverged", tgt.name)
+		if !reflect.DeepEqual(got, cold[i]) {
+			t.Fatalf("%s: warm cached verdict diverged:\n got %+v\nwant %+v", tgt.name, got, cold[i])
+		}
+		if !reflect.DeepEqual(m.BBS, coldBBS[i]) {
+			t.Fatalf("%s: warm cached model diverged", tgt.name)
 		}
 	}
 	if scans := tel.Counter(telemetry.ScanTargets); scans != scansCold {
 		t.Errorf("repeat pass scanned: scan_targets %d -> %d, want frozen", scansCold, scans)
 	}
-	if gotHits := tel.Counter(telemetry.VCacheHits) - hitsCold; gotHits != scanned {
-		t.Errorf("repeat pass hits = %d, want %d (one per non-gated target)", gotHits, scanned)
+	if builds := tel.Counter(telemetry.ModelBuilds); builds != buildsCold {
+		t.Errorf("repeat pass modeled: model_builds %d -> %d, want frozen", buildsCold, builds)
+	}
+	if gotHits := tel.Counter(telemetry.VCacheProgramHits) - hitsCold; gotHits != uint64(len(corpus)) {
+		t.Errorf("repeat pass program hits = %d, want %d (one per target, gated ones included)", gotHits, len(corpus))
 	}
 }

@@ -74,9 +74,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// SizeBytes returns the capacity of the configured cache.
-func (c Config) SizeBytes() int { return c.Sets * c.Ways * c.LineSize }
-
 // SetIndex maps an address to its set index in a cache of this
 // configuration, without building the cache. c must be valid.
 func (c Config) SetIndex(addr uint64) int {
@@ -119,7 +116,6 @@ type Cache struct {
 	tagShift   uint // log2(LineSize) + log2(Sets)
 	setMask    uint64
 	totalLines int
-	usedLines  int
 }
 
 // New builds a cache from its configuration.
@@ -249,8 +245,6 @@ func (c *Cache) fill(addr uint64, owner Owner) (way int, ev EvictedLine, ok bool
 	if old := c.keys[way]; old != 0 {
 		c.stats.Evictions++
 		ev, ok = EvictedLine{Addr: c.reconstructAddr(old^keyFlip, si), Owner: ownerOf(c.owners[way])}, true
-	} else {
-		c.usedLines++
 	}
 	c.keys[way], c.stamps[way], c.owners[way] = c.key(addr), c.tick, ownerCode(owner)
 	return way, ev, ok
@@ -314,7 +308,6 @@ func (c *Cache) Flush(addr uint64) bool {
 	}
 	c.keys[w], c.stamps[w], c.owners[w] = 0, 0, 0
 	c.stats.Flushes++
-	c.usedLines--
 	return true
 }
 
@@ -323,7 +316,6 @@ func (c *Cache) InvalidateAll() {
 	clear(c.keys)
 	clear(c.stamps)
 	clear(c.owners)
-	c.usedLines = 0
 }
 
 // FillAll installs owner-tagged lines in every way of every set, giving
@@ -338,7 +330,6 @@ func (c *Cache) FillAll(owner Owner) {
 		c.stamps[i] = c.tick
 		c.owners[i] = code
 	}
-	c.usedLines = c.totalLines
 }
 
 // State is the paper's cache state (Definition 3): AO is the occupancy
@@ -368,12 +359,6 @@ func (c *Cache) Occupancy(attacker Owner) State {
 	return State{AO: float64(ao) / total, IO: float64(io) / total}
 }
 
-// UsedLines returns the number of valid lines.
-func (c *Cache) UsedLines() int { return c.usedLines }
-
-// TotalLines returns the line capacity.
-func (c *Cache) TotalLines() int { return c.totalLines }
-
 // OwnerOfLine returns the owner of the line containing addr, or
 // OwnerNone when the line is absent.
 func (c *Cache) OwnerOfLine(addr uint64) Owner {
@@ -381,17 +366,4 @@ func (c *Cache) OwnerOfLine(addr uint64) Owner {
 		return ownerOf(c.owners[w])
 	}
 	return OwnerNone
-}
-
-// SetOccupants returns the number of valid lines in the set containing
-// addr; SCADET-style rules use this to spot prime sweeps.
-func (c *Cache) SetOccupants(addr uint64) int {
-	base := c.SetIndex(addr) * c.cfg.Ways
-	n := 0
-	for _, k := range c.keys[base : base+c.cfg.Ways] {
-		if k != 0 {
-			n++
-		}
-	}
-	return n
 }

@@ -25,9 +25,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := smallCfg().Validate(); err != nil {
 		t.Errorf("good config rejected: %v", err)
 	}
-	if got := smallCfg().SizeBytes(); got != 4*2*64 {
-		t.Errorf("SizeBytes = %d", got)
-	}
 	if _, err := New(bad[0]); err == nil {
 		t.Error("New must propagate validation errors")
 	}
@@ -154,8 +151,8 @@ func TestOccupancyAndFillAll(t *testing.T) {
 	if st.AO+st.IO > 1 {
 		t.Error("AO+IO must never exceed 1")
 	}
-	if c.UsedLines() != c.TotalLines() {
-		t.Errorf("used = %d, total = %d", c.UsedLines(), c.TotalLines())
+	if usedLines(c) != c.totalLines {
+		t.Errorf("used = %d, total = %d", usedLines(c), c.totalLines)
 	}
 }
 
@@ -164,7 +161,7 @@ func TestInvalidateAll(t *testing.T) {
 	c.Access(0, 0)
 	c.Access(64, 1)
 	c.InvalidateAll()
-	if c.UsedLines() != 0 || c.Lookup(0) || c.Lookup(64) {
+	if usedLines(c) != 0 || c.Lookup(0) || c.Lookup(64) {
 		t.Error("InvalidateAll left state behind")
 	}
 }
@@ -185,18 +182,42 @@ func TestOwnerOfLine(t *testing.T) {
 	}
 }
 
+// usedLines counts the valid lines of c.
+func usedLines(c *Cache) int {
+	n := 0
+	for _, k := range c.keys {
+		if k != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// setOccupants returns the number of valid lines in the set containing
+// addr.
+func setOccupants(c *Cache, addr uint64) int {
+	base := c.SetIndex(addr) * c.cfg.Ways
+	n := 0
+	for _, k := range c.keys[base : base+c.cfg.Ways] {
+		if k != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestSetOccupants(t *testing.T) {
 	c := MustNew(smallCfg())
-	if c.SetOccupants(0) != 0 {
+	if setOccupants(c, 0) != 0 {
 		t.Error("empty set must have 0 occupants")
 	}
 	c.Access(0, 0)
 	c.Access(256, 0) // same set
 	c.Access(64, 0)  // different set
-	if got := c.SetOccupants(0); got != 2 {
+	if got := setOccupants(c, 0); got != 2 {
 		t.Errorf("set 0 occupants = %d, want 2", got)
 	}
-	if got := c.SetOccupants(64); got != 1 {
+	if got := setOccupants(c, 64); got != 1 {
 		t.Errorf("set 1 occupants = %d, want 1", got)
 	}
 }
@@ -219,7 +240,7 @@ func TestCacheInvariants(t *testing.T) {
 			if st.AO+st.IO > 1.0000001 || st.AO < 0 || st.IO < 0 {
 				return false
 			}
-			if c.UsedLines() > c.TotalLines() {
+			if usedLines(c) > c.totalLines {
 				return false
 			}
 		}

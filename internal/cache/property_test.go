@@ -99,9 +99,9 @@ func TestOccupancyConservation(t *testing.T) {
 			}
 		}
 		st := c.Occupancy(0)
-		total := float64(c.TotalLines())
+		total := float64(c.totalLines)
 		used := (st.AO + st.IO) * total
-		return int(used+0.5) == c.UsedLines() && c.UsedLines() <= c.TotalLines()
+		return int(used+0.5) == usedLines(c) && usedLines(c) <= c.totalLines
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)

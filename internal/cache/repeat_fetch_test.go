@@ -311,9 +311,9 @@ func compareLevels(t *testing.T, step int, what string, h *Hierarchy, ref *refHi
 	t.Helper()
 	for i, got := range []*Cache{h.L1D(), h.L1I(), h.LLC()} {
 		want := ref.levels()[i]
-		if got.Stats() != want.stats || got.UsedLines() != want.used() {
+		if got.Stats() != want.stats || usedLines(got) != want.used() {
 			t.Fatalf("step %d (%s): level %d stats %+v used %d, reference %+v used %d",
-				step, what, i, got.Stats(), got.UsedLines(), want.stats, want.used())
+				step, what, i, got.Stats(), usedLines(got), want.stats, want.used())
 		}
 		for _, o := range []Owner{0, 1} {
 			if got.Occupancy(o) != want.occupancy(o) {

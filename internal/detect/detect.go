@@ -135,6 +135,15 @@ func (r *Repository) Replace(entries []Entry) {
 	r.version++
 }
 
+// stamp returns the version and the entry count: what a detector checks
+// before reusing its engine, without copying the entries. The count
+// catches direct appends to Entries, which bypass the version.
+func (r *Repository) stamp() (version uint64, n int) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.version, len(r.Entries)
+}
+
 // snapshot returns a stable copy of the entries plus the version that
 // produced it, so detectors can scan while Add keeps inserting.
 func (r *Repository) snapshot() ([]Entry, uint64) {
@@ -328,15 +337,17 @@ type Detector struct {
 	// for a scan to re-probe them. The prober goroutine lives until the
 	// engine is rebuilt or Close is called.
 	ShardProbeInterval time.Duration
-	// ResultCache, when > 0, memoizes whole scan outcomes in a bounded
-	// LRU of that many entries (internal/vcache), keyed by the target's
-	// CST-BBS content hash, the repository version and the scan
-	// semantics. Repeated targets — identical binaries classified again,
-	// streams of mutated-then-reverted variants — skip the repository
-	// scan entirely, and concurrent identical targets collapse onto one
-	// scan (singleflight). Any Repository.Add bumps the version and
-	// thereby invalidates every cached result; partial results from
-	// degraded sharded scans are never cached. Exact-mode cached
+	// ResultCache, when > 0, memoizes whole classification outcomes in a
+	// bounded LRU of that many entries (internal/vcache), keyed by the
+	// repository version, the scan semantics and one of two target
+	// hashes. ClassifyCtx first looks up the program digest (program,
+	// victim and ModelCfg), so a repeated binary skips modeling as well
+	// as the scan; a model that is built is then looked up by its CST-BBS
+	// content hash, which also catches renamed or re-laid-out binaries
+	// that model alike. Concurrent identical targets collapse onto one
+	// computation (singleflight). Any Repository.Add bumps the version and
+	// thereby invalidates every cached result; errors and partial results
+	// from degraded sharded scans are never cached. Exact-mode cached
 	// verdicts are bit-identical to uncached scans; see
 	// docs/PERFORMANCE.md and docs/ROBUSTNESS.md.
 	ResultCache int
@@ -430,13 +441,14 @@ func (d *Detector) sharded() bool { return len(d.ShardAddrs) > 0 || d.Shards > 1
 func (d *Detector) engine() (repoScanner, []Entry, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	entries, ver := d.Repo.snapshot()
+	ver, n := d.Repo.stamp()
 	k := d.key()
-	if d.eng != nil && d.engVer == ver && d.engKey == k && len(d.engEntries) == len(entries) {
+	if d.eng != nil && d.engVer == ver && d.engKey == k && len(d.engEntries) == n {
 		d.Telemetry.Inc(telemetry.DetectEngineReuses)
 		return d.eng, d.engEntries, nil
 	}
 	d.Telemetry.Inc(telemetry.DetectEngineRebuilds)
+	entries, ver := d.Repo.snapshot()
 	models := make([]*model.CSTBBS, len(entries))
 	for i, e := range entries {
 		models[i] = e.BBS
@@ -545,22 +557,19 @@ type cachedScanner struct {
 	sem   scan.Semantics
 }
 
-func (s *cachedScanner) key(bbs *model.CSTBBS) vcache.Key {
-	return vcache.Key{Target: vcache.TargetHash(bbs), Version: s.ver, Semantics: s.sem}
-}
-
 // ScanCtx serves a memoized match list when one exists, else runs the
 // inner scan and stores the outcome. A failed scan — including a
 // degraded sharded scan returning partial matches alongside a
 // *shard.PartialError — is passed through and never cached.
 func (s *cachedScanner) ScanCtx(ctx context.Context, bbs *model.CSTBBS) ([]scan.Match, error) {
-	ms, _, err := s.cache.Do(ctx, s.key(bbs), func() ([]scan.Match, bool, error) {
+	key := vcache.Key{Target: vcache.TargetHash(bbs), Version: s.ver, Semantics: s.sem}
+	v, _, err := s.cache.Do(ctx, key, func() (vcache.Value, bool, error) {
 		ms, err := s.inner.ScanCtx(ctx, bbs)
-		return ms, err == nil, err
+		return vcache.Value{Matches: ms}, err == nil, err
 	})
 	// On a compute error Do returns the callback's matches verbatim, so
 	// a degraded sharded scan keeps its usable partial matches here.
-	return ms, err
+	return v.Matches, err
 }
 
 // buildScanner constructs the scan backend the configuration asks for:
@@ -660,20 +669,34 @@ func (d *Detector) gated(bbs *model.CSTBBS) bool {
 }
 
 // assemble turns the positional scan matches into a Result: named,
-// sorted best-first (stable, so equal scores keep repository order) and
-// thresholded. Scores are 1/(D+1), never NaN, so cmp.Compare orders
-// them exactly as the > comparison the serial reference sorts by.
+// sorted best-first (equal scores keep their order in ms, i.e.
+// repository order) and thresholded. Scores are 1/(D+1), never NaN, so
+// cmp.Compare orders them exactly as the > comparison the serial
+// reference sorts by. The sort permutes 4-byte positions with the
+// position as tiebreak — the order a stable sort gives, at about a
+// third of the cost of stably sorting the 48-byte Matches (500 entries:
+// ~55 µs against ~155 µs), which is most of a cached verdict.
 func (d *Detector) assemble(entries []Entry, ms []scan.Match) Result {
 	res := benignResult()
 	if len(ms) == 0 {
 		return res
 	}
+	pos := make([]int32, len(ms))
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	slices.SortFunc(pos, func(a, b int32) int {
+		if c := cmp.Compare(ms[b].Score, ms[a].Score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	res.Matches = make([]Match, len(ms))
-	for i, m := range ms {
+	for i, p := range pos {
+		m := ms[p]
 		e := entries[m.Index]
 		res.Matches[i] = Match{Name: e.Name, Family: e.Family, Score: m.Score, Pruned: m.Pruned}
 	}
-	slices.SortStableFunc(res.Matches, func(a, b Match) int { return cmp.Compare(b.Score, a.Score) })
 	res.Best = res.Matches[0]
 	if res.Best.Score >= d.Threshold {
 		res.Predicted = res.Best.Family
@@ -779,17 +802,30 @@ func (d *Detector) classifyBBSCtx(ctx context.Context, bbs *model.CSTBBS) (Resul
 // Classify models the target program (optionally alongside a victim
 // workload) and scores it against the repository. When a Telemetry
 // collector is attached, the modeling stage inherits it, so one run
-// yields both the model-side and scan-side wall times.
+// yields both the model-side and scan-side wall times. Classify always
+// models, so its Model is always complete; only ClassifyCtx consults
+// the program keys of the result cache.
 func (d *Detector) Classify(prog *isa.Program, victim *isa.Program) (Result, *model.Model, error) {
+	m, err := d.buildModel(context.Background(), prog, victim)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	return d.ClassifyBBS(m.BBS), m, nil
+}
+
+// buildModel models a target under ModelCfg, with the detector's
+// Telemetry when ModelCfg has none. A context error comes back bare;
+// any other failure is named after the target.
+func (d *Detector) buildModel(ctx context.Context, prog, victim *isa.Program) (*model.Model, error) {
 	cfg := d.ModelCfg
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = d.Telemetry
 	}
-	m, err := model.Build(prog, victim, cfg)
-	if err != nil {
-		return Result{}, nil, fmt.Errorf("detect: modeling target %s: %w", progName(prog), err)
+	m, err := model.BuildCtx(ctx, prog, victim, cfg)
+	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		return nil, fmt.Errorf("detect: modeling target %s: %w", progName(prog), err)
 	}
-	return d.ClassifyBBS(m.BBS), m, nil
+	return m, err
 }
 
 // ClassifyCtx is Classify with cooperative cancellation, a
@@ -801,20 +837,31 @@ func (d *Detector) Classify(prog *isa.Program, victim *isa.Program) (Result, *mo
 // or scanning surfaces as a *panicsafe.PanicError. On a non-nil error
 // the Result is meaningless (the Model may still be non-nil when
 // modeling succeeded and the scan failed).
+//
+// With ResultCache set, a target classified before under the same
+// repository version, scan semantics and ModelCfg is answered from the
+// cache without modeling (see vcache.ProgramHash for what "the same
+// target" covers). The Model returned then has only Name and BBS set,
+// every other field nil, and its BBS is shared with the cache and must
+// not be modified; a call that models returns the whole Model as
+// before. Every caller in this module reads only the BBS.
 func (d *Detector) ClassifyCtx(ctx context.Context, prog *isa.Program, victim *isa.Program) (res Result, m *model.Model, err error) {
 	defer d.recoverPanic(&err)
 	ctx, cancel := d.withTimeout(ctx)
 	defer cancel()
-	cfg := d.ModelCfg
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = d.Telemetry
-	}
-	m, err = model.BuildCtx(ctx, prog, victim, cfg)
-	if err != nil {
-		if cerr := d.noteCtxErr(err); errors.Is(cerr, context.Canceled) || errors.Is(cerr, context.DeadlineExceeded) {
-			return Result{}, nil, cerr
+	if d.ResultCache > 0 {
+		// Without an engine there is no version to key on; the uncached
+		// path below reports the engine error only if the target is not
+		// gated, as it always has.
+		if eng, entries, eerr := d.engine(); eerr == nil {
+			if cs, ok := eng.(*cachedScanner); ok {
+				return d.classifyCached(ctx, cs, entries, prog, victim)
+			}
 		}
-		return Result{}, nil, fmt.Errorf("detect: modeling target %s: %w", progName(prog), err)
+	}
+	m, err = d.buildModel(ctx, prog, victim)
+	if err != nil {
+		return Result{}, nil, d.noteCtxErr(err)
 	}
 	res, err = d.classifyBBSCtx(ctx, m.BBS)
 	if err != nil && !isPartial(err) {
@@ -823,6 +870,53 @@ func (d *Detector) ClassifyCtx(ctx context.Context, prog *isa.Program, victim *i
 	// A *shard.PartialError keeps its usable partial Result, exactly
 	// like ClassifyBBSCtx — callers choose whether degraded is enough.
 	return res, m, err
+}
+
+// classifyCached is ClassifyCtx behind the program key. A miss models
+// the target and, unless the gate bars it, scans it through cs — the
+// model key, which may still hit — then stores the CST-BBS and the
+// matches under the program key; a gated target is stored with no
+// matches. A hit gates the memoized CST-BBS again and assembles its
+// matches against entries, the snapshot of the key's version. Errors
+// and partial results are returned, never stored.
+func (d *Detector) classifyCached(ctx context.Context, cs *cachedScanner, entries []Entry, prog, victim *isa.Program) (Result, *model.Model, error) {
+	var built *model.Model
+	key := vcache.Key{Program: true, Target: vcache.ProgramHash(prog, victim, d.ModelCfg), Version: cs.ver, Semantics: cs.sem}
+	v, _, err := cs.cache.Do(ctx, key, func() (vcache.Value, bool, error) {
+		m, err := d.buildModel(ctx, prog, victim)
+		if err != nil {
+			return vcache.Value{}, false, err
+		}
+		built = m
+		if d.gated(m.BBS) {
+			return vcache.Value{BBS: m.BBS}, true, nil
+		}
+		ms, err := cs.ScanCtx(ctx, m.BBS)
+		return vcache.Value{BBS: m.BBS, Matches: ms}, err == nil, err
+	})
+	if v.BBS == nil {
+		// Modeling failed, or the wait for another caller's modeling
+		// was cancelled.
+		return Result{}, nil, d.noteCtxErr(err)
+	}
+	m := built
+	if m == nil {
+		m = &model.Model{Name: v.BBS.Name, BBS: v.BBS}
+	}
+	d.Telemetry.Inc(telemetry.DetectClassifications)
+	if d.gated(v.BBS) {
+		d.Telemetry.Inc(telemetry.DetectGated)
+		return benignResult(), m, nil
+	}
+	if built == nil && err == nil && v.Matches == nil {
+		// A hit stored while the gate was stricter (RequireTimer is not
+		// part of the key): scan it now, through the model key.
+		v.Matches, err = cs.ScanCtx(ctx, v.BBS)
+	}
+	if err != nil && !isPartial(err) {
+		return Result{}, m, d.noteCtxErr(err)
+	}
+	return d.assemble(entries, v.Matches), m, err
 }
 
 func progName(p *isa.Program) string {

@@ -14,10 +14,14 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/attacks"
+	"repro/internal/benign"
 	"repro/internal/faultinject"
+	"repro/internal/isa"
 	"repro/internal/model"
+	"repro/internal/panicsafe"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
@@ -264,10 +268,244 @@ func TestVerdictCacheLookupFaultDegradesGracefully(t *testing.T) {
 	}
 }
 
+// gatedBenign returns a benign program the default detector gates out
+// before scanning for reading no timer, although its model is long
+// enough to scan.
+func gatedBenign(t testing.TB, d *Detector) *isa.Program {
+	t.Helper()
+	for _, kind := range benign.Kinds() {
+		for _, tmpl := range benign.Templates(kind) {
+			prog := benign.MustGenerate(benign.Spec{Kind: kind, Template: tmpl, Seed: 7})
+			m, err := model.Build(prog, nil, d.ModelCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.GateReason(m.BBS) == GateNoTimerReads {
+				return prog
+			}
+		}
+	}
+	t.Fatal("no benign program gated for its missing timer reads")
+	return nil
+}
+
+// counters reads the counters the program-key tests account with.
+func counters(tel *telemetry.Collector) [4]uint64 {
+	return [4]uint64{
+		tel.Counter(telemetry.ModelBuilds), tel.Counter(telemetry.ScanTargets),
+		tel.Counter(telemetry.VCacheHits), tel.Counter(telemetry.VCacheProgramHits),
+	}
+}
+
+// TestVerdictCacheProgramPathsAgree: the three ways ClassifyCtx can
+// answer — cold (model and scan), program-key hit (neither) and
+// model-key hit (a renamed copy: modeled again, scan reused) — give
+// reflect.DeepEqual results and equal CST-BBSes, equal to an uncached
+// detector's. A program hit returns a model with only Name and BBS.
+func TestVerdictCacheProgramPathsAgree(t *testing.T) {
+	r := repo(t)
+	poc := attacks.FlushReloadMastik(attacks.DefaultParams())
+	ctx := context.Background()
+	want, wantM, err := NewDetector(r).ClassifyCtx(ctx, poc.Program, poc.Victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tel := telemetry.NewCollector()
+	d := NewDetector(r)
+	d.ResultCache = 8
+	d.Telemetry = tel
+	cold, coldM, err := d.ClassifyCtx(ctx, poc.Program, poc.Victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coldM.CFG == nil {
+		t.Error("the call that modeled did not return the whole model")
+	}
+	c0 := counters(tel)
+	if c0 != [4]uint64{1, 1, 0, 0} {
+		t.Fatalf("cold [builds scans hits program-hits] = %v, want [1 1 0 0]", c0)
+	}
+
+	hit, hitM, err := d.ClassifyCtx(ctx, poc.Program, poc.Victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := counters(tel); c != [4]uint64{1, 1, 1, 1} {
+		t.Fatalf("program hit [builds scans hits program-hits] = %v, want [1 1 1 1]", c)
+	}
+	if slim := (model.Model{Name: poc.Program.Name, BBS: hitM.BBS}); !reflect.DeepEqual(*hitM, slim) {
+		t.Errorf("program hit model = %+v, want only Name and BBS", *hitM)
+	}
+
+	renamed := *poc.Program
+	renamed.Name = "renamed-copy"
+	ren, renM, err := d.ClassifyCtx(ctx, &renamed, poc.Victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := counters(tel); c != [4]uint64{2, 1, 2, 1} {
+		t.Fatalf("model-key hit [builds scans hits program-hits] = %v, want [2 1 2 1]", c)
+	}
+
+	for name, got := range map[string]Result{"cold": cold, "program hit": hit, "model-key hit": ren} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s result diverged:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+	if !reflect.DeepEqual(coldM.BBS, wantM.BBS) || !reflect.DeepEqual(hitM.BBS, wantM.BBS) {
+		t.Error("cold or program-hit CST-BBS diverged from the uncached model")
+	}
+	renBBS := *renM.BBS
+	renBBS.Name = wantM.BBS.Name
+	if !reflect.DeepEqual(&renBBS, wantM.BBS) {
+		t.Error("renamed copy's CST-BBS differs beyond its name")
+	}
+}
+
+// TestVerdictCacheProgramRescanAfterAdd: Repository.Add between two
+// calls on the same program bumps the version in its program key, so
+// the second call models and scans again and covers the new entry.
+func TestVerdictCacheProgramRescanAfterAdd(t *testing.T) {
+	r := freshRepo(t)
+	poc := attacks.FlushReloadMastik(attacks.DefaultParams())
+	ctx := context.Background()
+	tel := telemetry.NewCollector()
+	d := NewDetector(r)
+	d.ResultCache = 8
+	d.Telemetry = tel
+	before, _, err := d.ClassifyCtx(ctx, poc.Program, poc.Victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Add("added-after-caching", attacks.FamilyFR, r.Entries[1].BBS)
+	after, _, err := d.ClassifyCtx(ctx, poc.Program, poc.Victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := counters(tel); c != [4]uint64{2, 2, 0, 0} {
+		t.Fatalf("[builds scans hits program-hits] = %v, want [2 2 0 0]: the post-Add call must model and scan", c)
+	}
+	if len(after.Matches) != len(before.Matches)+1 {
+		t.Fatalf("post-Add verdict has %d matches, want %d", len(after.Matches), len(before.Matches)+1)
+	}
+}
+
+// TestVerdictCacheProgramCollapse: concurrent classifications of one
+// cold program build one model and run one scan (run it under -race).
+func TestVerdictCacheProgramCollapse(t *testing.T) {
+	const n = 8
+	r := repo(t)
+	poc := attacks.FlushReloadMastik(attacks.DefaultParams())
+	want, _, err := NewDetector(r).ClassifyCtx(context.Background(), poc.Program, poc.Victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.NewCollector()
+	d := NewDetector(r)
+	d.ResultCache = 8
+	d.Telemetry = tel
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got, m, err := d.ClassifyCtx(context.Background(), poc.Program, poc.Victim)
+			if err != nil || m == nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("concurrent classify diverged: err=%v", err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if c := counters(tel); c[0] != 1 || c[1] != 1 {
+		t.Errorf("model_builds=%d scan_targets=%d for %d identical programs, want 1/1", c[0], c[1], n)
+	}
+	if served := tel.Counter(telemetry.VCacheProgramHits); served != n-1 {
+		t.Errorf("vcache_program_hits = %d, want %d", served, n-1)
+	}
+}
+
+// TestVerdictCacheGatedProgramMemoized: a gated program is stored too,
+// with no matches, so repeating it models nothing; it still counts as a
+// gated classification every time. Relaxing the gate afterwards scans
+// the memoized model instead of replaying the gated verdict.
+func TestVerdictCacheGatedProgramMemoized(t *testing.T) {
+	r := repo(t)
+	ctx := context.Background()
+	tel := telemetry.NewCollector()
+	d := NewDetector(r)
+	d.ResultCache = 8
+	d.Telemetry = tel
+	prog := gatedBenign(t, d)
+	for i := 0; i < 2; i++ {
+		res, m, err := d.ClassifyCtx(ctx, prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, benignResult()) || m.BBS == nil {
+			t.Fatalf("call %d: gated result %+v", i, res)
+		}
+	}
+	if c := counters(tel); c != [4]uint64{1, 0, 1, 1} {
+		t.Fatalf("[builds scans hits program-hits] = %v, want [1 0 1 1]", c)
+	}
+	if g := tel.Counter(telemetry.DetectGated); g != 2 {
+		t.Fatalf("detect_gated = %d, want 2", g)
+	}
+
+	d.RequireTimer = false
+	ref := NewDetector(r)
+	ref.RequireTimer = false
+	want, wantM, err := ref.ClassifyCtx(ctx, prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.GateReason(wantM.BBS) != "" || len(want.Matches) == 0 {
+		t.Fatal("the relaxed reference did not scan the program")
+	}
+	got, _, err := d.ClassifyCtx(ctx, prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("relaxed gate replayed the gated verdict:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestVerdictCacheProgramModelPanic: a modeling panic behind a program
+// key comes back as the target's *panicsafe.PanicError, is not stored,
+// and does not leave the key blocked: once the fault is gone the same
+// program classifies normally.
+func TestVerdictCacheProgramModelPanic(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	poc := attacks.FlushReloadMastik(attacks.DefaultParams())
+	d := NewDetector(repo(t))
+	d.ResultCache = 8
+	faultinject.Enable(faultinject.ModelBuild,
+		faultinject.Match(poc.Program.Name, faultinject.Panic("model crash")))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, _, err := d.ClassifyCtx(ctx, poc.Program, poc.Victim)
+	var pe *panicsafe.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *panicsafe.PanicError", err)
+	}
+	faultinject.Reset()
+	if _, _, err := d.ClassifyCtx(ctx, poc.Program, poc.Victim); err != nil {
+		t.Fatalf("after the fault: %v", err)
+	}
+}
+
 // BenchmarkVerdictCache quantifies the point of the cache: verdict/miss
 // is a full repository scan per classification, verdict/hit is the
-// same target answered from memory. The acceptance bar is a ≥5×
-// speedup on the warm path (`make bench-vcache`).
+// same target answered from memory by its model key. The acceptance bar
+// is a ≥5× speedup on the warm path (`make bench-vcache`). The program
+// cases classify a program end to end through ClassifyCtx:
+// program-cold models and scans every time, program-hit is answered by
+// the program key without modeling.
 func BenchmarkVerdictCache(b *testing.B) {
 	p := attacks.DefaultParams()
 	pocs := []attacks.PoC{
@@ -309,4 +547,24 @@ func BenchmarkVerdictCache(b *testing.B) {
 			}
 		}
 	})
+	for _, c := range []struct {
+		name  string
+		cache int
+	}{{"program-cold", 0}, {"program-hit", 8}} {
+		b.Run(c.name, func(b *testing.B) {
+			d := NewDetector(r)
+			d.ResultCache = c.cache
+			classify := func() {
+				res, _, err := d.ClassifyCtx(context.Background(), pocs[0].Program, pocs[0].Victim)
+				if err != nil || res.Predicted == "" {
+					b.Fatalf("classify: %v", err)
+				}
+			}
+			classify() // build the engine; warm the program key
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				classify()
+			}
+		})
+	}
 }

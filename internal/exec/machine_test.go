@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/attacks"
@@ -352,7 +353,7 @@ func TestClflushTracksFlushedLines(t *testing.T) {
 	if rec == nil || len(rec.FlushLines) != 1 {
 		t.Fatalf("flush not recorded: %+v", rec)
 	}
-	lines := tr.MemLinesOf(flushPC)
+	lines := memLinesOf(tr, flushPC)
 	if len(lines) != 1 || lines[0] != buf&^63 {
 		t.Errorf("MemLinesOf(flush) = %v", lines)
 	}
@@ -760,7 +761,29 @@ func TestIndirectJump(t *testing.T) {
 
 func TestMemLinesOfMissingPC(t *testing.T) {
 	tr := newTrace(nil, 0, 0, false, 0)
-	if got := tr.MemLinesOf(0x123); got != nil {
+	if got := memLinesOf(tr, 0x123); got != nil {
 		t.Errorf("MemLinesOf missing = %v", got)
 	}
+}
+
+// memLinesOf returns the sorted accessed (and flushed) line addresses of
+// the instruction at pc. Flushed lines are included because the paper's
+// overlap analysis collects "accessed memory addresses (including
+// flushed addresses)".
+func memLinesOf(t *Trace, pc uint64) []uint64 {
+	r := t.ByAddr[pc]
+	if r == nil {
+		return nil
+	}
+	out := make([]uint64, 0, len(r.MemLines)+len(r.FlushLines))
+	for a := range r.MemLines {
+		out = append(out, a)
+	}
+	for a := range r.FlushLines {
+		if _, dup := r.MemLines[a]; !dup {
+			out = append(out, a)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

@@ -343,25 +343,3 @@ func (b *TraceBuilder) Trace(cycles uint64) *Trace {
 	b.t.materialize()
 	return b.t
 }
-
-// MemLinesOf returns the sorted accessed (and flushed) line addresses of
-// the instruction at pc. Flushed lines are included because the paper's
-// overlap analysis collects "accessed memory addresses (including
-// flushed addresses)".
-func (t *Trace) MemLinesOf(pc uint64) []uint64 {
-	r := t.ByAddr[pc]
-	if r == nil {
-		return nil
-	}
-	out := make([]uint64, 0, len(r.MemLines)+len(r.FlushLines))
-	for a := range r.MemLines {
-		out = append(out, a)
-	}
-	for a := range r.FlushLines {
-		if _, dup := r.MemLines[a]; !dup {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -151,18 +151,6 @@ func (b *Bank) Addrs() []uint64 {
 	return out
 }
 
-// HPCValueByAddr returns addr -> Sum() for every attributed address,
-// i.e. the map the pipeline folds onto basic blocks.
-func (b *Bank) HPCValueByAddr() map[uint64]uint64 {
-	out := make(map[uint64]uint64, len(b.byAddr))
-	for a, c := range b.byAddr {
-		if s := c.Sum(); s > 0 {
-			out[a] = s
-		}
-	}
-	return out
-}
-
 // Reset clears all counters.
 func (b *Bank) Reset() {
 	b.global = Counts{}

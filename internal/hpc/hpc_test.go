@@ -106,9 +106,11 @@ func TestHPCValueByAddr(t *testing.T) {
 	b := NewBank()
 	b.Fire(L1DLoadHit, 0x10)
 	b.Fire(Timestamp, 0x20) // timestamp-only address must not appear
-	m := b.HPCValueByAddr()
-	if len(m) != 1 || m[0x10] != 1 {
-		t.Errorf("HPCValueByAddr = %v", m)
+	if got := b.At(0x10).Sum(); got != 1 {
+		t.Errorf("HPC value at 0x10 = %d, want 1", got)
+	}
+	if got := b.At(0x20).Sum(); got != 0 {
+		t.Errorf("timestamp-only address has HPC value %d, want 0", got)
 	}
 }
 

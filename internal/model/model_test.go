@@ -12,7 +12,7 @@ import (
 
 func TestMeasureCSTReloadBlock(t *testing.T) {
 	sim := cache.MustNew(DefaultMeasureCache())
-	total := float64(sim.TotalLines())
+	total := float64(DefaultMeasureCache().Sets * DefaultMeasureCache().Ways)
 	lines := []uint64{0, 64, 128, 192} // 4 distinct lines
 	cst := MeasureCST(sim, lines, nil)
 	if cst.Before.AO != 0 || cst.Before.IO != 1 {
@@ -32,7 +32,7 @@ func TestMeasureCSTReloadBlock(t *testing.T) {
 
 func TestMeasureCSTFlushBlock(t *testing.T) {
 	sim := cache.MustNew(DefaultMeasureCache())
-	total := float64(sim.TotalLines())
+	total := float64(DefaultMeasureCache().Sets * DefaultMeasureCache().Ways)
 	flushes := []uint64{0, 64, 128}
 	cst := MeasureCST(sim, nil, flushes)
 	if cst.After.AO != 0 {

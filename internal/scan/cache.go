@@ -3,7 +3,6 @@ package scan
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -92,26 +91,26 @@ func NewDistCache() *DistCache {
 	}
 }
 
-// blockKey builds a collision-free string key for a normalized
-// instruction sequence: each token is length-prefixed, so no choice of
-// token contents can make two distinct sequences collide.
-func blockKey(seq []string) string {
-	var b strings.Builder
+// appendBlockKey appends the collision-free key of a normalized
+// instruction sequence to dst: each token is length-prefixed, so no
+// choice of token contents can make two distinct sequences collide.
+func appendBlockKey(dst []byte, seq []string) []byte {
 	for _, s := range seq {
-		b.WriteString(strconv.Itoa(len(s)))
-		b.WriteByte(':')
-		b.WriteString(s)
+		dst = strconv.AppendInt(dst, int64(len(s)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, s...)
 	}
-	return b.String()
+	return dst
 }
 
-// intern maps a normalized instruction sequence to a stable dense id,
+// intern maps a block key (appendBlockKey) to a stable dense id,
 // creating one if needed. Equal sequences always receive equal ids;
-// returns noID when the intern table is full.
-func (c *DistCache) intern(seq []string) uint32 {
-	k := blockKey(seq)
+// returns noID when the intern table is full. A hit allocates nothing
+// (the map lookup by string(key) does not copy), so callers reuse one
+// key buffer across blocks; only a new block stores a copy of its key.
+func (c *DistCache) intern(key []byte) uint32 {
 	c.mu.RLock()
-	id, ok := c.ids[k]
+	id, ok := c.ids[string(key)]
 	c.mu.RUnlock()
 	if ok {
 		c.blockHits.Add(1)
@@ -120,14 +119,14 @@ func (c *DistCache) intern(seq []string) uint32 {
 	c.blockMisses.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if id, ok := c.ids[k]; ok {
+	if id, ok := c.ids[string(key)]; ok {
 		return id
 	}
 	if len(c.ids) >= maxInterned {
 		return noID
 	}
 	id = nextInternID(len(c.ids))
-	c.ids[k] = id
+	c.ids[string(key)] = id
 	return id
 }
 

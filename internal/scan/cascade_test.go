@@ -183,6 +183,25 @@ func TestScanZeroAllocWarmPath(t *testing.T) {
 	}
 }
 
+// TestDistCacheInternHitAllocs: interning a block the cache already
+// holds allocates nothing when the caller reuses its key buffer, as
+// Engine.internBlocks does — the lookup by string(key) does not copy.
+func TestDistCacheInternHitAllocs(t *testing.T) {
+	c := NewDistCache()
+	seq := []string{"mov reg, mem", "clflush mem", "rdtscp", "add reg, imm"}
+	key := appendBlockKey(nil, seq)
+	id := c.intern(key)
+	allocs := testing.AllocsPerRun(100, func() {
+		key = appendBlockKey(key[:0], seq)
+		if c.intern(key) != id {
+			t.Fatal("re-interned block got a new id")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("intern hit allocates %.1f times, want 0", allocs)
+	}
+}
+
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
@@ -206,9 +225,9 @@ func TestScanCtxAllocs(t *testing.T) {
 		cfg    Config
 		budget [2]float64 // at 1 and 2 workers
 	}{
-		{"Exact", Config{}, [2]float64{28, 29}},
-		{"Fast", Config{Prune: true}, [2]float64{43, 44}},
-		{"Indexed", Config{Prune: true, Index: true}, [2]float64{39, 39}},
+		{"Exact", Config{}, [2]float64{12, 13}},
+		{"Fast", Config{Prune: true}, [2]float64{27, 28}},
+		{"Indexed", Config{Prune: true, Index: true}, [2]float64{23, 23}},
 	}
 	for _, c := range cases {
 		for w, workers := range []int{1, 2} {

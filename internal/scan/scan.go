@@ -256,8 +256,11 @@ func (e *Engine) Cache() *DistCache { return e.cache }
 
 func (e *Engine) internBlocks(m *model.CSTBBS) []uint32 {
 	ids := make([]uint32, m.Len())
+	var buf [512]byte // one key buffer for every block; most keys fit
+	key := buf[:0]
 	for i, c := range m.Seq {
-		ids[i] = e.cache.intern(c.NormInsns)
+		key = appendBlockKey(key[:0], c.NormInsns)
+		ids[i] = e.cache.intern(key)
 	}
 	return ids
 }

@@ -211,20 +211,23 @@ func TestScanEdgeCases(t *testing.T) {
 	}
 }
 
+// internSeq interns one normalized instruction sequence.
+func internSeq(c *DistCache, seq []string) uint32 { return c.intern(appendBlockKey(nil, seq)) }
+
 func TestDistCache(t *testing.T) {
 	c := NewDistCache()
 	a := []string{"mov reg, mem", "add reg, imm"}
 	b := []string{"mov reg, mem"}
-	ia, ib := c.intern(a), c.intern(b)
+	ia, ib := internSeq(c, a), internSeq(c, b)
 	if ia == ib {
 		t.Fatal("distinct sequences interned to one id")
 	}
-	if again := c.intern(append([]string(nil), a...)); again != ia {
+	if again := internSeq(c, append([]string(nil), a...)); again != ia {
 		t.Error("equal sequence interned to a new id")
 	}
 	// Length-prefixing keeps adversarial token splits apart.
-	x := c.intern([]string{"ab", "c"})
-	y := c.intern([]string{"a", "bc"})
+	x := internSeq(c, []string{"ab", "c"})
+	y := internSeq(c, []string{"a", "bc"})
 	if x == y {
 		t.Error("collision between [ab c] and [a bc]")
 	}

@@ -195,8 +195,9 @@ func pairMemoHash(k uint64) uint64 {
 }
 
 // compare computes the normalized CST-BBS distance of target vs entry
-// ei, mirroring similarity.BBSDistanceAbandon operation-for-operation
-// (same float expressions, same DTW recurrence) but with the
+// ei, mirroring similarity.BBSDistance operation-for-operation (same
+// float expressions, same DTW recurrence, abandoned through
+// dtw.DistanceAbandon once the raw sum passes cutoff·(n+m-1)) but with the
 // Levenshtein term served from the shared cache and every scratch
 // buffer reused from s. A +Inf cutoff yields the exact distance; a
 // finite cutoff may return (lower bound, true) instead.

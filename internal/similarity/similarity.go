@@ -12,12 +12,12 @@
 //     running DTW or Levenshtein. The contract is LowerBound(a,b) ≤
 //     BBSDistance(a,b) for every pair, so an entry whose bound already
 //     exceeds the best distance found so far can be skipped outright.
-//   - BBSDistanceAbandon is BBSDistance with a cutoff: it stops mid-DTW
-//     as soon as the normalized distance provably exceeds the cutoff,
-//     returning a lower bound instead of the exact value.
 //
-// Both primitives are conservative: they may fail to prune, but they
-// never misreport a distance below the true one.
+// The bounds are conservative: they may fail to prune, but they never
+// misreport a distance below the true one. The early-abandoning
+// distance itself lives in the scan engine (internal/scan), which runs
+// BBSDistance's recurrence through dtw.DistanceAbandon over memoized
+// Levenshtein terms.
 package similarity
 
 import (
@@ -113,33 +113,6 @@ func BBSDistance(a, b *model.CSTBBS, opts Options) float64 {
 		return sum // 0 for both empty, +Inf for one empty
 	}
 	return sum / float64(pathLen)
-}
-
-// BBSDistanceAbandon is BBSDistance with early abandoning: when the
-// normalized distance provably exceeds cutoff it stops mid-alignment and
-// returns (bound, true), where bound is a lower bound on the true
-// distance with bound > cutoff. Otherwise it returns the exact
-// BBSDistance value and false. A cutoff of +Inf never abandons.
-//
-// The proof obligation is discharged by scaling: an optimal warping path
-// has at most n+m-1 steps, so a raw DTW sum above cutoff·(n+m-1)
-// normalizes to a distance above cutoff whatever the true path length.
-func BBSDistanceAbandon(a, b *model.CSTBBS, opts Options, cutoff float64) (float64, bool) {
-	opts = opts.withDefaults()
-	n, m := a.Len(), b.Len()
-	switch {
-	case n == 0 && m == 0:
-		return 0, false
-	case n == 0 || m == 0:
-		return math.Inf(1), false
-	}
-	d := func(i, j int) float64 { return DistanceOpts(a.Seq[i], b.Seq[j], opts) }
-	rawCutoff := cutoff * float64(n+m-1)
-	sum, pathLen, abandoned := dtw.DistanceAbandon(n, m, d, dtw.Options{Window: opts.Window}, rawCutoff)
-	if abandoned {
-		return sum / float64(n+m-1), true
-	}
-	return sum / float64(pathLen), false
 }
 
 // Profile caches the per-block scalars the lower-bound cascade

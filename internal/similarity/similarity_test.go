@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cache"
+	"repro/internal/dtw"
 	"repro/internal/model"
 )
 
@@ -272,7 +273,36 @@ func TestLowerBoundNeverExceedsDistance(t *testing.T) {
 	}
 }
 
-// BBSDistanceAbandon with +Inf cutoff is exact; with a finite cutoff it
+// bbsDistanceAbandon is BBSDistance with early abandoning: when the
+// normalized distance provably exceeds cutoff it stops mid-alignment and
+// returns (bound, true), where bound is a lower bound on the true
+// distance with bound > cutoff. Otherwise it returns the exact
+// BBSDistance value and false. A cutoff of +Inf never abandons.
+//
+// It is the reference the scan engine's compare mirrors.
+//
+// The proof obligation is discharged by scaling: an optimal warping path
+// has at most n+m-1 steps, so a raw DTW sum above cutoff·(n+m-1)
+// normalizes to a distance above cutoff whatever the true path length.
+func bbsDistanceAbandon(a, b *model.CSTBBS, opts Options, cutoff float64) (float64, bool) {
+	opts = opts.withDefaults()
+	n, m := a.Len(), b.Len()
+	switch {
+	case n == 0 && m == 0:
+		return 0, false
+	case n == 0 || m == 0:
+		return math.Inf(1), false
+	}
+	d := func(i, j int) float64 { return DistanceOpts(a.Seq[i], b.Seq[j], opts) }
+	rawCutoff := cutoff * float64(n+m-1)
+	sum, pathLen, abandoned := dtw.DistanceAbandon(n, m, d, dtw.Options{Window: opts.Window}, rawCutoff)
+	if abandoned {
+		return sum / float64(n+m-1), true
+	}
+	return sum / float64(pathLen), false
+}
+
+// bbsDistanceAbandon with +Inf cutoff is exact; with a finite cutoff it
 // either returns the exact distance or a valid lower bound above the
 // cutoff.
 func TestBBSDistanceAbandon(t *testing.T) {
@@ -282,7 +312,7 @@ func TestBBSDistanceAbandon(t *testing.T) {
 		opts := DefaultOptions()
 		exact := BBSDistance(a, b, opts)
 
-		d, ab := BBSDistanceAbandon(a, b, opts, math.Inf(1))
+		d, ab := bbsDistanceAbandon(a, b, opts, math.Inf(1))
 		if ab || d != exact && !(math.IsInf(d, 1) && math.IsInf(exact, 1)) {
 			t.Logf("seed=%d: inf cutoff gave (%v,%v), exact %v", seed, d, ab, exact)
 			return false
@@ -291,7 +321,7 @@ func TestBBSDistanceAbandon(t *testing.T) {
 			return true
 		}
 		cutoff := exact * rng.Float64() * 1.5
-		d, ab = BBSDistanceAbandon(a, b, opts, cutoff)
+		d, ab = bbsDistanceAbandon(a, b, opts, cutoff)
 		if ab {
 			return exact > cutoff && d > cutoff && d <= exact
 		}

@@ -130,12 +130,14 @@ const (
 	// BreakerCloses counts half-open→closed transitions: a probe
 	// succeeded and the backend was re-admitted to scans.
 	BreakerCloses
-	// VCacheHits counts repository scans served from the verdict result
-	// cache (internal/vcache) without running any comparison — the
-	// memoized whole-scan outcome was reused.
+	// VCacheHits counts lookups served from the verdict result cache
+	// (internal/vcache) without running any comparison — the memoized
+	// outcome was reused. Program keys and model keys both count here.
 	VCacheHits
-	// VCacheMisses counts result-cache lookups that had to run the scan
-	// (including lookups bypassed by an injected vcache.lookup fault).
+	// VCacheMisses counts result-cache lookups that had to compute
+	// (including lookups bypassed by an injected vcache.lookup fault). A
+	// program that misses its program key and is then scanned counts
+	// twice: once per key kind.
 	VCacheMisses
 	// VCacheEvictions counts result-cache entries dropped by the LRU
 	// bound to make room for newer outcomes.
@@ -144,6 +146,10 @@ const (
 	// another caller's in-flight computation (singleflight): each
 	// increment is one scan that waited instead of recomputing.
 	VCacheCollapsed
+	// VCacheProgramHits counts the vcache_hits and vcache_collapsed
+	// lookups that were program keys: classifications answered before
+	// modeling, which skipped the simulator as well as the scan.
+	VCacheProgramHits
 	// ServeRequests counts classification requests admitted by the
 	// detection server (internal/serve): unary and batch /v1/classify
 	// calls and /v1/classify/stream connections, after admission
@@ -210,6 +216,7 @@ var counterNames = [numCounters]string{
 	VCacheMisses:                 "vcache_misses",
 	VCacheEvictions:              "vcache_evictions",
 	VCacheCollapsed:              "vcache_collapsed",
+	VCacheProgramHits:            "vcache_program_hits",
 	ServeRequests:                "serve_requests",
 	ServeRejected:                "serve_rejected",
 	ServeReloads:                 "serve_reloads",

@@ -17,7 +17,6 @@ package trigger
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/exec"
 	"repro/internal/isa"
@@ -177,24 +176,4 @@ func mutateInput(v uint64, rng *rand.Rand) uint64 {
 	default: // fresh random word
 		return rng.Uint64()
 	}
-}
-
-// CoverageOf reports the block coverage of a single input, for
-// before/after comparisons in evaluations.
-func (e *Explorer) CoverageOf(prog, victim *isa.Program, input uint64) (int, error) {
-	tr, err := e.run(prog, victim, input)
-	if err != nil {
-		return 0, err
-	}
-	return len(coverage(tr)), nil
-}
-
-// SortedCovered returns the covered addresses in order (for tests).
-func (r *Result) SortedCovered() []uint64 {
-	out := make([]uint64, 0, len(r.Covered))
-	for a := range r.Covered {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

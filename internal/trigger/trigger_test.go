@@ -6,6 +6,7 @@ import (
 	"repro/internal/attacks"
 	"repro/internal/cache"
 	"repro/internal/detect"
+	"repro/internal/isa"
 	"repro/internal/model"
 )
 
@@ -52,11 +53,11 @@ func TestDisguisedAttackHidesByDefault(t *testing.T) {
 	poc := disguisedFR(t)
 	e := NewExplorer()
 
-	covWrong, err := e.CoverageOf(poc.Program, poc.Victim, 0)
+	covWrong, err := coverageOf(e, poc.Program, poc.Victim, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	covRight, err := e.CoverageOf(poc.Program, poc.Victim, testMagic)
+	covRight, err := coverageOf(e, poc.Program, poc.Victim, testMagic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestExplorerBudgetRespected(t *testing.T) {
 	if res.BestTrace == nil {
 		t.Error("best trace must always be set")
 	}
-	if len(res.SortedCovered()) == 0 {
+	if len(res.Covered) == 0 {
 		t.Error("coverage must not be empty")
 	}
 }
@@ -167,4 +168,14 @@ func detectorForTest(t *testing.T) *detect.Detector {
 	}
 	cachedDetector = detect.NewDetector(repo)
 	return cachedDetector
+}
+
+// coverageOf reports the block coverage of a single input, for
+// before/after comparisons in evaluations.
+func coverageOf(e *Explorer, prog, victim *isa.Program, input uint64) (int, error) {
+	tr, err := e.run(prog, victim, input)
+	if err != nil {
+		return 0, err
+	}
+	return len(coverage(tr)), nil
 }
