@@ -84,15 +84,17 @@ bench-check:
 # allocations per full repository pass, and so must a DistCache intern
 # hit; one whole warm ScanCtx call, one model build (CFG, simulation,
 # modeling) and one warm ClassifyBBSCtx over a 500-entry repository
-# must stay within their pinned allocation budgets, and a warm engine
-# reuse must not copy the repository (testing.AllocsPerRun; see
-# docs/PERFORMANCE.md "Allocation-free scan kernel", "One target per
-# scan", the two "Front of pipeline" sections and "Repeated programs
-# skip modeling").
+# must stay within their pinned allocation budgets, and so must one
+# streamed window.Watch of a PoC; a warm engine reuse must not copy the
+# repository (testing.AllocsPerRun; see docs/PERFORMANCE.md
+# "Allocation-free scan kernel", "One target per scan", the two "Front
+# of pipeline" sections, "Repeated programs skip modeling" and "Watch
+# streams its events").
 alloc-check:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestScanZeroAllocWarmPath|TestScanCtxAllocs|TestDistCacheInternHitAllocs' -v ./internal/scan
 	$(GO) test -timeout $(TEST_TIMEOUT) -run TestModelBuildAllocs -v ./internal/model
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestClassifyBBSCtxAllocs|TestEngineReuseCopiesNothing' -v ./internal/detect
+	$(GO) test -timeout $(TEST_TIMEOUT) -run TestWatchAllocs -v ./internal/window
 
 # Cache-hit smoke: the differential + all-hits repeat-pass tests across
 # the detector (program and model keys), the streaming pipeline and the
@@ -155,10 +157,11 @@ docs-check:
 # best match bit-equals the flat engine's on random repositories) and
 # the front of the pipeline (mutated PoCs through simulation and
 # modeling: deterministic models, exact verdicts equal to the serial
-# oracle, -fast best equal to exact) and Algorithm 1's path graph
+# oracle, -fast best equal to exact), Algorithm 1's path graph
 # (PathGraph equal to the per-pair reference enumeration, so the
-# pruning of dead-end walks never drops a path), plus the checked-in
-# seed corpora. Crashers land in the package's testdata/fuzz/ as
+# pruning of dead-end walks never drops a path) and the online path
+# (mutated PoCs streamed through window.Watch give the verdicts of
+# replaying their recorded event log), plus the checked-in seed corpora. Crashers land in the package's testdata/fuzz/ as
 # regression inputs.
 fuzz-short:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/isa
@@ -166,6 +169,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzIndexDescend -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/scan
 	$(GO) test -fuzz=FuzzPipeline -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/detect
 	$(GO) test -fuzz=FuzzPathGraph -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/graph
+	$(GO) test -fuzz=FuzzWatch -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/window
 
 # Fault-injection suite under the race detector: panic isolation,
 # cancellation promptness and leak freedom across the scan engine, the

@@ -699,9 +699,9 @@ func cmdServe(args []string) error {
 }
 
 // cmdWatch runs the online sliding-window detector over a live run of
-// the target: the program executes on a fresh machine with event
-// recording on, and one verdict line prints per time window as the
-// replay crosses window boundaries — so an in-flight attack is flagged
+// the target: the program executes on a fresh machine whose events
+// stream into the detector, and one verdict line prints per time window
+// as the run crosses window boundaries — so an in-flight attack is flagged
 // mid-trace, before the run ends. The final summary reports the
 // aggregate verdict and the latency-to-detection metric. See
 // docs/WINDOWING.md.

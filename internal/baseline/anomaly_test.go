@@ -52,7 +52,7 @@ func TestAnomalyOnRealTraces(t *testing.T) {
 				kind, tmpl = benign.KindServer, "openssl-hmac"
 			}
 			p := benign.MustGenerate(benign.Spec{Kind: kind, Template: tmpl, Seed: seed})
-			tr, err := Collect(p, nil, 300_000)
+			tr, err := collect(p, nil, 300_000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestAnomalyOnRealTraces(t *testing.T) {
 	detected := 0
 	pocs := attacks.All(attacks.DefaultParams())
 	for _, poc := range pocs {
-		tr, err := Collect(poc.Program, poc.Victim, 300_000)
+		tr, err := collect(poc.Program, poc.Victim, 300_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestAnomalyOnRealTraces(t *testing.T) {
 	total := 0
 	for seed := int64(50); seed < 56; seed++ {
 		p := benign.MustGenerate(benign.Spec{Kind: benign.KindLeetcode, Template: "bubble-sort", Seed: seed})
-		tr, err := Collect(p, nil, 300_000)
+		tr, err := collect(p, nil, 300_000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,9 +12,26 @@ import (
 	"repro/internal/mutate"
 )
 
+// collect runs a program (with an optional victim) and returns its
+// trace for feature extraction, with the set trace SCADET reads and the
+// window samples WindowFeatures reads. maxRetired caps runaway programs.
+func collect(prog, victim *isa.Program, maxRetired uint64) (*exec.Trace, error) {
+	cfg := exec.DefaultConfig()
+	cfg.MaxSetTrace = exec.DefaultMaxSetTrace
+	cfg.WindowWidth = exec.DefaultWindowWidth
+	if maxRetired > 0 {
+		cfg.MaxRetired = maxRetired
+	}
+	m, err := exec.NewMachine(cfg, prog, victim)
+	if err != nil {
+		return nil, err
+	}
+	return m.Run(), nil
+}
+
 func trace(t *testing.T, prog, victim *isa.Program) *exec.Trace {
 	t.Helper()
-	tr, err := Collect(prog, victim, 300_000)
+	tr, err := collect(prog, victim, 300_000)
 	if err != nil {
 		t.Fatal(err)
 	}

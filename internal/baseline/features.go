@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/hpc"
-	"repro/internal/isa"
 )
 
 // nwEvents is the counter subset the NIGHTs-WATCH detectors sample in
@@ -37,22 +36,6 @@ var nwEvents = [...]hpc.Event{
 // NIGHTs-WATCH-style classifiers: mean and max of each sampled counter
 // across sampling windows, plus the window count and total cycles.
 const FeatureDim = len(nwEvents)*2 + 2
-
-// Collect runs a program (with an optional victim) and returns its trace
-// for feature extraction. The budget caps runaway programs.
-func Collect(prog, victim *isa.Program, maxRetired uint64) (*exec.Trace, error) {
-	cfg := exec.DefaultConfig()
-	cfg.MaxSetTrace = exec.DefaultMaxSetTrace // SCADET reads the set trace
-	cfg.WindowWidth = exec.DefaultWindowWidth // WindowFeatures reads the windows
-	if maxRetired > 0 {
-		cfg.MaxRetired = maxRetired
-	}
-	m, err := exec.NewMachine(cfg, prog, victim)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run(), nil
-}
 
 // WindowFeatures summarizes a trace's windowed HPC samples into a fixed
 // vector: per sampled NIGHTs-WATCH counter the mean and max of the

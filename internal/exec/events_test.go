@@ -7,6 +7,7 @@ package exec_test
 // full PoC corpus plus a benign program.
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -177,4 +178,118 @@ func hpcValueByAddr(b *hpc.Bank) map[uint64]uint64 {
 		}
 	}
 	return out
+}
+
+// TestTraceBuilderReset: one builder Reset between the windows of a
+// recorded log must rebuild each window exactly as a fresh builder
+// does — same records, same HPC bank, same retire count — although it
+// keeps the slot assignment and storage of every earlier window.
+func TestTraceBuilderReset(t *testing.T) {
+	const width = 4096
+	for name, pair := range eventCases(t) {
+		t.Run(name, func(t *testing.T) {
+			evs := recordedRun(t, pair[0], pair[1]).Events
+			reused := exec.NewTraceBuilder()
+			windows := 0
+			for lo := 0; lo < len(evs); windows++ {
+				end := (evs[lo].Cycle/width + 1) * width
+				hi := lo
+				for hi < len(evs) && evs[hi].Cycle < end {
+					hi++
+				}
+				fresh := exec.NewTraceBuilder()
+				reused.Reset()
+				for _, ev := range evs[lo:hi] {
+					fresh.Apply(ev)
+					reused.Apply(ev)
+				}
+				want, got := fresh.Trace(end), reused.Trace(end)
+				if !reflect.DeepEqual(got.ByAddr, want.ByAddr) {
+					t.Fatalf("window ending %d: ByAddr differs from a fresh builder's", end)
+				}
+				if !reflect.DeepEqual(got.Bank, want.Bank) {
+					t.Fatalf("window ending %d: HPC bank differs from a fresh builder's", end)
+				}
+				if got.Retired != want.Retired || got.Cycles != want.Cycles {
+					t.Fatalf("window ending %d: retired/cycles %d/%d, fresh %d/%d", end, got.Retired, got.Cycles, want.Retired, want.Cycles)
+				}
+				lo = hi
+			}
+			if windows < 2 {
+				t.Fatalf("only %d windows: nothing was reset", windows)
+			}
+		})
+	}
+}
+
+// TestRunEventsStreams: RunEvents hands the sink exactly the events a
+// recording run logs, keeps no log of its own (whatever RecordEvents
+// says) and leaves the rest of the trace as Run does.
+func TestRunEventsStreams(t *testing.T) {
+	for name, pair := range eventCases(t) {
+		t.Run(name, func(t *testing.T) {
+			want := recordedRun(t, pair[0], pair[1])
+			cfg := exec.DefaultConfig()
+			cfg.RecordEvents = true
+			cfg.MaxEvents = 1 // the cap bounds logs, not streams
+			m, err := exec.NewMachine(cfg, pair[0], pair[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []exec.Event
+			tr, err := m.RunEvents(func(ev exec.Event) error {
+				got = append(got, ev)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want.Events) {
+				t.Fatalf("sink saw %d events, the log holds %d", len(got), len(want.Events))
+			}
+			if tr.Events != nil || tr.EventsTruncated {
+				t.Fatalf("streamed run kept a log: %d events, truncated %v", len(tr.Events), tr.EventsTruncated)
+			}
+			if tr.Retired != want.Retired || tr.Cycles != want.Cycles || !tr.Halted || !reflect.DeepEqual(tr.ByAddr, want.ByAddr) {
+				t.Fatal("streamed run's trace differs from the recorded run's")
+			}
+		})
+	}
+}
+
+// TestRunEventsStopsOnSinkError: once the sink fails, it sees no
+// further event, the run stops at the next step boundary, and RunEvents
+// returns the sink's error.
+func TestRunEventsStopsOnSinkError(t *testing.T) {
+	poc := attacks.FlushReloadIAIK(attacks.DefaultParams())
+	full, err := exec.NewMachine(exec.DefaultConfig(), poc.Program, poc.Victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullTr := full.Run()
+	m, err := exec.NewMachine(exec.DefaultConfig(), poc.Program, poc.Victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	const at = 100
+	calls := 0
+	tr, err := m.RunEvents(func(exec.Event) error {
+		calls++
+		if calls >= at {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) {
+		t.Fatalf("RunEvents returned %v, want the sink's error", err)
+	}
+	if calls != at {
+		t.Fatalf("sink called %d times, want %d", calls, at)
+	}
+	// Every retired instruction emits at least one event, so a run that
+	// stopped within a step of the 100th event retired at most 100.
+	if tr.Halted || tr.Retired > at || tr.Retired >= fullTr.Retired {
+		t.Fatalf("run went on after the sink failed: retired %d of %d, halted %v", tr.Retired, fullTr.Retired, tr.Halted)
+	}
 }

@@ -6,7 +6,9 @@
 // speculative window (enough for Spectre v1 transient leakage), and
 // produces a Trace: HPC events attributed per instruction address,
 // accessed/flushed cache lines per instruction, first-execution
-// timestamps, a chronological cache-set trace and windowed HPC samples.
+// timestamps and, on request, a chronological cache-set trace, windowed
+// HPC samples and the chronological event log — or, through RunEvents,
+// those events handed to a caller's sink as they happen.
 package exec
 
 import (
@@ -40,11 +42,14 @@ type Config struct {
 	// consumer).
 	MaxSetTrace int
 	// RecordEvents enables the chronological event log (Trace.Events),
-	// the replayable record the sliding-window detector consumes. Off by
-	// default: the log costs memory proportional to trace activity.
+	// the replayable record window.Replay consumes. Off by default: the
+	// log costs memory proportional to trace activity. A consumer that
+	// needs each event only once takes them from Machine.RunEvents
+	// instead, which keeps no log.
 	RecordEvents bool
 	// MaxEvents caps the event log length (0 = DefaultMaxEvents). On
-	// overflow recording stops and Trace.EventsTruncated is set.
+	// overflow recording stops and Trace.EventsTruncated is set. It
+	// does not apply to RunEvents.
 	MaxEvents int
 	// PredictorSize is the direction-predictor table size.
 	PredictorSize int
@@ -332,10 +337,27 @@ func (m *Machine) RegisterOfMonitored(r isa.Reg) uint64 {
 
 // Run interleaves the processes round-robin until the monitored process
 // halts or its retired-instruction budget is exhausted, then returns the
-// trace. Run may be called once per Machine.
+// trace. Run or RunEvents may be called once per Machine.
 func (m *Machine) Run() *Trace {
+	m.run()
+	return m.trace
+}
+
+// RunEvents runs the machine like Run, but hands every event of the
+// monitored process to sink as it happens instead of logging it: the
+// returned trace has no Events whatever Config.RecordEvents says, and
+// MaxEvents does not apply. Once sink returns an error, no further
+// event is delivered and the run stops at the next step boundary; the
+// error is returned with the trace as it stood then.
+func (m *Machine) RunEvents(sink func(Event) error) (*Trace, error) {
+	m.trace.setSink(sink)
+	m.run()
+	return m.trace, m.trace.sinkErr
+}
+
+func (m *Machine) run() {
 	mon := m.procs[0]
-	for !mon.halted && mon.retired < m.cfg.MaxRetired {
+	for !m.done() {
 		progress := false
 		for i, p := range m.procs {
 			if p.halted {
@@ -344,11 +366,11 @@ func (m *Machine) Run() *Trace {
 			for q := 0; q < m.cfg.Quantum && !p.halted; q++ {
 				m.step(p, i == 0)
 				progress = true
-				if i == 0 && (p.halted || p.retired >= m.cfg.MaxRetired) {
+				if i == 0 && m.done() {
 					break
 				}
 			}
-			if mon.halted || mon.retired >= m.cfg.MaxRetired {
+			if m.done() {
 				break
 			}
 		}
@@ -358,7 +380,13 @@ func (m *Machine) Run() *Trace {
 	}
 	m.trace.Halted = mon.halted
 	m.trace.finish(m.cycles)
-	return m.trace
+}
+
+// done reports whether the monitored process halted, exhausted its
+// retired-instruction budget or had its event sink fail.
+func (m *Machine) done() bool {
+	mon := m.procs[0]
+	return mon.halted || mon.retired >= m.cfg.MaxRetired || m.trace.sinkErr != nil
 }
 
 // fireAccessEvents converts one cache access result into HPC events

@@ -66,8 +66,9 @@ const (
 )
 
 // Event is one entry of the chronological event log recorded when
-// Config.RecordEvents is set. Replaying a prefix (or any cycle slice) of
-// the log through a TraceBuilder reconstructs the Trace state the
+// Config.RecordEvents is set, or one event handed to a Machine.RunEvents
+// sink. Replaying a prefix (or any cycle slice) of the events through a
+// TraceBuilder reconstructs the Trace state the
 // modeling pipeline would have seen at that point — the mechanism the
 // sliding-window detector (internal/window) uses to model mid-trace.
 //
@@ -95,8 +96,9 @@ type Trace struct {
 	Windows  []WindowSample // recorded only with Config.WindowWidth > 0
 
 	// Events is the chronological event log, populated only when the
-	// machine ran with Config.RecordEvents. See Event for the ordering
-	// contract.
+	// machine ran with Config.RecordEvents (a Machine.RunEvents run hands
+	// its events to the caller's sink and keeps no log). See Event for
+	// the ordering contract.
 	Events []Event
 	// EventsTruncated reports that the log hit Config.MaxEvents and
 	// stopped recording; a truncated log must not be replayed as if it
@@ -111,14 +113,19 @@ type Trace struct {
 
 	// The per-instruction state accumulates in slot-indexed slices while
 	// the trace is recorded: pcs[s] is the address of slot s and st[s]
-	// its state. materialize turns them into ByAddr and Bank once.
+	// its state. fill turns them into ByAddr and Bank.
 	pcs    []uint64
 	st     []slotState
 	global hpc.Counts
 
-	maxSetTrace  int
-	curWindow    WindowSample
+	maxSetTrace int
+	curWindow   WindowSample
+	// recordEvents turns the event hooks on; sink then receives every
+	// event until it returns an error, which sinkErr keeps and which
+	// stops the run at the next step boundary.
 	recordEvents bool
+	sink         func(Event) error
+	sinkErr      error
 	maxEvents    int
 }
 
@@ -135,28 +142,50 @@ type slotState struct {
 
 // newTrace builds an empty trace over the instruction addresses pcs
 // (slot s is pcs[s]) with the given sampling parameters; a zero
-// windowWidth records no window samples.
+// windowWidth records no window samples, and a recordEvents trace logs
+// its events into Events, capped at maxEvents.
 func newTrace(pcs []uint64, windowWidth uint64, maxSetTrace int, recordEvents bool, maxEvents int) *Trace {
-	return &Trace{
-		pcs:          pcs,
-		st:           make([]slotState, len(pcs)),
-		WindowWidth:  windowWidth,
-		maxSetTrace:  maxSetTrace,
-		recordEvents: recordEvents,
-		maxEvents:    maxEvents,
+	t := &Trace{
+		pcs:         pcs,
+		st:          make([]slotState, len(pcs)),
+		WindowWidth: windowWidth,
+		maxSetTrace: maxSetTrace,
+		maxEvents:   maxEvents,
 	}
+	if recordEvents {
+		t.setSink(t.appendEvent)
+	}
+	return t
 }
 
-// event appends one entry to the chronological log, honouring the cap.
+// setSink turns the event hooks on and routes every event to sink.
+func (t *Trace) setSink(sink func(Event) error) {
+	t.recordEvents = true
+	t.sink = sink
+}
+
+// event hands one entry to the sink; after the sink has failed once,
+// nothing more is delivered.
 func (t *Trace) event(kind EventKind, cycle uint64, s int32, line uint64, e hpc.Event) {
-	if !t.recordEvents || t.EventsTruncated {
+	if !t.recordEvents || t.sinkErr != nil {
 		return
+	}
+	t.sinkErr = t.sink(Event{Kind: kind, Cycle: cycle, PC: t.pcs[s], Line: line, HPC: e})
+}
+
+// appendEvent is the Config.RecordEvents sink: it appends to the log
+// until the cap, then flags the log truncated and drops the rest
+// without stopping the run.
+func (t *Trace) appendEvent(ev Event) error {
+	if t.EventsTruncated {
+		return nil
 	}
 	if t.maxEvents > 0 && len(t.Events) >= t.maxEvents {
 		t.EventsTruncated = true
-		return
+		return nil
 	}
-	t.Events = append(t.Events, Event{Kind: kind, Cycle: cycle, PC: t.pcs[s], Line: line, HPC: e})
+	t.Events = append(t.Events, ev)
+	return nil
 }
 
 // touch returns slot s's state, creating its record at cycle.
@@ -231,20 +260,18 @@ func (t *Trace) tickWindows(cycle uint64) {
 }
 
 // finish flushes the trailing partial window (if any is recorded) and
-// materializes the per-address views.
+// builds the per-address views.
 func (t *Trace) finish(cycle uint64) {
 	t.Cycles = cycle
 	if t.curWindow.Counts.Total() > 0 {
 		t.Windows = append(t.Windows, t.curWindow)
 	}
-	t.materialize()
+	t.fill(t.makeMaps())
 }
 
-// materialize builds ByAddr and Bank from the slot state. Both point
-// into the slot slice rather than copying it: a record exists for every
-// slot that retired or touched a line, a bank entry for every slot with
-// at least one event.
-func (t *Trace) materialize() {
+// makeMaps makes ByAddr and returns a bank map, both sized to the live
+// slots.
+func (t *Trace) makeMaps() map[uint64]*hpc.Counts {
 	recs, banked := 0, 0
 	for i := range t.st {
 		if t.st[i].live {
@@ -255,7 +282,14 @@ func (t *Trace) materialize() {
 		}
 	}
 	t.ByAddr = make(map[uint64]*AddrRecord, recs)
-	byAddr := make(map[uint64]*hpc.Counts, banked)
+	return make(map[uint64]*hpc.Counts, banked)
+}
+
+// fill points the (empty) ByAddr and byAddr maps into the slot slice
+// rather than copying it — a record for every slot that retired or
+// touched a line, a bank entry for every slot with at least one event —
+// and makes Bank over byAddr.
+func (t *Trace) fill(byAddr map[uint64]*hpc.Counts) {
 	for i := range t.st {
 		st := &t.st[i]
 		if st.live {
@@ -282,13 +316,14 @@ func (t *Trace) Addrs() []uint64 {
 // log through the same hooks the machine drives, so the rebuilt
 // Bank/ByAddr state is bit-identical to what a live run restricted to
 // those events would have produced. The sliding-window detector feeds
-// it the events of one window to obtain a modellable per-window trace.
+// it the events of one window to obtain a modellable per-window trace,
+// and Resets one builder between windows.
 //
 // The rebuilt trace covers exactly what the modeling pipeline
 // (model.BuildFromTrace) consumes: the HPC bank, the per-address
-// records and the cycle count. SetTrace, Windows and the
-// Retired/Transient totals of the original run are NOT reconstructed —
-// they feed the baselines, not CST-BBS modeling.
+// records, the retire count and the cycle count. SetTrace, Windows and
+// the Transient total of the original run are NOT reconstructed — they
+// feed the baselines, not CST-BBS modeling.
 type TraceBuilder struct {
 	t *Trace
 	// slotOf assigns slots to addresses in first-seen order; lastPC and
@@ -297,11 +332,27 @@ type TraceBuilder struct {
 	slotOf   map[uint64]int32
 	lastPC   uint64
 	lastSlot int32
+	// bank is the per-address map of the previous Trace's HPC bank,
+	// refilled by the next one.
+	bank map[uint64]*hpc.Counts
 }
 
 // NewTraceBuilder returns an empty builder.
 func NewTraceBuilder() *TraceBuilder {
 	return &TraceBuilder{t: newTrace(nil, 0, 0, false, 0), slotOf: make(map[uint64]int32), lastSlot: -1}
+}
+
+// Reset empties the builder for the next slice of the log. It keeps the
+// address-to-slot assignment and the storage of the slots and of the
+// ByAddr and bank maps, so a builder replaying many windows of one
+// program allocates only the per-record line sets once every address
+// has been seen. The Trace returned by the previous Trace call is
+// invalid after Reset.
+func (b *TraceBuilder) Reset() {
+	t := b.t
+	clear(t.st)
+	t.global = hpc.Counts{}
+	t.Retired, t.Cycles = 0, 0
 }
 
 // slot resolves pc to its slot, adding one on first sight.
@@ -336,10 +387,18 @@ func (b *TraceBuilder) Apply(ev Event) {
 }
 
 // Trace finalizes and returns the reconstructed trace. cycles becomes
-// Trace.Cycles (use the end of the replayed interval). The builder must
-// not be reused afterwards.
+// Trace.Cycles (use the end of the replayed interval). The trace is the
+// builder's own: it stays valid until the next Reset, and nothing may
+// be applied before that Reset.
 func (b *TraceBuilder) Trace(cycles uint64) *Trace {
-	b.t.Cycles = cycles
-	b.t.materialize()
-	return b.t
+	t := b.t
+	t.Cycles = cycles
+	if b.bank == nil {
+		b.bank = t.makeMaps()
+	} else {
+		clear(t.ByAddr)
+		clear(b.bank)
+	}
+	t.fill(b.bank)
+	return t
 }

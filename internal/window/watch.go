@@ -37,18 +37,25 @@ func Replay(ctx context.Context, det *detect.Detector, prog *isa.Program, llc ca
 	return d.Finish(ctx)
 }
 
-// Watch runs prog (with an optional victim) on a fresh machine with
-// event recording enabled, then replays the log through a windowed
-// detector — the one-call path behind `scaguard watch`. execCfg's
-// RecordEvents is forced on (the replay reads only the event log).
-// Verdicts stream through emit as the replay crosses window boundaries,
-// exactly as they would have during a live run.
+// Watch runs prog (with an optional victim) on a fresh machine and
+// streams its events straight into a windowed detector — the one-call
+// path behind `scaguard watch`. Verdicts go to emit as the run crosses
+// window boundaries, while the program is still running. No event log
+// is kept, so memory is bounded by one window rather than by the run,
+// and execCfg's RecordEvents and MaxEvents do not apply. The verdicts
+// and the outcome are those of Replay over the recorded log of the same
+// run. A cancelled ctx stops the simulation at the next window boundary.
 func Watch(ctx context.Context, det *detect.Detector, prog, victim *isa.Program, execCfg exec.Config, cfg Config, emit func(Verdict)) (Outcome, error) {
-	execCfg.RecordEvents = true
 	m, err := exec.NewMachine(execCfg, prog, victim)
 	if err != nil {
 		return Outcome{}, err
 	}
-	tr := m.Run()
-	return Replay(ctx, det, prog, m.Hierarchy().LLC().Config(), tr, cfg, emit)
+	d, err := New(det, prog, m.Hierarchy().LLC().Config(), cfg, emit)
+	if err != nil {
+		return Outcome{}, err
+	}
+	if _, err := m.RunEvents(func(ev exec.Event) error { return d.Feed(ctx, ev) }); err != nil {
+		return d.Outcome(), err
+	}
+	return d.Finish(ctx)
 }

@@ -1,7 +1,8 @@
 // Package window implements online sliding-window detection over live
 // execution traces. Where the post-hoc pipeline models a *finished*
 // trace and classifies it once, this package consumes the chronological
-// event log (exec.Event) incrementally, maintains a CST-BBS model per
+// events (exec.Event) incrementally — streamed from a running machine by
+// Watch, or from a recorded log by Replay — maintains a CST-BBS model per
 // time window via the incremental builder (model.WindowBuilder), and
 // pushes every window through the unchanged detector seam
 // (detect.ClassifyBBSCtx) — so verdicts stream out mid-trace with full
@@ -176,13 +177,14 @@ func (o Outcome) LatencyToDetection() (uint64, bool) {
 }
 
 // Detector is the online sliding-window detector for one monitored
-// program. Feed it the program's event log in order; verdicts stream
+// program. Feed it the program's events in order; verdicts stream
 // out through the emit callback as windows close. Not safe for
 // concurrent use — a trace is inherently sequential.
 type Detector struct {
 	cfg  Config
 	det  *detect.Detector
 	wb   *model.WindowBuilder
+	tb   *exec.TraceBuilder // rebuilds each window's trace, Reset between windows
 	name string
 	emit func(Verdict)
 
@@ -218,6 +220,7 @@ func New(det *detect.Detector, prog *isa.Program, llc cache.Config, cfg Config, 
 		cfg:  cfg,
 		det:  det,
 		wb:   wb,
+		tb:   exec.NewTraceBuilder(),
 		name: prog.Name,
 		emit: emit,
 		out:  Outcome{Final: detect.BenignResult(), FinalWindow: -1},
@@ -227,7 +230,8 @@ func New(det *detect.Detector, prog *isa.Program, llc cache.Config, cfg Config, 
 // Feed consumes one event of the log. Events must arrive in log order;
 // a decreasing cycle violates the exec ordering contract and poisons
 // the stream (the error is sticky). Windows that close before the
-// event's cycle are emitted inline.
+// event's cycle are emitted inline; a cancelled ctx is returned, sticky
+// too, when the next window would close, and nothing more is emitted.
 func (d *Detector) Feed(ctx context.Context, ev exec.Event) error {
 	if d.err != nil {
 		return d.err
@@ -275,6 +279,9 @@ func (d *Detector) Outcome() Outcome { return d.out }
 // closeWindow emits the verdict for [cur, cur+Size) and advances by one
 // stride, trimming buffered events that fall before the new start.
 func (d *Detector) closeWindow(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	start, end := d.cur, d.cur+d.cfg.Size
 	// All buffered events are >= start (trimmed on advance) and < end
 	// (Feed closes windows before buffering a later event).
@@ -303,11 +310,13 @@ func (d *Detector) classify(ctx context.Context, start, end uint64) Verdict {
 	v := Verdict{Start: start, End: end, Events: len(d.buf), Result: detect.BenignResult()}
 	tel := d.cfg.Telemetry
 	t0 := tel.Now()
-	tb := exec.NewTraceBuilder()
+	d.tb.Reset()
 	for _, ev := range d.buf {
-		tb.Apply(ev)
+		d.tb.Apply(ev)
 	}
-	m, err := d.wb.Build(ctx, tb.Trace(end))
+	// The model copies what it keeps out of the trace, so the builder's
+	// storage is free for the next window once Build returns.
+	m, err := d.wb.Build(ctx, d.tb.Trace(end))
 	tel.ObserveSince(telemetry.StageWindowModel, t0)
 	if err != nil {
 		v.Err = fmt.Errorf("window: modeling [%d,%d): %w", start, end, err)

@@ -326,7 +326,7 @@ type (
 func NewDetectionServer(cfg ServeConfig) *DetectionServer { return serve.New(cfg) }
 
 // Online sliding-window detection (internal/window): instead of
-// modeling a finished trace once, consume its event log incrementally,
+// modeling a finished trace once, consume its events as they happen,
 // model each time window with the incremental CST-BBS builder, and
 // classify every window through the unchanged detector seam — verdicts
 // stream out mid-trace, so an in-flight attack is flagged before the
@@ -345,9 +345,9 @@ const (
 )
 
 // Watch runs prog (with an optional victim) on a fresh default machine
-// with event recording enabled and replays the log through an online
-// sliding-window detector. emit receives one verdict per window, in
-// stream order, exactly as a live deployment would have seen them; the
+// and streams its events into an online sliding-window detector while
+// it runs; no event log is kept. emit receives one verdict per window,
+// in stream order, as each window closes during the run; the
 // returned outcome carries the aggregate verdict and the
 // latency-to-detection metric.
 func Watch(ctx context.Context, det *Detector, prog, victim *Program, cfg WindowConfig, emit func(WindowVerdict)) (WindowOutcome, error) {
