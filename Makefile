@@ -82,16 +82,18 @@ bench-check:
 
 # The warm scan path — exact and pruned (-fast) — must perform zero
 # allocations per full repository pass, and so must a DistCache intern
-# hit; one whole warm ScanCtx call, one model build (CFG, simulation,
-# modeling) and one warm ClassifyBBSCtx over a 500-entry repository
-# must stay within their pinned allocation budgets, and so must one
-# streamed window.Watch of a PoC; a warm engine reuse must not copy the
-# repository (testing.AllocsPerRun; see docs/PERFORMANCE.md
-# "Allocation-free scan kernel", "One target per scan", the two "Front
-# of pipeline" sections, "Repeated programs skip modeling" and "Watch
-# streams its events").
+# hit; one whole warm ScanCtx call, one simulation (NewMachine + Run),
+# one model build (CFG, simulation, modeling) and one warm
+# ClassifyBBSCtx over a 500-entry repository must stay within their
+# pinned allocation budgets, and so must one streamed window.Watch of a
+# PoC; a warm engine reuse must not copy the repository
+# (testing.AllocsPerRun; see docs/PERFORMANCE.md "Allocation-free scan
+# kernel", "One target per scan", the two "Front of pipeline" sections,
+# "Repeated programs skip modeling", "Watch streams its events" and
+# "One trace layout").
 alloc-check:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestScanZeroAllocWarmPath|TestScanCtxAllocs|TestDistCacheInternHitAllocs' -v ./internal/scan
+	$(GO) test -timeout $(TEST_TIMEOUT) -run TestRunAllocs -v ./internal/exec
 	$(GO) test -timeout $(TEST_TIMEOUT) -run TestModelBuildAllocs -v ./internal/model
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestClassifyBBSCtxAllocs|TestEngineReuseCopiesNothing' -v ./internal/detect
 	$(GO) test -timeout $(TEST_TIMEOUT) -run TestWatchAllocs -v ./internal/window

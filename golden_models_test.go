@@ -104,7 +104,7 @@ func windowModels(t *testing.T) []modelTarget {
 	var out []modelTarget
 	for start := uint64(0); start < tr.Cycles; start += window.DefaultStride {
 		end := start + window.DefaultSize
-		tb := exec.NewTraceBuilder()
+		tb := exec.NewTraceBuilder(poc.Program)
 		n := 0
 		for _, ev := range tr.Events {
 			if ev.Cycle >= start && ev.Cycle < end {

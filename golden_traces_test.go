@@ -1,8 +1,8 @@
 package scaguard
 
 // The golden traces test pins the complete execution record of a fixed
-// program corpus: per-address records (with their memory and flush line
-// sets), the HPC bank per address and globally, the cache-set trace,
+// program corpus: per-instruction records (with their memory and flush
+// line sets), the HPC counts per instruction and globally, the cache-set trace,
 // the HPC windows, the run totals and the chronological event log. It is
 // the bit-identity contract of the simulator itself, one layer below
 // the verdict goldens: a faster exec/cache implementation must
@@ -28,6 +28,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/dataset"
 	"repro/internal/exec"
+	"repro/internal/hpc"
 	"repro/internal/isa"
 )
 
@@ -127,21 +128,27 @@ func sortedSet(set map[uint64]struct{}) []uint64 {
 	return out
 }
 
-func fingerprint(name string, tr *exec.Trace) goldenTrace {
+func fingerprint(name string, prog *isa.Program, tr *exec.Trace) goldenTrace {
 	g := goldenTrace{
 		Target:    name,
 		Retired:   tr.Retired,
 		Transient: tr.Transient,
 		Cycles:    tr.Cycles,
 		Halted:    tr.Halted,
-		Addrs:     len(tr.ByAddr),
 		Events:    len(tr.Events),
 	}
+	// by_addr hashes the instructions that were seen and bank those
+	// with an HPC event, each keyed by its address, in address order
+	// (the order of Insns).
 	h := sha256.New()
-	for _, a := range tr.Addrs() {
-		r := tr.ByAddr[a]
+	for i := range tr.Insns {
+		r := &tr.Insns[i]
+		if !r.Seen {
+			continue
+		}
+		g.Addrs++
 		mem, flush := sortedSet(r.MemLines), sortedSet(r.FlushLines)
-		putU64(h, a, r.ExecCount, r.FirstCycle, uint64(len(mem)))
+		putU64(h, prog.Insns[i].Addr, r.ExecCount, r.FirstCycle, uint64(len(mem)))
 		putU64(h, mem...)
 		putU64(h, uint64(len(flush)))
 		putU64(h, flush...)
@@ -149,14 +156,12 @@ func fingerprint(name string, tr *exec.Trace) goldenTrace {
 	g.ByAddr = digest(h)
 
 	h = sha256.New()
-	gl := tr.Bank.Global()
-	putU64(h, gl[:]...)
-	addrs := tr.Bank.Addrs()
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		c := tr.Bank.At(a)
-		putU64(h, a)
-		putU64(h, c[:]...)
+	putU64(h, tr.Global[:]...)
+	for i := range tr.Insns {
+		if c := tr.Insns[i].HPC; c != (hpc.Counts{}) {
+			putU64(h, prog.Insns[i].Addr)
+			putU64(h, c[:]...)
+		}
 	}
 	g.Bank = digest(h)
 
@@ -189,9 +194,9 @@ func TestGoldenTraces(t *testing.T) {
 	var got []goldenTrace
 	for _, tgt := range traceCorpus(t) {
 		tr := runTrace(t, tgt, true)
-		g := fingerprint(tgt.name, tr)
+		g := fingerprint(tgt.name, tgt.prog, tr)
 		// Recording the event log must not perturb anything else.
-		plain := fingerprint(tgt.name, runTrace(t, tgt, false))
+		plain := fingerprint(tgt.name, tgt.prog, runTrace(t, tgt, false))
 		plain.Events, plain.EventLog = g.Events, g.EventLog
 		if plain != g {
 			t.Errorf("%s: trace with the event log off differs from the recorded run:\n got %+v\nwant %+v", tgt.name, plain, g)

@@ -232,7 +232,7 @@ func TestSecretParameterIsRespected(t *testing.T) {
 
 func TestVictims(t *testing.T) {
 	p := DefaultParams()
-	for _, v := range []*isa.Program{SharedVictim(p), SetVictim(p), QuietVictim()} {
+	for _, v := range []*isa.Program{SharedVictim(p), SetVictim(p), quietVictim()} {
 		if err := v.Validate(); err != nil {
 			t.Errorf("%s: %v", v.Name, err)
 		}
@@ -260,11 +260,59 @@ func TestFlushReloadRecoversAESKeyNibble(t *testing.T) {
 	p.Lines = 16
 	p.Secret = keyNibble // used only to size the attack; victim overrides
 	poc := FlushReloadIAIK(p)
-	poc.Victim = AESTableVictim(keyNibble)
+	poc.Victim = aesTableVictim(keyNibble)
 	m := runPoC(t, poc)
 	base := segAddr(t, poc.Program, "hits")
 	got, hits := histogramArgmax(m, base, p.Lines)
 	if got != keyNibble || hits == 0 {
 		t.Errorf("recovered key nibble %d (count %d), want %d", got, hits, keyNibble)
 	}
+}
+
+// quietVictim builds a victim with no secret-dependent access at all; it
+// exists for experiments that need the attacker to run against silence.
+func quietVictim() *isa.Program {
+	b := isa.NewBuilder("victim-quiet", VictimCodeBase)
+	b.SetDataBase(VictimDataBase)
+	b.Mov(isa.R(isa.R0), isa.Imm(0)).
+		Label("spin").
+		Inc(isa.R(isa.R0)).
+		Jmp("spin")
+	return b.MustBuild()
+}
+
+// aesTableVictim models the paper's motivating target: a crypto library
+// whose S-box/T-table lives in shared memory (a shared library page).
+// Each iteration it encrypts a fixed plaintext block: the table index is
+// keyNibble XOR (round counter & 15), so the victim's shared-line access
+// pattern is key-dependent — the access pattern Flush+Reload recovers.
+//
+// The table occupies 16 shared lines starting at SharedBase; an attacker
+// monitoring those lines sees line (keyNibble XOR r) hot during round r.
+// With the round counter pinned (rounds = 0 mod 16 layout below), the
+// hottest line directly names the key nibble.
+func aesTableVictim(keyNibble int) *isa.Program {
+	keyNibble &= 15
+	b := isa.NewBuilder("victim-aes", VictimCodeBase)
+	b.SetDataBase(VictimDataBase)
+	state := b.Bytes("vstate", 128, false)
+
+	b.Mov(isa.R(isa.R7), isa.Imm(0)) // block counter
+	b.Label("encrypt")
+	// index = key ^ (block & 0) = key — the fixed-plaintext case where
+	// every encryption touches the same key-dependent table line, the
+	// cleanest Flush+Reload signal (chosen-plaintext attacks vary this).
+	b.Mov(isa.R(isa.R1), isa.Imm(int64(keyNibble))).
+		Shl(isa.R(isa.R1), isa.Imm(6)).
+		Add(isa.R(isa.R1), isa.Imm(int64(SharedBase))).
+		Mov(isa.R(isa.R0), isa.Mem(isa.R1, 0))
+	// Mix into local state (the "encryption work").
+	b.Mov(isa.R(isa.R2), isa.R(isa.R7)).
+		And(isa.R(isa.R2), isa.Imm(15)).
+		Lea(isa.R3, isa.MemIdx(isa.RegNone, isa.R2, 8, int64(state))).
+		Xor(isa.R(isa.R0), isa.Mem(isa.R3, 0)).
+		Mov(isa.Mem(isa.R3, 0), isa.R(isa.R0))
+	b.Inc(isa.R(isa.R7)).
+		Jmp("encrypt")
+	return b.MustBuild()
 }

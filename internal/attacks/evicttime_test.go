@@ -34,7 +34,7 @@ func TestEvictTimeVictimPublishesProgress(t *testing.T) {
 	p := DefaultParams()
 	victim := EvictTimeVictim(p)
 	// A quiet attacker: the counter must advance.
-	qb := QuietVictim() // reuse the spinning program as the "attacker"
+	qb := quietVictim() // reuse the spinning program as the "attacker"
 	cfg := exec.DefaultConfig()
 	cfg.MaxRetired = 5000
 	m, err := exec.NewMachine(cfg, qb, victim)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/attacks"
 	"repro/internal/benign"
 	"repro/internal/exec"
-	"repro/internal/hpc"
 	"repro/internal/isa"
 	"repro/internal/mutate"
 )
@@ -66,7 +65,7 @@ func TestLoopFeaturesShape(t *testing.T) {
 		t.Fatalf("feature dim = %d, want %d", len(x), LoopFeatureDim)
 	}
 	// An empty trace still yields a full-size zero vector.
-	empty := LoopFeatures(&exec.Trace{Bank: hpc.NewBank(), ByAddr: map[uint64]*exec.AddrRecord{}})
+	empty := LoopFeatures(&exec.Trace{})
 	if len(empty) != LoopFeatureDim {
 		t.Errorf("empty feature dim = %d", len(empty))
 	}

@@ -72,33 +72,27 @@ const (
 )
 
 // LoopFeatures extracts the "malicious loop finding" features: the
-// per-event counts and execution counts of the hottest instruction
-// addresses, which approximate the program's dominant loops.
+// per-event counts and execution counts of the hottest instructions
+// among those that retired or touched a line, which approximate the
+// program's dominant loops. Ties go to the lower address.
 func LoopFeatures(tr *exec.Trace) []float64 {
-	type hot struct {
-		addr uint64
-		exec uint64
-	}
-	var hots []hot
-	for addr, rec := range tr.ByAddr {
-		hots = append(hots, hot{addr, rec.ExecCount})
-	}
-	sort.Slice(hots, func(i, j int) bool {
-		if hots[i].exec != hots[j].exec {
-			return hots[i].exec > hots[j].exec
+	var hots []*exec.InsnRecord
+	for i := range tr.Insns {
+		if tr.Insns[i].Seen {
+			hots = append(hots, &tr.Insns[i])
 		}
-		return hots[i].addr < hots[j].addr
-	})
+	}
+	// Insns is in address order, so a stable sort breaks ties by it.
+	sort.SliceStable(hots, func(i, j int) bool { return hots[i].ExecCount > hots[j].ExecCount })
 	out := make([]float64, 0, LoopFeatureDim)
 	for i := 0; i < topLoops; i++ {
 		if i < len(hots) {
-			c := tr.Bank.At(hots[i].addr)
 			for e := hpc.Event(0); e < hpc.NumEvents; e++ {
 				if e.Counted() {
-					out = append(out, float64(c[e]))
+					out = append(out, float64(hots[i].HPC[e]))
 				}
 			}
-			out = append(out, math.Log1p(float64(hots[i].exec)))
+			out = append(out, math.Log1p(float64(hots[i].ExecCount)))
 		} else {
 			for j := 0; j < hpc.NumCounted+1; j++ {
 				out = append(out, 0)

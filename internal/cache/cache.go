@@ -358,12 +358,3 @@ func (c *Cache) Occupancy(attacker Owner) State {
 	total := float64(c.totalLines)
 	return State{AO: float64(ao) / total, IO: float64(io) / total}
 }
-
-// OwnerOfLine returns the owner of the line containing addr, or
-// OwnerNone when the line is absent.
-func (c *Cache) OwnerOfLine(addr uint64) Owner {
-	if w := c.find(addr); w >= 0 {
-		return ownerOf(c.owners[w])
-	}
-	return OwnerNone
-}

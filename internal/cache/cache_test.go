@@ -169,15 +169,15 @@ func TestInvalidateAll(t *testing.T) {
 func TestOwnerOfLine(t *testing.T) {
 	c := MustNew(smallCfg())
 	c.Access(0, 1)
-	if c.OwnerOfLine(0) != 1 {
+	if ownerOfLine(c, 0) != 1 {
 		t.Error("owner not recorded")
 	}
 	// A hit by another process re-tags the line.
 	c.Access(0, 0)
-	if c.OwnerOfLine(0) != 0 {
+	if ownerOfLine(c, 0) != 0 {
 		t.Error("owner not re-tagged on hit")
 	}
-	if c.OwnerOfLine(0x4000) != OwnerNone {
+	if ownerOfLine(c, 0x4000) != OwnerNone {
 		t.Error("missing line must report OwnerNone")
 	}
 }
@@ -404,4 +404,13 @@ func TestFlushReloadChannel(t *testing.T) {
 	if fast >= slow {
 		t.Errorf("flush+reload channel broken: fast=%d slow=%d", fast, slow)
 	}
+}
+
+// ownerOfLine returns the owner of the line containing addr, or
+// OwnerNone when the line is absent.
+func ownerOfLine(c *Cache, addr uint64) Owner {
+	if w := c.find(addr); w >= 0 {
+		return ownerOf(c.owners[w])
+	}
+	return OwnerNone
 }

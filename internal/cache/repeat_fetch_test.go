@@ -327,7 +327,7 @@ func compareLevels(t *testing.T, step int, what string, h *Hierarchy, ref *refHi
 			if w >= 0 {
 				wantOwner = want.sets[set][w].owner
 			}
-			if got.Lookup(l) != (w >= 0) || got.OwnerOfLine(l) != wantOwner {
+			if got.Lookup(l) != (w >= 0) || ownerOfLine(got, l) != wantOwner {
 				t.Fatalf("step %d (%s): level %d line %#x residency/owner differs", step, what, i, l)
 			}
 		}

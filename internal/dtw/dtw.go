@@ -13,10 +13,11 @@
 //   - DistanceWithPathLen runs in O(m) memory and additionally returns
 //     the length of exactly the path Path's backtracking would choose,
 //     which is what the normalized CST-BBS distance divides by.
-//   - DistanceAbandon adds early abandoning for repository scans: given
-//     an upper bound on the acceptable total cost, it stops as soon as
-//     every reachable cell of a row exceeds the bound, i.e. as soon as
-//     it holds a proof that the final sum must exceed the bound.
+//   - DistanceAbandonScratch adds early abandoning for repository
+//     scans: given an upper bound on the acceptable total cost, it stops
+//     as soon as every reachable cell of a row exceeds the bound, i.e.
+//     as soon as it holds a proof that the final sum must exceed the
+//     bound. It runs in caller-owned scratch rows.
 //
 // The early-abandon contract requires the point distance to be
 // non-negative; every row of the matrix is crossed by every admissible
@@ -113,22 +114,8 @@ func DistanceWithPathLen(n, m int, d DistFunc, opts Options) (float64, int) {
 	return sum, pathLen
 }
 
-// DistanceAbandon is DistanceWithPathLen with early abandoning: it
-// stops — returning abandoned=true — as soon as the cheapest reachable
-// cell of a row exceeds cutoff, which proves that the final sum-of-costs
-// must exceed cutoff. The point distance must be non-negative for the
-// proof to hold (all CST distances are).
-//
-// When abandoned, the returned sum is the cheapest cost of the row that
-// triggered the abandon — a lower bound on the true DTW sum, strictly
-// greater than cutoff — and pathLen is 0. When the alignment completes,
-// the exact (sum, pathLen) pair is returned exactly as from
-// DistanceWithPathLen; a cutoff of +Inf never abandons.
-func DistanceAbandon(n, m int, d DistFunc, opts Options, cutoff float64) (sum float64, pathLen int, abandoned bool) {
-	return distanceAbandon(n, m, d, opts, cutoff)
-}
-
-func distanceAbandon(n, m int, d DistFunc, opts Options, cutoff float64) (float64, int, bool) {
+// distanceAbandon is DistanceAbandonScratch in fresh scratch rows.
+func distanceAbandon(n, m int, d DistFunc, opts Options, cutoff float64) (sum float64, pathLen int, abandoned bool) {
 	return DistanceAbandonScratch(n, m, d, opts, cutoff, &Scratch{})
 }
 

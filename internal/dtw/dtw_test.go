@@ -226,11 +226,11 @@ func TestDistanceAbandonContract(t *testing.T) {
 		opts := Options{Window: rng.Intn(3)}
 		exact, plen := DistanceWithPathLen(n, m, absDist(a, b), opts)
 
-		if s, l, ab := DistanceAbandon(n, m, absDist(a, b), opts, math.Inf(1)); ab || s != exact || l != plen {
+		if s, l, ab := distanceAbandon(n, m, absDist(a, b), opts, math.Inf(1)); ab || s != exact || l != plen {
 			return false
 		}
 		cutoff := rng.Float64() * exact * 1.5
-		s, _, ab := DistanceAbandon(n, m, absDist(a, b), opts, cutoff)
+		s, _, ab := distanceAbandon(n, m, absDist(a, b), opts, cutoff)
 		if ab {
 			// Abandoning requires a proof: exact > cutoff, and the
 			// returned sum is a lower bound on the exact sum.
@@ -247,7 +247,7 @@ func TestDistanceAbandonTriggers(t *testing.T) {
 	a := []float64{0, 0, 0, 0}
 	b := []float64{5, 5, 5, 5}
 	// Exact sum is 20; a cutoff of 1 must abandon on the first row.
-	s, l, ab := DistanceAbandon(4, 4, absDist(a, b), Options{}, 1)
+	s, l, ab := distanceAbandon(4, 4, absDist(a, b), Options{}, 1)
 	if !ab || l != 0 || s <= 1 {
 		t.Errorf("abandon = (%v,%d,%v)", s, l, ab)
 	}

@@ -43,7 +43,7 @@ func TestPropertyAbandonInfCutoffEqualsDistance(t *testing.T) {
 		c := drawCase(rng)
 		n, m := len(c.a), len(c.b)
 		want := Distance(n, m, c.d, c.opts)
-		sum, pathLen, abandoned := DistanceAbandon(n, m, c.d, c.opts, math.Inf(1))
+		sum, pathLen, abandoned := distanceAbandon(n, m, c.d, c.opts, math.Inf(1))
 		if abandoned {
 			t.Fatalf("iter %d: +Inf cutoff abandoned (n=%d m=%d w=%d)", iter, n, m, c.opts.Window)
 		}
@@ -122,7 +122,7 @@ func TestPropertyFiniteCutoffSoundness(t *testing.T) {
 		}
 		exact := Distance(n, m, c.d, c.opts)
 		cutoff := rng.Float64() * 20 * float64(n+m)
-		sum, pathLen, abandoned := DistanceAbandon(n, m, c.d, c.opts, cutoff)
+		sum, pathLen, abandoned := distanceAbandon(n, m, c.d, c.opts, cutoff)
 		if !abandoned {
 			if sum != exact {
 				t.Fatalf("iter %d: completed sum %v != exact %v", iter, sum, exact)

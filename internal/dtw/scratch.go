@@ -33,9 +33,19 @@ func (s *Scratch) resize(m int) {
 	s.curLen = make([]int, m+1, n)
 }
 
-// DistanceAbandonScratch is DistanceAbandon evaluated in caller-owned
-// scratch rows: bit-identical results (same recurrence, same
-// tie-breaking, same float expressions), zero allocations once the
+// DistanceAbandonScratch is DistanceWithPathLen with early abandoning:
+// it stops — returning abandoned=true — as soon as the cheapest
+// reachable cell of a row exceeds cutoff, which proves that the final
+// sum-of-costs must exceed cutoff. The point distance must be
+// non-negative for the proof to hold (all CST distances are).
+//
+// When abandoned, the returned sum is the cheapest cost of the row that
+// triggered the abandon — a lower bound on the true DTW sum, strictly
+// greater than cutoff — and pathLen is 0. When the alignment completes,
+// the exact (sum, pathLen) pair is returned exactly as from
+// DistanceWithPathLen; a cutoff of +Inf never abandons.
+//
+// It runs in caller-owned scratch rows and allocates nothing once the
 // scratch has grown to the working row width.
 func DistanceAbandonScratch(n, m int, d DistFunc, opts Options, cutoff float64, s *Scratch) (float64, int, bool) {
 	switch {

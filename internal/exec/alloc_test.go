@@ -1,0 +1,41 @@
+package exec_test
+
+import (
+	"testing"
+
+	"repro/internal/attacks"
+	"repro/internal/exec"
+)
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// runAllocBudget is the allocation budget of one NewMachine + Run of
+// FR-IAIK with the default configuration, the simulation every triage
+// classification pays: the machine, the cache hierarchy, the decoded
+// programs, memory pages and the trace with its per-instruction line
+// sets. Measured at 44.
+const runAllocBudget = 45
+
+// TestRunAllocs pins the heap allocations of one simulation. The count
+// is deterministic; a change that brings back a per-event or
+// per-instruction allocation fails here before it shows as latency.
+// Lower the budget when a change removes allocations.
+func TestRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	poc := attacks.FlushReloadIAIK(attacks.DefaultParams())
+	cfg := exec.DefaultConfig()
+	got := testing.AllocsPerRun(10, func() {
+		m, err := exec.NewMachine(cfg, poc.Program, poc.Victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Run()
+	})
+	t.Logf("%.0f allocs per run (budget %d)", got, runAllocBudget)
+	if got > runAllocBudget {
+		t.Errorf("%.0f allocs per NewMachine + Run, budget %d", got, runAllocBudget)
+	}
+}

@@ -97,35 +97,99 @@ func TestEventLogOrdering(t *testing.T) {
 	}
 }
 
+// replayCases returns eventCases plus every canonical and extension
+// PoC, each with its victim.
+func replayCases(t *testing.T) map[string][2]*isa.Program {
+	t.Helper()
+	cases := eventCases(t)
+	for _, name := range append(attacks.Names(), attacks.ExtensionNames()...) {
+		poc, err := attacks.ByName(name, attacks.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[name] = [2]*isa.Program{poc.Program, poc.Victim}
+	}
+	return cases
+}
+
+// replay rebuilds a trace of prog from events through a fresh
+// TraceBuilder.
+func replay(prog *isa.Program, events []exec.Event, cycles uint64) *exec.Trace {
+	b := exec.NewTraceBuilder(prog)
+	for _, ev := range events {
+		b.Apply(ev)
+	}
+	return b.Trace(cycles)
+}
+
 // TestEventLogReplayReconstructs verifies that replaying the full event
 // log through a TraceBuilder reproduces exactly the modeling-relevant
-// trace state — per-address records, the HPC bank and the retire count —
-// which is what lets the window detector model arbitrary log slices.
+// trace state — the per-instruction records, the global HPC counters and
+// the retire count — which is what lets the window detector model
+// arbitrary log slices.
 func TestEventLogReplayReconstructs(t *testing.T) {
-	for name, pair := range eventCases(t) {
+	for name, pair := range replayCases(t) {
 		t.Run(name, func(t *testing.T) {
 			tr := recordedRun(t, pair[0], pair[1])
-			b := exec.NewTraceBuilder()
-			for _, ev := range tr.Events {
-				b.Apply(ev)
-			}
-			got := b.Trace(tr.Cycles)
+			got := replay(pair[0], tr.Events, tr.Cycles)
 			if got.Retired != tr.Retired {
 				t.Errorf("retired = %d, want %d", got.Retired, tr.Retired)
 			}
 			if got.Cycles != tr.Cycles {
 				t.Errorf("cycles = %d, want %d", got.Cycles, tr.Cycles)
 			}
-			if !reflect.DeepEqual(got.ByAddr, tr.ByAddr) {
-				t.Error("ByAddr mismatch after replay")
+			if !reflect.DeepEqual(got.Insns, tr.Insns) {
+				t.Error("per-instruction records differ after replay")
 			}
-			if !reflect.DeepEqual(got.Bank.Global(), tr.Bank.Global()) {
-				t.Errorf("global counts = %v, want %v", got.Bank.Global(), tr.Bank.Global())
-			}
-			if !reflect.DeepEqual(hpcValueByAddr(got.Bank), hpcValueByAddr(tr.Bank)) {
-				t.Error("per-address HPC values mismatch after replay")
+			if got.Global != tr.Global {
+				t.Errorf("global counts = %v, want %v", got.Global, tr.Global)
 			}
 		})
+	}
+}
+
+// TestTraceBuilderIgnoresForeignPC: an event whose PC is no instruction
+// of the builder's program (past the code, inside an instruction, or
+// far away) changes nothing, of any kind, wherever it falls in the log.
+func TestTraceBuilderIgnoresForeignPC(t *testing.T) {
+	poc := attacks.FlushReloadIAIK(attacks.DefaultParams())
+	tr := recordedRun(t, poc.Program, poc.Victim)
+	want := replay(poc.Program, tr.Events, tr.Cycles)
+	last := poc.Program.Insns[len(poc.Program.Insns)-1]
+	foreign := []uint64{last.Next(), poc.Program.Insns[0].Addr + 1, 1 << 40}
+	for _, pc := range foreign {
+		if _, ok := poc.Program.IndexOf(pc); ok {
+			t.Fatalf("%#x is an instruction of %s", pc, poc.Name)
+		}
+	}
+	var mixed []exec.Event
+	for i, ev := range tr.Events {
+		mixed = append(mixed, ev)
+		f := ev
+		f.PC = foreign[i%len(foreign)]
+		f.Line = 0x7000
+		f.HPC = hpc.Event(i % int(hpc.NumEvents))
+		mixed = append(mixed, f)
+	}
+	got := replay(poc.Program, mixed, tr.Cycles)
+	if !reflect.DeepEqual(got.Insns, want.Insns) || got.Global != want.Global || got.Retired != want.Retired {
+		t.Fatal("events with foreign PCs changed the rebuilt trace")
+	}
+}
+
+// TestGlobalCountsSumInsnCounts: every HPC event is attributed to one
+// instruction, so the global counters are the sum of the
+// per-instruction ones.
+func TestGlobalCountsSumInsnCounts(t *testing.T) {
+	for name, pair := range replayCases(t) {
+		tr := recordedRun(t, pair[0], pair[1])
+		var sum hpc.Counts
+		for i := range tr.Insns {
+			sum.Add(tr.Insns[i].HPC)
+		}
+		if sum != tr.Global || sum.Total() == 0 {
+			t.Errorf("%s: per-instruction counts sum to %v, global %v", name, sum, tr.Global)
+		}
 	}
 }
 
@@ -168,28 +232,16 @@ func TestEventLogTruncation(t *testing.T) {
 	}
 }
 
-// hpcValueByAddr maps every address with a nonzero HPC value to that
-// value: the per-address view the pipeline folds onto basic blocks.
-func hpcValueByAddr(b *hpc.Bank) map[uint64]uint64 {
-	out := make(map[uint64]uint64)
-	for _, a := range b.Addrs() {
-		if v := b.At(a).Sum(); v > 0 {
-			out[a] = v
-		}
-	}
-	return out
-}
-
 // TestTraceBuilderReset: one builder Reset between the windows of a
 // recorded log must rebuild each window exactly as a fresh builder
-// does — same records, same HPC bank, same retire count — although it
-// keeps the slot assignment and storage of every earlier window.
+// does — same records, same global counts, same retire count —
+// although it keeps the record storage of every earlier window.
 func TestTraceBuilderReset(t *testing.T) {
 	const width = 4096
 	for name, pair := range eventCases(t) {
 		t.Run(name, func(t *testing.T) {
 			evs := recordedRun(t, pair[0], pair[1]).Events
-			reused := exec.NewTraceBuilder()
+			reused := exec.NewTraceBuilder(pair[0])
 			windows := 0
 			for lo := 0; lo < len(evs); windows++ {
 				end := (evs[lo].Cycle/width + 1) * width
@@ -197,18 +249,18 @@ func TestTraceBuilderReset(t *testing.T) {
 				for hi < len(evs) && evs[hi].Cycle < end {
 					hi++
 				}
-				fresh := exec.NewTraceBuilder()
+				fresh := exec.NewTraceBuilder(pair[0])
 				reused.Reset()
 				for _, ev := range evs[lo:hi] {
 					fresh.Apply(ev)
 					reused.Apply(ev)
 				}
 				want, got := fresh.Trace(end), reused.Trace(end)
-				if !reflect.DeepEqual(got.ByAddr, want.ByAddr) {
-					t.Fatalf("window ending %d: ByAddr differs from a fresh builder's", end)
+				if !reflect.DeepEqual(got.Insns, want.Insns) {
+					t.Fatalf("window ending %d: records differ from a fresh builder's", end)
 				}
-				if !reflect.DeepEqual(got.Bank, want.Bank) {
-					t.Fatalf("window ending %d: HPC bank differs from a fresh builder's", end)
+				if got.Global != want.Global {
+					t.Fatalf("window ending %d: global counts differ from a fresh builder's", end)
 				}
 				if got.Retired != want.Retired || got.Cycles != want.Cycles {
 					t.Fatalf("window ending %d: retired/cycles %d/%d, fresh %d/%d", end, got.Retired, got.Cycles, want.Retired, want.Cycles)
@@ -250,7 +302,7 @@ func TestRunEventsStreams(t *testing.T) {
 			if tr.Events != nil || tr.EventsTruncated {
 				t.Fatalf("streamed run kept a log: %d events, truncated %v", len(tr.Events), tr.EventsTruncated)
 			}
-			if tr.Retired != want.Retired || tr.Cycles != want.Cycles || !tr.Halted || !reflect.DeepEqual(tr.ByAddr, want.ByAddr) {
+			if tr.Retired != want.Retired || tr.Cycles != want.Cycles || !tr.Halted || !reflect.DeepEqual(tr.Insns, want.Insns) {
 				t.Fatal("streamed run's trace differs from the recorded run's")
 			}
 		})

@@ -4,9 +4,9 @@
 // processes — the monitored program and an optional victim — over one
 // shared cache hierarchy, models a 2-bit branch predictor with a bounded
 // speculative window (enough for Spectre v1 transient leakage), and
-// produces a Trace: HPC events attributed per instruction address,
-// accessed/flushed cache lines per instruction, first-execution
-// timestamps and, on request, a chronological cache-set trace, windowed
+// produces a Trace: one record per instruction of the monitored
+// program, in program order, holding its HPC events, accessed/flushed
+// cache lines and first-execution timestamp, and, on request, a chronological cache-set trace, windowed
 // HPC samples and the chronological event log — or, through RunEvents,
 // those events handed to a caller's sink as they happen.
 package exec
@@ -309,11 +309,7 @@ func NewMachineMulti(cfg Config, monitored *isa.Program, others ...*isa.Program)
 		m.procs = append(m.procs, p)
 	}
 	m.pred.init(cfg.PredictorSize, assignBTB(m.procs))
-	pcs := make([]uint64, len(monitored.Insns))
-	for i := range monitored.Insns {
-		pcs[i] = monitored.Insns[i].Addr
-	}
-	m.trace = newTrace(pcs, cfg.WindowWidth, cfg.MaxSetTrace, cfg.RecordEvents, cfg.MaxEvents)
+	m.trace = newTrace(monitored, cfg.WindowWidth, cfg.MaxSetTrace, cfg.RecordEvents, cfg.MaxEvents)
 	return m, nil
 }
 

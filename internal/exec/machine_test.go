@@ -182,7 +182,7 @@ func TestLoadsAndStores(t *testing.T) {
 		t.Errorf("r0 = %#x", got)
 	}
 	// The store missed (cold), the load hit in L1.
-	g := tr.Bank.Global()
+	g := tr.Global
 	if g[hpc.L1DLoadHit] == 0 {
 		t.Errorf("expected an L1D load hit, got %+v", g)
 	}
@@ -223,7 +223,7 @@ func TestLoopAndConditionals(t *testing.T) {
 		t.Errorf("sum = %d, want 55", got)
 	}
 	// The loop branch must have mispredicted at least once (exit).
-	if tr.Bank.Global()[hpc.BranchMiss] == 0 {
+	if tr.Global[hpc.BranchMiss] == 0 {
 		t.Error("expected at least one branch miss")
 	}
 }
@@ -309,7 +309,7 @@ func TestLeaDoesNotTouchMemory(t *testing.T) {
 		t.Errorf("lea = %#x", got)
 	}
 	// No data-cache events may have fired.
-	g := tr.Bank.Global()
+	g := tr.Global
 	if g[hpc.L1DLoadHit]+g[hpc.L1DLoadMiss] != 0 {
 		t.Errorf("lea touched the data cache: %+v", g)
 	}
@@ -330,8 +330,8 @@ func TestRdtscpAdvances(t *testing.T) {
 	if t1-t0 < 100 {
 		t.Errorf("memory miss cost only %d cycles", t1-t0)
 	}
-	if tr.Bank.Global()[hpc.Timestamp] != 2 {
-		t.Errorf("timestamp events = %d", tr.Bank.Global()[hpc.Timestamp])
+	if tr.Global[hpc.Timestamp] != 2 {
+		t.Errorf("timestamp events = %d", tr.Global[hpc.Timestamp])
 	}
 }
 
@@ -349,7 +349,7 @@ func TestClflushTracksFlushedLines(t *testing.T) {
 		t.Error("line survived clflush")
 	}
 	flushPC := p.Labels["theflush"]
-	rec := tr.ByAddr[flushPC]
+	rec := recordAt(tr, flushPC)
 	if rec == nil || len(rec.FlushLines) != 1 {
 		t.Fatalf("flush not recorded: %+v", rec)
 	}
@@ -369,11 +369,11 @@ func TestTraceFirstCycleAndExecCount(t *testing.T) {
 	p := b.MustBuild()
 	tr, _ := run(t, p)
 	loopPC := p.Labels["loop"]
-	rec := tr.ByAddr[loopPC]
+	rec := recordAt(tr, loopPC)
 	if rec == nil || rec.ExecCount != 3 {
 		t.Fatalf("loop exec count = %+v", rec)
 	}
-	first := tr.ByAddr[p.Entry]
+	first := recordAt(tr, p.Entry)
 	if first == nil || first.FirstCycle > rec.FirstCycle {
 		t.Error("first-cycle ordering wrong")
 	}
@@ -401,7 +401,7 @@ func TestWindowSampling(t *testing.T) {
 	for _, w := range tr.Windows {
 		total.Add(w.Counts)
 	}
-	if total != tr.Bank.Global() {
+	if total != tr.Global {
 		t.Error("window sum must equal global counters")
 	}
 }
@@ -432,7 +432,7 @@ func TestWindowSamplesOptIn(t *testing.T) {
 	for _, w := range tr.Windows {
 		total.Add(w.Counts)
 	}
-	if total != tr.Bank.Global() {
+	if total != tr.Global {
 		t.Error("window sum must equal global counters")
 	}
 }
@@ -759,8 +759,19 @@ func TestIndirectJump(t *testing.T) {
 	_ = p
 }
 
+// TestFireDropsInvalidEvent: an event past the Table I range counts
+// nowhere, neither per instruction nor globally.
+func TestFireDropsInvalidEvent(t *testing.T) {
+	tr := newTrace(isa.NewBuilder("one", 0).Hlt().MustBuild(), 64, 0, false, 0)
+	tr.fire(hpc.Event(200), 0, 0)
+	tr.fire(hpc.NumEvents, 0, 0)
+	if tr.Global.Total() != 0 || tr.Insns[0].HPC.Total() != 0 || tr.curWindow.Counts.Total() != 0 {
+		t.Fatal("an invalid event was counted")
+	}
+}
+
 func TestMemLinesOfMissingPC(t *testing.T) {
-	tr := newTrace(nil, 0, 0, false, 0)
+	tr := newTrace(isa.NewBuilder("empty", 0).Hlt().MustBuild(), 0, 0, false, 0)
 	if got := memLinesOf(tr, 0x123); got != nil {
 		t.Errorf("MemLinesOf missing = %v", got)
 	}
@@ -771,7 +782,7 @@ func TestMemLinesOfMissingPC(t *testing.T) {
 // overlap analysis collects "accessed memory addresses (including
 // flushed addresses)".
 func memLinesOf(t *Trace, pc uint64) []uint64 {
-	r := t.ByAddr[pc]
+	r := recordAt(t, pc)
 	if r == nil {
 		return nil
 	}
@@ -786,4 +797,15 @@ func memLinesOf(t *Trace, pc uint64) []uint64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// recordAt returns the record of the instruction at pc, or nil when pc
+// is no instruction of the traced program or the instruction was never
+// seen.
+func recordAt(t *Trace, pc uint64) *InsnRecord {
+	i, ok := t.prog.IndexOf(pc)
+	if !ok || !t.Insns[i].Seen {
+		return nil
+	}
+	return &t.Insns[i]
 }

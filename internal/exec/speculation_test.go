@@ -150,14 +150,14 @@ func TestBranchMissAttribution(t *testing.T) {
 	p := b.MustBuild()
 	m, _ := NewMachine(DefaultConfig(), p, nil)
 	tr := m.Run()
-	misses := tr.Bank.Global()[hpc.BranchMiss]
+	misses := tr.Global[hpc.BranchMiss]
 	if misses < 10 {
 		t.Errorf("alternating branch produced only %d misses", misses)
 	}
 	// Attribution: some PC holds most of them.
 	var best uint64
-	for _, a := range tr.Addrs() {
-		if c := tr.Bank.At(a)[hpc.BranchMiss]; c > best {
+	for i := range tr.Insns {
+		if c := tr.Insns[i].HPC[hpc.BranchMiss]; c > best {
 			best = c
 		}
 	}

@@ -1,17 +1,22 @@
 package exec
 
 import (
-	"sort"
-
 	"repro/internal/hpc"
+	"repro/internal/isa"
 )
 
-// AddrRecord aggregates everything observed about one instruction
-// address of the monitored process: how often it retired, when it first
-// did, and which memory lines it touched or flushed. Together with the
-// HPC bank this is the runtime information Section III-A of the paper
-// collects via perf and Intel PT.
-type AddrRecord struct {
+// InsnRecord aggregates everything observed about one instruction of
+// the monitored program: how often it retired, when it first did, which
+// memory lines it touched or flushed, and the HPC events attributed to
+// it. Together these are the runtime information Section III-A of the
+// paper collects via perf and Intel PT.
+type InsnRecord struct {
+	// Seen reports that the instruction retired or touched a data line;
+	// FirstCycle is the cycle it first did. A record that was not seen
+	// has no ExecCount, FirstCycle or lines, but may still carry HPC
+	// events (say, a fetch miss of an instruction that only ran
+	// transiently and touched no line).
+	Seen       bool
 	ExecCount  uint64
 	FirstCycle uint64
 	// MemLines holds line-aligned data addresses read or written by the
@@ -21,6 +26,12 @@ type AddrRecord struct {
 	// FlushLines holds line-aligned addresses the instruction flushed;
 	// nil when it flushed nothing.
 	FlushLines map[uint64]struct{}
+	// HPC holds the HPC events attributed to the instruction.
+	HPC hpc.Counts
+
+	// lastMem and lastFlush are the lines inserted last into MemLines
+	// and FlushLines; a repeat touch of that line skips the set.
+	lastMem, lastFlush uint64
 }
 
 // SetAccessKind tags entries of the cache-set trace.
@@ -90,8 +101,13 @@ type Event struct {
 
 // Trace is the complete runtime record of the monitored process.
 type Trace struct {
-	Bank     *hpc.Bank
-	ByAddr   map[uint64]*AddrRecord
+	// Insns is the per-instruction view, in program order: Insns[i]
+	// belongs to the monitored program's Insns[i], whether or not it
+	// ever executed.
+	Insns []InsnRecord
+	// Global holds the machine-wide HPC counters of the monitored
+	// process: the sum of every record's HPC.
+	Global   hpc.Counts
 	SetTrace []SetAccess    // recorded only with Config.MaxSetTrace > 0
 	Windows  []WindowSample // recorded only with Config.WindowWidth > 0
 
@@ -111,12 +127,9 @@ type Trace struct {
 	Halted      bool   // monitored process reached HLT
 	WindowWidth uint64
 
-	// The per-instruction state accumulates in slot-indexed slices while
-	// the trace is recorded: pcs[s] is the address of slot s and st[s]
-	// its state. fill turns them into ByAddr and Bank.
-	pcs    []uint64
-	st     []slotState
-	global hpc.Counts
+	// prog is the monitored program; the hooks take an instruction's
+	// index into prog.Insns (its slot) and read its PC from there.
+	prog *isa.Program
 
 	maxSetTrace int
 	curWindow   WindowSample
@@ -129,25 +142,13 @@ type Trace struct {
 	maxEvents    int
 }
 
-// slotState is the running state of one instruction slot: its record,
-// its HPC counters, and the line last inserted into each of the
-// record's line sets (a repeat touch of that line skips the set).
-type slotState struct {
-	rec       AddrRecord
-	counts    hpc.Counts
-	lastMem   uint64
-	lastFlush uint64
-	live      bool // rec exists: the slot retired or touched a line
-}
-
-// newTrace builds an empty trace over the instruction addresses pcs
-// (slot s is pcs[s]) with the given sampling parameters; a zero
-// windowWidth records no window samples, and a recordEvents trace logs
-// its events into Events, capped at maxEvents.
-func newTrace(pcs []uint64, windowWidth uint64, maxSetTrace int, recordEvents bool, maxEvents int) *Trace {
+// newTrace builds an empty trace of prog with the given sampling
+// parameters; a zero windowWidth records no window samples, and a
+// recordEvents trace logs its events into Events, capped at maxEvents.
+func newTrace(prog *isa.Program, windowWidth uint64, maxSetTrace int, recordEvents bool, maxEvents int) *Trace {
 	t := &Trace{
-		pcs:         pcs,
-		st:          make([]slotState, len(pcs)),
+		Insns:       make([]InsnRecord, len(prog.Insns)),
+		prog:        prog,
 		WindowWidth: windowWidth,
 		maxSetTrace: maxSetTrace,
 		maxEvents:   maxEvents,
@@ -170,7 +171,7 @@ func (t *Trace) event(kind EventKind, cycle uint64, s int32, line uint64, e hpc.
 	if !t.recordEvents || t.sinkErr != nil {
 		return
 	}
-	t.sinkErr = t.sink(Event{Kind: kind, Cycle: cycle, PC: t.pcs[s], Line: line, HPC: e})
+	t.sinkErr = t.sink(Event{Kind: kind, Cycle: cycle, PC: t.prog.Insns[s].Addr, Line: line, HPC: e})
 }
 
 // appendEvent is the Config.RecordEvents sink: it appends to the log
@@ -188,18 +189,18 @@ func (t *Trace) appendEvent(ev Event) error {
 	return nil
 }
 
-// touch returns slot s's state, creating its record at cycle.
-func (t *Trace) touch(s int32, cycle uint64) *slotState {
-	st := &t.st[s]
-	if !st.live {
-		st.live = true
-		st.rec.FirstCycle = cycle
+// touch returns slot s's record, marking it seen at cycle.
+func (t *Trace) touch(s int32, cycle uint64) *InsnRecord {
+	r := &t.Insns[s]
+	if !r.Seen {
+		r.Seen = true
+		r.FirstCycle = cycle
 	}
-	return st
+	return r
 }
 
 func (t *Trace) retire(s int32, cycle uint64) {
-	t.touch(s, cycle).rec.ExecCount++
+	t.touch(s, cycle).ExecCount++
 	t.Retired++
 	if t.recordEvents {
 		t.event(EvRetire, cycle, s, 0, 0)
@@ -207,14 +208,14 @@ func (t *Trace) retire(s int32, cycle uint64) {
 }
 
 func (t *Trace) memLine(s int32, lineAddr uint64, cycle uint64) {
-	st := t.touch(s, cycle)
-	addLine(&st.rec.MemLines, &st.lastMem, lineAddr)
+	r := t.touch(s, cycle)
+	addLine(&r.MemLines, &r.lastMem, lineAddr)
 	t.event(EvMem, cycle, s, lineAddr, 0)
 }
 
 func (t *Trace) flushLine(s int32, lineAddr uint64, cycle uint64) {
-	st := t.touch(s, cycle)
-	addLine(&st.rec.FlushLines, &st.lastFlush, lineAddr)
+	r := t.touch(s, cycle)
+	addLine(&r.FlushLines, &r.lastFlush, lineAddr)
 	t.event(EvFlush, cycle, s, lineAddr, 0)
 }
 
@@ -233,17 +234,18 @@ func (t *Trace) setAccess(cycle uint64, set int, line uint64, kind SetAccessKind
 	if len(t.SetTrace) >= t.maxSetTrace { // a cap <= 0 records nothing
 		return
 	}
-	t.SetTrace = append(t.SetTrace, SetAccess{Cycle: cycle, Set: set, Line: line, Kind: kind, PC: t.pcs[s]})
+	t.SetTrace = append(t.SetTrace, SetAccess{Cycle: cycle, Set: set, Line: line, Kind: kind, PC: t.prog.Insns[s].Addr})
 }
 
 // fire records an HPC event in slot s's counters, the global counters
-// and, when window samples are on, the current window.
+// and, when window samples are on, the current window. An event past
+// the Table I range is dropped.
 func (t *Trace) fire(e hpc.Event, s int32, cycle uint64) {
 	if e >= hpc.NumEvents {
 		return
 	}
-	t.st[s].counts[e]++
-	t.global[e]++
+	t.Insns[s].HPC[e]++
+	t.Global[e]++
 	if t.WindowWidth != 0 {
 		t.curWindow.Counts[e]++
 	}
@@ -259,130 +261,90 @@ func (t *Trace) tickWindows(cycle uint64) {
 	}
 }
 
-// finish flushes the trailing partial window (if any is recorded) and
-// builds the per-address views.
+// finish stamps the end of the run and flushes the trailing partial
+// window, if any is recorded.
 func (t *Trace) finish(cycle uint64) {
 	t.Cycles = cycle
 	if t.curWindow.Counts.Total() > 0 {
 		t.Windows = append(t.Windows, t.curWindow)
 	}
-	t.fill(t.makeMaps())
-}
-
-// makeMaps makes ByAddr and returns a bank map, both sized to the live
-// slots.
-func (t *Trace) makeMaps() map[uint64]*hpc.Counts {
-	recs, banked := 0, 0
-	for i := range t.st {
-		if t.st[i].live {
-			recs++
-		}
-		if t.st[i].counts != (hpc.Counts{}) {
-			banked++
-		}
-	}
-	t.ByAddr = make(map[uint64]*AddrRecord, recs)
-	return make(map[uint64]*hpc.Counts, banked)
-}
-
-// fill points the (empty) ByAddr and byAddr maps into the slot slice
-// rather than copying it — a record for every slot that retired or
-// touched a line, a bank entry for every slot with at least one event —
-// and makes Bank over byAddr.
-func (t *Trace) fill(byAddr map[uint64]*hpc.Counts) {
-	for i := range t.st {
-		st := &t.st[i]
-		if st.live {
-			t.ByAddr[t.pcs[i]] = &st.rec
-		}
-		if st.counts != (hpc.Counts{}) {
-			byAddr[t.pcs[i]] = &st.counts
-		}
-	}
-	t.Bank = hpc.BankOf(t.global, byAddr)
-}
-
-// Addrs returns every recorded instruction address in ascending order.
-func (t *Trace) Addrs() []uint64 {
-	out := make([]uint64, 0, len(t.ByAddr))
-	for a := range t.ByAddr {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // TraceBuilder reconstructs a Trace by replaying entries of an event
-// log through the same hooks the machine drives, so the rebuilt
-// Bank/ByAddr state is bit-identical to what a live run restricted to
-// those events would have produced. The sliding-window detector feeds
-// it the events of one window to obtain a modellable per-window trace,
-// and Resets one builder between windows.
+// log through the same hooks the machine drives, into the same
+// per-instruction layout, so the rebuilt Insns and Global are
+// bit-identical to what a live run restricted to those events would
+// have produced. The sliding-window detector feeds it the events of one
+// window to obtain a modellable per-window trace, and Resets one
+// builder between windows.
 //
 // The rebuilt trace covers exactly what the modeling pipeline
-// (model.BuildFromTrace) consumes: the HPC bank, the per-address
-// records, the retire count and the cycle count. SetTrace, Windows and
-// the Transient total of the original run are NOT reconstructed — they
-// feed the baselines, not CST-BBS modeling.
+// (model.BuildFromTrace) consumes: the per-instruction records, the
+// global HPC counters, the retire count and the cycle count. SetTrace,
+// Windows and the Transient total of the original run are NOT
+// reconstructed — they feed the baselines, not CST-BBS modeling.
 type TraceBuilder struct {
 	t *Trace
-	// slotOf assigns slots to addresses in first-seen order; lastPC and
-	// lastSlot memoize the previous resolution (a retire and its memory
-	// and HPC events share one PC).
-	slotOf   map[uint64]int32
-	lastPC   uint64
-	lastSlot int32
-	// bank is the per-address map of the previous Trace's HPC bank,
-	// refilled by the next one.
-	bank map[uint64]*hpc.Counts
+	// last is the slot the previous event resolved to.
+	last int32
 }
 
-// NewTraceBuilder returns an empty builder.
-func NewTraceBuilder() *TraceBuilder {
-	return &TraceBuilder{t: newTrace(nil, 0, 0, false, 0), slotOf: make(map[uint64]int32), lastSlot: -1}
+// NewTraceBuilder returns an empty builder for the log of a run of
+// prog.
+func NewTraceBuilder(prog *isa.Program) *TraceBuilder {
+	return &TraceBuilder{t: newTrace(prog, 0, 0, false, 0)}
 }
 
 // Reset empties the builder for the next slice of the log. It keeps the
-// address-to-slot assignment and the storage of the slots and of the
-// ByAddr and bank maps, so a builder replaying many windows of one
-// program allocates only the per-record line sets once every address
-// has been seen. The Trace returned by the previous Trace call is
-// invalid after Reset.
+// record slice, so a builder replaying many windows of one program
+// allocates only the per-record line sets. The Trace returned by the
+// previous Trace call is invalid after Reset.
 func (b *TraceBuilder) Reset() {
 	t := b.t
-	clear(t.st)
-	t.global = hpc.Counts{}
+	clear(t.Insns)
+	t.Global = hpc.Counts{}
 	t.Retired, t.Cycles = 0, 0
 }
 
-// slot resolves pc to its slot, adding one on first sight.
+// slot resolves pc to its instruction's index in the program, or -1
+// when pc is not the address of one. Events follow the program's flow:
+// an instruction's events share its PC, and the next instruction is
+// most often the one after it, so both are tried before the search.
 func (b *TraceBuilder) slot(pc uint64) int32 {
-	if b.lastSlot >= 0 && pc == b.lastPC {
-		return b.lastSlot
+	insns := b.t.prog.Insns
+	if s := b.last; s < int32(len(insns)) && insns[s].Addr == pc {
+		return s
 	}
-	s, ok := b.slotOf[pc]
+	if s := b.last + 1; s < int32(len(insns)) && insns[s].Addr == pc {
+		b.last = s
+		return s
+	}
+	i, ok := b.t.prog.IndexOf(pc)
 	if !ok {
-		s = int32(len(b.t.pcs))
-		b.slotOf[pc] = s
-		b.t.pcs = append(b.t.pcs, pc)
-		b.t.st = append(b.t.st, slotState{})
+		return -1
 	}
-	b.lastPC, b.lastSlot = pc, s
-	return s
+	b.last = int32(i)
+	return b.last
 }
 
 // Apply replays one event. Events must be applied in log order (cycles
-// nondecreasing); Apply does not re-sort.
+// nondecreasing); Apply does not re-sort. An event whose PC is not an
+// instruction of the builder's program changes nothing: a live run of
+// that program never emits one.
 func (b *TraceBuilder) Apply(ev Event) {
+	s := b.slot(ev.PC)
+	if s < 0 {
+		return
+	}
 	switch ev.Kind {
 	case EvRetire:
-		b.t.retire(b.slot(ev.PC), ev.Cycle)
+		b.t.retire(s, ev.Cycle)
 	case EvMem:
-		b.t.memLine(b.slot(ev.PC), ev.Line, ev.Cycle)
+		b.t.memLine(s, ev.Line, ev.Cycle)
 	case EvFlush:
-		b.t.flushLine(b.slot(ev.PC), ev.Line, ev.Cycle)
+		b.t.flushLine(s, ev.Line, ev.Cycle)
 	case EvHPC:
-		b.t.fire(ev.HPC, b.slot(ev.PC), ev.Cycle)
+		b.t.fire(ev.HPC, s, ev.Cycle)
 	}
 }
 
@@ -391,14 +353,6 @@ func (b *TraceBuilder) Apply(ev Event) {
 // builder's own: it stays valid until the next Reset, and nothing may
 // be applied before that Reset.
 func (b *TraceBuilder) Trace(cycles uint64) *Trace {
-	t := b.t
-	t.Cycles = cycles
-	if b.bank == nil {
-		b.bank = t.makeMaps()
-	} else {
-		clear(t.ByAddr)
-		clear(b.bank)
-	}
-	t.fill(b.bank)
-	return t
+	b.t.Cycles = cycles
+	return b.t
 }

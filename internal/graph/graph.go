@@ -114,9 +114,6 @@ func (g *Digraph) index(n uint64) int32 {
 	return -1
 }
 
-// HasNode reports whether n is in the graph.
-func (g *Digraph) HasNode(n uint64) bool { return g.index(n) >= 0 }
-
 // Succs returns the successor list of n in edge-list order (do not
 // mutate).
 func (g *Digraph) Succs(n uint64) []uint64 {

@@ -53,7 +53,7 @@ func TestAddNodeEdge(t *testing.T) {
 	if !hasEdge(g, 1, 2) || hasEdge(g, 3, 2) {
 		t.Error("edges wrong")
 	}
-	if !g.HasNode(9) || g.HasNode(10) {
+	if !hasNode(g, 9) || hasNode(g, 10) {
 		t.Error("HasNode wrong")
 	}
 	if got := g.Succs(2); !reflect.DeepEqual(got, []uint64{3, 1, 7}) {
@@ -436,3 +436,6 @@ func TestMSTMatchesKruskal(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// hasNode reports whether n is in the graph.
+func hasNode(g *Digraph, n uint64) bool { return g.index(n) >= 0 }

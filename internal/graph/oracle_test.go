@@ -28,7 +28,7 @@ func TestSimplePathsMaxLenCountsNodes(t *testing.T) {
 // maxLen nodes). It walks every prefix, reachable destination or not.
 func refSimplePaths(g *Digraph, src, dst uint64, excluded map[uint64]bool, maxPaths, maxLen int) [][]uint64 {
 	var out [][]uint64
-	if !g.HasNode(src) || !g.HasNode(dst) {
+	if !hasNode(g, src) || !hasNode(g, dst) {
 		return out
 	}
 	onPath := map[uint64]bool{src: true}
@@ -82,7 +82,7 @@ func refBackEdges(g *Digraph, root uint64) []Edge {
 		}
 		color[u] = 2
 	}
-	if g.HasNode(root) {
+	if hasNode(g, root) {
 		dfs(root)
 	}
 	for _, n := range g.Nodes() {

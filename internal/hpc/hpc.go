@@ -1,8 +1,8 @@
 // Package hpc models the hardware performance counters of Table I of the
 // paper. The execution engine fires events as it accesses the cache
-// hierarchy; a Bank accumulates them globally and per instruction
-// address, which is exactly the artefact the paper collects with
-// perf-intel-pt and later maps onto basic blocks.
+// hierarchy; the execution trace accumulates them in Counts, globally
+// and per instruction, which is exactly the artefact the paper collects
+// with perf-intel-pt and later maps onto basic blocks.
 package hpc
 
 import "fmt"
@@ -88,71 +88,4 @@ func (c Counts) Total() uint64 {
 		s += v
 	}
 	return s
-}
-
-// Bank accumulates events globally and attributed per instruction
-// address. The zero value is not usable; call NewBank or BankOf.
-type Bank struct {
-	global Counts
-	byAddr map[uint64]*Counts
-}
-
-// NewBank returns an empty counter bank.
-func NewBank() *Bank {
-	return &Bank{byAddr: make(map[uint64]*Counts)}
-}
-
-// BankOf wraps counters accumulated elsewhere: global is the
-// machine-wide vector and byAddr the per-address counters. The bank
-// takes ownership of byAddr and of the vectors it points to; a
-// simulator that counts into its own per-instruction storage hands the
-// result over this way, without one map update per event.
-func BankOf(global Counts, byAddr map[uint64]*Counts) *Bank {
-	return &Bank{global: global, byAddr: byAddr}
-}
-
-// Fire records one occurrence of event e attributed to the instruction
-// at addr.
-func (b *Bank) Fire(e Event, addr uint64) {
-	b.FireN(e, addr, 1)
-}
-
-// FireN records n occurrences at once.
-func (b *Bank) FireN(e Event, addr uint64, n uint64) {
-	if e >= NumEvents {
-		return
-	}
-	b.global[e] += n
-	c := b.byAddr[addr]
-	if c == nil {
-		c = new(Counts)
-		b.byAddr[addr] = c
-	}
-	c[e] += n
-}
-
-// Global returns the machine-wide counter vector.
-func (b *Bank) Global() Counts { return b.global }
-
-// At returns the counters attributed to the instruction at addr.
-func (b *Bank) At(addr uint64) Counts {
-	if c := b.byAddr[addr]; c != nil {
-		return *c
-	}
-	return Counts{}
-}
-
-// Addrs returns every instruction address with at least one event.
-func (b *Bank) Addrs() []uint64 {
-	out := make([]uint64, 0, len(b.byAddr))
-	for a := range b.byAddr {
-		out = append(out, a)
-	}
-	return out
-}
-
-// Reset clears all counters.
-func (b *Bank) Reset() {
-	b.global = Counts{}
-	b.byAddr = make(map[uint64]*Counts)
 }

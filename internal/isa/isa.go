@@ -301,18 +301,6 @@ func (in Instruction) BranchTarget() (uint64, bool) {
 	return 0, false
 }
 
-// MemOperands returns the memory operands of the instruction, if any.
-func (in Instruction) MemOperands() []Operand {
-	var out []Operand
-	if in.Dst.IsMem() {
-		out = append(out, in.Dst)
-	}
-	if in.Src.IsMem() {
-		out = append(out, in.Src)
-	}
-	return out
-}
-
 // String renders the instruction in assembly syntax (without address).
 func (in Instruction) String() string {
 	switch {

@@ -1,7 +1,5 @@
 package isa
 
-import "strings"
-
 // Normalization implements the three rewrite rules of Section III-B1 of
 // the paper (following SPAIN's instruction normalization): immediates
 // become "imm", memory references become "mem" and registers become
@@ -72,10 +70,4 @@ func NormalizeSeq(ins []Instruction) []string {
 		out[i] = Normalize(in)
 	}
 	return out
-}
-
-// NormalizedKey joins a normalized sequence into a single comparable
-// string. Useful as a map key when deduplicating basic-block bodies.
-func NormalizedKey(ins []Instruction) string {
-	return strings.Join(NormalizeSeq(ins), "; ")
 }

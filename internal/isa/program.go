@@ -67,21 +67,13 @@ func (p *Program) Label(name string) (uint64, bool) {
 	return a, ok
 }
 
-// MinAddr and MaxAddr return the address range covered by code.
+// MinAddr returns the address of the first instruction, 0 for a
+// program without code.
 func (p *Program) MinAddr() uint64 {
 	if len(p.Insns) == 0 {
 		return 0
 	}
 	return p.Insns[0].Addr
-}
-
-// MaxAddr returns the first address past the last instruction.
-func (p *Program) MaxAddr() uint64 {
-	if len(p.Insns) == 0 {
-		return 0
-	}
-	last := p.Insns[len(p.Insns)-1]
-	return last.Next()
 }
 
 // Segment returns the data segment with the given name.

@@ -25,8 +25,8 @@ func TestModelBuildAllocs(t *testing.T) {
 		prog, victim *isa.Program
 		budget       float64
 	}{
-		{poc.Program, poc.Victim, 150},
-		{prog, nil, 126},
+		{poc.Program, poc.Victim, 137},
+		{prog, nil, 113},
 	} {
 		got := testing.AllocsPerRun(10, func() {
 			if _, err := Build(c.prog, c.victim, DefaultConfig()); err != nil {

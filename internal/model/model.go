@@ -257,25 +257,38 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 	if err := llc.Validate(); err != nil {
 		return nil, fmt.Errorf("model: %w", err)
 	}
+	if len(trace.Insns) != len(prog.Insns) {
+		return nil, fmt.Errorf("model: trace has %d instruction records, program %s has %d instructions", len(trace.Insns), prog.Name, len(prog.Insns))
+	}
 	tel := config.Telemetry
 	extractStart := tel.Now()
 	blocks := c.Ordered()
+	// recsOf returns the trace records of a block's instructions.
+	recsOf := func(bb *cfg.BasicBlock) []exec.InsnRecord {
+		i, _ := prog.IndexOf(bb.Leader)
+		return trace.Insns[i : i+len(bb.Insns)]
+	}
 
 	// Step 1: HPC values folded onto blocks. A block is potentially
-	// attack-relevant when its value is nonzero; pot lists those blocks'
-	// positions in blocks, in leader order.
-	pot := make([]int32, 0, len(blocks))
-	hpcOf := make([]uint64, 0, len(blocks))
-	potInsns := 0
+	// attack-relevant when its value is nonzero; pot lists those blocks
+	// in leader order, each with its value and its trace records. The
+	// blocks partition prog.Insns in order, so each block's records are
+	// the next window of trace.Insns.
+	type potBlock struct {
+		leader, hpc uint64
+		recs        []exec.InsnRecord
+	}
+	pot := make([]potBlock, 0, len(blocks))
+	rest := trace.Insns
 	for k := range blocks {
+		recs := rest[:len(blocks[k].Insns)]
+		rest = rest[len(recs):]
 		var v uint64
-		for i := range blocks[k].Insns {
-			v += trace.Bank.At(blocks[k].Insns[i].Addr).Sum()
+		for i := range recs {
+			v += recs[i].HPC.Sum()
 		}
 		if v > 0 {
-			pot = append(pot, int32(k))
-			hpcOf = append(hpcOf, v)
-			potInsns += len(blocks[k].Insns)
+			pot = append(pot, potBlock{blocks[k].Leader, v, recs})
 		}
 	}
 	m := &Model{
@@ -288,9 +301,9 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 	if len(pot) > 0 {
 		m.PotentialBBs = make([]uint64, len(pot))
 	}
-	for p, k := range pot {
-		m.PotentialBBs[p] = blocks[k].Leader
-		m.HPCByBB[blocks[k].Leader] = hpcOf[p]
+	for p, b := range pot {
+		m.PotentialBBs[p] = b.leader
+		m.HPCByBB[b.leader] = b.hpc
 	}
 
 	// Collect accessed lines per potential block. MemLinesByBB holds the
@@ -299,23 +312,15 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 	// loads/stores of potential block p so CST measurement can replay
 	// flushes as flushes. Both are sorted, deduplicated windows of one
 	// line array.
-	recs := make([]*exec.AddrRecord, 0, potInsns)
 	firstCycle := make([]uint64, len(pot))
 	nUnion, nLoads := 0, 0
-	for p, k := range pot {
-		fc := uint64(notExecuted)
-		for i := range blocks[k].Insns {
-			r := trace.ByAddr[blocks[k].Insns[i].Addr]
-			recs = append(recs, r)
-			if r != nil {
-				nUnion += len(r.MemLines) + len(r.FlushLines)
-				nLoads += len(r.MemLines)
-				if r.ExecCount > 0 && r.FirstCycle < fc {
-					fc = r.FirstCycle
-				}
-			}
+	for p := range pot {
+		recs := pot[p].recs
+		for i := range recs {
+			nUnion += len(recs[i].MemLines) + len(recs[i].FlushLines)
+			nLoads += len(recs[i].MemLines)
 		}
-		firstCycle[p] = fc
+		firstCycle[p], _ = blockFirstCycle(recs)
 	}
 	lineBuf := make([]uint64, 0, nUnion+nLoads)
 	// cut sorts and deduplicates lineBuf[start:] and returns it as a
@@ -325,27 +330,22 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 		return lineBuf[start:len(lineBuf):len(lineBuf)]
 	}
 	loads := make([][]uint64, len(pot))
-	for p, k := range pot {
-		block := recs[:len(blocks[k].Insns)]
-		recs = recs[len(block):]
+	for p := range pot {
+		recs := pot[p].recs
 		start := len(lineBuf)
-		for _, r := range block {
-			if r != nil {
-				for l := range r.MemLines {
-					lineBuf = append(lineBuf, l)
-				}
-				for l := range r.FlushLines {
-					lineBuf = append(lineBuf, l)
-				}
+		for i := range recs {
+			for l := range recs[i].MemLines {
+				lineBuf = append(lineBuf, l)
+			}
+			for l := range recs[i].FlushLines {
+				lineBuf = append(lineBuf, l)
 			}
 		}
-		m.MemLinesByBB[blocks[k].Leader] = cut(start)
+		m.MemLinesByBB[m.PotentialBBs[p]] = cut(start)
 		start = len(lineBuf)
-		for _, r := range block {
-			if r != nil {
-				for l := range r.MemLines {
-					lineBuf = append(lineBuf, l)
-				}
+		for i := range recs {
+			for l := range recs[i].MemLines {
+				lineBuf = append(lineBuf, l)
 			}
 		}
 		loads[p] = cut(start)
@@ -412,10 +412,8 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 	// obfuscated variant flattens to nearly the same CST-BBS as its
 	// original.
 	execCount := func(leader uint64) uint64 {
-		if r := trace.ByAddr[leader]; r != nil {
-			return r.ExecCount
-		}
-		return 0
+		i, _ := prog.IndexOf(leader)
+		return trace.Insns[i].ExecCount
 	}
 	chains := straightChains(m.AttackGraph, execCount)
 	type entry struct {
@@ -442,19 +440,18 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 		executed := false
 		for _, leader := range chain {
 			bb, _ := c.Block(leader)
+			recs := recsOf(bb)
 			var f uint64
 			var ok bool
 			if p, potential := slices.BinarySearch(m.PotentialBBs, leader); potential {
 				chainLoads = append(chainLoads, loads[p]...)
 				f, ok = firstCycle[p], firstCycle[p] != notExecuted
 			} else {
-				f, ok = blockFirstCycle(bb, trace)
+				f, ok = blockFirstCycle(recs)
 			}
-			for i := range bb.Insns {
-				if r := trace.ByAddr[bb.Insns[i].Addr]; r != nil {
-					for l := range r.FlushLines {
-						chainFlushes = append(chainFlushes, l)
-					}
+			for i := range recs {
+				for l := range recs[i].FlushLines {
+					chainFlushes = append(chainFlushes, l)
 				}
 			}
 			norms = append(norms, normOf(bb)...)
@@ -492,7 +489,7 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 		}
 		return cmp.Compare(a.cst.Leader, b.cst.Leader)
 	})
-	bbs := &CSTBBS{Name: prog.Name, TimerReads: trace.Bank.Global()[hpc.Timestamp]}
+	bbs := &CSTBBS{Name: prog.Name, TimerReads: trace.Global[hpc.Timestamp]}
 	if len(entries) > 0 {
 		bbs.Seq = make([]CST, len(entries))
 		for i := range entries {
@@ -575,16 +572,15 @@ func dedupSorted(lines []uint64) []uint64 {
 	return slices.Compact(lines)
 }
 
-// blockFirstCycle returns the earliest retirement cycle of any
-// instruction of the block.
-func blockFirstCycle(bb *cfg.BasicBlock, trace *exec.Trace) (uint64, bool) {
+// blockFirstCycle returns the earliest first cycle of any retired
+// instruction among a block's records, or notExecuted and false when
+// none retired.
+func blockFirstCycle(recs []exec.InsnRecord) (uint64, bool) {
 	best := uint64(notExecuted)
 	found := false
-	for _, in := range bb.Insns {
-		if r := trace.ByAddr[in.Addr]; r != nil && r.ExecCount > 0 {
-			if r.FirstCycle < best {
-				best = r.FirstCycle
-			}
+	for i := range recs {
+		if recs[i].ExecCount > 0 {
+			best = min(best, recs[i].FirstCycle)
 			found = true
 		}
 	}

@@ -21,7 +21,7 @@
 //     and LowerBoundKeogh), skip once a bound provably cannot beat the
 //     best score found so far, escalate lazily to the per-row bound
 //     (similarity.LowerBound) near the cutoff, and the banded DTW itself
-//     abandons row-wise (dtw.DistanceAbandon) once every cell exceeds
+//     abandons row-wise (dtw.DistanceAbandonScratch) once every cell exceeds
 //     the bound implied by the running best. Pruned entries report an
 //     upper-bound score and Pruned=true; the best match is always
 //     computed exactly, so classification decisions and explanations

@@ -197,10 +197,10 @@ func pairMemoHash(k uint64) uint64 {
 // compare computes the normalized CST-BBS distance of target vs entry
 // ei, mirroring similarity.BBSDistance operation-for-operation (same
 // float expressions, same DTW recurrence, abandoned through
-// dtw.DistanceAbandon once the raw sum passes cutoff·(n+m-1)) but with the
-// Levenshtein term served from the shared cache and every scratch
-// buffer reused from s. A +Inf cutoff yields the exact distance; a
-// finite cutoff may return (lower bound, true) instead.
+// dtw.DistanceAbandonScratch once the raw sum passes cutoff·(n+m-1))
+// but with the Levenshtein term served from the shared cache and every
+// scratch buffer reused from s. A +Inf cutoff yields the exact
+// distance; a finite cutoff may return (lower bound, true) instead.
 func (e *Engine) compare(t *target, ei int, cutoff float64, s *scratch) (float64, bool) {
 	eb := e.models[ei]
 	n, m := t.bbs.Len(), eb.Len()

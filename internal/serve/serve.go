@@ -61,7 +61,8 @@ import (
 const DefaultMaxConcurrent = 256
 
 // DefaultKeyHeader is the request header admission control reads the
-// client identity from.
+// client identity from for per-key limiting; requests without it share
+// the "" bucket.
 const DefaultKeyHeader = "X-API-Key"
 
 // maxRequestBody bounds a /v1/classify request body (32 MiB — far
@@ -85,10 +86,6 @@ type Config struct {
 	// max(1, 2*RatePerKey).
 	RatePerKey  float64
 	BurstPerKey int
-	// KeyHeader names the header carrying the client identity for
-	// per-key limiting; empty selects DefaultKeyHeader. Absent headers
-	// share the "" bucket.
-	KeyHeader string
 	// StreamWorkers is the number of concurrent classifications per
 	// batch request and per /v1/classify/stream connection; <= 0
 	// selects GOMAXPROCS. Responses always align with request order.
@@ -135,9 +132,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	if cfg.Detector == nil {
 		panic("serve: Config.Detector is required")
-	}
-	if cfg.KeyHeader == "" {
-		cfg.KeyHeader = DefaultKeyHeader
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -307,7 +301,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	release, retryAfter, err := s.gate.admit(r.Header.Get(s.cfg.KeyHeader), len(targets))
+	release, retryAfter, err := s.gate.admit(r.Header.Get(DefaultKeyHeader), len(targets))
 	if err != nil {
 		s.shed(w, retryAfter)
 		return

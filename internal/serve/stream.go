@@ -54,7 +54,7 @@ func (s *Server) handleClassifyStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.inflight.Done()
-	release, retryAfter, err := s.gate.admit(r.Header.Get(s.cfg.KeyHeader), 1)
+	release, retryAfter, err := s.gate.admit(r.Header.Get(DefaultKeyHeader), 1)
 	if err != nil {
 		s.shed(w, retryAfter)
 		return

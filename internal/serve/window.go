@@ -62,7 +62,7 @@ func (s *Server) handleWindowStream(w http.ResponseWriter, r *http.Request, cfg 
 		return
 	}
 	defer s.inflight.Done()
-	release, retryAfter, err := s.gate.admit(r.Header.Get(s.cfg.KeyHeader), 1)
+	release, retryAfter, err := s.gate.admit(r.Header.Get(DefaultKeyHeader), 1)
 	if err != nil {
 		s.shed(w, retryAfter)
 		return

@@ -16,7 +16,7 @@
 // The bounds are conservative: they may fail to prune, but they never
 // misreport a distance below the true one. The early-abandoning
 // distance itself lives in the scan engine (internal/scan), which runs
-// BBSDistance's recurrence through dtw.DistanceAbandon over memoized
+// BBSDistance's recurrence through dtw.DistanceAbandonScratch over memoized
 // Levenshtein terms.
 package similarity
 
@@ -75,12 +75,6 @@ func DCSP(a, b model.CST) float64 {
 		d = -d
 	}
 	return d
-}
-
-// Distance returns the combined CST distance
-// (D_IS + D_CSP)/2 under the default weights.
-func Distance(a, b model.CST) float64 {
-	return DistanceOpts(a, b, DefaultOptions())
 }
 
 // DistanceOpts returns the weighted CST distance.

@@ -49,7 +49,7 @@ func TestDistanceMean(t *testing.T) {
 	a := cst([]string{"x"}, 0.4, 0.4)
 	b := cst([]string{"y"}, 0.0, 0.0)
 	// D_IS = 1, D_CSP = 0.4 -> mean 0.7
-	if got := Distance(a, b); math.Abs(got-0.7) > 1e-12 {
+	if got := DistanceOpts(a, b, DefaultOptions()); math.Abs(got-0.7) > 1e-12 {
 		t.Errorf("Distance = %v, want 0.7", got)
 	}
 }
@@ -295,7 +295,7 @@ func bbsDistanceAbandon(a, b *model.CSTBBS, opts Options, cutoff float64) (float
 	}
 	d := func(i, j int) float64 { return DistanceOpts(a.Seq[i], b.Seq[j], opts) }
 	rawCutoff := cutoff * float64(n+m-1)
-	sum, pathLen, abandoned := dtw.DistanceAbandon(n, m, d, dtw.Options{Window: opts.Window}, rawCutoff)
+	sum, pathLen, abandoned := dtw.DistanceAbandonScratch(n, m, d, dtw.Options{Window: opts.Window}, rawCutoff, &dtw.Scratch{})
 	if abandoned {
 		return sum / float64(n+m-1), true
 	}

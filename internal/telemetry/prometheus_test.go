@@ -14,8 +14,8 @@ func TestPrometheusExposition(t *testing.T) {
 	c.Add(ScanEntriesExact, 6)
 	c.Add(ScanEntriesAbandoned, 2)
 	c.Inc(PanicsRecovered)
-	c.Observe(StageScan, 3*time.Microsecond)
-	c.Observe(StageScan, 500*time.Microsecond)
+	c.stages[StageScan].observe(3 * time.Microsecond)
+	c.stages[StageScan].observe(500 * time.Microsecond)
 	c.RegisterGauges("repository", func() map[string]uint64 {
 		return map[string]uint64{"entries": 7}
 	})

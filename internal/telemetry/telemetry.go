@@ -62,7 +62,7 @@ const (
 	// after tier 1 failed to prune them.
 	ScanEntriesKeoghSkipped
 	// ScanEntriesAbandoned counts entries whose DTW was abandoned
-	// row-wise partway through (dtw.DistanceAbandon proved the entry
+	// row-wise partway through (dtw.DistanceAbandonScratch proved the entry
 	// cannot win).
 	ScanEntriesAbandoned
 	// DetectClassifications counts targets classified (including gated
@@ -388,14 +388,6 @@ func (c *Collector) ObserveSince(s Stage, start time.Time) {
 		return
 	}
 	c.stages[s].observe(time.Since(start))
-}
-
-// Observe records a duration into a stage histogram directly.
-func (c *Collector) Observe(s Stage, d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.stages[s].observe(d)
 }
 
 // RegisterGauges attaches a named gauge source, polled at snapshot

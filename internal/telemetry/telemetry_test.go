@@ -16,8 +16,8 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
 	c.Inc(ScanTargets)
 	c.Add(ScanEntriesExact, 10)
-	c.Observe(StageScan, time.Millisecond)
 	c.ObserveSince(StageScan, c.Now())
+	c.ObserveSince(StageScan, time.Now())
 	c.RegisterGauges("x", func() map[string]uint64 { return nil })
 	if got := c.Counter(ScanTargets); got != 0 {
 		t.Fatalf("nil collector counter = %d", got)
@@ -95,10 +95,10 @@ func TestDerivedRatesCascadeTiers(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	c := NewCollector()
-	c.Observe(StageScan, 500*time.Nanosecond) // bucket 0 (<1µs)
-	c.Observe(StageScan, 3*time.Microsecond)  // bucket 2 ([2,4)µs)
-	c.Observe(StageScan, 3*time.Microsecond)
-	c.Observe(StageScan, time.Hour) // clamped to the catch-all bucket
+	c.stages[StageScan].observe(500 * time.Nanosecond) // bucket 0 (<1µs)
+	c.stages[StageScan].observe(3 * time.Microsecond)  // bucket 2 ([2,4)µs)
+	c.stages[StageScan].observe(3 * time.Microsecond)
+	c.stages[StageScan].observe(time.Hour) // clamped to the catch-all bucket
 	st := c.Snapshot().Stages[StageScan.String()]
 	if st.Count != 4 {
 		t.Fatalf("count = %d, want 4", st.Count)
@@ -189,7 +189,7 @@ func TestReportMentionsKeyMetrics(t *testing.T) {
 	c := NewCollector()
 	c.Add(ScanEntriesExact, 6)
 	c.Add(ScanEntriesLowerBoundSkipped, 4)
-	c.Observe(StageScan, 2*time.Millisecond)
+	c.stages[StageScan].observe(2 * time.Millisecond)
 	c.RegisterGauges("distcache", func() map[string]uint64 {
 		return map[string]uint64{"blocks": 10, "pairs": 20, "block_hits": 1, "block_misses": 1, "pair_hits": 1, "pair_misses": 3}
 	})
@@ -233,7 +233,7 @@ func TestConcurrentSnapshotsMonotone(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				c.Inc(ScanEntriesExact)
-				c.Observe(StageScan, time.Microsecond)
+				c.stages[StageScan].observe(time.Microsecond)
 			}
 		}()
 	}

@@ -71,11 +71,13 @@ func (e *Explorer) run(prog, victim *isa.Program, input uint64) (*exec.Trace, er
 	return m.Run(), nil
 }
 
-func coverage(tr *exec.Trace) map[uint64]bool {
-	out := make(map[uint64]bool, len(tr.ByAddr))
-	for addr, rec := range tr.ByAddr {
-		if rec.ExecCount > 0 {
-			out[addr] = true
+// coverage returns the addresses of prog's instructions that retired in
+// tr, a trace of prog.
+func coverage(prog *isa.Program, tr *exec.Trace) map[uint64]bool {
+	out := make(map[uint64]bool)
+	for i := range tr.Insns {
+		if tr.Insns[i].ExecCount > 0 {
+			out[prog.Insns[i].Addr] = true
 		}
 	}
 	return out
@@ -109,7 +111,7 @@ func (e *Explorer) Explore(prog, victim *isa.Program) (*Result, error) {
 		if err != nil {
 			return false, err
 		}
-		cov := coverage(tr)
+		cov := coverage(prog, tr)
 		grew := false
 		for a := range cov {
 			if !res.Covered[a] {

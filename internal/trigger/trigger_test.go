@@ -177,5 +177,5 @@ func coverageOf(e *Explorer, prog, victim *isa.Program, input uint64) (int, erro
 	if err != nil {
 		return 0, err
 	}
-	return len(coverage(tr)), nil
+	return len(coverage(prog, tr)), nil
 }

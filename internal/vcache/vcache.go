@@ -263,14 +263,6 @@ func (c *Cache) Len() int {
 	return len(c.items)
 }
 
-// Cap returns the capacity bound (0 when disabled).
-func (c *Cache) Cap() int {
-	if c == nil {
-		return 0
-	}
-	return c.cap
-}
-
 // TelemetryGauges adapts the cache's size to a telemetry gauge source;
 // register it under a "vcache" name so snapshots carry the live entry
 // count next to the hit/miss/eviction counters.

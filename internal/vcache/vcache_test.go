@@ -59,7 +59,7 @@ func TestNilCacheIsOff(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("nil cache memoized: %d compute calls, want 2", calls)
 	}
-	if c.Len() != 0 || c.Cap() != 0 || c.TelemetryGauges() != nil {
+	if c.Len() != 0 || c.TelemetryGauges() != nil {
 		t.Fatal("nil cache accessors not zero")
 	}
 }

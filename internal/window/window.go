@@ -220,7 +220,7 @@ func New(det *detect.Detector, prog *isa.Program, llc cache.Config, cfg Config, 
 		cfg:  cfg,
 		det:  det,
 		wb:   wb,
-		tb:   exec.NewTraceBuilder(),
+		tb:   exec.NewTraceBuilder(prog),
 		name: prog.Name,
 		emit: emit,
 		out:  Outcome{Final: detect.BenignResult(), FinalWindow: -1},

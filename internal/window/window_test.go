@@ -112,7 +112,7 @@ func merge(t *testing.T, name string, entry uint64, parts ...*isa.Program) *isa.
 // whole, classify once.
 func postHoc(t *testing.T, det *detect.Detector, prog *isa.Program, llc cache.Config, evs []exec.Event) detect.Result {
 	t.Helper()
-	tb := exec.NewTraceBuilder()
+	tb := exec.NewTraceBuilder(prog)
 	for _, ev := range evs {
 		tb.Apply(ev)
 	}
