@@ -52,11 +52,11 @@ func TestAnomalyOnRealTraces(t *testing.T) {
 				kind, tmpl = benign.KindServer, "openssl-hmac"
 			}
 			p := benign.MustGenerate(benign.Spec{Kind: kind, Template: tmpl, Seed: seed})
-			tr, err := collect(p, nil, 300_000)
+			r, err := collect(p, nil, 300_000)
 			if err != nil {
 				t.Fatal(err)
 			}
-			benignFeats = append(benignFeats, WindowFeatures(tr))
+			benignFeats = append(benignFeats, r.windowFeatures())
 		}
 	}
 	d, err := TrainAnomaly(benignFeats, DefaultAnomalyK)
@@ -68,11 +68,11 @@ func TestAnomalyOnRealTraces(t *testing.T) {
 	detected := 0
 	pocs := attacks.All(attacks.DefaultParams())
 	for _, poc := range pocs {
-		tr, err := collect(poc.Program, poc.Victim, 300_000)
+		r, err := collect(poc.Program, poc.Victim, 300_000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Predict(WindowFeatures(tr)) == d.AttackLabel {
+		if d.Predict(r.windowFeatures()) == d.AttackLabel {
 			detected++
 		}
 	}
@@ -85,12 +85,12 @@ func TestAnomalyOnRealTraces(t *testing.T) {
 	total := 0
 	for seed := int64(50); seed < 56; seed++ {
 		p := benign.MustGenerate(benign.Spec{Kind: benign.KindLeetcode, Template: "bubble-sort", Seed: seed})
-		tr, err := collect(p, nil, 300_000)
+		r, err := collect(p, nil, 300_000)
 		if err != nil {
 			t.Fatal(err)
 		}
 		total++
-		if d.Predict(WindowFeatures(tr)) == d.BenignLabel {
+		if d.Predict(r.windowFeatures()) == d.BenignLabel {
 			pass++
 		}
 	}

@@ -11,37 +11,50 @@ import (
 	"repro/internal/mutate"
 )
 
-// collect runs a program (with an optional victim) and returns its
-// trace for feature extraction, with the set trace SCADET reads and the
-// window samples WindowFeatures reads. maxRetired caps runaway programs.
-func collect(prog, victim *isa.Program, maxRetired uint64) (*exec.Trace, error) {
+// run is one collected program: its trace and the Recorder that was
+// its event sink.
+type run struct {
+	tr  *exec.Trace
+	rec *Recorder
+}
+
+func (r run) windowFeatures() []float64 { return WindowFeatures(r.rec.Windows, r.tr.Cycles) }
+
+// collect runs a program (with an optional victim) through a Recorder,
+// which keeps the set trace SCADET reads and the window samples
+// WindowFeatures reads. maxRetired caps runaway programs.
+func collect(prog, victim *isa.Program, maxRetired uint64) (run, error) {
 	cfg := exec.DefaultConfig()
-	cfg.MaxSetTrace = exec.DefaultMaxSetTrace
-	cfg.WindowWidth = exec.DefaultWindowWidth
 	if maxRetired > 0 {
 		cfg.MaxRetired = maxRetired
 	}
 	m, err := exec.NewMachine(cfg, prog, victim)
 	if err != nil {
-		return nil, err
+		return run{}, err
 	}
-	return m.Run(), nil
+	rec := NewRecorder(m.Hierarchy().LLC().Config())
+	tr, err := m.RunEvents(rec.Feed)
+	if err != nil {
+		return run{}, err
+	}
+	rec.Finish()
+	return run{tr, rec}, nil
 }
 
-func trace(t *testing.T, prog, victim *isa.Program) *exec.Trace {
+func trace(t *testing.T, prog, victim *isa.Program) run {
 	t.Helper()
-	tr, err := collect(prog, victim, 300_000)
+	r, err := collect(prog, victim, 300_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	return r
 }
 
 func TestWindowFeaturesShape(t *testing.T) {
 	p := attacks.DefaultParams()
 	poc := attacks.FlushReloadIAIK(p)
-	tr := trace(t, poc.Program, poc.Victim)
-	x := WindowFeatures(tr)
+	r := trace(t, poc.Program, poc.Victim)
+	x := r.windowFeatures()
 	if len(x) != FeatureDim {
 		t.Fatalf("feature dim = %d, want %d", len(x), FeatureDim)
 	}
@@ -59,8 +72,8 @@ func TestWindowFeaturesShape(t *testing.T) {
 func TestLoopFeaturesShape(t *testing.T) {
 	p := attacks.DefaultParams()
 	poc := attacks.PrimeProbeIAIK(p)
-	tr := trace(t, poc.Program, poc.Victim)
-	x := LoopFeatures(tr)
+	r := trace(t, poc.Program, poc.Victim)
+	x := LoopFeatures(r.tr)
 	if len(x) != LoopFeatureDim {
 		t.Fatalf("feature dim = %d, want %d", len(x), LoopFeatureDim)
 	}
@@ -157,9 +170,9 @@ func TestLearnersOnRealTraces(t *testing.T) {
 	var trainLoop, testLoop []Example
 	params := attacks.DefaultParams()
 	add := func(prog, victim *isa.Program, label string, hold bool) {
-		tr := trace(t, prog, victim)
-		w := Example{X: WindowFeatures(tr), Label: label}
-		l := Example{X: LoopFeatures(tr), Label: label}
+		r := trace(t, prog, victim)
+		w := Example{X: r.windowFeatures(), Label: label}
+		l := Example{X: LoopFeatures(r.tr), Label: label}
 		if hold {
 			test = append(test, w)
 			testLoop = append(testLoop, l)
@@ -219,8 +232,8 @@ func TestSCADETDetectsPlainPP(t *testing.T) {
 	p := attacks.DefaultParams()
 	for _, build := range []func(attacks.Params) attacks.PoC{attacks.PrimeProbeIAIK, attacks.PrimeProbeJzhang} {
 		poc := build(p)
-		tr := trace(t, poc.Program, poc.Victim)
-		if got := s.Detect(tr, poc.Program); got != "PP-F" {
+		r := trace(t, poc.Program, poc.Victim)
+		if got := s.Detect(r.rec.SetTrace, poc.Program); got != "PP-F" {
 			t.Errorf("%s detected as %q, want PP-F", poc.Name, got)
 		}
 	}
@@ -230,8 +243,8 @@ func TestSCADETIgnoresFlushFamily(t *testing.T) {
 	s := NewSCADET()
 	p := attacks.DefaultParams()
 	poc := attacks.FlushReloadIAIK(p)
-	tr := trace(t, poc.Program, poc.Victim)
-	if got := s.Detect(tr, poc.Program); got != "Benign" {
+	r := trace(t, poc.Program, poc.Victim)
+	if got := s.Detect(r.rec.SetTrace, poc.Program); got != "Benign" {
 		t.Errorf("FR detected as %q (SCADET has no FR rules)", got)
 	}
 }
@@ -247,8 +260,8 @@ func TestSCADETMissesObfuscatedPP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := trace(t, m, poc.Victim)
-		if s.Detect(tr, m) == "Benign" {
+		r := trace(t, m, poc.Victim)
+		if s.Detect(r.rec.SetTrace, m) == "Benign" {
 			missed++
 		}
 	}
@@ -265,8 +278,8 @@ func TestSCADETIgnoresBenign(t *testing.T) {
 		{Kind: benign.KindServer, Template: "gzip-deflate", Seed: 2},
 	} {
 		prog := benign.MustGenerate(spec)
-		tr := trace(t, prog, nil)
-		if got := s.Detect(tr, prog); got != "Benign" {
+		r := trace(t, prog, nil)
+		if got := s.Detect(r.rec.SetTrace, prog); got != "Benign" {
 			t.Errorf("%s flagged as %q", spec.Name(), got)
 		}
 	}
@@ -279,12 +292,12 @@ func TestSCADETEvictReloadOutsideRules(t *testing.T) {
 	s := NewSCADET()
 	p := attacks.DefaultParams()
 	poc := attacks.EvictReloadIAIK(p)
-	tr := trace(t, poc.Program, poc.Victim)
-	got := s.Detect(tr, poc.Program)
+	r := trace(t, poc.Program, poc.Victim)
+	got := s.Detect(r.rec.SetTrace, poc.Program)
 	// ER evicts with full-way walks twice per round per set, so SCADET
 	// may legitimately fire; record the behavior either way but require
 	// determinism.
-	got2 := s.Detect(tr, poc.Program)
+	got2 := s.Detect(r.rec.SetTrace, poc.Program)
 	if got != got2 {
 		t.Error("SCADET nondeterministic")
 	}

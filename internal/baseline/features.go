@@ -37,16 +37,17 @@ var nwEvents = [...]hpc.Event{
 // across sampling windows, plus the window count and total cycles.
 const FeatureDim = len(nwEvents)*2 + 2
 
-// WindowFeatures summarizes a trace's windowed HPC samples into a fixed
-// vector: per sampled NIGHTs-WATCH counter the mean and max of the
-// per-window counts, then the number of windows and the total cycle
-// count (both log-scaled to keep magnitudes comparable).
-func WindowFeatures(tr *exec.Trace) []float64 {
+// WindowFeatures summarizes a run's window samples (Recorder.Windows)
+// into a fixed vector: per sampled NIGHTs-WATCH counter the mean and
+// max of the per-window counts, then the number of windows and the
+// run's total cycle count (both log-scaled to keep magnitudes
+// comparable).
+func WindowFeatures(windows []WindowSample, cycles uint64) []float64 {
 	out := make([]float64, 0, FeatureDim)
-	n := len(tr.Windows)
+	n := len(windows)
 	for _, e := range nwEvents {
 		var sum, maxV float64
-		for _, w := range tr.Windows {
+		for _, w := range windows {
 			v := float64(w.Counts[e])
 			sum += v
 			if v > maxV {
@@ -59,7 +60,7 @@ func WindowFeatures(tr *exec.Trace) []float64 {
 		}
 		out = append(out, mean, maxV)
 	}
-	out = append(out, math.Log1p(float64(n)), math.Log1p(float64(tr.Cycles)))
+	out = append(out, math.Log1p(float64(n)), math.Log1p(float64(cycles)))
 	return out
 }
 

@@ -3,7 +3,6 @@ package baseline
 import (
 	"sort"
 
-	"repro/internal/exec"
 	"repro/internal/isa"
 )
 
@@ -69,8 +68,9 @@ type burst struct {
 	lines      map[uint64]struct{}
 }
 
-// Detect applies the rules to a trace and program, returning the label.
-func (s *SCADET) Detect(tr *exec.Trace, prog *isa.Program) string {
+// Detect applies the rules to a cache-set trace (Recorder.SetTrace)
+// and the program that produced it, returning the label.
+func (s *SCADET) Detect(setTrace []SetAccess, prog *isa.Program) string {
 	// Rule 0: Prime+Probe does not flush; a clflush-bearing program is
 	// outside the rule set.
 	if prog != nil {
@@ -90,8 +90,8 @@ func (s *SCADET) Detect(tr *exec.Trace, prog *isa.Program) string {
 		line  uint64
 	}
 	bySet := make(map[int][]access)
-	for i, e := range tr.SetTrace {
-		if e.Kind == exec.SetFlush {
+	for i, e := range setTrace {
+		if e.Flush {
 			return s.BenignLabel
 		}
 		bySet[e.Set] = append(bySet[e.Set], access{cycle: e.Cycle, seq: i, pc: e.PC, line: e.Line})

@@ -6,9 +6,9 @@
 // speculative window (enough for Spectre v1 transient leakage), and
 // produces a Trace: one record per instruction of the monitored
 // program, in program order, holding its HPC events, accessed/flushed
-// cache lines and first-execution timestamp, and, on request, a chronological cache-set trace, windowed
-// HPC samples and the chronological event log — or, through RunEvents,
-// those events handed to a caller's sink as they happen.
+// cache lines and first-execution timestamp, and, on request, the
+// chronological event log — or, through RunEvents, those events handed
+// to a caller's sink as they happen.
 package exec
 
 import (
@@ -30,17 +30,6 @@ type Config struct {
 	// SpecWindow is the transient-execution window in instructions;
 	// 0 disables speculation entirely.
 	SpecWindow int
-	// WindowWidth is the width in cycles of the windowed HPC samples
-	// (Trace.Windows), which only the ML baselines' window features
-	// read. The samples are opt-in: 0 records none, and a window
-	// consumer sets DefaultWindowWidth.
-	WindowWidth uint64
-	// MaxSetTrace caps the cache-set trace (Trace.SetTrace), the
-	// chronological LLC-set log only the SCADET baseline reads. The
-	// trace is opt-in: <= 0 records none, and a positive value records
-	// up to that many entries (DefaultMaxSetTrace for a set-trace
-	// consumer).
-	MaxSetTrace int
 	// RecordEvents enables the chronological event log (Trace.Events),
 	// the replayable record window.Replay consumes. Off by default: the
 	// log costs memory proportional to trace activity. A consumer that
@@ -72,12 +61,10 @@ func (r AddrRange) Contains(addr uint64) bool {
 
 // Defaults for Config zero fields.
 const (
-	DefaultMaxRetired  = 2_000_000
-	DefaultQuantum     = 32
-	DefaultSpecWindow  = 48
-	DefaultMaxSetTrace = 1 << 20
-	DefaultWindowWidth = 2048
-	DefaultMaxEvents   = 1 << 22
+	DefaultMaxRetired = 2_000_000
+	DefaultQuantum    = 32
+	DefaultSpecWindow = 48
+	DefaultMaxEvents  = 1 << 22
 )
 
 // DefaultConfig returns the configuration used throughout the
@@ -309,7 +296,7 @@ func NewMachineMulti(cfg Config, monitored *isa.Program, others ...*isa.Program)
 		m.procs = append(m.procs, p)
 	}
 	m.pred.init(cfg.PredictorSize, assignBTB(m.procs))
-	m.trace = newTrace(monitored, cfg.WindowWidth, cfg.MaxSetTrace, cfg.RecordEvents, cfg.MaxEvents)
+	m.trace = newTrace(monitored, cfg.RecordEvents, cfg.MaxEvents)
 	return m, nil
 }
 
@@ -375,7 +362,7 @@ func (m *Machine) run() {
 		}
 	}
 	m.trace.Halted = mon.halted
-	m.trace.finish(m.cycles)
+	m.trace.Cycles = m.cycles
 }
 
 // done reports whether the monitored process halted, exhausted its
@@ -449,24 +436,19 @@ func (m *Machine) load(p *proc, s int32, addr uint64, monitored bool) uint64 {
 	m.cycles += res.Latency
 	m.fireAccessEvents(res, s, monitored)
 	if monitored {
-		m.traceLine(s, addr, SetRead)
+		m.traceLine(s, addr, false)
 	}
 	return m.mem.Load64(addr)
 }
 
-// traceLine records a monitored data access of addr by the instruction
-// in slot s: the line in the instruction's record and the cache-set
-// trace entry.
-func (m *Machine) traceLine(s int32, addr uint64, kind SetAccessKind) {
-	llc := m.hier.LLC()
-	line := llc.LineAddr(addr)
-	if kind == SetFlush {
+// traceLine records a monitored data access, or a flush, of addr by
+// the instruction in slot s in that instruction's record.
+func (m *Machine) traceLine(s int32, addr uint64, flush bool) {
+	line := m.hier.LLC().LineAddr(addr)
+	if flush {
 		m.trace.flushLine(s, line, m.cycles)
 	} else {
 		m.trace.memLine(s, line, m.cycles)
-	}
-	if m.trace.maxSetTrace > 0 {
-		m.trace.setAccess(m.cycles, llc.SetIndex(addr), line, kind, s)
 	}
 }
 
@@ -481,7 +463,7 @@ func (m *Machine) store(p *proc, s int32, addr, val uint64, monitored bool) {
 	m.cycles += res.Latency
 	m.fireAccessEvents(res, s, monitored)
 	if monitored {
-		m.traceLine(s, addr, SetWrite)
+		m.traceLine(s, addr, false)
 	}
 	m.mem.Store64(addr, val)
 }
@@ -655,7 +637,7 @@ func (m *Machine) step(p *proc, monitored bool) {
 		lat, wasCached := m.hier.Flush(addr)
 		m.cycles += lat
 		if monitored {
-			m.traceLine(cur, addr, SetFlush)
+			m.traceLine(cur, addr, true)
 			if wasCached {
 				// The forced eviction reaches memory (writeback path);
 				// HPCs observe it as a cache miss, which is what makes
@@ -741,9 +723,6 @@ func (m *Machine) step(p *proc, monitored bool) {
 	p.retired++
 	if monitored {
 		m.trace.retire(cur, m.cycles)
-		if m.trace.WindowWidth != 0 {
-			m.trace.tickWindows(m.cycles)
-		}
 	}
 }
 
@@ -836,7 +815,7 @@ func (m *Machine) specLoad(p *proc, s int32, addr uint64, monitored bool) uint64
 	m.cycles += res.Latency / 2 // overlapped with recovery
 	m.fireAccessEvents(res, s, monitored)
 	if monitored {
-		m.traceLine(s, addr, SetRead)
+		m.traceLine(s, addr, false)
 	}
 	return m.mem.Load64(addr)
 }

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/attacks"
 	"repro/internal/hpc"
 	"repro/internal/isa"
 )
@@ -379,128 +378,6 @@ func TestTraceFirstCycleAndExecCount(t *testing.T) {
 	}
 }
 
-func TestWindowSampling(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.WindowWidth = 64
-	b := isa.NewBuilder("win", 0)
-	buf := b.Bytes("buf", 8192, false)
-	b.Mov(isa.R(isa.R0), isa.Imm(0)).
-		Label("loop").
-		Mov(isa.R(isa.R1), isa.MemIdx(isa.R2, isa.R0, 1, int64(buf))).
-		Add(isa.R(isa.R0), isa.Imm(64)).
-		Cmp(isa.R(isa.R0), isa.Imm(8192)).
-		Jl("loop").
-		Hlt()
-	p := b.MustBuild()
-	m, _ := NewMachine(cfg, p, nil)
-	tr := m.Run()
-	if len(tr.Windows) < 2 {
-		t.Fatalf("windows = %d, want several", len(tr.Windows))
-	}
-	var total hpc.Counts
-	for _, w := range tr.Windows {
-		total.Add(w.Counts)
-	}
-	if total != tr.Global {
-		t.Error("window sum must equal global counters")
-	}
-}
-
-// TestWindowSamplesOptIn checks that window samples are opt-in: the
-// default configuration records none, and DefaultWindowWidth records
-// windows whose counts sum to the global counters.
-func TestWindowSamplesOptIn(t *testing.T) {
-	p := attacks.FlushReloadIAIK(attacks.DefaultParams())
-	m, err := NewMachine(DefaultConfig(), p.Program, p.Victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr := m.Run(); len(tr.Windows) != 0 || tr.WindowWidth != 0 {
-		t.Fatalf("default config recorded %d windows of width %d, want none", len(tr.Windows), tr.WindowWidth)
-	}
-	cfg := DefaultConfig()
-	cfg.WindowWidth = DefaultWindowWidth
-	m, err = NewMachine(cfg, p.Program, p.Victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := m.Run()
-	if len(tr.Windows) == 0 || tr.WindowWidth != DefaultWindowWidth {
-		t.Fatalf("DefaultWindowWidth recorded %d windows of width %d", len(tr.Windows), tr.WindowWidth)
-	}
-	var total hpc.Counts
-	for _, w := range tr.Windows {
-		total.Add(w.Counts)
-	}
-	if total != tr.Global {
-		t.Error("window sum must equal global counters")
-	}
-}
-
-// setTraceProgram reads, writes and flushes one buffer.
-func setTraceProgram() *isa.Program {
-	b := isa.NewBuilder("st", 0)
-	buf := b.Bytes("buf", 256, false)
-	b.Mov(isa.R(isa.R1), isa.Imm(int64(buf))).
-		Mov(isa.R(isa.R0), isa.Mem(isa.R1, 0)).
-		Mov(isa.Mem(isa.R1, 64), isa.Imm(1)).
-		Clflush(isa.Mem(isa.R1, 0)).
-		Hlt()
-	return b.MustBuild()
-}
-
-func TestSetTraceRecorded(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxSetTrace = DefaultMaxSetTrace
-	m, err := NewMachine(cfg, setTraceProgram(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := m.Run()
-	var reads, writes, flushes int
-	for _, e := range tr.SetTrace {
-		switch e.Kind {
-		case SetRead:
-			reads++
-		case SetWrite:
-			writes++
-		case SetFlush:
-			flushes++
-		}
-	}
-	if reads == 0 || writes == 0 || flushes != 1 {
-		t.Errorf("set trace r/w/f = %d/%d/%d", reads, writes, flushes)
-	}
-}
-
-// TestSetTraceOptIn: the set trace is opt-in — the default
-// configuration, which every modeling run uses, records none.
-func TestSetTraceOptIn(t *testing.T) {
-	if tr, _ := run(t, setTraceProgram()); len(tr.SetTrace) != 0 {
-		t.Fatalf("DefaultConfig recorded %d set-trace entries, want none", len(tr.SetTrace))
-	}
-}
-
-func TestSetTraceCap(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxSetTrace = 5
-	b := isa.NewBuilder("cap", 0)
-	buf := b.Bytes("buf", 4096, false)
-	b.Mov(isa.R(isa.R0), isa.Imm(0)).
-		Label("loop").
-		Mov(isa.R(isa.R1), isa.MemIdx(isa.R2, isa.R0, 1, int64(buf))).
-		Add(isa.R(isa.R0), isa.Imm(64)).
-		Cmp(isa.R(isa.R0), isa.Imm(4096)).
-		Jl("loop").
-		Hlt()
-	p := b.MustBuild()
-	m, _ := NewMachine(cfg, p, nil)
-	tr := m.Run()
-	if len(tr.SetTrace) != 5 {
-		t.Errorf("set trace = %d entries, want capped 5", len(tr.SetTrace))
-	}
-}
-
 func TestMaxRetiredBudget(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxRetired = 100
@@ -760,18 +637,18 @@ func TestIndirectJump(t *testing.T) {
 }
 
 // TestFireDropsInvalidEvent: an event past the Table I range counts
-// nowhere, neither per instruction nor globally.
+// nowhere, neither per instruction nor globally, and is not logged.
 func TestFireDropsInvalidEvent(t *testing.T) {
-	tr := newTrace(isa.NewBuilder("one", 0).Hlt().MustBuild(), 64, 0, false, 0)
+	tr := newTrace(isa.NewBuilder("one", 0).Hlt().MustBuild(), true, 0)
 	tr.fire(hpc.Event(200), 0, 0)
 	tr.fire(hpc.NumEvents, 0, 0)
-	if tr.Global.Total() != 0 || tr.Insns[0].HPC.Total() != 0 || tr.curWindow.Counts.Total() != 0 {
+	if tr.Global.Total() != 0 || tr.Insns[0].HPC.Total() != 0 || len(tr.Events) != 0 {
 		t.Fatal("an invalid event was counted")
 	}
 }
 
 func TestMemLinesOfMissingPC(t *testing.T) {
-	tr := newTrace(isa.NewBuilder("empty", 0).Hlt().MustBuild(), 0, 0, false, 0)
+	tr := newTrace(isa.NewBuilder("empty", 0).Hlt().MustBuild(), false, 0)
 	if got := memLinesOf(tr, 0x123); got != nil {
 		t.Errorf("MemLinesOf missing = %v", got)
 	}

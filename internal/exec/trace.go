@@ -34,41 +34,14 @@ type InsnRecord struct {
 	lastMem, lastFlush uint64
 }
 
-// SetAccessKind tags entries of the cache-set trace.
-type SetAccessKind uint8
-
-// Cache-set trace entry kinds.
-const (
-	SetRead SetAccessKind = iota
-	SetWrite
-	SetFlush
-)
-
-// SetAccess is one entry of the chronological cache-set access trace the
-// SCADET baseline consumes.
-type SetAccess struct {
-	Cycle uint64
-	Set   int    // LLC set index
-	Line  uint64 // line-aligned address
-	Kind  SetAccessKind
-	PC    uint64
-}
-
-// WindowSample is one fixed-width time window of HPC activity; the ML
-// baselines build their feature vectors from sequences of these.
-type WindowSample struct {
-	StartCycle uint64
-	Counts     hpc.Counts
-}
-
 // EventKind tags entries of the chronological event log.
 type EventKind uint8
 
 // Event log entry kinds. They mirror the four trace hooks the modeling
 // pipeline consumes — instruction retirement, memory-line touches,
-// flush-line touches and HPC event firings. The cache-set trace is not
-// part of the log: it exists for the SCADET baseline only and has its
-// own chronological record (SetTrace).
+// flush-line touches and HPC event firings. The baselines' cache-set
+// trace and window samples are derived from the same events by a
+// RunEvents sink (baseline.Recorder); the machine keeps neither.
 const (
 	EvRetire EventKind = iota
 	EvMem
@@ -107,9 +80,7 @@ type Trace struct {
 	Insns []InsnRecord
 	// Global holds the machine-wide HPC counters of the monitored
 	// process: the sum of every record's HPC.
-	Global   hpc.Counts
-	SetTrace []SetAccess    // recorded only with Config.MaxSetTrace > 0
-	Windows  []WindowSample // recorded only with Config.WindowWidth > 0
+	Global hpc.Counts
 
 	// Events is the chronological event log, populated only when the
 	// machine ran with Config.RecordEvents (a Machine.RunEvents run hands
@@ -121,18 +92,15 @@ type Trace struct {
 	// were complete.
 	EventsTruncated bool
 
-	Retired     uint64 // architecturally retired instructions
-	Transient   uint64 // speculatively executed (squashed) instructions
-	Cycles      uint64 // total virtual cycles at the end of the run
-	Halted      bool   // monitored process reached HLT
-	WindowWidth uint64
+	Retired   uint64 // architecturally retired instructions
+	Transient uint64 // speculatively executed (squashed) instructions
+	Cycles    uint64 // total virtual cycles at the end of the run
+	Halted    bool   // monitored process reached HLT
 
 	// prog is the monitored program; the hooks take an instruction's
 	// index into prog.Insns (its slot) and read its PC from there.
 	prog *isa.Program
 
-	maxSetTrace int
-	curWindow   WindowSample
 	// recordEvents turns the event hooks on; sink then receives every
 	// event until it returns an error, which sinkErr keeps and which
 	// stops the run at the next step boundary.
@@ -142,16 +110,13 @@ type Trace struct {
 	maxEvents    int
 }
 
-// newTrace builds an empty trace of prog with the given sampling
-// parameters; a zero windowWidth records no window samples, and a
-// recordEvents trace logs its events into Events, capped at maxEvents.
-func newTrace(prog *isa.Program, windowWidth uint64, maxSetTrace int, recordEvents bool, maxEvents int) *Trace {
+// newTrace builds an empty trace of prog; a recordEvents trace logs its
+// events into Events, capped at maxEvents.
+func newTrace(prog *isa.Program, recordEvents bool, maxEvents int) *Trace {
 	t := &Trace{
-		Insns:       make([]InsnRecord, len(prog.Insns)),
-		prog:        prog,
-		WindowWidth: windowWidth,
-		maxSetTrace: maxSetTrace,
-		maxEvents:   maxEvents,
+		Insns:     make([]InsnRecord, len(prog.Insns)),
+		prog:      prog,
+		maxEvents: maxEvents,
 	}
 	if recordEvents {
 		t.setSink(t.appendEvent)
@@ -230,44 +195,15 @@ func addLine(set *map[uint64]struct{}, last *uint64, line uint64) {
 	*last = line
 }
 
-func (t *Trace) setAccess(cycle uint64, set int, line uint64, kind SetAccessKind, s int32) {
-	if len(t.SetTrace) >= t.maxSetTrace { // a cap <= 0 records nothing
-		return
-	}
-	t.SetTrace = append(t.SetTrace, SetAccess{Cycle: cycle, Set: set, Line: line, Kind: kind, PC: t.prog.Insns[s].Addr})
-}
-
-// fire records an HPC event in slot s's counters, the global counters
-// and, when window samples are on, the current window. An event past
-// the Table I range is dropped.
+// fire records an HPC event in slot s's counters and the global
+// counters. An event past the Table I range is dropped.
 func (t *Trace) fire(e hpc.Event, s int32, cycle uint64) {
 	if e >= hpc.NumEvents {
 		return
 	}
 	t.Insns[s].HPC[e]++
 	t.Global[e]++
-	if t.WindowWidth != 0 {
-		t.curWindow.Counts[e]++
-	}
 	t.event(EvHPC, cycle, s, 0, e)
-}
-
-// tickWindows advances window sampling to the given cycle; window
-// samples must be on.
-func (t *Trace) tickWindows(cycle uint64) {
-	for cycle >= t.curWindow.StartCycle+t.WindowWidth {
-		t.Windows = append(t.Windows, t.curWindow)
-		t.curWindow = WindowSample{StartCycle: t.curWindow.StartCycle + t.WindowWidth}
-	}
-}
-
-// finish stamps the end of the run and flushes the trailing partial
-// window, if any is recorded.
-func (t *Trace) finish(cycle uint64) {
-	t.Cycles = cycle
-	if t.curWindow.Counts.Total() > 0 {
-		t.Windows = append(t.Windows, t.curWindow)
-	}
 }
 
 // TraceBuilder reconstructs a Trace by replaying entries of an event
@@ -280,9 +216,9 @@ func (t *Trace) finish(cycle uint64) {
 //
 // The rebuilt trace covers exactly what the modeling pipeline
 // (model.BuildFromTrace) consumes: the per-instruction records, the
-// global HPC counters, the retire count and the cycle count. SetTrace,
-// Windows and the Transient total of the original run are NOT
-// reconstructed — they feed the baselines, not CST-BBS modeling.
+// global HPC counters, the retire count and the cycle count. The
+// Transient total and the Halted flag of the original run are not
+// reconstructed; modeling reads neither.
 type TraceBuilder struct {
 	t *Trace
 	// last is the slot the previous event resolved to.
@@ -292,7 +228,7 @@ type TraceBuilder struct {
 // NewTraceBuilder returns an empty builder for the log of a run of
 // prog.
 func NewTraceBuilder(prog *isa.Program) *TraceBuilder {
-	return &TraceBuilder{t: newTrace(prog, 0, 0, false, 0)}
+	return &TraceBuilder{t: newTrace(prog, false, 0)}
 }
 
 // Reset empties the builder for the next slice of the log. It keeps the

@@ -76,12 +76,12 @@ func (c Config) withDefaults() Config {
 }
 
 // Prepared is one corpus sample with everything the approaches consume:
-// the shared execution trace, SCAGuard's behavior model and the
-// baselines' feature vectors.
+// SCAGuard's behavior model, SCADET's cache-set trace and the learners'
+// feature vectors, all from one run.
 type Prepared struct {
 	dataset.Sample
-	Trace    *exec.Trace
 	BBS      *model.CSTBBS
+	SetTrace []baseline.SetAccess
 	WinFeat  []float64
 	LoopFeat []float64
 	// PrepSeconds is the wall-clock cost of collection + modeling,
@@ -100,10 +100,6 @@ func prepare(samples []dataset.Sample, cfg Config) ([]*Prepared, error) {
 		start := time.Now()
 		execCfg := cfg.Model.Exec
 		execCfg.MaxRetired = cfg.MaxRetired
-		execCfg.MaxSetTrace = exec.DefaultMaxSetTrace // SCADET reads the set trace
-		if execCfg.WindowWidth == 0 {
-			execCfg.WindowWidth = exec.DefaultWindowWidth // the ML baselines read the windows
-		}
 		var others []*isa.Program
 		if s.Victim != nil {
 			others = append(others, s.Victim)
@@ -115,16 +111,21 @@ func prepare(samples []dataset.Sample, cfg Config) ([]*Prepared, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", s.Name, err)
 		}
-		tr := machine.Run()
+		rec := baseline.NewRecorder(machine.Hierarchy().LLC().Config())
+		tr, err := machine.RunEvents(rec.Feed)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", s.Name, err)
+		}
+		rec.Finish()
 		m, err := model.BuildFromTrace(s.Program, tr, llc, cfg.Model)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", s.Name, err)
 		}
 		out = append(out, &Prepared{
 			Sample:      s,
-			Trace:       tr,
 			BBS:         m.BBS,
-			WinFeat:     baseline.WindowFeatures(tr),
+			SetTrace:    rec.SetTrace,
+			WinFeat:     baseline.WindowFeatures(rec.Windows, tr.Cycles),
 			LoopFeat:    baseline.LoopFeatures(tr),
 			PrepSeconds: time.Since(start).Seconds(),
 		})

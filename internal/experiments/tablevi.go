@@ -244,7 +244,7 @@ func runTask(t *task, config Config) (TaskResult, error) {
 			start := time.Now()
 			pred := scadet.BenignLabel
 			if ppKnown {
-				pred = scadet.Detect(p.Trace, p.Program)
+				pred = scadet.Detect(p.SetTrace, p.Program)
 			}
 			detectSeconds += time.Since(start).Seconds() + p.PrepSeconds
 			conf.Add(t.truth(p), pred)

@@ -49,15 +49,16 @@ func MeasureTimeCost(config Config) (*TimeCost, error) {
 		start := time.Now()
 		execCfg := config.Model.Exec
 		execCfg.MaxRetired = config.MaxRetired
-		execCfg.MaxSetTrace = exec.DefaultMaxSetTrace // SCADET reads the set trace
-		if execCfg.WindowWidth == 0 {
-			execCfg.WindowWidth = exec.DefaultWindowWidth // the ML baselines read the windows
-		}
 		machine, err := exec.NewMachine(execCfg, poc.Program, poc.Victim)
 		if err != nil {
 			return nil, err
 		}
-		tr := machine.Run()
+		rec := baseline.NewRecorder(machine.Hierarchy().LLC().Config())
+		tr, err := machine.RunEvents(rec.Feed)
+		if err != nil {
+			return nil, err
+		}
+		rec.Finish()
 		tc.Collection += time.Since(start).Seconds()
 
 		// Stage 2: modeling.
@@ -77,11 +78,11 @@ func MeasureTimeCost(config Config) (*TimeCost, error) {
 
 		// Baselines over the shared trace.
 		start = time.Now()
-		scadet.Detect(tr, poc.Program)
+		scadet.Detect(rec.SetTrace, poc.Program)
 		scadetTotal += time.Since(start).Seconds()
 
 		start = time.Now()
-		baseline.WindowFeatures(tr)
+		baseline.WindowFeatures(rec.Windows, tr.Cycles)
 		baseline.LoopFeatures(tr)
 		mlTotal += time.Since(start).Seconds()
 	}

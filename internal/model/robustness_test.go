@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/attacks"
+	"repro/internal/baseline"
 	"repro/internal/benign"
 	"repro/internal/exec"
 	"repro/internal/isa"
@@ -76,9 +77,10 @@ func TestPipelineTotalOverRandomCorpus(t *testing.T) {
 
 // Modeling must be independent of whether the trace comes from Build's
 // own machine or a caller-provided one with identical configuration.
-// Build's private run records no cache-set trace while the caller's
-// opts into one, so this also pins that modeling never reads the set trace:
-// for every PoC the two models are identical in every field.
+// Build's private run has no event sink while the caller's streams
+// every event into the baselines' Recorder, so this also pins that
+// attaching the sink never perturbs the model: for every PoC the two
+// models are identical in every field.
 func TestBuildFromTraceMatchesBuild(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, name := range append(attacks.Names(), attacks.ExtensionNames()...) {
@@ -90,17 +92,20 @@ func TestBuildFromTraceMatchesBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		execCfg := cfg.Exec
-		execCfg.MaxSetTrace = exec.DefaultMaxSetTrace
-		machine, err := exec.NewMachine(execCfg, poc.Program, poc.Victim)
+		machine, err := exec.NewMachine(cfg.Exec, poc.Program, poc.Victim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := machine.Run()
-		if len(tr.SetTrace) == 0 {
+		llc := machine.Hierarchy().LLC().Config()
+		rec := baseline.NewRecorder(llc)
+		tr, err := machine.RunEvents(rec.Feed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.SetTrace) == 0 {
 			t.Fatalf("%s: the caller's run recorded no set trace", name)
 		}
-		viaTrace, err := BuildFromTrace(poc.Program, tr, machine.Hierarchy().LLC().Config(), cfg)
+		viaTrace, err := BuildFromTrace(poc.Program, tr, llc, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

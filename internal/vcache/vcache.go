@@ -383,8 +383,8 @@ func appendModelConfig(b []byte, c model.Config) []byte {
 	}
 	lat := e.Hierarchy.Lat
 	for _, v := range [...]uint64{lat.L1Hit, lat.LLCHit, lat.Memory, lat.Flush, lat.FlushMiss,
-		e.MaxRetired, uint64(e.Quantum), uint64(e.SpecWindow), e.WindowWidth,
-		uint64(e.MaxSetTrace), uint64(e.MaxEvents), uint64(e.PredictorSize)} {
+		e.MaxRetired, uint64(e.Quantum), uint64(e.SpecWindow),
+		uint64(e.MaxEvents), uint64(e.PredictorSize)} {
 		b = appendU64(b, v)
 	}
 	b = appendU64(appendBool(b, e.RecordEvents), uint64(len(e.Protected)))
