@@ -7,7 +7,7 @@ GO ?= go
 # cancellation and backpressure, where a bug means "stuck forever").
 TEST_TIMEOUT ?= 5m
 
-.PHONY: all build test race vet bench bench-shard bench-vcache bench-cascade bench-index bench-check alloc-check vcache-smoke shard-smoke serve-smoke index-smoke window-smoke chaos chaos-smoke docs-check fuzz-short faults cover ci
+.PHONY: all build test race vet bench-module bench bench-shard bench-vcache bench-cascade bench-index bench-check alloc-check vcache-smoke shard-smoke serve-smoke index-smoke window-smoke chaos chaos-smoke docs-check fuzz-short faults cover ci
 
 all: build
 
@@ -28,6 +28,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark harness is its own module (benchmark/go.mod, which
+# replaces repro with this tree), so `./...` above does not reach it.
+# Build, vet and test it against the current tree, so a change to an
+# exported symbol it uses fails CI here instead of in the benchmark run.
+bench-module:
+	cd benchmark && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test -timeout $(TEST_TIMEOUT) ./...
 
 # The repository-scan benchmark plus the per-stage detection costs,
 # then the front of the pipeline layer by layer: the simulator alone
@@ -187,4 +194,4 @@ cover:
 	$(GO) test -coverprofile=coverage.out -timeout $(TEST_TIMEOUT) ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-ci: build vet test race faults alloc-check bench-check vcache-smoke shard-smoke serve-smoke index-smoke window-smoke chaos-smoke docs-check fuzz-short cover
+ci: build vet bench-module test race faults alloc-check bench-check vcache-smoke shard-smoke serve-smoke index-smoke window-smoke chaos-smoke docs-check fuzz-short cover

@@ -116,7 +116,7 @@ type Breaker struct {
 	name string
 	set  Settings
 	tel  *telemetry.Collector
-	now  func() time.Time
+	now  func() time.Time // time.Now; tests substitute a fake clock
 
 	mu        sync.Mutex
 	state     State
@@ -135,10 +135,6 @@ func New(name string, set Settings, tel *telemetry.Collector) *Breaker {
 	set = set.WithDefaults()
 	return &Breaker{name: name, set: set, tel: tel, now: time.Now, interval: set.OpenInterval}
 }
-
-// SetClock overrides the breaker's time source (tests drive the open
-// interval with a fake clock). Not safe to call concurrently with use.
-func (b *Breaker) SetClock(now func() time.Time) { b.now = now }
 
 // Name returns the backend identity the breaker guards.
 func (b *Breaker) Name() string { return b.name }

@@ -33,7 +33,7 @@ func newTestBreaker(set Settings) (*Breaker, *fakeClock, *telemetry.Collector) {
 	tel := telemetry.NewCollector()
 	b := New("b", set, tel)
 	clk := newFakeClock()
-	b.SetClock(clk.now)
+	b.now = clk.now // drive the open interval with a fake clock
 	return b, clk, tel
 }
 

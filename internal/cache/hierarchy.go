@@ -127,18 +127,6 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	return h, nil
 }
 
-// MustNewHierarchy panics on configuration errors.
-func MustNewHierarchy(cfg HierarchyConfig) *Hierarchy {
-	h, err := NewHierarchy(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
-// DefaultHierarchy builds the hierarchy of DefaultHierarchyConfig.
-func DefaultHierarchy() *Hierarchy { return MustNewHierarchy(DefaultHierarchyConfig()) }
-
 // The levels are exposed for inspection (lookups, occupancy, stats).
 // Mutating a level directly, behind the hierarchy's back, is not
 // supported: the way links and the repeat-fetch memo assume every

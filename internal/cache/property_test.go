@@ -14,7 +14,7 @@ func TestHierarchyInclusionProperty(t *testing.T) {
 	cfg.LLC = Config{Name: "LLC", Sets: 16, Ways: 2, LineSize: 64, Policy: LRU}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := MustNewHierarchy(cfg)
+		h := mustNewHierarchy(cfg)
 		lines := make([]uint64, 24)
 		for i := range lines {
 			lines[i] = uint64(rng.Intn(64)) * 64
@@ -50,7 +50,7 @@ func TestHierarchyInclusionProperty(t *testing.T) {
 // before.
 func TestFlushRemovesEverywhereProperty(t *testing.T) {
 	f := func(ops []uint16, target uint16) bool {
-		h := DefaultHierarchy()
+		h := defaultHierarchy()
 		for _, op := range ops {
 			h.Access(uint64(op)*64, AccessKind(op%3), Owner(op%2))
 		}
@@ -112,7 +112,7 @@ func TestOccupancyConservation(t *testing.T) {
 func TestLatencyClassesProperty(t *testing.T) {
 	lat := DefaultLatencies()
 	f := func(addrs []uint16) bool {
-		h := DefaultHierarchy()
+		h := defaultHierarchy()
 		for _, a := range addrs {
 			r := h.Access(uint64(a)*64, Load, 0)
 			switch r.Latency {

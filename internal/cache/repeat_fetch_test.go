@@ -229,7 +229,7 @@ func checkRepeatFetch(t *testing.T, pol Policy, seed int64) {
 		LLC: Config{Name: "LLC", Sets: 8, Ways: 2, LineSize: 64, Policy: pol, Seed: seed + 2},
 		Lat: DefaultLatencies(),
 	}
-	h, ref := MustNewHierarchy(cfg), newRefHierarchy(cfg)
+	h, ref := mustNewHierarchy(cfg), newRefHierarchy(cfg)
 	rng := rand.New(rand.NewSource(seed))
 	// A small line pool keeps sets contended, so repeat fetches meet
 	// evictions, back-invalidations and owner changes.

@@ -143,9 +143,6 @@ func Reset() {
 	armed.Store(false)
 }
 
-// Active reports whether any failpoint is armed.
-func Active() bool { return armed.Load() }
-
 // Fire triggers the failpoint: with nothing armed it returns nil after
 // one atomic load; with an action armed for p it runs it and returns
 // its error (the action may equally panic or sleep). Firing sites treat

@@ -8,8 +8,8 @@ import (
 
 func TestDisabledFireIsNil(t *testing.T) {
 	Reset()
-	if Active() {
-		t.Fatal("Active with nothing armed")
+	if armed.Load() {
+		t.Fatal("armed with nothing enabled")
 	}
 	if err := Fire(ScanWorker, ""); err != nil {
 		t.Fatalf("disabled Fire: %v", err)
@@ -20,8 +20,8 @@ func TestEnableDisableReset(t *testing.T) {
 	t.Cleanup(Reset)
 	sentinel := errors.New("injected")
 	Enable(ModelCST, Error(sentinel))
-	if !Active() {
-		t.Fatal("not Active after Enable")
+	if !armed.Load() {
+		t.Fatal("not armed after Enable")
 	}
 	if err := Fire(ModelCST, "tgt"); !errors.Is(err, sentinel) {
 		t.Fatalf("Fire = %v, want %v", err, sentinel)
@@ -31,8 +31,8 @@ func TestEnableDisableReset(t *testing.T) {
 		t.Fatalf("unarmed point fired: %v", err)
 	}
 	Disable(ModelCST)
-	if Active() {
-		t.Fatal("Active after last Disable")
+	if armed.Load() {
+		t.Fatal("armed after last Disable")
 	}
 	if err := Fire(ModelCST, "tgt"); err != nil {
 		t.Fatalf("disabled point fired: %v", err)

@@ -238,9 +238,6 @@ func MemAbs(addr uint64) Operand {
 	return Operand{Kind: OpMem, Base: RegNone, Index: RegNone, Scale: 1, Disp: int64(addr)}
 }
 
-// IsMem reports whether the operand references memory.
-func (o Operand) IsMem() bool { return o.Kind == OpMem }
-
 // String renders the operand in assembly syntax.
 func (o Operand) String() string {
 	switch o.Kind {

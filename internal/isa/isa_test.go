@@ -89,9 +89,6 @@ func TestOperandConstructors(t *testing.T) {
 	if ab.Base != RegNone || ab.Disp != 0x1000 {
 		t.Errorf("MemAbs = %+v", ab)
 	}
-	if !m.IsMem() || r.IsMem() || im.IsMem() {
-		t.Error("IsMem misclassifies")
-	}
 }
 
 func TestOperandString(t *testing.T) {
@@ -312,8 +309,8 @@ func TestBuilderAttackMarking(t *testing.T) {
 	if len(marked) != 2 {
 		t.Fatalf("marked %d insns, want 2", len(marked))
 	}
-	if in, _ := p.At(marked[0]); in.Op != CLFLUSH {
-		t.Errorf("first marked = %s", in.Op)
+	if i, ok := p.IndexOf(marked[0]); !ok || p.Insns[i].Op != CLFLUSH {
+		t.Errorf("first marked = %#x", marked[0])
 	}
 }
 
@@ -431,11 +428,11 @@ func TestProgramLookups(t *testing.T) {
 	b := NewBuilder("look", 0x100)
 	b.Nop().Nop().Hlt()
 	p := b.MustBuild()
-	if in, ok := p.At(0x104); !ok || in.Op != NOP {
-		t.Error("At(0x104) failed")
+	if i, ok := p.IndexOf(0x104); !ok || p.Insns[i].Op != NOP {
+		t.Error("IndexOf(0x104) failed")
 	}
-	if _, ok := p.At(0x105); ok {
-		t.Error("At(mid-instruction) must fail")
+	if _, ok := p.IndexOf(0x105); ok {
+		t.Error("IndexOf(mid-instruction) must fail")
 	}
 	if i, ok := p.IndexOf(0x108); !ok || i != 2 {
 		t.Errorf("IndexOf = %d,%v", i, ok)
@@ -574,10 +571,10 @@ func TestNormalizeTable(t *testing.T) {
 // memOperands returns the memory operands of the instruction, if any.
 func memOperands(in Instruction) []Operand {
 	var out []Operand
-	if in.Dst.IsMem() {
+	if in.Dst.Kind == OpMem {
 		out = append(out, in.Dst)
 	}
-	if in.Src.IsMem() {
+	if in.Src.Kind == OpMem {
 		out = append(out, in.Src)
 	}
 	return out

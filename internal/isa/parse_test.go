@@ -66,7 +66,11 @@ func TestParseDirectivesAndSymbols(t *testing.T) {
 		t.Errorf("tab = %+v", tab)
 	}
 	// mov r1, $buf resolves to an immediate with buf's address.
-	in, _ := p.At(p.Labels["main"])
+	i, ok := p.IndexOf(p.Labels["main"])
+	if !ok {
+		t.Fatal("label main is not an instruction")
+	}
+	in := p.Insns[i]
 	if in.Src.Kind != OpImm || uint64(in.Src.Disp) != buf.Addr {
 		t.Errorf("$buf operand = %+v", in.Src)
 	}

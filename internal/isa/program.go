@@ -52,15 +52,6 @@ func (p *Program) IndexOf(addr uint64) (int, bool) {
 	return 0, false
 }
 
-// At returns the instruction at the exact address addr.
-func (p *Program) At(addr uint64) (Instruction, bool) {
-	i, ok := p.IndexOf(addr)
-	if !ok {
-		return Instruction{}, false
-	}
-	return p.Insns[i], true
-}
-
 // Label resolves a symbolic label to its address.
 func (p *Program) Label(name string) (uint64, bool) {
 	a, ok := p.Labels[name]

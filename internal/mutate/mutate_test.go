@@ -184,15 +184,15 @@ func TestLabelsAndEntryRemapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.At(m.Entry); !ok {
+	if _, ok := m.IndexOf(m.Entry); !ok {
 		t.Error("entry not remapped to an instruction")
 	}
 	mid, ok := m.Labels["mid"]
 	if !ok {
 		t.Fatal("label lost")
 	}
-	if in, _ := m.At(mid); in.Op != isa.NOP {
-		t.Errorf("label mid points at %v", in.Op)
+	if i, ok := m.IndexOf(mid); !ok || m.Insns[i].Op != isa.NOP {
+		t.Errorf("label mid points at %#x, not a NOP", mid)
 	}
 }
 
@@ -274,7 +274,7 @@ func TestJunkBlockShape(t *testing.T) {
 	// Every junk JE must target an address inside the program.
 	for _, in := range m.Insns {
 		if t2, ok := in.BranchTarget(); ok {
-			if _, exists := m.At(t2); !exists {
+			if _, exists := m.IndexOf(t2); !exists {
 				t.Fatalf("branch at %#x targets nothing", in.Addr)
 			}
 		}
