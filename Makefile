@@ -109,9 +109,12 @@ alloc-check:
 # the detector (program and model keys), the streaming pipeline and the
 # golden corpus, plus the program digest and the shared-LRU tests of
 # the cache itself. Every listed package has tests the pattern selects
-# (check with go test -list).
+# (check with go test -list). The second line reruns the singleflight
+# collapse test 600 times (~0.03 s): its waiters must join the flight
+# before the leader finishes, a race a single run rarely shows.
 vcache-smoke:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'VerdictCache|ShardedCached|ProgramHash|ProgramKeys|PanickingCompute' ./internal/detect ./internal/stream ./internal/vcache .
+	$(GO) test -timeout $(TEST_TIMEOUT) -count=300 -cpu 1,4 -run TestSingleflightCollapse ./internal/vcache
 
 # End-to-end shard deployment smoke: two shard-serve processes on
 # loopback, a partition handshake, then a remote sharded classify whose

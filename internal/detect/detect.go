@@ -376,11 +376,6 @@ type Detector struct {
 	// engCoord is the shard coordinator behind eng (nil unless
 	// sharded); rebuilds and Close stop its background prober.
 	engCoord *shard.Coordinator
-	// engRaw is the unwrapped scan engine behind eng (nil when
-	// sharded). Kept so a rebuild caused by Repository.Add/Replace can
-	// hand the previous repository index back via scan.Config.IndexFrom
-	// and extend it incrementally instead of paying the O(n²) rebuild.
-	engRaw *scan.Engine
 	// vc is the verdict result cache behind ResultCache. It outlives
 	// engine rebuilds on purpose: version-keyed entries from before an
 	// Add are unreachable anyway, while a pure configuration flip (e.g.
@@ -463,49 +458,19 @@ func (d *Detector) engine() (repoScanner, []Entry, error) {
 	d.Telemetry.RegisterGauges("repository", func() map[string]uint64 {
 		return map[string]uint64{"entries": uint64(repo.Len())}
 	})
-	// Incremental repository-index reuse across the version-bump seam:
-	// when only the repository grew (Add/Replace appending entries —
-	// the previous snapshot is a pointer-identical prefix of the new
-	// one) under unchanged index-shaping configuration, seed the new
-	// engine with the old index so appended entries join their nearest
-	// medoid instead of triggering a full O(n²) rebuild. Sharded
-	// engines always rebuild: each shard owns its own slice index.
-	if k.sem.Index && !d.sharded() && d.engRaw != nil &&
-		k.sem.IndexClusters == d.engKey.sem.IndexClusters && k.sem.Sim == d.engKey.sem.Sim {
-		if prev := d.engRaw.Index(); prev != nil && extendsPrefix(entries, d.engEntries) {
-			cfg.IndexFrom = prev
-		}
-	}
 	sc, co, err := d.buildScanner(models, cfg, ver)
 	if err != nil {
 		return nil, nil, fmt.Errorf("detect: building sharded scanner: %w", err)
 	}
-	raw, _ := sc.(*scan.Engine)
 	if d.ResultCache > 0 {
 		sc = d.wrapCached(sc, ver, k.sem)
 	}
 	// The outgoing coordinator's background prober must not outlive the
 	// engine it served.
 	d.engCoord.Close()
-	d.eng, d.engCoord, d.engRaw = sc, co, raw
+	d.eng, d.engCoord = sc, co
 	d.engEntries, d.engVer, d.engKey = entries, ver, k
 	return d.eng, d.engEntries, nil
-}
-
-// extendsPrefix reports whether the new snapshot is an append-only
-// extension of the old one: same leading entries (pointer-identical
-// models — Replace swaps the slice header but reuses untouched entry
-// values) with zero or more appended.
-func extendsPrefix(entries, old []Entry) bool {
-	if len(entries) < len(old) {
-		return false
-	}
-	for i := range old {
-		if entries[i].BBS != old[i].BBS {
-			return false
-		}
-	}
-	return true
 }
 
 // Close releases the detector's background resources — today the

@@ -90,12 +90,13 @@ func TestDetectorIndexedDifferential(t *testing.T) {
 	}
 }
 
-// TestDetectorIndexExtend covers the incremental path: growing the
-// repository through Add must extend the previous index (one extra
-// index_rebuilds tick, not a from-scratch build being the only option)
-// and keep verdicts bit-identical to a fresh exact detector over the
-// grown repository.
-func TestDetectorIndexExtend(t *testing.T) {
+// TestDetectorIndexGrowth covers a repository that grows after the
+// detector has scanned: through Add, and through a Replace whose
+// entries keep the old ones as a pointer-identical prefix. Each growth
+// makes the next scan build the index from scratch over every entry,
+// and every appended entry must classify bit-identically to a fresh
+// exact detector over the grown repository.
+func TestDetectorIndexGrowth(t *testing.T) {
 	base, err := BuildVariantRepository(CorpusConfig{PerFamily: 10, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -110,32 +111,40 @@ func TestDetectorIndexExtend(t *testing.T) {
 	det.Telemetry = telemetry.NewCollector()
 	defer det.Close()
 
-	target := base.Entries[1].BBS
-	_ = det.ClassifyBBS(target) // cold: full build
+	_ = det.ClassifyBBS(base.Entries[1].BBS) // cold: the first build
 	if n := det.Telemetry.Snapshot().Counters["index_rebuilds"]; n != 1 {
 		t.Fatalf("after first scan: index_rebuilds = %d, want 1", n)
 	}
 
-	for _, e := range extra.Entries {
-		base.Add(e.Name, e.Family, e.BBS)
-	}
-	got := det.ClassifyBBS(extra.Entries[0].BBS)
-	snap := det.Telemetry.Snapshot()
-	if n := snap.Counters["index_rebuilds"]; n != 2 {
-		t.Fatalf("after growth: index_rebuilds = %d, want 2 (one extend)", n)
-	}
-	// The gauge proves the rebuild was an extension of the previous
-	// index, not a from-scratch build (Build leaves Extended at 0).
-	if n := snap.Gauges["index"]["extended"]; n != uint64(len(extra.Entries)) {
-		t.Fatalf("index gauge extended = %d, want %d appended entries", n, len(extra.Entries))
+	// check classifies every appended entry and requires the rebuild
+	// count, the index gauge and the verdicts a grown repository gives.
+	check := func(stage string, appended []Entry, rebuilds uint64) {
+		t.Helper()
+		ref := NewDetector(base)
+		for _, e := range appended {
+			got, want := det.ClassifyBBS(e.BBS), ref.ClassifyBBS(e.BBS)
+			if got.Predicted != want.Predicted || got.Best.Name != want.Best.Name || got.Best.Score != want.Best.Score {
+				t.Errorf("%s: %s indexed verdict %s/%s/%.17g, exact %s/%s/%.17g", stage, e.Name,
+					got.Predicted, got.Best.Name, got.Best.Score, want.Predicted, want.Best.Name, want.Best.Score)
+			}
+		}
+		snap := det.Telemetry.Snapshot()
+		if n := snap.Counters["index_rebuilds"]; n != rebuilds {
+			t.Fatalf("%s: index_rebuilds = %d, want %d", stage, n, rebuilds)
+		}
+		if n := snap.Gauges["index"]["entries"]; n != uint64(base.Len()) {
+			t.Fatalf("%s: index gauge entries = %d, want %d", stage, n, base.Len())
+		}
 	}
 
-	ref := NewDetector(base)
-	want := ref.ClassifyBBS(extra.Entries[0].BBS)
-	if got.Predicted != want.Predicted || got.Best.Name != want.Best.Name || got.Best.Score != want.Best.Score {
-		t.Fatalf("post-growth indexed verdict %s/%s/%.17g, exact %s/%s/%.17g",
-			got.Predicted, got.Best.Name, got.Best.Score, want.Predicted, want.Best.Name, want.Best.Score)
+	added, replaced := extra.Entries[:6], extra.Entries[6:]
+	for _, e := range added {
+		base.Add(e.Name, e.Family, e.BBS)
 	}
+	check("after Add", added, 2)
+
+	base.Replace(append(append([]Entry(nil), base.Entries...), replaced...))
+	check("after append-only Replace", replaced, 3)
 }
 
 // TestVariantRepositoryDeterministic pins the corpus reproducibility

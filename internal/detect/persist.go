@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"repro/internal/attacks"
-	"repro/internal/cache"
 	"repro/internal/model"
 )
 
@@ -19,22 +18,14 @@ type repoFile struct {
 	Entries []entryFile `json:"entries"`
 }
 
+// entryFile is one saved model: the CST-BBS fields with the family
+// between the name and the timer reads. Each CST uses model.CST's JSON
+// form, the one the shard wire sends too.
 type entryFile struct {
-	Name       string    `json:"name"`
-	Family     string    `json:"family"`
-	TimerReads uint64    `json:"timer_reads"`
-	Seq        []cstFile `json:"seq"`
-}
-
-type cstFile struct {
-	Leader     uint64   `json:"leader"`
-	BeforeAO   float64  `json:"before_ao"`
-	BeforeIO   float64  `json:"before_io"`
-	AfterAO    float64  `json:"after_ao"`
-	AfterIO    float64  `json:"after_io"`
-	NormInsns  []string `json:"norm_insns"`
-	FirstCycle uint64   `json:"first_cycle"`
-	HPCValue   uint64   `json:"hpc_value"`
+	Name       string      `json:"name"`
+	Family     string      `json:"family"`
+	TimerReads uint64      `json:"timer_reads"`
+	Seq        []model.CST `json:"seq"`
 }
 
 const repoFormatVersion = 1
@@ -46,18 +37,9 @@ func (r *Repository) Save(w io.Writer) error {
 	defer r.mu.RUnlock()
 	out := repoFile{Version: repoFormatVersion}
 	for _, e := range r.Entries {
-		ef := entryFile{Name: e.Name, Family: string(e.Family), TimerReads: e.BBS.TimerReads}
-		for _, c := range e.BBS.Seq {
-			ef.Seq = append(ef.Seq, cstFile{
-				Leader:     c.Leader,
-				BeforeAO:   c.Before.AO,
-				BeforeIO:   c.Before.IO,
-				AfterAO:    c.After.AO,
-				AfterIO:    c.After.IO,
-				NormInsns:  c.NormInsns,
-				FirstCycle: c.FirstCycle,
-				HPCValue:   c.HPCValue,
-			})
+		ef := entryFile{Name: e.Name, Family: string(e.Family), TimerReads: e.BBS.TimerReads, Seq: e.BBS.Seq}
+		if len(ef.Seq) == 0 {
+			ef.Seq = nil // an empty model saves as "seq": null, empty slice or not
 		}
 		out.Entries = append(out.Entries, ef)
 	}
@@ -77,18 +59,7 @@ func LoadRepository(r io.Reader) (*Repository, error) {
 	}
 	repo := &Repository{}
 	for _, ef := range in.Entries {
-		bbs := &model.CSTBBS{Name: ef.Name, TimerReads: ef.TimerReads}
-		for _, c := range ef.Seq {
-			bbs.Seq = append(bbs.Seq, model.CST{
-				Leader:     c.Leader,
-				Before:     cache.State{AO: c.BeforeAO, IO: c.BeforeIO},
-				After:      cache.State{AO: c.AfterAO, IO: c.AfterIO},
-				NormInsns:  c.NormInsns,
-				FirstCycle: c.FirstCycle,
-				HPCValue:   c.HPCValue,
-			})
-		}
-		repo.Add(ef.Name, attacks.Family(ef.Family), bbs)
+		repo.Add(ef.Name, attacks.Family(ef.Family), &model.CSTBBS{Name: ef.Name, Seq: ef.Seq, TimerReads: ef.TimerReads})
 	}
 	return repo, nil
 }

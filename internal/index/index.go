@@ -67,7 +67,7 @@ type Cluster struct {
 }
 
 // Index is an immutable cluster index over repository entries 0..N-1.
-// Build and Extend return fresh values; an Index is never mutated after
+// Build returns a fresh value; an Index is never mutated after
 // construction and is safe to share across goroutines.
 type Index struct {
 	// N is the number of entries covered (every entry appears in
@@ -75,14 +75,9 @@ type Index struct {
 	N int
 	// Clusters holds the partition in ascending-medoid order.
 	Clusters []Cluster
-	// BuildTime is the wall time the construction (or extension) took,
-	// dominated by the O(n²) pairwise distances of a full build.
+	// BuildTime is the wall time the construction took, dominated by
+	// the O(n²) pairwise distances.
 	BuildTime time.Duration
-	// Extended counts entries assigned incrementally by Extend since
-	// the last full Build (their cluster assignment is nearest-medoid,
-	// not MST-derived, so radii stay conservative but clusters drift;
-	// a full rebuild re-partitions from scratch).
-	Extended int
 }
 
 // DefaultClusters is the cluster-count heuristic when the caller does
@@ -248,41 +243,6 @@ func summarize(members []int, at func(i, j int) float64) Cluster {
 	return c
 }
 
-// Extend assigns appended entries prev.N..n-1 to their nearest existing
-// medoid (first cluster wins distance ties), growing radii as needed —
-// the cheap O(k·added) incremental path behind Repository.Add's
-// version bump. It returns nil when prev cannot be extended (nil, empty
-// while entries exist, or shrunk below prev.N); the caller falls back
-// to a full Build. n == prev.N returns prev unchanged.
-func Extend(prev *Index, n int, dist DistFunc) *Index {
-	if prev == nil || n < prev.N || (prev.N == 0 && n > 0) {
-		return nil
-	}
-	if n == prev.N {
-		return prev
-	}
-	start := time.Now()
-	ix := &Index{N: n, Clusters: make([]Cluster, len(prev.Clusters)), Extended: prev.Extended + (n - prev.N)}
-	for i, c := range prev.Clusters {
-		ix.Clusters[i] = Cluster{Medoid: c.Medoid, Radius: c.Radius, Members: append([]Member(nil), c.Members...)}
-	}
-	for e := prev.N; e < n; e++ {
-		bestC, bestD := 0, math.Inf(1)
-		for ci := range ix.Clusters {
-			if d := dist(ix.Clusters[ci].Medoid, e); d < bestD {
-				bestC, bestD = ci, d
-			}
-		}
-		c := &ix.Clusters[bestC]
-		c.Members = append(c.Members, Member{Entry: e, ProtoDist: bestD})
-		if bestD > c.Radius {
-			c.Radius = bestD
-		}
-	}
-	ix.BuildTime = time.Since(start)
-	return ix
-}
-
 // MaxRadius returns the largest cluster radius (0 for an empty index);
 // a loose global indicator of how tight the clustering is.
 func (ix *Index) MaxRadius() float64 {
@@ -297,8 +257,7 @@ func (ix *Index) MaxRadius() float64 {
 
 // Gauges reports the index shape for the telemetry "index" gauge group:
 // cluster and entry counts, the largest radius in micro-units (radius ×
-// 10⁶ truncated; +Inf saturates), the build time in microseconds and
-// the incrementally extended entry count.
+// 10⁶ truncated; +Inf saturates) and the build time in microseconds.
 func (ix *Index) Gauges() map[string]uint64 {
 	r := ix.MaxRadius()
 	var rum uint64
@@ -313,6 +272,5 @@ func (ix *Index) Gauges() map[string]uint64 {
 		"entries":       uint64(ix.N),
 		"max_radius_um": rum,
 		"build_us":      uint64(ix.BuildTime.Microseconds()),
-		"extended":      uint64(ix.Extended),
 	}
 }

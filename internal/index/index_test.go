@@ -152,65 +152,6 @@ func TestBuildEmptyAndInfinite(t *testing.T) {
 	}
 }
 
-func TestExtend(t *testing.T) {
-	xs := []float64{0, 1, 10, 11}
-	prev, err := Build(4, 2, lineDist(xs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := append(xs, 2, 12, 100)
-	ix := Extend(prev, len(all), lineDist(all))
-	if ix == nil {
-		t.Fatal("Extend returned nil for a valid append")
-	}
-	if ix.N != 7 || ix.Extended != 3 {
-		t.Fatalf("N=%d Extended=%d, want 7, 3", ix.N, ix.Extended)
-	}
-	// prev must be untouched.
-	if prev.N != 4 || prev.Extended != 0 {
-		t.Fatalf("Extend mutated its input: %+v", prev)
-	}
-	find := func(e int) *Cluster {
-		for c := range ix.Clusters {
-			if ix.Clusters[c].Medoid == e {
-				return &ix.Clusters[c]
-			}
-			for _, m := range ix.Clusters[c].Members {
-				if m.Entry == e {
-					return &ix.Clusters[c]
-				}
-			}
-		}
-		return nil
-	}
-	// x=2 joins the {0,1} cluster, x=12 and x=100 the {10,11} cluster,
-	// and the radii grow to cover them.
-	low, high := find(4), find(5)
-	if low == nil || high == nil || low == high {
-		t.Fatalf("appended entries misassigned: %+v", ix.Clusters)
-	}
-	if find(6) != high {
-		t.Fatalf("x=100 not assigned to the nearest medoid")
-	}
-	if got := high.Radius; got != math.Abs(all[high.Medoid]-100) {
-		t.Fatalf("radius = %v, want to cover x=100", got)
-	}
-
-	if Extend(prev, 4, lineDist(xs)) != prev {
-		t.Error("Extend with no new entries should return prev")
-	}
-	if Extend(prev, 3, nil) != nil {
-		t.Error("Extend on a shrunk repository should refuse")
-	}
-	if Extend(nil, 3, nil) != nil {
-		t.Error("Extend(nil) should refuse")
-	}
-	empty := &Index{}
-	if Extend(empty, 3, nil) != nil {
-		t.Error("Extend from an empty index should refuse (no medoids)")
-	}
-}
-
 func TestBuildFailpoint(t *testing.T) {
 	defer faultinject.Reset()
 	boom := errors.New("injected")

@@ -126,13 +126,13 @@ func (c CST) Delta() float64 {
 // CSTBBS is the attack behavior model: a sequence of cache state
 // transitions in first-execution order (Definition 5).
 type CSTBBS struct {
-	Name string
-	Seq  []CST
+	Name string `json:"name"`
 	// TimerReads counts the timestamp reads (RDTSCP) observed while
 	// collecting the model. Every cache side-channel attack measures
 	// time — it is the channel — so a target with zero timer reads
 	// cannot be a CSCA; the detector uses this as a prerequisite.
-	TimerReads uint64
+	TimerReads uint64 `json:"timer_reads"`
+	Seq        []CST  `json:"seq"`
 }
 
 // Len returns the sequence length.

@@ -29,7 +29,7 @@ func (e *Engine) indexed() bool { return e.cfg.Prune && e.idx != nil }
 // entryDist adapts the engine's memoized comparison kernel to the
 // index's entry-pair DistFunc: entry i is viewed as a target (its
 // profile, interned ids and flattened form already exist) and compared
-// exactly against entry j. Shared with index.Build and index.Extend.
+// exactly against entry j.
 func (e *Engine) entryDist(s *scratch) index.DistFunc {
 	var t target
 	return func(i, j int) float64 {
@@ -39,24 +39,16 @@ func (e *Engine) entryDist(s *scratch) index.DistFunc {
 	}
 }
 
-// buildIndex constructs (or incrementally extends) the repository
-// index at engine build time. A failed build — only the index.build
-// failpoint fails it — degrades to flat scanning: the engine keeps
-// working, it just is not sub-linear.
+// buildIndex constructs the repository index at engine build time. A
+// failed build — only the index.build failpoint fails it — degrades to
+// flat scanning: the engine keeps working, it just is not sub-linear.
 func (e *Engine) buildIndex() *index.Index {
 	// The build scratch comes from (and returns to) the engine pool on
 	// purpose: the O(n²) distance pass fills the worker-local pair memo
 	// with exactly the entry-pair cells later scans revisit.
 	s := e.getScratch()
 	defer e.putScratch(s)
-	dist := e.entryDist(s)
-	if prev := e.cfg.IndexFrom; prev != nil {
-		if ix := index.Extend(prev, len(e.models), dist); ix != nil {
-			e.cfg.Telemetry.Inc(telemetry.IndexRebuilds)
-			return ix
-		}
-	}
-	ix, err := index.Build(len(e.models), e.cfg.IndexClusters, dist)
+	ix, err := index.Build(len(e.models), e.cfg.IndexClusters, e.entryDist(s))
 	if err != nil {
 		return nil
 	}

@@ -62,7 +62,7 @@ func indexBenchSetup(b *testing.B) {
 	if len(indexBench.models) < 500 {
 		b.Fatalf("stress corpus holds %d models, want >= 500", len(indexBench.models))
 	}
-	if indexBench.indexed.Index() == nil {
+	if !indexBench.indexed.Indexed() {
 		b.Fatal("indexed engine has no index")
 	}
 }

@@ -66,7 +66,7 @@ func TestIndexedScanBestIdentity(t *testing.T) {
 		flat := New(models, Config{Workers: 1, Prune: true})
 		for _, clusters := range []int{0, 1, 3, len(models)} {
 			eng := New(models, Config{Workers: 1, Prune: true, Index: true, IndexClusters: clusters})
-			if eng.Index() == nil {
+			if eng.idx == nil {
 				t.Fatalf("seed %d clusters %d: index not built", seed, clusters)
 			}
 			for ti := 0; ti < 4; ti++ {
@@ -172,7 +172,7 @@ func TestIndexedEngineBuildFaultDegrades(t *testing.T) {
 	faultinject.Enable(faultinject.IndexBuild, faultinject.Error(errors.New("injected")))
 	eng := New(models, Config{Workers: 1, Prune: true, Index: true})
 	faultinject.Reset()
-	if eng.Index() != nil {
+	if eng.idx != nil {
 		t.Fatal("index should have degraded under the build fault")
 	}
 	got := bestOf(eng.Scan(tgt))
@@ -205,31 +205,6 @@ func TestIndexedApproxMode(t *testing.T) {
 			if !m.Pruned && m.Score != ref[i].Score {
 				t.Fatalf("entry %d scored %v, exact %v", i, m.Score, ref[i].Score)
 			}
-		}
-	}
-}
-
-// TestIndexedExtendViaConfig: seeding a new engine with the previous
-// index (the Repository.Add incremental path) extends instead of
-// rebuilding, and best-identity still holds.
-func TestIndexedExtendViaConfig(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	models := synthModels(rng, 30)
-	first := New(models, Config{Workers: 1, Prune: true, Index: true})
-	if first.Index() == nil || first.Index().Extended != 0 {
-		t.Fatal("first engine index not a fresh build")
-	}
-	grown := append(append([]*model.CSTBBS(nil), models...), synthModels(rng, 8)...)
-	second := New(grown, Config{Workers: 1, Prune: true, Index: true, IndexFrom: first.Index()})
-	if got := second.Index().Extended; got != 8 {
-		t.Fatalf("Extended = %d, want 8", got)
-	}
-	exact := New(grown, Config{Workers: 1})
-	for ti := 0; ti < 4; ti++ {
-		tgt := synthBBS(rng, "t")
-		want, got := bestOf(exact.Scan(tgt)), bestOf(second.Scan(tgt))
-		if got.Index != want.Index || got.Score != want.Score {
-			t.Fatalf("extended-index best (%d, %v), want (%d, %v)", got.Index, got.Score, want.Index, want.Score)
 		}
 	}
 }

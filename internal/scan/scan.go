@@ -93,13 +93,6 @@ type Config struct {
 	// does not guarantee, so the true best match may be missed. Exact
 	// mode (the default, 0) never trusts that estimate for a skip.
 	IndexMaxClusters int
-	// IndexFrom optionally seeds index construction from a previous
-	// engine's index when the new model slice is an append-only
-	// extension of the one that index covers (the caller must verify
-	// the prefix matches): appended entries join their nearest medoid
-	// (index.Extend) instead of paying the full O(n²) rebuild. Ignored
-	// when extension is impossible.
-	IndexFrom *index.Index
 	// Sim is the similarity configuration shared by every comparison.
 	Sim similarity.Options
 	// Cache optionally shares a Levenshtein memo across engines (e.g.
@@ -138,7 +131,7 @@ func (c Config) Semantics() Semantics {
 }
 
 // Config returns a Config carrying s; the operational fields (Workers,
-// IndexFrom, Cache, Telemetry) are left zero for the caller to fill.
+// Cache, Telemetry) are left zero for the caller to fill.
 func (s Semantics) Config() Config {
 	return Config{
 		Prune:            s.Prune,
@@ -241,12 +234,6 @@ func New(models []*model.CSTBBS, cfg Config) *Engine {
 	}
 	return e
 }
-
-// Index returns the engine's repository index (nil when indexing is
-// off, or when an injected build fault degraded the engine to flat
-// scanning). Detectors hand it back via Config.IndexFrom to extend
-// incrementally across repository version bumps.
-func (e *Engine) Index() *index.Index { return e.idx }
 
 // Len returns the number of repository models scanned per target.
 func (e *Engine) Len() int { return len(e.models) }

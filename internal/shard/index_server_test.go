@@ -82,7 +82,7 @@ func TestServerIndexedEngineSeparation(t *testing.T) {
 	defer ts.Close()
 
 	sim := similarity.DefaultOptions()
-	flatReq := scanRequest{Target: toWireBBS(target), Prune: true,
+	flatReq := scanRequest{Target: *target, Prune: true,
 		Window: sim.Window, ISWeight: sim.ISWeight, CSPWeight: sim.CSPWeight}
 	idxReq := flatReq
 	idxReq.Index = true
@@ -130,7 +130,7 @@ func TestServerWarmIndex(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	sim := similarity.DefaultOptions()
-	_, status := postScan(t, ts.URL, scanRequest{Target: toWireBBS(models[0]), Prune: true, Index: true, IndexClusters: 3,
+	_, status := postScan(t, ts.URL, scanRequest{Target: *models[0], Prune: true, Index: true, IndexClusters: 3,
 		Window: sim.Window, ISWeight: sim.ISWeight, CSPWeight: sim.CSPWeight})
 	if status != 200 {
 		t.Fatalf("indexed scan answered %d", status)
@@ -142,7 +142,7 @@ func TestServerWarmIndex(t *testing.T) {
 	// An old client still sends "cascade":true. Every pruned scan runs
 	// the cascade, so the field must not select a second engine (and a
 	// second O(n²) index build).
-	body, err := json.Marshal(scanRequest{Target: toWireBBS(models[1]), Prune: true, Index: true, IndexClusters: 3,
+	body, err := json.Marshal(scanRequest{Target: *models[1], Prune: true, Index: true, IndexClusters: 3,
 		Window: sim.Window, ISWeight: sim.ISWeight, CSPWeight: sim.CSPWeight})
 	if err != nil {
 		t.Fatal(err)

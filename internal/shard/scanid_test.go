@@ -68,7 +68,7 @@ func TestServerDuplicateScanIDIdempotent(t *testing.T) {
 	seed := 123.0
 	resp, status := postScan(t, ts.URL, scanRequest{
 		ID:     "retried-id",
-		Target: toWireBBS(target),
+		Target: *target,
 		Prune:  true,
 		Cutoff: &seed,
 		Window: sim.Window, ISWeight: sim.ISWeight, CSPWeight: sim.CSPWeight,

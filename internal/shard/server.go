@@ -178,7 +178,7 @@ func (s *Server) scanOnce(ctx context.Context, req scanRequest) (ms []scan.Match
 		}
 	}
 
-	ms, err = eng.ScanCutoffCtx(ctx, fromWireBBS(req.Target), cut)
+	ms, err = eng.ScanCutoffCtx(ctx, &req.Target, cut)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/model"
 	"repro/internal/scan"
 	"repro/internal/similarity"
@@ -15,27 +14,8 @@ import (
 // can stay bit-identical to a local one: the differential tests compare
 // with ==, not a tolerance. Infinity is not representable in JSON, so
 // the cutoff travels as a *float64 with nil meaning "+Inf / no cutoff
-// yet".
-
-// wireCST mirrors one model.CST (same field set as the repository
-// persistence format in internal/detect).
-type wireCST struct {
-	Leader     uint64   `json:"leader"`
-	BeforeAO   float64  `json:"before_ao"`
-	BeforeIO   float64  `json:"before_io"`
-	AfterAO    float64  `json:"after_ao"`
-	AfterIO    float64  `json:"after_io"`
-	NormInsns  []string `json:"norm_insns"`
-	FirstCycle uint64   `json:"first_cycle"`
-	HPCValue   uint64   `json:"hpc_value"`
-}
-
-// wireBBS mirrors one model.CSTBBS.
-type wireBBS struct {
-	Name       string    `json:"name"`
-	TimerReads uint64    `json:"timer_reads"`
-	Seq        []wireCST `json:"seq"`
-}
+// yet". The target travels in model.CSTBBS's JSON form, the one the
+// saved repository uses.
 
 // scanRequest is POST /scan: one target to score against the shard's
 // whole slice. The scan semantics travel with the request as flat
@@ -46,8 +26,8 @@ type wireBBS struct {
 type scanRequest struct {
 	// ID names this scan for later POST /cutoff broadcasts ("" opts
 	// out of broadcasting).
-	ID     string  `json:"id"`
-	Target wireBBS `json:"target"`
+	ID     string       `json:"id"`
+	Target model.CSTBBS `json:"target"`
 	// Cutoff seeds the shard's pruning cutoff with the global best
 	// distance known at send time (nil = none yet).
 	Cutoff    *float64 `json:"cutoff,omitempty"`
@@ -105,7 +85,7 @@ type healthResponse struct {
 // newScanRequest builds the /scan request for one target under sem.
 func newScanRequest(bbs *model.CSTBBS, sem scan.Semantics) scanRequest {
 	return scanRequest{
-		Target:        toWireBBS(bbs),
+		Target:        *bbs,
 		Prune:         sem.Prune,
 		Window:        sem.Sim.Window,
 		ISWeight:      sem.Sim.ISWeight,
@@ -125,38 +105,6 @@ func (r scanRequest) semantics() scan.Semantics {
 		IndexMaxClusters: r.IndexMax,
 		Sim:              similarity.Options{Window: r.Window, ISWeight: r.ISWeight, CSPWeight: r.CSPWeight},
 	}.Semantics()
-}
-
-func toWireBBS(bbs *model.CSTBBS) wireBBS {
-	w := wireBBS{Name: bbs.Name, TimerReads: bbs.TimerReads, Seq: make([]wireCST, len(bbs.Seq))}
-	for i, c := range bbs.Seq {
-		w.Seq[i] = wireCST{
-			Leader:     c.Leader,
-			BeforeAO:   c.Before.AO,
-			BeforeIO:   c.Before.IO,
-			AfterAO:    c.After.AO,
-			AfterIO:    c.After.IO,
-			NormInsns:  c.NormInsns,
-			FirstCycle: c.FirstCycle,
-			HPCValue:   c.HPCValue,
-		}
-	}
-	return w
-}
-
-func fromWireBBS(w wireBBS) *model.CSTBBS {
-	bbs := &model.CSTBBS{Name: w.Name, TimerReads: w.TimerReads, Seq: make([]model.CST, len(w.Seq))}
-	for i, c := range w.Seq {
-		bbs.Seq[i] = model.CST{
-			Leader:     c.Leader,
-			Before:     cache.State{AO: c.BeforeAO, IO: c.BeforeIO},
-			After:      cache.State{AO: c.AfterAO, IO: c.AfterIO},
-			NormInsns:  c.NormInsns,
-			FirstCycle: c.FirstCycle,
-			HPCValue:   c.HPCValue,
-		}
-	}
-	return bbs
 }
 
 // fromWireMatches validates and converts a /scan reply: exactly want

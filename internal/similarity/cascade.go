@@ -17,7 +17,8 @@ import "math"
 // tier only for entries the cheaper tiers could not prune. The tiers
 // are individually sound but not mutually ordered; the scan keeps a
 // running maximum, which is again a valid bound (max of lower bounds)
-// and makes the cascade monotone by construction (see Cascade).
+// and makes the cascade monotone by construction (cascade_test.go pins
+// that composition).
 //
 // All tiers share two per-cell underestimates of the point distance:
 // D_CSP(i,j) = |Δi − Δj| exactly, and D_IS(i,j) ≥ ||a|−|b||/max(|a|,|b|)
@@ -276,24 +277,4 @@ func keoghRows(a, b *Profile, opts Options, w int, s *KeoghScratch) float64 {
 			opts.CSPWeight*deltaToInterval(a.Deltas[i-1], b.Deltas[s.minD.front()], b.Deltas[s.maxD.front()])
 	}
 	return sum
-}
-
-// Cascade evaluates all three tiers with the running maximum applied:
-// kim ≤ keogh ≤ full by construction, and each is a valid lower bound
-// on BBSDistance (a maximum of lower bounds is a lower bound). The scan
-// engine escalates lazily instead of calling this — an entry pruned at
-// tier 1 never pays for tier 2 — but the property tests and the fuzz
-// harness pin the cascade's soundness and monotonicity through this
-// exact composition.
-func Cascade(a, b *Profile, opts Options, s *KeoghScratch) (kim, keogh, full float64) {
-	kim = LowerBoundKim(a, b, opts)
-	keogh = LowerBoundKeogh(a, b, opts, s)
-	if kim > keogh {
-		keogh = kim
-	}
-	full = LowerBound(a, b, opts)
-	if keogh > full {
-		full = keogh
-	}
-	return kim, keogh, full
 }

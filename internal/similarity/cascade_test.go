@@ -31,12 +31,31 @@ var cascadeOptsList = []Options{
 	{Window: 2, ISWeight: 0.25, CSPWeight: 0.75},
 }
 
+// cascade evaluates all three tiers with the running maximum applied:
+// kim ≤ keogh ≤ full by construction, and each is a valid lower bound
+// on BBSDistance (a maximum of lower bounds is a lower bound). The scan
+// engine escalates lazily instead — an entry pruned at tier 1 never
+// pays for tier 2 — so the property tests and the fuzz harness pin the
+// cascade's soundness and monotonicity through this composition.
+func cascade(a, b *Profile, opts Options, s *KeoghScratch) (kim, keogh, full float64) {
+	kim = LowerBoundKim(a, b, opts)
+	keogh = LowerBoundKeogh(a, b, opts, s)
+	if kim > keogh {
+		keogh = kim
+	}
+	full = LowerBound(a, b, opts)
+	if keogh > full {
+		full = keogh
+	}
+	return kim, keogh, full
+}
+
 // checkCascadePair verifies every cascade invariant for one model pair
 // under one Options value; it reports the first violation as a string
 // (empty = all good) so callers can attach their own context.
 func checkCascadePair(a, b *model.CSTBBS, opts Options, s *KeoghScratch) string {
 	pa, pb := NewProfile(a), NewProfile(b)
-	kim, keogh, full := Cascade(pa, pb, opts, s)
+	kim, keogh, full := cascade(pa, pb, opts, s)
 	d := BBSDistance(a, b, opts)
 	if math.IsInf(d, 1) {
 		// one-empty: every tier must agree on +Inf
@@ -90,10 +109,10 @@ func TestCascadeEmpty(t *testing.T) {
 	var s KeoghScratch
 	empty := NewProfile(seq("e"))
 	full := NewProfile(seq("a", cst([]string{"x"}, 0.1, 0.1)))
-	if kim, keogh, fl := Cascade(empty, empty, DefaultOptions(), &s); kim != 0 || keogh != 0 || fl != 0 {
+	if kim, keogh, fl := cascade(empty, empty, DefaultOptions(), &s); kim != 0 || keogh != 0 || fl != 0 {
 		t.Errorf("both empty = (%v, %v, %v), want zeros", kim, keogh, fl)
 	}
-	kim, keogh, fl := Cascade(empty, full, DefaultOptions(), &s)
+	kim, keogh, fl := cascade(empty, full, DefaultOptions(), &s)
 	if !math.IsInf(kim, 1) || !math.IsInf(keogh, 1) || !math.IsInf(fl, 1) {
 		t.Errorf("empty vs full = (%v, %v, %v), want +Inf", kim, keogh, fl)
 	}
@@ -108,7 +127,7 @@ func TestCascadeSelfIsZero(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		a := randomBBS(rng, 8)
 		p := NewProfile(a)
-		kim, keogh, full := Cascade(p, p, DefaultOptions(), &s)
+		kim, keogh, full := cascade(p, p, DefaultOptions(), &s)
 		if kim != 0 || keogh != 0 || full != 0 {
 			t.Fatalf("self cascade = (%v, %v, %v), want zeros", kim, keogh, full)
 		}

@@ -178,9 +178,9 @@ func (s Snapshot) WriteReport(w io.Writer) {
 			s.Derived.IndexSkipRate*100, skip+desc, s.Counters[IndexRebuilds.String()])
 	}
 	if g, ok := s.Gauges["index"]; ok {
-		fmt.Fprintf(w, "  index:    %d clusters over %d entries, max radius %.3f, built in %s (%d extended)\n",
+		fmt.Fprintf(w, "  index:    %d clusters over %d entries, max radius %.3f, built in %s\n",
 			g["clusters"], g["entries"], float64(g["max_radius_um"])/1e6,
-			time.Duration(g["build_us"])*time.Microsecond, g["extended"])
+			time.Duration(g["build_us"])*time.Microsecond)
 	}
 	stageNames := make([]string, 0, len(s.Stages))
 	for n := range s.Stages {

@@ -169,6 +169,18 @@ func TestErrorsAndUncacheableResultsNotStored(t *testing.T) {
 	}
 }
 
+// joinCtx signals joined each time Do asks for Done: Do does that only
+// when it is about to wait on another caller's in-flight compute.
+type joinCtx struct {
+	context.Context
+	joined chan<- struct{}
+}
+
+func (c joinCtx) Done() <-chan struct{} {
+	c.joined <- struct{}{}
+	return c.Context.Done()
+}
+
 // TestSingleflightCollapse: N concurrent lookups of one missing key run
 // exactly one compute; the waiters share its result and are counted as
 // collapsed.
@@ -177,7 +189,8 @@ func TestSingleflightCollapse(t *testing.T) {
 	tel := telemetry.NewCollector()
 	c := New(4, tel)
 	var computes atomic.Int32
-	arrived := make(chan struct{}, n)
+	joined := make(chan struct{}, n)
+	ctx := joinCtx{Context: context.Background(), joined: joined}
 	release := make(chan struct{})
 
 	var wg sync.WaitGroup
@@ -185,8 +198,7 @@ func TestSingleflightCollapse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			arrived <- struct{}{}
-			ms, _, err := c.Do(context.Background(), key("hot"), func() (Value, bool, error) {
+			ms, _, err := c.Do(ctx, key("hot"), func() (Value, bool, error) {
 				computes.Add(1)
 				<-release // hold the flight open until everyone queued
 				return Value{Matches: one(42)}, true, nil
@@ -196,8 +208,10 @@ func TestSingleflightCollapse(t *testing.T) {
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		<-arrived
+	// One caller leads the flight and blocks in compute; release it only
+	// once the other n-1 are waiting on that flight.
+	for i := 0; i < n-1; i++ {
+		<-joined
 	}
 	close(release)
 	wg.Wait()
