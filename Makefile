@@ -66,11 +66,11 @@ bench-vcache:
 	$(GO) test -run xxx -bench BenchmarkVerdictCache -benchmem ./internal/detect
 
 # Lower-bound cascade figures: repository scan Serial vs Engine vs
-# Cascade (the -fast scan), best-of-3, written to BENCH_cascade.json
-# and BENCH_index.json. A longer
+# Cascade (the -fast scan), best-of-3, written to the tracked
+# BENCH_cascade.json and BENCH_index.json. A longer
 # benchtime than the CI guard, for quoting in docs/PERFORMANCE.md.
 bench-cascade:
-	BENCHTIME=1.5s COUNT=3 ./scripts/bench-check.sh
+	BENCHTIME=1.5s COUNT=3 OUT=BENCH_cascade.json OUT_INDEX=BENCH_index.json ./scripts/bench-check.sh
 
 # Repository-index figures: the 500-variant stress-corpus sweep, Cascade
 # vs Indexed, best-of-3 at a longer benchtime than the CI
@@ -82,25 +82,26 @@ bench-index:
 # regresses more than 1.25x RELATIVE to the exact engine in the same
 # run (or loses to the serial reference), or if the indexed sweep scan
 # drops under 1.5x over the cascade (intra-run ratios — absolute ns/op
-# thresholds don't survive CI machine variance). Writes
-# BENCH_cascade.json and BENCH_index.json.
+# thresholds don't survive CI machine variance). The figures go to a
+# temporary directory, so the guard leaves the tree clean; `make
+# bench-cascade` updates the tracked records.
 bench-check:
 	./scripts/bench-check.sh
 
 # The warm scan path — exact and pruned (-fast) — must perform zero
 # allocations per full repository pass, and so must a DistCache intern
-# hit; one whole warm ScanCtx call, one simulation (NewMachine + Run),
-# one model build (CFG, simulation, modeling) and one warm
+# hit; one whole warm ScanCtx call, one simulation on a new machine
+# (NewMachine + Run) and on a reused one (+ Release), one model build (CFG, simulation, modeling) and one warm
 # ClassifyBBSCtx over a 500-entry repository must stay within their
 # pinned allocation budgets, and so must one streamed window.Watch of a
 # PoC; a warm engine reuse must not copy the repository
 # (testing.AllocsPerRun; see docs/PERFORMANCE.md "Allocation-free scan
 # kernel", "One target per scan", the two "Front of pipeline" sections,
-# "Repeated programs skip modeling", "Watch streams its events" and
-# "One trace layout").
+# "Repeated programs skip modeling", "Watch streams its events", "One
+# trace layout" and "One resettable machine").
 alloc-check:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestScanZeroAllocWarmPath|TestScanCtxAllocs|TestDistCacheInternHitAllocs' -v ./internal/scan
-	$(GO) test -timeout $(TEST_TIMEOUT) -run TestRunAllocs -v ./internal/exec
+	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestRunAllocs|TestReusedRunAllocs' -v ./internal/exec
 	$(GO) test -timeout $(TEST_TIMEOUT) -run TestModelBuildAllocs -v ./internal/model
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestClassifyBBSCtxAllocs|TestEngineReuseCopiesNothing' -v ./internal/detect
 	$(GO) test -timeout $(TEST_TIMEOUT) -run TestWatchAllocs -v ./internal/window
@@ -173,7 +174,10 @@ docs-check:
 # (PathGraph equal to the per-pair reference enumeration, so the
 # pruning of dead-end walks never drops a path) and the online path
 # (mutated PoCs streamed through window.Watch give the verdicts of
-# replaying their recorded event log), plus the checked-in seed corpora. Crashers land in the package's testdata/fuzz/ as
+# replaying their recorded event log) and machine reuse (mutated PoCs
+# and benign programs through one reused machine and a fresh one give
+# deeply equal traces, registers and memory), plus the checked-in seed
+# corpora. Crashers land in the package's testdata/fuzz/ as
 # regression inputs.
 fuzz-short:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/isa
@@ -182,6 +186,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzPipeline -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/detect
 	$(GO) test -fuzz=FuzzPathGraph -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/graph
 	$(GO) test -fuzz=FuzzWatch -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/window
+	$(GO) test -fuzz=FuzzMachineReuse -fuzztime=10s -timeout $(TEST_TIMEOUT) ./internal/exec
 
 # Fault-injection suite under the race detector: panic isolation,
 # cancellation promptness and leak freedom across the scan engine, the
@@ -192,7 +197,8 @@ faults:
 		-run 'Panic|Cancel|Fault|Inject|Stream|Timeout|Limit|Shard|Retry|Partial|LookupFault|Failpoint|Reload|Drain|Overload|Breaker|Prober|Replica|Chaos|Leak|Flap' \
 		./internal/faultinject ./internal/panicsafe ./internal/scan ./internal/detect ./internal/stream ./internal/isa ./internal/shard ./internal/retry ./internal/breaker ./internal/chaos ./internal/vcache ./internal/serve ./internal/index ./internal/window
 
-# Coverage over every package, with the per-function summary printed.
+# Coverage over every package, with the total printed. The profile
+# goes to the untracked, ignored coverage.out.
 cover:
 	$(GO) test -coverprofile=coverage.out -timeout $(TEST_TIMEOUT) ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1

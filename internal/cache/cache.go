@@ -311,6 +311,19 @@ func (c *Cache) Flush(addr uint64) bool {
 	return true
 }
 
+// Reset returns the cache to the state New leaves: every line empty,
+// the clock and the counters at zero and, under the Random policy, the
+// generator re-seeded from Config.Seed, so a reset cache replays the
+// victim choices of a new one.
+func (c *Cache) Reset() {
+	c.InvalidateAll()
+	c.tick = 0
+	c.stats = Stats{}
+	if c.rng != nil {
+		c.rng.Seed(c.cfg.Seed)
+	}
+}
+
 // InvalidateAll empties the cache (counters are preserved).
 func (c *Cache) InvalidateAll() {
 	clear(c.keys)

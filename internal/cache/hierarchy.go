@@ -104,16 +104,25 @@ type Hierarchy struct {
 	lineShift  uint
 }
 
-// NewHierarchy builds the hierarchy; all three configs must be valid.
-// The lines of all three levels are carved from one slab.
-func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
+// Validate checks the configuration: every level must be valid, and
+// all levels must share a line size.
+func (cfg HierarchyConfig) Validate() error {
 	for _, c := range []Config{cfg.L1D, cfg.L1I, cfg.LLC} {
 		if err := c.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if cfg.LLC.LineSize != cfg.L1D.LineSize || cfg.LLC.LineSize != cfg.L1I.LineSize {
-		return nil, fmt.Errorf("hierarchy: all levels must share a line size")
+		return fmt.Errorf("hierarchy: all levels must share a line size")
+	}
+	return nil
+}
+
+// NewHierarchy builds the hierarchy; cfg must be valid. The lines of
+// all three levels are carved from one slab.
+func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	d, i := slabWords(cfg.L1D), slabWords(cfg.L1I)
 	slab := make([]uint64, d+i+slabWords(cfg.LLC))
@@ -125,6 +134,26 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	h.llc.init(cfg.LLC, slab[d+i:])
 	h.lineShift = h.l1i.setShift
 	return h, nil
+}
+
+// Config returns the configuration the hierarchy was built from.
+func (h *Hierarchy) Config() HierarchyConfig {
+	return HierarchyConfig{L1D: h.l1d.cfg, L1I: h.l1i.cfg, LLC: h.llc.cfg, Lat: h.lat}
+}
+
+// Reset returns the hierarchy to the state NewHierarchy leaves: every
+// level empty with its clock and counters at zero and a Random level's
+// generator re-seeded (see Cache.Reset), the way links cleared and the
+// repeat-fetch memo invalid. InvalidateAll alone is not a reset: it
+// keeps the clocks, the counters and the generators' positions.
+func (h *Hierarchy) Reset() {
+	h.l1d.Reset()
+	h.l1i.Reset()
+	h.llc.Reset()
+	clear(h.l1dLink)
+	clear(h.l1iLink)
+	h.fetchValid, h.fetchOwner, h.fetchLine = false, 0, 0
+	h.l1iWay, h.llcWay = 0, 0
 }
 
 // The levels are exposed for inspection (lookups, occupancy, stats).

@@ -10,9 +10,7 @@
 package cfg
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/isa"
@@ -23,6 +21,9 @@ import (
 type BasicBlock struct {
 	Leader uint64
 	Insns  []isa.Instruction
+	// Start is the index of the block's first instruction in the
+	// program's Insns.
+	Start int
 }
 
 // Last returns the final instruction of the block.
@@ -112,7 +113,7 @@ func Build(p *isa.Program) (*CFG, error) {
 		for j < n && !leader[j] {
 			j++
 		}
-		c.blocks = append(c.blocks, BasicBlock{Leader: insns[i].Addr, Insns: insns[i:j:j]})
+		c.blocks = append(c.blocks, BasicBlock{Leader: insns[i].Addr, Insns: insns[i:j:j], Start: i})
 		for k := i; k < j; k++ {
 			c.blockOf[k] = int32(len(c.blocks) - 1)
 		}
@@ -171,13 +172,22 @@ func (c *CFG) LeaderOf(addr uint64) (uint64, bool) {
 // Block returns the block with the given leader. The block is the
 // CFG's own storage: callers must not modify it.
 func (c *CFG) Block(leader uint64) (*BasicBlock, bool) {
-	k, ok := slices.BinarySearchFunc(c.blocks, leader, func(b BasicBlock, l uint64) int {
-		return cmp.Compare(b.Leader, l)
-	})
-	if !ok {
+	// A plain binary search: the model looks a block up several times
+	// per attack-graph node, and slices.BinarySearchFunc would copy a
+	// block and call the comparison out of line at every probe.
+	lo, hi := 0, len(c.blocks)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if c.blocks[h].Leader < leader {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	if lo == len(c.blocks) || c.blocks[lo].Leader != leader {
 		return nil, false
 	}
-	return &c.blocks[k], true
+	return &c.blocks[lo], true
 }
 
 // Ordered returns every block in ascending leader order. The slice is

@@ -11,11 +11,17 @@ import (
 var raceEnabled bool
 
 // runAllocBudget is the allocation budget of one NewMachine + Run of
-// FR-IAIK with the default configuration, the simulation every triage
-// classification pays: the machine, the cache hierarchy, the decoded
-// programs, memory pages and the trace with its per-instruction line
-// sets. Measured at 44.
-const runAllocBudget = 45
+// FR-IAIK with the default configuration on a machine built from
+// scratch: the machine, the cache hierarchy, the decoded programs,
+// memory pages and the trace with its per-instruction line sets.
+// Measured at 40.
+const runAllocBudget = 41
+
+// reusedRunAllocBudget is the budget of the same simulation on a
+// released machine, the one model builds, window.Watch and the trigger
+// explorer take: only the trace's per-instruction line sets are new.
+// Measured at 24.
+const reusedRunAllocBudget = 25
 
 // TestRunAllocs pins the heap allocations of one simulation. The count
 // is deterministic; a change that brings back a per-event or
@@ -37,5 +43,28 @@ func TestRunAllocs(t *testing.T) {
 	t.Logf("%.0f allocs per run (budget %d)", got, runAllocBudget)
 	if got > runAllocBudget {
 		t.Errorf("%.0f allocs per NewMachine + Run, budget %d", got, runAllocBudget)
+	}
+}
+
+// TestReusedRunAllocs pins the heap allocations of one NewMachine + Run
+// + Release with a warm free list: the machine, its hierarchy, pages,
+// slot tables and record slice are all reused.
+func TestReusedRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	poc := attacks.FlushReloadIAIK(attacks.DefaultParams())
+	cfg := exec.DefaultConfig()
+	got := testing.AllocsPerRun(10, func() {
+		m, err := exec.NewMachine(cfg, poc.Program, poc.Victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Run()
+		m.Release()
+	})
+	t.Logf("%.0f allocs per reused run (budget %d)", got, reusedRunAllocBudget)
+	if got > reusedRunAllocBudget {
+		t.Errorf("%.0f allocs per NewMachine + Run + Release, budget %d", got, reusedRunAllocBudget)
 	}
 }

@@ -9,12 +9,20 @@
 // cache lines and first-execution timestamp, and, on request, the
 // chronological event log — or, through RunEvents, those events handed
 // to a caller's sink as they happen.
+//
+// Building a machine is a large share of a short run's cost, so
+// machines are reused: Machine.Release gives one back to a package-level
+// free list of at most GOMAXPROCS machines, and NewMachine and
+// NewMachineMulti take one from it when they can, reset to exactly the
+// state a machine built from scratch has. A caller that never releases
+// its machine gets a new one every time, as before.
 package exec
 
 import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/freelist"
 	"repro/internal/hpc"
 	"repro/internal/isa"
 )
@@ -155,10 +163,10 @@ type code struct {
 	slots []slot
 }
 
-// decode builds the slot table of a validated program. It leaves the
-// BTB entries to assignBTB.
-func decode(prog *isa.Program) code {
-	c := code{prog: prog, slots: make([]slot, len(prog.Insns))}
+// decode builds the slot table of a validated program into the storage
+// of slots. It leaves the BTB entries to assignBTB.
+func decode(prog *isa.Program, slots []slot) code {
+	c := code{prog: prog, slots: resize(slots, len(prog.Insns))}
 	for i := range prog.Insns {
 		in := &prog.Insns[i]
 		s := slot{
@@ -193,17 +201,18 @@ func (c code) slotAt(addr uint64) int32 {
 // aliases by PC across processes, which is what cross-process
 // branch-target injection (the Spectre-BTB PoC) trains. It returns the
 // number of entries.
-func assignBTB(procs []*proc) int {
+func assignBTB(procs []proc) int {
 	n := int32(0)
-	for i, p := range procs {
+	for i := range procs {
+		p := &procs[i]
 		for s := range p.slots {
 			sl := &p.slots[s]
 			if !sl.op.IsCondBranch() && (sl.op != isa.JMP || sl.dst.kind == isa.OpImm) {
 				continue // only conditional and indirect branches use the BTB
 			}
-			for _, q := range procs[:i] {
-				if j, ok := q.prog.IndexOf(sl.pc); ok && q.slots[j].btb != noSlot {
-					sl.btb = q.slots[j].btb
+			for q := range procs[:i] {
+				if j, ok := procs[q].prog.IndexOf(sl.pc); ok && procs[q].slots[j].btb != noSlot {
+					sl.btb = procs[q].slots[j].btb
 					break
 				}
 			}
@@ -238,12 +247,23 @@ type Machine struct {
 	mem    *Memory
 	hier   *cache.Hierarchy
 	pred   BranchPredictor
-	procs  []*proc
+	procs  []proc
 	cycles uint64
 	trace  *Trace
 	// fetchHit is the cycle cost of a fetch that hits in the L1I.
 	fetchHit uint64
+	// released marks a machine in the free list.
+	released bool
 }
+
+// machines is the free list Release gives machines back to and
+// NewMachineMulti takes them from.
+var machines freelist.List[*Machine]
+
+// maxKeptInsns bounds the record slice and the slot tables a released
+// machine keeps for reuse, in instructions; a program longer than that
+// leaves none behind.
+const maxKeptInsns = 1 << 12
 
 // NewMachine builds a machine running the monitored program and an
 // optional victim (nil for none). Data segments of both programs are
@@ -259,45 +279,139 @@ func NewMachine(cfg Config, monitored *isa.Program, victim *isa.Program) (*Machi
 // processes besides the monitored one — victims, and noisy co-tenants
 // for robustness experiments. All processes share the cache hierarchy;
 // only the first (monitored) one is traced.
+//
+// The machine comes from the free list when it holds one (see Release),
+// and is otherwise built from scratch; the two are indistinguishable.
 func NewMachineMulti(cfg Config, monitored *isa.Program, others ...*isa.Program) (*Machine, error) {
 	cfg = cfg.withDefaults()
 	if monitored == nil {
 		return nil, fmt.Errorf("exec: monitored program is nil")
 	}
-	hier, err := cache.NewHierarchy(cfg.Hierarchy)
-	if err != nil {
+	if err := cfg.Hierarchy.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{
-		cfg:      cfg,
-		mem:      NewMemory(),
-		hier:     hier,
-		fetchHit: cfg.Hierarchy.Lat.L1Hit / 4, // fetch overlaps with execution
-	}
-	progs := []*isa.Program{monitored}
 	for _, o := range others {
 		if o == nil {
 			return nil, fmt.Errorf("exec: nil co-running program")
 		}
-		progs = append(progs, o)
 	}
-	for i, pr := range progs {
-		if err := pr.Validate(); err != nil {
+	if err := monitored.Validate(); err != nil {
+		return nil, err
+	}
+	for _, o := range others {
+		if err := o.Validate(); err != nil {
 			return nil, err
+		}
+	}
+	m, ok := machines.Get()
+	if !ok {
+		m = new(Machine)
+	}
+	m.reset(cfg, monitored, others)
+	return m, nil
+}
+
+// reset readies m, new or used, to run monitored and others under cfg,
+// a configuration with defaults applied whose hierarchy and programs
+// are valid. It leaves exactly the state of a machine built from
+// scratch, whatever m's last run did: finished, stopped by its sink,
+// cancelled or panicked. Only storage is reused — the hierarchy when
+// its configuration is unchanged, the pages, and the capacity of the
+// record slice, the slot tables, the predictor tables and the process
+// list.
+func (m *Machine) reset(cfg Config, monitored *isa.Program, others []*isa.Program) {
+	m.cfg = cfg
+	m.cycles = 0
+	m.released = false
+	m.fetchHit = cfg.Hierarchy.Lat.L1Hit / 4 // fetch overlaps with execution
+	if m.hier != nil && m.hier.Config() == cfg.Hierarchy {
+		m.hier.Reset()
+	} else {
+		hier, err := cache.NewHierarchy(cfg.Hierarchy)
+		if err != nil {
+			panic(err) // the caller validated the configuration
+		}
+		m.hier = hier
+	}
+	if m.mem == nil {
+		m.mem = NewMemory()
+	}
+	m.mem.recycle()
+	n := 1 + len(others)
+	if cap(m.procs) < n {
+		m.procs = append(m.procs[:cap(m.procs)], make([]proc, n-cap(m.procs))...)
+	}
+	m.procs = m.procs[:n]
+	for i := range m.procs {
+		pr := monitored
+		if i > 0 {
+			pr = others[i-1]
 		}
 		for _, d := range pr.Data {
 			if len(d.Init) > 0 {
 				m.mem.WriteBytes(d.Addr, d.Init)
 			}
 		}
-		p := &proc{code: decode(pr), owner: cache.Owner(i)}
+		p := &m.procs[i]
+		*p = proc{code: decode(pr, p.slots), owner: cache.Owner(i)}
 		p.slot = p.slotAt(pr.Entry)
 		p.regs[isa.R14] = uint64(stackTop - i*stackGap)
-		m.procs = append(m.procs, p)
 	}
 	m.pred.init(cfg.PredictorSize, assignBTB(m.procs))
-	m.trace = newTrace(monitored, cfg.RecordEvents, cfg.MaxEvents)
-	return m, nil
+	if m.trace == nil {
+		m.trace = new(Trace)
+	}
+	m.trace.reset(monitored, cfg.RecordEvents, cfg.MaxEvents)
+}
+
+// trim bounds what a released machine retains: its pages go back to the
+// memory's free list (up to maxFreePages of them); the records' line
+// sets, the event log, the sink and the programs are dropped; and so is
+// a record slice or slot table longer than maxKeptInsns.
+func (m *Machine) trim() {
+	m.mem.recycle()
+	t := m.trace
+	if cap(t.Insns) > maxKeptInsns {
+		t.Insns = nil
+	} else {
+		clear(t.Insns)
+	}
+	t.Events, t.sink, t.prog = nil, nil, nil
+	procs := m.procs[:cap(m.procs)]
+	for i := range procs {
+		procs[i].prog = nil
+		if cap(procs[i].slots) > maxKeptInsns {
+			procs[i].slots = nil
+		}
+	}
+}
+
+// Release gives m back for a later NewMachine or NewMachineMulti to
+// reuse. After Release, m, the Trace its run returned and its Memory
+// are invalid: the next machine built may be m, and it reuses all
+// three. A caller that keeps the trace does not release the machine.
+// Release may be called after any run, or none — finished, stopped by
+// its sink, cancelled or panicked — because the machine is reset when
+// it is taken, not here; here it only drops what it must not retain
+// (see trim). Releasing a machine twice is a bug and panics.
+func (m *Machine) Release() {
+	if m.released {
+		panic("exec: Machine released twice")
+	}
+	m.released = true
+	m.trim()
+	machines.Put(m)
+}
+
+// resize returns s resized to n zeroed elements, reusing its storage
+// when it has the capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Hierarchy exposes the shared cache hierarchy (tests, occupancy checks).
@@ -320,7 +434,9 @@ func (m *Machine) RegisterOfMonitored(r isa.Reg) uint64 {
 
 // Run interleaves the processes round-robin until the monitored process
 // halts or its retired-instruction budget is exhausted, then returns the
-// trace. Run or RunEvents may be called once per Machine.
+// trace. Run or RunEvents may be called once per Machine, that is once
+// per NewMachine or NewMachineMulti. The trace stays valid until the
+// machine is released.
 func (m *Machine) Run() *Trace {
 	m.run()
 	return m.trace
@@ -339,10 +455,11 @@ func (m *Machine) RunEvents(sink func(Event) error) (*Trace, error) {
 }
 
 func (m *Machine) run() {
-	mon := m.procs[0]
+	mon := &m.procs[0]
 	for !m.done() {
 		progress := false
-		for i, p := range m.procs {
+		for i := range m.procs {
+			p := &m.procs[i]
 			if p.halted {
 				continue
 			}
@@ -363,12 +480,14 @@ func (m *Machine) run() {
 	}
 	m.trace.Halted = mon.halted
 	m.trace.Cycles = m.cycles
+	// The run is over: the trace keeps no reference to the sink.
+	m.trace.recordEvents, m.trace.sink = false, nil
 }
 
 // done reports whether the monitored process halted, exhausted its
 // retired-instruction budget or had its event sink fail.
 func (m *Machine) done() bool {
-	mon := m.procs[0]
+	mon := &m.procs[0]
 	return mon.halted || mon.retired >= m.cfg.MaxRetired || m.trace.sinkErr != nil
 }
 

@@ -110,7 +110,7 @@ func TestBTBEntriesAliasByPC(t *testing.T) {
 		}
 		return out
 	}
-	ea, eb := entries(m.procs[0]), entries(m.procs[1])
+	ea, eb := entries(&m.procs[0]), entries(&m.procs[1])
 	if ea[2] < 0 || ea[3] < 0 || ea[2] == ea[3] {
 		t.Fatalf("process a entries %v: want distinct entries at the two branches", ea)
 	}

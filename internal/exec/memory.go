@@ -13,10 +13,17 @@ type Memory struct {
 	// skip the map.
 	lastPN   uint64
 	lastPage []byte
+	// free holds pages a reused machine's earlier runs touched, to be
+	// zeroed and handed out again before any new page is allocated.
+	free [][]byte
 }
 
 const pageShift = 12
 const pageSize = 1 << pageShift
+
+// maxFreePages bounds the pages a memory keeps for reuse (256 KiB), so a
+// machine that touched many pages does not keep them all once released.
+const maxFreePages = 64
 
 // NewMemory returns an empty memory.
 func NewMemory() *Memory {
@@ -33,7 +40,13 @@ func (m *Memory) page(addr uint64, create bool) []byte {
 		if !create {
 			return nil
 		}
-		p = make([]byte, pageSize)
+		if n := len(m.free); n > 0 {
+			p = m.free[n-1]
+			m.free = m.free[:n-1]
+			clear(p)
+		} else {
+			p = make([]byte, pageSize)
+		}
 		m.pages[pn] = p
 	}
 	m.lastPN, m.lastPage = pn, p
@@ -90,6 +103,26 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) {
 		addr += uint64(n)
 		b = b[n:]
 	}
+}
+
+// recycle empties the memory for a machine's next run. Its pages go to
+// the free list, up to maxFreePages of them; a page map that held more
+// is dropped with the pages it still references. The last-page memo is
+// dropped too: kept, it would hand a recycled page back as the page of
+// its old number.
+func (m *Memory) recycle() {
+	for _, p := range m.pages {
+		if len(m.free) == maxFreePages {
+			break
+		}
+		m.free = append(m.free, p)
+	}
+	if len(m.pages) > maxFreePages {
+		m.pages = make(map[uint64][]byte)
+	} else {
+		clear(m.pages)
+	}
+	m.lastPN, m.lastPage = 0, nil
 }
 
 // PageCount returns the number of touched pages (for tests).

@@ -22,7 +22,8 @@ type btbEntry struct {
 
 // init sets up a predictor with the given direction-table size (a power
 // of two; 512 when size <= 0) and a BTB of the given number of branch
-// entries.
+// entries, every counter weakly not-taken and every BTB entry empty. It
+// reuses the tables' storage of an earlier init.
 func (bp *BranchPredictor) init(size, branches int) {
 	if size <= 0 {
 		size = 512
@@ -32,11 +33,11 @@ func (bp *BranchPredictor) init(size, branches int) {
 	for n < size {
 		n <<= 1
 	}
-	c := make([]uint8, n)
+	c := resize(bp.counters, n)
 	for i := range c {
 		c[i] = 1 // weakly not-taken
 	}
-	*bp = BranchPredictor{counters: c, btb: make([]btbEntry, branches), mask: uint64(n - 1)}
+	*bp = BranchPredictor{counters: c, btb: resize(bp.btb, branches), mask: uint64(n - 1)}
 }
 
 func (bp *BranchPredictor) idx(pc uint64) uint64 { return (pc >> 2) & bp.mask }

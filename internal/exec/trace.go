@@ -113,15 +113,24 @@ type Trace struct {
 // newTrace builds an empty trace of prog; a recordEvents trace logs its
 // events into Events, capped at maxEvents.
 func newTrace(prog *isa.Program, recordEvents bool, maxEvents int) *Trace {
-	t := &Trace{
-		Insns:     make([]InsnRecord, len(prog.Insns)),
+	t := new(Trace)
+	t.reset(prog, recordEvents, maxEvents)
+	return t
+}
+
+// reset empties t into the trace newTrace builds, reusing the storage
+// of its record slice. The records' line sets are dropped, never
+// carried into the next run, and so are the event log, the counters
+// and the sink with its error.
+func (t *Trace) reset(prog *isa.Program, recordEvents bool, maxEvents int) {
+	*t = Trace{
+		Insns:     resize(t.Insns, len(prog.Insns)),
 		prog:      prog,
 		maxEvents: maxEvents,
 	}
 	if recordEvents {
 		t.setSink(t.appendEvent)
 	}
-	return t
 }
 
 // setSink turns the event hooks on and routes every event to sink.
@@ -236,10 +245,7 @@ func NewTraceBuilder(prog *isa.Program) *TraceBuilder {
 // allocates only the per-record line sets. The Trace returned by the
 // previous Trace call is invalid after Reset.
 func (b *TraceBuilder) Reset() {
-	t := b.t
-	clear(t.Insns)
-	t.Global = hpc.Counts{}
-	t.Retired, t.Cycles = 0, 0
+	b.t.reset(b.t.prog, false, 0)
 }
 
 // slot resolves pc to its instruction's index in the program, or -1

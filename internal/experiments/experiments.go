@@ -121,14 +121,16 @@ func prepare(samples []dataset.Sample, cfg Config) ([]*Prepared, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", s.Name, err)
 		}
-		out = append(out, &Prepared{
+		p := &Prepared{
 			Sample:      s,
 			BBS:         m.BBS,
 			SetTrace:    rec.SetTrace,
 			WinFeat:     baseline.WindowFeatures(rec.Windows, tr.Cycles),
 			LoopFeat:    baseline.LoopFeatures(tr),
 			PrepSeconds: time.Since(start).Seconds(),
-		})
+		}
+		machine.Release() // nothing in p refers to the trace
+		out = append(out, p)
 	}
 	return out, nil
 }

@@ -85,6 +85,7 @@ func MeasureTimeCost(config Config) (*TimeCost, error) {
 		baseline.WindowFeatures(rec.Windows, tr.Cycles)
 		baseline.LoopFeatures(tr)
 		mlTotal += time.Since(start).Seconds()
+		machine.Release()
 	}
 	n := float64(tc.Samples)
 	tc.Collection /= n

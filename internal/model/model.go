@@ -31,6 +31,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
+	"repro/internal/freelist"
 	"repro/internal/graph"
 	"repro/internal/hpc"
 	"repro/internal/isa"
@@ -199,6 +200,9 @@ func BuildCtx(ctx context.Context, prog *isa.Program, victim *isa.Program, confi
 	if err != nil {
 		return nil, fmt.Errorf("model: exec: %w", err)
 	}
+	// The model keeps nothing of the trace, so the machine goes back for
+	// reuse once modeling is done.
+	defer machine.Release()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -265,8 +269,7 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 	blocks := c.Ordered()
 	// recsOf returns the trace records of a block's instructions.
 	recsOf := func(bb *cfg.BasicBlock) []exec.InsnRecord {
-		i, _ := prog.IndexOf(bb.Leader)
-		return trace.Insns[i : i+len(bb.Insns)]
+		return trace.Insns[bb.Start : bb.Start+len(bb.Insns)]
 	}
 
 	// Step 1: HPC values folded onto blocks. A block is potentially
@@ -412,8 +415,8 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 	// obfuscated variant flattens to nearly the same CST-BBS as its
 	// original.
 	execCount := func(leader uint64) uint64 {
-		i, _ := prog.IndexOf(leader)
-		return trace.Insns[i].ExecCount
+		bb, _ := c.Block(leader)
+		return trace.Insns[bb.Start].ExecCount
 	}
 	chains := straightChains(m.AttackGraph, execCount)
 	type entry struct {
@@ -421,7 +424,8 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 		executed bool
 	}
 	entries := make([]entry, 0, len(chains))
-	measure := cache.MustNew(config.MeasureCache)
+	measure := takeMeasure(config.MeasureCache)
+	defer measures.Put(measure)
 	var chainLoads, chainFlushes []uint64 // reused across chains
 	// Every chain's NormInsns is a capacity-limited window of norms.
 	nInsns := 0
@@ -499,6 +503,21 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 	m.BBS = bbs
 	tel.ObserveSince(telemetry.StageCST, cstStart)
 	return m, nil
+}
+
+// measures is the free list of CST measurement caches: every model
+// build measures through one, and builds reuse them.
+var measures freelist.List[*cache.Cache]
+
+// takeMeasure returns a measurement cache of configuration cfg in the
+// state cache.New leaves, reusing one from measures when it holds one
+// of that configuration. An invalid cfg panics, as cache.MustNew does.
+func takeMeasure(cfg cache.Config) *cache.Cache {
+	if c, ok := measures.Get(); ok && c.Config() == cfg {
+		c.Reset()
+		return c
+	}
+	return cache.MustNew(cfg)
 }
 
 // straightChains partitions the attack-relevant graph's nodes into

@@ -61,14 +61,15 @@ type Result struct {
 	Corpus []uint64
 }
 
-// run executes prog with one input and returns its trace.
-func (e *Explorer) run(prog, victim *isa.Program, input uint64) (*exec.Trace, error) {
+// run executes prog with one input and returns the machine with its
+// trace; the caller releases the machine once done with the trace.
+func (e *Explorer) run(prog, victim *isa.Program, input uint64) (*exec.Machine, *exec.Trace, error) {
 	m, err := exec.NewMachine(e.ExecConfig, prog, victim)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m.Memory().Store64(InputAddr, input)
-	return m.Run(), nil
+	return m, m.Run(), nil
 }
 
 // coverage returns the addresses of prog's instructions that retired in
@@ -101,13 +102,17 @@ func (e *Explorer) Explore(prog, victim *isa.Program) (*Result, error) {
 	rng := rand.New(rand.NewSource(e.Seed))
 	res := &Result{Covered: make(map[uint64]bool)}
 	bestCov := 0
+	// best is the machine of the run whose trace is res.BestTrace. It is
+	// never released: the result keeps its trace. Every other run's
+	// machine is released once its coverage is counted.
+	var best *exec.Machine
 
 	try := func(input uint64) (bool, error) {
 		if res.Runs >= e.Budget {
 			return false, nil
 		}
 		res.Runs++
-		tr, err := e.run(prog, victim, input)
+		m, tr, err := e.run(prog, victim, input)
 		if err != nil {
 			return false, err
 		}
@@ -121,7 +126,13 @@ func (e *Explorer) Explore(prog, victim *isa.Program) (*Result, error) {
 		}
 		// Track the single best run for modeling.
 		if res.BestTrace == nil || len(cov) > bestCov {
+			if best != nil {
+				best.Release()
+			}
+			best = m
 			res.BestInput, res.BestTrace, bestCov = input, tr, len(cov)
+		} else {
+			m.Release()
 		}
 		if grew {
 			res.Corpus = append(res.Corpus, input)

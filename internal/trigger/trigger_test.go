@@ -1,11 +1,15 @@
 package trigger
 
 import (
+	"maps"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/attacks"
 	"repro/internal/cache"
 	"repro/internal/detect"
+	"repro/internal/exec"
 	"repro/internal/isa"
 	"repro/internal/model"
 )
@@ -66,7 +70,7 @@ func TestDisguisedAttackHidesByDefault(t *testing.T) {
 	}
 
 	// Model on the default input: benign verdict.
-	tr, err := e.run(poc.Program, poc.Victim, 0)
+	_, tr, err := e.run(poc.Program, poc.Victim, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +177,50 @@ func detectorForTest(t *testing.T) *detect.Detector {
 // coverageOf reports the block coverage of a single input, for
 // before/after comparisons in evaluations.
 func coverageOf(e *Explorer, prog, victim *isa.Program, input uint64) (int, error) {
-	tr, err := e.run(prog, victim, input)
+	m, tr, err := e.run(prog, victim, input)
 	if err != nil {
 		return 0, err
 	}
+	defer m.Release()
 	return len(coverage(prog, tr)), nil
+}
+
+// cloneTrace deep-copies a trace, line sets and event log included.
+func cloneTrace(tr *exec.Trace) *exec.Trace {
+	c := *tr
+	c.Insns = slices.Clone(tr.Insns)
+	for i := range c.Insns {
+		c.Insns[i].MemLines = maps.Clone(c.Insns[i].MemLines)
+		c.Insns[i].FlushLines = maps.Clone(c.Insns[i].FlushLines)
+	}
+	c.Events = slices.Clone(tr.Events)
+	return &c
+}
+
+// TestBestTraceSurvivesExploration: the explorer releases every run's
+// machine but the best one's, and later runs reuse the released
+// machines, so BestTrace must still be the best input's own trace once
+// exploration finishes. It is copied before the reference run, which
+// could otherwise reuse a wrongly released best machine and rewrite
+// BestTrace into a match.
+func TestBestTraceSurvivesExploration(t *testing.T) {
+	poc := disguisedFR(t)
+	e := NewExplorer()
+	e.Budget = 300
+	res, err := e.Explore(poc.Program, poc.Victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := cloneTrace(res.BestTrace)
+	m, ref, err := e.run(poc.Program, poc.Victim, res.BestInput)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	if ref == res.BestTrace {
+		t.Fatal("the reference run reused the machine whose trace is BestTrace")
+	}
+	if !reflect.DeepEqual(best, ref) {
+		t.Fatal("BestTrace differs from a fresh run of BestInput")
+	}
 }

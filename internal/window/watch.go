@@ -50,6 +50,7 @@ func Watch(ctx context.Context, det *detect.Detector, prog, victim *isa.Program,
 	if err != nil {
 		return Outcome{}, err
 	}
+	defer m.Release()
 	d, err := New(det, prog, m.Hierarchy().LLC().Config(), cfg, emit)
 	if err != nil {
 		return Outcome{}, err

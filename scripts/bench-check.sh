@@ -6,7 +6,7 @@
 #
 # Section 1 — cascade. Runs the repository-scan benchmark (Serial /
 # Engine / Cascade over the full attack corpus; Cascade is the -fast
-# scan), writes the measured ns/op figures to BENCH_cascade.json, and
+# scan), writes the measured ns/op figures to $OUT, and
 # fails if the cascade regresses RELATIVE to the exact engine on the
 # same run:
 #
@@ -20,10 +20,15 @@
 #
 # Section 2 — repository index. Runs the indexed-scan benchmark
 # (Cascade / Indexed over the 500-variant mutation stress corpus, the
-# variant re-scoring sweep of docs/INDEXING.md), writes BENCH_index.json
+# variant re-scoring sweep of docs/INDEXING.md), writes $OUT_INDEX
 # and enforces the index's headline promise:
 #
 #   cascade >= indexed * INDEX_SPEEDUP   (default 1.5)
+#
+# Without OUT and OUT_INDEX the figures go to a temporary directory that
+# is removed on exit, so a guard run leaves the tree as it found it;
+# `make bench-cascade` sets both to the tracked BENCH_cascade.json and
+# BENCH_index.json to update the records.
 set -eu
 
 GO=${GO:-go}
@@ -31,13 +36,14 @@ COUNT=${COUNT:-3}
 BENCHTIME=${BENCHTIME:-0.5s}
 TOLERANCE=${TOLERANCE:-1.25}
 INDEX_SPEEDUP=${INDEX_SPEEDUP:-1.5}
-OUT=${OUT:-BENCH_cascade.json}
-OUT_INDEX=${OUT_INDEX:-BENCH_index.json}
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT INT TERM
+OUT=${OUT:-$tmp/BENCH_cascade.json}
+OUT_INDEX=${OUT_INDEX:-$tmp/BENCH_index.json}
 
 cd "$(dirname "$0")/.."
 
-raw=$(mktemp)
-trap 'rm -f "$raw"' EXIT INT TERM
+raw=$tmp/raw
 
 $GO test -run xxx -bench BenchmarkRepositoryScan \
     -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$raw"
