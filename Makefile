@@ -52,9 +52,10 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkBuildFromTrace' -benchmem ./internal/model
 	$(GO) test -run xxx -bench 'BenchmarkStream' -benchmem ./internal/stream
 
-# Sharded-scan throughput: one engine vs 1/2/4/8 local shards, exact
-# and pruned. On a multi-core machine pruned sharded scans should meet
-# or beat the single shard; see docs/PERFORMANCE.md.
+# Sharded-scan throughput, exact and pruned: one engine on one worker,
+# one engine on GOMAXPROCS workers, and a coordinator over two loopback
+# shard servers (end to end through HTTP and JSON); see
+# docs/PERFORMANCE.md "Sharded scan".
 bench-shard:
 	$(GO) test -run xxx -bench BenchmarkShardedScan -benchmem ./internal/shard
 

@@ -15,7 +15,6 @@
 //	scaguard classify -target FR-Mastik -metrics-addr :8080
 //	scaguard classify -target FR-Mastik -timeout 2s
 //	scaguard classify -target ER-IAIK -result-cache 64
-//	scaguard classify -target ER-IAIK -shards 4
 //	scaguard classify -target ER-IAIK -fast -index
 //	scaguard shard-serve -shards 2 -shard-index 0 -addr :9101
 //	scaguard classify -target ER-IAIK -shard-addrs 127.0.0.1:9101,127.0.0.1:9102
@@ -416,7 +415,6 @@ func cmdClassify(args []string) error {
 	timeout := fs.Duration("timeout", 0, "per-classification deadline covering modeling and scanning (e.g. 500ms); 0 = none")
 	streamMode := fs.Bool("stream", false, "read target specs (attack:NAME, benign:kind/template/seed, file:PATH) line by line from stdin and classify them as a fault-isolated stream")
 	resultCache := fs.Int("result-cache", 0, "memoize whole classification outcomes for repeated targets in a bounded LRU of this many entries (0 = off): a repeated program skips modeling and the scan; invalidated automatically when the repository grows")
-	shards := fs.Int("shards", 0, "partition the repository across this many in-process scan shards (0/1 = single engine)")
 	shardAddrs := fs.String("shard-addrs", "", "comma-separated shard-serve addresses; the repository is scanned across them instead of in process. Each address may name |-separated replicas serving the same partition (\"a:9101|b:9101\"): scans fail over between them")
 	shardAttemptTimeout := fs.Duration("shard-attempt-timeout", 0, "per-replica attempt budget within a replicated shard; a slower replica fails over to the next one (0 = none)")
 	shardProbe := fs.Duration("shard-probe", 0, "background health-probe interval for replicated shard backends; quarantined replicas are re-admitted within one interval of recovering (0 = off)")
@@ -428,7 +426,6 @@ func cmdClassify(args []string) error {
 	var fe flagErrors
 	sf.check(&fe)
 	fe.nonNegative("result-cache", *resultCache)
-	fe.nonNegative("shards", *shards)
 	fe.nonNegativeDuration("timeout", *timeout)
 	fe.nonNegativeDuration("shard-attempt-timeout", *shardAttemptTimeout)
 	fe.nonNegativeDuration("shard-probe", *shardProbe)
@@ -442,7 +439,6 @@ func cmdClassify(args []string) error {
 	det.Scan = sf.config()
 	det.Timeout = *timeout
 	det.ResultCache = *resultCache
-	det.Shards = *shards
 	det.ShardAttemptTimeout = *shardAttemptTimeout
 	det.ShardProbeInterval = *shardProbe
 	det.ShardBreaker = scaguard.BreakerSettings{Threshold: *breakerThreshold}
@@ -591,7 +587,6 @@ func cmdServe(args []string) error {
 	repoPath := fs.String("repo", "", "serve a saved repository instead of the default; also the default source for POST /reload")
 	sf := registerScanFlags(fs)
 	resultCache := fs.Int("result-cache", 0, "memoize whole classification outcomes in a bounded LRU of this many entries (0 = off): a repeated program skips modeling and the scan; invalidated by /reload and repository growth")
-	shards := fs.Int("shards", 0, "partition the repository across this many in-process scan shards (0/1 = single engine)")
 	shardAddrs := fs.String("shard-addrs", "", "comma-separated shard-serve addresses; the repository is scanned across them. Each address may name |-separated replicas serving the same partition (\"a:9101|b:9101\"): scans fail over between them")
 	shardTimeout := fs.Duration("shard-timeout", 0, "per-shard share of one scan; a slower shard fails that scan and the verdict degrades to partial (0 = none)")
 	shardAttemptTimeout := fs.Duration("shard-attempt-timeout", 0, "per-replica attempt budget within a replicated shard; a slower replica fails over to the next one (0 = none)")
@@ -611,7 +606,6 @@ func cmdServe(args []string) error {
 	var fe flagErrors
 	sf.check(&fe)
 	fe.nonNegative("result-cache", *resultCache)
-	fe.nonNegative("shards", *shards)
 	fe.nonNegative("max-inflight", *maxInflight)
 	fe.nonNegative("burst", *burst)
 	fe.nonNegative("retries", *retries)
@@ -633,7 +627,6 @@ func cmdServe(args []string) error {
 	det.Scan = sf.config()
 	det.Timeout = *timeout
 	det.ResultCache = *resultCache
-	det.Shards = *shards
 	det.ShardTimeout = *shardTimeout
 	det.ShardAttemptTimeout = *shardAttemptTimeout
 	det.ShardProbeInterval = *shardProbe

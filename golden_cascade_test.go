@@ -2,8 +2,8 @@ package scaguard
 
 // End-to-end differential for the lower-bound cascade over the full
 // golden corpus: a pruning (-fast) detector, which always runs the
-// cascade — single-engine, sharded across several counts, and with the
-// verdict result cache layered on —
+// cascade — single-engine, across remote shard fleets of several
+// sizes, and with the verdict result cache layered on —
 // must agree with the plain exact detector on the verdict and the best
 // match (bit-exact score) for every corpus program, cold and warm. Full
 // match lists are not compared: pruned entries legitimately report
@@ -27,11 +27,17 @@ func TestGoldenVerdictsCascade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		det.Shards = shards
 		det.ResultCache = 128
 		det.Scan = ScanConfig{Prune: true}
 		tel := NewTelemetry()
 		det.Telemetry = tel
+		// The scans of a remote fleet run in the shard servers; the
+		// client counts one shard_scans per shard per scan instead.
+		scans := telemetry.ScanTargets
+		if shards > 1 {
+			det.ShardAddrs = shardFleet(t, det.Repo, shards, ShardServerConfig{})
+			scans = telemetry.ShardScans
+		}
 
 		check := func(pass string) {
 			for _, tgt := range corpus {
@@ -57,10 +63,10 @@ func TestGoldenVerdictsCascade(t *testing.T) {
 		}
 
 		check("cold")
-		scansCold := tel.Counter(telemetry.ScanTargets)
+		scansCold := tel.Counter(scans)
 		check("warm")
-		if scans := tel.Counter(telemetry.ScanTargets); scans != scansCold {
-			t.Errorf("shards=%d: warm pass scanned: scan_targets %d -> %d, want frozen (vcache miss)", shards, scansCold, scans)
+		if n := tel.Counter(scans); n != scansCold {
+			t.Errorf("shards=%d: warm pass scanned: %s %d -> %d, want frozen (vcache miss)", shards, scans, scansCold, n)
 		}
 		if shards == 1 && tel.Counter(telemetry.ScanEntriesKimSkipped)+tel.Counter(telemetry.ScanEntriesKeoghSkipped) == 0 {
 			t.Error("cascade tiers never fired over the golden corpus")

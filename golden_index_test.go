@@ -1,8 +1,9 @@
 package scaguard
 
 // End-to-end differential for the repository-index mode over the full
-// golden corpus: an index-guided detector — single-engine, sharded
-// across several counts, and with the verdict result cache layered on —
+// golden corpus: an index-guided detector — single-engine, across
+// remote shard fleets of several sizes, and with the verdict result
+// cache layered on —
 // must agree with the plain exact detector on the verdict and the best
 // match (bit-exact score) for every corpus program, cold and warm. Full
 // match lists are not compared: members of skipped clusters
@@ -27,11 +28,18 @@ func TestGoldenVerdictsIndexed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		det.Shards = shards
 		det.ResultCache = 128
 		det.Scan = ScanConfig{Prune: true, Index: true}
 		tel := NewTelemetry()
 		det.Telemetry = tel
+		// The scans of a remote fleet run in the shard servers, which
+		// count their index builds in tel; the client counts one
+		// shard_scans per shard per scan.
+		scans := telemetry.ScanTargets
+		if shards > 1 {
+			det.ShardAddrs = shardFleet(t, det.Repo, shards, ShardServerConfig{Telemetry: tel})
+			scans = telemetry.ShardScans
+		}
 
 		check := func(pass string) {
 			for _, tgt := range corpus {
@@ -57,10 +65,10 @@ func TestGoldenVerdictsIndexed(t *testing.T) {
 		}
 
 		check("cold")
-		scansCold := tel.Counter(telemetry.ScanTargets)
+		scansCold := tel.Counter(scans)
 		check("warm")
-		if scans := tel.Counter(telemetry.ScanTargets); scans != scansCold {
-			t.Errorf("shards=%d: warm pass scanned: scan_targets %d -> %d, want frozen (vcache miss)", shards, scansCold, scans)
+		if n := tel.Counter(scans); n != scansCold {
+			t.Errorf("shards=%d: warm pass scanned: %s %d -> %d, want frozen (vcache miss)", shards, scans, scansCold, n)
 		}
 		if tel.Counter(telemetry.IndexRebuilds) == 0 {
 			t.Errorf("shards=%d: no index was ever built", shards)

@@ -12,6 +12,7 @@ package scaguard
 //	go test -run Golden -update .
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"math"
@@ -77,6 +78,23 @@ func goldenCorpus(t *testing.T) []goldenTarget {
 		targets = append(targets, goldenTarget{name: "benign:" + kind + "/" + tmpls[0] + "/1", prog: prog})
 	}
 	return targets
+}
+
+// shardFleet serves repo's partition across n loopback shard servers
+// (ServeShard, what `scaguard shard-serve` runs) and returns their
+// addresses.
+func shardFleet(t *testing.T, repo *Repository, n int, cfg ShardServerConfig) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		bound, shutdown, err := ServeShard(repo, n, i, "127.0.0.1:0", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = shutdown(context.Background()) })
+		addrs[i] = bound
+	}
+	return addrs
 }
 
 func TestGoldenVerdicts(t *testing.T) {

@@ -1,7 +1,8 @@
 package scaguard
 
 // End-to-end differential for the verdict result cache over the full
-// golden corpus: a 3-shard detector with the result cache on must
+// golden corpus: a detector over a 3-shard remote fleet with the
+// result cache on must
 // produce verdicts identical to the plain single-engine detector for
 // every corpus program, and a repeat pass over the corpus must be
 // served entirely from memory by program keys — no model built, no
@@ -24,7 +25,7 @@ func TestGoldenVerdictsShardedCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det.Shards = 3
+	det.ShardAddrs = shardFleet(t, det.Repo, 3, ShardServerConfig{})
 	det.ResultCache = 128
 	tel := NewTelemetry()
 	det.Telemetry = tel
@@ -48,7 +49,7 @@ func TestGoldenVerdictsShardedCached(t *testing.T) {
 		cold[i], coldBBS[i] = got, m.BBS
 	}
 
-	scansCold := tel.Counter(telemetry.ScanTargets)
+	scansCold := tel.Counter(telemetry.ShardScans)
 	buildsCold := tel.Counter(telemetry.ModelBuilds)
 	hitsCold := tel.Counter(telemetry.VCacheProgramHits)
 	for i, tgt := range corpus {
@@ -63,8 +64,8 @@ func TestGoldenVerdictsShardedCached(t *testing.T) {
 			t.Fatalf("%s: warm cached model diverged", tgt.name)
 		}
 	}
-	if scans := tel.Counter(telemetry.ScanTargets); scans != scansCold {
-		t.Errorf("repeat pass scanned: scan_targets %d -> %d, want frozen", scansCold, scans)
+	if scans := tel.Counter(telemetry.ShardScans); scans != scansCold {
+		t.Errorf("repeat pass scanned: shard_scans %d -> %d, want frozen", scansCold, scans)
 	}
 	if builds := tel.Counter(telemetry.ModelBuilds); builds != buildsCold {
 		t.Errorf("repeat pass modeled: model_builds %d -> %d, want frozen", buildsCold, builds)

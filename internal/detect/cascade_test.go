@@ -2,9 +2,9 @@ package detect
 
 // Detector-level tests for the pruned scan path, which runs the
 // lower-bound cascade: the verdict and best match must match the exact
-// single-engine detector across shard counts, and the cascade must
-// survive a Classify-vs-Add race (run under `go test -race`, part of
-// `make race`).
+// single-engine detector, in process and across remote shard counts,
+// and the cascade must survive a Classify-vs-Add race (run under
+// `go test -race`, part of `make race`).
 
 import (
 	"fmt"
@@ -14,11 +14,12 @@ import (
 	"repro/internal/attacks"
 	"repro/internal/model"
 	"repro/internal/scan"
+	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
 
 // TestCascadeDetectorBestMatchesExact: for every repository target, a
-// pruning (-fast) detector — single-engine and sharded — must agree
+// pruning (-fast) detector — single-engine and remote-sharded — must agree
 // with the exact reference on the predicted family, the best match
 // name and the bit-exact best score. Full match lists are not compared
 // (pruned entries legitimately carry upper bounds).
@@ -30,7 +31,9 @@ func TestCascadeDetectorBestMatchesExact(t *testing.T) {
 
 	for _, n := range []int{1, 2, 7} {
 		d := NewDetector(r)
-		d.Shards = n
+		if n > 1 {
+			d.ShardAddrs = shardServers(t, r, n, shard.ServerConfig{})
+		}
 		d.Scan = scan.Config{Prune: true}
 		got := classifyEach(d, targets)
 		for i := range want {
@@ -64,7 +67,7 @@ func TestCascadeClassifyVsAddRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDetector(r)
-	d.Shards = 2
+	d.ShardAddrs = growingShardServers(t, r, 2)
 	d.Scan = scan.Config{Prune: true}
 	d.Telemetry = telemetry.NewCollector()
 	targets := repoTargets(r)

@@ -16,12 +16,11 @@
 // provably losing entries. See docs/PERFORMANCE.md.
 //
 // A repository too large (or too hot) for one machine can be scanned
-// through the scatter–gather layer instead: Detector.Shards partitions
-// it across in-process shard engines, Detector.ShardAddrs across
-// remote `scaguard shard-serve` processes, behind the exact same
-// classification API — exact-mode results stay bit-identical, and
-// failing shards degrade classification to partial results rather than
-// blocking it. See docs/SHARDING.md.
+// through the scatter–gather layer instead: Detector.ShardAddrs
+// partitions it across remote `scaguard shard-serve` processes, behind
+// the exact same classification API — exact-mode results stay
+// bit-identical, and failing shards degrade classification to partial
+// results rather than blocking it. See docs/SHARDING.md.
 //
 // Repeated targets can skip the scan entirely: Detector.ResultCache
 // layers the verdict result cache (internal/vcache) over whichever
@@ -295,12 +294,6 @@ type Detector struct {
 	// the engine always uses SimOpts, the repository's shared distance
 	// cache and the detector's Telemetry collector.
 	Scan scan.Config
-	// Shards, when > 1, scans the repository through the scatter–gather
-	// layer (internal/shard) over that many in-process shard engines
-	// instead of one engine. Exact-mode results stay bit-identical to
-	// the single-engine scan; pruned scans share one cutoff across
-	// shards. Ignored when ShardAddrs is set.
-	Shards int
 	// ShardAddrs lists remote shard servers ("host:port" or http://
 	// URLs, one shard per address in router order — each typically a
 	// `scaguard shard-serve` process over the same repository file).
@@ -311,7 +304,8 @@ type Detector struct {
 	// over them; a whole replica group going dark degrades
 	// classification to the surviving shards' entries (see the
 	// partial-result notes on the classify methods) instead of hanging
-	// it.
+	// it. Exact-mode results stay bit-identical to the single-engine
+	// scan; pruned scans share one cutoff across shards.
 	ShardAddrs []string
 	// ShardTimeout, when positive, bounds each shard's share of one
 	// scan; a shard that exceeds it fails that scan and the result
@@ -373,7 +367,7 @@ type Detector struct {
 	engEntries []Entry
 	engVer     uint64
 	engKey     engineKey
-	// engCoord is the shard coordinator behind eng (nil unless
+	// engCoord is the remote-shard coordinator behind eng (nil unless
 	// sharded); rebuilds and Close stop its background prober.
 	engCoord *shard.Coordinator
 	// vc is the verdict result cache behind ResultCache. It outlives
@@ -398,7 +392,6 @@ type engineKey struct {
 	workers        int
 	sem            scan.Semantics
 	tel            *telemetry.Collector
-	shards         int
 	addrs          string
 	shardTimeout   time.Duration
 	shardRetry     retry.Policy
@@ -411,8 +404,7 @@ type engineKey struct {
 func (d *Detector) key() engineKey {
 	return engineKey{
 		workers: d.Scan.Workers, sem: d.scanConfig().Semantics(), tel: d.Telemetry,
-		shards: d.Shards, addrs: strings.Join(d.ShardAddrs, ","),
-		shardTimeout: d.ShardTimeout, shardRetry: d.ShardRetry,
+		addrs: strings.Join(d.ShardAddrs, ","), shardTimeout: d.ShardTimeout, shardRetry: d.ShardRetry,
 		attemptTimeout: d.ShardAttemptTimeout, brk: d.ShardBreaker, probeInterval: d.ShardProbeInterval,
 		resultCache: d.ResultCache,
 	}
@@ -427,7 +419,7 @@ func (d *Detector) scanConfig() scan.Config {
 }
 
 // sharded reports whether scans go through the scatter–gather layer.
-func (d *Detector) sharded() bool { return len(d.ShardAddrs) > 0 || d.Shards > 1 }
+func (d *Detector) sharded() bool { return len(d.ShardAddrs) > 0 }
 
 // engine returns a scanner over the current repository snapshot,
 // rebuilding it only when the repository version or the detector
@@ -538,39 +530,28 @@ func (s *cachedScanner) ScanCtx(ctx context.Context, bbs *model.CSTBBS) ([]scan.
 }
 
 // buildScanner constructs the scan backend the configuration asks for:
-// a single engine (the default), a local sharded coordinator, or a
-// remote one (co is the coordinator when sharded, nil otherwise).
-// Sharded coordinators register their per-shard stats as the "shards"
-// telemetry gauge source; replicated remote fleets additionally expose
+// a single engine (the default) or a remote-shard coordinator (co is
+// the coordinator when sharded, nil otherwise). A coordinator registers
+// its per-shard stats as the "shards" telemetry gauge source and its
 // per-backend breaker state as "breakers".
 func (d *Detector) buildScanner(models []*model.CSTBBS, cfg scan.Config, ver uint64) (repoScanner, *shard.Coordinator, error) {
 	if !d.sharded() {
 		return scan.New(models, cfg), nil, nil
 	}
-	ccfg := shard.Config{
-		ShardTimeout:   d.ShardTimeout,
-		AttemptTimeout: d.ShardAttemptTimeout,
-		Breaker:        d.ShardBreaker,
-		ProbeInterval:  d.ShardProbeInterval,
-		Telemetry:      d.Telemetry,
-	}
-	var (
-		co  *shard.Coordinator
-		err error
-	)
-	if len(d.ShardAddrs) > 0 {
-		co, err = shard.NewRemoteCoordinator(models, d.ShardAddrs, shard.Router{},
-			cfg, shard.RemoteConfig{Retry: d.ShardRetry, Telemetry: d.Telemetry, Version: ver}, ccfg)
-	} else {
-		co, err = shard.NewLocalCoordinator(models, shard.Router{Shards: d.Shards}, cfg, ccfg)
-	}
+	co, err := shard.NewRemoteCoordinator(models, d.ShardAddrs, shard.Router{}, cfg,
+		shard.RemoteConfig{Retry: d.ShardRetry, Telemetry: d.Telemetry, Version: ver},
+		shard.Config{
+			ShardTimeout:   d.ShardTimeout,
+			AttemptTimeout: d.ShardAttemptTimeout,
+			Breaker:        d.ShardBreaker,
+			ProbeInterval:  d.ShardProbeInterval,
+			Telemetry:      d.Telemetry,
+		})
 	if err != nil {
 		return nil, nil, err
 	}
 	d.Telemetry.RegisterGauges("shards", co.TelemetryGauges)
-	if len(d.ShardAddrs) > 0 {
-		d.Telemetry.RegisterGauges("breakers", co.BreakerGauges)
-	}
+	d.Telemetry.RegisterGauges("breakers", co.BreakerGauges)
 	return co, co, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/attacks"
 	"repro/internal/model"
 	"repro/internal/scan"
+	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
 
@@ -51,8 +52,8 @@ func stressTargets(t *testing.T) []*model.CSTBBS {
 }
 
 // TestDetectorIndexedDifferential is the whole-detector bit-identity
-// check: for every shard count the deployment supports, a detector in
-// indexed mode must agree with the plain exact detector on the verdict,
+// check: in process (shards=1) and over remote shard fleets, a
+// detector in indexed mode must agree with the plain exact detector on the verdict,
 // the best match's name and its bit-exact score — cold and warm through
 // the verdict cache — and the best match must never be pruned.
 func TestDetectorIndexedDifferential(t *testing.T) {
@@ -63,9 +64,12 @@ func TestDetectorIndexedDifferential(t *testing.T) {
 	for _, shards := range []int{1, 2, 7} {
 		det := NewDetector(repo)
 		det.Scan = scan.Config{Prune: true, Index: true}
-		det.Shards = shards
 		det.ResultCache = 64
 		det.Telemetry = telemetry.NewCollector()
+		if shards > 1 {
+			// The servers count their index builds in the same collector.
+			det.ShardAddrs = shardServers(t, repo, shards, shard.ServerConfig{Telemetry: det.Telemetry})
+		}
 		for pass := 0; pass < 2; pass++ { // cold, then warm via vcache
 			for ti, bbs := range targets {
 				want := ref.ClassifyBBS(bbs)

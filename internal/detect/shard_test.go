@@ -1,15 +1,16 @@
 package detect
 
 // Tests for the sharded repository scan behind the detector API:
-// differential equivalence against the single-engine detector (local
-// shards and loopback-HTTP remote shards), partial-result degradation
-// when a shard dies, and a Classify-vs-Add race over a sharded
-// repository (run under `go test -race`, part of `make race`).
+// differential equivalence against the single-engine detector over
+// loopback-HTTP remote shards, partial-result degradation when a shard
+// dies, and a Classify-vs-Add race over a sharded repository (run under
+// `go test -race`, part of `make race`).
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -42,13 +43,44 @@ func classifyEach(d *Detector, targets []*model.CSTBBS) []Result {
 }
 
 // shardServers launches loopback HTTP servers over the router's slices
-// of the repository, as `scaguard shard-serve` would.
-func shardServers(t *testing.T, r *Repository, n int) []string {
+// of the repository, as `scaguard shard-serve` would. A server's name
+// in fault injection is its address.
+func shardServers(t *testing.T, r *Repository, n int, cfg shard.ServerConfig) []string {
 	t.Helper()
 	models := repoTargets(r)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		srv := httptest.NewServer(shard.NewServer(shard.ShardModels(models, shard.Router{Shards: n}, i), shard.ServerConfig{}).Handler())
+		srv := httptest.NewServer(shard.NewServer(shard.ShardModels(models, shard.Router{Shards: n}, i), cfg).Handler())
+		t.Cleanup(srv.Close)
+		addrs[i] = srv.URL
+	}
+	return addrs
+}
+
+// growingShardServers is shardServers over a repository that grows
+// while the test runs: each request is served over the router's slice
+// of the repository as it stands, so a coordinator built after an Add
+// finds its partition, and one built before it degrades to a partial
+// scan.
+func growingShardServers(t *testing.T, r *Repository, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := 0; i < n; i++ {
+		var (
+			mu  sync.Mutex
+			ver uint64
+			h   http.Handler
+		)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			mu.Lock()
+			if v, _ := r.stamp(); h == nil || v != ver {
+				ver = v
+				h = shard.NewServer(shard.ShardModels(repoTargets(r), shard.Router{Shards: n}, i), shard.ServerConfig{}).Handler()
+			}
+			cur := h
+			mu.Unlock()
+			cur.ServeHTTP(w, req)
+		}))
 		t.Cleanup(srv.Close)
 		addrs[i] = srv.URL
 	}
@@ -58,7 +90,7 @@ func shardServers(t *testing.T, r *Repository, n int) []string {
 // TestShardedDetectorMatchesSingleEngine: the whole Result — predicted
 // family, best match, every score in every position — is identical
 // (reflect.DeepEqual, exact floats) between the single-engine detector
-// and sharded ones, local and remote, across shard counts.
+// and remote sharded ones across shard counts.
 func TestShardedDetectorMatchesSingleEngine(t *testing.T) {
 	r := repo(t)
 	ref := NewDetector(r)
@@ -66,17 +98,8 @@ func TestShardedDetectorMatchesSingleEngine(t *testing.T) {
 	want := classifyEach(ref, targets)
 
 	for _, n := range []int{1, 2, 7} {
-		local := NewDetector(r)
-		local.Shards = n
-		for ti, bbs := range targets {
-			if got := local.ClassifyBBS(bbs); !reflect.DeepEqual(got, want[ti]) {
-				t.Fatalf("local shards=%d target %d: %+v, want %+v", n, ti, got, want[ti])
-			}
-		}
-	}
-	for _, n := range []int{1, 2} {
 		remote := NewDetector(r)
-		remote.ShardAddrs = shardServers(t, r, n)
+		remote.ShardAddrs = shardServers(t, r, n, shard.ServerConfig{})
 		for ti, bbs := range targets {
 			got, err := remote.ClassifyBBSCtx(context.Background(), bbs)
 			if err != nil {
@@ -97,7 +120,7 @@ func TestShardedDetectorPrunedBestStable(t *testing.T) {
 	ref := NewDetector(r)
 	targets := repoTargets(r)
 	d := NewDetector(r)
-	d.Shards = 3
+	d.ShardAddrs = shardServers(t, r, 3, shard.ServerConfig{})
 	d.Scan.Prune = true
 	for ti, bbs := range targets {
 		want := ref.ClassifyBBS(bbs)
@@ -117,12 +140,12 @@ func TestShardedDetectorPartialDegradation(t *testing.T) {
 	r := repo(t)
 	tel := telemetry.NewCollector()
 	d := NewDetector(r)
-	d.Shards = 2
+	d.ShardAddrs = shardServers(t, r, 2, shard.ServerConfig{})
 	d.Telemetry = tel
 	target := r.Entries[0].BBS
 
 	full := d.ClassifyBBS(target) // warm build, no fault yet
-	faultinject.Enable(faultinject.ShardScan, faultinject.Match("1", faultinject.Error(errors.New("shard down"))))
+	faultinject.Enable(faultinject.ShardScan, faultinject.Match(d.ShardAddrs[1], faultinject.Error(errors.New("shard down"))))
 
 	res, err := d.ClassifyBBSCtx(context.Background(), target)
 	var pe *shard.PartialError
@@ -159,8 +182,9 @@ func TestShardedDetectorPartialDegradation(t *testing.T) {
 }
 
 // TestShardedClassifyVsAddRace: concurrent classification passes over
-// every target and single ClassifyBBS calls against a sharded repository that grows through Add — the coordinator
-// rebuild path under contention. Meaningful under -race.
+// every target and single ClassifyBBS calls against a sharded
+// repository that grows through Add — the coordinator rebuild path
+// under contention. Meaningful under -race.
 func TestShardedClassifyVsAddRace(t *testing.T) {
 	p := attacks.DefaultParams()
 	pocs := []attacks.PoC{
@@ -172,7 +196,7 @@ func TestShardedClassifyVsAddRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDetector(r)
-	d.Shards = 3
+	d.ShardAddrs = growingShardServers(t, r, 3)
 	d.Telemetry = telemetry.NewCollector()
 	targets := repoTargets(r)
 	extra := r.Entries[0].BBS

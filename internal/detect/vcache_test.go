@@ -186,8 +186,9 @@ func TestVerdictCachePartialNeverCached(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	r := repo(t)
 	tel := telemetry.NewCollector()
+	addrs := shardServers(t, r, 3, shard.ServerConfig{})
 	d := NewDetector(r)
-	d.Shards = 3
+	d.ShardAddrs = addrs
 	d.ResultCache = 8
 	d.Telemetry = tel
 	target := r.Entries[0].BBS
@@ -200,13 +201,13 @@ func TestVerdictCachePartialNeverCached(t *testing.T) {
 	// Fresh detector state for the degraded pass: same repository, cold
 	// cache, two of its three shards failing.
 	d2 := NewDetector(r)
-	d2.Shards = 3
+	d2.ShardAddrs = addrs
 	d2.ResultCache = 8
 	d2.Telemetry = tel
 	boom := errors.New("shard down")
 	faultinject.Enable(faultinject.ShardScan, faultinject.Chain(
-		faultinject.Match("1", faultinject.Error(boom)),
-		faultinject.Match("2", faultinject.Error(boom)),
+		faultinject.Match(addrs[1], faultinject.Error(boom)),
+		faultinject.Match(addrs[2], faultinject.Error(boom)),
 	))
 
 	degraded := tel.Counter(telemetry.ShardDegradedScans)

@@ -70,6 +70,30 @@ func TestCascadeScanKeepsBestExact(t *testing.T) {
 	}
 }
 
+// A pruned scan splits its entries into one strided slice per worker,
+// so the worker count changes which entries each worker bounds and in
+// what order they are scored. The best match must not change with it:
+// at 1, 2, 3 and 7 workers it is bit-equal to the serial exact scan's
+// and never pruned.
+func TestPrunedBestAcrossWorkerCounts(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		entries := randomCorpus(rng, 40, 8)
+		targets := randomCorpus(rng, 4, 8)
+		for _, workers := range []int{1, 2, 3, 7} {
+			eng := New(entries, Config{Workers: workers, Prune: true, Sim: similarity.DefaultOptions()})
+			for ti, target := range targets {
+				got := eng.Scan(target)
+				wi, ws := bestMatch(eng.ScanSerial(target))
+				if gi, gs := bestMatch(got); gi != wi || gs != ws || got[gi].Pruned {
+					t.Fatalf("seed=%d workers=%d target %d: pruned best (%d, %v, pruned=%v), exact (%d, %v)",
+						seed, workers, ti, gi, gs, got[gi].Pruned, wi, ws)
+				}
+			}
+		}
+	}
+}
+
 // Candidate reordering must not disturb tie-breaking: with duplicate
 // repository entries tying for best, every tied copy is scored exactly
 // (the pruneCutoff margin forbids pruning a tie), scores are identical,
@@ -159,21 +183,18 @@ func TestScanZeroAllocWarmPath(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			eng := New(entries, c.cfg)
 			tgt := eng.newTarget(target)
-			var lbs, kims []float64
-			if c.cfg.Prune {
-				lbs, kims = eng.cheapBounds(&tgt)
-			}
 			cut := NewCutoff()
 			s := eng.newScratch()
+			eng.boundSlice(&tgt, 0, 1, s) // one worker: slice position = entry index
 			// Warm pass: fills the Levenshtein memo for every cell the
 			// measured pass can visit (a tighter cutoff only shrinks the
 			// visited set), grows every scratch buffer, settles the cutoff.
 			for ei := range entries {
-				eng.scoreOne(&tgt, ei, lbs, kims, cut, s)
+				eng.scoreOne(&tgt, ei, s.lbs[ei], s.kims[ei], cut, s)
 			}
 			allocs := testing.AllocsPerRun(20, func() {
 				for ei := range entries {
-					eng.scoreOne(&tgt, ei, lbs, kims, cut, s)
+					eng.scoreOne(&tgt, ei, s.lbs[ei], s.kims[ei], cut, s)
 				}
 			})
 			if allocs != 0 {
@@ -225,8 +246,8 @@ func TestScanCtxAllocs(t *testing.T) {
 		cfg    Config
 		budget [2]float64 // at 1 and 2 workers
 	}{
-		{"Exact", Config{}, [2]float64{12, 13}},
-		{"Fast", Config{Prune: true}, [2]float64{27, 28}},
+		{"Exact", Config{}, [2]float64{11, 12}},
+		{"Fast", Config{Prune: true}, [2]float64{13, 15}},
 		{"Indexed", Config{Prune: true, Index: true}, [2]float64{23, 23}},
 	}
 	for _, c := range cases {

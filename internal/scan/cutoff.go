@@ -9,11 +9,12 @@ import (
 // Cutoff is the shared best-distance cell behind early abandoning: the
 // lowest exact distance any comparison has produced so far, stored as
 // atomic float bits. Within one engine scan it is the per-target "best
-// so far" that pruning compares against; shared between concurrently
-// scanning engines (internal/shard) it becomes the cross-shard cutoff
-// broadcast — a shard that finds a strong match immediately tightens
-// the bound every other shard prunes with, so early abandoning works
-// across shard boundaries, not just within one engine.
+// so far" that every worker prunes against; a shard coordinator
+// (internal/shard) shares one across its shards and forwards each
+// improvement to the remote shard servers — a shard that finds a
+// strong match tightens the bound every other shard prunes with, so
+// early abandoning works across shard boundaries, not just within one
+// engine.
 //
 // A Cutoff only ever decreases. All methods are safe for concurrent
 // use; the zero value is not ready — use NewCutoff (best starts at

@@ -8,21 +8,24 @@
 //
 //   - Parallelism. One target's per-entry scoring fans out across a
 //     worker pool (Config.Workers, default GOMAXPROCS) whose calling
-//     goroutine is one of the workers. Results are collected
-//     positionally, so the output is deterministic regardless of
-//     scheduling.
+//     goroutine is one of the workers. Exact scans claim entries one
+//     at a time; a pruned scan gives each worker a strided slice of
+//     the entries to bound and score most-promising-first. Results are
+//     collected positionally, so the output is deterministic
+//     regardless of scheduling.
 //   - Memoization. The normalized-instruction Levenshtein term is the
 //     dominant cost inside every DTW cell, and the same basic blocks
 //     recur across repository entries, scans and targets (crypto loops,
 //     probe loops). A DistCache shared safely across workers computes
 //     each distinct block pair once.
-//   - Early abandoning (Config.Prune, the CLI's -fast). Entries are
-//     ordered by the cheap lower-bound cascade (similarity.LowerBoundKim
-//     and LowerBoundKeogh), skip once a bound provably cannot beat the
-//     best score found so far, escalate lazily to the per-row bound
-//     (similarity.LowerBound) near the cutoff, and the banded DTW itself
-//     abandons row-wise (dtw.DistanceAbandonScratch) once every cell exceeds
-//     the bound implied by the running best. Pruned entries report an
+//   - Early abandoning (Config.Prune, the CLI's -fast). Each worker's
+//     entries are ordered by the cheap lower-bound cascade
+//     (similarity.LowerBoundKim and LowerBoundKeogh), skip once a bound
+//     provably cannot beat the best score found so far, escalate lazily
+//     to the per-row bound (similarity.LowerBound) near the cutoff, and
+//     the banded DTW itself abandons row-wise
+//     (dtw.DistanceAbandonScratch) once every cell exceeds the bound
+//     implied by the running best. Pruned entries report an
 //     upper-bound score and Pruned=true; the best match is always
 //     computed exactly, so classification decisions and explanations
 //     are unaffected.
@@ -38,10 +41,11 @@
 package scan
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -296,13 +300,12 @@ func (e *Engine) ScanCtx(ctx context.Context, bbs *model.CSTBBS) ([]Match, error
 
 // ScanCutoffCtx is ScanCtx with an externally owned pruning cutoff:
 // instead of a private per-target best, the scan consults and updates
-// cut, so several engines scanning the same target concurrently — the
-// shards of a partitioned repository — share one global best and prune
-// against each other's matches (the cutoff broadcast, internal/shard).
-// A cut that already carries a bound (from another shard, or from a
-// remote coordinator's broadcast) tightens pruning from the first
-// comparison. With Prune off the cutoff is ignored and the scan is
-// bit-identical to ScanCtx.
+// cut. A shard server scans its slice of a partitioned repository this
+// way, and the coordinator's broadcasts of other shards' matches lower
+// cut mid-scan (the cutoff broadcast, internal/shard). A cut that
+// already carries a bound tightens pruning from the first comparison.
+// With Prune off the cutoff is ignored and the scan is bit-identical
+// to ScanCtx.
 func (e *Engine) ScanCutoffCtx(ctx context.Context, bbs *model.CSTBBS, cut *Cutoff) ([]Match, error) {
 	return e.scanCtx(ctx, bbs, cut)
 }
@@ -319,8 +322,9 @@ func (e *Engine) ScanSerial(bbs *model.CSTBBS) []Match {
 }
 
 // scanJob is one target's scan in flight: the target, its positional
-// output, the pruned scan's bounds and visit order, the cutoff, and the
-// claim and first-failure state every worker shares.
+// output, the cutoff, the worker count a pruned flat scan strides its
+// entries by, and the claim, completion and first-failure state every
+// worker shares.
 type scanJob struct {
 	e       *Engine
 	ctx     context.Context
@@ -328,14 +332,11 @@ type scanJob struct {
 	out     []Match
 	cut     *Cutoff
 	indexed bool
-	// Pruned flat scans only: cheapBounds' tier-1/2 bounds and the
-	// entries most-promising-first; order nil visits entries in index
-	// order.
-	lbs, kims []float64
-	order     []int
+	workers int
 
-	next     atomic.Int64 // entries claimed so far
-	stop     atomic.Bool  // set by the first failure
+	next     atomic.Int64   // exact scans: entries claimed so far
+	helpers  sync.WaitGroup // the helper goroutines (workers 1..W-1)
+	stop     atomic.Bool    // set by the first failure
 	failOnce sync.Once
 	err      error
 }
@@ -366,18 +367,6 @@ func (e *Engine) scanCtx(ctx context.Context, bbs *model.CSTBBS, cut *Cutoff) ([
 		e.putScratch(s)
 		return j.result()
 	}
-	if e.cfg.Prune {
-		// Cheap tier-1/2 bounds, and a most-promising-first order so the
-		// shared best tightens as early as possible; the per-row tier
-		// runs lazily in scoreOne for the few entries within striking
-		// distance of the cutoff.
-		j.lbs, j.kims = e.cheapBounds(&j.t)
-		j.order = make([]int, nE)
-		for i := range j.order {
-			j.order[i] = i
-		}
-		sort.SliceStable(j.order, func(a, b int) bool { return j.lbs[j.order[a]] < j.lbs[j.order[b]] })
-	}
 	workers := e.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -385,22 +374,31 @@ func (e *Engine) scanCtx(ctx context.Context, bbs *model.CSTBBS, cut *Cutoff) ([
 	if workers > nE {
 		workers = nE
 	}
-	// The calling goroutine is one of the workers, so a one-worker scan
-	// starts no goroutine.
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
+	j.workers = workers
+	// The calling goroutine is worker 0, so a one-worker scan starts no
+	// goroutine.
+	j.helpers.Add(workers - 1)
 	for w := 1; w < workers; w++ {
 		go func() {
-			defer wg.Done()
+			defer j.helpers.Done()
 			s := e.workerScratch(j)
-			j.work(s)
+			j.work(w, s)
 			e.putScratch(s)
 		}()
 	}
+	if workers > 1 {
+		// A new goroutine waits in its creator's run-next slot, which an
+		// idle P steals only after a delay (~75 µs on the 2-core
+		// reference container, a sixth of a pruned scan). Starting an
+		// empty goroutine last moves the last helper to the ordinary run
+		// queue, where an idle P takes it at once. Yielding instead cost
+		// throughput when concurrent scans oversubscribe the cores.
+		go func() {}()
+	}
 	s := e.workerScratch(j)
-	j.work(s)
+	j.work(0, s)
 	e.putScratch(s)
-	wg.Wait()
+	j.helpers.Wait()
 	return j.result()
 }
 
@@ -415,17 +413,42 @@ func (e *Engine) workerScratch(j *scanJob) *scratch {
 	return s
 }
 
-// work is the per-entry worker loop: claim the next entry and score it
-// until every entry is claimed, the scan fails or ctx ends.
-func (j *scanJob) work(s *scratch) {
-	for !j.stop.Load() && j.ctx.Err() == nil {
-		k := j.next.Add(1) - 1
-		if k >= int64(len(j.out)) {
+// work is worker w's loop over the entries of a flat scan, one work
+// item per entry, until every item is done, the scan fails or ctx
+// ends. An exact scan claims entries one at a time from a shared
+// counter. A pruned scan gives worker w the strided slice w, w+W,
+// w+2W, ... of the entries: its first item bounds the slice, and the
+// rest score it most-promising-first under the one shared cutoff, so
+// the bounds run in parallel and every worker tightens the cutoff
+// early. With one worker the slice is the whole repository.
+func (j *scanJob) work(w int, s *scratch) {
+	if !j.e.cfg.Prune {
+		for j.live() {
+			k := j.next.Add(1) - 1
+			if k >= int64(len(j.out)) {
+				return
+			}
+			j.runSafe(int(k), s)
+		}
+		return
+	}
+	s.w = w
+	j.runSafe(boundItem, s)
+	for _, p := range s.ord {
+		if !j.live() {
 			return
 		}
-		j.runSafe(int(k), s)
+		j.runSafe(w+p*j.workers, s)
 	}
 }
+
+// live reports whether workers should take another item: no work item
+// has failed and ctx has not ended.
+func (j *scanJob) live() bool { return !j.stop.Load() && j.ctx.Err() == nil }
+
+// boundItem is the work item that bounds and orders a pruned worker's
+// slice before its entries are scored. It fires no failpoint.
+const boundItem = -1
 
 // runSafe runs work item k under panic recovery. The first failure
 // (recovered panic or injected fault) is kept and stops the scan.
@@ -442,20 +465,26 @@ func (j *scanJob) runSafe(k int, s *scratch) {
 	j.stop.Store(true)
 }
 
-// runItem is the body of one work item, behind one ScanWorker failpoint
-// fire: the whole indexed descent, or entry k of a flat scan.
+// runItem is the body of one work item: the bounds of a pruned worker's
+// slice, or, behind one ScanWorker failpoint fire, the whole indexed
+// descent or entry k of a flat scan.
 func (j *scanJob) runItem(k int, s *scratch) error {
+	if k == boundItem {
+		j.e.boundSlice(&j.t, s.w, j.workers, s)
+		return nil
+	}
 	if err := faultinject.Fire(faultinject.ScanWorker, ""); err != nil {
 		return err
 	}
-	if j.indexed {
+	switch {
+	case j.indexed:
 		j.e.scanIndexed(&j.t, j.out, j.cut, s)
-		return nil
+	case j.e.cfg.Prune:
+		p := k / j.workers
+		j.out[k] = j.e.scoreOne(&j.t, k, s.lbs[p], s.kims[p], j.cut, s)
+	default:
+		j.out[k] = j.e.scoreOne(&j.t, k, 0, 0, j.cut, s)
 	}
-	if j.order != nil {
-		k = j.order[k]
-	}
-	j.out[k] = j.e.scoreOne(&j.t, k, j.lbs, j.kims, j.cut, s)
 	return nil
 }
 
@@ -482,29 +511,37 @@ func (j *scanJob) result() ([]Match, error) {
 // scored, so verdicts are unaffected by its value.
 const cascadeEscalateFrac = 0.75
 
-// cheapBounds computes, for every entry, the tier-1 (Kim) bound alone
-// (kims, for skip attribution) and the running maximum of the tier-1
-// and tier-2 (Keogh) bounds (lbs) that orders a pruned scan.
-func (e *Engine) cheapBounds(t *target) (lbs, kims []float64) {
-	lbs, kims = make([]float64, len(e.models)), make([]float64, len(e.models))
-	var keo similarity.KeoghScratch
-	for ei := range e.models {
-		kims[ei] = similarity.LowerBoundKim(t.prof, e.profs[ei], e.sim)
-		lbs[ei] = kims[ei]
-		if b := similarity.LowerBoundKeogh(t.prof, e.profs[ei], e.sim, &keo); b > lbs[ei] {
-			lbs[ei] = b
+// boundSlice fills s with worker w's slice of a pruned flat scan, the
+// entries w, w+W, w+2W, ... for W workers: per slice position, the
+// tier-1 (Kim) bound alone (kims, for skip attribution) and the running
+// maximum of the tier-1 and tier-2 (Keogh) bounds (lbs), and ord, the
+// positions most-promising-first (lowest lbs first, ties in entry
+// order) so the shared best tightens as early as possible. The per-row
+// tier runs lazily in scoreOne for the few entries within striking
+// distance of the cutoff.
+func (e *Engine) boundSlice(t *target, w, workers int, s *scratch) {
+	s.lbs, s.kims, s.ord = s.lbs[:0], s.kims[:0], s.ord[:0]
+	for ei := w; ei < len(e.models); ei += workers {
+		kim := similarity.LowerBoundKim(t.prof, e.profs[ei], e.sim)
+		lb := kim
+		if b := similarity.LowerBoundKeogh(t.prof, e.profs[ei], e.sim, &s.keo); b > lb {
+			lb = b
 		}
+		s.ord = append(s.ord, len(s.lbs))
+		s.lbs = append(s.lbs, lb)
+		s.kims = append(s.kims, kim)
 	}
-	return lbs, kims
+	slices.SortStableFunc(s.ord, func(a, b int) int { return cmp.Compare(s.lbs[a], s.lbs[b]) })
 }
 
 // scoreOne scores a single (target, entry) pair, consulting and
-// updating the target's shared best distance when pruning. lbs and kims
-// come from cheapBounds; the tier-3 per-row bound escalates lazily
-// behind cascadeEscalateFrac. Every tier is a true lower bound and the
-// code keeps their running maximum, so each tier stays prune-only and
-// the reported pruned score stays a true upper bound.
-func (e *Engine) scoreOne(t *target, ei int, lbs, kims []float64, cut *Cutoff, s *scratch) Match {
+// updating the target's shared best distance when pruning. lb and kim
+// are the entry's bounds from boundSlice (ignored by exact scans); the
+// tier-3 per-row bound escalates lazily behind cascadeEscalateFrac.
+// Every tier is a true lower bound and the code keeps their running
+// maximum, so each tier stays prune-only and the reported pruned score
+// stays a true upper bound.
+func (e *Engine) scoreOne(t *target, ei int, lb, kim float64, cut *Cutoff, s *scratch) Match {
 	tel := e.cfg.Telemetry
 	if !e.cfg.Prune {
 		d, _ := e.compare(t, ei, math.Inf(1), s)
@@ -512,9 +549,9 @@ func (e *Engine) scoreOne(t *target, ei int, lbs, kims []float64, cut *Cutoff, s
 		return Match{Index: ei, Score: dtw.Similarity(d)}
 	}
 	cutoff := pruneCutoff(cut.Best())
-	bound := lbs[ei]
+	bound := lb
 	if bound > cutoff {
-		if kims[ei] > cutoff {
+		if kim > cutoff {
 			tel.Inc(telemetry.ScanEntriesKimSkipped)
 		} else {
 			tel.Inc(telemetry.ScanEntriesKeoghSkipped)

@@ -34,13 +34,19 @@ type scratch struct {
 	dist dtw.DistFunc // built once per scratch by newScratch
 	memo pairMemo     // worker-local L1 over the shared pair cache
 
-	// Work-item trampoline: job is the scan the worker serves, runK the
-	// claimed item index and runFn the closure handed to panicsafe.Do,
-	// built once per scratch, so dispatch allocates nothing per item or
-	// per scan.
+	// Work-item trampoline: job is the scan the worker serves, w the
+	// worker's index in it, runK the current item and runFn the closure
+	// handed to panicsafe.Do, built once per scratch, so dispatch
+	// allocates nothing per item or per scan.
 	job   *scanJob
+	w     int
 	runK  int
 	runFn func() error
+
+	// Pruned flat scans: the bounds of this worker's slice and its visit
+	// order (boundSlice), reused across scans.
+	lbs, kims []float64
+	ord       []int
 
 	// Indexed-scan working sets (scanIndexed): per-cluster Kim bounds,
 	// exact prototype distances, the cluster visit order and a member

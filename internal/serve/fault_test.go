@@ -199,16 +199,33 @@ func TestDeadShardPartialRPCCount(t *testing.T) {
 	}
 }
 
-// TestPartialVerdictSameAcrossEndpoints: with one in-process shard
-// dead, batch and NDJSON verdicts carry the same degraded outcome the
-// unary endpoint answers — predicted family, best match and matches over
-// the surviving shards — not an empty verdict marked partial.
+// shardFleet starts n loopback shard servers over the router's slices
+// of the test corpus and returns their addresses (each also the
+// shard's name in fault injection).
+func shardFleet(t *testing.T, n int) []string {
+	t.Helper()
+	models := corpusModels(t)
+	addrs := make([]string, n)
+	for i := range addrs {
+		srv := httptest.NewServer(shard.NewServer(shard.ShardModels(models, shard.Router{Shards: n}, i), shard.ServerConfig{}).Handler())
+		t.Cleanup(srv.Close)
+		addrs[i] = srv.URL
+	}
+	return addrs
+}
+
+// TestPartialVerdictSameAcrossEndpoints: with one remote shard dead,
+// batch and NDJSON verdicts carry the same degraded outcome the unary
+// endpoint answers — predicted family, best match and matches over the
+// surviving shards — not an empty verdict marked partial.
 func TestPartialVerdictSameAcrossEndpoints(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) {
-		c.Detector.Shards = 2
+	addrs := shardFleet(t, 2)
+	srv, ts := newTestServer(t, func(c *Config) {
+		c.Detector.ShardAddrs = addrs
 	})
+	t.Cleanup(srv.det.Close)
 	faultinject.Enable(faultinject.ShardScan,
-		faultinject.Match("1", faultinject.Error(errors.New("shard down"))))
+		faultinject.Match(addrs[1], faultinject.Error(errors.New("shard down"))))
 	t.Cleanup(faultinject.Reset)
 
 	spec := TargetSpec{Spec: "attack:FR-IAIK"}
@@ -247,14 +264,16 @@ func TestPartialVerdictSameAcrossEndpoints(t *testing.T) {
 }
 
 // TestDeadShardPartialVerdict proves degradation end to end: with one
-// in-process shard persistently dead, the service still answers 200
-// with a verdict marked partial, built from the surviving shards.
+// remote shard persistently dead, the service still answers 200 with a
+// verdict marked partial, built from the surviving shards.
 func TestDeadShardPartialVerdict(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) {
-		c.Detector.Shards = 2
+	addrs := shardFleet(t, 2)
+	srv, ts := newTestServer(t, func(c *Config) {
+		c.Detector.ShardAddrs = addrs
 	})
+	t.Cleanup(srv.det.Close)
 	faultinject.Enable(faultinject.ShardScan,
-		faultinject.Match("1", faultinject.Error(errors.New("shard down"))))
+		faultinject.Match(addrs[1], faultinject.Error(errors.New("shard down"))))
 	t.Cleanup(faultinject.Reset)
 
 	resp := postJSON(t, ts.URL+"/v1/classify", classifyRequest{Target: &TargetSpec{Spec: "attack:FR-IAIK"}})

@@ -1,8 +1,8 @@
 // Package serve is the detection-as-a-service front end: a long-lived
 // HTTP/JSON server that accepts classification requests from many
 // concurrent clients and fronts whatever scan backend its detector is
-// configured with — one engine, in-process shards, or a remote
-// `scaguard shard-serve` fleet. It is the deployment shape the
+// configured with — one engine or a remote `scaguard shard-serve`
+// fleet. It is the deployment shape the
 // ROADMAP's "millions of users" story asks for: callers stop owning a
 // process and start sharing one.
 //

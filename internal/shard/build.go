@@ -2,8 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"runtime"
-	"strconv"
 	"strings"
 
 	"repro/internal/breaker"
@@ -38,28 +36,6 @@ func sliceModels(models []*model.CSTBBS, part []int) []*model.CSTBBS {
 // slice without coordination.
 func ShardModels(models []*model.CSTBBS, r Router, i int) []*model.CSTBBS {
 	return sliceModels(models, PartitionModels(models, r)[i])
-}
-
-// NewLocalCoordinator shards models across r.Shards in-process engines.
-// scfg is each shard engine's configuration; its worker budget
-// (default GOMAXPROCS) is divided across the shards so N shards don't
-// oversubscribe the machine N-fold, and its Cache is ignored (each
-// shard owns a private DistCache).
-func NewLocalCoordinator(models []*model.CSTBBS, r Router, scfg scan.Config, ccfg Config) (*Coordinator, error) {
-	if r.Shards < 1 {
-		r.Shards = 1
-	}
-	parts := PartitionModels(models, r)
-	workers := scfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	scfg.Workers = (workers + r.Shards - 1) / r.Shards
-	shards := make([]Shard, len(parts))
-	for i, part := range parts {
-		shards[i] = NewLocalShard(strconv.Itoa(i), sliceModels(models, part), scfg)
-	}
-	return NewCoordinator(shards, parts, ccfg)
 }
 
 // SplitReplicas parses one shard-address argument into its replica

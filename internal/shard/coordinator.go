@@ -106,9 +106,8 @@ func (c *Coordinator) Shards() int { return len(c.shards) }
 // ScanCtx scatters one target to every shard concurrently and gathers
 // the matches into ascending global-index order. All shards share one
 // pruning cutoff, so in pruned configurations the running global best
-// tightens every shard's early abandoning as it improves (local shards
-// see updates instantly through the shared cell; remote shards receive
-// broadcast pushes).
+// tightens every shard's early abandoning as it improves (remote shards
+// receive it as broadcast pushes).
 //
 // When every shard succeeds the result covers every repository entry —
 // in exact mode bit-identically to a single engine's Scan. When some
@@ -237,7 +236,7 @@ func (c *Coordinator) TelemetryGauges() map[string]uint64 {
 }
 
 // breakers walks the fleet and returns every replica breaker, keyed by
-// backend name. Empty for ungrouped (local) fleets.
+// backend name. Empty for fleets without replica groups.
 func (c *Coordinator) breakers() map[string]*breaker.Breaker {
 	out := make(map[string]*breaker.Breaker)
 	for _, s := range c.shards {

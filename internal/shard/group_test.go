@@ -320,7 +320,7 @@ func TestCoordinatorScanCancellationDoesNotLeak(t *testing.T) {
 	defer faultinject.Reset()
 	rng := rand.New(rand.NewSource(53))
 	models := corpus(rng, 12)
-	co, err := NewLocalCoordinator(models, Router{Shards: 3},
+	co, err := newLocalCoordinator(models, Router{Shards: 3},
 		scan.Config{Sim: similarity.DefaultOptions()}, Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -11,24 +11,28 @@
 //   - Router assigns repository entries to shards by rendezvous
 //     (highest-random-weight) hashing over the entry name, so growing
 //     from N to N+1 shards moves only ~1/(N+1) of the entries.
-//   - Shard is the backend interface: LocalShard wraps an in-process
-//     engine with its own DistCache; RemoteShard (remote.go) speaks
+//   - Shard is the backend interface: RemoteShard (remote.go) speaks
 //     HTTP/JSON to a Server (server.go) hosting a shard on another
-//     machine, with per-RPC timeout and retry.
+//     machine, with per-RPC timeout and retry, and a ReplicaGroup
+//     (group.go) fails over between replicas of one partition.
 //   - Coordinator (coordinator.go) broadcasts one target to every
 //     shard concurrently, merges the per-shard matches back into
-//     globally-indexed order, and — the performance headline — shares
-//     one scan.Cutoff across every shard, so the running global best
-//     score reaches every pruned scan as it improves: early abandoning
-//     works across shard boundaries ("cutoff broadcast"). Local shards
-//     read the shared cell directly; remote shards receive pushes.
+//     globally-indexed order, and shares one scan.Cutoff across every
+//     shard, so the running global best score reaches every pruned
+//     scan as it improves: early abandoning works across shard
+//     boundaries ("cutoff broadcast"). Remote shards receive the
+//     improvements as pushes.
+//
+// Within one process a single scan.Engine already splits a scan across
+// its workers, so sharding pays only across machines; see
+// docs/SHARDING.md "When remote shards pay".
 //
 // Exact mode (Prune off everywhere) is bit-identical to a single
 // engine's scan — same comparisons, same float operations — which the
-// differential tests in this package enforce for local and loopback
-// HTTP shards alike. A dead or slow shard degrades the scan to partial
-// results plus a *PartialError instead of hanging it; see
-// docs/SHARDING.md for the full design.
+// differential tests in this package enforce over loopback HTTP
+// shards. A dead or slow shard degrades the scan to partial results
+// plus a *PartialError instead of hanging it; see docs/SHARDING.md for
+// the full design.
 package shard
 
 import (
@@ -110,7 +114,7 @@ func (r Router) Partition(names []string) [][]int {
 // Implementations must be safe for concurrent use by the coordinator.
 type Shard interface {
 	// Name identifies the shard in errors, telemetry and fault
-	// injection (an index for local shards, an address for remote).
+	// injection (the address, for a remote shard).
 	Name() string
 	// Len returns the number of repository entries the shard holds.
 	Len() int
@@ -119,34 +123,6 @@ type Shard interface {
 	// returns matches indexed shard-locally (0..Len()-1). On error the
 	// matches are discarded by the coordinator.
 	Scan(ctx context.Context, bbs *model.CSTBBS, cut *scan.Cutoff) ([]scan.Match, error)
-}
-
-// LocalShard is the in-process backend: its own scan.Engine over its
-// slice of the repository, with its own DistCache (per-shard caches
-// keep the shards contention-free; block-pair distances are pure, so
-// nothing needs to be shared).
-type LocalShard struct {
-	name string
-	eng  *scan.Engine
-}
-
-// NewLocalShard builds an in-process shard over models. cfg.Cache is
-// ignored: every local shard owns a private DistCache.
-func NewLocalShard(name string, models []*model.CSTBBS, cfg scan.Config) *LocalShard {
-	cfg.Cache = nil
-	return &LocalShard{name: name, eng: scan.New(models, cfg)}
-}
-
-// Name implements Shard.
-func (s *LocalShard) Name() string { return s.name }
-
-// Len implements Shard.
-func (s *LocalShard) Len() int { return s.eng.Len() }
-
-// Scan implements Shard by delegating to the engine's shared-cutoff
-// scan.
-func (s *LocalShard) Scan(ctx context.Context, bbs *model.CSTBBS, cut *scan.Cutoff) ([]scan.Match, error) {
-	return s.eng.ScanCutoffCtx(ctx, bbs, cut)
 }
 
 // ShardError is one shard's failure within a scattered scan.

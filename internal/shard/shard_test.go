@@ -159,7 +159,7 @@ func TestShardedExactBitIdenticalLocal(t *testing.T) {
 		ref := scan.New(models, scan.Config{Sim: similarity.DefaultOptions()})
 		targets := corpus(rng, 4)
 		for _, n := range []int{1, 2, 7} {
-			co, err := NewLocalCoordinator(models, Router{Shards: n},
+			co, err := newLocalCoordinator(models, Router{Shards: n},
 				scan.Config{Sim: similarity.DefaultOptions()}, Config{})
 			if err != nil {
 				t.Fatalf("size=%d n=%d: %v", size, n, err)
@@ -180,7 +180,7 @@ func TestShardedExactBitIdenticalLocal(t *testing.T) {
 
 // startServers launches one loopback HTTP shard server per router
 // slice and returns their addresses in shard order.
-func startServers(t *testing.T, models []*model.CSTBBS, r Router, cfg ServerConfig) []string {
+func startServers(t testing.TB, models []*model.CSTBBS, r Router, cfg ServerConfig) []string {
 	t.Helper()
 	addrs := make([]string, r.Shards)
 	for i := range addrs {
@@ -229,7 +229,7 @@ func TestShardedPrunedBestExact(t *testing.T) {
 	scfg := scan.Config{Prune: true, Sim: similarity.DefaultOptions()}
 
 	r := Router{Shards: 3}
-	local, err := NewLocalCoordinator(models, r, scfg, Config{})
+	local, err := newLocalCoordinator(models, r, scfg, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestCoordinatorPartialOnShardFault(t *testing.T) {
 	target := corpus(rng, 1)[0]
 	tel := telemetry.NewCollector()
 	r := Router{Shards: 3}
-	co, err := NewLocalCoordinator(models, r, scan.Config{Sim: similarity.DefaultOptions()}, Config{Telemetry: tel})
+	co, err := newLocalCoordinator(models, r, scan.Config{Sim: similarity.DefaultOptions()}, Config{Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +554,7 @@ func TestCoordinatorStatsAndGauges(t *testing.T) {
 	models := corpus(rng, 8)
 	target := corpus(rng, 1)[0]
 	tel := telemetry.NewCollector()
-	co, err := NewLocalCoordinator(models, Router{Shards: 2}, scan.Config{Sim: similarity.DefaultOptions()}, Config{Telemetry: tel})
+	co, err := newLocalCoordinator(models, Router{Shards: 2}, scan.Config{Sim: similarity.DefaultOptions()}, Config{Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/detect"
 	"repro/internal/faultinject"
+	"repro/internal/model"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
@@ -187,17 +190,36 @@ func TestStreamStagesRunOnce(t *testing.T) {
 	}
 }
 
-// TestStreamKeepsPartialVerdict: with one in-process shard dead, a
+// shardFleet starts n loopback shard servers over the router's slices
+// of r, as `scaguard shard-serve` would, and returns their addresses
+// (each also the shard's name in fault injection).
+func shardFleet(t *testing.T, r *detect.Repository, n int) []string {
+	t.Helper()
+	models := make([]*model.CSTBBS, len(r.Entries))
+	for i, e := range r.Entries {
+		models[i] = e.BBS
+	}
+	addrs := make([]string, n)
+	for i := range addrs {
+		srv := httptest.NewServer(shard.NewServer(shard.ShardModels(models, shard.Router{Shards: n}, i), shard.ServerConfig{}).Handler())
+		t.Cleanup(srv.Close)
+		addrs[i] = srv.URL
+	}
+	return addrs
+}
+
+// TestStreamKeepsPartialVerdict: with one remote shard dead, a
 // streamed target resolves to the same degraded verdict the detector
 // returns directly — the *shard.PartialError and the surviving shards'
 // result together, never the error alone.
 func TestStreamKeepsPartialVerdict(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	d := newDetector(t)
-	d.Shards = 2
+	d.ShardAddrs = shardFleet(t, d.Repo, 2)
+	t.Cleanup(d.Close)
 	tg := attack(t, "t")
 	faultinject.Enable(faultinject.ShardScan,
-		faultinject.Match("1", faultinject.Error(errors.New("shard down"))))
+		faultinject.Match(d.ShardAddrs[1], faultinject.Error(errors.New("shard down"))))
 
 	want, _, werr := d.ClassifyCtx(context.Background(), tg.Program, tg.Victim)
 	var pe *shard.PartialError

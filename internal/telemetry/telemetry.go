@@ -171,9 +171,8 @@ const (
 	// members were scored through the full pruning cascade because the
 	// cluster could still contain the best match.
 	IndexClustersDescended
-	// IndexRebuilds counts repository-index constructions: full
-	// pairwise-MST builds and incremental extensions alike (one per
-	// indexed engine build).
+	// IndexRebuilds counts repository-index constructions, each a full
+	// pairwise-MST build from scratch (one per indexed engine build).
 	IndexRebuilds
 	// WindowEmitted counts windows the sliding-window detector emitted a
 	// verdict for — modelled and quiet/short windows alike.

@@ -8,6 +8,7 @@ package window_test
 import (
 	"context"
 	"errors"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -272,18 +273,37 @@ func TestWindowEmitFailpoint(t *testing.T) {
 	}
 }
 
+// shardFleet starts n loopback shard servers over the router's slices
+// of r, as `scaguard shard-serve` would, and returns their addresses
+// (each also the shard's name in fault injection).
+func shardFleet(t *testing.T, r *detect.Repository, n int) []string {
+	t.Helper()
+	models := make([]*model.CSTBBS, len(r.Entries))
+	for i, e := range r.Entries {
+		models[i] = e.BBS
+	}
+	addrs := make([]string, n)
+	for i := range addrs {
+		srv := httptest.NewServer(shard.NewServer(shard.ShardModels(models, shard.Router{Shards: n}, i), shard.ServerConfig{}).Handler())
+		t.Cleanup(srv.Close)
+		addrs[i] = srv.URL
+	}
+	return addrs
+}
+
 // TestWindowKeepsPartialVerdict: a window whose scan degrades because
-// one in-process shard is dead keeps the surviving shards' verdict
+// one remote shard is dead keeps the surviving shards' verdict
 // alongside the *shard.PartialError — the same pair the detector
 // returns directly — and still counts as an errored window.
 func TestWindowKeepsPartialVerdict(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	det := detect.NewDetector(repo(t))
-	det.Shards = 2
+	det.ShardAddrs = shardFleet(t, det.Repo, 2)
+	t.Cleanup(det.Close)
 	poc := attacks.FlushReloadIAIK(attacks.DefaultParams())
 	tr, llc := collect(t, poc.Program, poc.Victim)
 	faultinject.Enable(faultinject.ShardScan,
-		faultinject.Match("1", faultinject.Error(errors.New("shard down"))))
+		faultinject.Match(det.ShardAddrs[1], faultinject.Error(errors.New("shard down"))))
 
 	m, err := model.BuildFromTrace(poc.Program, tr, llc, det.ModelCfg)
 	if err != nil {

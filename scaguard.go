@@ -262,10 +262,10 @@ type PanicError = panicsafe.PanicError
 func AsPanicError(err error) (*PanicError, bool) { return panicsafe.AsPanic(err) }
 
 // Sharded repository scan (internal/shard): partition the repository
-// across several scan engines — in-process via Detector.Shards, or
-// remote shard servers via Detector.ShardAddrs — and scan them as one,
-// with the running global best broadcast across shards so pruned scans
-// early-abandon across shard boundaries. Exact-mode classification is
+// across remote shard servers (Detector.ShardAddrs, each one ServeShard
+// or `scaguard shard-serve`) and scan them as one, with the running
+// global best broadcast across shards so pruned scans early-abandon
+// across shard boundaries. Exact-mode classification is
 // bit-identical to the single-engine scan; a failing shard degrades a
 // classification to a *ShardPartialError plus the surviving shards'
 // matches. Repeated targets are served from memory in the client
