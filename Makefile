@@ -38,7 +38,7 @@ bench-module:
 
 # The repository-scan benchmark plus the per-stage detection costs,
 # then the front of the pipeline layer by layer: the simulator alone
-# (BenchmarkExecRun), the parallel stress-corpus build at one and two
+# on new and on reused machines (BenchmarkExecRun), the parallel stress-corpus build at one and two
 # workers (BenchmarkBuildVariantRepository) and modeling alone over
 # precomputed traces (BenchmarkBuildFromTrace), then the streaming
 # worker pool end to end over 200 labeled targets at GOMAXPROCS and at

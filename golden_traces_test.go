@@ -22,7 +22,6 @@ import (
 	"hash"
 	"os"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/attacks"
@@ -134,13 +133,17 @@ func putU64(h hash.Hash, vs ...uint64) {
 	}
 }
 
-func sortedSet(set map[uint64]struct{}) []uint64 {
-	out := make([]uint64, 0, len(set))
-	for l := range set {
-		out = append(out, l)
+// sortedLines returns the lines instruction i of tr loaded or stored,
+// and those it flushed, each sorted.
+func sortedLines(tr *exec.Trace, i int) (mem, flush []uint64) {
+	for _, lt := range tr.Lines(i, i+1) {
+		if lt.Flush {
+			flush = append(flush, lt.Line)
+		} else {
+			mem = append(mem, lt.Line)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return mem, flush
 }
 
 func fingerprint(name string, prog *isa.Program, tr *exec.Trace, rec *baseline.Recorder) goldenTrace {
@@ -162,7 +165,7 @@ func fingerprint(name string, prog *isa.Program, tr *exec.Trace, rec *baseline.R
 			continue
 		}
 		g.Addrs++
-		mem, flush := sortedSet(r.MemLines), sortedSet(r.FlushLines)
+		mem, flush := sortedLines(tr, i)
 		putU64(h, prog.Insns[i].Addr, r.ExecCount, r.FirstCycle, uint64(len(mem)))
 		putU64(h, mem...)
 		putU64(h, uint64(len(flush)))

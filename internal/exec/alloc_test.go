@@ -13,15 +13,14 @@ var raceEnabled bool
 // runAllocBudget is the allocation budget of one NewMachine + Run of
 // FR-IAIK with the default configuration on a machine built from
 // scratch: the machine, the cache hierarchy, the decoded programs,
-// memory pages and the trace with its per-instruction line sets.
-// Measured at 40.
-const runAllocBudget = 41
+// memory pages and the trace with its line set. Measured at 29.
+const runAllocBudget = 30
 
 // reusedRunAllocBudget is the budget of the same simulation on a
 // released machine, the one model builds, window.Watch and the trigger
-// explorer take: only the trace's per-instruction line sets are new.
-// Measured at 24.
-const reusedRunAllocBudget = 25
+// explorer take: the machine, its pages, records and line set are all
+// reused, so nothing is allocated.
+const reusedRunAllocBudget = 0
 
 // TestRunAllocs pins the heap allocations of one simulation. The count
 // is deterministic; a change that brings back a per-event or
@@ -48,7 +47,7 @@ func TestRunAllocs(t *testing.T) {
 
 // TestReusedRunAllocs pins the heap allocations of one NewMachine + Run
 // + Release with a warm free list: the machine, its hierarchy, pages,
-// slot tables and record slice are all reused.
+// slot tables, record slice and line set are all reused.
 func TestReusedRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

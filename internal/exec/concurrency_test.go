@@ -39,7 +39,7 @@ func TestConcurrentMachinesShareProgram(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !reflect.DeepEqual(traces[0].Insns, traces[1].Insns) || traces[0].Cycles != traces[1].Cycles {
+	if !reflect.DeepEqual(traces[0].Insns, traces[1].Insns) || !sameLines(traces[0], traces[1]) || traces[0].Cycles != traces[1].Cycles {
 		t.Fatal("concurrent runs of one program produced different traces")
 	}
 }

@@ -9,6 +9,7 @@ package exec_test
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/attacks"
@@ -104,6 +105,13 @@ func replayCases(t *testing.T) map[string][2]*isa.Program {
 	return cases
 }
 
+// sameLines reports whether two traces of one program hold the same
+// line touches.
+func sameLines(got, want *exec.Trace) bool {
+	n := len(want.Insns)
+	return slices.Equal(got.Lines(0, n), want.Lines(0, n))
+}
+
 // replay rebuilds a trace of prog from events through a fresh
 // TraceBuilder.
 func replay(prog *isa.Program, events []exec.Event, cycles uint64) *exec.Trace {
@@ -130,8 +138,8 @@ func TestEventLogReplayReconstructs(t *testing.T) {
 			if got.Cycles != tr.Cycles {
 				t.Errorf("cycles = %d, want %d", got.Cycles, tr.Cycles)
 			}
-			if !reflect.DeepEqual(got.Insns, tr.Insns) {
-				t.Error("per-instruction records differ after replay")
+			if !reflect.DeepEqual(got.Insns, tr.Insns) || !sameLines(got, tr) {
+				t.Error("per-instruction records or line touches differ after replay")
 			}
 			if got.Global != tr.Global {
 				t.Errorf("global counts = %v, want %v", got.Global, tr.Global)
@@ -164,7 +172,7 @@ func TestTraceBuilderIgnoresForeignPC(t *testing.T) {
 		mixed = append(mixed, f)
 	}
 	got := replay(poc.Program, mixed, tr.Cycles)
-	if !reflect.DeepEqual(got.Insns, want.Insns) || got.Global != want.Global || got.Retired != want.Retired {
+	if !reflect.DeepEqual(got.Insns, want.Insns) || !sameLines(got, want) || got.Global != want.Global || got.Retired != want.Retired {
 		t.Fatal("events with foreign PCs changed the rebuilt trace")
 	}
 }
@@ -248,8 +256,8 @@ func TestTraceBuilderReset(t *testing.T) {
 					reused.Apply(ev)
 				}
 				want, got := fresh.Trace(end), reused.Trace(end)
-				if !reflect.DeepEqual(got.Insns, want.Insns) {
-					t.Fatalf("window ending %d: records differ from a fresh builder's", end)
+				if !reflect.DeepEqual(got.Insns, want.Insns) || !sameLines(got, want) {
+					t.Fatalf("window ending %d: records or line touches differ from a fresh builder's", end)
 				}
 				if got.Global != want.Global {
 					t.Fatalf("window ending %d: global counts differ from a fresh builder's", end)
@@ -294,7 +302,7 @@ func TestRunEventsStreams(t *testing.T) {
 			if tr.Events != nil || tr.EventsTruncated {
 				t.Fatalf("streamed run kept a log: %d events, truncated %v", len(tr.Events), tr.EventsTruncated)
 			}
-			if tr.Retired != want.Retired || tr.Cycles != want.Cycles || !tr.Halted || !reflect.DeepEqual(tr.Insns, want.Insns) {
+			if tr.Retired != want.Retired || tr.Cycles != want.Cycles || !tr.Halted || !reflect.DeepEqual(tr.Insns, want.Insns) || !sameLines(tr, want) {
 				t.Fatal("streamed run's trace differs from the recorded run's")
 			}
 		})

@@ -5,10 +5,10 @@
 // shared cache hierarchy, models a 2-bit branch predictor with a bounded
 // speculative window (enough for Spectre v1 transient leakage), and
 // produces a Trace: one record per instruction of the monitored
-// program, in program order, holding its HPC events, accessed/flushed
-// cache lines and first-execution timestamp, and, on request, the
-// chronological event log — or, through RunEvents, those events handed
-// to a caller's sink as they happen.
+// program, in program order, holding its HPC events and first-execution
+// timestamp, the cache lines each instruction accessed or flushed, and,
+// on request, the chronological event log — or, through RunEvents,
+// those events handed to a caller's sink as they happen.
 //
 // Building a machine is a large share of a short run's cost, so
 // machines are reused: Machine.Release gives one back to a package-level
@@ -365,17 +365,17 @@ func (m *Machine) reset(cfg Config, monitored *isa.Program, others []*isa.Progra
 }
 
 // trim bounds what a released machine retains: its pages go back to the
-// memory's free list (up to maxFreePages of them); the records' line
-// sets, the event log, the sink and the programs are dropped; and so is
-// a record slice or slot table longer than maxKeptInsns.
+// memory's free list (up to maxFreePages of them); the event log, the
+// sink and the programs are dropped; and so is a record slice or slot
+// table longer than maxKeptInsns, or a line set of more than
+// maxKeptLines entries.
 func (m *Machine) trim() {
 	m.mem.recycle()
 	t := m.trace
 	if cap(t.Insns) > maxKeptInsns {
 		t.Insns = nil
-	} else {
-		clear(t.Insns)
 	}
+	t.lines.trim()
 	t.Events, t.sink, t.prog = nil, nil, nil
 	procs := m.procs[:cap(m.procs)]
 	for i := range procs {
@@ -390,6 +390,9 @@ func (m *Machine) trim() {
 // reuse. After Release, m, the Trace its run returned and its Memory
 // are invalid: the next machine built may be m, and it reuses all
 // three. A caller that keeps the trace does not release the machine.
+// What a released machine keeps is bounded: at most maxFreePages
+// pages, a record slice and slot tables of at most maxKeptInsns
+// instructions, and a line set of at most maxKeptLines entries.
 // Release may be called after any run, or none — finished, stopped by
 // its sink, cancelled or panicked — because the machine is reset when
 // it is taken, not here; here it only drops what it must not retain
@@ -480,6 +483,7 @@ func (m *Machine) run() {
 	}
 	m.trace.Halted = mon.halted
 	m.trace.Cycles = m.cycles
+	m.trace.lines.sort(len(m.trace.Insns))
 	// The run is over: the trace keeps no reference to the sink.
 	m.trace.recordEvents, m.trace.sink = false, nil
 }

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/hpc"
@@ -349,8 +349,15 @@ func TestClflushTracksFlushedLines(t *testing.T) {
 	}
 	flushPC := p.Labels["theflush"]
 	rec := recordAt(tr, flushPC)
-	if rec == nil || len(rec.FlushLines) != 1 {
-		t.Fatalf("flush not recorded: %+v", rec)
+	slot, _ := p.IndexOf(flushPC)
+	flushes := 0
+	for _, lt := range tr.Lines(slot, slot+1) {
+		if lt.Flush {
+			flushes++
+		}
+	}
+	if rec == nil || flushes != 1 {
+		t.Fatalf("flush not recorded: %+v, %d flushed lines", rec, flushes)
 	}
 	lines := memLinesOf(tr, flushPC)
 	if len(lines) != 1 || lines[0] != buf&^63 {
@@ -659,21 +666,17 @@ func TestMemLinesOfMissingPC(t *testing.T) {
 // overlap analysis collects "accessed memory addresses (including
 // flushed addresses)".
 func memLinesOf(t *Trace, pc uint64) []uint64 {
-	r := recordAt(t, pc)
-	if r == nil {
+	if recordAt(t, pc) == nil {
 		return nil
 	}
-	out := make([]uint64, 0, len(r.MemLines)+len(r.FlushLines))
-	for a := range r.MemLines {
-		out = append(out, a)
+	i, _ := t.prog.IndexOf(pc)
+	lines := t.Lines(i, i+1)
+	out := make([]uint64, 0, len(lines))
+	for _, lt := range lines {
+		out = append(out, lt.Line)
 	}
-	for a := range r.FlushLines {
-		if _, dup := r.MemLines[a]; !dup {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // recordAt returns the record of the instruction at pc, or nil when pc

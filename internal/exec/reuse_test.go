@@ -149,17 +149,27 @@ func freshMachine(cfg Config, prog, victim *isa.Program) *Machine {
 	return m
 }
 
-// withoutSink returns a copy of the trace with its sink dropped, after
-// checking that both traces have one or neither does: function values
-// never compare deeply equal.
-func withoutSink(t *testing.T, what string, got, want *Trace) (Trace, Trace) {
-	t.Helper()
+// traceDiff says how got, a reused machine's trace of prog, differs
+// from want, a fresh machine's, or returns "" when it does not. Every
+// field must be deeply equal, except two: both traces must have a sink
+// or neither (function values never compare deeply equal), and the line
+// sets are compared through Lines(0, len(prog.Insns)), not their
+// storage, which a reused trace keeps from earlier runs.
+func traceDiff(prog *isa.Program, got, want *Trace) string {
 	if (got.sink == nil) != (want.sink == nil) {
-		t.Fatalf("%s: sink set %v, fresh machine's %v", what, got.sink != nil, want.sink != nil)
+		return fmt.Sprintf("sink set %v, fresh machine's %v", got.sink != nil, want.sink != nil)
 	}
 	g, w := *got, *want
 	g.sink, w.sink = nil, nil
-	return g, w
+	g.lines, w.lines = lineSet{}, lineSet{}
+	if !reflect.DeepEqual(g, w) {
+		return "trace differs from a fresh machine's"
+	}
+	n := len(prog.Insns)
+	if !slices.Equal(got.Lines(0, n), want.Lines(0, n)) {
+		return "line touches differ from a fresh machine's"
+	}
+	return ""
 }
 
 // sameMachine fails unless got, a reused machine, is in exactly the
@@ -187,9 +197,8 @@ func sameMachine(t *testing.T, what string, got, want *Machine) {
 	if !reflect.DeepEqual(got.procs, want.procs) {
 		t.Fatalf("%s: processes differ from a fresh machine's", what)
 	}
-	g, w := withoutSink(t, what, got.trace, want.trace)
-	if !reflect.DeepEqual(g, w) {
-		t.Fatalf("%s: trace differs from a fresh machine's", what)
+	if d := traceDiff(want.trace.prog, got.trace, want.trace); d != "" {
+		t.Fatalf("%s: %s", what, d)
 	}
 	if !reflect.DeepEqual(got.mem.pages, want.mem.pages) {
 		t.Fatalf("%s: memory differs from a fresh machine's", what)
@@ -260,19 +269,27 @@ func TestReuseLockstep(t *testing.T) {
 }
 
 // TestReleaseBoundsRetention checks what a released machine keeps: at
-// most maxFreePages pages, no page map of the run, no line sets, event
-// log, sink or program, and no record slice or slot table longer than
-// maxKeptInsns.
+// most maxFreePages pages, no page map of the run, no event log, sink
+// or program, no record slice or slot table longer than maxKeptInsns,
+// and no line set of more than maxKeptLines entries. A short run's
+// storage is kept, and the next reset empties its line set.
 func TestReleaseBoundsRetention(t *testing.T) {
-	// A strided store touches one page per iteration.
+	// A page-strided store touches one page per iteration, and a
+	// line-strided one a line.
 	b := isa.NewBuilder("stride", 0x1000).
 		Mov(isa.R(isa.R1), isa.Imm(0x100_0000)).
 		Mov(isa.R(isa.R2), isa.Imm(4*maxFreePages)).
-		Label("top").
+		Label("pages").
 		Mov(isa.Mem(isa.R1, 0), isa.R(isa.R2)).
 		Add(isa.R(isa.R1), isa.Imm(pageSize)).
 		Dec(isa.R(isa.R2)).
-		Jne("top")
+		Jne("pages").
+		Mov(isa.R(isa.R2), isa.Imm(maxKeptLines+1)).
+		Label("lines").
+		Mov(isa.Mem(isa.R1, 0), isa.R(isa.R2)).
+		Add(isa.R(isa.R1), isa.Imm(64)).
+		Dec(isa.R(isa.R2)).
+		Jne("lines")
 	for i := 0; i < maxKeptInsns; i++ {
 		b.Nop() // a program longer than maxKeptInsns
 	}
@@ -284,8 +301,9 @@ func TestReleaseBoundsRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := m.Run()
-	if m.mem.PageCount() < 4*maxFreePages || len(tr.Events) == 0 {
-		t.Fatalf("the run touched %d pages and logged %d events; the test needs more", m.mem.PageCount(), len(tr.Events))
+	if m.mem.PageCount() < 4*maxFreePages || len(tr.Events) == 0 || len(tr.lines.touches) <= maxKeptLines {
+		t.Fatalf("the run touched %d pages and %d lines and logged %d events; the test needs more",
+			m.mem.PageCount(), len(tr.lines.touches), len(tr.Events))
 	}
 	m.Release()
 	if len(m.mem.free) != maxFreePages || len(m.mem.pages) != 0 || m.mem.lastPage != nil {
@@ -300,8 +318,13 @@ func TestReleaseBoundsRetention(t *testing.T) {
 			t.Error("released process keeps an oversized slot table or its program")
 		}
 	}
+	if l := &m.trace.lines; cap(l.touches) > maxKeptLines || cap(l.sorted) > maxKeptLines || len(l.index) > 2*maxKeptLines {
+		t.Errorf("released trace keeps a line set of %d entries, %d sorted and %d buckets; bound %d entries",
+			cap(l.touches), cap(l.sorted), len(l.index), maxKeptLines)
+	}
 
-	// A short run keeps its storage, minus the line sets.
+	// A short run keeps its storage, and the next reset empties its line
+	// set.
 	poc := attacks.FlushReloadIAIK(attacks.DefaultParams())
 	m, err = NewMachine(DefaultConfig(), poc.Program, poc.Victim)
 	if err != nil {
@@ -309,14 +332,21 @@ func TestReleaseBoundsRetention(t *testing.T) {
 	}
 	m.Run()
 	m.Release()
-	if cap(m.trace.Insns) < len(poc.Program.Insns) {
-		t.Error("released machine dropped a short run's record slice")
+	if cap(m.trace.Insns) < len(poc.Program.Insns) || cap(m.trace.lines.touches) == 0 {
+		t.Error("released machine dropped a short run's record slice or line set")
 	}
-	recs := m.trace.Insns[:cap(m.trace.Insns)]
-	for i := range recs {
-		if recs[i].MemLines != nil || recs[i].FlushLines != nil {
-			t.Fatal("released machine keeps a record's line sets")
-		}
+	next, err := NewMachine(DefaultConfig(), poc.Program, poc.Victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Release()
+	if next != m {
+		t.Fatal("NewMachine after Release did not reuse the released machine")
+	}
+	l := &next.trace.lines
+	if len(l.touches) != 0 || len(l.sorted) != 0 || slices.ContainsFunc(l.index, func(i int32) bool { return i != 0 }) ||
+		len(next.trace.Lines(0, len(poc.Program.Insns))) != 0 {
+		t.Error("a reset trace's line set is not empty")
 	}
 }
 
@@ -370,7 +400,7 @@ func TestConcurrentReuse(t *testing.T) {
 					return
 				}
 				tr := m.Run()
-				if !reflect.DeepEqual(*tr, *refs[i].tr) || m.procs[0].regs != refs[i].regs {
+				if traceDiff(tgt.prog, tr, refs[i].tr) != "" || m.procs[0].regs != refs[i].regs {
 					t.Errorf("worker %d: %s under %s differs from a fresh run", w, tgt.name, cfg.Hierarchy.LLC.Policy)
 				}
 				m.Release()
@@ -452,9 +482,8 @@ func FuzzMachineReuse(f *testing.F) {
 		if e1, e2 := runMode(m, mode, stopAt), runMode(fresh, mode, stopAt); fmt.Sprint(e1) != fmt.Sprint(e2) {
 			t.Fatalf("run error %v, fresh machine's %v", e1, e2)
 		}
-		g, w := withoutSink(t, prog.Name, m.trace, fresh.trace)
-		if !reflect.DeepEqual(g, w) {
-			t.Fatal("trace differs from a fresh machine's")
+		if d := traceDiff(prog, m.trace, fresh.trace); d != "" {
+			t.Fatal(d)
 		}
 		for i := range m.procs {
 			if m.procs[i].regs != fresh.procs[i].regs {

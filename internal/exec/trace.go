@@ -6,10 +6,11 @@ import (
 )
 
 // InsnRecord aggregates everything observed about one instruction of
-// the monitored program: how often it retired, when it first did, which
-// memory lines it touched or flushed, and the HPC events attributed to
-// it. Together these are the runtime information Section III-A of the
-// paper collects via perf and Intel PT.
+// the monitored program: how often it retired, when it first did, and
+// the HPC events attributed to it. The memory lines it touched or
+// flushed are kept once for the whole trace (see Trace.Lines).
+// Together these are the runtime information Section III-A of the paper
+// collects via perf and Intel PT.
 type InsnRecord struct {
 	// Seen reports that the instruction retired or touched a data line;
 	// FirstCycle is the cycle it first did. A record that was not seen
@@ -19,19 +20,27 @@ type InsnRecord struct {
 	Seen       bool
 	ExecCount  uint64
 	FirstCycle uint64
-	// MemLines holds line-aligned data addresses read or written by the
-	// instruction (architecturally or transiently). It is nil when the
-	// instruction never touched data memory.
-	MemLines map[uint64]struct{}
-	// FlushLines holds line-aligned addresses the instruction flushed;
-	// nil when it flushed nothing.
-	FlushLines map[uint64]struct{}
 	// HPC holds the HPC events attributed to the instruction.
 	HPC hpc.Counts
 
-	// lastMem and lastFlush are the lines inserted last into MemLines
-	// and FlushLines; a repeat touch of that line skips the set.
+	// lastMem and lastFlush are the lines the instruction last added to
+	// the trace's line set as a load/store and as a flush, valid once
+	// hasMem and hasFlush are set; a repeat touch of that line skips the
+	// set.
 	lastMem, lastFlush uint64
+	hasMem, hasFlush   bool
+}
+
+// LineTouch is one distinct data line an instruction of the monitored
+// program touched: read or written (architecturally or transiently),
+// or flushed.
+type LineTouch struct {
+	// Slot is the instruction's index in the program's Insns.
+	Slot int32
+	// Flush reports a flush of the line rather than a load or store.
+	Flush bool
+	// Line is the line-aligned address.
+	Line uint64
 }
 
 // EventKind tags entries of the chronological event log.
@@ -97,6 +106,10 @@ type Trace struct {
 	Cycles    uint64 // total virtual cycles at the end of the run
 	Halted    bool   // monitored process reached HLT
 
+	// lines is the set of distinct lines the instructions touched; read
+	// it through Lines.
+	lines lineSet
+
 	// prog is the monitored program; the hooks take an instruction's
 	// index into prog.Insns (its slot) and read its PC from there.
 	prog *isa.Program
@@ -119,12 +132,15 @@ func newTrace(prog *isa.Program, recordEvents bool, maxEvents int) *Trace {
 }
 
 // reset empties t into the trace newTrace builds, reusing the storage
-// of its record slice. The records' line sets are dropped, never
-// carried into the next run, and so are the event log, the counters
-// and the sink with its error.
+// of its record slice and its line set. No line is carried into the
+// next run, and neither are the event log, the counters and the sink
+// with its error.
 func (t *Trace) reset(prog *isa.Program, recordEvents bool, maxEvents int) {
+	lines := t.lines
+	lines.reset()
 	*t = Trace{
 		Insns:     resize(t.Insns, len(prog.Insns)),
+		lines:     lines,
 		prog:      prog,
 		maxEvents: maxEvents,
 	}
@@ -182,26 +198,44 @@ func (t *Trace) retire(s int32, cycle uint64) {
 }
 
 func (t *Trace) memLine(s int32, lineAddr uint64, cycle uint64) {
-	r := t.touch(s, cycle)
-	addLine(&r.MemLines, &r.lastMem, lineAddr)
+	t.addLine(s, lineAddr, false, cycle)
 	t.event(EvMem, cycle, s, lineAddr, 0)
 }
 
 func (t *Trace) flushLine(s int32, lineAddr uint64, cycle uint64) {
-	r := t.touch(s, cycle)
-	addLine(&r.FlushLines, &r.lastFlush, lineAddr)
+	t.addLine(s, lineAddr, true, cycle)
 	t.event(EvFlush, cycle, s, lineAddr, 0)
 }
 
-// addLine inserts line into *set, creating the set on first use. last
-// holds the line inserted previously; repeating it skips the map.
-func addLine(set *map[uint64]struct{}, last *uint64, line uint64) {
-	if *set == nil {
-		*set = map[uint64]struct{}{line: {}}
-	} else if line != *last {
-		(*set)[line] = struct{}{}
+// addLine records slot s's touch of line, a flush or a load/store, at
+// cycle: the record is marked seen, and the touch joins the line set
+// unless it repeats the record's last line of that kind. It is the one
+// place a trace grows per distinct line.
+func (t *Trace) addLine(s int32, line uint64, flush bool, cycle uint64) {
+	r := t.touch(s, cycle)
+	last, has := &r.lastMem, &r.hasMem
+	if flush {
+		last, has = &r.lastFlush, &r.hasFlush
 	}
-	*last = line
+	if *has && *last == line {
+		return
+	}
+	*last, *has = line, true
+	t.lines.add(LineTouch{Slot: s, Flush: flush, Line: line})
+}
+
+// Lines returns the distinct lines the instructions in slots [lo, hi)
+// of the program touched, 0 <= lo <= hi <= len(Insns), sorted by slot,
+// then loads and stores before flushes, then by line. The slice belongs
+// to the trace: it is valid until the trace is reset, and callers must
+// not modify it. Lines on the trace a finished run or TraceBuilder.Trace
+// returned only reads, so concurrent calls are safe; on a trace still
+// growing (a run whose sink panicked) it sorts first.
+func (t *Trace) Lines(lo, hi int) []LineTouch {
+	l := &t.lines
+	l.sort(len(t.Insns))
+	i, j := l.start[lo], l.start[hi]
+	return l.sorted[i:j:j]
 }
 
 // fire records an HPC event in slot s's counters and the global
@@ -241,9 +275,10 @@ func NewTraceBuilder(prog *isa.Program) *TraceBuilder {
 }
 
 // Reset empties the builder for the next slice of the log. It keeps the
-// record slice, so a builder replaying many windows of one program
-// allocates only the per-record line sets. The Trace returned by the
-// previous Trace call is invalid after Reset.
+// record slice and the line set's storage, so a builder replaying many
+// windows of one program allocates only when a window touches more
+// lines than every earlier one. The Trace returned by the previous
+// Trace call is invalid after Reset.
 func (b *TraceBuilder) Reset() {
 	b.t.reset(b.t.prog, false, 0)
 }
@@ -296,5 +331,6 @@ func (b *TraceBuilder) Apply(ev Event) {
 // be applied before that Reset.
 func (b *TraceBuilder) Trace(cycles uint64) *Trace {
 	b.t.Cycles = cycles
+	b.t.lines.sort(len(b.t.Insns))
 	return b.t
 }

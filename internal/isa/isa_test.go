@@ -199,9 +199,9 @@ func TestNormalizeSeqAndKey(t *testing.T) {
 		{Op: MOV, Dst: R(R0), Src: Imm(1)},
 		{Op: CLFLUSH, Dst: Mem(R1, 0)},
 	}
-	seq := NormalizeSeq(ins)
-	if len(seq) != 2 || seq[0] != "mov reg, imm" || seq[1] != "clflush mem" {
-		t.Errorf("NormalizeSeq = %v", seq)
+	seq := AppendNormalized([]string{"nop"}, ins)
+	if len(seq) != 3 || seq[0] != "nop" || seq[1] != "mov reg, imm" || seq[2] != "clflush mem" {
+		t.Errorf("AppendNormalized = %v", seq)
 	}
 	if got := normalizedKey(ins); got != "mov reg, imm; clflush mem" {
 		t.Errorf("NormalizedKey = %q", got)
@@ -583,7 +583,7 @@ func memOperands(in Instruction) []Operand {
 // normalizedKey joins a normalized sequence into a single comparable
 // string.
 func normalizedKey(ins []Instruction) string {
-	return strings.Join(NormalizeSeq(ins), "; ")
+	return strings.Join(AppendNormalized(nil, ins), "; ")
 }
 
 // maxAddr returns the first address past the last instruction, 0 for a

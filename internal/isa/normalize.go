@@ -7,6 +7,8 @@ package isa
 // (or a mutation/obfuscation pass) introduces, leaving only the operation
 // shape that the Levenshtein distance compares.
 
+import "slices"
+
 // NormalizeOperand returns the normalized token for one operand.
 func NormalizeOperand(o Operand) string {
 	switch o.Kind {
@@ -63,11 +65,12 @@ func normalize(op Opcode, dst, src OperandKind) string {
 	}
 }
 
-// NormalizeSeq normalizes every instruction of a sequence in order.
-func NormalizeSeq(ins []Instruction) []string {
-	out := make([]string, len(ins))
-	for i, in := range ins {
-		out[i] = Normalize(in)
+// AppendNormalized appends the normalized form of every instruction of
+// ins, in order, to dst and returns the extended slice.
+func AppendNormalized(dst []string, ins []Instruction) []string {
+	dst = slices.Grow(dst, len(ins))
+	for _, in := range ins {
+		dst = append(dst, Normalize(in))
 	}
-	return out
+	return dst
 }

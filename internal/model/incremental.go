@@ -68,15 +68,16 @@ func (b *WindowBuilder) Build(ctx context.Context, trace *exec.Trace) (*Model, e
 	if trace == nil {
 		return nil, fmt.Errorf("model: trace is nil")
 	}
-	return buildFromTraceWith(ctx, b.prog, b.cfg, trace, b.llc, b.config, b.normOf)
+	return buildFromTraceWith(ctx, b.prog, b.cfg, trace, b.llc, b.config, b.appendNorm)
 }
 
-// normOf memoizes normalizeBlock per leader.
-func (b *WindowBuilder) normOf(bb *cfg.BasicBlock) []string {
-	if n, ok := b.norms[bb.Leader]; ok {
-		return n
+// appendNorm is appendNormalized with the normalization memoized per
+// leader.
+func (b *WindowBuilder) appendNorm(dst []string, bb *cfg.BasicBlock) []string {
+	n, ok := b.norms[bb.Leader]
+	if !ok {
+		n = isa.AppendNormalized(nil, bb.Insns)
+		b.norms[bb.Leader] = n
 	}
-	n := isa.NormalizeSeq(bb.Insns)
-	b.norms[bb.Leader] = n
-	return n
+	return append(dst, n...)
 }

@@ -244,20 +244,19 @@ func BuildFromTrace(prog *isa.Program, trace *exec.Trace, llc cache.Config, conf
 // out for targeted testing. The context is observed once, before CST
 // measurement (the only interior boundary left after the trace exists).
 func buildFromTraceCtx(ctx context.Context, prog *isa.Program, c *cfg.CFG, trace *exec.Trace, llc cache.Config, config Config) (*Model, error) {
-	return buildFromTraceWith(ctx, prog, c, trace, llc, config, normalizeBlock)
+	return buildFromTraceWith(ctx, prog, c, trace, llc, config, appendNormalized)
 }
 
-// normalizeBlock is the default (unmemoized) block normalizer.
-func normalizeBlock(bb *cfg.BasicBlock) []string {
-	return isa.NormalizeSeq(bb.Insns)
+// appendNormalized is the default (unmemoized) block normalizer.
+func appendNormalized(dst []string, bb *cfg.BasicBlock) []string {
+	return isa.AppendNormalized(dst, bb.Insns)
 }
 
-// buildFromTraceWith additionally takes the block normalizer, letting
+// buildFromTraceWith additionally takes the block normalizer, which
+// appends a block's normalized instructions to dst, letting
 // repeated-build callers (WindowBuilder) memoize normalization — it
-// depends only on the static block, never on the trace. The returned
-// slice is only read and appended onto a fresh slice, so sharing one
-// across builds is safe.
-func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trace *exec.Trace, llc cache.Config, config Config, normOf func(*cfg.BasicBlock) []string) (*Model, error) {
+// depends only on the static block, never on the trace.
+func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trace *exec.Trace, llc cache.Config, config Config, appendNorm func(dst []string, bb *cfg.BasicBlock) []string) (*Model, error) {
 	if err := llc.Validate(); err != nil {
 		return nil, fmt.Errorf("model: %w", err)
 	}
@@ -267,19 +266,24 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 	tel := config.Telemetry
 	extractStart := tel.Now()
 	blocks := c.Ordered()
-	// recsOf returns the trace records of a block's instructions.
+	// recsOf returns the trace records of a block's instructions, and
+	// linesOf the lines they touched.
 	recsOf := func(bb *cfg.BasicBlock) []exec.InsnRecord {
 		return trace.Insns[bb.Start : bb.Start+len(bb.Insns)]
+	}
+	linesOf := func(bb *cfg.BasicBlock) []exec.LineTouch {
+		return trace.Lines(bb.Start, bb.Start+len(bb.Insns))
 	}
 
 	// Step 1: HPC values folded onto blocks. A block is potentially
 	// attack-relevant when its value is nonzero; pot lists those blocks
-	// in leader order, each with its value and its trace records. The
-	// blocks partition prog.Insns in order, so each block's records are
-	// the next window of trace.Insns.
+	// in leader order, each with its value, its trace records and the
+	// lines they touched. The blocks partition prog.Insns in order, so
+	// each block's records are the next window of trace.Insns.
 	type potBlock struct {
 		leader, hpc uint64
 		recs        []exec.InsnRecord
+		lines       []exec.LineTouch
 	}
 	pot := make([]potBlock, 0, len(blocks))
 	rest := trace.Insns
@@ -291,7 +295,7 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 			v += recs[i].HPC.Sum()
 		}
 		if v > 0 {
-			pot = append(pot, potBlock{blocks[k].Leader, v, recs})
+			pot = append(pot, potBlock{blocks[k].Leader, v, recs, linesOf(&blocks[k])})
 		}
 	}
 	m := &Model{
@@ -318,12 +322,13 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 	firstCycle := make([]uint64, len(pot))
 	nUnion, nLoads := 0, 0
 	for p := range pot {
-		recs := pot[p].recs
-		for i := range recs {
-			nUnion += len(recs[i].MemLines) + len(recs[i].FlushLines)
-			nLoads += len(recs[i].MemLines)
+		nUnion += len(pot[p].lines)
+		for _, lt := range pot[p].lines {
+			if !lt.Flush {
+				nLoads++
+			}
 		}
-		firstCycle[p], _ = blockFirstCycle(recs)
+		firstCycle[p], _ = blockFirstCycle(pot[p].recs)
 	}
 	lineBuf := make([]uint64, 0, nUnion+nLoads)
 	// cut sorts and deduplicates lineBuf[start:] and returns it as a
@@ -334,21 +339,15 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 	}
 	loads := make([][]uint64, len(pot))
 	for p := range pot {
-		recs := pot[p].recs
 		start := len(lineBuf)
-		for i := range recs {
-			for l := range recs[i].MemLines {
-				lineBuf = append(lineBuf, l)
-			}
-			for l := range recs[i].FlushLines {
-				lineBuf = append(lineBuf, l)
-			}
+		for _, lt := range pot[p].lines {
+			lineBuf = append(lineBuf, lt.Line)
 		}
 		m.MemLinesByBB[m.PotentialBBs[p]] = cut(start)
 		start = len(lineBuf)
-		for i := range recs {
-			for l := range recs[i].MemLines {
-				lineBuf = append(lineBuf, l)
+		for _, lt := range pot[p].lines {
+			if !lt.Flush {
+				lineBuf = append(lineBuf, lt.Line)
 			}
 		}
 		loads[p] = cut(start)
@@ -444,21 +443,20 @@ func buildFromTraceWith(ctx context.Context, prog *isa.Program, c *cfg.CFG, trac
 		executed := false
 		for _, leader := range chain {
 			bb, _ := c.Block(leader)
-			recs := recsOf(bb)
 			var f uint64
 			var ok bool
 			if p, potential := slices.BinarySearch(m.PotentialBBs, leader); potential {
 				chainLoads = append(chainLoads, loads[p]...)
 				f, ok = firstCycle[p], firstCycle[p] != notExecuted
 			} else {
-				f, ok = blockFirstCycle(recs)
+				f, ok = blockFirstCycle(recsOf(bb))
 			}
-			for i := range recs {
-				for l := range recs[i].FlushLines {
-					chainFlushes = append(chainFlushes, l)
+			for _, lt := range linesOf(bb) {
+				if lt.Flush {
+					chainFlushes = append(chainFlushes, lt.Line)
 				}
 			}
-			norms = append(norms, normOf(bb)...)
+			norms = appendNorm(norms, bb)
 			hpcSum += m.HPCByBB[leader]
 			if ok {
 				fc = min(fc, f)

@@ -1,7 +1,6 @@
 package trigger
 
 import (
-	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/detect"
 	"repro/internal/exec"
+	"repro/internal/hpc"
 	"repro/internal/isa"
 	"repro/internal/model"
 )
@@ -185,16 +185,29 @@ func coverageOf(e *Explorer, prog, victim *isa.Program, input uint64) (int, erro
 	return len(coverage(prog, tr)), nil
 }
 
-// cloneTrace deep-copies a trace, line sets and event log included.
-func cloneTrace(tr *exec.Trace) *exec.Trace {
-	c := *tr
-	c.Insns = slices.Clone(tr.Insns)
-	for i := range c.Insns {
-		c.Insns[i].MemLines = maps.Clone(c.Insns[i].MemLines)
-		c.Insns[i].FlushLines = maps.Clone(c.Insns[i].FlushLines)
+// traceCopy is a deep copy of everything a trace records.
+type traceCopy struct {
+	Insns                      []exec.InsnRecord
+	Lines                      []exec.LineTouch
+	Events                     []exec.Event
+	Global                     hpc.Counts
+	Retired, Transient, Cycles uint64
+	Halted, EventsTruncated    bool
+}
+
+// copyTrace deep-copies a trace, line touches and event log included.
+func copyTrace(tr *exec.Trace) traceCopy {
+	return traceCopy{
+		Insns:           slices.Clone(tr.Insns),
+		Lines:           slices.Clone(tr.Lines(0, len(tr.Insns))),
+		Events:          slices.Clone(tr.Events),
+		Global:          tr.Global,
+		Retired:         tr.Retired,
+		Transient:       tr.Transient,
+		Cycles:          tr.Cycles,
+		Halted:          tr.Halted,
+		EventsTruncated: tr.EventsTruncated,
 	}
-	c.Events = slices.Clone(tr.Events)
-	return &c
 }
 
 // TestBestTraceSurvivesExploration: the explorer releases every run's
@@ -211,7 +224,7 @@ func TestBestTraceSurvivesExploration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := cloneTrace(res.BestTrace)
+	best := copyTrace(res.BestTrace)
 	m, ref, err := e.run(poc.Program, poc.Victim, res.BestInput)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +233,7 @@ func TestBestTraceSurvivesExploration(t *testing.T) {
 	if ref == res.BestTrace {
 		t.Fatal("the reference run reused the machine whose trace is BestTrace")
 	}
-	if !reflect.DeepEqual(best, ref) {
+	if !reflect.DeepEqual(best, copyTrace(ref)) {
 		t.Fatal("BestTrace differs from a fresh run of BestInput")
 	}
 }

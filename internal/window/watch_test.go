@@ -234,9 +234,9 @@ func TestWatchIgnoresEventCap(t *testing.T) {
 
 // watchAllocBudget is the allocation budget of one FR-IAIK Watch against
 // the default repository with exact scans: simulation, every window's
-// trace rebuild, model and scan, on a reused machine. Measured at 840
+// trace rebuild, model and scan, on a reused machine. Measured at 668
 // (one more when a GC drops the scan's pooled scratch).
-const watchAllocBudget = 845
+const watchAllocBudget = 671
 
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
