@@ -195,8 +195,8 @@ fuzz-short:
 # (docs/ROBUSTNESS.md).
 faults:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) \
-		-run 'Panic|Cancel|Fault|Inject|Stream|Timeout|Limit|Shard|Retry|Partial|LookupFault|Failpoint|Reload|Drain|Overload|Breaker|Prober|Replica|Chaos|Leak|Flap' \
-		./internal/faultinject ./internal/panicsafe ./internal/scan ./internal/detect ./internal/stream ./internal/isa ./internal/shard ./internal/retry ./internal/breaker ./internal/chaos ./internal/vcache ./internal/serve ./internal/index ./internal/window
+		-run 'Panic|Cancel|Fault|Inject|Stream|Timeout|Limit|Shard|Partial|LookupFault|Failpoint|Reload|Drain|Overload|Breaker|Prober|Replica|Chaos|Leak|Flap' \
+		./internal/faultinject ./internal/panicsafe ./internal/scan ./internal/detect ./internal/stream ./internal/isa ./internal/shard ./internal/breaker ./internal/chaos ./internal/vcache ./internal/serve ./internal/index ./internal/window
 
 # Coverage over every package, with the total printed. The profile
 # goes to the untracked, ignored coverage.out.

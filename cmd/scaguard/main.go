@@ -596,8 +596,6 @@ func cmdServe(args []string) error {
 	maxInflight := fs.Int("max-inflight", 0, "global cap on admitted in-flight requests; excess requests are shed with 429 (0 = 256)")
 	rate := fs.Float64("rate", 0, "per-API-key sustained admission rate in targets/sec (0 = unlimited)")
 	burst := fs.Int("burst", 0, "per-API-key token-bucket burst (0 = 2*rate, min 1)")
-	retries := fs.Int("retries", 0, "retry a failed remote shard RPC up to this many times on transient errors")
-	retryBackoff := fs.Duration("retry-backoff", 50*time.Millisecond, "delay before the first remote shard RPC retry; doubles per retry")
 	streamWorkers := fs.Int("stream-workers", 0, "concurrent classifications per streaming connection/batch (0 = GOMAXPROCS)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests before giving up")
 	if err := fs.Parse(args); err != nil {
@@ -608,14 +606,12 @@ func cmdServe(args []string) error {
 	fe.nonNegative("result-cache", *resultCache)
 	fe.nonNegative("max-inflight", *maxInflight)
 	fe.nonNegative("burst", *burst)
-	fe.nonNegative("retries", *retries)
 	fe.nonNegative("stream-workers", *streamWorkers)
 	fe.nonNegativeFloat("rate", *rate)
 	fe.nonNegativeDuration("timeout", *timeout)
 	fe.nonNegativeDuration("shard-timeout", *shardTimeout)
 	fe.nonNegativeDuration("shard-attempt-timeout", *shardAttemptTimeout)
 	fe.nonNegativeDuration("shard-probe", *shardProbe)
-	fe.nonNegativeDuration("retry-backoff", *retryBackoff)
 	fe.nonNegativeDuration("drain-timeout", *drainTimeout)
 	if err := fe.err(); err != nil {
 		return err
@@ -631,7 +627,6 @@ func cmdServe(args []string) error {
 	det.ShardAttemptTimeout = *shardAttemptTimeout
 	det.ShardProbeInterval = *shardProbe
 	det.ShardBreaker = scaguard.BreakerSettings{Threshold: *breakerThreshold}
-	det.ShardRetry = scaguard.RetryPolicy{Attempts: *retries, Backoff: *retryBackoff, Jitter: true}
 	if *shardAddrs != "" {
 		det.ShardAddrs = strings.Split(*shardAddrs, ",")
 		defer det.Close()

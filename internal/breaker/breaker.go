@@ -23,7 +23,7 @@
 // The Prober (prober.go) is the background half of re-admission: it
 // periodically probes non-closed backends with their health check
 // (RemoteShard.Check against /healthz), so recovery is discovered
-// within one probe interval even when no scan happens to retry the
+// within one probe interval even when no scan happens to reach the
 // backend. See docs/ROBUSTNESS.md for the failure-mode matrix this
 // package underpins.
 package breaker

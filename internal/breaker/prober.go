@@ -26,7 +26,7 @@ type Probe struct {
 // interval it probes each non-closed backend whose breaker admits a
 // probe, and reports the outcome. A recovered backend is therefore
 // re-closed within one probe interval of its open period elapsing,
-// even if no scan retries it — and a flapping backend keeps failing
+// even if no scan reaches it — and a flapping backend keeps failing
 // its probes at the breaker's growing open intervals, not at scan
 // rate. Scans themselves never wait on the prober; it only flips
 // breaker state in the background.

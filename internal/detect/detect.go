@@ -49,7 +49,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/model"
 	"repro/internal/panicsafe"
-	"repro/internal/retry"
 	"repro/internal/scan"
 	"repro/internal/shard"
 	"repro/internal/similarity"
@@ -311,9 +310,6 @@ type Detector struct {
 	// scan; a shard that exceeds it fails that scan and the result
 	// degrades instead of waiting.
 	ShardTimeout time.Duration
-	// ShardRetry re-sends failed remote-shard RPCs (transient network
-	// errors only); the zero policy sends once.
-	ShardRetry retry.Policy
 	// ShardAttemptTimeout, when positive, bounds each replica attempt
 	// within a replicated shard, so a slow replica fails over instead of
 	// consuming the whole per-shard budget (ShardTimeout still bounds
@@ -394,7 +390,6 @@ type engineKey struct {
 	tel            *telemetry.Collector
 	addrs          string
 	shardTimeout   time.Duration
-	shardRetry     retry.Policy
 	attemptTimeout time.Duration
 	brk            breaker.Settings
 	probeInterval  time.Duration
@@ -404,7 +399,7 @@ type engineKey struct {
 func (d *Detector) key() engineKey {
 	return engineKey{
 		workers: d.Scan.Workers, sem: d.scanConfig().Semantics(), tel: d.Telemetry,
-		addrs: strings.Join(d.ShardAddrs, ","), shardTimeout: d.ShardTimeout, shardRetry: d.ShardRetry,
+		addrs: strings.Join(d.ShardAddrs, ","), shardTimeout: d.ShardTimeout,
 		attemptTimeout: d.ShardAttemptTimeout, brk: d.ShardBreaker, probeInterval: d.ShardProbeInterval,
 		resultCache: d.ResultCache,
 	}
@@ -538,8 +533,8 @@ func (d *Detector) buildScanner(models []*model.CSTBBS, cfg scan.Config, ver uin
 	if !d.sharded() {
 		return scan.New(models, cfg), nil, nil
 	}
-	co, err := shard.NewRemoteCoordinator(models, d.ShardAddrs, shard.Router{}, cfg,
-		shard.RemoteConfig{Retry: d.ShardRetry, Telemetry: d.Telemetry, Version: ver},
+	co, err := shard.NewRemoteCoordinator(models, d.ShardAddrs, cfg.Semantics(),
+		shard.RemoteConfig{Telemetry: d.Telemetry, Version: ver},
 		shard.Config{
 			ShardTimeout:   d.ShardTimeout,
 			AttemptTimeout: d.ShardAttemptTimeout,

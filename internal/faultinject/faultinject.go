@@ -55,11 +55,6 @@ const (
 	// error action here models a dead or misbehaving shard; the
 	// coordinator must degrade to partial results.
 	ShardScan Point = "shard.scan"
-	// ShardRemoteRPC fires in the remote-shard client before each HTTP
-	// request with the request path (e.g. "/scan"), inside the retry
-	// loop — an OnCall(1, Error(...)) action models a transient network
-	// failure the retry policy must absorb.
-	ShardRemoteRPC Point = "shard.remote.rpc"
 	// ShardReplicaRPC fires in a replica group (internal/shard) before
 	// each replica attempt of a scan, with the replica's name. An error
 	// action here models one dead replica of a group — the group must

@@ -15,7 +15,6 @@ import (
 	"repro/internal/detect"
 	"repro/internal/faultinject"
 	"repro/internal/model"
-	"repro/internal/retry"
 	"repro/internal/shard"
 )
 
@@ -151,11 +150,10 @@ func TestSlowReplicaFailsOverThroughServe(t *testing.T) {
 	}
 }
 
-// TestDeadShardPartialRPCCount: the remote-shard RPC is retried in
-// exactly one place. With one of two remote shards dead and
-// ShardRetry{Attempts: 2}, a unary request and a batch of one each send
-// the dead shard exactly 3 /scan RPCs — the first try plus two retries
-// — and each answers the same partial verdict.
+// TestDeadShardPartialRPCCount: no layer re-sends a remote-shard RPC.
+// With one of two single-replica remote shards dead, a unary request
+// and a batch of one each send the dead shard exactly one /scan RPC,
+// and each answers the same partial verdict.
 func TestDeadShardPartialRPCCount(t *testing.T) {
 	models := corpusModels(t)
 	router := shard.Router{Shards: 2}
@@ -172,7 +170,6 @@ func TestDeadShardPartialRPCCount(t *testing.T) {
 
 	srv, ts := newTestServer(t, func(c *Config) {
 		c.Detector.ShardAddrs = []string{live.URL, dead.URL}
-		c.Detector.ShardRetry = retry.Policy{Attempts: 2}
 		// No breaker: it would start skipping the dead shard after a few
 		// failed scans and hide how many RPCs each request sends.
 		c.Detector.ShardBreaker = breaker.Settings{Threshold: -1}
@@ -185,8 +182,8 @@ func TestDeadShardPartialRPCCount(t *testing.T) {
 	if unary == nil || !unary.Partial || unary.Predicted == "" {
 		t.Fatalf("unary verdict = %+v, want a partial verdict", unary)
 	}
-	if n := scans.Swap(0); n != 3 {
-		t.Errorf("unary request sent %d /scan RPCs to the dead shard, want 3", n)
+	if n := scans.Swap(0); n != 1 {
+		t.Errorf("unary request sent %d /scan RPCs to the dead shard, want 1", n)
 	}
 
 	resp = postJSON(t, ts.URL+"/v1/classify", classifyRequest{Targets: []TargetSpec{spec}})
@@ -194,8 +191,8 @@ func TestDeadShardPartialRPCCount(t *testing.T) {
 	if len(batch) != 1 || canon(t, batch[0]) != canon(t, *unary) {
 		t.Errorf("batch verdicts = %+v, want the unary partial verdict %+v", batch, *unary)
 	}
-	if n := scans.Load(); n != 3 {
-		t.Errorf("batch of one sent %d /scan RPCs to the dead shard, want 3", n)
+	if n := scans.Load(); n != 1 {
+		t.Errorf("batch of one sent %d /scan RPCs to the dead shard, want 1", n)
 	}
 }
 

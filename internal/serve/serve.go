@@ -322,8 +322,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 // classifyOne resolves and classifies one target. It runs the
 // classification once: a verdict is a deterministic function of the
 // target and the repository, and the one transient step, the
-// remote-shard RPC, is retried, failed over and bounded inside the
-// shard layer (docs/SERVING.md "Where faults are handled"). Panics
+// remote-shard RPC, is failed over and bounded inside the shard layer
+// (docs/SERVING.md "Where faults are handled"). Panics
 // come back from ClassifyCtx as the target's error.
 func (s *Server) classifyOne(ctx context.Context, t TargetSpec, pos int) Verdict {
 	st := t.target(pos)

@@ -55,7 +55,7 @@ func BenchmarkShardedScan(b *testing.B) {
 		}
 		b.Run(mode+"/remote=2", func(b *testing.B) {
 			r := Router{Shards: 2}
-			co, err := NewRemoteCoordinator(models, startServers(b, models, r, ServerConfig{}), r, scfg, RemoteConfig{}, Config{})
+			co, err := NewRemoteCoordinator(models, startServers(b, models, r, ServerConfig{}), scfg.Semantics(), RemoteConfig{}, Config{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -56,40 +57,90 @@ func SplitReplicas(addr string) ([]string, error) {
 	return out, nil
 }
 
+// remoteReplicas builds a client for every replica of every partition
+// of models across addrs: one "|"-separated replica group per address,
+// in router order. Each client expects its partition's entry count,
+// rcfg.Version and the partition's content fingerprint, so a stale
+// backend fails Check.
+func remoteReplicas(models []*model.CSTBBS, addrs []string, sem scan.Semantics, rcfg RemoteConfig) (parts [][]int, groups [][]*RemoteShard, err error) {
+	if len(addrs) == 0 {
+		return nil, nil, fmt.Errorf("shard: remote fleet needs at least one address")
+	}
+	parts = PartitionModels(models, Router{Shards: len(addrs)})
+	groups = make([][]*RemoteShard, len(parts))
+	for i, part := range parts {
+		reps, err := SplitReplicas(addrs[i])
+		if err != nil {
+			return nil, nil, err
+		}
+		slice := sliceHash(sliceModels(models, part))
+		for _, a := range reps {
+			rs := NewRemoteShard(a, len(part), sem, rcfg)
+			rs.ExpectContent(rcfg.Version, slice)
+			groups[i] = append(groups[i], rs)
+		}
+	}
+	return parts, groups, nil
+}
+
+// CheckFleet handshakes every replica of every shard address (Check
+// against the partition of models it should serve: alive, the agreed
+// entry count and the partition's content fingerprint). It returns the
+// names of unhealthy replicas, empty when the whole fleet is healthy,
+// and a non-nil error only when some partition has no healthy replica
+// at all — the condition under which scans would degrade to partial
+// results. A fleet whose dead or stale replicas are redundant starts
+// fine: failover covers them, and the returned names let the caller
+// warn the operator.
+func CheckFleet(ctx context.Context, models []*model.CSTBBS, addrs []string) (unhealthy []string, err error) {
+	_, groups, err := remoteReplicas(models, addrs, scan.Semantics{}, RemoteConfig{})
+	if err != nil {
+		return nil, err
+	}
+	var dark []string
+	for i, g := range groups {
+		healthy := 0
+		for _, rs := range g {
+			if rs.Check(ctx) != nil {
+				unhealthy = append(unhealthy, rs.Name())
+			} else {
+				healthy++
+			}
+		}
+		if healthy == 0 {
+			dark = append(dark, addrs[i])
+		}
+	}
+	if len(dark) > 0 {
+		return unhealthy, fmt.Errorf("shard: no healthy replica for shard group(s) %s", strings.Join(dark, ", "))
+	}
+	return unhealthy, nil
+}
+
 // NewRemoteCoordinator builds a coordinator whose shards live behind
 // the given addresses, one replica group per shard in router order
-// (r.Shards is forced to len(addrs)). Each address may name several
+// (Router{Shards: len(addrs)}). Each address may name several
 // "|"-separated replicas serving the same partition — scans fail over
 // between them (see ReplicaGroup), with per-replica circuit breakers
 // tuned by ccfg.Breaker and, when ccfg.ProbeInterval is set, a
 // background health prober re-admitting recovered backends (stop it
-// with Coordinator.Close). scfg supplies the scan semantics every
-// remote request carries (Prune, Sim); Workers and Cache are
-// server-side concerns and ignored here. rcfg.Version plus each
-// partition's content fingerprint become the replicas' health
-// expectation, so a stale backend probes unhealthy. No connection is
-// made until the first scan: a dead address degrades scans rather than
-// failing construction — call (*RemoteShard).Check to handshake
-// eagerly.
-func NewRemoteCoordinator(models []*model.CSTBBS, addrs []string, r Router, scfg scan.Config, rcfg RemoteConfig, ccfg Config) (*Coordinator, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("shard: remote coordinator needs at least one address")
+// with Coordinator.Close). sem is the scan semantics every remote
+// request carries. rcfg.Version plus each partition's content
+// fingerprint become the replicas' health expectation, so a stale
+// backend probes unhealthy. No connection is made until the first
+// scan: a dead address degrades scans rather than failing construction
+// — call CheckFleet to handshake eagerly.
+func NewRemoteCoordinator(models []*model.CSTBBS, addrs []string, sem scan.Semantics, rcfg RemoteConfig, ccfg Config) (*Coordinator, error) {
+	parts, groups, err := remoteReplicas(models, addrs, sem, rcfg)
+	if err != nil {
+		return nil, err
 	}
-	r.Shards = len(addrs)
-	parts := PartitionModels(models, r)
 	gcfg := GroupConfig{AttemptTimeout: ccfg.AttemptTimeout, Breaker: ccfg.Breaker, Telemetry: ccfg.Telemetry}
-	shards := make([]Shard, len(parts))
+	shards := make([]Shard, len(groups))
 	var probes []breaker.Probe
-	for i, part := range parts {
-		reps, err := SplitReplicas(addrs[i])
-		if err != nil {
-			return nil, err
-		}
-		slice := sliceHash(sliceModels(models, part))
+	for i, reps := range groups {
 		replicas := make([]Shard, len(reps))
-		for j, a := range reps {
-			rs := NewRemoteShard(a, len(part), scfg, rcfg)
-			rs.ExpectContent(rcfg.Version, slice)
+		for j, rs := range reps {
 			replicas[j] = rs
 		}
 		g, err := NewReplicaGroup(replicas, gcfg)
@@ -98,11 +149,11 @@ func NewRemoteCoordinator(models []*model.CSTBBS, addrs []string, r Router, scfg
 		}
 		shards[i] = g
 		if ccfg.ProbeInterval > 0 {
-			for j, rep := range g.Replicas() {
+			for j, rs := range reps {
 				probes = append(probes, breaker.Probe{
-					Name:    rep.Name(),
+					Name:    rs.Name(),
 					Breaker: g.Breakers()[j],
-					Check:   rep.(*RemoteShard).Check,
+					Check:   rs.Check,
 				})
 			}
 		}

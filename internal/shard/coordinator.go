@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -278,23 +279,17 @@ func (c *Coordinator) BreakerGauges() map[string]uint64 {
 }
 
 // Close releases the coordinator's background resources: it stops the
-// health prober started by Config.ProbeInterval and drops the remote
-// shards' pooled keep-alive connections (sockets and their transport
-// goroutines would otherwise linger until the transport's idle
-// timeout). Idempotent, nil-safe and safe on a coordinator that never
-// started a prober; scans already in flight are unaffected (breakers
-// keep working, they just lose background re-admission).
+// health prober started by Config.ProbeInterval and drops the pooled
+// keep-alive connections of the default HTTP client every remote shard
+// uses (sockets and their transport goroutines would otherwise linger
+// until the transport's idle timeout). Idempotent, nil-safe and safe on
+// a coordinator that never started a prober; scans already in flight
+// are unaffected (breakers keep working, they just lose background
+// re-admission).
 func (c *Coordinator) Close() {
 	if c == nil {
 		return
 	}
 	c.prober.Stop()
-	for _, s := range c.shards {
-		switch sh := s.(type) {
-		case *RemoteShard:
-			sh.CloseIdleConnections()
-		case *ReplicaGroup:
-			sh.CloseIdleConnections()
-		}
-	}
+	http.DefaultClient.CloseIdleConnections()
 }

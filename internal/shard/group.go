@@ -89,22 +89,10 @@ func (g *ReplicaGroup) Name() string { return g.name }
 // Len implements Shard (every replica serves the same slice).
 func (g *ReplicaGroup) Len() int { return g.replicas[0].Len() }
 
-// Replicas returns the group's backends in preference order.
-func (g *ReplicaGroup) Replicas() []Shard { return g.replicas }
-
 // Breakers returns the per-replica circuit breakers, index-aligned
-// with Replicas — the prober and the telemetry gauges hang off these.
+// with the replicas the group was built over — the prober and the
+// telemetry gauges hang off these.
 func (g *ReplicaGroup) Breakers() []*breaker.Breaker { return g.brks }
-
-// CloseIdleConnections forwards to every remote replica, releasing the
-// group's pooled connections on coordinator Close.
-func (g *ReplicaGroup) CloseIdleConnections() {
-	for _, r := range g.replicas {
-		if rs, ok := r.(*RemoteShard); ok {
-			rs.CloseIdleConnections()
-		}
-	}
-}
 
 // Scan implements Shard: attempt replicas in order until one returns a
 // complete slice result. A replica is passed over — one shard_failovers

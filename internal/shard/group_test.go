@@ -54,7 +54,7 @@ func TestNewReplicaGroupValidation(t *testing.T) {
 // replicatedFleet builds a coordinator over n partitions × reps
 // replicas of loopback HTTP servers, returning the coordinator, the
 // per-[shard][replica] servers, and the replica URLs.
-func replicatedFleet(t *testing.T, models []*model.CSTBBS, n, reps int, rcfg RemoteConfig, ccfg Config) (*Coordinator, [][]*httptest.Server, [][]string) {
+func replicatedFleet(t *testing.T, models []*model.CSTBBS, n, reps int, ccfg Config) (*Coordinator, [][]*httptest.Server, [][]string) {
 	t.Helper()
 	r := Router{Shards: n}
 	srvs := make([][]*httptest.Server, n)
@@ -71,7 +71,7 @@ func replicatedFleet(t *testing.T, models []*model.CSTBBS, n, reps int, rcfg Rem
 		}
 		addrs[i] = strings.Join(urls[i], "|")
 	}
-	co, err := NewRemoteCoordinator(models, addrs, r, scan.Config{Sim: similarity.DefaultOptions()}, rcfg, ccfg)
+	co, err := NewRemoteCoordinator(models, addrs, scan.Config{Sim: similarity.DefaultOptions()}.Semantics(), RemoteConfig{}, ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestReplicaFailoverKeepsScansComplete(t *testing.T) {
 	models := corpus(rng, 13)
 	ref := scan.New(models, scan.Config{Sim: similarity.DefaultOptions()})
 	tel := telemetry.NewCollector()
-	co, srvs, _ := replicatedFleet(t, models, 2, 2, RemoteConfig{Timeout: 2 * time.Second}, Config{Telemetry: tel})
+	co, srvs, _ := replicatedFleet(t, models, 2, 2, Config{Telemetry: tel})
 
 	srvs[0][0].Close() // kill the preferred replica of group 0
 
@@ -113,7 +113,7 @@ func TestReplicaGroupAllDownDegrades(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	models := corpus(rng, 11)
 	tel := telemetry.NewCollector()
-	co, srvs, urls := replicatedFleet(t, models, 2, 2, RemoteConfig{Timeout: time.Second}, Config{Telemetry: tel})
+	co, srvs, urls := replicatedFleet(t, models, 2, 2, Config{Telemetry: tel})
 
 	srvs[1][0].Close()
 	srvs[1][1].Close()
@@ -153,7 +153,6 @@ func TestReplicaBreakerSkipsDeadBackend(t *testing.T) {
 	models := corpus(rng, 9)
 	tel := telemetry.NewCollector()
 	co, srvs, urls := replicatedFleet(t, models, 1, 2,
-		RemoteConfig{Timeout: time.Second},
 		Config{Telemetry: tel, Breaker: breaker.Settings{Threshold: 2, OpenInterval: time.Minute}})
 
 	srvs[0][0].Close()
@@ -200,7 +199,7 @@ func TestReplicaFailpointInjectsFailover(t *testing.T) {
 	models := corpus(rng, 7)
 	ref := scan.New(models, scan.Config{Sim: similarity.DefaultOptions()})
 	tel := telemetry.NewCollector()
-	co, _, urls := replicatedFleet(t, models, 1, 2, RemoteConfig{Timeout: time.Second}, Config{Telemetry: tel})
+	co, _, urls := replicatedFleet(t, models, 1, 2, Config{Telemetry: tel})
 
 	faultinject.Enable(faultinject.ShardReplicaRPC,
 		faultinject.Match(urls[0][0], faultinject.Error(errors.New("injected replica fault"))))
@@ -224,7 +223,6 @@ func TestReplicaAttemptTimeoutFailsOver(t *testing.T) {
 	models := corpus(rng, 7)
 	ref := scan.New(models, scan.Config{Sim: similarity.DefaultOptions()})
 	co, _, urls := replicatedFleet(t, models, 1, 2,
-		RemoteConfig{Timeout: 10 * time.Second},
 		Config{AttemptTimeout: 50 * time.Millisecond, ShardTimeout: 10 * time.Second})
 
 	// Slow the first replica's attempt past the attempt budget.
@@ -273,7 +271,7 @@ func TestCheckDetectsStaleReplica(t *testing.T) {
 	srv := httptest.NewServer(NewServer(stale, ServerConfig{Version: 7}).Handler())
 	defer srv.Close()
 
-	rs := NewRemoteShard(srv.URL, 6, scan.Config{Sim: similarity.DefaultOptions()}, RemoteConfig{})
+	rs := NewRemoteShard(srv.URL, 6, scan.Config{Sim: similarity.DefaultOptions()}.Semantics(), RemoteConfig{})
 	if err := rs.Check(context.Background()); err != nil {
 		t.Fatalf("entry-count-only check failed: %v", err)
 	}
@@ -301,7 +299,7 @@ func TestCheckVersionFallbackForOldServers(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	rs := NewRemoteShard(srv.URL, 4, scan.Config{Sim: similarity.DefaultOptions()}, RemoteConfig{})
+	rs := NewRemoteShard(srv.URL, 4, scan.Config{Sim: similarity.DefaultOptions()}.Semantics(), RemoteConfig{})
 	rs.ExpectContent(2, "deadbeef")
 	if err := rs.Check(context.Background()); err != nil {
 		t.Fatalf("matching version rejected: %v", err)
@@ -367,9 +365,9 @@ func TestCoordinatorCloseStopsProber(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		co, err := NewRemoteCoordinator(models, addrs, r,
-			scan.Config{Sim: similarity.DefaultOptions()},
-			RemoteConfig{Timeout: time.Second},
+		co, err := NewRemoteCoordinator(models, addrs,
+			scan.Config{Sim: similarity.DefaultOptions()}.Semantics(),
+			RemoteConfig{},
 			Config{ProbeInterval: 10 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
@@ -411,9 +409,9 @@ func TestProberReAdmitsRestartedReplica(t *testing.T) {
 	t.Cleanup(alive.Close)
 
 	tel := telemetry.NewCollector()
-	co, err := NewRemoteCoordinator(models, []string{boundA + "|" + alive.URL}, r,
-		scan.Config{Sim: similarity.DefaultOptions()},
-		RemoteConfig{Timeout: time.Second},
+	co, err := NewRemoteCoordinator(models, []string{boundA + "|" + alive.URL},
+		scan.Config{Sim: similarity.DefaultOptions()}.Semantics(),
+		RemoteConfig{},
 		Config{
 			Telemetry:     tel,
 			Breaker:       breaker.Settings{Threshold: 1, OpenInterval: 50 * time.Millisecond},

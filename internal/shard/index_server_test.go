@@ -35,7 +35,7 @@ func TestRemoteIndexedScanBitIdentical(t *testing.T) {
 
 	exact := scan.New(models, scan.Config{Sim: similarity.DefaultOptions()})
 	remote := NewRemoteShard(ts.URL, len(models),
-		scan.Config{Prune: true, Index: true, Sim: similarity.DefaultOptions()}, RemoteConfig{})
+		scan.Config{Prune: true, Index: true, Sim: similarity.DefaultOptions()}.Semantics(), RemoteConfig{})
 
 	for ti, target := range targets {
 		want := exact.Scan(target)

@@ -15,9 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/model"
-	"repro/internal/retry"
 	"repro/internal/scan"
 	"repro/internal/telemetry"
 )
@@ -42,24 +40,21 @@ var (
 )
 
 // newScanID mints a fresh process-unique scan id. Every call returns a
-// distinct id — retried RPC attempts mint their own, so a retry can
-// never collide with its still-running predecessor on the server.
+// distinct id, so a scan sent after an earlier one timed out on the
+// client can never collide with its still-running predecessor on the
+// server.
 func newScanID() string {
 	return scanNonce + "-" + strconv.FormatUint(scanSeq.Add(1), 10)
 }
 
+// rpcTimeout bounds each individual RPC. The coordinator's ShardTimeout
+// and the replica group's AttemptTimeout bound a scan more tightly when
+// set; this only keeps a hung connection from living forever.
+const rpcTimeout = 30 * time.Second
+
 // RemoteConfig tunes the client side of a remote shard.
 type RemoteConfig struct {
-	// Timeout bounds each individual RPC (default 30s; the coordinator's
-	// ShardTimeout separately bounds the whole per-shard scan, retries
-	// included).
-	Timeout time.Duration
-	// Retry re-sends failed scan RPCs; the zero policy sends once.
-	// A per-attempt Timeout expiry counts as transient (the next attempt
-	// gets a fresh deadline and a fresh scan id); only the caller's own
-	// context going dead is permanent and never retried.
-	Retry retry.Policy
-	// Telemetry counts remote retries and cutoff broadcasts.
+	// Telemetry counts cutoff broadcasts.
 	Telemetry *telemetry.Collector
 	// Version is the coordinator-side repository version; when both it
 	// and the server's advertised version are non-zero (and the server
@@ -67,24 +62,20 @@ type RemoteConfig struct {
 	// unhealthy. NewRemoteCoordinator threads it into every replica's
 	// ExpectContent alongside the partition's content fingerprint.
 	Version uint64
-	// Client optionally overrides the HTTP client (tests inject
-	// httptest transports); Timeout is applied per-request via context
-	// either way.
-	Client *http.Client
 }
 
 // RemoteShard speaks HTTP/JSON to a Server hosting one repository
 // slice on another machine. Construction does not dial: a shard that is
 // down at build time costs nothing until a scan needs it, and then it
-// degrades that scan (partial results + error through the coordinator)
-// rather than failing the build or hanging.
+// fails that scan — the replica group fails over to the next replica,
+// and a group with none left degrades the scan (partial results + error
+// through the coordinator) rather than failing the build or hanging.
 type RemoteShard struct {
 	addr     string         // as given, the shard's Name
 	base     string         // normalized URL prefix
 	expected int            // partition-derived entry count
 	sem      scan.Semantics // scan semantics every request carries
 	cfg      RemoteConfig
-	client   *http.Client
 
 	// Content expectation for Check, set via ExpectContent. Zero values
 	// skip the respective comparison (old servers, unknown content).
@@ -94,23 +85,15 @@ type RemoteShard struct {
 
 // NewRemoteShard builds a client for the shard at addr ("host:port" or
 // a full http:// URL) which both sides' Routers agree holds expected
-// entries. scfg carries the scan semantics this client's detector wants
-// (scfg.Semantics() travels with every request); Workers, Cache and the
-// other operational fields are server-side concerns and ignored.
-func NewRemoteShard(addr string, expected int, scfg scan.Config, cfg RemoteConfig) *RemoteShard {
+// entries. sem is the scan semantics this client's detector wants; it
+// travels with every request.
+func NewRemoteShard(addr string, expected int, sem scan.Semantics, cfg RemoteConfig) *RemoteShard {
 	base := addr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
 	base = strings.TrimRight(base, "/")
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
-	return &RemoteShard{addr: addr, base: base, expected: expected, sem: scfg.Semantics(), cfg: cfg, client: client}
+	return &RemoteShard{addr: addr, base: base, expected: expected, sem: sem, cfg: cfg}
 }
 
 // Name implements Shard (the address identifies the shard in errors and
@@ -133,14 +116,6 @@ func (s *RemoteShard) ExpectContent(version uint64, sliceHash string) {
 	s.expectVersion = version
 	s.expectSlice = sliceHash
 }
-
-// CloseIdleConnections drops this shard's pooled keep-alive
-// connections. The coordinator calls it on Close so a torn-down engine
-// releases its sockets (and their transport goroutines) instead of
-// waiting out the transport's idle timeout; with the default client
-// this flushes the process-wide shared pool, which is the intended
-// "we are done scanning" semantics.
-func (s *RemoteShard) CloseIdleConnections() { s.client.CloseIdleConnections() }
 
 // Check asks the server's /healthz whether it is alive and holds the
 // slice this client expects — the partition handshake for smoke tests,
@@ -176,41 +151,25 @@ func (s *RemoteShard) Check(ctx context.Context) error {
 }
 
 // Scan implements Shard: one POST /scan carrying the target and the
-// current cutoff, retried per the policy, while a forwarder goroutine
-// broadcasts every improvement of the shared cutoff to the server for
-// the duration of the scan. The reply's final best is folded back into
-// the shared cutoff for the shards still running.
-//
-// Each attempt is self-contained: it mints a fresh scan id, re-seeds
-// the cutoff from the shared cell (tighter on a retry, since other
-// shards kept scanning) and runs its own broadcast forwarder. A retry
-// therefore never re-sends the id of a timed-out first attempt that may
-// still be scanning on the server.
+// current cutoff, while a forwarder goroutine broadcasts every
+// improvement of the shared cutoff to the server for the duration of
+// the scan. The reply's final best is folded back into the shared
+// cutoff for the shards still running. A failed RPC is not re-sent:
+// the replica group fails over to the next replica instead.
 func (s *RemoteShard) Scan(ctx context.Context, bbs *model.CSTBBS, cut *scan.Cutoff) ([]scan.Match, error) {
-	base := newScanRequest(bbs, s.sem)
-
-	// A failed attempt is transient — and worth a fresh attempt — unless
-	// the caller's own context died. The error alone cannot tell: a
-	// per-RPC timeout (roundTrip's derived deadline) surfaces as
-	// context.DeadlineExceeded too, but it expires one attempt, not the
-	// scan; only ctx itself going dead is permanent.
-	transient := func(err error) bool { return ctx.Err() == nil }
-	var resp scanResponse
-	err := s.cfg.Retry.Do(ctx, transient, func(n int, err error) {
-		s.cfg.Telemetry.Inc(telemetry.ShardRemoteRetries)
-	}, func() error {
-		req := base
-		if s.sem.Prune && cut != nil {
-			req.ID = newScanID()
-			if best := cut.Best(); !math.IsInf(best, 1) {
-				req.Cutoff = &best
-			}
-			stop := s.forwardCutoffs(ctx, req.ID, cut)
-			defer stop()
+	req := newScanRequest(bbs, s.sem)
+	pruned := s.sem.Prune && cut != nil
+	stop := func() {}
+	if pruned {
+		req.ID = newScanID()
+		if best := cut.Best(); !math.IsInf(best, 1) {
+			req.Cutoff = &best
 		}
-		resp = scanResponse{}
-		return s.roundTrip(ctx, "/scan", &req, &resp)
-	})
+		stop = s.forwardCutoffs(ctx, req.ID, cut)
+	}
+	var resp scanResponse
+	err := s.roundTrip(ctx, "/scan", &req, &resp)
+	stop()
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +177,7 @@ func (s *RemoteShard) Scan(ctx context.Context, bbs *model.CSTBBS, cut *scan.Cut
 	if err != nil {
 		return nil, err
 	}
-	if s.sem.Prune && cut != nil && resp.Best != nil {
+	if pruned && resp.Best != nil {
 		cut.Update(*resp.Best)
 	}
 	return ms, nil
@@ -249,14 +208,9 @@ func (s *RemoteShard) forwardCutoffs(ctx context.Context, id string, cut *scan.C
 }
 
 // roundTrip is one RPC: POST in (or GET when in is nil) under the
-// per-RPC timeout, decode a 200 into out. The shard.remote.rpc
-// failpoint fires before every request — inside the retry loop, so
-// tests can prove a transient network fault is absorbed.
+// per-RPC timeout, decode a 200 into out.
 func (s *RemoteShard) roundTrip(ctx context.Context, path string, in, out any) error {
-	if err := faultinject.Fire(faultinject.ShardRemoteRPC, path); err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, rpcTimeout)
 	defer cancel()
 	method, body := http.MethodGet, io.Reader(nil)
 	if in != nil {
@@ -273,7 +227,7 @@ func (s *RemoteShard) roundTrip(ctx context.Context, path string, in, out any) e
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := s.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("shard: %s %s: %w", s.addr, path, err)
 	}

@@ -1,12 +1,13 @@
 package shard
 
-// Regression tests for the /scan protocol bugfix pass: duplicate scan
-// ids from client retries and process-unique id minting.
+// Regression tests for the /scan protocol: duplicate scan ids and
+// process-unique id minting.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -18,10 +19,8 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/retry"
 	"repro/internal/scan"
 	"repro/internal/similarity"
-	"repro/internal/telemetry"
 )
 
 // postScan sends one /scan request and decodes the reply.
@@ -48,10 +47,10 @@ func postScan(t *testing.T, url string, req scanRequest) (scanResponse, int) {
 }
 
 // TestServerDuplicateScanIDIdempotent: a /scan re-sending an id that is
-// already registered (a client-side timeout + retry whose first attempt
+// already registered (a client that re-sends a request whose first copy
 // is still scanning) must be served idempotently — reusing the
 // in-flight cutoff cell — instead of being rejected. The old server
-// answered 409 here, failing every such retry.
+// answered 409 here, failing every such re-send.
 func TestServerDuplicateScanIDIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	models := corpus(rng, 9)
@@ -62,19 +61,19 @@ func TestServerDuplicateScanIDIdempotent(t *testing.T) {
 
 	// The "first attempt": its cutoff cell is registered and still live.
 	firstCut := scan.NewCutoff()
-	srv.scans.Store("retried-id", firstCut)
+	srv.scans.Store("resent-id", firstCut)
 
 	sim := similarity.DefaultOptions()
 	seed := 123.0
 	resp, status := postScan(t, ts.URL, scanRequest{
-		ID:     "retried-id",
+		ID:     "resent-id",
 		Target: *target,
 		Prune:  true,
 		Cutoff: &seed,
 		Window: sim.Window, ISWeight: sim.ISWeight, CSPWeight: sim.CSPWeight,
 	})
 	if status != http.StatusOK {
-		t.Fatalf("duplicate-id /scan answered %d, want 200 (old server 409'd retries)", status)
+		t.Fatalf("duplicate-id /scan answered %d, want 200 (old server 409'd re-sends)", status)
 	}
 	if len(resp.Matches) != len(models) {
 		t.Fatalf("%d matches, want %d", len(resp.Matches), len(models))
@@ -82,12 +81,12 @@ func TestServerDuplicateScanIDIdempotent(t *testing.T) {
 	// Proof the handler reused the registered cell rather than minting
 	// its own: the scan's best landed in the first attempt's cutoff.
 	if best := firstCut.Best(); math.IsInf(best, 1) {
-		t.Fatal("retried scan did not reuse the in-flight cutoff cell")
+		t.Fatal("re-sent scan did not reuse the in-flight cutoff cell")
 	}
-	// The first registrant owns the map entry; serving the retry must
+	// The first registrant owns the map entry; serving the re-send must
 	// not delete it out from under the still-running first attempt.
-	if _, ok := srv.scans.Load("retried-id"); !ok {
-		t.Fatal("retry deleted the first attempt's scan-id registration")
+	if _, ok := srv.scans.Load("resent-id"); !ok {
+		t.Fatal("re-send deleted the first copy's scan-id registration")
 	}
 }
 
@@ -129,30 +128,34 @@ func TestNewScanIDUnique(t *testing.T) {
 	}
 }
 
-// TestClientRetryAfterTimeoutSucceeds: the end-to-end bugfix scenario —
-// the first /scan attempt stalls past the client's per-RPC timeout, the
-// retry runs while the first attempt may still be registered
-// server-side, and the scan still succeeds because every attempt mints
-// a fresh id (and the server tolerates duplicates anyway). The recorded
-// wire traffic proves the two attempts used distinct ids.
+// TestClientRetryAfterTimeoutSucceeds: a caller that gives up on a
+// stalled pruned scan and scans again through the same client succeeds
+// while the first scan is still registered on the server. The second
+// scan mints a fresh id, so it never collides with its predecessor's
+// cutoff cell; the recorded wire traffic proves the ids differ.
 func TestClientRetryAfterTimeoutSucceeds(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	rng := rand.New(rand.NewSource(89))
 	models := corpus(rng, 7)
 	target := corpus(rng, 1)[0]
 	ref := scan.New(models, scan.Config{Sim: similarity.DefaultOptions()})
-	tel := telemetry.NewCollector()
 
-	// Record every /scan id that reaches the server.
+	// Record every /scan id that reaches the server and whether the
+	// first scan was still registered when a later one arrived.
 	var mu sync.Mutex
 	var ids []string
-	inner := NewServer(models, ServerConfig{}).Handler()
+	firstLive := false
+	srv := NewServer(models, ServerConfig{})
+	inner := srv.Handler()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/scan" {
 			body, _ := io.ReadAll(r.Body)
 			var req scanRequest
 			_ = json.Unmarshal(body, &req)
 			mu.Lock()
+			if len(ids) > 0 {
+				_, firstLive = srv.scans.Load(ids[0])
+			}
 			ids = append(ids, req.ID)
 			mu.Unlock()
 			r.Body = io.NopCloser(bytes.NewReader(body))
@@ -161,38 +164,37 @@ func TestClientRetryAfterTimeoutSucceeds(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	// First attempt's scan stalls well past the client timeout; the
-	// retry's scan runs clean.
+	// The first scan stalls on the server well past the caller's
+	// deadline; the second runs clean.
 	faultinject.Enable(faultinject.ScanWorker, faultinject.OnCall(1, faultinject.Sleep(2*time.Second)))
 
-	s := NewRemoteShard(ts.URL, len(models), scan.Config{Prune: true, Sim: similarity.DefaultOptions()},
-		RemoteConfig{Timeout: 150 * time.Millisecond, Retry: retry.Policy{Attempts: 2}, Telemetry: tel})
-	cut := scan.NewCutoff()
-	ms, err := s.Scan(context.Background(), target, cut)
+	s := NewRemoteShard(ts.URL, len(models), scan.Config{Prune: true, Sim: similarity.DefaultOptions()}.Semantics(), RemoteConfig{})
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
+	if _, err := s.Scan(ctx, target, scan.NewCutoff()); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("stalled scan err = %v, want context.DeadlineExceeded", err)
+	}
+	ms, err := s.Scan(context.Background(), target, scan.NewCutoff())
 	if err != nil {
-		t.Fatalf("scan failed despite retry policy: %v (per-RPC timeouts must be transient)", err)
+		t.Fatalf("second scan: %v", err)
 	}
 	_, wantBest := bestOf(ref.Scan(target))
 	_, gotBest := bestOf(ms)
 	if gotBest != wantBest {
-		t.Fatalf("retried scan best %v, want %v", gotBest, wantBest)
-	}
-	if n := tel.Counter(telemetry.ShardRemoteRetries); n == 0 {
-		t.Fatal("no retry recorded — the timeout fault did not fire")
+		t.Fatalf("second scan best %v, want %v", gotBest, wantBest)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(ids) < 2 {
-		t.Fatalf("server saw %d /scan attempts, want >= 2", len(ids))
+	if len(ids) != 2 {
+		t.Fatalf("server saw %d /scan requests, want 2", len(ids))
 	}
-	seen := make(map[string]bool)
-	for _, id := range ids {
-		if id == "" {
-			t.Fatal("pruned /scan attempt carried no id")
-		}
-		if seen[id] {
-			t.Fatalf("retry re-sent scan id %q — collides with the still-registered first attempt", id)
-		}
-		seen[id] = true
+	if ids[0] == "" || ids[1] == "" {
+		t.Fatalf("pruned /scan carried no id: %q", ids)
+	}
+	if ids[0] == ids[1] {
+		t.Fatalf("second scan re-sent id %q — collides with the still-registered first scan", ids[0])
+	}
+	if !firstLive {
+		t.Fatal("first scan was no longer registered when the second arrived — the stall did not hold")
 	}
 }

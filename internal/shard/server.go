@@ -163,12 +163,12 @@ func (s *Server) scanOnce(ctx context.Context, req scanRequest) (ms []scan.Match
 		// the in-flight scan; a broadcast for a finished (deleted) scan
 		// is a no-op by design.
 		if cell, loaded := s.scans.LoadOrStore(req.ID, cut); loaded {
-			// A client-side timeout + retry can re-send an id whose
-			// first attempt is still scanning. The retried attempt is
-			// idempotent: reuse the in-flight cutoff cell (broadcasts
-			// for the id keep reaching both attempts) and serve this
-			// request its own result. The first registrant owns the
-			// map entry and deletes it when it finishes.
+			// A client can re-send an id whose first copy is still
+			// scanning. The re-sent request is idempotent: reuse the
+			// in-flight cutoff cell (broadcasts for the id keep
+			// reaching both copies) and serve this request its own
+			// result. The first registrant owns the map entry and
+			// deletes it when it finishes.
 			cut = cell.(*scan.Cutoff)
 			if req.Cutoff != nil {
 				cut.Update(*req.Cutoff)

@@ -13,8 +13,9 @@
 //     from N to N+1 shards moves only ~1/(N+1) of the entries.
 //   - Shard is the backend interface: RemoteShard (remote.go) speaks
 //     HTTP/JSON to a Server (server.go) hosting a shard on another
-//     machine, with per-RPC timeout and retry, and a ReplicaGroup
-//     (group.go) fails over between replicas of one partition.
+//     machine, and a ReplicaGroup (group.go) fails over between
+//     replicas of one partition — the one recovery path for a failed
+//     RPC.
 //   - Coordinator (coordinator.go) broadcasts one target to every
 //     shard concurrently, merges the per-shard matches back into
 //     globally-indexed order, and shares one scan.Cutoff across every

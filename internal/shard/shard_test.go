@@ -17,7 +17,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/faultinject"
 	"repro/internal/model"
-	"repro/internal/retry"
 	"repro/internal/scan"
 	"repro/internal/similarity"
 	"repro/internal/telemetry"
@@ -202,8 +201,8 @@ func TestShardedExactBitIdenticalRemote(t *testing.T) {
 	for _, n := range []int{1, 2, 7} {
 		r := Router{Shards: n}
 		addrs := startServers(t, models, r, ServerConfig{})
-		co, err := NewRemoteCoordinator(models, addrs, r,
-			scan.Config{Sim: similarity.DefaultOptions()}, RemoteConfig{}, Config{})
+		co, err := NewRemoteCoordinator(models, addrs,
+			scan.Config{Sim: similarity.DefaultOptions()}.Semantics(), RemoteConfig{}, Config{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -233,7 +232,7 @@ func TestShardedPrunedBestExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := NewRemoteCoordinator(models, startServers(t, models, r, ServerConfig{}), r, scfg, RemoteConfig{}, Config{})
+	remote, err := NewRemoteCoordinator(models, startServers(t, models, r, ServerConfig{}), scfg.Semantics(), RemoteConfig{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,41 +342,8 @@ func TestCoordinatorPartialOnShardFault(t *testing.T) {
 	}
 }
 
-// TestRemoteRetryAbsorbsTransientRPCFault: a shard.remote.rpc fault on
-// the first /scan attempt is retried away by the policy and counted in
-// telemetry; the result is still bit-identical.
-func TestRemoteRetryAbsorbsTransientRPCFault(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	rng := rand.New(rand.NewSource(43))
-	models := corpus(rng, 9)
-	ref := scan.New(models, scan.Config{Sim: similarity.DefaultOptions()})
-	target := corpus(rng, 1)[0]
-	tel := telemetry.NewCollector()
-	r := Router{Shards: 2}
-	co, err := NewRemoteCoordinator(models, startServers(t, models, r, ServerConfig{}), r,
-		scan.Config{Sim: similarity.DefaultOptions()},
-		RemoteConfig{Retry: retry.Policy{Attempts: 2}, Telemetry: tel}, Config{Telemetry: tel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultinject.Enable(faultinject.ShardRemoteRPC,
-		faultinject.Match("/scan", faultinject.OnCall(1, faultinject.Error(errors.New("connection reset")))))
-
-	got, err := co.ScanCtx(context.Background(), target)
-	if err != nil {
-		t.Fatalf("scan failed despite retry policy: %v", err)
-	}
-	scanEqual(t, "retried remote scan", got, ref.Scan(target))
-	if n := tel.Counter(telemetry.ShardRemoteRetries); n != 1 {
-		t.Errorf("ShardRemoteRetries = %d, want 1", n)
-	}
-	if n := tel.Counter(telemetry.ShardScanFailures); n != 0 {
-		t.Errorf("ShardScanFailures = %d, want 0 (the retry absorbed it)", n)
-	}
-}
-
 // TestRemoteDeadShardDegrades: an address nobody listens on fails that
-// shard (after its retries) and the scan returns the live shards'
+// shard and the scan returns the live shards'
 // matches plus a *PartialError — no hang, no total failure.
 func TestRemoteDeadShardDegrades(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
@@ -386,9 +352,9 @@ func TestRemoteDeadShardDegrades(t *testing.T) {
 	r := Router{Shards: 2}
 	addrs := startServers(t, models, r, ServerConfig{})
 	addrs[1] = "127.0.0.1:1" // reserved port: connection refused
-	co, err := NewRemoteCoordinator(models, addrs, r,
-		scan.Config{Sim: similarity.DefaultOptions()},
-		RemoteConfig{Timeout: 2 * time.Second}, Config{})
+	co, err := NewRemoteCoordinator(models, addrs,
+		scan.Config{Sim: similarity.DefaultOptions()}.Semantics(),
+		RemoteConfig{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,16 +377,18 @@ func TestRemoteCheckHandshake(t *testing.T) {
 	r := Router{Shards: 2}
 	addrs := startServers(t, models, r, ServerConfig{})
 	parts := PartitionModels(models, r)
-	good := NewRemoteShard(addrs[0], len(parts[0]), scan.Config{Sim: similarity.DefaultOptions()}, RemoteConfig{})
+	good := NewRemoteShard(addrs[0], len(parts[0]), scan.Config{Sim: similarity.DefaultOptions()}.Semantics(), RemoteConfig{})
 	if err := good.Check(context.Background()); err != nil {
 		t.Fatalf("Check on agreeing server: %v", err)
 	}
-	bad := NewRemoteShard(addrs[0], len(parts[0])+1, scan.Config{Sim: similarity.DefaultOptions()}, RemoteConfig{})
+	bad := NewRemoteShard(addrs[0], len(parts[0])+1, scan.Config{Sim: similarity.DefaultOptions()}.Semantics(), RemoteConfig{})
 	if err := bad.Check(context.Background()); err == nil {
 		t.Fatal("Check accepted a slice-size mismatch")
 	}
-	dead := NewRemoteShard("127.0.0.1:1", 1, scan.Config{Sim: similarity.DefaultOptions()}, RemoteConfig{Timeout: 2 * time.Second})
-	if err := dead.Check(context.Background()); err == nil {
+	dead := NewRemoteShard("127.0.0.1:1", 1, scan.Config{Sim: similarity.DefaultOptions()}.Semantics(), RemoteConfig{})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := dead.Check(ctx); err == nil {
 		t.Fatal("Check accepted a dead address")
 	}
 }
@@ -459,7 +427,7 @@ func TestCutoffBroadcastReachesServer(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	s := NewRemoteShard(srv.URL, 1, scan.Config{Prune: true, Sim: similarity.DefaultOptions()}, RemoteConfig{Telemetry: tel})
+	s := NewRemoteShard(srv.URL, 1, scan.Config{Prune: true, Sim: similarity.DefaultOptions()}.Semantics(), RemoteConfig{Telemetry: tel})
 	cut := scan.NewCutoff()
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -142,7 +142,7 @@ func TestStreamOrderedCancellation(t *testing.T) {
 // hits a target's modeling entry (model.build) or its CST measurement
 // (model.cst) once resolves that target to an error result — the stream
 // does not re-run a deterministic classification (transient
-// remote-shard RPC failures are retried in the shard layer) — while the
+// remote-shard RPC failures fail over in the shard layer) — while the
 // other targets verdict normally.
 func TestStreamStagesRunOnce(t *testing.T) {
 	t.Cleanup(faultinject.Reset)

@@ -23,7 +23,7 @@
 // the input instead of growing a buffer; the price of ordering is
 // head-of-line blocking. Classification runs once per target:
 // modeling and scanning are deterministic, and the one transient step,
-// the remote-shard RPC, is retried inside the shard layer.
+// the remote-shard RPC, fails over inside the shard layer.
 //
 // Fault isolation is per target: ClassifyCtx turns a panic anywhere in
 // one target's modeling or scanning into that target's error

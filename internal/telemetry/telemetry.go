@@ -95,13 +95,10 @@ const (
 	// ShardScans counts per-shard scan calls issued by the coordinator:
 	// one per (target, shard) scatter.
 	ShardScans
-	// ShardScanFailures counts shard scans that failed (timeout, dead
-	// remote, injected fault) after exhausting any retries; each one
-	// degrades its scan to partial results.
+	// ShardScanFailures counts shard scans that failed (timeout, every
+	// replica dead, injected fault); each one degrades its scan to
+	// partial results.
 	ShardScanFailures
-	// ShardRemoteRetries counts remote-shard RPC retry attempts (each
-	// increment is one re-sent request after a transient failure).
-	ShardRemoteRetries
 	// ShardCutoffBroadcasts counts cutoff updates pushed to remote
 	// shards mid-scan — the cross-shard best-score broadcast doing its
 	// job. Local shards share the cutoff cell directly and are not
@@ -204,7 +201,6 @@ var counterNames = [numCounters]string{
 	StreamErrorResults:           "stream_error_results",
 	ShardScans:                   "shard_scans",
 	ShardScanFailures:            "shard_scan_failures",
-	ShardRemoteRetries:           "shard_remote_retries",
 	ShardCutoffBroadcasts:        "shard_cutoff_broadcasts",
 	ShardDegradedScans:           "shard_degraded_scans",
 	ShardFailovers:               "shard_failovers",

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"strings"
 
 	"repro/internal/attacks"
 	"repro/internal/benign"
@@ -36,7 +35,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/mutate"
 	"repro/internal/panicsafe"
-	"repro/internal/retry"
 	"repro/internal/scan"
 	"repro/internal/serve"
 	"repro/internal/shard"
@@ -276,9 +274,6 @@ func AsPanicError(err error) (*PanicError, bool) { return panicsafe.AsPanic(err)
 type (
 	ShardPartialError = shard.PartialError
 	ShardServerConfig = shard.ServerConfig
-	// RetryPolicy is the remote-shard RPC retry policy
-	// (Detector.ShardRetry), the one retry layer in the stack.
-	RetryPolicy = retry.Policy
 	// BreakerSettings tunes the per-replica circuit breakers of a
 	// replicated shard fleet (Detector.ShardBreaker); see
 	// internal/breaker and docs/ROBUSTNESS.md.
@@ -354,64 +349,22 @@ func Watch(ctx context.Context, det *Detector, prog, victim *Program, cfg Window
 	return window.Watch(ctx, det, prog, victim, exec.DefaultConfig(), cfg, emit)
 }
 
-// CheckShard verifies a shard server at addr is alive and holds the
-// slice the router says it should — the partition handshake used by
-// `make shard-smoke` and CLI startup. When addrs[index] names several
-// "|"-separated replicas, every replica is checked and the first
-// failure is returned; use CheckShardFleet for group-aware semantics.
-func CheckShard(ctx context.Context, repo *Repository, addrs []string, index int) error {
-	models := make([]*CSTBBS, len(repo.Entries))
-	for i, e := range repo.Entries {
-		models[i] = e.BBS
-	}
-	parts := shard.PartitionModels(models, shard.Router{Shards: len(addrs)})
-	reps, err := shard.SplitReplicas(addrs[index])
-	if err != nil {
-		return err
-	}
-	for _, a := range reps {
-		rs := shard.NewRemoteShard(a, len(parts[index]), scan.Config{Sim: similarity.DefaultOptions()}, shard.RemoteConfig{})
-		if err := rs.Check(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CheckShardFleet handshakes every replica of every shard address. It
-// returns the names of unhealthy replicas (empty when the whole fleet
-// is healthy) and a non-nil error only when some partition has no
-// healthy replica at all — the condition under which classifications
-// would degrade to partial results. A fleet with dead-but-redundant
-// replicas starts fine: failover covers it, and the returned names let
-// the caller warn the operator.
+// CheckShardFleet handshakes every replica of every shard address
+// against the partition of repo it should serve: alive, the agreed
+// entry count and the partition's content fingerprint, so a replica
+// started over a different repository file is caught before the first
+// scan. It returns the names of unhealthy replicas (empty when the
+// whole fleet is healthy) and a non-nil error only when some partition
+// has no healthy replica at all — the condition under which
+// classifications would degrade to partial results. A fleet with dead
+// or stale but redundant replicas starts fine: failover covers it, and
+// the returned names let the caller warn the operator. This is the
+// handshake `scaguard classify` and `scaguard serve -shard-addrs` run
+// at startup.
 func CheckShardFleet(ctx context.Context, repo *Repository, addrs []string) (unhealthy []string, err error) {
 	models := make([]*CSTBBS, len(repo.Entries))
 	for i, e := range repo.Entries {
 		models[i] = e.BBS
 	}
-	parts := shard.PartitionModels(models, shard.Router{Shards: len(addrs)})
-	var dark []string
-	for i := range addrs {
-		reps, err := shard.SplitReplicas(addrs[i])
-		if err != nil {
-			return unhealthy, err
-		}
-		healthy := 0
-		for _, a := range reps {
-			rs := shard.NewRemoteShard(a, len(parts[i]), scan.Config{Sim: similarity.DefaultOptions()}, shard.RemoteConfig{})
-			if cerr := rs.Check(ctx); cerr != nil {
-				unhealthy = append(unhealthy, a)
-			} else {
-				healthy++
-			}
-		}
-		if healthy == 0 {
-			dark = append(dark, addrs[i])
-		}
-	}
-	if len(dark) > 0 {
-		return unhealthy, fmt.Errorf("scaguard: no healthy replica for shard group(s) %s", strings.Join(dark, ", "))
-	}
-	return unhealthy, nil
+	return shard.CheckFleet(ctx, models, addrs)
 }

@@ -2,6 +2,8 @@ package scaguard
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"os"
 	"testing"
 )
@@ -285,5 +287,41 @@ func TestShippedTestdata(t *testing.T) {
 		if res.Predicted != c.want {
 			t.Errorf("%s: classified %s, want %s", c.file, res.Predicted, c.want)
 		}
+	}
+}
+
+// TestCheckShardFleetRejectsRotatedRepository: the startup handshake
+// compares content, not only entry counts, so it catches shard servers
+// started over a different repository file that happens to agree on
+// every name, family and count — the default repository with every
+// model rotated by one entry. A fleet of such servers has no healthy
+// replica; paired with a good replica per partition, the fleet starts
+// with the rotated replicas named unhealthy.
+func TestCheckShardFleetRejectsRotatedRepository(t *testing.T) {
+	repo := detector(t).Repo
+	rotated := &Repository{}
+	for i, e := range repo.Entries {
+		bbs := *repo.Entries[(i+1)%len(repo.Entries)].BBS
+		bbs.Name = e.Name
+		rotated.Add(e.Name, e.Family, &bbs)
+	}
+	good := shardFleet(t, repo, 2, ShardServerConfig{})
+	stale := shardFleet(t, rotated, 2, ShardServerConfig{})
+	ctx := context.Background()
+
+	if unhealthy, err := CheckShardFleet(ctx, repo, good); err != nil || len(unhealthy) != 0 {
+		t.Fatalf("good fleet: unhealthy %v, err %v", unhealthy, err)
+	}
+	unhealthy, err := CheckShardFleet(ctx, repo, stale)
+	if err == nil {
+		t.Fatalf("rotated fleet passed the handshake (unhealthy %v)", unhealthy)
+	}
+	mixed := []string{good[0] + "|" + stale[0], good[1] + "|" + stale[1]}
+	unhealthy, err = CheckShardFleet(ctx, repo, mixed)
+	if err != nil {
+		t.Fatalf("one good replica per partition: %v", err)
+	}
+	if fmt.Sprint(unhealthy) != fmt.Sprint(stale) {
+		t.Errorf("unhealthy %v, want the rotated replicas %v", unhealthy, stale)
 	}
 }
